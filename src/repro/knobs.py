@@ -315,8 +315,9 @@ register_knob(Knob(
     kind="int",
     default="pooled: `1` per worker; serial: leave the library alone",
     doc=(
-        "BLAS thread cap, applied in each pool worker at spawn (and "
-        "in-process when serial and set). The pooled default prevents "
+        "BLAS thread cap, applied to every OpenBLAS the process has mapped "
+        "(numpy's and scipy's bundled copies alike): in each pool worker at "
+        "spawn, and in-process when serial and set. The pooled default prevents "
         "oversubscription: keep `num_workers x blas_threads <= physical "
         "cores` when raising it. `0` means \"do not touch the BLAS library\". "
         "Threads through `ParallelConfig(blas_threads=...)`, "

@@ -35,17 +35,18 @@ executors); ``compile_model`` itself never consults the environment, so
 the fusion equivalence suites stay deterministic under any env.
 
 BLAS thread capping: ``REPRO_BLAS_THREADS`` / the ``blas_threads`` knob on
-:class:`repro.pipeline.parallel.ParallelConfig` caps the BLAS pool via a
-ctypes shim (no ``threadpoolctl`` dependency), so ``workers x BLAS
-threads`` does not oversubscribe the machine.  Defaults: 1 thread per
-pooled worker, leave-the-library-alone when serial.  Knob catalogue:
-``docs/configuration.md``.
+:class:`repro.pipeline.parallel.ParallelConfig` caps the BLAS thread pools
+via a ctypes shim (no ``threadpoolctl`` dependency), so ``workers x BLAS
+threads`` does not oversubscribe the machine.  The cap reaches *every*
+OpenBLAS the process has mapped: numpy and scipy each bundle their own, and
+the one numpy's GEMMs call is not necessarily the first one listed.
+Defaults: 1 thread per pooled worker, leave-the-library-alone when serial.
+Knob catalogue: ``docs/configuration.md``.
 """
 
 from __future__ import annotations
 
 import ctypes
-import functools
 import glob
 import os
 from dataclasses import dataclass, field
@@ -229,15 +230,27 @@ def _openblas_paths() -> list[str]:
     return paths
 
 
-@functools.lru_cache(maxsize=1)
-def _blas_library() -> ctypes.CDLL | None:
-    """The process's OpenBLAS handle, or None when no library was found."""
+def _blas_libraries() -> list[ctypes.CDLL]:
+    """Handles to every OpenBLAS the process has mapped, read at call time.
+
+    numpy and scipy each bundle their own OpenBLAS (numpy's is the 64-bit-int
+    ``numpy.libs/libscipy_openblas64_*``, the one every numpy GEMM calls), so
+    one process routinely maps two.  Nothing is cached: a library mapped
+    after an earlier call is picked up by the next one.
+    """
+    libraries = []
     for path in _openblas_paths():
         try:
-            return ctypes.CDLL(path)
+            libraries.append(ctypes.CDLL(path))
         except OSError:  # pragma: no cover - unloadable candidate
             continue
-    return None  # pragma: no cover - non-OpenBLAS numpy builds
+    return libraries
+
+
+def _blas_library() -> ctypes.CDLL | None:
+    """The first mapped OpenBLAS (kept for host fingerprints), or None."""
+    libraries = _blas_libraries()
+    return libraries[0] if libraries else None
 
 
 def _find_symbol(lib: ctypes.CDLL, candidates: tuple[str, ...]):
@@ -250,39 +263,42 @@ def _find_symbol(lib: ctypes.CDLL, candidates: tuple[str, ...]):
 
 
 def set_blas_threads(n: int) -> bool:
-    """Cap the BLAS thread pool at ``n`` threads.
+    """Cap every mapped OpenBLAS thread pool at ``n`` threads.
 
-    Returns True when a setter symbol was found and called, False when the
-    library (or symbol) is unavailable — callers degrade gracefully.  This
-    runtime call is the reliable path for pool workers: with the fork start
-    method the BLAS library is already initialized when the worker starts,
-    so environment variables like ``OPENBLAS_NUM_THREADS`` are too late.
+    Each library gets its own setter, looked up under the 64-bit-int
+    ``scipy_openblas_*64_`` and the plain export names.  Returns True only
+    when every mapped library accepted the cap; False when none was found or
+    any of them lacks a setter — callers degrade gracefully.  This runtime
+    call is the reliable path for pool workers: with the fork start method
+    the BLAS libraries are already initialized when the worker starts, so
+    environment variables like ``OPENBLAS_NUM_THREADS`` are too late.
     """
     if n < 1:
         raise ValueError(f"BLAS thread count must be >= 1, got {n}")
-    lib = _blas_library()
-    if lib is None:
-        return False
-    fn = _find_symbol(lib, _SET_SYMBOLS)
-    if fn is None:
-        return False
-    fn.argtypes = [ctypes.c_int]
-    fn.restype = None
-    fn(int(n))
-    return True
+    setters = [_find_symbol(lib, _SET_SYMBOLS) for lib in _blas_libraries()]
+    for fn in setters:
+        if fn is not None:
+            fn.argtypes = [ctypes.c_int]
+            fn.restype = None
+            fn(int(n))
+    return bool(setters) and None not in setters
 
 
 def get_blas_threads() -> int | None:
-    """Current BLAS thread count, or None when it cannot be queried."""
-    lib = _blas_library()
-    if lib is None:
-        return None
-    fn = _find_symbol(lib, _GET_SYMBOLS)
-    if fn is None:
-        return None
-    fn.argtypes = []
-    fn.restype = ctypes.c_int
-    return int(fn())
+    """Largest thread count across the mapped OpenBLAS libraries.
+
+    Taking the maximum means a cap that reached only some of the libraries
+    reads as uncapped.  None when no library can be queried.
+    """
+    counts = []
+    for lib in _blas_libraries():
+        fn = _find_symbol(lib, _GET_SYMBOLS)
+        if fn is None:
+            continue
+        fn.argtypes = []
+        fn.restype = ctypes.c_int
+        counts.append(int(fn()))
+    return max(counts) if counts else None
 
 
 def resolve_blas_threads(blas_threads: int | None = None, num_workers: int = 0) -> int:

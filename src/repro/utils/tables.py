@@ -2,7 +2,8 @@
 
 Every experiment reproduces a table or figure from the paper; the harness
 prints the regenerated rows with the same column structure so the output can
-be compared side by side with the publication (see EXPERIMENTS.md).
+be compared side by side with the publication (the regenerated tables are
+checked in under ``artifacts/results/``, e.g. ``table_4_large_tile.txt``).
 """
 
 from __future__ import annotations

@@ -24,6 +24,13 @@ CI backend matrix.  Env resolution itself is tested with monkeypatch below.
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -34,13 +41,16 @@ from repro.nn.backends import (
     BLAS_THREADS_ENV,
     available_backends,
     get_backend,
+    get_blas_threads,
     resolve_backend,
     resolve_blas_threads,
 )
 from repro.pipeline import (
+    Executor,
     InferencePipeline,
     ModelExecutor,
     ParallelConfig,
+    WorkerPoolExecutor,
     as_executor,
 )
 
@@ -264,3 +274,89 @@ def test_pooled_pipeline_caps_worker_blas_threads(model, monkeypatch):
         np.testing.assert_allclose(
             pooled.predict(masks), serial.predict(masks), rtol=0, atol=1e-12
         )
+
+
+def _run_python(script: str) -> str:
+    """Run ``script`` in a fresh interpreter (repo ``src`` on the path)."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = dict(os.environ, PYTHONPATH=f"{src}{os.pathsep}" + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip().splitlines()[-1]
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps")
+def test_set_blas_threads_caps_every_mapped_openblas():
+    """Regression pin: the cap once reached only the first OpenBLAS listed in
+    /proc/self/maps (scipy's), leaving numpy's own — the one its GEMMs call —
+    at the library default.  Each library is queried here through its own
+    getter, independently of ``get_blas_threads``, in a fresh interpreter so
+    this session's BLAS state is untouched."""
+    report = json.loads(_run_python(
+        """
+        import ctypes, json, os
+        import numpy
+        import scipy.linalg  # maps scipy's own OpenBLAS beside numpy's
+        from repro.nn.backends import get_blas_threads, set_blas_threads
+
+        GETTERS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                   "openblas_get_num_threads64_", "openblas_get_num_threads")
+        capped = set_blas_threads(1)
+        threads = {}
+        with open("/proc/self/maps") as fh:
+            for line in fh:
+                path = "/" + line.rstrip("\\n").partition("/")[2]
+                if "openblas" in os.path.basename(path).lower() and path not in threads:
+                    lib = ctypes.CDLL(path)
+                    getter = next(getattr(lib, n) for n in GETTERS if hasattr(lib, n))
+                    getter.restype = ctypes.c_int
+                    threads[path] = getter()
+        print(json.dumps({"capped": capped, "reported": get_blas_threads(), "threads": threads}))
+        """
+    ))
+    numpy_libs = [p for p in report["threads"] if Path(p).parent.name == "numpy.libs"]
+    if not numpy_libs:
+        pytest.skip("numpy is not linked against its bundled OpenBLAS")
+    assert report["capped"] is True
+    assert report["reported"] == 1
+    assert [report["threads"][p] for p in numpy_libs] == [1]
+    assert set(report["threads"].values()) == {1}, report["threads"]
+
+
+class _BlasThreadProbe(Executor):
+    """Fills each output with the BLAS thread count of the process running it."""
+
+    name = "blas-thread-probe"
+
+    def run_batch(self, batch: np.ndarray) -> np.ndarray:
+        return np.full(batch.shape, float(get_blas_threads() or 0))
+
+
+def _worker_blas_threads(**knobs) -> set[float]:
+    with WorkerPoolExecutor(_BlasThreadProbe(), num_workers=2, **knobs) as pool:
+        out = pool.run_batch(np.zeros((5, 1, 2, 2)))
+        assert pool.robustness.degraded_runs == 0  # every chunk ran in a worker
+    return set(out[1:].ravel().tolist())  # row 0 is the in-process spec probe
+
+
+def test_pool_workers_run_one_blas_thread(monkeypatch):
+    """Worker-side pin: the pooled default reaches the libraries the workers'
+    GEMMs call, not just the executor's ``blas_threads`` attribute."""
+    monkeypatch.delenv(BLAS_THREADS_ENV, raising=False)
+    assert _worker_blas_threads() == {1.0}
+
+
+def test_uncapped_pool_workers_keep_library_default(monkeypatch):
+    """``blas_threads=0`` leaves the workers' libraries at their default."""
+    monkeypatch.delenv(BLAS_THREADS_ENV, raising=False)
+    default = _run_python(
+        """
+        import repro.pipeline
+        from repro.nn.backends import get_blas_threads
+        print(get_blas_threads())
+        """
+    )
+    assert _worker_blas_threads(blas_threads=0) == {float(default)}
