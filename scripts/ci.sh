@@ -4,8 +4,9 @@
 # explicit pass over the streaming + parallel worker-pool suites (persistent
 # shm ring, per-call transport, intra-mask sharding — all bit-identical to
 # serial), the supervision chaos gate (deterministic fault injection: crash
-# detection, chunk retry, worker respawn, graceful degradation), a short
-# pooled run of the repo benchmark (outputs bit-identical to serial), and
+# detection, chunk retry, worker respawn, graceful degradation), short
+# serial and pooled runs of the repo benchmark (serial within 1e-12 of the
+# unfused pipeline, pooled bit-identical to serial), and
 # /dev/shm leak checks after the chaos gate and at the end.
 # Runs with -p no:cacheprovider so repeated CI invocations on read-only or
 # shared checkouts never write .pytest_cache state.
@@ -116,17 +117,23 @@ python -m pytest -x -q -p no:cacheprovider \
     tests/pipeline/test_supervision.py "$@"
 check_shm_clean "after chaos gate"
 
-# Pooled benchmark smoke: a short large_tile_pool run of the repo benchmark
-# (BENCHMARK.json).  Its correctness checks hold sampled pooled outputs
-# bit-identical to serial while the workers run capped BLAS pools; the gate
-# fails unless the run's last (JSON) line reports correct with 0 failed calls.
-echo "== pooled benchmark smoke (large_tile_pool: correct, 0 failed) =="
-bench_json=$(python3 perfbench/run.py --workload large_tile_pool --seed 1 --seconds 5 --trace 0 | tail -n 1)
-echo "${bench_json}"
-python3 -c '
+# Benchmark smokes: short runs of the repo benchmark (BENCHMARK.json).  The
+# serial large_tile run checks the first stitched 256 px mask against the
+# unfused pipeline to 1e-12, which covers the blocked stride-1 conv kernel
+# on full-mask shapes.  The pooled run holds sampled outputs bit-identical
+# to serial while the workers run capped BLAS pools.  Each gate fails
+# unless the run's last (JSON) line reports correct with 0 failed calls.
+bench_smoke() {
+    echo "== benchmark smoke ($1: correct, 0 failed) =="
+    bench_json=$(python3 perfbench/run.py --workload "$1" --seed 1 --seconds 5 --trace 0 | tail -n 1)
+    echo "${bench_json}"
+    python3 -c '
 import json, sys
 result = json.loads(sys.argv[1])
 sys.exit(0 if result.get("correct") is True and result.get("failed") == 0 else 1)
-' "${bench_json}" || { echo "pooled benchmark smoke failed" >&2; exit 1; }
+' "${bench_json}" || { echo "$1 benchmark smoke failed" >&2; exit 1; }
+}
+bench_smoke large_tile
+bench_smoke large_tile_pool
 
 check_shm_clean "final"

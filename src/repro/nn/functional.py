@@ -13,7 +13,9 @@ over the (padded) input — a view, not a materialized ``(N, C*kh*kw, L)``
 patch matrix — and the contraction against the weights runs as one GEMM via
 ``np.tensordot``, whose internal packing of the view is the only copy made.
 The explicit ``im2col``/``col2im`` pair is kept for the adjoint passes and
-for callers that need the patch matrix itself.
+for callers that need the patch matrix itself.  The fused eval kernel
+:func:`conv_bn_act` packs stride-1 patches one cache-resident block of
+:data:`CONV_BLOCK` output positions at a time instead.
 """
 
 from __future__ import annotations
@@ -206,6 +208,131 @@ def _apply_activation_inplace(arr: np.ndarray, activation: str, negative_slope: 
         np.tanh(arr, out=arr)
 
 
+#: Output positions per GEMM of the stride-1 kernel of :func:`conv_bn_act`.
+#: One block's ``(C_in*kh*kw, CONV_BLOCK)`` patch and its result stay cache
+#: resident instead of a whole-image patch matrix streaming through DRAM.
+CONV_BLOCK = 2048
+
+#: Every block GEMM's column count is a multiple of this.  BLAS rounds a
+#: ragged column edge differently from a full tile, and where the columns
+#: split across threads depends on the thread count; with aligned blocks an
+#: output element's bits depend on neither, so pooled workers (1 thread)
+#: match the serial default bit for bit.
+CONV_BLOCK_ALIGN = 64
+
+
+def _round_up(value: int, multiple: int) -> int:
+    return -(-value // multiple) * multiple
+
+
+def conv_gemm_shape(
+    input_shape: tuple,
+    weight_shape: tuple,
+    stride: int = 1,
+    output_padding: int = 0,
+    stacked: bool = False,
+) -> tuple | None:
+    """Shape of the ``gemm`` scratch :func:`conv_bn_act` needs, or None.
+
+    ``input_shape`` is the padded input's.  A stride-1 conv needs the block
+    scratch: one block's ``C_in*kh*kw`` patch rows stacked over its ``C_out``
+    result rows, one block wide, or the output span rounded up to
+    :data:`CONV_BLOCK_ALIGN` when that is narrower.  The ``stacked`` lane
+    needs the whole batch's ``(N*L, C_out)`` result, and a strided conv with
+    ``output_padding > 0`` one sample's ``(C_out, L)`` tile.  A borderless
+    strided conv GEMMs straight into the output.
+    """
+    n, c_in, hp, wp = input_shape
+    c_out, _, kh, kw = weight_shape
+    if stride == 1 and not stacked:
+        span = (hp - kh) * wp + wp - kw + 1
+        return (c_in * kh * kw + c_out, min(CONV_BLOCK, _round_up(span, CONV_BLOCK_ALIGN)))
+    length = _conv_output_size(hp, kh, stride, 0) * _conv_output_size(wp, kw, stride, 0)
+    if stacked:
+        return (n * length, c_out)
+    if output_padding:
+        return (c_out, length)
+    return None
+
+
+def _land_block(part: np.ndarray, dst: np.ndarray, start: int, stop: int, wp: int) -> None:
+    """Copy a block result into ``dst`` ``(C_out, H_out, W_out)``, dropping
+    the ``kw - 1`` wrap-around columns of every padded-width row.
+
+    ``part[:, j]`` is the output at flat padded-width position ``start + j``
+    (row ``p // wp``, column ``p % wp``), for ``start + j < stop``.
+    """
+    c_out, _, w_out = dst.shape
+    row, col = divmod(start, wp)
+    pos = start
+    if col:
+        # Finish the row the previous block started.
+        end = min(stop, row * wp + w_out)
+        if pos < end:
+            dst[:, row, col : col + end - pos] = part[:, : end - pos]
+        row += 1
+        pos = row * wp
+    full = (stop - pos - w_out) // wp + 1  # rows wholly inside the block
+    if full > 0:
+        item = part.itemsize
+        dst[:, row : row + full] = as_strided(
+            part[:, pos - start :], shape=(c_out, full, w_out), strides=(part.strides[0], wp * item, item)
+        )
+        row += full
+        pos += full * wp
+    if pos < stop:
+        # The next block finishes this row.
+        dst[:, row, : stop - pos] = part[:, pos - start : stop - start]
+
+
+def _conv_stride1_blocked(
+    x: np.ndarray,
+    w_mat: np.ndarray,
+    bias_col: np.ndarray | None,
+    kh: int,
+    kw: int,
+    dst: np.ndarray,
+    scratch: np.ndarray,
+    activation: str,
+    negative_slope: float,
+) -> None:
+    """Stride-1 conv of the zero-bordered ``x`` into ``dst`` ``(N, C_out, H_out, W_out)``.
+
+    Each sample is read flat at padded width: output position ``p = r*wp + c``
+    sees input ``p + a*wp + b`` for kernel offset ``(a, b)``, so one block of
+    positions is a single strided view that packs into a cache-resident
+    patch.  Positions with ``c >= W_out`` wrap into the next row; their
+    results are dropped on landing.  The final block is zero-padded up to
+    :data:`CONV_BLOCK_ALIGN` columns rather than read past the buffer.
+    """
+    n, c_in, hp, wp = x.shape
+    c_out = w_mat.shape[0]
+    k_len = c_in * kh * kw
+    span = (dst.shape[2] - 1) * wp + dst.shape[3]
+    width = scratch.shape[1]
+    patch_flat = scratch[:k_len].reshape(-1)
+    result_flat = scratch[k_len:].reshape(-1)
+    x = np.ascontiguousarray(x)
+    item = x.itemsize
+    for i in range(n):
+        src = x[i].reshape(c_in, hp * wp)
+        for start in range(0, span, width):
+            stop = min(start + width, span)
+            valid = stop - start
+            cols = _round_up(valid, CONV_BLOCK_ALIGN)
+            patch = patch_flat[: k_len * cols].reshape(k_len, cols)
+            patch.reshape(c_in, kh, kw, cols)[..., :valid] = as_strided(
+                src[:, start:], shape=(c_in, kh, kw, valid), strides=(src.strides[0], wp * item, item, item)
+            )
+            if valid < cols:
+                patch[:, valid:] = 0.0
+            part = np.matmul(w_mat, patch, out=result_flat[: c_out * cols].reshape(c_out, cols))
+            if bias_col is not None:
+                part += bias_col
+            _apply_activation_inplace(part, activation, negative_slope)
+            _land_block(part, dst[i], start, stop, wp)
+
+
 def conv_bn_act(
     x: np.ndarray,
     weight: np.ndarray,
@@ -224,9 +351,16 @@ def conv_bn_act(
 
     This is the eval-mode hot path compiled by :mod:`repro.nn.fusion`: the
     batch-norm affine is folded into ``weight``/``bias`` ahead of time, and the
-    activation is applied to each sample's GEMM output tile while it is still
+    activation is applied to each GEMM output block while it is still
     cache resident — instead of three separate passes (conv, batch norm,
     activation) over a working set that spills the per-core cache.
+
+    Stride-1 convolutions run cache-blocked: :data:`CONV_BLOCK` output
+    positions at a time are packed from the zero-bordered input into a
+    patch, multiplied by the ``(C_out, C_in*kh*kw)`` weight matrix in one
+    GEMM whose width is a multiple of :data:`CONV_BLOCK_ALIGN`, and copied
+    into the output.  Strided convolutions run one whole-image GEMM per
+    sample.
 
     Operates on plain ndarrays (no autograd); training forwards keep using
     :func:`conv2d` / :func:`batch_norm2d` unchanged.
@@ -246,18 +380,20 @@ def conv_bn_act(
         2*output_padding)`` buffer whose border is already zero (a fused
         chain's scratch cache); only the interior is written.
     gemm:
-        Optional GEMM scratch (a fused chain's buffer cache).  On the
-        bordered per-sample path (``output_padding > 0``) it holds one
-        sample's ``(C_out, L)`` output tile; on the ``stacked`` path it
-        holds the whole batch's ``(N*L, C_out)`` result.  Fully rewritten
-        every call, no zero-border contract.
+        Optional GEMM scratch (a fused chain's buffer cache), fully
+        rewritten every call, no zero-border contract.  For stride 1 it is
+        the block scratch of :func:`conv_gemm_shape`: one block's
+        patch rows stacked over its ``C_out`` result rows.  For a strided
+        conv with ``output_padding > 0`` it holds one sample's ``(C_out, L)``
+        output tile before the copy into the bordered output; on the
+        ``stacked`` path it holds the whole batch's ``(N*L, C_out)`` result.
     stacked:
         Stack every sample's patch matrix into one ``(N*L, C_in*kh*kw)``
-        GEMM (the threaded-BLAS backend lane) instead of one
-        cache-resident GEMM per sample.  Faster when BLAS is threaded, but
-        the GEMM shape now depends on ``N``, so results are only
-        tolerance-equivalent across batch partitionings — the per-sample
-        default stays the bit-identical reference.
+        GEMM (the threaded-BLAS backend lane) instead of the per-sample
+        GEMMs.  Faster when BLAS is threaded, but the GEMM shape now depends
+        on ``N``, so results are only tolerance-equivalent across batch
+        partitionings — the per-sample default stays the bit-identical
+        reference.
     """
     _check_fused_activation(activation, negative_slope)
     x = np.asarray(x)
@@ -266,15 +402,13 @@ def conv_bn_act(
     c_out, c_in_w, kh, kw = weight.shape
     if c_in != c_in_w:
         raise ValueError(f"conv_bn_act: input has {c_in} channels, weight expects {c_in_w}")
-    if input_is_padded or padding == 0:
-        windows = sliding_window_view(x, (kh, kw), axis=(2, 3))
-        if stride > 1:
-            windows = windows[:, :, ::stride, ::stride]
-    else:
-        windows = _window_view(x, kh, kw, stride, padding)
-    h_out, w_out = windows.shape[2], windows.shape[3]
+    if padding and not input_is_padded:
+        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    _, _, hp, wp = x.shape
+    h_out = _conv_output_size(hp, kh, stride, 0)
+    w_out = _conv_output_size(wp, kw, stride, 0)
     oh, ow = h_out + 2 * output_padding, w_out + 2 * output_padding
-    dtype = np.result_type(windows, weight)
+    dtype = np.result_type(x, weight)
     if out is None:
         # repro: ok(ALLOC001, API fallback when no out= buffer is passed; FusedChain always passes its cached one)
         alloc = np.zeros if output_padding else np.empty
@@ -286,53 +420,45 @@ def conv_bn_act(
         )
     # The (C_out, C_in*kh*kw) weight matrix is a free view of the PyTorch
     # weight layout — no per-call weight pack (tensordot repacks it every
-    # call).  The patch pack below is the single remaining copy per sample.
+    # call).  The patch pack is the single remaining copy of the input.
     w_mat = weight.reshape(c_out, -1)
     bias_col = None if bias is None else np.asarray(bias).reshape(c_out, 1)
+    interior = out[:, :, output_padding : output_padding + h_out, output_padding : output_padding + w_out]
     length = h_out * w_out
+    gemm_shape = conv_gemm_shape(x.shape, weight.shape, stride, output_padding, stacked)
+    if gemm_shape is not None:
+        if gemm is None:
+            # repro: ok(ALLOC001, scratch fallback when the caller passes no buffer; FusedChain passes its cached one)
+            gemm = np.empty(gemm_shape, dtype=dtype)
+        elif gemm.shape != gemm_shape or gemm.dtype != dtype:
+            raise ValueError(
+                f"conv_bn_act: gemm buffer has shape {gemm.shape} dtype {gemm.dtype}, "
+                f"expected {gemm_shape} dtype {dtype}"
+            )
+    if not stacked and stride == 1:
+        _conv_stride1_blocked(x, w_mat, bias_col, kh, kw, interior, gemm, activation, negative_slope)
+        return out
+    windows = sliding_window_view(x, (kh, kw), axis=(2, 3))
+    if stride > 1:
+        windows = windows[:, :, ::stride, ::stride]
     if stacked:
         # Threaded-BLAS lane: one (N*L, C_in*kh*kw) @ (C_in*kh*kw, C_out)
         # GEMM for the whole micro-batch, so a threaded BLAS has enough rows
         # to split across cores.  The transpose/reshape is the single patch
         # pack (same copy count as the per-sample loop, one bigger buffer).
-        k_len = c_in * kh * kw
-        cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * length, k_len)
-        if gemm is None:
-            # repro: ok(ALLOC001, scratch fallback when the caller passes no buffer; FusedChain passes its cached one)
-            gemm = np.empty((n * length, c_out), dtype=dtype)
-        elif gemm.shape != (n * length, c_out) or gemm.dtype != dtype:
-            raise ValueError(
-                f"conv_bn_act: gemm buffer has shape {gemm.shape} dtype {gemm.dtype}, "
-                f"expected {(n * length, c_out)} dtype {dtype}"
-            )
+        cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * length, c_in * kh * kw)
         part = np.matmul(cols, w_mat.T, out=gemm)
         if bias is not None:
             part += np.asarray(bias).reshape(1, c_out)
         _apply_activation_inplace(part, activation, negative_slope)
-        out[:, :, output_padding : output_padding + h_out, output_padding : output_padding + w_out] = (
-            part.reshape(n, h_out, w_out, c_out).transpose(0, 3, 1, 2)
-        )
+        interior[...] = part.reshape(n, h_out, w_out, c_out).transpose(0, 3, 1, 2)
         return out
-    if output_padding:
-        # The bordered path cannot GEMM straight into the output interior
-        # (the border makes the rows non-contiguous), so it lands in a
-        # (C_out, L) scratch first — cached by the fused chain, not a fresh
-        # allocation per sample per call.
-        if gemm is None:
-            # repro: ok(ALLOC001, scratch fallback when the caller passes no buffer; FusedChain passes its cached one)
-            gemm = np.empty((c_out, length), dtype=dtype)
-        elif gemm.shape != (c_out, length) or gemm.dtype != dtype:
-            raise ValueError(
-                f"conv_bn_act: gemm buffer has shape {gemm.shape} dtype {gemm.dtype}, "
-                f"expected {(c_out, length)} dtype {dtype}"
-            )
     for i in range(n):
-        # (C_in*kh*kw, L) patch matrix; for 1x1 stride-1 kernels the
-        # transpose is trivial and reshape returns a zero-copy view.
+        # One (C_in*kh*kw, L) patch matrix and GEMM per sample.  Without a
+        # border the GEMM writes straight into the output; the bordered
+        # interior is not contiguous, so that result lands in scratch first.
         cols = windows[i].transpose(0, 3, 4, 1, 2).reshape(c_in * kh * kw, length)
         if output_padding == 0:
-            # One GEMM per sample, written straight into the output buffer;
-            # bias/activation run in place on the cache-hot tile.
             part = np.matmul(w_mat, cols, out=out[i].reshape(c_out, length))
         else:
             part = np.matmul(w_mat, cols, out=gemm)
@@ -340,9 +466,7 @@ def conv_bn_act(
             part += bias_col
         _apply_activation_inplace(part, activation, negative_slope)
         if output_padding:
-            out[i, :, output_padding : output_padding + h_out, output_padding : output_padding + w_out] = (
-                part.reshape(c_out, h_out, w_out)
-            )
+            interior[i] = part.reshape(c_out, h_out, w_out)
     return out
 
 

@@ -185,22 +185,13 @@ class FusedConvBNAct:
     ):
         """GEMM scratch this op needs from the chain's buffer cache.
 
-        The stacked-BLAS lane lands the whole batch in one ``(N*L, C_out)``
-        result; the bordered per-sample path (``output_padding > 0``) lands
-        each sample's ``(C_out, L)`` tile in scratch before the strided copy
-        into the zero-bordered output.  The borderless per-sample default
-        GEMMs straight into the output buffer and needs none.
+        See :func:`repro.nn.functional.conv_gemm_shape`: a stride-1 conv
+        needs one cache-resident block's patch and result rows, reused for
+        every block of every sample; the stacked-BLAS lane the whole batch's
+        result; a strided conv with a bordered emission one sample's tile.
         """
-        n, _, hp, wp = input_shape
-        kh, kw = self.kernel_size
-        h_out = (hp - kh) // self.stride + 1
-        w_out = (wp - kw) // self.stride + 1
-        length = h_out * w_out
-        if backend is not None and backend.stacked_gemm:
-            return (n * length, self.out_channels)
-        if output_padding:
-            return (self.out_channels, length)
-        return None
+        stacked = backend is not None and backend.stacked_gemm
+        return F.conv_gemm_shape(input_shape, self.weight.shape, self.stride, output_padding, stacked)
 
     def apply(
         self,
@@ -543,9 +534,9 @@ class FusedChain:
         return self._cached_zeros(("scatter", index, shape, np.dtype(dtype).str), shape, dtype)
 
     def _gemm_buffer(self, index: int, shape: tuple, dtype) -> np.ndarray:
-        # GEMM scratch (bordered conv tiles, stacked-BLAS results) is fully
-        # rewritten every call; like "scatter" it has no zero-border contract
-        # and its own namespace.
+        # GEMM scratch (stride-1 conv blocks, bordered strided-conv tiles,
+        # stacked-BLAS results) is fully rewritten every call; like "scatter"
+        # it has no zero-border contract and its own namespace.
         return self._cached_zeros(("gemm", index, shape, np.dtype(dtype).str), shape, dtype)
 
     # -- execution ------------------------------------------------------ #

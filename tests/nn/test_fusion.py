@@ -141,6 +141,98 @@ def test_conv_bn_act_validates_arguments(rng):
 
 
 # --------------------------------------------------------------------- #
+# Stride-1 blocked kernel vs a whole-image im2col GEMM
+# --------------------------------------------------------------------- #
+def _im2col_reference(x, w, b, padding, activation, slope=0.2):
+    """One whole-image ``w_mat @ im2col`` GEMM per sample, bias, activation."""
+    c_out, _, kh, kw = w.shape
+    cols = F.im2col(x, kh, kw, 1, padding)
+    h_out = x.shape[2] + 2 * padding - kh + 1
+    w_out = x.shape[3] + 2 * padding - kw + 1
+    ref = np.matmul(w.reshape(c_out, -1), cols) + b.reshape(c_out, 1)
+    if activation == "leaky_relu":
+        ref = np.maximum(ref, ref * slope)
+    elif activation == "tanh":
+        ref = np.tanh(ref)
+    return ref.reshape(x.shape[0], c_out, h_out, w_out)
+
+
+# (kernel, padding, output size).  Output sizes whose H*W is a multiple of
+# 64, so the reference GEMM has no ragged column edge either: 8x8 fits in
+# one block, 32x72 spans two with a ragged final block, 64x64 spans three.
+@pytest.mark.parametrize("k,padding", [(3, 1), (3, 0), (5, 2), (5, 1), (4, 1), (4, 2)])
+@pytest.mark.parametrize("out_size", [(8, 8), (32, 72), (64, 64)])
+@pytest.mark.parametrize("input_is_padded", [False, True])
+@pytest.mark.parametrize("output_padding", [0, 1])
+def test_conv_bn_act_blocked_matches_im2col_bitwise(rng, k, padding, out_size, input_is_padded, output_padding):
+    h, w = (size - 2 * padding + k - 1 for size in out_size)
+    x = rng.standard_normal((2, 3, h, w))
+    weight = rng.standard_normal((5, 3, k, k))
+    bias = rng.standard_normal(5)
+    activation = "tanh" if k == 4 else "leaky_relu"
+    ref = _im2col_reference(x, weight, bias, padding, activation)
+    if input_is_padded:
+        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    out = F.conv_bn_act(
+        x, weight, bias, stride=1, padding=padding, activation=activation, negative_slope=0.2,
+        input_is_padded=input_is_padded, output_padding=output_padding,
+    )
+    op = output_padding
+    assert out.shape == (2, 5, out_size[0] + 2 * op, out_size[1] + 2 * op)
+    np.testing.assert_array_equal(out[:, :, op : op + out_size[0], op : op + out_size[1]], ref)
+    if op:
+        border = out.copy()
+        border[:, :, op:-op, op:-op] = 0.0
+        assert not border.any()
+
+
+def test_conv_bn_act_blocked_ignores_slack_tail_and_stale_scratch(rng):
+    """Nothing but the input image reaches the output: NaNs just past the
+    input buffer's end (slack an over-read would pick up), a NaN-filled
+    scratch (the zero-padded tail columns of the final block), and a scratch
+    reused from a different input all leave the result bit-identical, and
+    the emitted border stays exactly zero."""
+    c_in, c_out, size = 4, 6, 50            # span 2598: two blocks, ragged tail
+    x = rng.standard_normal((2, c_in, size, size))
+    weight = rng.standard_normal((c_out, c_in, 3, 3))
+    bias = rng.standard_normal(c_out)
+    kwargs = dict(stride=1, padding=1, activation="leaky_relu", negative_slope=0.2, output_padding=1)
+    ref = F.conv_bn_act(x, weight, bias, **kwargs)
+
+    padded = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    slack = np.full(padded.size + 4096, np.nan)
+    x_in = slack[: padded.size].reshape(padded.shape)
+    x_in[...] = padded
+    gemm = np.full(F.conv_gemm_shape((2, c_in, size + 2, size + 2), weight.shape), np.nan)
+    out = np.zeros_like(ref)
+    out[:, :, 1:-1, 1:-1] = np.nan
+    got = F.conv_bn_act(x_in, weight, bias, input_is_padded=True, out=out, gemm=gemm, **kwargs)
+    assert got is out
+    np.testing.assert_array_equal(got, ref)
+
+    other = rng.standard_normal(padded.shape)
+    F.conv_bn_act(other, weight, bias, input_is_padded=True, gemm=gemm, **kwargs)
+    again = F.conv_bn_act(x_in, weight, bias, input_is_padded=True, out=np.zeros_like(ref), gemm=gemm, **kwargs)
+    np.testing.assert_array_equal(again, ref)
+    border = again.copy()
+    border[:, :, 1:-1, 1:-1] = 0.0
+    assert not border.any()
+
+
+def test_float32_lane_blocked_refine_tail_within_calibrated_tolerance(tiny_model_factory, rng):
+    """The float32 lane runs the same blocked kernel in single precision: at
+    64 px the DOINN refine tail spans several blocks and stays within the
+    calibrated lane tolerance of the float64 graph."""
+    model = tiny_model_factory("doinn", image_size=64)
+    x = rng.random((2, 1, 64, 64))
+    ref = compile_model(model)
+    g32 = compile_model(model, backend="float32")
+    with no_grad():
+        delta = np.max(np.abs(g32(Tensor(x)).numpy() - ref(Tensor(x)).numpy()))
+    assert delta <= FLOAT32_MAX_ABS_DELTA["doinn"], f"float32 delta {delta:.3e}"
+
+
+# --------------------------------------------------------------------- #
 # conv_transpose_bn_act kernel vs the unfused path
 # --------------------------------------------------------------------- #
 # (kernel, stride, padding, activation): the DOINN dconv geometry (4/2/1,
@@ -389,9 +481,10 @@ def test_fused_chain_scratch_keys_are_namespaced(rng):
     chain = build_chain([(deconv, None, None), (conv, None, None)])
     chain.run(rng.standard_normal((1, 2, 8, 8)))
     # No entry pad (a deconv consumes borderless input): the deconv's bordered
-    # output buffer and its scatter image, nothing else — in separate families.
+    # output buffer, its scatter image and the stride-1 conv's block scratch,
+    # nothing else — in separate families.
     families = {key[0] for key in chain._scratch}
-    assert families == {"out", "scatter"}
+    assert families == {"out", "scatter", "gemm"}
 
 
 def test_sequential_fusion_merges_conv_runs(rng):
@@ -730,36 +823,49 @@ def test_transposed_conv_up_paths_compile_without_fallback(zoo_model):
 # Fused-path allocation / cache bugfixes (PR 8 satellites)
 # --------------------------------------------------------------------- #
 def test_conv_bn_act_routes_bordered_gemm_through_scratch(rng):
-    """Bugfix pin: the ``output_padding > 0`` branch must write its per-sample
-    GEMM into the caller-provided ``gemm`` buffer instead of allocating a
-    fresh ``(C_out, L)`` array per sample per call.  A NaN canary proves the
-    buffer was actually consumed (``np.matmul(..., out=)`` overwrites it;
-    the old ``w_mat @ cols`` allocation would leave the NaNs untouched)."""
+    """Bugfix pin: the stride-1 kernel must pack its patches and land its
+    GEMM results in the caller-provided ``gemm`` block scratch instead of
+    allocating per sample per call.  A NaN canary proves the buffer was
+    actually consumed: afterwards no NaN is left, the zero-padded tail of
+    the patch rows is zero, and the result rows hold the last sample's
+    activated output at padded-width positions (the GEMM target)."""
     x = rng.standard_normal((3, 2, 8, 8))
     w = rng.standard_normal((4, 2, 3, 3))
     plain = F.conv_bn_act(x, w, None, stride=1, padding=1)
-    gemm = np.full((4, 64), np.nan)
+    shape = F.conv_gemm_shape((3, 2, 10, 10), w.shape)
+    assert shape == (2 * 9 + 4, 128)        # span 7*10 + 8 = 78, rounded up to 64s
+    gemm = np.full(shape, np.nan)
     padded = F.conv_bn_act(x, w, None, stride=1, padding=1, output_padding=1, gemm=gemm)
     np.testing.assert_array_equal(padded[:, :, 1:-1, 1:-1], plain)
-    # The buffer holds the last sample's activated tile: it was the GEMM target.
-    np.testing.assert_array_equal(gemm.reshape(4, 8, 8), plain[-1])
+    assert not np.isnan(gemm).any()
+    assert not gemm[:18, 78:].any()
+    positions = (np.arange(8)[:, None] * 10 + np.arange(8)).ravel()
+    np.testing.assert_array_equal(gemm[18:, positions].reshape(4, 8, 8), plain[-1])
     with pytest.raises(ValueError, match="gemm buffer"):
         F.conv_bn_act(x, w, None, stride=1, padding=1, output_padding=1, gemm=np.zeros((3, 64)))
 
 
 def test_fused_chain_caches_bordered_gemm_buffer(rng):
-    """Chain level: a bordered emission (conv feeding a padded successor)
-    allocates its GEMM scratch once, under the ``"gemm"`` namespace, and
-    reuses it across same-geometry calls."""
+    """Chain level: every stride-1 conv gets its block scratch from the
+    buffer cache, under the ``"gemm"`` namespace, allocated once and reused
+    across same-geometry calls.  NaN-filling the cached buffers between calls
+    proves the run consumes them rather than allocating its own."""
     block = VGGBlock(2, 3, rng=rng)
     chain = build_chain(block.fusible_chain())
     x = rng.standard_normal((2, 2, 8, 8))
     first = chain.run(x)
     gemm_keys = [key for key in chain._scratch if key[0] == "gemm"]
-    assert gemm_keys, "the bordered conv emission did not route through the gemm cache"
+    assert sorted(key[2] for key in gemm_keys) == [
+        F.conv_gemm_shape((2, 2, 10, 10), (3, 2, 3, 3)),
+        F.conv_gemm_shape((2, 3, 10, 10), (3, 3, 3, 3)),
+    ]
     ids = {key: id(chain._scratch[key]) for key in gemm_keys}
+    for key in gemm_keys:
+        chain._scratch[key].fill(np.nan)
     second = chain.run(x)
     assert {key: id(chain._scratch[key]) for key in gemm_keys} == ids
+    for key in gemm_keys:
+        assert not np.isnan(chain._scratch[key]).any()
     np.testing.assert_array_equal(first, second)
 
 

@@ -326,6 +326,43 @@ def test_set_blas_threads_caps_every_mapped_openblas():
     assert set(report["threads"].values()) == {1}, report["threads"]
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps")
+def test_conv_bn_act_bits_do_not_depend_on_blas_threads():
+    """Regression pin: with one whole-image GEMM per sample, ``conv_bn_act``
+    on an image whose ``H*W`` is not a multiple of 16 differed by ~1e-14
+    between 1 and 2 BLAS threads (BLAS rounds the ragged column edge, and
+    splits columns across threads, differently per thread count), breaking
+    pooled (1 thread) == serial (default) for such geometries.  The blocked
+    stride-1 kernel keeps every GEMM width a multiple of 64.  Runs in a
+    fresh interpreter so this session's BLAS state is untouched."""
+    report = json.loads(_run_python(
+        """
+        import json
+        import numpy as np
+        from repro.nn import functional as F
+        from repro.nn.backends import set_blas_threads
+
+        rng = np.random.default_rng(7)
+        capped, mismatches = True, []
+        for size in (37, 50, 63, 250):
+            for c_out, c_in in ((32, 4), (16, 32), (16, 16)):
+                x = rng.standard_normal((1, c_in, size, size))
+                w = rng.standard_normal((c_out, c_in, 3, 3))
+                b = rng.standard_normal(c_out)
+                outs = []
+                for threads in (1, 2):
+                    capped &= set_blas_threads(threads)
+                    outs.append(F.conv_bn_act(x, w, b, padding=1, activation="relu"))
+                if not np.array_equal(*outs):
+                    mismatches.append([size, c_out, c_in, float(np.abs(outs[0] - outs[1]).max())])
+        print(json.dumps({"capped": capped, "mismatches": mismatches}))
+        """
+    ))
+    if not report["capped"]:
+        pytest.skip("no OpenBLAS thread setter to switch between 1 and 2 threads")
+    assert report["mismatches"] == []
+
+
 class _BlasThreadProbe(Executor):
     """Fills each output with the BLAS thread count of the process running it."""
 
