@@ -120,7 +120,8 @@ check_shm_clean "after chaos gate"
 # Benchmark smokes: short runs of the repo benchmark (BENCHMARK.json).  The
 # serial large_tile run checks the first stitched 256 px mask against the
 # unfused pipeline to 1e-12, which covers the blocked stride-1 conv kernel
-# on full-mask shapes.  The pooled run holds sampled outputs bit-identical
+# (one C_in*kw-row pack per block, kh accumulating kernel-row GEMMs) on
+# full-mask shapes.  The pooled run holds sampled outputs bit-identical
 # to serial while the workers run capped BLAS pools.  Each gate fails
 # unless the run's last (JSON) line reports correct with 0 failed calls.
 bench_smoke() {

@@ -14,8 +14,12 @@ patch matrix — and the contraction against the weights runs as one GEMM via
 ``np.tensordot``, whose internal packing of the view is the only copy made.
 The explicit ``im2col``/``col2im`` pair is kept for the adjoint passes and
 for callers that need the patch matrix itself.  The fused eval kernel
-:func:`conv_bn_act` packs stride-1 patches one cache-resident block of
-:data:`CONV_BLOCK` output positions at a time instead.
+:func:`conv_bn_act` packs stride-1 inputs one cache-resident block of
+:data:`CONV_BLOCK` output positions at a time instead, and only ``C_in*kw``
+rows per block: the ``kh`` kernel rows read the same pack one padded row
+apart, as ``kh`` accumulating GEMMs (the partial-im2col form of Anderson
+et al., "Low-memory GEMM-based convolution algorithms for deep neural
+networks", arXiv:1709.03395).
 """
 
 from __future__ import annotations
@@ -209,8 +213,9 @@ def _apply_activation_inplace(arr: np.ndarray, activation: str, negative_slope: 
 
 
 #: Output positions per GEMM of the stride-1 kernel of :func:`conv_bn_act`.
-#: One block's ``(C_in*kh*kw, CONV_BLOCK)`` patch and its result stay cache
-#: resident instead of a whole-image patch matrix streaming through DRAM.
+#: One block's ``(C_in*kw, CONV_BLOCK + (kh-1)*wp)`` kernel-row pack and its
+#: ``(C_out, CONV_BLOCK)`` result stay cache resident instead of a whole-image
+#: patch matrix streaming through DRAM.
 CONV_BLOCK = 2048
 
 #: Every block GEMM's column count is a multiple of this.  BLAS rounds a
@@ -225,6 +230,12 @@ def _round_up(value: int, multiple: int) -> int:
     return -(-value // multiple) * multiple
 
 
+def _block_width(span: int) -> int:
+    """GEMM width of a stride-1 block: :data:`CONV_BLOCK`, or ``span``
+    rounded up to :data:`CONV_BLOCK_ALIGN` when that is narrower."""
+    return min(CONV_BLOCK, _round_up(span, CONV_BLOCK_ALIGN))
+
+
 def conv_gemm_shape(
     input_shape: tuple,
     weight_shape: tuple,
@@ -234,19 +245,20 @@ def conv_gemm_shape(
 ) -> tuple | None:
     """Shape of the ``gemm`` scratch :func:`conv_bn_act` needs, or None.
 
-    ``input_shape`` is the padded input's.  A stride-1 conv needs the block
-    scratch: one block's ``C_in*kh*kw`` patch rows stacked over its ``C_out``
-    result rows, one block wide, or the output span rounded up to
-    :data:`CONV_BLOCK_ALIGN` when that is narrower.  The ``stacked`` lane
-    needs the whole batch's ``(N*L, C_out)`` result, and a strided conv with
-    ``output_padding > 0`` one sample's ``(C_out, L)`` tile.  A borderless
-    strided conv GEMMs straight into the output.
+    ``input_shape`` is the padded input's.  A stride-1 conv needs the flat
+    block scratch: one block's ``(C_in*kw, width + (kh-1)*wp)`` kernel-row
+    pack, then its ``(C_out, width)`` result and ``(C_out, width)``
+    accumulator, where ``width`` is :data:`CONV_BLOCK` or the output span
+    rounded up to :data:`CONV_BLOCK_ALIGN` when that is narrower.  The
+    ``stacked`` lane needs the whole batch's ``(N*L, C_out)`` result, and a
+    strided conv with ``output_padding > 0`` one sample's ``(C_out, L)``
+    tile.  A borderless strided conv GEMMs straight into the output.
     """
     n, c_in, hp, wp = input_shape
     c_out, _, kh, kw = weight_shape
     if stride == 1 and not stacked:
-        span = (hp - kh) * wp + wp - kw + 1
-        return (c_in * kh * kw + c_out, min(CONV_BLOCK, _round_up(span, CONV_BLOCK_ALIGN)))
+        width = _block_width((hp - kh) * wp + wp - kw + 1)
+        return (c_in * kw * (width + (kh - 1) * wp) + 2 * c_out * width,)
     length = _conv_output_size(hp, kh, stride, 0) * _conv_output_size(wp, kw, stride, 0)
     if stacked:
         return (n * length, c_out)
@@ -287,10 +299,8 @@ def _land_block(part: np.ndarray, dst: np.ndarray, start: int, stop: int, wp: in
 
 def _conv_stride1_blocked(
     x: np.ndarray,
-    w_mat: np.ndarray,
+    w_rows: np.ndarray,
     bias_col: np.ndarray | None,
-    kh: int,
-    kw: int,
     dst: np.ndarray,
     scratch: np.ndarray,
     activation: str,
@@ -298,20 +308,29 @@ def _conv_stride1_blocked(
 ) -> None:
     """Stride-1 conv of the zero-bordered ``x`` into ``dst`` ``(N, C_out, H_out, W_out)``.
 
-    Each sample is read flat at padded width: output position ``p = r*wp + c``
-    sees input ``p + a*wp + b`` for kernel offset ``(a, b)``, so one block of
-    positions is a single strided view that packs into a cache-resident
-    patch.  Positions with ``c >= W_out`` wrap into the next row; their
-    results are dropped on landing.  The final block is zero-padded up to
+    ``w_rows[a]`` is kernel row ``a`` of the weight as a ``(C_out, C_in*kw)``
+    matrix.  Each sample is read flat at padded width: output position
+    ``p = r*wp + c`` sees input ``p + a*wp + b`` for kernel offset
+    ``(a, b)``, so moving down one kernel row is a shift of ``wp`` columns.
+    A block of positions therefore packs only its ``kw`` column shifts, plus
+    a ``(kh-1)*wp`` halo, into one cache-resident ``(C_in*kw, cols +
+    (kh-1)*wp)`` pack, and the ``kh`` kernel rows are ``kh`` GEMMs against
+    views of that pack offset by ``a*wp``: the first lands in the block
+    result, each later one in the accumulator and is added in place.
+    Positions with ``c >= W_out`` wrap into the next row; their results are
+    dropped on landing.  The final block is zero-padded up to
     :data:`CONV_BLOCK_ALIGN` columns rather than read past the buffer.
     """
     n, c_in, hp, wp = x.shape
-    c_out = w_mat.shape[0]
-    k_len = c_in * kh * kw
+    kh, c_out, k_len = w_rows.shape
+    kw = k_len // c_in
+    halo = (kh - 1) * wp
     span = (dst.shape[2] - 1) * wp + dst.shape[3]
-    width = scratch.shape[1]
-    patch_flat = scratch[:k_len].reshape(-1)
-    result_flat = scratch[k_len:].reshape(-1)
+    width = _block_width(span)
+    pack_size = k_len * (width + halo)
+    pack_flat = scratch[:pack_size]
+    result_flat = scratch[pack_size : pack_size + c_out * width]
+    acc_flat = scratch[pack_size + c_out * width :]
     x = np.ascontiguousarray(x)
     item = x.itemsize
     for i in range(n):
@@ -320,13 +339,17 @@ def _conv_stride1_blocked(
             stop = min(start + width, span)
             valid = stop - start
             cols = _round_up(valid, CONV_BLOCK_ALIGN)
-            patch = patch_flat[: k_len * cols].reshape(k_len, cols)
-            patch.reshape(c_in, kh, kw, cols)[..., :valid] = as_strided(
-                src[:, start:], shape=(c_in, kh, kw, valid), strides=(src.strides[0], wp * item, item, item)
+            reach = valid + halo
+            pack = pack_flat[: k_len * (cols + halo)].reshape(k_len, cols + halo)
+            pack.reshape(c_in, kw, cols + halo)[..., :reach] = as_strided(
+                src[:, start:], shape=(c_in, kw, reach), strides=(src.strides[0], item, item)
             )
             if valid < cols:
-                patch[:, valid:] = 0.0
-            part = np.matmul(w_mat, patch, out=result_flat[: c_out * cols].reshape(c_out, cols))
+                pack[:, reach:] = 0.0
+            part = np.matmul(w_rows[0], pack[:, :cols], out=result_flat[: c_out * cols].reshape(c_out, cols))
+            acc = acc_flat[: c_out * cols].reshape(c_out, cols)
+            for a in range(1, kh):
+                part += np.matmul(w_rows[a], pack[:, a * wp : a * wp + cols], out=acc)
             if bias_col is not None:
                 part += bias_col
             _apply_activation_inplace(part, activation, negative_slope)
@@ -355,12 +378,14 @@ def conv_bn_act(
     cache resident — instead of three separate passes (conv, batch norm,
     activation) over a working set that spills the per-core cache.
 
-    Stride-1 convolutions run cache-blocked: :data:`CONV_BLOCK` output
-    positions at a time are packed from the zero-bordered input into a
-    patch, multiplied by the ``(C_out, C_in*kh*kw)`` weight matrix in one
-    GEMM whose width is a multiple of :data:`CONV_BLOCK_ALIGN`, and copied
-    into the output.  Strided convolutions run one whole-image GEMM per
-    sample.
+    Stride-1 convolutions run cache-blocked, one kernel row at a time:
+    for each block of :data:`CONV_BLOCK` output positions the ``kw`` column
+    shifts of the zero-bordered input, plus a ``(kh-1)``-row halo, are
+    packed once into ``C_in*kw`` rows; ``kh`` GEMMs of the per-kernel-row
+    ``(C_out, C_in*kw)`` weight matrices against that pack, each offset by
+    one padded row, accumulate the block, whose width is a multiple of
+    :data:`CONV_BLOCK_ALIGN`, before it is copied into the output.
+    Strided convolutions run one whole-image GEMM per sample.
 
     Operates on plain ndarrays (no autograd); training forwards keep using
     :func:`conv2d` / :func:`batch_norm2d` unchanged.
@@ -382,8 +407,8 @@ def conv_bn_act(
     gemm:
         Optional GEMM scratch (a fused chain's buffer cache), fully
         rewritten every call, no zero-border contract.  For stride 1 it is
-        the block scratch of :func:`conv_gemm_shape`: one block's
-        patch rows stacked over its ``C_out`` result rows.  For a strided
+        the flat block scratch of :func:`conv_gemm_shape`: one block's
+        kernel-row pack, result and accumulator.  For a strided
         conv with ``output_padding > 0`` it holds one sample's ``(C_out, L)``
         output tile before the copy into the bordered output; on the
         ``stacked`` path it holds the whole batch's ``(N*L, C_out)`` result.
@@ -418,10 +443,6 @@ def conv_bn_act(
             f"conv_bn_act: out buffer has shape {out.shape} dtype {out.dtype}, "
             f"expected {(n, c_out, oh, ow)} dtype {dtype}"
         )
-    # The (C_out, C_in*kh*kw) weight matrix is a free view of the PyTorch
-    # weight layout — no per-call weight pack (tensordot repacks it every
-    # call).  The patch pack is the single remaining copy of the input.
-    w_mat = weight.reshape(c_out, -1)
     bias_col = None if bias is None else np.asarray(bias).reshape(c_out, 1)
     interior = out[:, :, output_padding : output_padding + h_out, output_padding : output_padding + w_out]
     length = h_out * w_out
@@ -436,8 +457,15 @@ def conv_bn_act(
                 f"expected {gemm_shape} dtype {dtype}"
             )
     if not stacked and stride == 1:
-        _conv_stride1_blocked(x, w_mat, bias_col, kh, kw, interior, gemm, activation, negative_slope)
+        # One small copy of the weight into per-kernel-row (C_out, C_in*kw)
+        # matrices; the kernel-row pack is the single copy of the input.
+        w_rows = np.ascontiguousarray(weight.transpose(2, 0, 1, 3)).reshape(kh, c_out, c_in * kw)
+        _conv_stride1_blocked(x, w_rows, bias_col, interior, gemm, activation, negative_slope)
         return out
+    # The (C_out, C_in*kh*kw) weight matrix is a free view of the PyTorch
+    # weight layout — no per-call weight pack (tensordot repacks it every
+    # call).  The patch pack is the single remaining copy of the input.
+    w_mat = weight.reshape(c_out, -1)
     windows = sliding_window_view(x, (kh, kw), axis=(2, 3))
     if stride > 1:
         windows = windows[:, :, ::stride, ::stride]

@@ -186,9 +186,10 @@ class FusedConvBNAct:
         """GEMM scratch this op needs from the chain's buffer cache.
 
         See :func:`repro.nn.functional.conv_gemm_shape`: a stride-1 conv
-        needs one cache-resident block's patch and result rows, reused for
-        every block of every sample; the stacked-BLAS lane the whole batch's
-        result; a strided conv with a bordered emission one sample's tile.
+        needs one cache-resident block's flat scratch (its ``C_in*kw``-row
+        kernel-row pack, result and accumulator), reused for every block of
+        every sample; the stacked-BLAS lane the whole batch's result; a
+        strided conv with a bordered emission one sample's tile.
         """
         stacked = backend is not None and backend.stacked_gemm
         return F.conv_gemm_shape(input_shape, self.weight.shape, self.stride, output_padding, stacked)

@@ -141,36 +141,61 @@ def test_conv_bn_act_validates_arguments(rng):
 
 
 # --------------------------------------------------------------------- #
-# Stride-1 blocked kernel vs a whole-image im2col GEMM
+# Stride-1 blocked kernel vs whole-image kernel-row and im2col GEMMs
 # --------------------------------------------------------------------- #
+def _bias_act(ref, b, activation, slope):
+    ref = ref + b.reshape(-1, 1)
+    if activation == "leaky_relu":
+        ref = np.maximum(ref, ref * slope)
+    elif activation == "tanh":
+        ref = np.tanh(ref)
+    return ref
+
+
 def _im2col_reference(x, w, b, padding, activation, slope=0.2):
     """One whole-image ``w_mat @ im2col`` GEMM per sample, bias, activation."""
     c_out, _, kh, kw = w.shape
     cols = F.im2col(x, kh, kw, 1, padding)
     h_out = x.shape[2] + 2 * padding - kh + 1
     w_out = x.shape[3] + 2 * padding - kw + 1
-    ref = np.matmul(w.reshape(c_out, -1), cols) + b.reshape(c_out, 1)
-    if activation == "leaky_relu":
-        ref = np.maximum(ref, ref * slope)
-    elif activation == "tanh":
-        ref = np.tanh(ref)
+    ref = _bias_act(np.matmul(w.reshape(c_out, -1), cols), b, activation, slope)
     return ref.reshape(x.shape[0], c_out, h_out, w_out)
 
 
+def _kernel_row_reference(x, w, b, padding, activation, slope=0.2):
+    """The blocked kernel's arithmetic over the whole image: for each kernel
+    row ``a``, the ``(C_out, C_in*kw)`` matrix ``w[:, :, a, :]`` times that
+    row's im2col rows, summed over ``a`` in order, then bias, activation."""
+    c_out, c_in, kh, kw = w.shape
+    n = x.shape[0]
+    cols = F.im2col(x, kh, kw, 1, padding).reshape(n, c_in, kh, kw, -1)
+    ref = None
+    for a in range(kh):
+        w_row = np.ascontiguousarray(w[:, :, a, :]).reshape(c_out, c_in * kw)
+        term = np.matmul(w_row, cols[:, :, a].reshape(n, c_in * kw, -1))
+        ref = term if ref is None else ref + term
+    h_out = x.shape[2] + 2 * padding - kh + 1
+    w_out = x.shape[3] + 2 * padding - kw + 1
+    return _bias_act(ref, b, activation, slope).reshape(n, c_out, h_out, w_out)
+
+
 # (kernel, padding, output size).  Output sizes whose H*W is a multiple of
-# 64, so the reference GEMM has no ragged column edge either: 8x8 fits in
+# 64, so the reference GEMMs have no ragged column edge either: 8x8 fits in
 # one block, 32x72 spans two with a ragged final block, 64x64 spans three.
 @pytest.mark.parametrize("k,padding", [(3, 1), (3, 0), (5, 2), (5, 1), (4, 1), (4, 2)])
 @pytest.mark.parametrize("out_size", [(8, 8), (32, 72), (64, 64)])
 @pytest.mark.parametrize("input_is_padded", [False, True])
 @pytest.mark.parametrize("output_padding", [0, 1])
 def test_conv_bn_act_blocked_matches_im2col_bitwise(rng, k, padding, out_size, input_is_padded, output_padding):
+    """Bit for bit against the kernel-row reference, and within 1e-12 of
+    the single whole-image im2col GEMM."""
     h, w = (size - 2 * padding + k - 1 for size in out_size)
     x = rng.standard_normal((2, 3, h, w))
     weight = rng.standard_normal((5, 3, k, k))
     bias = rng.standard_normal(5)
     activation = "tanh" if k == 4 else "leaky_relu"
-    ref = _im2col_reference(x, weight, bias, padding, activation)
+    ref = _kernel_row_reference(x, weight, bias, padding, activation)
+    im2col_ref = _im2col_reference(x, weight, bias, padding, activation)
     if input_is_padded:
         x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     out = F.conv_bn_act(
@@ -179,7 +204,9 @@ def test_conv_bn_act_blocked_matches_im2col_bitwise(rng, k, padding, out_size, i
     )
     op = output_padding
     assert out.shape == (2, 5, out_size[0] + 2 * op, out_size[1] + 2 * op)
-    np.testing.assert_array_equal(out[:, :, op : op + out_size[0], op : op + out_size[1]], ref)
+    interior = out[:, :, op : op + out_size[0], op : op + out_size[1]]
+    np.testing.assert_array_equal(interior, ref)
+    assert np.max(np.abs(interior - im2col_ref)) <= 1e-12
     if op:
         border = out.copy()
         border[:, :, op:-op, op:-op] = 0.0
@@ -823,24 +850,35 @@ def test_transposed_conv_up_paths_compile_without_fallback(zoo_model):
 # Fused-path allocation / cache bugfixes (PR 8 satellites)
 # --------------------------------------------------------------------- #
 def test_conv_bn_act_routes_bordered_gemm_through_scratch(rng):
-    """Bugfix pin: the stride-1 kernel must pack its patches and land its
-    GEMM results in the caller-provided ``gemm`` block scratch instead of
-    allocating per sample per call.  A NaN canary proves the buffer was
-    actually consumed: afterwards no NaN is left, the zero-padded tail of
-    the patch rows is zero, and the result rows hold the last sample's
-    activated output at padded-width positions (the GEMM target)."""
+    """Bugfix pin: the stride-1 kernel must pack its kernel rows and land its
+    GEMM results in the caller-provided flat ``gemm`` block scratch instead
+    of allocating per sample per call.  A NaN canary proves the buffer was
+    actually consumed: afterwards no NaN is left, the pack holds the last
+    sample's ``kw`` column shifts with the zero-padded tail past its halo,
+    the result rows hold that sample's output at padded-width positions
+    (the GEMM target), and the accumulator its last kernel row's term."""
     x = rng.standard_normal((3, 2, 8, 8))
     w = rng.standard_normal((4, 2, 3, 3))
     plain = F.conv_bn_act(x, w, None, stride=1, padding=1)
     shape = F.conv_gemm_shape((3, 2, 10, 10), w.shape)
-    assert shape == (2 * 9 + 4, 128)        # span 7*10 + 8 = 78, rounded up to 64s
+    # span 7*10 + 8 = 78, rounded up to a 128-wide block; halo 2*10.
+    pack_len, width = 128 + 20, 128
+    assert shape == (2 * 3 * pack_len + 2 * 4 * width,)
     gemm = np.full(shape, np.nan)
     padded = F.conv_bn_act(x, w, None, stride=1, padding=1, output_padding=1, gemm=gemm)
     np.testing.assert_array_equal(padded[:, :, 1:-1, 1:-1], plain)
     assert not np.isnan(gemm).any()
-    assert not gemm[:18, 78:].any()
+    pack = gemm[: 6 * pack_len].reshape(2, 3, pack_len)
+    src = np.pad(x[-1], ((0, 0), (1, 1), (1, 1))).reshape(2, 100)
+    for b in range(3):
+        np.testing.assert_array_equal(pack[:, b, :98], src[:, b : b + 98])
+    assert not pack[:, :, 98:].any()
+    result = gemm[6 * pack_len :][: 4 * width].reshape(4, width)
     positions = (np.arange(8)[:, None] * 10 + np.arange(8)).ravel()
-    np.testing.assert_array_equal(gemm[18:, positions].reshape(4, 8, 8), plain[-1])
+    np.testing.assert_array_equal(result[:, positions].reshape(4, 8, 8), plain[-1])
+    acc = gemm[6 * pack_len + 4 * width :].reshape(4, width)
+    last_row = np.ascontiguousarray(w[:, :, 2, :]).reshape(4, 6)
+    np.testing.assert_array_equal(acc, last_row @ pack.reshape(6, pack_len)[:, 20:])
     with pytest.raises(ValueError, match="gemm buffer"):
         F.conv_bn_act(x, w, None, stride=1, padding=1, output_padding=1, gemm=np.zeros((3, 64)))
 

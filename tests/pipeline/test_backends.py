@@ -46,6 +46,7 @@ from repro.nn.backends import (
     resolve_blas_threads,
 )
 from repro.pipeline import (
+    ExecutionConfig,
     Executor,
     InferencePipeline,
     ModelExecutor,
@@ -108,10 +109,10 @@ def test_resolve_backend_precedence(monkeypatch):
 
 def test_pipeline_resolves_backend_from_env(model, monkeypatch):
     monkeypatch.setenv(BACKEND_ENV, "float32")
-    pipeline = InferencePipeline(model, compile=True)
+    pipeline = InferencePipeline(model, ExecutionConfig(compile=True))
     assert pipeline.backend is not None and pipeline.backend.name == "float32"
     # Explicit argument wins over the environment.
-    pinned = InferencePipeline(model, compile=True, backend="fft")
+    pinned = InferencePipeline(model, ExecutionConfig(compile=True, backend="fft"))
     assert pinned.backend.name == "fft"
     # Uncompiled pipelines ignore the env lane (no fused path to convert).
     assert InferencePipeline(model).backend.name == "float64"
@@ -133,7 +134,7 @@ def test_backend_requires_compiled_path(model):
     with pytest.raises(ValueError, match="compile=True"):
         ModelExecutor(model, backend="float32")
     with pytest.raises(ValueError, match="compile=True"):
-        InferencePipeline(model, backend="float32")
+        InferencePipeline(model, ExecutionConfig(backend="float32"))
     # The default lane is the uncompiled path's native behaviour: allowed.
     assert ModelExecutor(model, backend="float64").backend.name == "float64"
 
@@ -143,7 +144,7 @@ def test_backend_rejects_simulator_engines():
     with pytest.raises(ValueError, match="golden simulator"):
         as_executor(simulator, backend="float32")
     with pytest.raises(ValueError, match="golden simulator"):
-        InferencePipeline(simulator, backend="float32")
+        InferencePipeline(simulator, ExecutionConfig(backend="float32"))
 
 
 # --------------------------------------------------------------------- #
@@ -153,8 +154,8 @@ def test_backend_rejects_simulator_engines():
 def test_backend_native_plan_matches_float64(zoo_model, lane):
     name, model = zoo_model
     masks = _random_masks(4, 32)
-    reference = InferencePipeline(model, batch_size=2, compile=True, backend="float64")
-    pipeline = InferencePipeline(model, batch_size=2, compile=True, backend=lane)
+    reference = InferencePipeline(model, ExecutionConfig(batch_size=2, compile=True, backend="float64"))
+    pipeline = InferencePipeline(model, ExecutionConfig(batch_size=2, compile=True, backend=lane))
     assert pipeline.backend.name == lane
     out = pipeline.predict(masks)
     assert out.dtype == np.float64  # the executor boundary re-widens every lane
@@ -165,8 +166,8 @@ def test_backend_native_plan_matches_float64(zoo_model, lane):
 def test_backend_stitched_plan_matches_float64(model, lane):
     masks = _random_masks(2, 64, seed=5)
     kwargs = dict(tile_size=32, batch_size=4, optical_diameter_pixels=8, compile=True)
-    reference = InferencePipeline(model, backend="float64", **kwargs)
-    pipeline = InferencePipeline(model, backend=lane, **kwargs)
+    reference = InferencePipeline(model, ExecutionConfig(backend="float64", **kwargs))
+    pipeline = InferencePipeline(model, ExecutionConfig(backend=lane, **kwargs))
     assert pipeline.run(masks).stats.mode == "stitched"
     _assert_lane_close(
         pipeline.predict(masks, stitch=True),
@@ -182,10 +183,10 @@ def test_backend_stitched_plan_matches_float64(model, lane):
 @pytest.mark.parametrize("lane", LANES)
 def test_backend_pooled_matches_serial(model, lane):
     masks = _random_masks(6, 32, seed=13)
-    serial = InferencePipeline(model, batch_size=2, compile=True, backend=lane)
+    serial = InferencePipeline(model, ExecutionConfig(batch_size=2, compile=True, backend=lane))
     reference = serial.predict(masks)
     with InferencePipeline(
-        model, batch_size=2, num_workers=2, compile=True, backend=lane
+        model, ExecutionConfig(batch_size=2, num_workers=2, compile=True, backend=lane)
     ) as pooled:
         assert pooled.backend.name == lane
         out = pooled.predict(masks)
@@ -201,9 +202,9 @@ def test_backend_pooled_matches_serial(model, lane):
 def test_backend_sharded_stitched_matches_serial(model, lane):
     masks = _random_masks(2, 64, seed=9)
     kwargs = dict(tile_size=32, batch_size=4, optical_diameter_pixels=8, compile=True)
-    serial = InferencePipeline(model, backend=lane, **kwargs)
+    serial = InferencePipeline(model, ExecutionConfig(backend=lane, **kwargs))
     reference = serial.predict(masks, stitch=True)
-    with InferencePipeline(model, num_workers=2, backend=lane, **kwargs) as pooled:
+    with InferencePipeline(model, ExecutionConfig(num_workers=2, backend=lane, **kwargs)) as pooled:
         out = pooled.predict(masks, stitch=True)
     if lane in PARTITION_INVARIANT:
         np.testing.assert_array_equal(out, reference, err_msg=lane)
@@ -217,8 +218,9 @@ def test_backend_sharded_stitched_matches_serial(model, lane):
 @pytest.mark.parametrize("lane", LANES)
 def test_backend_patched_plan_matches_stitched(model, lane):
     pipeline = InferencePipeline(
-        model, tile_size=32, batch_size=8, optical_diameter_pixels=8,
-        compile=True, backend=lane,
+        model, ExecutionConfig(
+            tile_size=32, batch_size=8, optical_diameter_pixels=8, compile=True, backend=lane,
+        ),
     )
     state = pipeline.incremental_state((64, 64))
     assert state.mode == "gp"
@@ -266,11 +268,11 @@ def test_parallel_config_carries_blas_threads(monkeypatch):
 
 def test_pooled_pipeline_caps_worker_blas_threads(model, monkeypatch):
     monkeypatch.delenv(BLAS_THREADS_ENV, raising=False)
-    with InferencePipeline(model, num_workers=2, compile=True, backend="blas") as pooled:
+    with InferencePipeline(model, ExecutionConfig(num_workers=2, compile=True, backend="blas")) as pooled:
         assert pooled.executor.blas_threads == 1
         # The capped pool still computes the right answer.
         masks = _random_masks(2, 32)
-        serial = InferencePipeline(model, compile=True, backend="blas")
+        serial = InferencePipeline(model, ExecutionConfig(compile=True, backend="blas"))
         np.testing.assert_allclose(
             pooled.predict(masks), serial.predict(masks), rtol=0, atol=1e-12
         )
@@ -333,8 +335,11 @@ def test_conv_bn_act_bits_do_not_depend_on_blas_threads():
     between 1 and 2 BLAS threads (BLAS rounds the ragged column edge, and
     splits columns across threads, differently per thread count), breaking
     pooled (1 thread) == serial (default) for such geometries.  The blocked
-    stride-1 kernel keeps every GEMM width a multiple of 64.  Runs in a
-    fresh interpreter so this session's BLAS state is untouched."""
+    stride-1 kernel keeps every GEMM width a multiple of 64; the shapes
+    cover the refine convs (the ``C_out == 1`` output conv included) and a
+    4x4 kernel, so every one of the ``kh`` accumulating kernel-row GEMMs is
+    held to it.  Runs in a fresh interpreter so this session's BLAS state is
+    untouched."""
     report = json.loads(_run_python(
         """
         import json
@@ -345,16 +350,16 @@ def test_conv_bn_act_bits_do_not_depend_on_blas_threads():
         rng = np.random.default_rng(7)
         capped, mismatches = True, []
         for size in (37, 50, 63, 250):
-            for c_out, c_in in ((32, 4), (16, 32), (16, 16)):
+            for c_out, c_in, k in ((32, 4, 3), (16, 32, 3), (16, 16, 3), (1, 16, 3), (16, 16, 4)):
                 x = rng.standard_normal((1, c_in, size, size))
-                w = rng.standard_normal((c_out, c_in, 3, 3))
+                w = rng.standard_normal((c_out, c_in, k, k))
                 b = rng.standard_normal(c_out)
                 outs = []
                 for threads in (1, 2):
                     capped &= set_blas_threads(threads)
-                    outs.append(F.conv_bn_act(x, w, b, padding=1, activation="relu"))
+                    outs.append(F.conv_bn_act(x, w, b, padding=k // 2, activation="relu"))
                 if not np.array_equal(*outs):
-                    mismatches.append([size, c_out, c_in, float(np.abs(outs[0] - outs[1]).max())])
+                    mismatches.append([size, c_out, c_in, k, float(np.abs(outs[0] - outs[1]).max())])
         print(json.dumps({"capped": capped, "mismatches": mismatches}))
         """
     ))
