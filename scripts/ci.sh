@@ -81,23 +81,26 @@ python -m pytest -x -q -p no:cacheprovider \
 # which scopes its own filter, so they still pass under the global error.
 echo "== fusion equivalence suite (compiled == unfused for the whole zoo, no fallbacks) =="
 python -m pytest -x -q -p no:cacheprovider \
-    -W "error::repro.nn.fusion.FusionFallbackWarning" \
+    -W "error::repro.nn.fusion.FusionFallbackWarning" -W "error::DeprecationWarning" \
     tests/nn/test_fusion.py tests/pipeline/test_compiled_pipeline.py "$@"
 
-# Backend matrix: the per-lane pipeline suite runs under the default
-# environment (every lane pinned explicitly), then the fusion + compiled
-# pipeline + backend suites re-run with REPRO_BACKEND=float32 — proving the
-# env knob engages end to end while compile_model and every explicitly
-# pinned comparison stay deterministic.  Both legs keep the fallback
-# warning escalated: no lane may reintroduce a silent unfused fallback.
+# Backend matrix over the two compute lanes, float64 and float32: the
+# per-lane pipeline suite runs under the default environment (both lanes
+# pinned explicitly), then the fusion + compiled pipeline + backend suites
+# re-run with REPRO_BACKEND=float32 — proving the env knob engages end to
+# end while compile_model and every explicitly pinned comparison stay
+# deterministic.  Both legs keep the fallback warning escalated (no lane
+# may reintroduce a silent unfused fallback), and like the fusion leg they
+# escalate DeprecationWarning, so none of these suites falls back onto the
+# deprecated InferencePipeline keyword shims.
 echo "== compute-backend matrix: per-lane pipeline suite (float64 env) =="
 python -m pytest -x -q -p no:cacheprovider \
-    -W "error::repro.nn.fusion.FusionFallbackWarning" \
+    -W "error::repro.nn.fusion.FusionFallbackWarning" -W "error::DeprecationWarning" \
     tests/pipeline/test_backends.py "$@"
 
 echo "== compute-backend matrix: REPRO_BACKEND=float32 over fusion + pipeline suites =="
 REPRO_BACKEND=float32 python -m pytest -x -q -p no:cacheprovider \
-    -W "error::repro.nn.fusion.FusionFallbackWarning" \
+    -W "error::repro.nn.fusion.FusionFallbackWarning" -W "error::DeprecationWarning" \
     tests/nn/test_fusion.py tests/pipeline/test_compiled_pipeline.py \
     tests/pipeline/test_backends.py "$@"
 

@@ -329,7 +329,7 @@ class DtypeBoundaryRule(Rule):
                 yield ctx.finding(
                     self.id, node,
                     f"dtype-narrowing string {node.value!r} outside "
-                    "repro/nn/backends.py; use the backend registry's dtype",
+                    "repro/nn/backends.py; use the lane dtype from repro.nn.backends.BACKENDS",
                 )
 
 

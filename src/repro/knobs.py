@@ -298,14 +298,12 @@ register_knob(Knob(
     kind="choice",
     default="`float64`",
     doc=(
-        "Compute lane of compiled fused graphs. `float64`: bit-identical to "
-        "the uncompiled path (the 1e-12 equivalence gate). `float32`: folded "
-        "weights narrowed at compile time, whole graph in float32 — "
-        "calibrated-tolerance equivalence (~1e-6 on the zoo), still "
-        "partition-invariant (pooled == serial, bitwise). `blas`: micro-batch "
-        "patch matrices stacked into one threaded GEMM — 1e-12-tolerance "
-        "equivalence, **not** partition-invariant. `fft`: FFT-domain "
-        "large-kernel transposed convolution (float64, partition-invariant)."
+        "Compute lane of compiled fused graphs, one of `float64` and "
+        "`float32`. `float64`: bit-identical to the uncompiled path (the "
+        "1e-12 equivalence gate). `float32`: folded weights narrowed at "
+        "compile time, whole graph in float32 — calibrated-tolerance "
+        "equivalence (~1e-6 on the zoo). Both lanes are partition-invariant "
+        "(pooled == serial, bitwise)."
     ),
     section="backends",
     field="backend",

@@ -8,14 +8,10 @@ baseline FNO, losses, optimizers and serialization.
 
 from . import functional
 from .backends import (
+    BACKENDS,
     BACKEND_ENV,
     BLAS_THREADS_ENV,
     DEFAULT_BACKEND,
-    BackendWorkspace,
-    ComputeBackend,
-    available_backends,
-    get_backend,
-    register_backend,
     resolve_backend,
     resolve_blas_threads,
     set_blas_threads,
@@ -56,14 +52,10 @@ from .tensor import Tensor, no_grad
 
 __all__ = [
     "functional",
+    "BACKENDS",
     "BACKEND_ENV",
     "BLAS_THREADS_ENV",
     "DEFAULT_BACKEND",
-    "BackendWorkspace",
-    "ComputeBackend",
-    "available_backends",
-    "get_backend",
-    "register_backend",
     "resolve_backend",
     "resolve_blas_threads",
     "set_blas_threads",

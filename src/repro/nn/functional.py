@@ -241,7 +241,6 @@ def conv_gemm_shape(
     weight_shape: tuple,
     stride: int = 1,
     output_padding: int = 0,
-    stacked: bool = False,
 ) -> tuple | None:
     """Shape of the ``gemm`` scratch :func:`conv_bn_act` needs, or None.
 
@@ -249,19 +248,17 @@ def conv_gemm_shape(
     block scratch: one block's ``(C_in*kw, width + (kh-1)*wp)`` kernel-row
     pack, then its ``(C_out, width)`` result and ``(C_out, width)``
     accumulator, where ``width`` is :data:`CONV_BLOCK` or the output span
-    rounded up to :data:`CONV_BLOCK_ALIGN` when that is narrower.  The
-    ``stacked`` lane needs the whole batch's ``(N*L, C_out)`` result, and a
-    strided conv with ``output_padding > 0`` one sample's ``(C_out, L)``
-    tile.  A borderless strided conv GEMMs straight into the output.
+    rounded up to :data:`CONV_BLOCK_ALIGN` when that is narrower.  A
+    strided conv with ``output_padding > 0`` needs one sample's
+    ``(C_out, L)`` tile.  A borderless strided conv GEMMs straight into the
+    output.
     """
-    n, c_in, hp, wp = input_shape
+    _, c_in, hp, wp = input_shape
     c_out, _, kh, kw = weight_shape
-    if stride == 1 and not stacked:
+    if stride == 1:
         width = _block_width((hp - kh) * wp + wp - kw + 1)
         return (c_in * kw * (width + (kh - 1) * wp) + 2 * c_out * width,)
     length = _conv_output_size(hp, kh, stride, 0) * _conv_output_size(wp, kw, stride, 0)
-    if stacked:
-        return (n * length, c_out)
     if output_padding:
         return (c_out, length)
     return None
@@ -368,7 +365,6 @@ def conv_bn_act(
     output_padding: int = 0,
     out: np.ndarray | None = None,
     gemm: np.ndarray | None = None,
-    stacked: bool = False,
 ) -> np.ndarray:
     """Fused inference kernel: conv (+ folded BN affine) (+ activation), one pass.
 
@@ -410,15 +406,7 @@ def conv_bn_act(
         the flat block scratch of :func:`conv_gemm_shape`: one block's
         kernel-row pack, result and accumulator.  For a strided
         conv with ``output_padding > 0`` it holds one sample's ``(C_out, L)``
-        output tile before the copy into the bordered output; on the
-        ``stacked`` path it holds the whole batch's ``(N*L, C_out)`` result.
-    stacked:
-        Stack every sample's patch matrix into one ``(N*L, C_in*kh*kw)``
-        GEMM (the threaded-BLAS backend lane) instead of the per-sample
-        GEMMs.  Faster when BLAS is threaded, but the GEMM shape now depends
-        on ``N``, so results are only tolerance-equivalent across batch
-        partitionings — the per-sample default stays the bit-identical
-        reference.
+        output tile before the copy into the bordered output.
     """
     _check_fused_activation(activation, negative_slope)
     x = np.asarray(x)
@@ -446,7 +434,7 @@ def conv_bn_act(
     bias_col = None if bias is None else np.asarray(bias).reshape(c_out, 1)
     interior = out[:, :, output_padding : output_padding + h_out, output_padding : output_padding + w_out]
     length = h_out * w_out
-    gemm_shape = conv_gemm_shape(x.shape, weight.shape, stride, output_padding, stacked)
+    gemm_shape = conv_gemm_shape(x.shape, weight.shape, stride, output_padding)
     if gemm_shape is not None:
         if gemm is None:
             # repro: ok(ALLOC001, scratch fallback when the caller passes no buffer; FusedChain passes its cached one)
@@ -456,7 +444,7 @@ def conv_bn_act(
                 f"conv_bn_act: gemm buffer has shape {gemm.shape} dtype {gemm.dtype}, "
                 f"expected {gemm_shape} dtype {dtype}"
             )
-    if not stacked and stride == 1:
+    if stride == 1:
         # One small copy of the weight into per-kernel-row (C_out, C_in*kw)
         # matrices; the kernel-row pack is the single copy of the input.
         w_rows = np.ascontiguousarray(weight.transpose(2, 0, 1, 3)).reshape(kh, c_out, c_in * kw)
@@ -469,18 +457,6 @@ def conv_bn_act(
     windows = sliding_window_view(x, (kh, kw), axis=(2, 3))
     if stride > 1:
         windows = windows[:, :, ::stride, ::stride]
-    if stacked:
-        # Threaded-BLAS lane: one (N*L, C_in*kh*kw) @ (C_in*kh*kw, C_out)
-        # GEMM for the whole micro-batch, so a threaded BLAS has enough rows
-        # to split across cores.  The transpose/reshape is the single patch
-        # pack (same copy count as the per-sample loop, one bigger buffer).
-        cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * length, c_in * kh * kw)
-        part = np.matmul(cols, w_mat.T, out=gemm)
-        if bias is not None:
-            part += np.asarray(bias).reshape(1, c_out)
-        _apply_activation_inplace(part, activation, negative_slope)
-        interior[...] = part.reshape(n, h_out, w_out, c_out).transpose(0, 3, 1, 2)
-        return out
     for i in range(n):
         # One (C_in*kh*kw, L) patch matrix and GEMM per sample.  Without a
         # border the GEMM writes straight into the output; the bordered

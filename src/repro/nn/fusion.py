@@ -78,13 +78,7 @@ import warnings
 import numpy as np
 
 from . import functional as F
-from .backends import (
-    FFT_MIN_KERNEL_AREA,
-    BackendWorkspace,
-    ComputeBackend,
-    fft_conv_transpose_bn_act,
-    get_backend,
-)
+from .backends import resolve_backend
 from .layers import BatchNorm2d, Conv2d, ConvTranspose2d, Identity, Module, Sequential
 from .tensor import Tensor, is_grad_enabled
 
@@ -176,34 +170,22 @@ class FusedConvBNAct:
         w_out = (wp - kw) // self.stride + 1
         return (n, self.out_channels, h_out + 2 * output_padding, w_out + 2 * output_padding)
 
-    def scratch_shape(self, input_shape: tuple, backend: ComputeBackend | None = None):
+    def scratch_shape(self, input_shape: tuple):
         """Per-sample scatter scratch this op needs (convolutions need none)."""
         return None
 
-    def gemm_shape(
-        self, input_shape: tuple, output_padding: int, backend: ComputeBackend | None = None
-    ):
+    def gemm_shape(self, input_shape: tuple, output_padding: int):
         """GEMM scratch this op needs from the chain's buffer cache.
 
         See :func:`repro.nn.functional.conv_gemm_shape`: a stride-1 conv
         needs one cache-resident block's flat scratch (its ``C_in*kw``-row
         kernel-row pack, result and accumulator), reused for every block of
-        every sample; the stacked-BLAS lane the whole batch's result; a
-        strided conv with a bordered emission one sample's tile.
+        every sample; a strided conv with a bordered emission one sample's
+        tile.
         """
-        stacked = backend is not None and backend.stacked_gemm
-        return F.conv_gemm_shape(input_shape, self.weight.shape, self.stride, output_padding, stacked)
+        return F.conv_gemm_shape(input_shape, self.weight.shape, self.stride, output_padding)
 
-    def apply(
-        self,
-        buf,
-        out=None,
-        output_padding: int = 0,
-        scratch=None,
-        gemm=None,
-        backend: ComputeBackend | None = None,
-        workspace: BackendWorkspace | None = None,
-    ):
+    def apply(self, buf, out=None, output_padding: int = 0, scratch=None, gemm=None):
         return F.conv_bn_act(
             buf,
             self.weight,
@@ -216,7 +198,6 @@ class FusedConvBNAct:
             output_padding=output_padding,
             out=out,
             gemm=gemm,
-            stacked=backend is not None and backend.stacked_gemm,
         )
 
     @classmethod
@@ -335,58 +316,24 @@ class FusedConvTranspose:
         w_out = (w - 1) * self.stride - 2 * self.padding + kw
         return (n, self.out_channels, h_out + 2 * output_padding, w_out + 2 * output_padding)
 
-    def _uses_fft(self, backend: ComputeBackend | None) -> bool:
-        """FFT-domain lane engages on large kernels only (area >= threshold);
-        small up-convs stay on the direct scatter path where the strided
-        assignment is already cheaper than three FFTs."""
-        kh, kw = self.kernel_size
-        return backend is not None and backend.fft_deconv and kh * kw >= FFT_MIN_KERNEL_AREA
-
-    def scratch_shape(self, input_shape: tuple, backend: ComputeBackend | None = None):
+    def scratch_shape(self, input_shape: tuple):
         """Per-sample scatter image for overlapping/cropped kernels.
 
         The non-overlapping crop-free fast path (``stride == kh == kw``,
         ``padding == 0`` — the UNet up path) scatters straight into the
-        output buffer and needs no scratch; the FFT-domain lane keeps its
-        own scratch in the chain's :class:`BackendWorkspace`.
+        output buffer and needs no scratch.
         """
-        if self._uses_fft(backend):
-            return None
         kh, kw = self.kernel_size
         if self.padding == 0 and self.stride == kh and self.stride == kw:
             return None
         _, c_out, h_out, w_out = self.output_shape(input_shape, 0)
         return (c_out, h_out + 2 * self.padding, w_out + 2 * self.padding)
 
-    def gemm_shape(
-        self, input_shape: tuple, output_padding: int, backend: ComputeBackend | None = None
-    ):
+    def gemm_shape(self, input_shape: tuple, output_padding: int):
         """Transposed convs GEMM against the flattened input — no scratch."""
         return None
 
-    def apply(
-        self,
-        buf,
-        out=None,
-        output_padding: int = 0,
-        scratch=None,
-        gemm=None,
-        backend: ComputeBackend | None = None,
-        workspace: BackendWorkspace | None = None,
-    ):
-        if self._uses_fft(backend):
-            return fft_conv_transpose_bn_act(
-                buf,
-                self.weight,
-                self.bias,
-                stride=self.stride,
-                padding=self.padding,
-                activation=self.activation,
-                negative_slope=self.negative_slope,
-                output_padding=output_padding,
-                out=out,
-                workspace=workspace,
-            )
+    def apply(self, buf, out=None, output_padding: int = 0, scratch=None, gemm=None):
         return F.conv_transpose_bn_act(
             buf,
             self.weight,
@@ -452,19 +399,15 @@ class FusedChain:
     #: steady-state reuse of typical workloads (a few geometries per chain).
     MAX_CACHED_BUFFERS = 32
 
-    #: Compute backend the chain runs under (None = the float64 default
-    #: path); set by :meth:`convert`.  Class-level so chains pickled before
-    #: the backend attribute existed keep working.
-    backend: ComputeBackend | None = None
-
-    def __init__(self, ops, label: str = "", backend: ComputeBackend | None = None) -> None:
+    def __init__(self, ops, label: str = "") -> None:
         self.ops: list = list(ops)  # FusedConvBNAct | FusedConvTranspose
         if not self.ops:
             raise ValueError("a fused chain needs at least one op")
         self.label = label
-        self.backend = backend
+        #: Working dtype of the chain's compute lane (None = the folded
+        #: weights' own float64, never converted); set by :meth:`convert`.
+        self.dtype: np.dtype | None = None
         self._scratch: dict = {}
-        self._workspace = BackendWorkspace()
 
     def __len__(self) -> int:
         return len(self.ops)
@@ -474,24 +417,22 @@ class FusedChain:
         state["_scratch"] = {}  # per-process working buffers, never shipped
         return state
 
-    # -- backend conversion --------------------------------------------- #
-    def convert(self, backend: ComputeBackend) -> None:
-        """Switch the chain to ``backend``, casting folded weights in place.
+    # -- lane conversion ------------------------------------------------ #
+    def convert(self, dtype: np.dtype) -> None:
+        """Switch the chain to the ``dtype`` lane, casting folded weights in place.
 
-        ``astype(copy=False)`` keeps same-dtype conversions (float64 <->
-        blas <-> fft) free; the scratch cache is dropped because its keyed
-        dtypes may no longer match.  Precision narrowing is one-way — the
-        graph-level :meth:`FusedInferenceGraph.convert` guards against
-        widening a narrowed graph.
+        ``astype(copy=False)`` keeps a same-dtype conversion free; the
+        scratch cache is dropped because its keyed dtypes may no longer
+        match.  Precision narrowing is one-way — the graph-level
+        :meth:`FusedInferenceGraph.convert` guards against widening a
+        narrowed graph.
         """
-        dtype = backend.dtype
         for op in self.ops:
             op.weight = op.weight.astype(dtype, copy=False)
             if op.bias is not None:
                 op.bias = op.bias.astype(dtype, copy=False)
-        self.backend = backend
+        self.dtype = np.dtype(dtype)
         self._scratch = {}
-        self._workspace = BackendWorkspace()
 
     # -- buffer cache --------------------------------------------------- #
     def _cached_zeros(self, key: tuple, shape: tuple, dtype) -> np.ndarray:
@@ -535,8 +476,8 @@ class FusedChain:
         return self._cached_zeros(("scatter", index, shape, np.dtype(dtype).str), shape, dtype)
 
     def _gemm_buffer(self, index: int, shape: tuple, dtype) -> np.ndarray:
-        # GEMM scratch (stride-1 conv blocks, bordered strided-conv tiles,
-        # stacked-BLAS results) is fully rewritten every call; like "scatter"
+        # GEMM scratch (stride-1 conv blocks, bordered strided-conv tiles)
+        # is fully rewritten every call; like "scatter"
         # it has no zero-border contract and its own namespace.
         return self._cached_zeros(("gemm", index, shape, np.dtype(dtype).str), shape, dtype)
 
@@ -544,10 +485,9 @@ class FusedChain:
     def run(self, x: np.ndarray) -> np.ndarray:
         """Run the chain on an ndarray batch ``(N, C, H, W)`` (inference only)."""
         ops = self.ops
-        backend = self.backend
+        target = self.dtype
         entry_pad = ops[0].input_pad
         x = np.asarray(x)
-        target = None if backend is None else backend.dtype
         if entry_pad:
             buf = self._padded_input(x, entry_pad, dtype=target)
         elif target is not None and x.dtype != target:
@@ -558,7 +498,6 @@ class FusedChain:
             buf[...] = x
         else:
             buf = x
-        workspace = self._workspace
         for index, op in enumerate(ops):
             nxt = ops[index + 1] if index + 1 < len(ops) else None
             out_pad = nxt.input_pad if nxt is not None else 0
@@ -566,27 +505,19 @@ class FusedChain:
             out = None
             if nxt is not None:
                 out = self._output_buffer(index, op.output_shape(buf.shape, out_pad), dtype)
-            scratch_shape = op.scratch_shape(buf.shape, backend=backend)
+            scratch_shape = op.scratch_shape(buf.shape)
             scratch = (
                 self._scatter_buffer(index, scratch_shape, dtype)
                 if scratch_shape is not None
                 else None
             )
-            gemm_shape = op.gemm_shape(buf.shape, out_pad, backend=backend)
+            gemm_shape = op.gemm_shape(buf.shape, out_pad)
             gemm = (
                 self._gemm_buffer(index, gemm_shape, dtype)
                 if gemm_shape is not None
                 else None
             )
-            buf = op.apply(
-                buf,
-                out=out,
-                output_padding=out_pad,
-                scratch=scratch,
-                gemm=gemm,
-                backend=backend,
-                workspace=workspace,
-            )
+            buf = op.apply(buf, out=out, output_padding=out_pad, scratch=scratch, gemm=gemm)
         return buf
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -805,39 +736,33 @@ class FusedInferenceGraph(Module):
         #: be compiled and fell back to unfused execution (each one also
         #: raised a :class:`FusionFallbackWarning` at compile time).
         self.fallbacks = list(fallbacks or [])
+        #: Working dtype of the graph's compute lane (None = never converted,
+        #: the folded float64 weights); set by :meth:`convert`.
+        self.dtype: np.dtype | None = None
         self.eval()
-
-    #: Compute backend the graph's chains run under (None = the float64
-    #: default); set by :meth:`convert`.  Class-level for forward/backward
-    #: pickle compatibility.
-    backend: ComputeBackend | None = None
 
     def forward(self, x: Tensor) -> Tensor:
         return self.module(x)
 
-    def convert(self, backend) -> "FusedInferenceGraph":
-        """Switch every fused chain to ``backend`` (name or instance), in place.
+    def convert(self, backend: str) -> "FusedInferenceGraph":
+        """Switch every fused chain to the ``backend`` lane (a name), in place.
 
-        Same-dtype lane changes (float64 <-> blas <-> fft) are free and
-        reversible.  Narrowing to float32 casts the folded weights in place;
-        once narrowed, converting to a wider-dtype lane raises — the lost
-        precision cannot be recovered, recompile from the source model.
+        Converting to the lane the graph already runs is free.  Narrowing to
+        float32 casts the folded weights in place; once narrowed, converting
+        back to float64 raises — the lost precision cannot be recovered,
+        recompile from the source model.
         """
-        backend = get_backend(backend)
-        current = self.backend
-        if (
-            current is not None
-            and current.dtype != backend.dtype
-            and current.dtype.itemsize < backend.dtype.itemsize
-        ):
+        dtype = resolve_backend(backend)
+        current = self.dtype
+        if current is not None and current.itemsize < dtype.itemsize:
             raise ValueError(
-                f"cannot convert a {current.name} graph to the {backend.name} backend: "
-                f"the folded weights were already narrowed to {current.dtype}; "
+                f"cannot convert a {current.name} graph to the {dtype.name} backend: "
+                f"the folded weights were already narrowed to {current}; "
                 "recompile from the source model instead"
             )
         for chain in self.chains:
-            chain.convert(backend)
-        self.backend = backend
+            chain.convert(dtype)
+        self.dtype = dtype
         return self
 
     @property
@@ -869,7 +794,7 @@ class FusedInferenceGraph(Module):
         )
 
 
-def compile_model(model: Module, backend=None) -> FusedInferenceGraph:
+def compile_model(model: Module, backend: str | None = None) -> FusedInferenceGraph:
     """Compile a model into an eval-mode :class:`FusedInferenceGraph`.
 
     The source model is deep-copied first and never mutated: its parameters,
@@ -877,9 +802,9 @@ def compile_model(model: Module, backend=None) -> FusedInferenceGraph:
     suite pins both directions).  The fold snapshots the current weights and
     batch-norm running statistics — recompile after ``load_state_dict``.
 
-    ``backend`` (a name or :class:`~repro.nn.backends.ComputeBackend`)
-    converts the compiled graph onto that compute lane.  Deliberately an
-    explicit argument only — ``compile_model`` never consults
+    ``backend`` (``"float64"`` or ``"float32"``, see
+    :mod:`repro.nn.backends`) converts the compiled graph onto that lane.
+    Deliberately an explicit argument only — ``compile_model`` never consults
     ``REPRO_BACKEND`` (the pipeline/executor layer resolves the env var), so
     direct compiles stay deterministic under any environment.
     """

@@ -40,10 +40,8 @@ benchmarks):
     Compute lane of the compiled fused graph (:mod:`repro.nn.backends`):
     ``float64`` (default, bit-identical to the uncompiled path), ``float32``
     (folded weights narrowed at compile time; calibrated-tolerance
-    equivalence), ``blas`` (micro-batch GEMMs stacked into one threaded BLAS
-    call) or ``fft`` (FFT-domain large-kernel deconvolution).  Only engages
-    on compiled model engines; the cache key carries the lane, so results
-    from different lanes never mix.
+    equivalence).  Only engages on compiled model engines; the cache key
+    carries the lane dtype, so results from different lanes never mix.
 ``blas_threads`` / ``REPRO_BLAS_THREADS``
     BLAS thread cap composed with the worker pool: pooled pipelines default
     to 1 thread per worker so pool workers times BLAS threads never

@@ -5,8 +5,8 @@ area instead of the mask area:
 
 * :class:`MaskResultCache` — a bounded (byte-budget) LRU in front of
   :meth:`repro.pipeline.InferencePipeline.run`, keyed by the content hash of
-  each input mask *plus the pipeline's compute identity* (engine name,
-  compute-backend lane and lane dtype — see :mod:`repro.nn.backends`), so a
+  each input mask *plus the pipeline's compute identity* (engine name and
+  compute-lane dtype — see :mod:`repro.nn.backends`), so a
   cache shared between, say, a ``float32``-lane pipeline and a ``float64``
   one can never serve an entry produced under a different numeric contract.
   Exact repeats — dataset rebuilds, convergence re-checks, the final

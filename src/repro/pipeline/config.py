@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 
 from .. import knobs
-from ..nn.backends import BLAS_THREADS_ENV, ComputeBackend, available_backends
+from ..nn.backends import BACKENDS, BLAS_THREADS_ENV
 from .cache import RESULT_CACHE_ENV, resolve_cache_budget
 from .parallel import NUM_WORKERS_ENV, ParallelConfig
 from .streaming import STREAMING_ENV
@@ -104,7 +104,7 @@ class ExecutionConfig:
     #: Compute lane of the compiled graph.  Deliberately *not* resolved here:
     #: ``None`` defers to the executor boundary, where graph-lane precedence
     #: over ``REPRO_BACKEND`` lives (see the module docstring).
-    backend: "str | ComputeBackend | None" = None
+    backend: str | None = None
     #: BLAS thread cap (``REPRO_BLAS_THREADS``, then 1-per-worker when
     #: pooled / 0 = leave the library alone when serial).
     blas_threads: int | None = None
@@ -328,11 +328,13 @@ class ExecutionConfig:
         check_min("num_workers", 0)
         check_min("chunk_size", 1)
         check_min("blas_threads", 0)
-        if isinstance(self.backend, str) and self.backend not in available_backends():
+        if self.backend is not None and (
+            not isinstance(self.backend, str) or self.backend not in BACKENDS
+        ):
             fail(
                 "backend",
-                f"{self.backend!r} is not a registered compute backend; "
-                f"valid backends: {', '.join(sorted(available_backends()))}",
+                f"{self.backend!r} is not a compute backend; "
+                f"valid backends: {', '.join(sorted(BACKENDS))}",
             )
         if self.result_cache is not None and not isinstance(self.result_cache, (bool, int)):
             fail("result_cache", f"must be a flag or byte budget, got {self.result_cache!r}")
@@ -360,8 +362,6 @@ class ExecutionConfig:
                     "backoff": value.backoff,
                     "backoff_cap": value.backoff_cap,
                 }
-            elif spec.name == "backend" and isinstance(value, ComputeBackend):
-                value = value.name
             payload[spec.name] = value
         return payload
 

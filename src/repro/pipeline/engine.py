@@ -87,7 +87,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..layout.tiling import TileSpec, extract_tiles, stitch_cores, tile_grid
-from ..nn.backends import ComputeBackend, set_blas_threads
+from ..nn.backends import set_blas_threads
 from .cache import (
     IncrementalState,
     MaskResultCache,
@@ -220,12 +220,11 @@ class InferencePipeline:
         :class:`PipelineStats`.  Ignored for serial pipelines.
     backend:
         Compute lane of the compiled fused graph (:mod:`repro.nn.backends`):
-        ``"float64"`` (default, bit-identical), ``"float32"`` (calibrated
-        tolerance, ~half the memory traffic), ``"blas"`` (stacked GEMMs for
-        threaded BLAS) or ``"fft"`` (FFT-domain large-kernel deconvs).
-        ``None`` defers to the ``REPRO_BACKEND`` environment variable (then
-        ``float64``); requires ``compile=True`` for non-default lanes and
-        only applies to model engines.
+        ``"float64"`` (default, bit-identical) or ``"float32"`` (calibrated
+        tolerance, ~half the memory traffic).  ``None`` defers to the
+        ``REPRO_BACKEND`` environment variable (then ``float64``); requires
+        ``compile=True`` for non-default lanes and only applies to model
+        engines.
     blas_threads:
         BLAS thread cap (:func:`repro.nn.backends.set_blas_threads`):
         applied inside each pool worker, or in-process when serial.  ``None``
@@ -259,7 +258,7 @@ class InferencePipeline:
         shard_tiles: bool | None = None,
         result_cache: bool | int | None = None,
         retry: RetryPolicy | None = None,
-        backend: "str | ComputeBackend | None" = None,
+        backend: str | None = None,
         blas_threads: int | None = None,
     ) -> None:
         given = locals()
@@ -307,22 +306,15 @@ class InferencePipeline:
         # serial default is 0 = leave the library alone.
         if resolved.blas_threads and self.num_workers <= 1:
             set_blas_threads(resolved.blas_threads)
-        #: Compute backend of the executor (None for simulator engines).
-        self.backend = getattr(self.executor, "backend", None)
-        # Fold the compute identity (engine + backend lane + output dtype)
-        # into every result-cache key: two pipelines sharing a cache across
-        # backends/precisions must never serve each other's entries.  Keyed
-        # off the *inner* executor so pooled and serial runs of the same
-        # engine still share (they are bit-identical by construction).
+        #: Compute lane dtype of the executor (None for simulator engines).
+        self.dtype = getattr(self.executor, "dtype", None)
+        # Fold the compute identity (engine + lane dtype) into every
+        # result-cache key: two pipelines sharing a cache across precisions
+        # must never serve each other's entries.  Keyed off the *inner*
+        # executor so pooled and serial runs of the same engine still share
+        # (they are bit-identical by construction).
         inner = self.executor.inner if isinstance(self.executor, WorkerPoolExecutor) else self.executor
-        inner_backend = getattr(inner, "backend", None)
-        identity = "|".join(
-            (
-                inner.name,
-                inner_backend.name if inner_backend is not None else "golden",
-                inner_backend.dtype.str if inner_backend is not None else "<f8",
-            )
-        )
+        identity = f"{inner.name}|{getattr(inner, 'dtype', np.dtype(np.float64)).str}"
         self._compute_identity = hashlib.blake2b(
             identity.encode(), digest_size=8
         ).digest()
@@ -755,10 +747,10 @@ class InferencePipeline:
     def _cache_key(self, mask2d: np.ndarray, stitched: bool) -> bytes:
         """Cache key of one mask: content hash + execution plan + compute identity.
 
-        The compute-identity suffix (engine name, backend lane, output dtype)
-        keeps caches shared across pipelines honest: a float32-lane run can
-        never hit a float64 entry (and vice versa), and two different engines
-        never alias.
+        The compute-identity suffix (engine name, lane dtype) keeps caches
+        shared across pipelines honest: a float32-lane run can never hit a
+        float64 entry (and vice versa), and two different engines never
+        alias.
         """
         return hash_array(mask2d) + (b"s" if stitched else b"n") + self._compute_identity
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from ..litho.hopkins import AerialWorkspace
 from ..nn import FusedInferenceGraph, Module, Tensor, compile_model, eval_mode, no_grad
-from ..nn.backends import DEFAULT_BACKEND, ComputeBackend, get_backend, resolve_backend
+from ..nn.backends import BACKENDS, DEFAULT_BACKEND, resolve_backend
 
 __all__ = ["Executor", "ModelExecutor", "SimulatorExecutor", "as_executor"]
 
@@ -82,39 +82,37 @@ class ModelExecutor(Executor):
         self,
         model: Module,
         compile: bool = False,
-        backend: "str | ComputeBackend | None" = None,
+        backend: str | None = None,
     ) -> None:
         if not isinstance(model, Module):
             raise TypeError(f"ModelExecutor expects an nn.Module, got {type(model).__name__}")
-        # Backend resolution (explicit arg > REPRO_BACKEND > float64) happens
+        # Lane resolution (explicit arg > REPRO_BACKEND > float64) happens
         # here, at the executor boundary — compile_model itself never reads
         # the env var, so direct compiles stay environment-immune.
-        requested = backend
-        resolved = resolve_backend(backend)
+        dtype = resolve_backend(backend)
+        default = BACKENDS[DEFAULT_BACKEND]
         if isinstance(model, FusedInferenceGraph):
             compile = True
         elif compile:
             model = compile_model(model)
         if isinstance(model, FusedInferenceGraph):
-            current = model.backend
-            if requested is not None:
-                target = get_backend(requested)
-                if current is None or current.name != target.name:
-                    model.convert(target)
-            elif current is None and resolved.name != DEFAULT_BACKEND:
-                # Env-selected lane; a pre-converted graph keeps its lane
-                # (the caller's explicit compile wins over the environment).
-                model.convert(resolved)
-            self.backend = model.backend if model.backend is not None else resolved
+            # An explicit lane always applies; an env-selected one only to a
+            # graph never converted (the caller's explicit compile wins over
+            # the environment).
+            explicit = backend is not None
+            current = model.dtype
+            if (current is None and (explicit or dtype != default)) or (explicit and current != dtype):
+                model.convert(dtype.name)
+            #: Working dtype of the compiled graph's compute lane.
+            self.dtype = model.dtype if model.dtype is not None else dtype
         else:
-            if requested is not None and get_backend(requested).name != DEFAULT_BACKEND:
+            if backend is not None and dtype != default:
                 raise ValueError(
-                    f"backend {get_backend(requested).name!r} requires the compiled "
-                    "fused path; pass compile=True"
+                    f"backend {backend!r} requires the compiled fused path; pass compile=True"
                 )
             # An env-resolved non-default lane is ignored on the unfused path
             # (there is nothing to convert); explicit requests raise above.
-            self.backend = get_backend(DEFAULT_BACKEND)
+            self.dtype = default
         self.model = model
         self.compiled = bool(compile)
         base = model.source_name if isinstance(model, FusedInferenceGraph) else type(model).__name__
@@ -134,7 +132,7 @@ class ModelExecutor(Executor):
             if self.compiled
             else self.ACTIVATION_CHANNEL_ESTIMATE
         )
-        per_sample = channels * height * width * self.backend.dtype.itemsize
+        per_sample = channels * height * width * self.dtype.itemsize
         return max(1, self.MICRO_BATCH_BUDGET_BYTES // max(per_sample, 1))
 
     @staticmethod
@@ -142,9 +140,9 @@ class ModelExecutor(Executor):
         """Executor boundary: predictions leave in float64 whatever the lane.
 
         Keeps stitching/splicing arithmetic (and the pooled shared-memory
-        output specs) dtype-stable across backends; within a lane the cast is
+        output specs) dtype-stable across lanes; within a lane the cast is
         per-sample and partition invariant, so pooled/sharded plans stay
-        bit-identical to serial wherever the lane itself is.
+        bit-identical to serial.
         """
         return out if out.dtype == np.float64 else out.astype(np.float64)
 
@@ -269,7 +267,7 @@ def as_executor(
     engine,
     output: str = "resist",
     compile: bool = False,
-    backend: "str | ComputeBackend | None" = None,
+    backend: str | None = None,
 ) -> Executor:
     """Adapt a model, simulator or executor to the :class:`Executor` interface.
 

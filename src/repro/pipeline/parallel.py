@@ -314,7 +314,6 @@ class WorkerPoolExecutor(Executor):
         streaming: bool | None = None,
         retry: RetryPolicy | None = None,
         fault_plan: "FaultPlan | str | None" = None,
-        supervised: bool = True,
         blas_threads: int | None = None,
     ) -> None:
         if config is not None:
@@ -337,10 +336,6 @@ class WorkerPoolExecutor(Executor):
         self.retry = config.resolved_retry()
         self.blas_threads = config.resolved_blas_threads()
         self.fault_plan = resolve_fault_plan(fault_plan)
-        # supervised=False keeps the blind pool.map dispatch of the pre-
-        # supervision pipeline alive as the bench baseline (no monitoring, no
-        # retry, no degradation) — production callers never turn this off.
-        self.supervised = bool(supervised)
         self.robustness = RobustnessCounters()
         self.name = (
             f"{inner.name}[workers={self.num_workers}]" if self.num_workers > 1 else inner.name
@@ -369,9 +364,9 @@ class WorkerPoolExecutor(Executor):
         return getattr(self.inner, "compiled", False)
 
     @property
-    def backend(self):
-        """Compute backend of the wrapped executor (None for simulators)."""
-        return getattr(self.inner, "backend", None)
+    def dtype(self):
+        """Compute lane dtype of the wrapped executor (None for simulators)."""
+        return getattr(self.inner, "dtype", None)
 
     # -- executor interface -------------------------------------------- #
     def run_batch(self, batch: np.ndarray) -> np.ndarray:
@@ -411,17 +406,7 @@ class WorkerPoolExecutor(Executor):
         """
         pool, self._pool = self._pool, None
         if pool is not None:
-            try:
-                pool.close()
-                if not isinstance(pool, SupervisedPool):
-                    # mp.Pool (blind baseline) needs the explicit join; during
-                    # interpreter shutdown its worker handler may already be
-                    # reaped, and a secondary error here would mask the real
-                    # one — swallow it.
-                    pool.join()
-            # repro: ok(EXC001, best-effort pool teardown at interpreter shutdown; see comment above)
-            except Exception:
-                pass
+            pool.close()  # guarded step by step inside
         if self._ring is not None:
             self._ring.close()
             self._ring = None
@@ -495,16 +480,6 @@ class WorkerPoolExecutor(Executor):
             (method, inputs, output, start, stop, (call, index))
             for index, (start, stop) in enumerate(bounds)
         ]
-        if not self.supervised:
-            failures = [tb for tb in self._ensure_pool().map(_run_chunk, tasks) if tb]
-            if failures:
-                raise WorkerPoolError(
-                    f"{len(failures)} worker chunk(s) of {self.name}.{method} failed; "
-                    "first remote traceback:\n" + failures[0],
-                    executor=self.name,
-                    method=method,
-                )
-            return
         report = self._ensure_pool().run(
             tasks, self.retry, fallback=lambda task: fallback(task[3], task[4])
         )
@@ -626,18 +601,11 @@ class WorkerPoolExecutor(Executor):
             methods = mp.get_all_start_methods()
             use_fork = sys.platform.startswith("linux") and "fork" in methods
             ctx = mp.get_context("fork" if use_fork else "spawn")
-            if self.supervised:
-                self._pool = SupervisedPool(
-                    self.num_workers,
-                    _run_chunk,
-                    initializer=_init_worker,
-                    initargs=(self.inner, self.fault_plan, self.blas_threads),
-                    context=ctx,
-                )
-            else:
-                self._pool = ctx.Pool(
-                    processes=self.num_workers,
-                    initializer=_init_worker,
-                    initargs=(self.inner, self.fault_plan, self.blas_threads),
-                )
+            self._pool = SupervisedPool(
+                self.num_workers,
+                _run_chunk,
+                initializer=_init_worker,
+                initargs=(self.inner, self.fault_plan, self.blas_threads),
+                context=ctx,
+            )
         return self._pool

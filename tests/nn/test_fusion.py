@@ -36,7 +36,6 @@ from repro.nn import (
     no_grad,
 )
 from repro.nn import functional as F
-from repro.nn.backends import BackendWorkspace, fft_conv_transpose_bn_act, get_backend
 from repro.nn.fusion import FusedConvBNAct, FusedConvTranspose, build_chain
 
 TOL = dict(rtol=1e-12, atol=1e-12)
@@ -927,60 +926,8 @@ def test_fused_chain_scratch_eviction_is_lru(rng):
 
 
 # --------------------------------------------------------------------- #
-# Compute backends (PR 8 tentpole): lane kernels and conversions
+# Compute lanes: conversions
 # --------------------------------------------------------------------- #
-def test_conv_bn_act_stacked_matches_per_sample(rng):
-    """The blas lane's stacked ``(N*L, C_in*k*k)`` GEMM is numerically a
-    reassociation of the per-sample GEMMs: same math, tolerance-equal."""
-    x = rng.standard_normal((3, 2, 9, 9))
-    w = rng.standard_normal((4, 2, 3, 3))
-    b = rng.standard_normal(4)
-    kwargs = dict(stride=1, padding=1, activation="leaky_relu", negative_slope=0.2)
-    ref = F.conv_bn_act(x, w, b, **kwargs)
-    stacked = F.conv_bn_act(x, w, b, stacked=True, **kwargs)
-    np.testing.assert_allclose(stacked, ref, rtol=0, atol=1e-12)
-    # Bordered emission under the stacked path
-    ref_pad = F.conv_bn_act(x, w, b, stride=1, padding=1, output_padding=1)
-    stacked_pad = F.conv_bn_act(x, w, b, stride=1, padding=1, output_padding=1, stacked=True)
-    np.testing.assert_allclose(stacked_pad, ref_pad, rtol=0, atol=1e-12)
-
-
-@pytest.mark.parametrize("k,stride,padding,out_pad,activation", [
-    (4, 2, 1, 0, "leaky_relu"),   # the DOINN dconv geometry
-    (4, 2, 1, 1, "identity"),     # same, with a bordered emission
-    (5, 1, 2, 0, "relu"),
-    (4, 3, 0, 0, "tanh"),
-])
-def test_fft_conv_transpose_matches_spatial_kernel(rng, k, stride, padding, out_pad, activation):
-    x = rng.standard_normal((2, 3, 8, 8))
-    w = rng.standard_normal((3, 4, k, k))
-    b = rng.standard_normal(4)
-    kwargs = dict(stride=stride, padding=padding, output_padding=out_pad,
-                  activation=activation, negative_slope=0.2)
-    ref = F.conv_transpose_bn_act(x, w, b, **kwargs)
-    ws = BackendWorkspace()
-    out = fft_conv_transpose_bn_act(x, w, b, workspace=ws, **kwargs)
-    np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
-    # Second call reuses the cached kernel spectrum and scratch buffers.
-    np.testing.assert_array_equal(fft_conv_transpose_bn_act(x, w, b, workspace=ws, **kwargs), out)
-
-
-def test_fft_backend_gates_on_kernel_area(rng):
-    """Small kernels (UNet's 2x2 up path) stay on the scatter path — the FFT
-    only wins once the kernel area crosses ``FFT_MIN_KERNEL_AREA``."""
-    fft = get_backend("fft")
-    big = FusedConvTranspose.from_modules(
-        nn.ConvTranspose2d(2, 3, 4, stride=2, padding=1, rng=rng), None, None
-    )
-    small = FusedConvTranspose.from_modules(
-        nn.ConvTranspose2d(2, 3, 3, stride=1, padding=1, rng=rng), None, None
-    )
-    assert big._uses_fft(fft) and not small._uses_fft(fft)
-    assert big.scratch_shape((1, 2, 8, 8), backend=fft) is None  # no scatter scratch
-    # The small overlapping kernel stays on the scatter path: scratch as usual.
-    assert small.scratch_shape((1, 2, 8, 8), backend=fft) is not None
-
-
 def test_float64_backend_is_bit_identical(zoo_model, rng):
     """The lane contract: converting to the default float64 backend changes
     *nothing* — outputs are bit-for-bit the unconverted graph's, zoo-wide."""
@@ -988,7 +935,7 @@ def test_float64_backend_is_bit_identical(zoo_model, rng):
     x = rng.random((4, 1, 32, 32))
     plain = compile_model(model)
     converted = compile_model(model, backend="float64")
-    assert converted.backend is get_backend("float64")
+    assert converted.dtype == np.float64
     with no_grad():
         np.testing.assert_array_equal(
             converted(Tensor(x)).numpy(), plain(Tensor(x)).numpy(), err_msg=name
@@ -1015,31 +962,15 @@ def test_float32_backend_within_calibrated_tolerance(zoo_model, rng):
     assert delta <= FLOAT32_MAX_ABS_DELTA[name], f"{name}: float32 delta {delta:.3e}"
 
 
-@pytest.mark.parametrize("lane", ["blas", "fft"])
-def test_float64_lanes_match_default_within_tolerance(zoo_model, rng, lane):
-    """blas reassociates the GEMM reduction, fft reassociates the deconv
-    summation — both stay within 1e-12 of the default lane zoo-wide."""
-    name, model = zoo_model
-    x = rng.random((4, 1, 32, 32))
-    ref = compile_model(model)
-    converted = compile_model(model, backend=lane)
-    with no_grad():
-        np.testing.assert_allclose(
-            converted(Tensor(x)).numpy(), ref(Tensor(x)).numpy(),
-            rtol=0, atol=1e-12, err_msg=f"{name}/{lane}",
-        )
-
-
 def test_backend_conversion_guards(tiny_model_factory):
     graph = compile_model(tiny_model_factory("unet"), backend="float32")
     with pytest.raises(ValueError, match="recompile from the source model"):
         graph.convert("float64")
     with pytest.raises(ValueError, match="unknown compute backend"):
         compile_model(tiny_model_factory("unet"), backend="float16")
-    # Same-dtype lane hops are free and reversible.
-    hopping = compile_model(tiny_model_factory("unet"), backend="blas")
-    hopping.convert("fft").convert("float64")
-    assert hopping.backend is get_backend("float64")
+    # Re-converting to the current lane is free; narrowing is one-way.
+    graph64 = compile_model(tiny_model_factory("unet"), backend="float64")
+    assert graph64.convert("float64").convert("float32").dtype == np.float32
 
 
 def test_compile_model_ignores_backend_env(zoo_model, rng, monkeypatch):
@@ -1051,7 +982,7 @@ def test_compile_model_ignores_backend_env(zoo_model, rng, monkeypatch):
     ref = compile_model(model)
     monkeypatch.setenv("REPRO_BACKEND", "float32")
     under_env = compile_model(model)
-    assert under_env.backend is None
+    assert under_env.dtype is None
     with no_grad():
         np.testing.assert_array_equal(
             under_env(Tensor(x)).numpy(), ref(Tensor(x)).numpy(), err_msg=name
@@ -1059,12 +990,12 @@ def test_compile_model_ignores_backend_env(zoo_model, rng, monkeypatch):
 
 
 def test_converted_graph_pickle_round_trip(tiny_model_factory, rng):
-    """A converted graph ships its lane to pool workers: the backend (and the
-    narrowed weights) survive pickling; scratch and workspace do not."""
+    """A converted graph ships its lane to pool workers: the lane dtype (and
+    the narrowed weights) survive pickling; scratch does not."""
     graph = compile_model(tiny_model_factory("doinn"), backend="float32")
     x = rng.random((2, 1, 32, 32))
     clone = pickle.loads(pickle.dumps(graph))
-    assert clone.backend is not None and clone.backend.name == "float32"
+    assert clone.dtype == np.float32
     assert all(chain._scratch == {} for chain in clone.chains)
     with no_grad():
         np.testing.assert_array_equal(clone(Tensor(x)).numpy(), graph(Tensor(x)).numpy())

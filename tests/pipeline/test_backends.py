@@ -1,18 +1,12 @@
-"""Backend-parametrized pipeline equivalence (PR 8 tentpole).
+"""Lane-parametrized pipeline equivalence.
 
-One suite, every lane, every execution plan.  The per-lane contracts:
+One suite, both compute lanes, every execution plan.  The per-lane contracts:
 
 * ``float64`` — the default; converting to it is a no-op numerically, so
   every plan is *bit*-identical to the unconverted compiled pipeline.
 * ``float32`` — folded weights narrowed at compile time; equivalence to the
   float64 pipeline holds at the calibrated lane tolerance.  Still computed
   per sample, so it keeps partition invariance (pooled == serial, bitwise).
-* ``blas`` — micro-batch GEMMs stacked into one threaded BLAS call.  The
-  stacking reassociates the reduction, so this lane is tolerance-equal to
-  float64 and deliberately NOT partition invariant: pooled-vs-serial pins
-  are ``allclose``, never ``array_equal``.
-* ``fft`` — FFT-domain large-kernel deconvolution, float64, computed per
-  sample: tolerance-equal to the default lane and partition invariant.
 
 Whatever the lane, the executor hands float64 back to the stitching layer,
 so pipeline outputs are always float64.
@@ -39,13 +33,12 @@ from repro.nn import compile_model
 from repro.nn.backends import (
     BACKEND_ENV,
     BLAS_THREADS_ENV,
-    available_backends,
-    get_backend,
     get_blas_threads,
     resolve_backend,
     resolve_blas_threads,
 )
 from repro.pipeline import (
+    ConfigError,
     ExecutionConfig,
     Executor,
     InferencePipeline,
@@ -55,16 +48,15 @@ from repro.pipeline import (
     as_executor,
 )
 
-LANES = ["float64", "float32", "blas", "fft"]
+LANES = ["float64", "float32"]
 
 #: max |delta| vs the float64 compiled pipeline; resist outputs live in
 #: [0, 1], so absolute bounds are meaningful.  float32 is calibrated from
-#: the pinned reference run (measured ~3e-7 native, ~3e-7 stitched); blas
-#: and fft only reassociate float64 summations (measured ~3e-15).
-LANE_ATOL = {"float64": 0.0, "float32": 2.0e-5, "blas": 1.0e-12, "fft": 1.0e-12}
+#: the pinned reference run (measured ~3e-7 native, ~3e-7 stitched).
+LANE_ATOL = {"float64": 0.0, "float32": 2.0e-5}
 
 #: Lanes whose pooled/sharded plans are bit-identical to serial.
-PARTITION_INVARIANT = {"float64", "float32", "fft"}
+PARTITION_INVARIANT = {"float64", "float32"}
 
 
 @pytest.fixture(scope="module")
@@ -89,19 +81,25 @@ def _assert_lane_close(actual, expected, lane, err_msg=""):
 # --------------------------------------------------------------------- #
 # Registry and resolution
 # --------------------------------------------------------------------- #
-def test_registry_exposes_the_four_lanes():
-    assert set(LANES) <= set(available_backends())
-    assert get_backend("blas").stacked_gemm and not get_backend("blas").fft_deconv
-    assert get_backend("fft").fft_deconv and not get_backend("fft").stacked_gemm
-    assert get_backend("float32").dtype == np.dtype(np.float32)
+@pytest.mark.parametrize("removed", ["blas", "fft"])
+def test_removed_lanes_are_refused(monkeypatch, removed):
+    """Only the two dtype lanes exist; the deleted ``blas`` / ``fft`` names
+    fail loudly from the environment and from an explicit config."""
+    monkeypatch.setenv(BACKEND_ENV, removed)
+    with pytest.raises(ValueError, match=BACKEND_ENV) as excinfo:
+        resolve_backend()
+    assert "float32, float64" in str(excinfo.value)
+    with pytest.raises(ConfigError) as excinfo:
+        ExecutionConfig(backend=removed).validate()
+    assert excinfo.value.field == "backend"
 
 
 def test_resolve_backend_precedence(monkeypatch):
     monkeypatch.delenv(BACKEND_ENV, raising=False)
-    assert resolve_backend().name == "float64"
-    monkeypatch.setenv(BACKEND_ENV, "fft")
-    assert resolve_backend().name == "fft"
-    assert resolve_backend("blas").name == "blas"  # explicit beats env
+    assert resolve_backend() == np.float64
+    monkeypatch.setenv(BACKEND_ENV, "float32")
+    assert resolve_backend() == np.float32
+    assert resolve_backend("float64") == np.float64  # explicit beats env
     monkeypatch.setenv(BACKEND_ENV, "quantum")
     with pytest.raises(ValueError, match=BACKEND_ENV):
         resolve_backend()
@@ -110,21 +108,25 @@ def test_resolve_backend_precedence(monkeypatch):
 def test_pipeline_resolves_backend_from_env(model, monkeypatch):
     monkeypatch.setenv(BACKEND_ENV, "float32")
     pipeline = InferencePipeline(model, ExecutionConfig(compile=True))
-    assert pipeline.backend is not None and pipeline.backend.name == "float32"
+    assert pipeline.dtype == np.float32
     # Explicit argument wins over the environment.
-    pinned = InferencePipeline(model, ExecutionConfig(compile=True, backend="fft"))
-    assert pinned.backend.name == "fft"
+    pinned = InferencePipeline(model, ExecutionConfig(compile=True, backend="float64"))
+    assert pinned.dtype == np.float64
     # Uncompiled pipelines ignore the env lane (no fused path to convert).
-    assert InferencePipeline(model).backend.name == "float64"
+    assert InferencePipeline(model).dtype == np.float64
 
 
 def test_preconverted_graph_lane_wins_over_env(model, monkeypatch):
     """A graph already converted to a lane keeps it: the env var must not
     silently re-convert an engine the caller prepared deliberately."""
-    graph = compile_model(model, backend="fft")
+    graph = compile_model(model, backend="float64")
     monkeypatch.setenv(BACKEND_ENV, "float32")
     executor = ModelExecutor(graph)
-    assert executor.backend.name == "fft"
+    assert executor.dtype == np.float64
+    # An explicit executor lane converts the graph just the same.
+    pinned = compile_model(model)
+    ModelExecutor(pinned, backend="float64")
+    assert ModelExecutor(pinned).dtype == np.float64
 
 
 # --------------------------------------------------------------------- #
@@ -136,7 +138,7 @@ def test_backend_requires_compiled_path(model):
     with pytest.raises(ValueError, match="compile=True"):
         InferencePipeline(model, ExecutionConfig(backend="float32"))
     # The default lane is the uncompiled path's native behaviour: allowed.
-    assert ModelExecutor(model, backend="float64").backend.name == "float64"
+    assert ModelExecutor(model, backend="float64").dtype == np.float64
 
 
 def test_backend_rejects_simulator_engines():
@@ -156,7 +158,7 @@ def test_backend_native_plan_matches_float64(zoo_model, lane):
     masks = _random_masks(4, 32)
     reference = InferencePipeline(model, ExecutionConfig(batch_size=2, compile=True, backend="float64"))
     pipeline = InferencePipeline(model, ExecutionConfig(batch_size=2, compile=True, backend=lane))
-    assert pipeline.backend.name == lane
+    assert pipeline.dtype.name == lane
     out = pipeline.predict(masks)
     assert out.dtype == np.float64  # the executor boundary re-widens every lane
     _assert_lane_close(out, reference.predict(masks), lane, err_msg=f"{name}/{lane}")
@@ -188,14 +190,10 @@ def test_backend_pooled_matches_serial(model, lane):
     with InferencePipeline(
         model, ExecutionConfig(batch_size=2, num_workers=2, compile=True, backend=lane)
     ) as pooled:
-        assert pooled.backend.name == lane
+        assert pooled.dtype.name == lane
         out = pooled.predict(masks)
-    if lane in PARTITION_INVARIANT:
-        np.testing.assert_array_equal(out, reference, err_msg=lane)
-    else:
-        # blas stacks per-dispatch micro-batches: shard boundaries change the
-        # GEMM shapes, so pooled results are tolerance-equal, not bitwise.
-        np.testing.assert_allclose(out, reference, rtol=0, atol=1e-12, err_msg=lane)
+    assert lane in PARTITION_INVARIANT
+    np.testing.assert_array_equal(out, reference, err_msg=lane)
 
 
 @pytest.mark.parametrize("lane", LANES)
@@ -206,10 +204,8 @@ def test_backend_sharded_stitched_matches_serial(model, lane):
     reference = serial.predict(masks, stitch=True)
     with InferencePipeline(model, ExecutionConfig(num_workers=2, backend=lane, **kwargs)) as pooled:
         out = pooled.predict(masks, stitch=True)
-    if lane in PARTITION_INVARIANT:
-        np.testing.assert_array_equal(out, reference, err_msg=lane)
-    else:
-        np.testing.assert_allclose(out, reference, rtol=0, atol=1e-12, err_msg=lane)
+    assert lane in PARTITION_INVARIANT
+    np.testing.assert_array_equal(out, reference, err_msg=lane)
 
 
 # --------------------------------------------------------------------- #
@@ -228,14 +224,7 @@ def test_backend_patched_plan_matches_stitched(model, lane):
     for step in range(3):
         patched = pipeline.predict_patched(mask, state)
         stitched = pipeline.predict(mask, stitch=True)
-        if lane in PARTITION_INVARIANT:
-            np.testing.assert_array_equal(patched, stitched, err_msg=f"{lane}/{step}")
-        else:
-            # Patching re-runs GP on the dirty subset only: smaller stacked
-            # GEMMs, different rounding — tolerance-equal within the lane.
-            np.testing.assert_allclose(
-                patched, stitched, rtol=0, atol=1e-12, err_msg=f"{lane}/{step}"
-            )
+        np.testing.assert_array_equal(patched, stitched, err_msg=f"{lane}/{step}")
         mask = mask.copy()
         mask[2 * step, 3 * step] = 1.0 - mask[2 * step, 3 * step]
     assert state.counters.patched_calls >= 1
@@ -268,11 +257,11 @@ def test_parallel_config_carries_blas_threads(monkeypatch):
 
 def test_pooled_pipeline_caps_worker_blas_threads(model, monkeypatch):
     monkeypatch.delenv(BLAS_THREADS_ENV, raising=False)
-    with InferencePipeline(model, ExecutionConfig(num_workers=2, compile=True, backend="blas")) as pooled:
+    with InferencePipeline(model, ExecutionConfig(num_workers=2, compile=True, backend="float64")) as pooled:
         assert pooled.executor.blas_threads == 1
         # The capped pool still computes the right answer.
         masks = _random_masks(2, 32)
-        serial = InferencePipeline(model, ExecutionConfig(compile=True, backend="blas"))
+        serial = InferencePipeline(model, ExecutionConfig(compile=True, backend="float64"))
         np.testing.assert_allclose(
             pooled.predict(masks), serial.predict(masks), rtol=0, atol=1e-12
         )

@@ -17,6 +17,7 @@ from repro.litho import LithoSimulator
 from repro.nn import FusedInferenceGraph, compile_model
 from repro.nn.backends import resolve_backend
 from repro.pipeline import (
+    ExecutionConfig,
     InferencePipeline,
     ModelExecutor,
     WorkerPoolExecutor,
@@ -29,7 +30,7 @@ from repro.pipeline import (
 # tolerance instead of 1e-12.  Within-lane bit-identity pins (partition
 # invariance, pooled-vs-serial) are unaffected — every lane keeps those.
 _LANE = resolve_backend()
-if _LANE.dtype.itemsize == 8:
+if _LANE.itemsize == 8:
     TOL = dict(rtol=1e-12, atol=1e-12)
 else:
     TOL = dict(rtol=1e-5, atol=1e-5)
@@ -101,8 +102,8 @@ def test_as_executor_compile_validation(model):
 def test_pipeline_compile_knob_equivalence(zoo_model):
     name, model = zoo_model
     masks = _random_masks(4, 32)
-    plain = InferencePipeline(model, batch_size=2)
-    fused = InferencePipeline(model, batch_size=2, compile=True)
+    plain = InferencePipeline(model, ExecutionConfig(batch_size=2))
+    fused = InferencePipeline(model, ExecutionConfig(batch_size=2, compile=True))
     assert fused.compiled and not plain.compiled
     np.testing.assert_allclose(fused.predict(masks), plain.predict(masks), **TOL)
 
@@ -110,8 +111,8 @@ def test_pipeline_compile_knob_equivalence(zoo_model):
 def test_compiled_stitched_plan_matches_unfused(model):
     masks = _random_masks(2, 64, seed=5)
     kwargs = dict(tile_size=32, batch_size=4, optical_diameter_pixels=8)
-    plain = InferencePipeline(model, **kwargs)
-    fused = InferencePipeline(model, compile=True, **kwargs)
+    plain = InferencePipeline(model, ExecutionConfig(**kwargs))
+    fused = InferencePipeline(model, ExecutionConfig(compile=True, **kwargs))
     assert fused.run(masks).stats.mode == "stitched"
     np.testing.assert_allclose(
         fused.predict(masks, stitch=True), plain.predict(masks, stitch=True), **TOL
@@ -119,7 +120,7 @@ def test_compiled_stitched_plan_matches_unfused(model):
 
 
 def test_compiled_pipeline_reports_compiled_engine_in_stats(model):
-    pipeline = InferencePipeline(model, compile=True)
+    pipeline = InferencePipeline(model, ExecutionConfig(compile=True))
     result = pipeline.run(_random_masks(2, 32))
     assert result.stats.engine == "DOINN[compiled]"
 
@@ -127,7 +128,7 @@ def test_compiled_pipeline_reports_compiled_engine_in_stats(model):
 def test_pipeline_compile_rejects_simulator_engines():
     simulator = LithoSimulator(pixel_size=16.0, num_kernels=6, kernel_support=31)
     with pytest.raises(ValueError, match="golden simulator"):
-        InferencePipeline(simulator, compile=True)
+        InferencePipeline(simulator, ExecutionConfig(compile=True))
 
 
 # --------------------------------------------------------------------- #
@@ -151,8 +152,8 @@ def test_compiled_executor_alternating_batch_sizes(zoo_model):
 
 def test_compiled_pipeline_alternating_batch_sizes(model):
     masks = _random_masks(6, 32, seed=31)
-    plain = InferencePipeline(model, batch_size=4)
-    fused = InferencePipeline(model, batch_size=4, compile=True)
+    plain = InferencePipeline(model, ExecutionConfig(batch_size=4))
+    fused = InferencePipeline(model, ExecutionConfig(batch_size=4, compile=True))
     # Ragged splits: 6 masks at bs=4 -> shards of 4 and 2; then bs=3 -> 3+3;
     # then bs=5 -> 5+1 — all through the same compiled engine.
     for bs in (4, 3, 5, 4, 1):
@@ -170,16 +171,20 @@ def test_compiled_unet_composes_with_worker_pool(tiny_model_factory):
     bit-identical under worker-pool sharding, like every other fused op."""
     unet = tiny_model_factory("unet")
     masks = _random_masks(6, 32, seed=13)
-    reference = InferencePipeline(unet, batch_size=2, compile=True).predict(masks)
-    with InferencePipeline(unet, batch_size=2, num_workers=2, compile=True) as parallel:
+    reference = InferencePipeline(unet, ExecutionConfig(batch_size=2, compile=True)).predict(masks)
+    with InferencePipeline(
+        unet, ExecutionConfig(batch_size=2, num_workers=2, compile=True)
+    ) as parallel:
         np.testing.assert_array_equal(parallel.predict(masks), reference)
 
 
 def test_compiled_composes_with_worker_pool(model):
     masks = _random_masks(6, 32)
-    serial = InferencePipeline(model, batch_size=4, compile=True)
+    serial = InferencePipeline(model, ExecutionConfig(batch_size=4, compile=True))
     reference = serial.predict(masks)
-    with InferencePipeline(model, batch_size=4, num_workers=2, compile=True) as parallel:
+    with InferencePipeline(
+        model, ExecutionConfig(batch_size=4, num_workers=2, compile=True)
+    ) as parallel:
         assert isinstance(parallel.executor, WorkerPoolExecutor)
         assert parallel.compiled and parallel.executor.compiled
         assert "[compiled]" in parallel.name and "workers=2" in parallel.name
@@ -189,8 +194,8 @@ def test_compiled_composes_with_worker_pool(model):
 def test_compiled_stitched_worker_pool_bit_identical(model):
     masks = _random_masks(2, 64, seed=9)
     kwargs = dict(tile_size=32, batch_size=4, optical_diameter_pixels=8, compile=True)
-    serial = InferencePipeline(model, **kwargs)
-    with InferencePipeline(model, num_workers=2, **kwargs) as parallel:
+    serial = InferencePipeline(model, ExecutionConfig(**kwargs))
+    with InferencePipeline(model, ExecutionConfig(num_workers=2, **kwargs)) as parallel:
         np.testing.assert_array_equal(
             parallel.predict(masks, stitch=True), serial.predict(masks, stitch=True)
         )
@@ -237,7 +242,7 @@ def test_compiled_micro_batch_budgets_fused_working_set(model, height, width):
             fused.FUSED_ACTIVATION_CHANNEL_ESTIMATE
             * height
             * width
-            * fused.backend.dtype.itemsize
+            * fused.dtype.itemsize
         ),
     )
     assert plain._micro_batch(height, width) == expected_plain

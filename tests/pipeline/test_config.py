@@ -27,7 +27,6 @@ from repro.experiments import Harness
 from repro.experiments.figure6_runtime import run_figure6
 from repro.experiments.table4_large_tile import run_table4
 from repro.litho import LithoSimulator
-from repro.nn.backends import get_backend
 from repro.opc import OPCConfig
 from repro.pipeline import (
     ConfigError,
@@ -238,6 +237,7 @@ def test_config_error_is_value_error():
         ("chunk_size", 0),
         ("blas_threads", -1),
         ("backend", "not-a-backend"),
+        ("backend", ["float64"]),       # a JSON list is not a lane name
         ("streaming", 1),
         ("shard_tiles", "yes"),
         ("incremental", 0),
@@ -283,9 +283,10 @@ def test_resolved_config_json_round_trip():
     assert restored.resolved
 
 
-def test_to_dict_serializes_backend_object():
-    cfg = ExecutionConfig(backend=get_backend("float32"))
+def test_to_dict_serializes_backend_name():
+    cfg = ExecutionConfig(backend="float32")
     assert cfg.to_dict()["backend"] == "float32"
+    assert ExecutionConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
 
 def test_from_dict_unknown_key_raises():

@@ -236,17 +236,6 @@ def test_chaos_predict_patched_matches_serial(model, monkeypatch):
     assert live_segment_names() == ()
 
 
-def test_unsupervised_baseline_stays_bit_identical(model):
-    """``supervised=False`` keeps the pre-supervision blind ``pool.map``
-    dispatch alive (the bench baseline): same outputs, no monitoring."""
-    masks = _random_masks(6, 32, seed=57)
-    reference = ModelExecutor(model).run_batch(masks[:, None])
-    with WorkerPoolExecutor(model, num_workers=2, supervised=False) as executor:
-        assert not isinstance(executor._pool, SupervisedPool)  # lazily None, then mp.Pool
-        np.testing.assert_array_equal(executor.run_batch(masks[:, None]), reference)
-        assert not isinstance(executor._pool, SupervisedPool)
-
-
 # --------------------------------------------------------------------- #
 # Graceful degradation and structured failure
 # --------------------------------------------------------------------- #
