@@ -237,12 +237,12 @@ def test_config_error_is_value_error():
         ("chunk_size", 0),
         ("blas_threads", -1),
         ("backend", "not-a-backend"),
-        ("backend", ["float64"]),       # a JSON list is not a lane name
         ("streaming", 1),
         ("shard_tiles", "yes"),
         ("incremental", 0),
         ("result_cache", 1.5),
         ("retry", object()),
+        ("backend", ["float64"]),       # a JSON list is not a lane name
     ],
 )
 def test_validate_rejects_bad_values(field, value):
