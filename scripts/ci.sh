@@ -104,8 +104,10 @@ REPRO_BACKEND=float32 python -m pytest -x -q -p no:cacheprovider \
     tests/nn/test_fusion.py tests/pipeline/test_compiled_pipeline.py \
     tests/pipeline/test_backends.py "$@"
 
+# Like the fusion and backend legs, this one escalates DeprecationWarning so
+# the pool suites stay off the deprecated InferencePipeline keyword shims.
 echo "== streaming + parallel worker-pool suites (pooled == serial, bit for bit) =="
-python -m pytest -x -q -p no:cacheprovider \
+python -m pytest -x -q -p no:cacheprovider -W "error::DeprecationWarning" \
     tests/pipeline/test_parallel.py tests/pipeline/test_streaming.py "$@"
 
 echo "== incremental OPC + result-cache suites (patched == full re-simulation, bit for bit) =="
@@ -124,7 +126,8 @@ check_shm_clean "after chaos gate"
 # serial large_tile run checks the first stitched 256 px mask against the
 # unfused pipeline to 1e-12, which covers the blocked stride-1 conv kernel
 # (one C_in*kw-row pack per block, kh accumulating kernel-row GEMMs) on
-# full-mask shapes.  The pooled run holds sampled outputs bit-identical
+# full-mask shapes and the fused GP op (lift folded into the mode mix) on
+# 8-tile batches.  The pooled run holds sampled outputs bit-identical
 # to serial while the workers run capped BLAS pools.  Each gate fails
 # unless the run's last (JSON) line reports correct with 0 failed calls.
 bench_smoke() {

@@ -66,6 +66,10 @@ class GlobalPerception(nn.Module):
         """Map a mask ``(N, 1, H, W)`` to GP features ``(N, C, H/8, W/8)``."""
         return self.fourier_unit(self.pool(x))
 
+    def fusion_spectral(self) -> tuple[str, str]:
+        """Compile the pooling and the Fourier unit into one fused GP op."""
+        return ("pool", "fourier_unit")
+
 
 class LocalPerception(nn.Module):
     """LP path: three stride-2 convolutions, each followed by a VGG block (Table 6).

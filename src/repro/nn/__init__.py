@@ -18,6 +18,7 @@ from .backends import (
 )
 from .fusion import (
     CompiledChain,
+    CompiledFourierUnit,
     FusedChain,
     FusedConvBNAct,
     FusedConvTranspose,
@@ -60,6 +61,7 @@ __all__ = [
     "resolve_blas_threads",
     "set_blas_threads",
     "CompiledChain",
+    "CompiledFourierUnit",
     "FusedChain",
     "FusedConvBNAct",
     "FusedConvTranspose",

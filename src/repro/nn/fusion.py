@@ -1,4 +1,5 @@
-"""Eval-mode operator-fusion compiler for the conv->BN->LeakyReLU hot path.
+"""Eval-mode operator-fusion compiler for the conv->BN->LeakyReLU hot path
+and DOINN's global-perception (GP) path.
 
 PR 2 profiling showed ~50% of model-forward time going to the per-sample
 pad+pack in ``conv2d`` — the padded input is re-read k^2 times per conv and
@@ -22,10 +23,17 @@ that chain away:
   border the *next* op's padding needs, so consecutive same-geometry convs in
   a VGG block consume one padded buffer instead of re-padding (and the scratch
   buffers themselves are reused across calls of the same geometry).
+* :class:`CompiledFourierUnit` — the GP path (average pool -> Optimized
+  Fourier Unit -> LeakyReLU, paper eq. (11)) as one op: the complex channel
+  lift is folded into the per-mode mix at compile time, so a forward is one
+  FFT of the pooled input, ``C_in`` elementwise multiply-accumulates over the
+  retained modes, one inverse FFT and the activation.  No BLAS call runs, so
+  its bits depend neither on the batch split nor on the BLAS thread count.
 * :func:`compile_model` — walks a :class:`~repro.nn.layers.Module` tree
   (``Sequential`` runs, the DOINN/UNet/FNO/DAMO blocks, bare ``Conv2d`` /
-  ``ConvTranspose2d`` layers, and the method-level chains models declare via
-  ``fusion_rewrites()``), folds every declared chain, and returns a
+  ``ConvTranspose2d`` layers, the method-level chains models declare via
+  ``fusion_rewrites()`` and the Fourier units declared via
+  ``fusion_spectral()``), folds every declared chain and unit, and returns a
   :class:`FusedInferenceGraph`.
 
 Transposed-conv fusion contract (the ``output_padding`` crop-fold):
@@ -63,6 +71,12 @@ Declaration protocol (the "fusion metadata" the layers/models expose):
     A module whose forward is only *partially* a chain maps helper-method
     names to chain steps (e.g. DOINN's refine tail, the UNet/DAMO/FNO output
     heads); the compiler shadows each method with the fused kernel.
+``fusion_spectral()``
+    A module whose forward is ``unit(pool(x))`` over an ``AvgPool2d`` and an
+    :class:`~repro.nn.layers.OptimizedFourierUnit` returns the child names
+    ``(pool_name, unit_name)``; the compiler replaces the unit with a
+    :class:`CompiledFourierUnit` that also pools, and the pool with an
+    :class:`~repro.nn.layers.Identity` (DOINN's GP path).
 ``fusion_refresh()``
     Called after a module's children were rewritten so cached child lists
     (e.g. ``UNet.encoders``) can be rebuilt.
@@ -79,7 +93,17 @@ import numpy as np
 
 from . import functional as F
 from .backends import resolve_backend
-from .layers import BatchNorm2d, Conv2d, ConvTranspose2d, Identity, Module, Sequential
+from .layers import (
+    AvgPool2d,
+    BatchNorm2d,
+    Conv2d,
+    ConvTranspose2d,
+    Identity,
+    Module,
+    OptimizedFourierUnit,
+    Sequential,
+)
+from .spectral import _as_complex, scatter_spectrum, truncate_spectrum
 from .tensor import Tensor, is_grad_enabled
 
 __all__ = [
@@ -87,6 +111,7 @@ __all__ = [
     "FusedConvTranspose",
     "FusedChain",
     "CompiledChain",
+    "CompiledFourierUnit",
     "FusedInferenceGraph",
     "FusionFallbackWarning",
     "build_chain",
@@ -387,10 +412,10 @@ class FusedChain:
     across calls — their borders are zeroed once at allocation and never
     written again; only the final op allocates a fresh array, which is handed
     to the caller.  Cache keys are namespaced by buffer family (``"in"`` /
-    ``"out"`` / ``"scatter"``) *and* carry the full shape including the batch
-    dimension, so one compiled engine serving interleaved batch sizes (the
-    ragged final shards of a streamed tile sweep) can never hand a buffer of
-    one geometry to a call of another.
+    ``"out"`` / ``"scatter"`` / ``"gemm"``) *and* carry the full shape
+    including the batch dimension, so one compiled engine serving
+    interleaved batch sizes (the ragged final shards of a streamed tile
+    sweep) can never hand a buffer of one geometry to a call of another.
     """
 
     #: Cached working buffers per chain before the oldest entry is evicted —
@@ -587,6 +612,81 @@ class CompiledChain(Module):
         return f"CompiledChain({self.source or self.chain.label}, ops={len(self.chain)})"
 
 
+class CompiledFourierUnit(Module):
+    """DOINN's GP path as one fused op: average pool -> Optimized Fourier
+    Unit -> LeakyReLU (paper eq. (11)), inference only.
+
+    Replaces an :class:`~repro.nn.layers.OptimizedFourierUnit` child on the
+    compiled copy.  ``weight`` is the complex ``(C_in, C_out, 2*modes,
+    2*modes)`` mode mix with the channel lift folded in at compile time,
+    ``W_eff[i, o, x, y] = sum_j lift[i, j] * mix[j, o, x, y]``, so a forward
+    pools, takes one FFT, gathers the retained modes (the identity when
+    ``2*modes`` equals the pooled size), multiply-accumulates over ``C_in``
+    in a fixed order, scatters, takes one inverse FFT and applies the
+    LeakyReLU on the real part.  Every step is elementwise or one transform
+    per channel and no BLAS call runs, so a sample's bits depend neither on
+    the batch it arrives in nor on the BLAS thread count.  The op computes
+    in float64 on every lane (:meth:`FusedInferenceGraph.convert` only
+    converts chains).  The unit's ``lift_weight`` / ``mix_weight``
+    parameters stay readable for FLOP accounting; the forward reads only the
+    folded ``weight``.
+    """
+
+    def __init__(self, pool: AvgPool2d, unit: OptimizedFourierUnit) -> None:
+        if not isinstance(pool, AvgPool2d):
+            raise TypeError(f"the fused GP op folds AvgPool2d pooling, got {type(pool).__name__}")
+        if not isinstance(unit, OptimizedFourierUnit):
+            raise TypeError(
+                f"the fused GP op folds an OptimizedFourierUnit, got {type(unit).__name__}"
+            )
+        F._check_fused_activation("leaky_relu", unit.negative_slope)
+        super().__init__()
+        self.lift_weight = unit.lift_weight
+        self.mix_weight = unit.mix_weight
+        self.modes = unit.modes
+        self.pool_factor = pool.kernel_size
+        self.negative_slope = unit.negative_slope
+        lift = _as_complex(unit.lift_weight.data)            # (C_in, C_out)
+        mix = _as_complex(unit.mix_weight.data)              # (C_out, C_out, mh, mw)
+        # Fold in a fixed order with elementwise ops: the folded bits never
+        # depend on a BLAS library or its thread count.
+        weight = lift[:, 0, None, None, None] * mix[0]
+        for j in range(1, lift.shape[1]):
+            weight += lift[:, j, None, None, None] * mix[j]
+        self.weight = weight
+        self.training = False
+
+    def forward(self, x: Tensor) -> Tensor:
+        _check_inference(self.training, x)
+        x = np.asarray(x.data, dtype=np.float64)
+        n, c, h, w = x.shape
+        p = self.pool_factor
+        if h % p or w % p:
+            raise ValueError(f"fused GP op: spatial size {(h, w)} not divisible by {p}")
+        h, w = h // p, w // p
+        pooled = x.reshape(n, c, h, p, w, p).mean(axis=(3, 5))  # == F.avg_pool2d
+        spectrum = np.fft.fft2(pooled, axes=(-2, -1))
+        truncated = 2 * self.modes != h or 2 * self.modes != w
+        if truncated:
+            spectrum = truncate_spectrum(spectrum, self.modes)
+        weight = self.weight
+        mixed = spectrum[:, 0, None] * weight[0]
+        for i in range(1, c):
+            mixed += spectrum[:, i, None] * weight[i]
+        if truncated:
+            mixed = scatter_spectrum(mixed, h, w, self.modes)
+        real = np.fft.ifft2(mixed, axes=(-2, -1)).real
+        # max(x, slope*x) == leaky_relu(x) for slope in [0, 1), into one
+        # contiguous output.
+        out = real * self.negative_slope
+        np.maximum(real, out, out=out)
+        return Tensor(out)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        c_in, c_out, mh, mw = self.weight.shape
+        return f"CompiledFourierUnit({c_in}->{c_out}, modes={mh}x{mw}, pool={self.pool_factor})"
+
+
 class _FusedMethod:
     """Picklable callable installed as an instance attribute by a
     ``fusion_rewrites()`` declaration, shadowing the eval-path helper method
@@ -668,7 +768,26 @@ def _try_build_chain(steps, label: str, path: str, fallbacks: list) -> FusedChai
         return None
 
 
+def _rewrite_spectral(module: Module, path: str, fallbacks: list) -> None:
+    """Replace a ``fusion_spectral()`` declaration's pool and unit in place.
+
+    Like a broken chain, an unfusible declaration keeps the unfused children
+    and raises a :class:`FusionFallbackWarning`.
+    """
+    pool_name, unit_name = module.fusion_spectral()
+    try:
+        fused = CompiledFourierUnit(getattr(module, pool_name), getattr(module, unit_name))
+    except (TypeError, ValueError) as exc:
+        fallbacks.append((f"{path}.{unit_name}", str(exc)))
+        warnings.warn(FusionFallbackWarning(f"{path}.{unit_name}", str(exc)), stacklevel=3)
+        return
+    setattr(module, unit_name, fused)
+    setattr(module, pool_name, Identity())
+
+
 def _rewrite_tree(module: Module, chains: list, consumed: set, path: str, fallbacks: list) -> None:
+    if getattr(module, "fusion_spectral", None) is not None:
+        _rewrite_spectral(module, path, fallbacks)
     rewrites = getattr(module, "fusion_rewrites", None)
     if rewrites is not None:
         for method_name, steps in rewrites().items():
@@ -687,7 +806,7 @@ def _rewrite_tree(module: Module, chains: list, consumed: set, path: str, fallba
     if isinstance(module, Sequential):
         _rewrite_sequential(module, chains, consumed)
     for name, child in list(module._modules.items()):
-        if isinstance(child, (CompiledChain, Identity)):
+        if isinstance(child, (CompiledChain, CompiledFourierUnit, Identity)):
             continue
         child_path = f"{path}.{name}"
         declared = getattr(child, "fusible_chain", None)
@@ -747,10 +866,11 @@ class FusedInferenceGraph(Module):
     def convert(self, backend: str) -> "FusedInferenceGraph":
         """Switch every fused chain to the ``backend`` lane (a name), in place.
 
-        Converting to the lane the graph already runs is free.  Narrowing to
-        float32 casts the folded weights in place; once narrowed, converting
-        back to float64 raises — the lost precision cannot be recovered,
-        recompile from the source model.
+        Compiled Fourier units are not chains and keep computing in float64
+        on every lane.  Converting to the lane the graph already runs is
+        free.  Narrowing to float32 casts the folded weights in place; once
+        narrowed, converting back to float64 raises — the lost precision
+        cannot be recovered, recompile from the source model.
         """
         dtype = resolve_backend(backend)
         current = self.dtype

@@ -18,8 +18,9 @@ driver that builds a pipeline — evaluation, OPC, experiment harnesses,
 benchmarks):
 
 ``batch_size``
-    Tiles / masks per executor invocation (executors micro-batch internally
-    to stay cache-resident, so bigger batches only help).
+    Tiles / masks per executor invocation (executors micro-batch
+    full-resolution forwards internally to stay cache-resident, so bigger
+    batches only help; GP runs on pooled tiles and takes the whole batch).
 ``num_workers`` / ``REPRO_NUM_WORKERS``
     Worker processes the executor's batches are sharded across
     (:mod:`repro.pipeline.parallel`); 0/1 runs serial in-process.  The

@@ -64,11 +64,11 @@ Two streaming refinements ride on top of the worker pool:
   instead of being fed in ``batch_size``-bounded pool calls (one barrier +
   one segment fill per super-batch rather than per chunk, while the shared
   segments stay bounded at workers x batch_size tiles however large the
-  layout is).  Worker-side micro-batching keeps each shard cache-resident,
-  and the GP path is partition invariant, so the stitched output stays
-  bit-identical to the serial and per-call plans.  Default: on whenever the
-  executor is pooled; a serial pipeline keeps the ``batch_size``-chunked
-  loop.
+  layout is).  Each worker's shard is about ``batch_size`` tiles, which
+  one GP forward keeps cache-resident, and the GP path is partition
+  invariant, so the stitched output stays bit-identical to the serial and
+  per-call plans.  Default: on whenever the executor is pooled; a serial
+  pipeline keeps the ``batch_size``-chunked loop.
 
 A third, orthogonal knob is ``compile`` — compile a model engine once into a
 fused inference graph (conv->BN->LeakyReLU folded into single passes with a
@@ -857,7 +857,7 @@ class InferencePipeline:
             # batch_size tiles total.  The super-batch bound keeps the shared
             # segments (and the persistent ring's grow-only capacity) at
             # workers x batch_size tiles however large the layout stream is,
-            # and worker-side micro-batching keeps each shard cache-resident.
+            # and each worker runs its ~batch_size-tile shard in one call.
             # The GP path is partition invariant, so the result is
             # bit-identical to the chunked and serial plans.
             stats.sharded_tiles = True

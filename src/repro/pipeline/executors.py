@@ -55,14 +55,18 @@ class Executor:
 class ModelExecutor(Executor):
     """Executor over a learned model (DOINN or any baseline).
 
-    Forwards run in cache-resident **micro-batches**: a deep conv stack holds
-    roughly ``32 x H x W`` doubles of activations per sample, and pushing more
-    than a couple of megabytes of them through one forward spills the
-    per-core cache, making batched inference *slower* per sample than
-    ``batch_size=1`` (the bs=4 regression this PR fixes).  ``run_batch`` and
-    ``run_reconstruction`` therefore split large batches internally; outputs
-    are bit-identical to the unsplit forward because every per-sample op in
-    :mod:`repro.nn.functional` is partition-invariant.
+    Full-resolution forwards run in cache-resident **micro-batches**: a deep
+    conv stack holds roughly ``32 x H x W`` doubles of activations per
+    sample, and pushing more than a couple of megabytes of them through one
+    forward spills the per-core cache, making batched inference *slower* per
+    sample than ``batch_size=1``.  ``run_batch`` and ``run_reconstruction``
+    therefore split large batches internally; outputs are bit-identical to
+    the unsplit forward because every per-sample op in
+    :mod:`repro.nn.functional` is partition-invariant.  ``run_gp`` does not
+    split: the GP path works on the pooled tile (``1/p^2`` of its pixels),
+    so the batch the pipeline hands it (at most ``batch_size`` tiles, per
+    worker when sharded) is already cache resident, and each extra forward
+    only adds per-call overhead.
     """
 
     #: Target activation bytes per micro-batch (measured sweet spot: 2 tiles
@@ -174,22 +178,17 @@ class ModelExecutor(Executor):
     def run_gp(self, tiles: np.ndarray) -> np.ndarray:
         """Global-perception features of a tile batch ``(B, 1, t, t)``.
 
-        Micro-batched like :meth:`run_batch` (bit-identical: the GP path is
-        partition invariant), so the stitched plan can hand a whole mask's
-        tile stream to one worker shard without spilling the cache.
+        One GP forward over the whole batch it is handed: the pipeline
+        already bounds that batch at ``batch_size`` tiles (per worker when
+        sharded).  On a compiled engine the forward is the fused GP op of
+        :class:`repro.nn.fusion.CompiledFourierUnit`.  Both forms are partition
+        invariant, so any batch split gives the same bits.  Only the GP
+        submodule is switched to eval mode: walking the whole model on every
+        call cost about a fifth of a compiled 8-tile GP call.
         """
-        micro = self._micro_batch(tiles.shape[-2], tiles.shape[-1])
-        with eval_mode(self.model), no_grad():
-            if tiles.shape[0] <= micro:
-                return self._finalize(self.model.global_perception(Tensor(tiles)).numpy())
-            return self._finalize(
-                np.concatenate(
-                    [
-                        self.model.global_perception(Tensor(tiles[start : start + micro])).numpy()
-                        for start in range(0, tiles.shape[0], micro)
-                    ]
-                )
-            )
+        gp = self.model.global_perception
+        with eval_mode(gp), no_grad():
+            return self._finalize(gp(Tensor(tiles)).numpy())
 
     def run_reconstruction(self, gp: np.ndarray, masks: np.ndarray) -> np.ndarray:
         """LP + image reconstruction on full-size masks with stitched GP maps.

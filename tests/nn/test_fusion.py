@@ -21,6 +21,7 @@ from repro.core.paths import VGGBlock
 from repro.nn import (
     BatchNorm2d,
     CompiledChain,
+    CompiledFourierUnit,
     Conv2d,
     FusedInferenceGraph,
     FusionFallbackWarning,
@@ -923,6 +924,84 @@ def test_fused_chain_scratch_eviction_is_lru(rng):
     assert len(chain._scratch) <= chain.MAX_CACHED_BUFFERS
     survivors = {key: id(buf) for key, buf in chain._scratch.items() if key in hot_ids}
     assert survivors == hot_ids, "hot-geometry buffers were evicted (or re-allocated)"
+
+
+# --------------------------------------------------------------------- #
+# Compiled global perception: pool + Fourier unit as one fused op
+# --------------------------------------------------------------------- #
+def _gp_models(tiny_model_factory) -> dict:
+    """``geometry -> (model, size)``: a full-spectrum and a truncating GP."""
+    truncating = DOINN(DOINNConfig(gp_channels=4, lp_base_channels=2, modes=2))
+    return {
+        "full-spectrum": (tiny_model_factory("doinn"), 32),  # 2*modes == 32/8
+        "truncating": (truncating, 64),                      # 2*modes == 4 < 64/8
+    }
+
+
+def _gp_forward(model, x: np.ndarray) -> np.ndarray:
+    with eval_mode(model), no_grad():
+        return model.global_perception(Tensor(x)).numpy()
+
+
+@pytest.mark.parametrize("geometry", ["full-spectrum", "truncating"])
+def test_compiled_gp_matches_unfused(tiny_model_factory, rng, geometry):
+    model, size = _gp_models(tiny_model_factory)[geometry]
+    gp = model.global_perception
+    assert (2 * gp.modes == size // gp.pool_factor) == (geometry == "full-spectrum")
+    graph = compile_model(model)
+    compiled = graph.global_perception
+    assert isinstance(compiled.fourier_unit, CompiledFourierUnit)
+    assert isinstance(compiled.pool, Identity)
+    # The FLOP accounting reads the unfolded weights through the compiled child.
+    for name in ("lift_weight", "mix_weight"):
+        np.testing.assert_array_equal(
+            getattr(compiled.fourier_unit, name).data, getattr(gp.fourier_unit, name).data
+        )
+    x = (rng.random((5, 1, size, size)) > 0.7).astype(float)
+    fused = _gp_forward(graph, x)
+    assert fused.dtype == np.float64
+    np.testing.assert_allclose(fused, _gp_forward(model, x), **TOL)
+    np.testing.assert_allclose(_eval_forward(graph, x), _eval_forward(model, x), **TOL)
+
+
+def test_compiled_gp_is_partition_invariant(tiny_model_factory, rng):
+    for model, size in _gp_models(tiny_model_factory).values():
+        graph = compile_model(model)
+        x = rng.random((6, 1, size, size))
+        singles = np.concatenate([_gp_forward(graph, x[i : i + 1]) for i in range(6)])
+        np.testing.assert_array_equal(_gp_forward(graph, x), singles)
+
+
+def test_compiled_gp_pickle_round_trip(tiny_model_factory, rng):
+    graph = compile_model(tiny_model_factory("doinn"))
+    x = rng.random((3, 1, 32, 32))
+    clone = pickle.loads(pickle.dumps(graph))
+    assert isinstance(clone.global_perception.fourier_unit, CompiledFourierUnit)
+    np.testing.assert_array_equal(_gp_forward(clone, x), _gp_forward(graph, x))
+
+
+def test_float32_graph_keeps_float64_gp(tiny_model_factory, rng):
+    """GP computes in float64 on every lane: a float32 graph's GP bits are the
+    float64 graph's."""
+    model = tiny_model_factory("doinn")
+    g64 = compile_model(model)
+    g32 = compile_model(model, backend="float32")
+    assert g32.global_perception.fourier_unit.weight.dtype == np.complex128
+    x = rng.random((3, 1, 32, 32))
+    out32 = _gp_forward(g32, x)
+    assert out32.dtype == np.float64
+    np.testing.assert_array_equal(out32, _gp_forward(g64, x))
+
+
+def test_unfusible_gp_pool_falls_back_with_warning(tiny_model_factory, rng):
+    model = tiny_model_factory("doinn")
+    model.global_perception.pool = nn.MaxPool2d(8)
+    with pytest.warns(FusionFallbackWarning, match="AvgPool2d"):
+        graph = compile_model(model)
+    assert [path for path, _ in graph.fallbacks] == ["DOINN.global_perception.fourier_unit"]
+    assert not isinstance(graph.global_perception.fourier_unit, CompiledFourierUnit)
+    x = rng.random((2, 1, 32, 32))
+    np.testing.assert_allclose(_eval_forward(graph, x), _eval_forward(model, x), **TOL)
 
 
 # --------------------------------------------------------------------- #

@@ -201,6 +201,24 @@ def test_compiled_stitched_worker_pool_bit_identical(model):
         )
 
 
+def test_compiled_run_gp_is_partition_invariant(model):
+    """The fused GP op runs the whole batch it is handed: per-tile calls
+    give the same bits."""
+    tiles = _random_masks(7, 32, seed=37)[:, None]
+    executor = ModelExecutor(model, compile=True)
+    whole = executor.run_gp(tiles)
+    singles = np.concatenate([executor.run_gp(tiles[i : i + 1]) for i in range(7)])
+    np.testing.assert_array_equal(whole, singles)
+
+
+def test_compiled_gp_features_pooled_match_serial(model):
+    mask = _random_masks(1, 64, seed=35)[0]
+    kwargs = dict(tile_size=32, batch_size=4, optical_diameter_pixels=8, compile=True)
+    reference = InferencePipeline(model, ExecutionConfig(**kwargs)).gp_features(mask)
+    with InferencePipeline(model, ExecutionConfig(num_workers=2, **kwargs)) as sharded:
+        np.testing.assert_array_equal(sharded.gp_features(mask), reference)
+
+
 # --------------------------------------------------------------------- #
 # Micro-batch sizing regression (satellite)
 # --------------------------------------------------------------------- #

@@ -22,6 +22,7 @@ from repro.litho import LithoSimulator
 from repro.nn import Tensor
 from repro.nn import functional as F
 from repro.pipeline import (
+    ExecutionConfig,
     InferencePipeline,
     ModelExecutor,
     ParallelConfig,
@@ -59,16 +60,16 @@ def _random_masks(n: int, size: int, seed: int = 11) -> np.ndarray:
 # --------------------------------------------------------------------- #
 def test_worker_pool_model_bit_identical(model):
     masks = _random_masks(6, 32)
-    serial = InferencePipeline(model, batch_size=4)
-    with InferencePipeline(model, batch_size=4, num_workers=2) as parallel:
+    serial = InferencePipeline(model, ExecutionConfig(batch_size=4))
+    with InferencePipeline(model, ExecutionConfig(batch_size=4, num_workers=2)) as parallel:
         assert isinstance(parallel.executor, WorkerPoolExecutor)
         assert np.array_equal(parallel.predict(masks), serial.predict(masks))
 
 
 def test_worker_pool_simulator_bit_identical(simulator):
     masks = _random_masks(5, 32)
-    serial = InferencePipeline(simulator, batch_size=4)
-    with InferencePipeline(simulator, batch_size=4, num_workers=2) as parallel:
+    serial = InferencePipeline(simulator, ExecutionConfig(batch_size=4))
+    with InferencePipeline(simulator, ExecutionConfig(batch_size=4, num_workers=2)) as parallel:
         assert np.array_equal(parallel.predict(masks), serial.predict(masks))
 
 
@@ -81,16 +82,16 @@ def test_worker_pool_simulator_bit_identical_across_chunkings():
     last-ULP bits (and, after resist thresholding, contour pixels)."""
     sim = LithoSimulator(pixel_size=16.0, num_kernels=12, kernel_support=35)
     masks = _random_masks(8, 64, seed=21)
-    serial = InferencePipeline(sim, batch_size=8)
-    with InferencePipeline(sim, batch_size=8, num_workers=2) as parallel:
+    serial = InferencePipeline(sim, ExecutionConfig(batch_size=8))
+    with InferencePipeline(sim, ExecutionConfig(batch_size=8, num_workers=2)) as parallel:
         assert np.array_equal(parallel.predict(masks), serial.predict(masks))
 
 
 def test_worker_pool_stitched_bit_identical(model):
     masks = _random_masks(2, 64, seed=3)
     kwargs = dict(tile_size=32, batch_size=4, optical_diameter_pixels=8)
-    serial = InferencePipeline(model, **kwargs)
-    with InferencePipeline(model, num_workers=2, **kwargs) as parallel:
+    serial = InferencePipeline(model, ExecutionConfig(**kwargs))
+    with InferencePipeline(model, ExecutionConfig(num_workers=2, **kwargs)) as parallel:
         assert np.array_equal(
             parallel.predict(masks, stitch=True), serial.predict(masks, stitch=True)
         )
@@ -98,8 +99,8 @@ def test_worker_pool_stitched_bit_identical(model):
 
 def test_worker_pool_repeated_runs_reuse_pool(model):
     masks = _random_masks(4, 32)
-    serial = InferencePipeline(model, batch_size=2)
-    with InferencePipeline(model, batch_size=2, num_workers=2) as parallel:
+    serial = InferencePipeline(model, ExecutionConfig(batch_size=2))
+    with InferencePipeline(model, ExecutionConfig(batch_size=2, num_workers=2)) as parallel:
         first = parallel.predict(masks)
         pool = parallel.executor._pool
         assert pool is not None
@@ -115,7 +116,7 @@ def test_worker_pool_repeated_runs_reuse_pool(model):
 @pytest.mark.parametrize("workers", [0, 1])
 def test_low_worker_counts_stay_in_process(model, workers):
     masks = _random_masks(4, 32)
-    pipeline = InferencePipeline(model, batch_size=2, num_workers=workers)
+    pipeline = InferencePipeline(model, ExecutionConfig(batch_size=2, num_workers=workers))
     # The pipeline does not even wrap the executor for a serial worker count.
     assert isinstance(pipeline.executor, ModelExecutor)
     assert pipeline.num_workers == workers
@@ -190,7 +191,7 @@ def test_worker_pool_close_is_idempotent(model):
 
 def test_pipeline_context_manager_reentry(model):
     masks = _random_masks(4, 32)
-    pipeline = InferencePipeline(model, batch_size=2, num_workers=2)
+    pipeline = InferencePipeline(model, ExecutionConfig(batch_size=2, num_workers=2))
     with pipeline as entered:
         assert entered is pipeline
         first = pipeline.predict(masks)
@@ -205,7 +206,7 @@ def test_pipeline_context_manager_reentry(model):
 
 def test_serial_pipeline_close_and_reentry_are_noops(model):
     masks = _random_masks(2, 32)
-    pipeline = InferencePipeline(model, batch_size=2)
+    pipeline = InferencePipeline(model, ExecutionConfig(batch_size=2))
     with pipeline:
         first = pipeline.predict(masks)
     pipeline.close()

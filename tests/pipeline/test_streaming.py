@@ -27,6 +27,7 @@ import pytest
 
 from repro.pipeline import (
     STREAMING_ENV,
+    ExecutionConfig,
     InferencePipeline,
     ModelExecutor,
     ParallelConfig,
@@ -87,7 +88,7 @@ def test_env_override_controls_transport(model, monkeypatch):
     assert not WorkerPoolExecutor(model, num_workers=2).streaming
     monkeypatch.setenv(STREAMING_ENV, "1")
     assert WorkerPoolExecutor(model, num_workers=2).streaming
-    pipeline = InferencePipeline(model, num_workers=2, streaming=False)
+    pipeline = InferencePipeline(model, ExecutionConfig(num_workers=2, streaming=False))
     assert not pipeline.streaming  # explicit argument beats the env var
     pipeline.close()
 
@@ -115,10 +116,11 @@ def test_ring_reuses_segments_across_calls(model):
 def test_streaming_pipeline_bit_identical_across_calls(model):
     """>= 3 consecutive pipeline calls: ring == per-call == serial, bit for bit."""
     masks = _random_masks(6, 32, seed=23)
-    serial = InferencePipeline(model, batch_size=4, num_workers=0)
+    serial = InferencePipeline(model, ExecutionConfig(batch_size=4, num_workers=0))
     reference = serial.predict(masks)
-    with InferencePipeline(model, batch_size=4, num_workers=2) as ring_pipe, \
-         InferencePipeline(model, batch_size=4, num_workers=2, streaming=False) as per_call:
+    per_call_config = ExecutionConfig(batch_size=4, num_workers=2, streaming=False)
+    with InferencePipeline(model, ExecutionConfig(batch_size=4, num_workers=2)) as ring_pipe, \
+         InferencePipeline(model, per_call_config) as per_call:
         assert ring_pipe.streaming and not per_call.streaming
         for _ in range(3):
             np.testing.assert_array_equal(ring_pipe.predict(masks), reference)
@@ -366,10 +368,10 @@ def test_intra_mask_sharding_single_large_mask_bit_identical(model):
     """The tiles of ONE large mask shard across the pool, bit-identically."""
     mask = _random_masks(1, 64, seed=31)[0]
     kwargs = dict(tile_size=32, batch_size=4, optical_diameter_pixels=8)
-    serial = InferencePipeline(model, **kwargs)
+    serial = InferencePipeline(model, ExecutionConfig(**kwargs))
     reference = serial.run(mask[None, None], stitch=True)
     assert not reference.stats.sharded_tiles
-    with InferencePipeline(model, num_workers=2, **kwargs) as sharded:
+    with InferencePipeline(model, ExecutionConfig(num_workers=2, **kwargs)) as sharded:
         result = sharded.run(mask[None, None], stitch=True)
         assert result.stats.sharded_tiles
         assert result.stats.num_tiles == reference.stats.num_tiles
@@ -383,26 +385,29 @@ def test_intra_mask_sharding_single_large_mask_bit_identical(model):
 def test_shard_tiles_opt_out_matches_chunked_plan(model):
     masks = _random_masks(2, 64, seed=33)
     kwargs = dict(tile_size=32, batch_size=4, optical_diameter_pixels=8)
-    reference = InferencePipeline(model, **kwargs).predict(masks, stitch=True)
-    with InferencePipeline(model, num_workers=2, shard_tiles=False, **kwargs) as chunked:
+    reference = InferencePipeline(model, ExecutionConfig(**kwargs)).predict(masks, stitch=True)
+    chunked_config = ExecutionConfig(num_workers=2, shard_tiles=False, **kwargs)
+    with InferencePipeline(model, chunked_config) as chunked:
         result = chunked.run(masks, stitch=True)
         assert not result.stats.sharded_tiles
         np.testing.assert_array_equal(result.outputs[:, 0], reference)
     # Serial pipelines never shard, even with the knob forced on.
-    forced = InferencePipeline(model, shard_tiles=True, **kwargs)
+    forced = InferencePipeline(model, ExecutionConfig(shard_tiles=True, **kwargs))
     assert not forced.run(masks, stitch=True).stats.sharded_tiles
 
 
 def test_gp_features_shard_across_pool(model):
     mask = _random_masks(1, 64, seed=35)[0]
     kwargs = dict(tile_size=32, batch_size=4, optical_diameter_pixels=8)
-    reference = InferencePipeline(model, **kwargs).gp_features(mask)
-    with InferencePipeline(model, num_workers=2, **kwargs) as sharded:
+    reference = InferencePipeline(model, ExecutionConfig(**kwargs)).gp_features(mask)
+    with InferencePipeline(model, ExecutionConfig(num_workers=2, **kwargs)) as sharded:
         np.testing.assert_array_equal(sharded.gp_features(mask), reference)
 
 
 def test_run_gp_micro_batches_are_partition_invariant(model):
-    """run_gp now micro-batches internally — bit-identical at any split."""
+    """run_gp runs the whole batch it is handed in one GP forward; per-tile
+    calls give the same bits (unfused engine; the compiled one is pinned in
+    test_compiled_pipeline.py)."""
     tiles = _random_masks(7, 32, seed=37)[:, None]
     executor = ModelExecutor(model)
     whole = executor.run_gp(tiles)
@@ -418,21 +423,21 @@ def test_streaming_and_sharding_equivalence_whole_zoo(zoo_model):
     if executor.supports_stitching:
         masks = _random_masks(2, 64, seed=41)
         kwargs = dict(tile_size=32, batch_size=4, optical_diameter_pixels=8)
-        serial = InferencePipeline(model, **kwargs)
+        serial = InferencePipeline(model, ExecutionConfig(**kwargs))
         reference = serial.predict(masks, stitch=True)
-        with InferencePipeline(model, num_workers=2, **kwargs) as pooled:
+        with InferencePipeline(model, ExecutionConfig(num_workers=2, **kwargs)) as pooled:
             np.testing.assert_array_equal(pooled.predict(masks, stitch=True), reference)
     else:
         masks = _random_masks(4, 32, seed=43)
-        reference = InferencePipeline(model, batch_size=2).predict(masks)
-        with InferencePipeline(model, batch_size=2, num_workers=2) as pooled:
+        reference = InferencePipeline(model, ExecutionConfig(batch_size=2)).predict(masks)
+        with InferencePipeline(model, ExecutionConfig(batch_size=2, num_workers=2)) as pooled:
             np.testing.assert_array_equal(pooled.predict(masks), reference)
 
 
 def test_sharding_composes_with_compiled_engines(model):
     masks = _random_masks(2, 64, seed=45)
     kwargs = dict(tile_size=32, batch_size=4, optical_diameter_pixels=8, compile=True)
-    reference = InferencePipeline(model, **kwargs).predict(masks, stitch=True)
-    with InferencePipeline(model, num_workers=2, **kwargs) as pooled:
+    reference = InferencePipeline(model, ExecutionConfig(**kwargs)).predict(masks, stitch=True)
+    with InferencePipeline(model, ExecutionConfig(num_workers=2, **kwargs)) as pooled:
         assert pooled.compiled
         np.testing.assert_array_equal(pooled.predict(masks, stitch=True), reference)
