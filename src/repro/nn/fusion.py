@@ -633,12 +633,6 @@ class CompiledFourierUnit(Module):
     """
 
     def __init__(self, pool: AvgPool2d, unit: OptimizedFourierUnit) -> None:
-        if not isinstance(pool, AvgPool2d):
-            raise TypeError(f"the fused GP op folds AvgPool2d pooling, got {type(pool).__name__}")
-        if not isinstance(unit, OptimizedFourierUnit):
-            raise TypeError(
-                f"the fused GP op folds an OptimizedFourierUnit, got {type(unit).__name__}"
-            )
         F._check_fused_activation("leaky_relu", unit.negative_slope)
         super().__init__()
         self.lift_weight = unit.lift_weight
@@ -658,13 +652,9 @@ class CompiledFourierUnit(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         _check_inference(self.training, x)
-        x = np.asarray(x.data, dtype=np.float64)
-        n, c, h, w = x.shape
-        p = self.pool_factor
-        if h % p or w % p:
-            raise ValueError(f"fused GP op: spatial size {(h, w)} not divisible by {p}")
-        h, w = h // p, w // p
-        pooled = x.reshape(n, c, h, p, w, p).mean(axis=(3, 5))  # == F.avg_pool2d
+        x = Tensor(np.asarray(x.data, dtype=np.float64))
+        pooled = F.avg_pool2d(x, self.pool_factor).data
+        c, h, w = pooled.shape[1:]
         spectrum = np.fft.fft2(pooled, axes=(-2, -1))
         truncated = 2 * self.modes != h or 2 * self.modes != w
         if truncated:
@@ -675,11 +665,8 @@ class CompiledFourierUnit(Module):
             mixed += spectrum[:, i, None] * weight[i]
         if truncated:
             mixed = scatter_spectrum(mixed, h, w, self.modes)
-        real = np.fft.ifft2(mixed, axes=(-2, -1)).real
-        # max(x, slope*x) == leaky_relu(x) for slope in [0, 1), into one
-        # contiguous output.
-        out = real * self.negative_slope
-        np.maximum(real, out, out=out)
+        out = np.ascontiguousarray(np.fft.ifft2(mixed, axes=(-2, -1)).real)
+        F._apply_activation_inplace(out, "leaky_relu", self.negative_slope)
         return Tensor(out)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -768,26 +755,17 @@ def _try_build_chain(steps, label: str, path: str, fallbacks: list) -> FusedChai
         return None
 
 
-def _rewrite_spectral(module: Module, path: str, fallbacks: list) -> None:
-    """Replace a ``fusion_spectral()`` declaration's pool and unit in place.
-
-    Like a broken chain, an unfusible declaration keeps the unfused children
-    and raises a :class:`FusionFallbackWarning`.
-    """
+def _rewrite_spectral(module: Module) -> None:
+    """Replace a ``fusion_spectral()`` declaration's pool and unit in place."""
     pool_name, unit_name = module.fusion_spectral()
-    try:
-        fused = CompiledFourierUnit(getattr(module, pool_name), getattr(module, unit_name))
-    except (TypeError, ValueError) as exc:
-        fallbacks.append((f"{path}.{unit_name}", str(exc)))
-        warnings.warn(FusionFallbackWarning(f"{path}.{unit_name}", str(exc)), stacklevel=3)
-        return
+    fused = CompiledFourierUnit(getattr(module, pool_name), getattr(module, unit_name))
     setattr(module, unit_name, fused)
     setattr(module, pool_name, Identity())
 
 
 def _rewrite_tree(module: Module, chains: list, consumed: set, path: str, fallbacks: list) -> None:
     if getattr(module, "fusion_spectral", None) is not None:
-        _rewrite_spectral(module, path, fallbacks)
+        _rewrite_spectral(module)
     rewrites = getattr(module, "fusion_rewrites", None)
     if rewrites is not None:
         for method_name, steps in rewrites().items():

@@ -993,17 +993,6 @@ def test_float32_graph_keeps_float64_gp(tiny_model_factory, rng):
     np.testing.assert_array_equal(out32, _gp_forward(g64, x))
 
 
-def test_unfusible_gp_pool_falls_back_with_warning(tiny_model_factory, rng):
-    model = tiny_model_factory("doinn")
-    model.global_perception.pool = nn.MaxPool2d(8)
-    with pytest.warns(FusionFallbackWarning, match="AvgPool2d"):
-        graph = compile_model(model)
-    assert [path for path, _ in graph.fallbacks] == ["DOINN.global_perception.fourier_unit"]
-    assert not isinstance(graph.global_perception.fourier_unit, CompiledFourierUnit)
-    x = rng.random((2, 1, 32, 32))
-    np.testing.assert_allclose(_eval_forward(graph, x), _eval_forward(model, x), **TOL)
-
-
 # --------------------------------------------------------------------- #
 # Compute lanes: conversions
 # --------------------------------------------------------------------- #
