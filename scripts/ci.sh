@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI entry point: the tier-1 suite, an explicit pass over the fusion
-# equivalence suites (every registry model, fused vs unfused, <= 1e-12), an
-# explicit pass over the streaming + parallel worker-pool suites (persistent
+# equivalence suites (every registry model, fused vs unfused, <= 1e-12, on a
+# compute team of every core and again on a team of one), an explicit pass over the streaming + parallel worker-pool suites (persistent
 # shm ring, per-call transport, intra-mask sharding — all bit-identical to
 # serial), the supervision chaos gate (deterministic fault injection: crash
 # detection, chunk retry, worker respawn, graceful degradation), short
@@ -84,6 +84,15 @@ python -m pytest -x -q -p no:cacheprovider \
     -W "error::repro.nn.fusion.FusionFallbackWarning" -W "error::DeprecationWarning" \
     tests/nn/test_fusion.py tests/pipeline/test_compiled_pipeline.py "$@"
 
+# The leg above runs the fused kernels on a compute team of every usable
+# core (the serial compiled default); this one re-runs the same suites on a
+# team of one, the units inline on the calling thread, so both team sizes
+# are held to the same pins on a multi-core runner.
+echo "== fusion equivalence suite on a compute team of one (REPRO_BLAS_THREADS=1) =="
+REPRO_BLAS_THREADS=1 python -m pytest -x -q -p no:cacheprovider \
+    -W "error::repro.nn.fusion.FusionFallbackWarning" -W "error::DeprecationWarning" \
+    tests/nn/test_fusion.py tests/pipeline/test_compiled_pipeline.py "$@"
+
 # Backend matrix over the two compute lanes, float64 and float32: the
 # per-lane pipeline suite runs under the default environment (both lanes
 # pinned explicitly), then the fusion + compiled pipeline + backend suites
@@ -110,8 +119,10 @@ echo "== streaming + parallel worker-pool suites (pooled == serial, bit for bit)
 python -m pytest -x -q -p no:cacheprovider -W "error::DeprecationWarning" \
     tests/pipeline/test_parallel.py tests/pipeline/test_streaming.py "$@"
 
+# Like the legs above, this one escalates DeprecationWarning so the cache and
+# incremental-OPC suites stay off the deprecated InferencePipeline shims.
 echo "== incremental OPC + result-cache suites (patched == full re-simulation, bit for bit) =="
-python -m pytest -x -q -p no:cacheprovider \
+python -m pytest -x -q -p no:cacheprovider -W "error::DeprecationWarning" \
     tests/pipeline/test_cache.py tests/opc/test_incremental.py "$@"
 
 # The chaos gate kills, crashes and hangs workers on purpose (deterministic
@@ -125,10 +136,11 @@ check_shm_clean "after chaos gate"
 # Benchmark smokes: short runs of the repo benchmark (BENCHMARK.json).  The
 # serial large_tile run checks the first stitched 256 px mask against the
 # unfused pipeline to 1e-12, which covers the blocked stride-1 conv kernel
-# (one C_in*kw-row pack per block, kh accumulating kernel-row GEMMs) on
-# full-mask shapes and the fused GP op (lift folded into the mode mix) on
-# 8-tile batches.  The pooled run holds sampled outputs bit-identical
-# to serial while the workers run capped BLAS pools.  Each gate fails
+# (one C_in*kw-row pack per block, kh accumulating kernel-row GEMMs), the
+# banded strided and channel-grouped transposed kernels, all on the
+# compute team, on full-mask shapes, and the fused GP op (lift folded into
+# the mode mix) on 8-tile batches.  The pooled run holds sampled outputs
+# bit-identical to serial while each worker runs a team of one.  Each gate fails
 # unless the run's last (JSON) line reports correct with 0 failed calls.
 bench_smoke() {
     echo "== benchmark smoke ($1: correct, 0 failed) =="

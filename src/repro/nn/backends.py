@@ -23,21 +23,34 @@ only engages on the compiled fused path (``compile=True`` pipelines /
 executors); ``compile_model`` itself never consults the environment, so
 the fusion equivalence suites stay deterministic under any env.
 
-BLAS thread capping: ``REPRO_BLAS_THREADS`` / the ``blas_threads`` knob on
-:class:`repro.pipeline.parallel.ParallelConfig` caps the BLAS thread pools
-via a ctypes shim (no ``threadpoolctl`` dependency), so ``workers x BLAS
-threads`` does not oversubscribe the machine.  The cap reaches *every*
-OpenBLAS the process has mapped: numpy and scipy each bundle their own, and
-the one numpy's GEMMs call is not necessarily the first one listed.
-Defaults: 1 thread per pooled worker, leave-the-library-alone when serial.
-Knob catalogue: ``docs/configuration.md``.
+Compute team and BLAS threads: the fused conv kernels split their work into
+independent units (output blocks, row bands, channel groups) whose
+boundaries depend only on the geometry, and run those units on this
+process's :class:`ComputeTeam` with every OpenBLAS capped at one thread
+(single-threaded GEMMs parallelised over independent output blocks, as in
+Georganas et al., "Anatomy of High-Performance Deep Learning Convolutions
+on SIMD Architectures", arXiv:1808.05567).  Which thread runs a unit never
+changes its bits, so any team size gives the same outputs.
+
+The thread budget is ``REPRO_BLAS_THREADS`` / the ``blas_threads`` knob:
+explicit > env > default, where the default is 1 per pooled worker and the
+usable core count for a serial compiled pipeline (and for any process whose
+first fused kernel runs before a pipeline sized the team).  Unfused and
+simulator pipelines use it as a plain BLAS cap, and only when it is set.
+The cap is applied by a ctypes shim (no ``threadpoolctl`` dependency) and
+reaches *every* OpenBLAS the process has mapped: numpy and scipy each
+bundle their own, and the one numpy's GEMMs call is not necessarily the
+first one listed.  ``0`` means "leave the BLAS library alone" (and a team
+of one).  Knob catalogue: ``docs/configuration.md``.
 """
 
 from __future__ import annotations
 
 import ctypes
 import glob
+import itertools
 import os
+import threading
 
 import numpy as np
 
@@ -48,10 +61,15 @@ __all__ = [
     "BACKEND_ENV",
     "BLAS_THREADS_ENV",
     "DEFAULT_BACKEND",
+    "ComputeTeam",
+    "compute_team",
+    "default_blas_threads",
     "get_blas_threads",
     "resolve_backend",
     "resolve_blas_threads",
     "set_blas_threads",
+    "set_compute_threads",
+    "usable_cores",
 ]
 
 BACKEND_ENV = "REPRO_BACKEND"
@@ -198,13 +216,35 @@ def get_blas_threads() -> int | None:
     return max(counts) if counts else None
 
 
-def resolve_blas_threads(blas_threads: int | None = None, num_workers: int = 0) -> int:
-    """Resolve the BLAS thread cap: explicit > ``REPRO_BLAS_THREADS`` > default.
+def usable_cores() -> int:
+    """Cores this process may run on (its CPU affinity, not the machine's)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - platforms without affinity
+        return os.cpu_count() or 1
 
-    The default is 1 when running under a worker pool (``num_workers > 1``)
-    so ``workers x BLAS threads`` never oversubscribes, and 0 (meaning
-    "leave the library alone") when serial.  Returns the resolved cap; 0
-    disables capping.
+
+def default_blas_threads(num_workers: int = 0, compiled: bool = False) -> int:
+    """The thread budget when neither ``blas_threads`` nor the env sets it.
+
+    1 under a worker pool (``num_workers > 1``), so ``workers x threads``
+    never oversubscribes; :func:`usable_cores` for a serial compiled
+    pipeline, whose fused kernels run on the compute team; 0 (meaning
+    "leave the library alone") for any other serial pipeline.
+    """
+    if num_workers > 1:
+        return 1
+    return usable_cores() if compiled else 0
+
+
+def resolve_blas_threads(
+    blas_threads: int | None = None, num_workers: int = 0, compiled: bool = False
+) -> int:
+    """Resolve the thread budget: explicit > ``REPRO_BLAS_THREADS`` >
+    :func:`default_blas_threads`.
+
+    The budget is never read back from the BLAS library: once a compute
+    team has capped it, the library reports 1.
     """
     if blas_threads is not None:
         if blas_threads < 0:
@@ -213,4 +253,156 @@ def resolve_blas_threads(blas_threads: int | None = None, num_workers: int = 0) 
     value = knobs.read_int(BLAS_THREADS_ENV, minimum=0)
     if value is not None:
         return value
-    return 1 if num_workers > 1 else 0
+    return default_blas_threads(num_workers, compiled)
+
+
+# --------------------------------------------------------------------------
+# Compute team: the fused kernels' per-process thread pool
+# --------------------------------------------------------------------------
+class _Member(threading.Thread):
+    """One helper thread of a :class:`ComputeTeam`, parked on its ``go`` lock."""
+
+    def __init__(self, team: "ComputeTeam", index: int) -> None:
+        super().__init__(name=f"repro-team-{index}", daemon=True)
+        self.team = team
+        self.index = index
+        self.go = threading.Lock()
+        self.go.acquire()
+        self.done = threading.Lock()
+        self.done.acquire()
+        self.error: BaseException | None = None
+
+    def run(self) -> None:
+        while True:
+            self.go.acquire()
+            work = self.team._work
+            if work is None:
+                return
+            try:
+                work(self.index)
+            # repro: ok(EXC001, not swallowed: the caller re-raises it once every member has stopped)
+            except BaseException as exc:
+                self.error = exc
+            self.done.release()
+
+
+class ComputeTeam:
+    """``size`` threads (the caller's included) running independent work units.
+
+    :meth:`run` hands each unit index to whichever member is free; the
+    member index selects that member's slice of the caller's scratch.  A
+    team of one runs the same loop inline.  The helpers are parked on plain
+    locks between calls: waking one and collecting it costs ~20 us, where a
+    ``concurrent.futures`` pool took ~100 us per call.
+    """
+
+    #: Units of fewer multiply-adds than this run on the caller's thread
+    #: alone.  Such a unit is a dozen numpy calls of ~10 us each, and two
+    #: threads running them hand the GIL back and forth at every call: on a
+    #: 2-vCPU host a thin conv (4 <- 4 channels, 0.3 M multiply-adds per
+    #: block) ran 2x slower on two threads, while refine conv1 (32 <- 4,
+    #: 2.4 M per block) ran 1.5x faster.
+    MIN_UNIT_MACS = 1 << 21
+
+    def __init__(self, size: int) -> None:
+        self.size = max(1, int(size))
+        self._work = None
+        #: Held while the helpers work for one caller; a concurrent caller
+        #: runs its units inline instead of sharing them.
+        self._busy = threading.Lock()
+        self._members = [_Member(self, index) for index in range(1, self.size)]
+        for member in self._members:
+            member.start()
+
+    def run(self, unit, count: int, macs: int) -> None:
+        """Call ``unit(index, member)`` for every ``index`` in ``range(count)``.
+
+        ``member`` is in ``range(self.size)`` and no two concurrent calls
+        share one.  ``macs`` is the multiply-adds of one unit; units below
+        :data:`MIN_UNIT_MACS` all run on the caller's thread.  The first
+        exception raised by any unit propagates once every member has
+        stopped.
+        """
+        helpers = self._members[: count - 1] if macs >= self.MIN_UNIT_MACS else []
+        if not helpers or not self._busy.acquire(blocking=False):
+            for index in range(count):
+                unit(index, 0)
+            return
+        # next() on itertools.count is atomic under the GIL.
+        indices = itertools.count()
+
+        def work(member: int) -> None:
+            index = next(indices)
+            while index < count:
+                unit(index, member)
+                index = next(indices)
+
+        self._work = work
+        try:
+            for member in helpers:
+                member.go.release()
+            try:
+                work(0)
+            finally:
+                for member in helpers:
+                    member.done.acquire()
+                errors = [member.error for member in helpers if member.error is not None]
+                for member in helpers:
+                    member.error = None
+            if errors:
+                raise errors[0]
+        finally:
+            self._work = None
+            self._busy.release()
+
+    def close(self) -> None:
+        """Stop the helper threads (they exit once woken with no work)."""
+        with self._busy:
+            self._work = None
+            for member in self._members:
+                member.go.release()
+            self._members = []
+
+
+#: This process's team as ``(pid, team)``.  Keyed by pid because a forked
+#: child inherits the parent's team object but none of its threads: a child
+#: that submitted to it would wait forever.  Never pickled.
+_TEAM: tuple[int, ComputeTeam] | None = None
+#: Team size requested by :func:`set_compute_threads`; ``None`` until then.
+_TEAM_SIZE: int | None = None
+
+
+def set_compute_threads(n: int) -> None:
+    """Size this process's compute team at ``n`` threads.
+
+    ``n >= 1`` also caps every OpenBLAS at one thread, once for the whole
+    process: the team, not BLAS, spreads the work over the cores, and
+    toggling the cap per call leaves idle BLAS helper threads competing
+    with the team.  ``n == 0`` is a team of one that leaves the BLAS
+    library alone.  Pool workers are sized by the pool initializer, serial
+    compiled pipelines at construction.
+    """
+    global _TEAM, _TEAM_SIZE
+    if n < 0:
+        raise ValueError(f"compute thread count must be >= 0, got {n}")
+    if n:
+        set_blas_threads(1)
+    _TEAM_SIZE = max(1, n)
+    if _TEAM is not None and _TEAM[0] == os.getpid() and _TEAM[1].size != _TEAM_SIZE:
+        _TEAM[1].close()
+        _TEAM = None
+
+
+def compute_team() -> ComputeTeam:
+    """This process's compute team, created on first use.
+
+    A process whose first fused kernel runs before anything sized the team
+    sizes it by the serial compiled default of :func:`resolve_blas_threads`.
+    """
+    global _TEAM
+    pid = os.getpid()
+    if _TEAM is None or _TEAM[0] != pid:
+        if _TEAM_SIZE is None:
+            set_compute_threads(resolve_blas_threads(compiled=True))
+        _TEAM = (pid, ComputeTeam(_TEAM_SIZE))
+    return _TEAM[1]

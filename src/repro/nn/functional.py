@@ -20,6 +20,15 @@ rows per block: the ``kh`` kernel rows read the same pack one padded row
 apart, as ``kh`` accumulating GEMMs (the partial-im2col form of Anderson
 et al., "Low-memory GEMM-based convolution algorithms for deep neural
 networks", arXiv:1709.03395).
+
+The fused kernels (:func:`conv_bn_act`, :func:`conv_transpose_bn_act`) split
+their work into independent units: stride-1 blocks, strided output-row
+bands and transposed output-channel groups, with bounds set by the
+geometry alone.  They run those units on the process's compute team
+(:func:`repro.nn.backends.compute_team`) with single-threaded GEMMs, as in
+Georganas et al., "Anatomy of High-Performance Deep Learning Convolutions
+on SIMD Architectures" (arXiv:1808.05567), so any team size gives the
+same bits.
 """
 
 from __future__ import annotations
@@ -27,6 +36,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
+from .backends import compute_team
 from .tensor import Tensor
 
 __all__ = [
@@ -212,17 +222,20 @@ def _apply_activation_inplace(arr: np.ndarray, activation: str, negative_slope: 
         np.tanh(arr, out=arr)
 
 
-#: Output positions per GEMM of the stride-1 kernel of :func:`conv_bn_act`.
-#: One block's ``(C_in*kw, CONV_BLOCK + (kh-1)*wp)`` kernel-row pack and its
+#: Output positions per GEMM of the stride-1 kernel of :func:`conv_bn_act`,
+#: and about the positions of one row band of its strided kernel.  One
+#: block's ``(C_in*kw, CONV_BLOCK + (kh-1)*wp)`` kernel-row pack and its
 #: ``(C_out, CONV_BLOCK)`` result stay cache resident instead of a whole-image
-#: patch matrix streaming through DRAM.
+#: patch matrix streaming through DRAM.  Blocks are the work units the
+#: compute team (:func:`repro.nn.backends.compute_team`) spreads over its
+#: threads; their bounds depend on the geometry alone.
 CONV_BLOCK = 2048
 
 #: Every block GEMM's column count is a multiple of this.  BLAS rounds a
-#: ragged column edge differently from a full tile, and where the columns
-#: split across threads depends on the thread count; with aligned blocks an
-#: output element's bits depend on neither, so pooled workers (1 thread)
-#: match the serial default bit for bit.
+#: ragged column edge differently from a full tile, and how it tiles (and,
+#: when it runs threaded, splits) the columns depends on its thread count;
+#: with aligned blocks an output element's bits depend on neither, so a team
+#: that runs one-thread GEMMs matches a process that leaves BLAS threaded.
 CONV_BLOCK_ALIGN = 64
 
 
@@ -236,32 +249,37 @@ def _block_width(span: int) -> int:
     return min(CONV_BLOCK, _round_up(span, CONV_BLOCK_ALIGN))
 
 
-def conv_gemm_shape(
-    input_shape: tuple,
-    weight_shape: tuple,
-    stride: int = 1,
-    output_padding: int = 0,
-) -> tuple | None:
-    """Shape of the ``gemm`` scratch :func:`conv_bn_act` needs, or None.
+def _band_rows(h_out: int, w_out: int) -> int:
+    """Output rows per band of the strided kernel: about :data:`CONV_BLOCK`
+    positions, at least one row."""
+    return max(1, min(h_out, CONV_BLOCK // max(w_out, 1)))
 
-    ``input_shape`` is the padded input's.  A stride-1 conv needs the flat
-    block scratch: one block's ``(C_in*kw, width + (kh-1)*wp)`` kernel-row
-    pack, then its ``(C_out, width)`` result and ``(C_out, width)``
-    accumulator, where ``width`` is :data:`CONV_BLOCK` or the output span
-    rounded up to :data:`CONV_BLOCK_ALIGN` when that is narrower.  A
-    strided conv with ``output_padding > 0`` needs one sample's
-    ``(C_out, L)`` tile.  A borderless strided conv GEMMs straight into the
-    output.
+
+def conv_gemm_shape(input_shape: tuple, weight_shape: tuple, stride: int = 1) -> tuple:
+    """Shape of the ``gemm`` scratch :func:`conv_bn_act` needs.
+
+    ``input_shape`` is the padded input's.  The scratch is flat: one
+    equal slice per member of the compute team, each holding one work
+    unit's pack and result.  A stride-1 unit is a block: its ``(C_in*kw,
+    width + (kh-1)*wp)`` kernel-row pack, then its ``(C_out, width)`` result
+    and ``(C_out, width)`` accumulator, where ``width`` is
+    :data:`CONV_BLOCK` or the output span rounded up to
+    :data:`CONV_BLOCK_ALIGN` when that is narrower.  A strided unit is a
+    row band: its ``(C_in*kh*kw, width)`` patch pack and ``(C_out, width)``
+    result, ``width`` being the band's positions rounded up to
+    :data:`CONV_BLOCK_ALIGN`.
     """
     _, c_in, hp, wp = input_shape
     c_out, _, kh, kw = weight_shape
     if stride == 1:
         width = _block_width((hp - kh) * wp + wp - kw + 1)
-        return (c_in * kw * (width + (kh - 1) * wp) + 2 * c_out * width,)
-    length = _conv_output_size(hp, kh, stride, 0) * _conv_output_size(wp, kw, stride, 0)
-    if output_padding:
-        return (c_out, length)
-    return None
+        per_member = c_in * kw * (width + (kh - 1) * wp) + 2 * c_out * width
+    else:
+        h_out = _conv_output_size(hp, kh, stride, 0)
+        w_out = _conv_output_size(wp, kw, stride, 0)
+        width = _round_up(_band_rows(h_out, w_out) * w_out, CONV_BLOCK_ALIGN)
+        per_member = (c_in * kh * kw + c_out) * width
+    return (compute_team().size * per_member,)
 
 
 def _land_block(part: np.ndarray, dst: np.ndarray, start: int, stop: int, wp: int) -> None:
@@ -317,6 +335,8 @@ def _conv_stride1_blocked(
     Positions with ``c >= W_out`` wrap into the next row; their results are
     dropped on landing.  The final block is zero-padded up to
     :data:`CONV_BLOCK_ALIGN` columns rather than read past the buffer.
+    Every (sample, block) pair is one work unit of the compute team, packed
+    in the running member's slice of ``scratch``.
     """
     n, c_in, hp, wp = x.shape
     kh, c_out, k_len = w_rows.shape
@@ -324,33 +344,93 @@ def _conv_stride1_blocked(
     halo = (kh - 1) * wp
     span = (dst.shape[2] - 1) * wp + dst.shape[3]
     width = _block_width(span)
+    blocks = -(-span // width)
     pack_size = k_len * (width + halo)
-    pack_flat = scratch[:pack_size]
-    result_flat = scratch[pack_size : pack_size + c_out * width]
-    acc_flat = scratch[pack_size + c_out * width :]
+    slices = scratch.reshape(-1, pack_size + 2 * c_out * width)
     x = np.ascontiguousarray(x)
     item = x.itemsize
-    for i in range(n):
+
+    def unit(index: int, member: int) -> None:
+        i, block = divmod(index, blocks)
+        flat = slices[member]
         src = x[i].reshape(c_in, hp * wp)
-        for start in range(0, span, width):
-            stop = min(start + width, span)
-            valid = stop - start
-            cols = _round_up(valid, CONV_BLOCK_ALIGN)
-            reach = valid + halo
-            pack = pack_flat[: k_len * (cols + halo)].reshape(k_len, cols + halo)
-            pack.reshape(c_in, kw, cols + halo)[..., :reach] = as_strided(
-                src[:, start:], shape=(c_in, kw, reach), strides=(src.strides[0], item, item)
-            )
-            if valid < cols:
-                pack[:, reach:] = 0.0
-            part = np.matmul(w_rows[0], pack[:, :cols], out=result_flat[: c_out * cols].reshape(c_out, cols))
-            acc = acc_flat[: c_out * cols].reshape(c_out, cols)
-            for a in range(1, kh):
-                part += np.matmul(w_rows[a], pack[:, a * wp : a * wp + cols], out=acc)
-            if bias_col is not None:
-                part += bias_col
-            _apply_activation_inplace(part, activation, negative_slope)
-            _land_block(part, dst[i], start, stop, wp)
+        start = block * width
+        stop = min(start + width, span)
+        valid = stop - start
+        cols = _round_up(valid, CONV_BLOCK_ALIGN)
+        reach = valid + halo
+        pack = flat[: k_len * (cols + halo)].reshape(k_len, cols + halo)
+        pack.reshape(c_in, kw, cols + halo)[..., :reach] = as_strided(
+            src[:, start:], shape=(c_in, kw, reach), strides=(src.strides[0], item, item)
+        )
+        if valid < cols:
+            pack[:, reach:] = 0.0
+        part = np.matmul(w_rows[0], pack[:, :cols], out=flat[pack_size : pack_size + c_out * cols].reshape(c_out, cols))
+        acc = flat[pack_size + c_out * width :][: c_out * cols].reshape(c_out, cols)
+        for a in range(1, kh):
+            part += np.matmul(w_rows[a], pack[:, a * wp : a * wp + cols], out=acc)
+        if bias_col is not None:
+            part += bias_col
+        _apply_activation_inplace(part, activation, negative_slope)
+        _land_block(part, dst[i], start, stop, wp)
+
+    compute_team().run(unit, n * blocks, c_out * k_len * kh * width)
+
+
+def _conv_strided_banded(
+    x: np.ndarray,
+    w_mat: np.ndarray,
+    bias_col: np.ndarray | None,
+    dst: np.ndarray,
+    scratch: np.ndarray,
+    kernel: tuple,
+    stride: int,
+    activation: str,
+    negative_slope: float,
+) -> None:
+    """Strided conv of the zero-bordered ``x`` into ``dst`` ``(N, C_out, H_out, W_out)``.
+
+    ``w_mat`` is the ``(C_out, C_in*kh*kw)`` weight matrix.  Every (sample,
+    band of :func:`_band_rows` output rows) pair is one work unit: its
+    patches are packed into a ``(C_in*kh*kw, cols)`` matrix in the running
+    member's slice of ``scratch``, with ``cols`` the band's positions
+    rounded up to :data:`CONV_BLOCK_ALIGN` and the tail zeroed, then one
+    GEMM, bias and activation run on the cache-resident result before it is
+    copied into its rows of ``dst``.
+    """
+    n, c_in = x.shape[:2]
+    kh, kw = kernel
+    c_out, h_out, w_out = dst.shape[1:]
+    k_len = c_in * kh * kw
+    rows = _band_rows(h_out, w_out)
+    bands = -(-h_out // rows)
+    width = _round_up(rows * w_out, CONV_BLOCK_ALIGN)
+    slices = scratch.reshape(-1, (k_len + c_out) * width)
+    # (N, C_in, H_out, W_out, kh, kw) view of every output position's patch.
+    windows = sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    item = scratch.itemsize
+
+    def unit(index: int, member: int) -> None:
+        i, band = divmod(index, bands)
+        flat = slices[member]
+        r0 = band * rows
+        r1 = min(r0 + rows, h_out)
+        valid = (r1 - r0) * w_out
+        cols = _round_up(valid, CONV_BLOCK_ALIGN)
+        pack = flat[: k_len * cols].reshape(k_len, cols)
+        as_strided(
+            pack, shape=(c_in, kh, kw, r1 - r0, w_out),
+            strides=(kh * kw * cols * item, kw * cols * item, cols * item, w_out * item, item),
+        )[...] = windows[i, :, r0:r1].transpose(0, 3, 4, 1, 2)
+        if valid < cols:
+            pack[:, valid:] = 0.0
+        part = np.matmul(w_mat, pack, out=flat[k_len * cols : (k_len + c_out) * cols].reshape(c_out, cols))
+        if bias_col is not None:
+            part += bias_col
+        _apply_activation_inplace(part, activation, negative_slope)
+        dst[i, :, r0:r1] = part[:, :valid].reshape(c_out, r1 - r0, w_out)
+
+    compute_team().run(unit, n * bands, c_out * k_len * width)
 
 
 def conv_bn_act(
@@ -381,7 +461,11 @@ def conv_bn_act(
     ``(C_out, C_in*kw)`` weight matrices against that pack, each offset by
     one padded row, accumulate the block, whose width is a multiple of
     :data:`CONV_BLOCK_ALIGN`, before it is copied into the output.
-    Strided convolutions run one whole-image GEMM per sample.
+    Strided convolutions run one GEMM per band of output rows of about
+    :data:`CONV_BLOCK` positions, also aligned.  Blocks and bands are the
+    work units of the process's compute team
+    (:func:`repro.nn.backends.compute_team`), so the bits do not depend on
+    the team size.
 
     Operates on plain ndarrays (no autograd); training forwards keep using
     :func:`conv2d` / :func:`batch_norm2d` unchanged.
@@ -401,12 +485,11 @@ def conv_bn_act(
         2*output_padding)`` buffer whose border is already zero (a fused
         chain's scratch cache); only the interior is written.
     gemm:
-        Optional GEMM scratch (a fused chain's buffer cache), fully
-        rewritten every call, no zero-border contract.  For stride 1 it is
-        the flat block scratch of :func:`conv_gemm_shape`: one block's
-        kernel-row pack, result and accumulator.  For a strided
-        conv with ``output_padding > 0`` it holds one sample's ``(C_out, L)``
-        output tile before the copy into the bordered output.
+        Optional GEMM scratch (a fused chain's buffer cache) of
+        :func:`conv_gemm_shape`, fully rewritten every call, no zero-border
+        contract: one slice per team member, each holding one block's
+        kernel-row pack, result and accumulator (stride 1) or one band's
+        patch pack and result (strided).
     """
     _check_fused_activation(activation, negative_slope)
     x = np.asarray(x)
@@ -433,44 +516,28 @@ def conv_bn_act(
         )
     bias_col = None if bias is None else np.asarray(bias).reshape(c_out, 1)
     interior = out[:, :, output_padding : output_padding + h_out, output_padding : output_padding + w_out]
-    length = h_out * w_out
-    gemm_shape = conv_gemm_shape(x.shape, weight.shape, stride, output_padding)
-    if gemm_shape is not None:
-        if gemm is None:
-            # repro: ok(ALLOC001, scratch fallback when the caller passes no buffer; FusedChain passes its cached one)
-            gemm = np.empty(gemm_shape, dtype=dtype)
-        elif gemm.shape != gemm_shape or gemm.dtype != dtype:
-            raise ValueError(
-                f"conv_bn_act: gemm buffer has shape {gemm.shape} dtype {gemm.dtype}, "
-                f"expected {gemm_shape} dtype {dtype}"
-            )
+    gemm_shape = conv_gemm_shape(x.shape, weight.shape, stride)
+    if gemm is None:
+        # repro: ok(ALLOC001, scratch fallback when the caller passes no buffer; FusedChain passes its cached one)
+        gemm = np.empty(gemm_shape, dtype=dtype)
+    elif gemm.shape != gemm_shape or gemm.dtype != dtype:
+        raise ValueError(
+            f"conv_bn_act: gemm buffer has shape {gemm.shape} dtype {gemm.dtype}, "
+            f"expected {gemm_shape} dtype {dtype}"
+        )
     if stride == 1:
         # One small copy of the weight into per-kernel-row (C_out, C_in*kw)
         # matrices; the kernel-row pack is the single copy of the input.
         w_rows = np.ascontiguousarray(weight.transpose(2, 0, 1, 3)).reshape(kh, c_out, c_in * kw)
         _conv_stride1_blocked(x, w_rows, bias_col, interior, gemm, activation, negative_slope)
-        return out
-    # The (C_out, C_in*kh*kw) weight matrix is a free view of the PyTorch
-    # weight layout — no per-call weight pack (tensordot repacks it every
-    # call).  The patch pack is the single remaining copy of the input.
-    w_mat = weight.reshape(c_out, -1)
-    windows = sliding_window_view(x, (kh, kw), axis=(2, 3))
-    if stride > 1:
-        windows = windows[:, :, ::stride, ::stride]
-    for i in range(n):
-        # One (C_in*kh*kw, L) patch matrix and GEMM per sample.  Without a
-        # border the GEMM writes straight into the output; the bordered
-        # interior is not contiguous, so that result lands in scratch first.
-        cols = windows[i].transpose(0, 3, 4, 1, 2).reshape(c_in * kh * kw, length)
-        if output_padding == 0:
-            part = np.matmul(w_mat, cols, out=out[i].reshape(c_out, length))
-        else:
-            part = np.matmul(w_mat, cols, out=gemm)
-        if bias_col is not None:
-            part += bias_col
-        _apply_activation_inplace(part, activation, negative_slope)
-        if output_padding:
-            interior[i] = part.reshape(c_out, h_out, w_out)
+    else:
+        # The (C_out, C_in*kh*kw) weight matrix is a free view of the
+        # PyTorch weight layout; the band's patch pack is the single copy
+        # of the input.
+        _conv_strided_banded(
+            x, weight.reshape(c_out, -1), bias_col, interior, gemm, (kh, kw), stride,
+            activation, negative_slope,
+        )
     return out
 
 
@@ -521,6 +588,39 @@ def conv_transpose2d(
     return Tensor.from_op(out, parents, backward)
 
 
+def _direct_scatter(kernel: tuple, stride: int, padding: int) -> bool:
+    """Non-overlapping, gap-free, crop-free transposed kernels (``stride ==
+    kh == kw``, ``padding == 0``: the UNet up path) scatter-assign straight
+    into the output; every other kernel scatters through scratch."""
+    return padding == 0 and stride == kernel[0] and stride == kernel[1]
+
+
+def conv_transpose_scratch_shapes(
+    input_shape: tuple, weight_shape: tuple, stride: int = 1, padding: int = 0
+) -> tuple | None:
+    """``(gemm, scatter)`` scratch shapes :func:`conv_transpose_bn_act` needs.
+
+    None on the direct path.  Otherwise each work unit is one sample's group
+    of ``g`` output channels, the fewest that cover ``4 * CONV_BLOCK`` input
+    positions: each unit runs ``kh*kw`` scatter-adds over ``g*H*W``
+    elements, and shorter numpy calls spend more on handing the GIL between
+    team members than they gain (DOINN's dconv1 at 32x32 input: 1.6 ms in
+    groups of 8 channels, 2.3 ms in groups of 4, on two threads).  Each
+    member of the compute team gets one unit's slice of both scratches: the
+    flat ``gemm`` scratch holds its ``(g*kh*kw, H*W)`` GEMM result, the
+    ``scatter`` scratch ``(members, g, H_pad, W_pad)`` its uncropped scatter
+    image.
+    """
+    _, _, h, w = input_shape
+    _, c_out, kh, kw = weight_shape
+    if _direct_scatter((kh, kw), stride, padding):
+        return None
+    group = min(c_out, -(-4 * CONV_BLOCK // max(h * w, 1)))
+    members = compute_team().size
+    h_pad, w_pad = (h - 1) * stride + kh, (w - 1) * stride + kw
+    return (members * group * kh * kw * h * w,), (members, group, h_pad, w_pad)
+
+
 def conv_transpose_bn_act(
     x: np.ndarray,
     weight: np.ndarray,
@@ -532,19 +632,26 @@ def conv_transpose_bn_act(
     output_padding: int = 0,
     out: np.ndarray | None = None,
     scatter: np.ndarray | None = None,
+    gemm: np.ndarray | None = None,
 ) -> np.ndarray:
     """Fused inference kernel: transposed conv (+ folded BN) (+ activation).
 
     The transposed-conv mirror of :func:`conv_bn_act`, closing the last
     unfused link of the inference graphs compiled by :mod:`repro.nn.fusion`:
     ``weight`` (``(C_in, C_out, kh, kw)``, PyTorch transposed layout) already
-    carries the folded eval-mode batch-norm affine, each sample runs one GEMM
-    against the ``(C_in, C_out*kh*kw)`` weight matrix (a free view of the
-    folded weight), and the column block is scattered back to image layout
-    with a vectorized ``col2im``-style strided assignment (non-overlapping
-    kernels, e.g. the UNet 2x2/stride-2 up path) or the per-offset
-    scatter-add (overlapping kernels, e.g. DOINN's 4x4/stride-2 ``dconv*``).
-    Bias and activation are applied in place while the output is cache hot.
+    carries the folded eval-mode batch-norm affine, and the GEMMs run against
+    the ``(C_in, C_out*kh*kw)`` weight matrix (a free view of the folded
+    weight).  Non-overlapping kernels (e.g. the UNet 2x2/stride-2 up path)
+    run one GEMM per sample and write the kernel tiles into place with one
+    vectorized ``col2im``-style strided assignment.  Overlapping kernels
+    (e.g. DOINN's 4x4/stride-2 ``dconv*``) split each sample into groups of
+    output channels, since the per-offset scatter-add is independent per
+    channel: each group is one work unit of the compute team
+    (:func:`repro.nn.backends.compute_team`), one GEMM against its weight
+    columns followed by the scatter-add into the running member's scatter
+    scratch.  Group bounds depend on the geometry alone, so the bits do not
+    depend on the team size.  Bias and activation are applied in place
+    while the output is cache hot.
 
     A transposed conv consumes its input unpadded (its ``padding`` *crops*
     the output), so unlike :func:`conv_bn_act` there is no
@@ -566,11 +673,10 @@ def conv_transpose_bn_act(
         Optional preallocated ``(N, C_out, H_out + 2*output_padding, W_out +
         2*output_padding)`` buffer whose border is already zero; only the
         interior is written.
-    scatter:
-        Optional per-sample ``(C_out, H_out + 2*padding, W_out + 2*padding)``
-        scratch for the overlapping-kernel scatter (a fused chain's buffer
-        cache); it is fully rewritten every sample, so unlike ``out`` it has
-        no zero-border contract.  Ignored on the non-overlapping fast path.
+    scatter, gemm:
+        Optional scratch of :func:`conv_transpose_scratch_shapes` (a fused
+        chain's buffer cache); fully rewritten every unit, so unlike ``out``
+        they have no zero-border contract.  Ignored on the direct path.
     """
     _check_fused_activation(activation, negative_slope)
     x = np.asarray(x)
@@ -592,31 +698,18 @@ def conv_transpose_bn_act(
             f"conv_transpose_bn_act: out buffer has shape {out.shape} dtype {out.dtype}, "
             f"expected {(n, c_out, oh, ow)} dtype {dtype}"
         )
-    # Non-overlapping, gap-free, crop-free kernels (stride == kh == kw,
-    # padding == 0 — the UNet up path) scatter-assign straight into the
-    # output buffer; everything else goes through the padded scatter image.
-    direct = padding == 0 and stride == kh and stride == kw
-    if not direct:
-        h_pad, w_pad = h_out + 2 * padding, w_out + 2 * padding
-        if scatter is None:
-            # repro: ok(ALLOC001, scratch fallback when the caller passes no buffer; FusedChain passes its cached one)
-            scatter = np.empty((c_out, h_pad, w_pad), dtype=dtype)
-        elif scatter.shape != (c_out, h_pad, w_pad) or scatter.dtype != dtype:
-            raise ValueError(
-                f"conv_transpose_bn_act: scatter buffer has shape {scatter.shape} dtype "
-                f"{scatter.dtype}, expected {(c_out, h_pad, w_pad)} dtype {dtype}"
-            )
+    interior = out[:, :, output_padding : output_padding + h_out, output_padding : output_padding + w_out]
     # The (C_in, C_out*kh*kw) weight matrix is a free view of the folded
-    # weight; BLAS consumes the transpose without a copy.  The per-sample
-    # loop keeps each GEMM cache-resident and partition-invariant (outputs
-    # are bit-identical however a stream is batched or sharded).
+    # weight; BLAS consumes the transpose (and its column groups) without a
+    # copy.  Per-sample GEMMs keep the outputs partition invariant
+    # (bit-identical however a stream is batched or sharded).
     w_mat = weight.reshape(c_in, c_out * kh * kw)
     bias_arr = None if bias is None else np.asarray(bias)
     x_flat = x.reshape(n, c_in, h * w)
-    for i in range(n):
-        cols = np.matmul(w_mat.T, x_flat[i])                 # (C_out*kh*kw, H*W)
-        tiles = cols.reshape(c_out, kh, kw, h, w)
-        if direct:
+    shapes = conv_transpose_scratch_shapes(x.shape, weight.shape, stride, padding)
+    if shapes is None:
+        for i in range(n):
+            cols = np.matmul(w_mat.T, x_flat[i])                 # (C_out*kh*kw, H*W)
             # Bias/activation run on the GEMM output while it is cache hot
             # (every output pixel receives exactly one contribution), then
             # one strided assignment writes the kernel tiles into place.
@@ -624,23 +717,55 @@ def conv_transpose_bn_act(
                 per_channel = cols.reshape(c_out, kh * kw * h * w)
                 per_channel += bias_arr[:, None]
             _apply_activation_inplace(cols, activation, negative_slope)
-            interior = out[i, :, output_padding : output_padding + h_out, output_padding : output_padding + w_out]
-            sc, sh, sw = interior.strides
+            sc, sh, sw = interior.strides[1:]
             view = as_strided(
-                interior,
+                interior[i],
                 shape=(c_out, h, kh, w, kw),
                 strides=(sc, sh * stride, sh, sw * stride, sw),
             )
-            view[:] = tiles.transpose(0, 3, 1, 4, 2)
-            continue
-        scatter.fill(0.0)
+            view[:] = cols.reshape(c_out, kh, kw, h, w).transpose(0, 3, 1, 4, 2)
+        return out
+    gemm_shape, scatter_shape = shapes
+    if gemm is None:
+        # repro: ok(ALLOC001, scratch fallback when the caller passes no buffer; FusedChain passes its cached one)
+        gemm = np.empty(gemm_shape, dtype=dtype)
+    elif gemm.shape != gemm_shape or gemm.dtype != dtype:
+        raise ValueError(
+            f"conv_transpose_bn_act: gemm buffer has shape {gemm.shape} dtype "
+            f"{gemm.dtype}, expected {gemm_shape} dtype {dtype}"
+        )
+    if scatter is None:
+        # repro: ok(ALLOC001, scratch fallback when the caller passes no buffer; FusedChain passes its cached one)
+        scatter = np.empty(scatter_shape, dtype=dtype)
+    elif scatter.shape != scatter_shape or scatter.dtype != dtype:
+        raise ValueError(
+            f"conv_transpose_bn_act: scatter buffer has shape {scatter.shape} dtype "
+            f"{scatter.dtype}, expected {scatter_shape} dtype {dtype}"
+        )
+    group = scatter_shape[1]
+    groups = -(-c_out // group)
+    taps = kh * kw
+    gemm_slices = gemm.reshape(scatter_shape[0], -1)
+
+    def unit(index: int, member: int) -> None:
+        i, g = divmod(index, groups)
+        c0 = g * group
+        c1 = min(c0 + group, c_out)
+        cols = np.matmul(
+            w_mat[:, c0 * taps : c1 * taps].T,
+            x_flat[i],
+            out=gemm_slices[member, : (c1 - c0) * taps * h * w].reshape((c1 - c0) * taps, h * w),
+        )
+        tiles = cols.reshape(c1 - c0, kh, kw, h, w)
+        image = scatter[member, : c1 - c0]
+        image.fill(0.0)
         if stride >= kh and stride >= kw:
             # Disjoint windows: one vectorized strided assignment (gaps left
             # by stride > k stay zero from the fill).
-            sc, sh, sw = scatter.strides
+            sc, sh, sw = image.strides
             view = as_strided(
-                scatter,
-                shape=(c_out, h, kh, w, kw),
+                image,
+                shape=(c1 - c0, h, kh, w, kw),
                 strides=(sc, sh * stride, sh, sw * stride, sw),
             )
             view[:] = tiles.transpose(0, 3, 1, 4, 2)
@@ -648,12 +773,14 @@ def conv_transpose_bn_act(
             for ki in range(kh):
                 i_end = ki + stride * h
                 for kj in range(kw):
-                    scatter[:, ki:i_end:stride, kj : kj + stride * w : stride] += tiles[:, ki, kj]
-        region = scatter[:, padding : padding + h_out, padding : padding + w_out] if padding else scatter
+                    image[:, ki:i_end:stride, kj : kj + stride * w : stride] += tiles[:, ki, kj]
+        region = image[:, padding : padding + h_out, padding : padding + w_out] if padding else image
         if bias_arr is not None:
-            region += bias_arr[:, None, None]
+            region += bias_arr[c0:c1, None, None]
         _apply_activation_inplace(region, activation, negative_slope)
-        out[i, :, output_padding : output_padding + h_out, output_padding : output_padding + w_out] = region
+        interior[i, c0:c1] = region
+
+    compute_team().run(unit, n * groups, c_in * group * taps * h * w)
     return out
 
 

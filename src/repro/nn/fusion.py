@@ -50,9 +50,10 @@ link (DOINN's ``dconvN -> vggN`` runs, the UNet bottleneck -> first-up chain)
 costs neither a separate crop copy nor a re-pad — the pad-once /
 ``input_is_padded`` handshake extends through the whole decoder.
 Overlapping transposed kernels (stride < k) additionally keep a per-geometry
-scatter scratch in the chain's buffer cache; it is fully rewritten every
-sample, so it carries no zero-border contract (and its cache key is
-namespaced apart from the bordered buffers).
+scatter scratch in the chain's buffer cache, one channel group's image per
+compute-team member; it is fully rewritten by every work unit, so it
+carries no zero-border contract (and its cache key is namespaced apart
+from the bordered buffers).
 
 The compiled artifact is a **deep copy**: the source model's parameters,
 buffers, train/eval flags and autograd behaviour are untouched (pinned by the
@@ -199,16 +200,15 @@ class FusedConvBNAct:
         """Per-sample scatter scratch this op needs (convolutions need none)."""
         return None
 
-    def gemm_shape(self, input_shape: tuple, output_padding: int):
+    def gemm_shape(self, input_shape: tuple):
         """GEMM scratch this op needs from the chain's buffer cache.
 
-        See :func:`repro.nn.functional.conv_gemm_shape`: a stride-1 conv
-        needs one cache-resident block's flat scratch (its ``C_in*kw``-row
-        kernel-row pack, result and accumulator), reused for every block of
-        every sample; a strided conv with a bordered emission one sample's
-        tile.
+        See :func:`repro.nn.functional.conv_gemm_shape`: one work unit's
+        flat scratch per compute-team member (a stride-1 block's kernel-row
+        pack, result and accumulator, or a strided row band's patch pack and
+        result), reused for every unit of every sample.
         """
-        return F.conv_gemm_shape(input_shape, self.weight.shape, self.stride, output_padding)
+        return F.conv_gemm_shape(input_shape, self.weight.shape, self.stride)
 
     def apply(self, buf, out=None, output_padding: int = 0, scratch=None, gemm=None):
         return F.conv_bn_act(
@@ -341,22 +341,24 @@ class FusedConvTranspose:
         w_out = (w - 1) * self.stride - 2 * self.padding + kw
         return (n, self.out_channels, h_out + 2 * output_padding, w_out + 2 * output_padding)
 
+    def _scratch_shapes(self, input_shape: tuple):
+        return F.conv_transpose_scratch_shapes(input_shape, self.weight.shape, self.stride, self.padding)
+
     def scratch_shape(self, input_shape: tuple):
-        """Per-sample scatter image for overlapping/cropped kernels.
+        """Per-member scatter images for overlapping/cropped kernels.
 
         The non-overlapping crop-free fast path (``stride == kh == kw``,
         ``padding == 0`` — the UNet up path) scatters straight into the
         output buffer and needs no scratch.
         """
-        kh, kw = self.kernel_size
-        if self.padding == 0 and self.stride == kh and self.stride == kw:
-            return None
-        _, c_out, h_out, w_out = self.output_shape(input_shape, 0)
-        return (c_out, h_out + 2 * self.padding, w_out + 2 * self.padding)
+        shapes = self._scratch_shapes(input_shape)
+        return None if shapes is None else shapes[1]
 
-    def gemm_shape(self, input_shape: tuple, output_padding: int):
-        """Transposed convs GEMM against the flattened input — no scratch."""
-        return None
+    def gemm_shape(self, input_shape: tuple):
+        """Per-member GEMM results of the scatter path (see
+        :func:`repro.nn.functional.conv_transpose_scratch_shapes`)."""
+        shapes = self._scratch_shapes(input_shape)
+        return None if shapes is None else shapes[0]
 
     def apply(self, buf, out=None, output_padding: int = 0, scratch=None, gemm=None):
         return F.conv_transpose_bn_act(
@@ -370,6 +372,7 @@ class FusedConvTranspose:
             output_padding=output_padding,
             out=out,
             scatter=scratch,
+            gemm=gemm,
         )
 
     @classmethod
@@ -416,6 +419,10 @@ class FusedChain:
     including the batch dimension, so one compiled engine serving
     interleaved batch sizes (the ragged final shards of a streamed tile
     sweep) can never hand a buffer of one geometry to a call of another.
+    The ``"gemm"`` and ``"scatter"`` scratch holds one slice per member of
+    the compute team (:func:`repro.nn.backends.compute_team`), and all ops
+    share one ``"gemm"`` buffer sized for the largest of them, since they
+    run one after another.  None of it is pickled.
     """
 
     #: Cached working buffers per chain before the oldest entry is evicted —
@@ -500,11 +507,12 @@ class FusedChain:
         # the same op index and coincidentally equal shape.
         return self._cached_zeros(("scatter", index, shape, np.dtype(dtype).str), shape, dtype)
 
-    def _gemm_buffer(self, index: int, shape: tuple, dtype) -> np.ndarray:
-        # GEMM scratch (stride-1 conv blocks, bordered strided-conv tiles)
-        # is fully rewritten every call; like "scatter"
-        # it has no zero-border contract and its own namespace.
-        return self._cached_zeros(("gemm", index, shape, np.dtype(dtype).str), shape, dtype)
+    def _gemm_buffer(self, length: int, dtype) -> np.ndarray:
+        # GEMM scratch (conv blocks and bands, transposed-conv group GEMMs)
+        # is fully rewritten by every work unit; like "scatter" it has no
+        # zero-border contract and its own namespace.  The ops run one after
+        # another, so the chain keeps one flat buffer for the largest of them.
+        return self._cached_zeros(("gemm", (length,), np.dtype(dtype).str), (length,), dtype)
 
     # -- execution ------------------------------------------------------ #
     def run(self, x: np.ndarray) -> np.ndarray:
@@ -523,25 +531,31 @@ class FusedChain:
             buf[...] = x
         else:
             buf = x
+        # Each op's input shape, output border and dtype, known up front so
+        # the shared GEMM scratch is sized once per call.
+        steps = []
+        shape, dtype = buf.shape, buf.dtype
         for index, op in enumerate(ops):
-            nxt = ops[index + 1] if index + 1 < len(ops) else None
-            out_pad = nxt.input_pad if nxt is not None else 0
-            dtype = np.result_type(buf, op.weight)
+            out_pad = ops[index + 1].input_pad if index + 1 < len(ops) else 0
+            dtype = np.result_type(dtype, op.weight)
+            steps.append((shape, out_pad, dtype, op.gemm_shape(shape)))
+            shape = op.output_shape(shape, out_pad)
+        lengths: dict = {}
+        for _, _, dtype, gemm_shape in steps:
+            if gemm_shape is not None:
+                lengths[dtype] = max(lengths.get(dtype, 0), gemm_shape[0])
+        gemms = {dtype: self._gemm_buffer(length, dtype) for dtype, length in lengths.items()}
+        for index, (op, (shape, out_pad, dtype, gemm_shape)) in enumerate(zip(ops, steps)):
             out = None
-            if nxt is not None:
-                out = self._output_buffer(index, op.output_shape(buf.shape, out_pad), dtype)
-            scratch_shape = op.scratch_shape(buf.shape)
+            if index + 1 < len(ops):
+                out = self._output_buffer(index, op.output_shape(shape, out_pad), dtype)
+            scratch_shape = op.scratch_shape(shape)
             scratch = (
                 self._scatter_buffer(index, scratch_shape, dtype)
                 if scratch_shape is not None
                 else None
             )
-            gemm_shape = op.gemm_shape(buf.shape, out_pad)
-            gemm = (
-                self._gemm_buffer(index, gemm_shape, dtype)
-                if gemm_shape is not None
-                else None
-            )
+            gemm = gemms[dtype][: gemm_shape[0]] if gemm_shape is not None else None
             buf = op.apply(buf, out=out, output_padding=out_pad, scratch=scratch, gemm=gemm)
         return buf
 

@@ -369,7 +369,10 @@ class OPCEngine:
                     # which would overshoot and oscillate with a binary resist.
                     step = 1.0
                 else:
-                    step = float(np.clip(-config.gain * epe, -config.max_step, config.max_step))
+                    # min(max(x, lo), hi) is np.clip's own formula, so NaN and
+                    # -0.0 come out the same, at a tenth of the cost of a
+                    # numpy call on a Python float.
+                    step = float(min(max(-config.gain * epe, -config.max_step), config.max_step))
                 # Damp oscillation: if the correction reversed direction since
                 # the previous iteration, take only half a step.
                 if step * fragment.last_step < 0.0:
@@ -377,7 +380,7 @@ class OPCEngine:
                 fragment.last_step = step
                 previous_pixels = int(round(fragment.offset))
                 fragment.offset = float(
-                    np.clip(fragment.offset + step, -config.max_offset, config.max_offset)
+                    min(max(fragment.offset + step, -config.max_offset), config.max_offset)
                 )
                 if int(round(fragment.offset)) != previous_pixels:
                     moved.append((si, fi))

@@ -44,10 +44,13 @@ benchmarks):
     equivalence).  Only engages on compiled model engines; the cache key
     carries the lane dtype, so results from different lanes never mix.
 ``blas_threads`` / ``REPRO_BLAS_THREADS``
-    BLAS thread cap composed with the worker pool: pooled pipelines default
-    to 1 thread per worker so pool workers times BLAS threads never
-    oversubscribes the cores; serial pipelines leave the library untouched
-    unless the knob is set.
+    Thread budget composed with the worker pool.  Compiled engines run their
+    fused convs on a compute team of this many threads per process, with
+    BLAS capped at one (:func:`repro.nn.backends.compute_team`); other
+    engines take it as a BLAS thread cap.  Pooled pipelines default to 1
+    per worker so workers times threads never oversubscribes the cores;
+    serial compiled pipelines default to the usable core count, and other
+    serial pipelines leave the library untouched unless the knob is set.
 ``result_cache`` / ``REPRO_RESULT_CACHE``
     Bounded content-hash LRU in front of ``run``/``predict``
     (:mod:`repro.pipeline.cache`): exact input repeats are answered without

@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 
 from .. import knobs
-from ..nn.backends import BACKENDS, BLAS_THREADS_ENV
+from ..nn.backends import BACKENDS, BLAS_THREADS_ENV, default_blas_threads
 from .cache import RESULT_CACHE_ENV, resolve_cache_budget
 from .parallel import NUM_WORKERS_ENV, ParallelConfig
 from .streaming import STREAMING_ENV
@@ -105,8 +105,9 @@ class ExecutionConfig:
     #: ``None`` defers to the executor boundary, where graph-lane precedence
     #: over ``REPRO_BACKEND`` lives (see the module docstring).
     backend: str | None = None
-    #: BLAS thread cap (``REPRO_BLAS_THREADS``, then 1-per-worker when
-    #: pooled / 0 = leave the library alone when serial).
+    #: Thread budget (``REPRO_BLAS_THREADS``, then 1 per worker when pooled,
+    #: the usable core count when serial and compiled, else 0 = leave the
+    #: BLAS library alone).
     blas_threads: int | None = None
     #: Persistent shared-memory ring (``REPRO_STREAMING``, then on).
     streaming: bool | None = None
@@ -237,7 +238,7 @@ class ExecutionConfig:
             "blas_threads",
             BLAS_THREADS_ENV,
             knobs.read_int(BLAS_THREADS_ENV, minimum=0),
-            1 if values["num_workers"] > 1 else 0,
+            default_blas_threads(values["num_workers"], values["compile"]),
         )
         values["retry"] = self._resolve_retry(sources)
         sources["retry"] = "explicit" if self.retry is not None else "default"

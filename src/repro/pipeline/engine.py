@@ -87,7 +87,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..layout.tiling import TileSpec, extract_tiles, stitch_cores, tile_grid
-from ..nn.backends import set_blas_threads
+from ..nn.backends import set_blas_threads, set_compute_threads
 from .cache import (
     IncrementalState,
     MaskResultCache,
@@ -226,11 +226,16 @@ class InferencePipeline:
         ``compile=True`` for non-default lanes and only applies to model
         engines.
     blas_threads:
-        BLAS thread cap (:func:`repro.nn.backends.set_blas_threads`):
-        applied inside each pool worker, or in-process when serial.  ``None``
-        defers to ``REPRO_BLAS_THREADS``, then 1-per-worker when pooled /
-        leave-the-library-alone when serial, so ``workers x BLAS threads``
-        never oversubscribes by default.
+        Thread budget, applied inside each pool worker, or in-process when
+        serial.  A compiled engine runs its fused conv kernels on a compute
+        team of this many threads with BLAS capped at one
+        (:func:`repro.nn.backends.set_compute_threads`); any other engine
+        takes it as a BLAS thread cap
+        (:func:`repro.nn.backends.set_blas_threads`).  ``None`` defers to
+        ``REPRO_BLAS_THREADS``, then 1 per worker when pooled, the usable
+        core count when serial and compiled, and 0 (a team of one, the BLAS
+        library left alone) otherwise, so ``workers x threads`` never
+        oversubscribes by default.
     """
 
     #: Legacy per-knob keyword arguments accepted (and deprecated) by
@@ -292,6 +297,10 @@ class InferencePipeline:
             engine, compile=bool(resolved.compile), backend=resolved.backend
         )
         self.compiled = getattr(self.executor, "compiled", False)
+        if self.compiled and not resolved.compile:
+            # A pre-compiled engine: resolve the config of the compiled
+            # pipeline this is (its thread-budget default depends on it).
+            self.config = resolved = config.merged(compile=True).resolve()
         self.num_workers = resolved.num_workers
         if self.num_workers > 1 and not isinstance(self.executor, WorkerPoolExecutor):
             self.executor = WorkerPoolExecutor(self.executor, config=resolved.parallel())
@@ -300,12 +309,16 @@ class InferencePipeline:
         self.streaming = (
             self.executor.streaming if isinstance(self.executor, WorkerPoolExecutor) else False
         )
-        # Serial pipelines apply the BLAS cap in-process (pool workers get it
-        # through the pool initializer; the parent stays untouched there so a
-        # capped pooled pipeline doesn't detune later serial work).  The
-        # serial default is 0 = leave the library alone.
-        if resolved.blas_threads and self.num_workers <= 1:
-            set_blas_threads(resolved.blas_threads)
+        # Serial pipelines apply the thread budget in-process (pool workers
+        # get it through the pool initializer; the parent's is left alone).
+        # A compiled one sizes the compute team its fused kernels run on
+        # (and caps BLAS at one thread); any other uses it as a plain BLAS
+        # cap, where the default 0 leaves the library alone.
+        if self.num_workers <= 1:
+            if self.compiled:
+                set_compute_threads(resolved.blas_threads)
+            elif resolved.blas_threads:
+                set_blas_threads(resolved.blas_threads)
         #: Compute lane dtype of the executor (None for simulator engines).
         self.dtype = getattr(self.executor, "dtype", None)
         # Fold the compute identity (engine + lane dtype) into every

@@ -67,20 +67,24 @@ class ModelExecutor(Executor):
     so the batch the pipeline hands it (at most ``batch_size`` tiles, per
     worker when sharded) is already cache resident, and each extra forward
     only adds per-call overhead.
+
+    A compiled executor's fused convs split every forward into work units
+    fixed by the geometry and run them on the process's compute team
+    (:func:`repro.nn.backends.compute_team`), which a serial pipeline sizes
+    from its ``blas_threads`` budget and a pool worker at one thread; any
+    team size gives the same bits.
     """
 
     #: Target activation bytes per micro-batch (measured sweet spot: 2 tiles
     #: of 64x64 at ~32 channels on one x86 core).
     MICRO_BATCH_BUDGET_BYTES = 2 * 1024 * 1024
-    #: Coarse per-sample activation width estimate used to size micro-batches.
+    #: Coarse per-sample activation width estimate used to size micro-batches,
+    #: compiled or not.  Compiled forwards run their fused convs on the
+    #: compute team, which pays one dispatch per conv and forward: on the
+    #: checked-in DOINN at 64 px, 2 tiles per forward took 9.1 ms/tile against
+    #: 10.8 at 1 (a 2-vCPU host), so compiled graphs take the same 2 tiles.
+    #: A 256 px mask still runs one per forward.
     ACTIVATION_CHANNEL_ESTIMATE = 32
-    #: Per-sample estimate for compiled (fused) graphs.  Fused chains keep a
-    #: padded entry buffer *and* a padded output scratch buffer resident per
-    #: op (the pad-once cache of :class:`repro.nn.fusion.FusedChain`), roughly
-    #: doubling the per-sample working set — sizing compiled micro-batches
-    #: with the unfused estimate overfilled the cache and made compiled
-    #: bs>=2 ~1.3x slower per tile than bs=1 (the regression this fixes).
-    FUSED_ACTIVATION_CHANNEL_ESTIMATE = 64
 
     def __init__(
         self,
@@ -127,16 +131,11 @@ class ModelExecutor(Executor):
 
         A single sample whose activations exceed the whole budget (e.g. a
         4096x4096 tile) must still run — the floor division is clamped to 1,
-        and a degenerate zero-area geometry cannot divide by zero.  Compiled
-        engines budget with the fused working-set estimate (padded scratch
-        buffers), so their micro-batches are smaller for the same geometry.
+        and a degenerate zero-area geometry cannot divide by zero.  The
+        float32 lane's samples are half the bytes, so its micro-batches are
+        twice as large.
         """
-        channels = (
-            self.FUSED_ACTIVATION_CHANNEL_ESTIMATE
-            if self.compiled
-            else self.ACTIVATION_CHANNEL_ESTIMATE
-        )
-        per_sample = channels * height * width * self.dtype.itemsize
+        per_sample = self.ACTIVATION_CHANNEL_ESTIMATE * height * width * self.dtype.itemsize
         return max(1, self.MICRO_BATCH_BUDGET_BYTES // max(per_sample, 1))
 
     @staticmethod

@@ -79,7 +79,7 @@ from multiprocessing import shared_memory
 import numpy as np
 
 from .. import knobs
-from ..nn.backends import resolve_blas_threads, set_blas_threads
+from ..nn.backends import resolve_blas_threads, set_blas_threads, set_compute_threads
 from .executors import Executor, as_executor
 from .faults import FaultPlan, resolve_fault_plan
 from .streaming import SegmentRing, create_segment, release_segment, resolve_streaming
@@ -136,11 +136,13 @@ class ParallelConfig:
     degradation) as a :class:`~repro.pipeline.supervision.RetryPolicy`;
     ``None`` defers to ``REPRO_WORKER_TIMEOUT`` / ``REPRO_WORKER_RETRIES`` /
     ``REPRO_DEGRADE`` (then the policy defaults).
-    ``blas_threads``: BLAS thread cap applied inside each pool worker (and to
-    the parent when serial); ``None`` defers to ``REPRO_BLAS_THREADS``, then
-    1-per-worker when pooled / leave-the-library-alone (0) when serial, so
-    ``workers x BLAS threads`` never oversubscribes by default (see
-    :mod:`repro.nn.backends` and ``docs/configuration.md``).
+    ``blas_threads``: thread budget applied inside each pool worker: the
+    size of the worker's compute team for a compiled executor (BLAS capped
+    at one), a BLAS thread cap otherwise; ``None`` defers to
+    ``REPRO_BLAS_THREADS``, then 1-per-worker when pooled /
+    leave-the-library-alone (0) when serial, so ``workers x threads`` never
+    oversubscribes by default (see :mod:`repro.nn.backends` and
+    ``docs/configuration.md``).
     """
 
     num_workers: int | None = None
@@ -222,10 +224,14 @@ def _init_worker(
     _WORKER_EXECUTOR = executor
     _WORKER_FAULTS = fault_plan
     _WORKER_SEGMENTS.clear()
-    if blas_threads:
-        # Runtime ctypes call, not an env var: under the fork start method
-        # the BLAS library is already initialized when the worker starts, so
-        # OPENBLAS_NUM_THREADS would be read too late to retune it.
+    # Runtime ctypes calls, not an env var: under the fork start method the
+    # BLAS library is already initialized when the worker starts, so
+    # OPENBLAS_NUM_THREADS would be read too late to retune it.  A compiled
+    # executor's fused kernels run on this worker's own compute team (a
+    # forked child never reuses its parent's, see compute_team).
+    if getattr(executor, "compiled", False):
+        set_compute_threads(blas_threads)
+    elif blas_threads:
         set_blas_threads(blas_threads)
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import create_model
+from repro.nn.backends import compute_team, set_compute_threads
 
 #: Tiny-but-representative configuration for every model in
 #: ``repro.core.registry`` — small enough that a full forward runs in
@@ -41,6 +42,15 @@ def zoo_model(request):
 def tiny_model_factory():
     """Session-wide access to :func:`build_tiny_model` for module fixtures."""
     return build_tiny_model
+
+
+@pytest.fixture
+def compute_threads():
+    """``size(n)`` re-sizes this process's compute team for one test; the
+    team the session ran on before is restored afterwards."""
+    previous = compute_team().size
+    yield set_compute_threads
+    set_compute_threads(previous)
 
 
 @pytest.fixture

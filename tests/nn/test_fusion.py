@@ -246,6 +246,89 @@ def test_conv_bn_act_blocked_ignores_slack_tail_and_stale_scratch(rng):
     assert not border.any()
 
 
+def _band_reference(x, w, b, stride, padding, rows, slope=0.2):
+    """The strided kernel's arithmetic: per sample, one ``w_mat @ patches``
+    GEMM per band of ``rows`` output rows, its columns zero-padded to a
+    multiple of 64, then bias and leaky ReLU on the valid columns."""
+    c_out, _, kh, kw = w.shape
+    n = x.shape[0]
+    h_out = (x.shape[2] + 2 * padding - kh) // stride + 1
+    w_out = (x.shape[3] + 2 * padding - kw) // stride + 1
+    cols = F.im2col(x, kh, kw, stride, padding)
+    ref = np.empty((n, c_out, h_out * w_out))
+    for i in range(n):
+        for r0 in range(0, h_out, rows):
+            start, stop = r0 * w_out, min(r0 + rows, h_out) * w_out
+            width = -(-(stop - start) // 64) * 64
+            band = np.zeros((cols.shape[1], width))
+            band[:, : stop - start] = cols[i, :, start:stop]
+            ref[i, :, start:stop] = (w.reshape(c_out, -1) @ band)[:, : stop - start]
+    return _bias_act(ref, b, "leaky_relu", slope).reshape(n, c_out, h_out, w_out)
+
+
+# (C_in, output size): one band at 8x8, two 32-row bands at 64x64, one
+# ragged band (1369 positions) at 37x37, eight ragged 16-row bands at 125x125.
+@pytest.mark.parametrize("c_in,out_size", [(2, 8), (3, 64), (4, 37), (1, 125)])
+def test_conv_bn_act_strided_bands_match_reference_bitwise(rng, c_in, out_size):
+    """Bit for bit against the in-test band reference, and within 1e-12 of
+    the single whole-image im2col GEMM the kernel ran before row bands."""
+    x = rng.standard_normal((2, c_in, 2 * out_size, 2 * out_size))
+    weight = rng.standard_normal((5, c_in, 4, 4))
+    bias = rng.standard_normal(5)
+    out = F.conv_bn_act(
+        x, weight, bias, stride=2, padding=1, activation="leaky_relu", negative_slope=0.2
+    )
+    rows = max(1, min(out_size, F.CONV_BLOCK // out_size))
+    np.testing.assert_array_equal(out, _band_reference(x, weight, bias, 2, 1, rows))
+    whole = np.matmul(weight.reshape(5, -1), F.im2col(x, 4, 4, 2, 1))
+    whole = _bias_act(whole, bias, "leaky_relu", 0.2).reshape(out.shape)
+    assert np.max(np.abs(out - whole)) <= 1e-12
+
+
+def _channel_group_reference(x, w, b, stride, padding, group, slope=0.2):
+    """The overlapping transposed kernel's arithmetic: per sample and group
+    of ``group`` output channels, one GEMM against the group's weight
+    columns, then the per-offset scatter-add in ``(ki, kj)`` order, the
+    crop, bias and leaky ReLU."""
+    n, c_in, h, wd = x.shape
+    _, c_out, kh, kw = w.shape
+    h_pad, w_pad = (h - 1) * stride + kh, (wd - 1) * stride + kw
+    w_mat = w.reshape(c_in, -1)
+    ref = np.empty((n, c_out, h_pad - 2 * padding, w_pad - 2 * padding))
+    for i in range(n):
+        for c0 in range(0, c_out, group):
+            c1 = min(c0 + group, c_out)
+            tiles = (w_mat[:, c0 * kh * kw : c1 * kh * kw].T @ x[i].reshape(c_in, -1)).reshape(
+                c1 - c0, kh, kw, h, wd
+            )
+            image = np.zeros((c1 - c0, h_pad, w_pad))
+            for ki in range(kh):
+                for kj in range(kw):
+                    image[:, ki : ki + stride * h : stride, kj : kj + stride * wd : stride] += tiles[:, ki, kj]
+            region = image[:, padding : h_pad - padding, padding : w_pad - padding] + b[c0:c1, None, None]
+            ref[i, c0:c1] = np.maximum(region, region * slope)
+    return ref
+
+
+# (C_in, C_out, input size): one group of all 5 channels at 8x8; groups of
+# 2 channels at 64x64 (the last one ragged); one channel per group at 100x100.
+@pytest.mark.parametrize("c_in,c_out,size", [(3, 5, 8), (4, 5, 64), (2, 3, 100)])
+def test_conv_transpose_bn_act_channel_groups_match_reference_bitwise(rng, c_in, c_out, size):
+    """Bit for bit against the in-test channel-group reference, and within
+    1e-12 of the unfused transposed conv."""
+    x = rng.standard_normal((2, c_in, size, size))
+    weight = rng.standard_normal((c_in, c_out, 4, 4))
+    bias = rng.standard_normal(c_out)
+    out = F.conv_transpose_bn_act(
+        x, weight, bias, stride=2, padding=1, activation="leaky_relu", negative_slope=0.2
+    )
+    group = min(c_out, -(-4 * F.CONV_BLOCK // (size * size)))
+    np.testing.assert_array_equal(out, _channel_group_reference(x, weight, bias, 2, 1, group))
+    with no_grad():
+        plain = F.conv_transpose2d(Tensor(x), Tensor(weight), Tensor(bias), stride=2, padding=1).numpy()
+    assert np.max(np.abs(out - np.maximum(plain, 0.2 * plain))) <= 1e-12
+
+
 def test_float32_lane_blocked_refine_tail_within_calibrated_tolerance(tiny_model_factory, rng):
     """The float32 lane runs the same blocked kernel in single precision: at
     64 px the DOINN refine tail spans several blocks and stays within the
@@ -633,6 +716,22 @@ def test_compiled_model_pickle_round_trip(tiny_model_factory, rng):
         np.testing.assert_array_equal(clone(Tensor(x)).numpy(), graph(Tensor(x)).numpy())
 
 
+def test_pickled_graph_carries_no_compute_team(tiny_model_factory, rng, compute_threads):
+    """The compute team is per process (its threads cannot cross a process
+    boundary): a graph that ran on a team pickles without it, and its
+    clone runs on the team of whichever process unpickles it."""
+    compute_threads(2)
+    graph = compile_model(tiny_model_factory("doinn"))
+    x = rng.random((2, 1, 32, 32))
+    with no_grad():
+        expected = graph(Tensor(x)).numpy()
+    payload = pickle.dumps(graph)
+    assert b"ComputeTeam" not in payload and b"repro-team" not in payload
+    compute_threads(1)
+    with no_grad():
+        np.testing.assert_array_equal(pickle.loads(payload)(Tensor(x)).numpy(), expected)
+
+
 # --------------------------------------------------------------------- #
 # Inference-only guards
 # --------------------------------------------------------------------- #
@@ -849,14 +948,17 @@ def test_transposed_conv_up_paths_compile_without_fallback(zoo_model):
 # --------------------------------------------------------------------- #
 # Fused-path allocation / cache bugfixes (PR 8 satellites)
 # --------------------------------------------------------------------- #
-def test_conv_bn_act_routes_bordered_gemm_through_scratch(rng):
+def test_conv_bn_act_routes_bordered_gemm_through_scratch(rng, compute_threads):
     """Bugfix pin: the stride-1 kernel must pack its kernel rows and land its
     GEMM results in the caller-provided flat ``gemm`` block scratch instead
     of allocating per sample per call.  A NaN canary proves the buffer was
     actually consumed: afterwards no NaN is left, the pack holds the last
     sample's ``kw`` column shifts with the zero-padded tail past its halo,
     the result rows hold that sample's output at padded-width positions
-    (the GEMM target), and the accumulator its last kernel row's term."""
+    (the GEMM target), and the accumulator its last kernel row's term.  On a
+    team of one the scratch is one member's slice and the units run in
+    order, so the last unit's contents are the ones left behind."""
+    compute_threads(1)
     x = rng.standard_normal((3, 2, 8, 8))
     w = rng.standard_normal((4, 2, 3, 3))
     plain = F.conv_bn_act(x, w, None, stride=1, padding=1)
@@ -883,19 +985,24 @@ def test_conv_bn_act_routes_bordered_gemm_through_scratch(rng):
         F.conv_bn_act(x, w, None, stride=1, padding=1, output_padding=1, gemm=np.zeros((3, 64)))
 
 
-def test_fused_chain_caches_bordered_gemm_buffer(rng):
-    """Chain level: every stride-1 conv gets its block scratch from the
+def test_fused_chain_caches_bordered_gemm_buffer(rng, compute_threads):
+    """Chain level: the stride-1 convs get their block scratch from the
     buffer cache, under the ``"gemm"`` namespace, allocated once and reused
-    across same-geometry calls.  NaN-filling the cached buffers between calls
-    proves the run consumes them rather than allocating its own."""
+    across same-geometry calls; they run one after another, so they share
+    one buffer sized for the larger.  NaN-filling the cached buffers between
+    calls proves the run consumes them rather than allocating its own (on a
+    team of one, whose single member slice every unit rewrites)."""
+    compute_threads(1)
     block = VGGBlock(2, 3, rng=rng)
     chain = build_chain(block.fusible_chain())
     x = rng.standard_normal((2, 2, 8, 8))
     first = chain.run(x)
     gemm_keys = [key for key in chain._scratch if key[0] == "gemm"]
-    assert sorted(key[2] for key in gemm_keys) == [
-        F.conv_gemm_shape((2, 2, 10, 10), (3, 2, 3, 3)),
-        F.conv_gemm_shape((2, 3, 10, 10), (3, 3, 3, 3)),
+    assert [key[1] for key in gemm_keys] == [
+        max(
+            F.conv_gemm_shape((2, 2, 10, 10), (3, 2, 3, 3)),
+            F.conv_gemm_shape((2, 3, 10, 10), (3, 3, 3, 3)),
+        )
     ]
     ids = {key: id(chain._scratch[key]) for key in gemm_keys}
     for key in gemm_keys:

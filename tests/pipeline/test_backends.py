@@ -33,9 +33,12 @@ from repro.nn import compile_model
 from repro.nn.backends import (
     BACKEND_ENV,
     BLAS_THREADS_ENV,
+    ComputeTeam,
+    compute_team,
     get_blas_threads,
     resolve_backend,
     resolve_blas_threads,
+    usable_cores,
 )
 from repro.pipeline import (
     ConfigError,
@@ -44,6 +47,7 @@ from repro.pipeline import (
     InferencePipeline,
     ModelExecutor,
     ParallelConfig,
+    RetryPolicy,
     WorkerPoolExecutor,
     as_executor,
 )
@@ -327,17 +331,24 @@ def test_conv_bn_act_bits_do_not_depend_on_blas_threads():
     stride-1 kernel keeps every GEMM width a multiple of 64; the shapes
     cover the refine convs (the ``C_out == 1`` output conv included) and a
     4x4 kernel, so every one of the ``kh`` accumulating kernel-row GEMMs is
-    held to it.  Runs in a fresh interpreter so this session's BLAS state is
-    untouched."""
+    held to it, on a team of one that leaves BLAS alone.
+
+    The same geometries, plus DOINN's 4x4/stride-2 down convs and its
+    overlapping transposed convs, must also give the same bits on compute
+    teams of 1, 2 and 3 threads: unit bounds depend on the geometry alone,
+    and only which thread runs a unit depends on the team.  The spreading
+    threshold is zeroed so every multi-unit conv is spread.  Runs in a fresh
+    interpreter so this session's BLAS state and team are untouched."""
     report = json.loads(_run_python(
         """
         import json
         import numpy as np
         from repro.nn import functional as F
-        from repro.nn.backends import set_blas_threads
+        from repro.nn.backends import ComputeTeam, set_blas_threads, set_compute_threads
 
         rng = np.random.default_rng(7)
         capped, mismatches = True, []
+        set_compute_threads(0)  # a team of one that leaves BLAS alone
         for size in (37, 50, 63, 250):
             for c_out, c_in, k in ((32, 4, 3), (16, 32, 3), (16, 16, 3), (1, 16, 3), (16, 16, 4)):
                 x = rng.standard_normal((1, c_in, size, size))
@@ -348,13 +359,122 @@ def test_conv_bn_act_bits_do_not_depend_on_blas_threads():
                     capped &= set_blas_threads(threads)
                     outs.append(F.conv_bn_act(x, w, b, padding=k // 2, activation="relu"))
                 if not np.array_equal(*outs):
-                    mismatches.append([size, c_out, c_in, k, float(np.abs(outs[0] - outs[1]).max())])
+                    mismatches.append(["blas", size, c_out, c_in, k, float(np.abs(outs[0] - outs[1]).max())])
+
+        ComputeTeam.MIN_UNIT_MACS = 0
+        kernels = [
+            ("stride1", c_out, c_in, k, lambda x, w, b, k=k: F.conv_bn_act(
+                x, w, b, padding=k // 2, activation="leaky_relu", negative_slope=0.1))
+            for c_out, c_in, k in ((32, 4, 3), (16, 32, 3), (1, 16, 3), (16, 16, 4))
+        ] + [
+            ("strided", c_out, c_in, 4, lambda x, w, b: F.conv_bn_act(
+                x, w, b, stride=2, padding=1, activation="leaky_relu", negative_slope=0.1,
+                output_padding=1))
+            for c_out, c_in in ((4, 1), (16, 8))
+        ] + [
+            ("transposed", c_out, c_in, 4, lambda x, w, b: F.conv_transpose_bn_act(
+                x, w, b, stride=2, padding=1, activation="leaky_relu", negative_slope=0.1,
+                output_padding=1))
+            for c_out, c_in in ((16, 32), (4, 12))
+        ]
+        for size in (37, 50, 63, 250):
+            for kind, c_out, c_in, k, run in kernels:
+                x = rng.standard_normal((2, c_in, size, size))
+                shape = (c_in, c_out, k, k) if kind == "transposed" else (c_out, c_in, k, k)
+                w = rng.standard_normal(shape)
+                b = rng.standard_normal(c_out)
+                outs = []
+                for team in (1, 2, 3):
+                    set_compute_threads(team)
+                    outs.append(run(x, w, b))
+                for team, out in zip((2, 3), outs[1:]):
+                    if not np.array_equal(outs[0], out):
+                        mismatches.append([kind, team, size, c_out, c_in, k])
         print(json.dumps({"capped": capped, "mismatches": mismatches}))
         """
     ))
     if not report["capped"]:
         pytest.skip("no OpenBLAS thread setter to switch between 1 and 2 threads")
     assert report["mismatches"] == []
+
+
+# --------------------------------------------------------------------- #
+# Compute team: fork safety, budget, pickling
+# --------------------------------------------------------------------- #
+def test_compute_team_runs_every_unit_once_and_propagates_errors(compute_threads):
+    compute_threads(3)
+    team = compute_team()
+    assert team.size == 3
+    seen = []
+    team.run(lambda index, member: seen.append((index, member)), 50, team.MIN_UNIT_MACS)
+    assert sorted(index for index, _ in seen) == list(range(50))
+    assert {member for _, member in seen} <= {0, 1, 2}
+
+    def failing(index, member):
+        if index == 7:
+            raise KeyError("unit 7")
+
+    for _ in range(2):  # a failed call leaves no stale error behind
+        with pytest.raises(KeyError, match="unit 7"):
+            team.run(failing, 20, team.MIN_UNIT_MACS)
+    seen.clear()
+    team.run(lambda index, member: seen.append(index), 5, team.MIN_UNIT_MACS)
+    assert sorted(seen) == list(range(5))
+
+
+def test_compute_team_keeps_small_units_on_the_caller(compute_threads):
+    compute_threads(2)
+    team = compute_team()
+    members = set()
+    team.run(lambda index, member: members.add(member), 64, team.MIN_UNIT_MACS - 1)
+    assert members == {0}
+
+
+def test_pooled_pipeline_after_serial_team_does_not_hang(model, compute_threads, monkeypatch):
+    """Fork safety: a serial compiled forward leaves this process's team with
+    live helper threads; a pool forked afterwards must not reuse that team
+    (its threads do not exist in the child, so a worker waiting on them would
+    hang).  Workers sized at the parent's team size are the case a shared
+    team would hit; every unit is spread, and each worker chunk holds two
+    masks so every conv has at least two units.  The deadline turns a hang
+    into a structured failure instead of a stuck suite."""
+    monkeypatch.setattr(ComputeTeam, "MIN_UNIT_MACS", 0)
+    compute_threads(2)
+    masks = _random_masks(5, 32, seed=23)
+    config = dict(compile=True, backend="float64")
+    expected = InferencePipeline(model, ExecutionConfig(blas_threads=2, **config)).predict(masks)
+    assert compute_team().size == 2
+    retry = RetryPolicy(timeout=60.0, max_retries=0, degrade=False)
+    with InferencePipeline(
+        model, ExecutionConfig(num_workers=2, blas_threads=2, retry=retry, **config)
+    ) as pooled:
+        got = pooled.predict(masks)
+        robustness = pooled.executor.robustness
+        assert (robustness.chunks_retried, robustness.degraded_runs) == (0, 0)
+    np.testing.assert_array_equal(got, expected)
+
+
+def test_second_serial_compiled_pipeline_gets_the_full_budget(model, compute_threads, monkeypatch):
+    """The budget is resolved from the usable cores, never read back from the
+    BLAS library, which reads 1 once the first team capped it."""
+    monkeypatch.delenv(BLAS_THREADS_ENV, raising=False)
+    compute_threads(1)
+    config = ExecutionConfig(compile=True, backend="float64")
+    first = InferencePipeline(model, config)
+    first.predict(_random_masks(1, 32))
+    second = InferencePipeline(model, config)
+    assert second.config.blas_threads == usable_cores()
+    assert compute_team().size == usable_cores()
+
+
+def test_serial_pipeline_thread_budget_defaults(model, monkeypatch):
+    monkeypatch.delenv(BLAS_THREADS_ENV, raising=False)
+    assert ExecutionConfig(compile=True).resolve().blas_threads == usable_cores()
+    assert ExecutionConfig().resolve().blas_threads == 0
+    assert ExecutionConfig(compile=True, num_workers=2).resolve().blas_threads == 1
+    assert resolve_blas_threads(None, num_workers=0, compiled=True) == usable_cores()
+    monkeypatch.setenv(BLAS_THREADS_ENV, "1")
+    assert ExecutionConfig(compile=True).resolve().blas_threads == 1
 
 
 class _BlasThreadProbe(Executor):
@@ -381,13 +501,31 @@ def test_pool_workers_run_one_blas_thread(monkeypatch):
 
 
 def test_uncapped_pool_workers_keep_library_default(monkeypatch):
-    """``blas_threads=0`` leaves the workers' libraries at their default."""
+    """``blas_threads=0`` leaves the workers' libraries at their default.
+    Runs in a fresh interpreter: forked workers inherit their parent's BLAS
+    state, and a compute team in this session has already capped the
+    library once for the whole process."""
     monkeypatch.delenv(BLAS_THREADS_ENV, raising=False)
-    default = _run_python(
+    report = json.loads(_run_python(
         """
-        import repro.pipeline
+        import json
+        import numpy as np
         from repro.nn.backends import get_blas_threads
-        print(get_blas_threads())
+        from repro.pipeline import Executor, WorkerPoolExecutor
+
+        class Probe(Executor):
+            name = "blas-thread-probe"
+
+            def run_batch(self, batch):
+                return np.full(batch.shape, float(get_blas_threads() or 0))
+
+        default = get_blas_threads()
+        with WorkerPoolExecutor(Probe(), num_workers=2, blas_threads=0) as pool:
+            out = pool.run_batch(np.zeros((5, 1, 2, 2)))
+            degraded = pool.robustness.degraded_runs
+        workers = sorted(set(out[1:].ravel().tolist()))  # row 0 is the in-process probe
+        print(json.dumps({"default": default, "workers": workers, "degraded": degraded}))
         """
-    )
-    assert _worker_blas_threads(blas_threads=0) == {float(default)}
+    ))
+    assert report["degraded"] == 0  # every chunk ran in a worker
+    assert report["workers"] == [float(report["default"])]

@@ -21,6 +21,7 @@ from repro.layout.tiling import extract_tiles, stitch_cores, tile_grid
 from repro.litho import LithoSimulator
 from repro.pipeline import (
     DEFAULT_CACHE_BUDGET_BYTES,
+    ExecutionConfig,
     InferencePipeline,
     MaskResultCache,
     PipelineStats,
@@ -171,8 +172,8 @@ def test_choose_patch_tile():
 # --------------------------------------------------------------------- #
 def test_pipeline_result_cache_repeats_bit_identical(simulator):
     masks = np.stack([_random_mask(64, seed=s) for s in (1, 2)])
-    plain = InferencePipeline(simulator, batch_size=4)
-    cached = InferencePipeline(simulator, batch_size=4, result_cache=True)
+    plain = InferencePipeline(simulator, ExecutionConfig(batch_size=4))
+    cached = InferencePipeline(simulator, ExecutionConfig(batch_size=4, result_cache=True))
     expected = plain.predict(masks)
 
     first = cached.run(masks)
@@ -188,8 +189,8 @@ def test_pipeline_result_cache_repeats_bit_identical(simulator):
 def test_pipeline_result_cache_mixed_batch(simulator):
     seen = _random_mask(64, seed=1)
     fresh = _random_mask(64, seed=3)
-    plain = InferencePipeline(simulator, batch_size=4)
-    cached = InferencePipeline(simulator, batch_size=4, result_cache=True)
+    plain = InferencePipeline(simulator, ExecutionConfig(batch_size=4))
+    cached = InferencePipeline(simulator, ExecutionConfig(batch_size=4, result_cache=True))
     cached.predict(seen)
 
     batch = np.stack([fresh, seen, fresh])  # duplicate miss + one hit
@@ -199,7 +200,7 @@ def test_pipeline_result_cache_mixed_batch(simulator):
 
 
 def test_pipeline_result_cache_disabled_by_default(simulator):
-    pipeline = InferencePipeline(simulator, batch_size=4)
+    pipeline = InferencePipeline(simulator, ExecutionConfig(batch_size=4))
     assert pipeline.result_cache is None
     stats = pipeline.run(_random_mask(64)).stats
     assert stats.cache_hits == 0 and stats.cache_misses == 0
@@ -210,7 +211,8 @@ def test_model_result_cache_keys_by_execution_plan(tiny_model_factory):
     model = tiny_model_factory("doinn")
     mask = _random_mask(64)
     pipeline = InferencePipeline(
-        model, tile_size=32, batch_size=8, optical_diameter_pixels=8, result_cache=True
+        model,
+        ExecutionConfig(tile_size=32, batch_size=8, optical_diameter_pixels=8, result_cache=True),
     )
     stitched = pipeline.predict(mask, stitch=True)
     naive = pipeline.predict_naive(mask)
@@ -224,7 +226,7 @@ def test_model_result_cache_keys_by_execution_plan(tiny_model_factory):
 # Patched aerial re-simulation (golden simulator)
 # --------------------------------------------------------------------- #
 def test_patched_simulator_matches_predict_over_perturbations(simulator):
-    pipeline = InferencePipeline(simulator, batch_size=4)
+    pipeline = InferencePipeline(simulator, ExecutionConfig(batch_size=4))
     state = pipeline.incremental_state((128, 128))
     assert state.mode == "aerial" and state.tile_size == 64 and state.n_tiles == 9
 
@@ -255,7 +257,7 @@ def test_patched_simulator_matches_predict_over_perturbations(simulator):
 
 
 def test_patched_simulator_trusts_candidate_windows(simulator):
-    pipeline = InferencePipeline(simulator, batch_size=4)
+    pipeline = InferencePipeline(simulator, ExecutionConfig(batch_size=4))
     state = pipeline.incremental_state((128, 128))
     mask = _random_mask(128)
     pipeline.predict_patched(mask, state)
@@ -272,7 +274,7 @@ def test_patched_simulator_trusts_candidate_windows(simulator):
 
 def test_patched_simulator_single_window_fallback(simulator):
     """Images no window divides degenerate to skip-if-unchanged, still exact."""
-    pipeline = InferencePipeline(simulator, batch_size=4)
+    pipeline = InferencePipeline(simulator, ExecutionConfig(batch_size=4))
     state = pipeline.incremental_state((96, 96))
     assert state.n_tiles == 1
     mask = _random_mask(96)
@@ -286,14 +288,14 @@ def test_patched_simulator_single_window_fallback(simulator):
 
 
 def test_patched_rejects_wrong_shape(simulator):
-    pipeline = InferencePipeline(simulator, batch_size=4)
+    pipeline = InferencePipeline(simulator, ExecutionConfig(batch_size=4))
     state = pipeline.incremental_state((128, 128))
     with pytest.raises(ValueError):
         pipeline.predict_patched(_random_mask(64), state)
 
 
 def test_patched_populates_result_cache(simulator):
-    pipeline = InferencePipeline(simulator, batch_size=4, result_cache=True)
+    pipeline = InferencePipeline(simulator, ExecutionConfig(batch_size=4, result_cache=True))
     state = pipeline.incremental_state((128, 128))
     mask = _random_mask(128)
     out = pipeline.predict_patched(mask, state)
@@ -308,7 +310,7 @@ def test_patched_populates_result_cache(simulator):
 def test_patched_gp_matches_stitched_bit_for_bit(tiny_model_factory):
     model = tiny_model_factory("doinn")
     pipeline = InferencePipeline(
-        model, tile_size=32, batch_size=8, optical_diameter_pixels=8
+        model, ExecutionConfig(tile_size=32, batch_size=8, optical_diameter_pixels=8)
     )
     state = pipeline.incremental_state((64, 64))
     assert state.mode == "gp"
@@ -323,7 +325,7 @@ def test_patched_gp_matches_stitched_bit_for_bit(tiny_model_factory):
 
 
 def test_patched_unsupported_engine_raises(tiny_model_factory):
-    pipeline = InferencePipeline(tiny_model_factory("unet"), batch_size=8)
+    pipeline = InferencePipeline(tiny_model_factory("unet"), ExecutionConfig(batch_size=8))
     with pytest.raises(ValueError):
         pipeline.incremental_state((64, 64))
 
@@ -332,8 +334,8 @@ def test_patched_unsupported_engine_raises(tiny_model_factory):
 # Worker pool: patched plan through the num_workers x batch_size path
 # --------------------------------------------------------------------- #
 def test_patched_simulator_pooled_matches_serial(simulator):
-    serial = InferencePipeline(simulator, batch_size=4)
-    with InferencePipeline(simulator, batch_size=2, num_workers=2) as pooled:
+    serial = InferencePipeline(simulator, ExecutionConfig(batch_size=4))
+    with InferencePipeline(simulator, ExecutionConfig(batch_size=2, num_workers=2)) as pooled:
         state = pooled.incremental_state((128, 128))
         mask = _random_mask(128)
         assert np.array_equal(pooled.predict_patched(mask, state), serial.predict(mask))
@@ -360,11 +362,11 @@ def test_result_cache_keys_by_compute_backend(tiny_model_factory):
     key was mask content alone and the first lane to run poisoned the rest."""
     model = tiny_model_factory("doinn")
     masks = np.stack([_random_mask(32, seed=s) for s in (1, 2)])
-    p64 = InferencePipeline(model, batch_size=4, compile=True, result_cache=True)
+    p64 = InferencePipeline(model, ExecutionConfig(batch_size=4, compile=True, result_cache=True))
     first = p64.run(masks)
     assert first.stats.cache_misses == 2
 
-    p32 = InferencePipeline(model, batch_size=4, compile=True, backend="float32")
+    p32 = InferencePipeline(model, ExecutionConfig(batch_size=4, compile=True, backend="float32"))
     p32.result_cache = p64.result_cache  # deliberately share the store
     crossed = p32.run(masks)
     assert crossed.stats.cache_hits == 0 and crossed.stats.cache_misses == 2
@@ -374,7 +376,7 @@ def test_result_cache_keys_by_compute_backend(tiny_model_factory):
     again = p64.run(masks)
     assert again.stats.cache_hits == 2 and again.stats.cache_misses == 0
     assert np.array_equal(again.outputs, first.outputs)
-    twin = InferencePipeline(model, batch_size=4, compile=True)
+    twin = InferencePipeline(model, ExecutionConfig(batch_size=4, compile=True))
     twin.result_cache = p64.result_cache
     assert twin.run(masks).stats.cache_hits == 2
 
@@ -383,8 +385,8 @@ def test_result_cache_distinguishes_simulator_from_model(simulator, tiny_model_f
     """The golden simulator's identity ("golden") differs from any model
     engine's, so a shared store keyed on the same mask never crosses them."""
     mask = _random_mask(32)
-    sim = InferencePipeline(simulator, batch_size=4, result_cache=True)
+    sim = InferencePipeline(simulator, ExecutionConfig(batch_size=4, result_cache=True))
     sim.predict(mask)
-    model = InferencePipeline(tiny_model_factory("doinn"), batch_size=4)
+    model = InferencePipeline(tiny_model_factory("doinn"), ExecutionConfig(batch_size=4))
     model.result_cache = sim.result_cache
     assert model.run(mask).stats.cache_hits == 0
