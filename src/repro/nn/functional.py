@@ -346,27 +346,31 @@ def _conv_stride1_blocked(
     width = _block_width(span)
     blocks = -(-span // width)
     pack_size = k_len * (width + halo)
-    slices = scratch.reshape(-1, pack_size + 2 * c_out * width)
+    # Each member's (pack, result, accumulator) slice of the scratch.
+    members = [
+        (flat[:pack_size], flat[pack_size : pack_size + c_out * width], flat[pack_size + c_out * width :])
+        for flat in scratch.reshape(-1, pack_size + 2 * c_out * width)
+    ]
     x = np.ascontiguousarray(x)
     item = x.itemsize
 
     def unit(index: int, member: int) -> None:
         i, block = divmod(index, blocks)
-        flat = slices[member]
+        pack_flat, result_flat, acc_flat = members[member]
         src = x[i].reshape(c_in, hp * wp)
         start = block * width
         stop = min(start + width, span)
         valid = stop - start
         cols = _round_up(valid, CONV_BLOCK_ALIGN)
         reach = valid + halo
-        pack = flat[: k_len * (cols + halo)].reshape(k_len, cols + halo)
+        pack = pack_flat[: k_len * (cols + halo)].reshape(k_len, cols + halo)
         pack.reshape(c_in, kw, cols + halo)[..., :reach] = as_strided(
             src[:, start:], shape=(c_in, kw, reach), strides=(src.strides[0], item, item)
         )
         if valid < cols:
             pack[:, reach:] = 0.0
-        part = np.matmul(w_rows[0], pack[:, :cols], out=flat[pack_size : pack_size + c_out * cols].reshape(c_out, cols))
-        acc = flat[pack_size + c_out * width :][: c_out * cols].reshape(c_out, cols)
+        part = np.matmul(w_rows[0], pack[:, :cols], out=result_flat[: c_out * cols].reshape(c_out, cols))
+        acc = acc_flat[: c_out * cols].reshape(c_out, cols)
         for a in range(1, kh):
             part += np.matmul(w_rows[a], pack[:, a * wp : a * wp + cols], out=acc)
         if bias_col is not None:
@@ -405,26 +409,30 @@ def _conv_strided_banded(
     rows = _band_rows(h_out, w_out)
     bands = -(-h_out // rows)
     width = _round_up(rows * w_out, CONV_BLOCK_ALIGN)
-    slices = scratch.reshape(-1, (k_len + c_out) * width)
+    # Each member's (pack, result) slice of the scratch.
+    members = [
+        (flat[: k_len * width], flat[k_len * width :])
+        for flat in scratch.reshape(-1, (k_len + c_out) * width)
+    ]
     # (N, C_in, H_out, W_out, kh, kw) view of every output position's patch.
     windows = sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
     item = scratch.itemsize
 
     def unit(index: int, member: int) -> None:
         i, band = divmod(index, bands)
-        flat = slices[member]
+        pack_flat, result_flat = members[member]
         r0 = band * rows
         r1 = min(r0 + rows, h_out)
         valid = (r1 - r0) * w_out
         cols = _round_up(valid, CONV_BLOCK_ALIGN)
-        pack = flat[: k_len * cols].reshape(k_len, cols)
+        pack = pack_flat[: k_len * cols].reshape(k_len, cols)
         as_strided(
             pack, shape=(c_in, kh, kw, r1 - r0, w_out),
             strides=(kh * kw * cols * item, kw * cols * item, cols * item, w_out * item, item),
         )[...] = windows[i, :, r0:r1].transpose(0, 3, 4, 1, 2)
         if valid < cols:
             pack[:, valid:] = 0.0
-        part = np.matmul(w_mat, pack, out=flat[k_len * cols : (k_len + c_out) * cols].reshape(c_out, cols))
+        part = np.matmul(w_mat, pack, out=result_flat[: c_out * cols].reshape(c_out, cols))
         if bias_col is not None:
             part += bias_col
         _apply_activation_inplace(part, activation, negative_slope)
