@@ -596,19 +596,14 @@ def conv_transpose2d(
     return Tensor.from_op(out, parents, backward)
 
 
-def _direct_scatter(kernel: tuple, stride: int, padding: int) -> bool:
-    """Non-overlapping, gap-free, crop-free transposed kernels (``stride ==
-    kh == kw``, ``padding == 0``: the UNet up path) scatter-assign straight
-    into the output; every other kernel scatters through scratch."""
-    return padding == 0 and stride == kernel[0] and stride == kernel[1]
-
-
 def conv_transpose_scratch_shapes(
     input_shape: tuple, weight_shape: tuple, stride: int = 1, padding: int = 0
 ) -> tuple | None:
     """``(gemm, scatter)`` scratch shapes :func:`conv_transpose_bn_act` needs.
 
-    None on the direct path.  Otherwise each work unit is one sample's group
+    None on the direct path: non-overlapping, gap-free, crop-free kernels
+    (``stride == kh == kw``, ``padding == 0``: the UNet up path)
+    scatter-assign straight into the output.  Otherwise each work unit is one sample's group
     of ``g`` output channels, the fewest that cover ``4 * CONV_BLOCK`` input
     positions: each unit runs ``kh*kw`` scatter-adds over ``g*H*W``
     elements, and shorter numpy calls spend more on handing the GIL between
@@ -621,7 +616,7 @@ def conv_transpose_scratch_shapes(
     """
     _, _, h, w = input_shape
     _, c_out, kh, kw = weight_shape
-    if _direct_scatter((kh, kw), stride, padding):
+    if padding == 0 and stride == kh and stride == kw:
         return None
     group = min(c_out, -(-4 * CONV_BLOCK // max(h * w, 1)))
     members = compute_team().size

@@ -402,12 +402,21 @@ def test_conv_bn_act_bits_do_not_depend_on_blas_threads():
 # Compute team: fork safety, budget, pickling
 # --------------------------------------------------------------------- #
 def test_compute_team_runs_every_unit_once_and_propagates_errors(compute_threads):
+    """More members than a small runner has cores, and a shortened switch
+    interval so the members interleave often: a unit handed out twice or
+    never (a lost update on the shared index) breaks the exactly-once
+    invariant."""
     compute_threads(3)
     team = compute_team()
     assert team.size == 3
     seen = []
-    team.run(lambda index, member: seen.append((index, member)), 50, team.MIN_UNIT_MACS)
-    assert sorted(index for index, _ in seen) == list(range(50))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        team.run(lambda index, member: seen.append((index, member)), 5000, team.MIN_UNIT_MACS)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(index for index, _ in seen) == list(range(5000))
     assert {member for _, member in seen} <= {0, 1, 2}
 
     def failing(index, member):
