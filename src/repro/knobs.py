@@ -312,14 +312,16 @@ register_knob(Knob(
     name="REPRO_BLAS_THREADS",
     kind="int",
     default=(
-        "pooled: `1` per worker; serial compiled: the usable core count; "
-        "other serial: leave the library alone"
+        "pooled: `1` per worker; serial compiled: the usable core count, at "
+        "most 2; other serial: leave the library alone"
     ),
     doc=(
         "Thread budget. A compiled pipeline's fused conv kernels split their "
         "work into units fixed by the geometry and run them on a per-process "
         "compute team of this many threads, with every OpenBLAS capped at one "
-        "thread once for the process (any team size gives the same bits). "
+        "thread: for each call of a serial pipeline (restored when it "
+        "returns), for the whole life of a pool worker (any team size gives "
+        "the same bits). "
         "Unfused and simulator pipelines take it as a plain BLAS cap, applied "
         "to every OpenBLAS the process has mapped (numpy's and scipy's bundled "
         "copies alike). Applied in each pool worker at spawn, and in-process "
@@ -327,7 +329,8 @@ register_knob(Knob(
         "`num_workers x blas_threads <= physical cores` when raising it. `0` "
         "means a team of one and \"do not touch the BLAS library\". The serial "
         "compiled default comes from the process's CPU affinity, never from "
-        "the BLAS library, so a second pipeline gets the same budget. Threads "
+        "the BLAS library, so a second pipeline gets the same budget; it stops "
+        "at 2, the largest team measured, unless set explicitly. Threads "
         "through `ParallelConfig(blas_threads=...)`, "
         "`InferencePipeline(blas_threads=...)`, `OPCConfig.blas_threads` and "
         "the experiment drivers."

@@ -26,22 +26,28 @@ the fusion equivalence suites stay deterministic under any env.
 Compute team and BLAS threads: the fused conv kernels split their work into
 independent units (output blocks, row bands, channel groups) whose
 boundaries depend only on the geometry, and run those units on this
-process's :class:`ComputeTeam` with every OpenBLAS capped at one thread
-(single-threaded GEMMs parallelised over independent output blocks, as in
-Georganas et al., "Anatomy of High-Performance Deep Learning Convolutions
-on SIMD Architectures", arXiv:1808.05567).  Which thread runs a unit never
-changes its bits, so any team size gives the same outputs.
+process's :class:`ComputeTeam` (single-threaded GEMMs parallelised over
+independent output blocks, as in Georganas et al., "Anatomy of
+High-Performance Deep Learning Convolutions on SIMD Architectures",
+arXiv:1808.05567).  Which thread runs a unit never changes its bits, so any
+team size gives the same outputs.
 
-The thread budget is ``REPRO_BLAS_THREADS`` / the ``blas_threads`` knob:
-explicit > env > default, where the default is 1 per pooled worker and the
-usable core count for a serial compiled pipeline (and for any process whose
-first fused kernel runs before a pipeline sized the team).  Unfused and
-simulator pipelines use it as a plain BLAS cap, and only when it is set.
-The cap is applied by a ctypes shim (no ``threadpoolctl`` dependency) and
-reaches *every* OpenBLAS the process has mapped: numpy and scipy each
-bundle their own, and the one numpy's GEMMs call is not necessarily the
-first one listed.  ``0`` means "leave the BLAS library alone" (and a team
-of one).  Knob catalogue: ``docs/configuration.md``.
+The team is a team of one, and BLAS is left alone, unless something asks
+for more: a serial compiled pipeline runs each call inside
+:func:`compute_threads`, which sizes the team and caps every OpenBLAS at one
+thread for that call only and restores both on exit, so unfused pipelines,
+simulators and any other code keep the library's own thread count; a pool
+worker of a compiled executor sizes its team once for its whole life
+(:func:`set_compute_threads`).  The thread budget is ``REPRO_BLAS_THREADS``
+/ the ``blas_threads`` knob: explicit > env > default, where the default is
+1 per pooled worker and ``min(usable cores, DEFAULT_TEAM_LIMIT)`` for a
+serial compiled pipeline.  Unfused and simulator pipelines use it as a
+plain BLAS cap, and only when it is set.  The cap is applied by a ctypes
+shim (no ``threadpoolctl`` dependency) and reaches *every* OpenBLAS the
+process has mapped: numpy and scipy each bundle their own, and the one
+numpy's GEMMs call is not necessarily the first one listed.  ``0`` means
+"leave the BLAS library alone" (and a team of one).  Knob catalogue:
+``docs/configuration.md``.
 """
 
 from __future__ import annotations
@@ -51,6 +57,7 @@ import glob
 import itertools
 import os
 import threading
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -61,8 +68,10 @@ __all__ = [
     "BACKEND_ENV",
     "BLAS_THREADS_ENV",
     "DEFAULT_BACKEND",
+    "DEFAULT_TEAM_LIMIT",
     "ComputeTeam",
     "compute_team",
+    "compute_threads",
     "default_blas_threads",
     "get_blas_threads",
     "resolve_backend",
@@ -205,15 +214,26 @@ def get_blas_threads() -> int | None:
     Taking the maximum means a cap that reached only some of the libraries
     reads as uncapped.  None when no library can be queried.
     """
+    counts = [count for _, count in _blas_thread_counts()]
+    return max(counts) if counts else None
+
+
+def _blas_thread_counts() -> list[tuple[object, int]]:
+    """``(setter, thread count)`` of every mapped OpenBLAS that has a getter;
+    the setter is None where the library lacks one."""
     counts = []
     for lib in _blas_libraries():
-        fn = _find_symbol(lib, _GET_SYMBOLS)
-        if fn is None:
+        get = _find_symbol(lib, _GET_SYMBOLS)
+        if get is None:
             continue
-        fn.argtypes = []
-        fn.restype = ctypes.c_int
-        counts.append(int(fn()))
-    return max(counts) if counts else None
+        get.argtypes = []
+        get.restype = ctypes.c_int
+        put = _find_symbol(lib, _SET_SYMBOLS)
+        if put is not None:
+            put.argtypes = [ctypes.c_int]
+            put.restype = None
+        counts.append((put, int(get())))
+    return counts
 
 
 def usable_cores() -> int:
@@ -224,17 +244,26 @@ def usable_cores() -> int:
         return os.cpu_count() or 1
 
 
+#: Largest default team of a serial compiled pipeline.  Two is the size the
+#: benchmark measured (a 2-vCPU host); members hand the GIL over at every
+#: numpy call and each holds its own scratch slice, so neither the speed
+#: nor the memory of bigger teams is known.  An explicit ``blas_threads``
+#: or ``REPRO_BLAS_THREADS`` may ask for more.
+DEFAULT_TEAM_LIMIT = 2
+
+
 def default_blas_threads(num_workers: int = 0, compiled: bool = False) -> int:
     """The thread budget when neither ``blas_threads`` nor the env sets it.
 
     1 under a worker pool (``num_workers > 1``), so ``workers x threads``
-    never oversubscribes; :func:`usable_cores` for a serial compiled
-    pipeline, whose fused kernels run on the compute team; 0 (meaning
-    "leave the library alone") for any other serial pipeline.
+    never oversubscribes; :func:`usable_cores` up to
+    :data:`DEFAULT_TEAM_LIMIT` for a serial compiled pipeline, whose fused
+    kernels run on the compute team; 0 (meaning "leave the library alone")
+    for any other serial pipeline.
     """
     if num_workers > 1:
         return 1
-    return usable_cores() if compiled else 0
+    return min(usable_cores(), DEFAULT_TEAM_LIMIT) if compiled else 0
 
 
 def resolve_blas_threads(
@@ -293,7 +322,8 @@ class ComputeTeam:
     member index selects that member's slice of the caller's scratch.  A
     team of one runs the same loop inline.  The helpers are parked on plain
     locks between calls: waking one and collecting it costs ~20 us, where a
-    ``concurrent.futures`` pool took ~100 us per call.
+    ``concurrent.futures`` pool took ~100 us per call.  :meth:`resize`
+    starts helpers as needed and keeps them parked when the team shrinks.
     """
 
     #: Units of fewer multiply-adds than this run on the caller's thread
@@ -304,30 +334,44 @@ class ComputeTeam:
     #: 2.4 M per block) ran 1.5x faster.
     MIN_UNIT_MACS = 1 << 21
 
-    def __init__(self, size: int) -> None:
-        self.size = max(1, int(size))
+    def __init__(self, size: int = 1) -> None:
+        self.size = 1
         self._work = None
         #: Held while the helpers work for one caller; a concurrent caller
         #: runs its units inline instead of sharing them.
         self._busy = threading.Lock()
-        self._members = [_Member(self, index) for index in range(1, self.size)]
-        for member in self._members:
-            member.start()
+        self._members: list[_Member] = []
+        #: Open :func:`compute_threads` scopes, and what the first one found.
+        self.scopes = 0
+        self.saved: tuple[int, list] | None = None
+        self.resize(size)
 
-    def run(self, unit, count: int, macs: int) -> None:
+    def resize(self, size: int) -> None:
+        """Run later calls on ``max(1, size)`` threads."""
+        size = max(1, int(size))
+        with self._busy:
+            while len(self._members) < size - 1:
+                member = _Member(self, len(self._members) + 1)
+                member.start()
+                self._members.append(member)
+            self.size = size
+
+    def run(self, unit, count: int, macs: int, slots: int) -> None:
         """Call ``unit(index, member)`` for every ``index`` in ``range(count)``.
 
-        ``member`` is in ``range(self.size)`` and no two concurrent calls
+        ``member`` is in ``range(min(self.size, slots))``, ``slots`` being
+        the scratch slices the caller holds, and no two concurrent calls
         share one.  ``macs`` is the multiply-adds of one unit; units below
         :data:`MIN_UNIT_MACS` all run on the caller's thread.  The first
         exception raised by any unit propagates once every member has
         stopped.
         """
-        helpers = self._members[: count - 1] if macs >= self.MIN_UNIT_MACS else []
-        if not helpers or not self._busy.acquire(blocking=False):
+        threads = min(self.size, slots, count) if macs >= self.MIN_UNIT_MACS else 1
+        if threads < 2 or not self._busy.acquire(blocking=False):
             for index in range(count):
                 unit(index, 0)
             return
+        helpers = self._members[: threads - 1]
         # next() on itertools.count is atomic under the GIL.
         indices = itertools.count()
 
@@ -362,47 +406,82 @@ class ComputeTeam:
             for member in self._members:
                 member.go.release()
             self._members = []
+            self.size = 1
 
 
 #: This process's team as ``(pid, team)``.  Keyed by pid because a forked
 #: child inherits the parent's team object but none of its threads: a child
 #: that submitted to it would wait forever.  Never pickled.
 _TEAM: tuple[int, ComputeTeam] | None = None
-#: Team size requested by :func:`set_compute_threads`; ``None`` until then.
-_TEAM_SIZE: int | None = None
-
-
-def set_compute_threads(n: int) -> None:
-    """Size this process's compute team at ``n`` threads.
-
-    ``n >= 1`` also caps every OpenBLAS at one thread, once for the whole
-    process: the team, not BLAS, spreads the work over the cores, and
-    toggling the cap per call leaves idle BLAS helper threads competing
-    with the team.  ``n == 0`` is a team of one that leaves the BLAS
-    library alone.  Pool workers are sized by the pool initializer, serial
-    compiled pipelines at construction.
-    """
-    global _TEAM, _TEAM_SIZE
-    if n < 0:
-        raise ValueError(f"compute thread count must be >= 0, got {n}")
-    if n:
-        set_blas_threads(1)
-    _TEAM_SIZE = max(1, n)
-    if _TEAM is not None and _TEAM[0] == os.getpid() and _TEAM[1].size != _TEAM_SIZE:
-        _TEAM[1].close()
-        _TEAM = None
+#: Guards the open-scope count of :func:`compute_threads`.
+_SCOPE_LOCK = threading.Lock()
 
 
 def compute_team() -> ComputeTeam:
-    """This process's compute team, created on first use.
+    """This process's compute team, created on first use as a team of one.
 
-    A process whose first fused kernel runs before anything sized the team
-    sizes it by the serial compiled default of :func:`resolve_blas_threads`.
+    Only :func:`compute_threads` (serial compiled pipelines) and
+    :func:`set_compute_threads` (pool workers) make it bigger.
     """
     global _TEAM
     pid = os.getpid()
     if _TEAM is None or _TEAM[0] != pid:
-        if _TEAM_SIZE is None:
-            set_compute_threads(resolve_blas_threads(compiled=True))
-        _TEAM = (pid, ComputeTeam(_TEAM_SIZE))
+        _TEAM = (pid, ComputeTeam())
     return _TEAM[1]
+
+
+def set_compute_threads(n: int) -> None:
+    """Size this process's compute team at ``n`` threads from now on.
+
+    ``n >= 1`` also caps every OpenBLAS at one thread: the team, not BLAS,
+    spreads the work over the cores, and BLAS helper threads left awake
+    compete with the team.  ``n == 0`` is a team of one that leaves the BLAS
+    library alone.  Pool workers of a compiled executor call this once from
+    the pool initializer; in-process callers use :func:`compute_threads`.
+    """
+    if n < 0:
+        raise ValueError(f"compute thread count must be >= 0, got {n}")
+    if n:
+        set_blas_threads(1)
+    compute_team().resize(n)
+
+
+@contextmanager
+def compute_threads(n: int):
+    """Run the block on a compute team of ``n`` threads, BLAS capped at one.
+
+    On exit the team size and every OpenBLAS thread count are restored, so
+    the cap never outlives the caller that asked for it.  Overlapping
+    scopes (pipelines called from several threads) share one team: the
+    first to enter records the state and the last to leave restores it.
+    ``n == 0`` is a team of one that leaves BLAS alone.
+    """
+    if n < 0:
+        raise ValueError(f"compute thread count must be >= 0, got {n}")
+    team = compute_team()
+    with _SCOPE_LOCK:
+        if not team.scopes:
+            team.saved = (team.size, None)
+        team.scopes += 1
+        size, counts = team.saved
+        if n:
+            if counts is None:
+                # One read of the libraries serves the cap and the restore.
+                counts = _blas_thread_counts()
+                team.saved = (size, counts)
+            for put, _ in counts:
+                if put is not None:
+                    put(1)
+        team.resize(n)
+    try:
+        yield team
+    finally:
+        with _SCOPE_LOCK:
+            team.scopes -= 1
+            if not team.scopes:
+                size, counts = team.saved
+                team.saved = None
+                team.resize(size)
+                for put, count in counts or ():
+                    if put is not None:
+                        put(count)

@@ -25,10 +25,11 @@ The fused kernels (:func:`conv_bn_act`, :func:`conv_transpose_bn_act`) split
 their work into independent units: stride-1 blocks, strided output-row
 bands and transposed output-channel groups, with bounds set by the
 geometry alone.  They run those units on the process's compute team
-(:func:`repro.nn.backends.compute_team`) with single-threaded GEMMs, as in
-Georganas et al., "Anatomy of High-Performance Deep Learning Convolutions
-on SIMD Architectures" (arXiv:1808.05567), so any team size gives the
-same bits.
+(:func:`repro.nn.backends.compute_team`); a team of more than one thread
+runs with BLAS capped at one, so single-threaded GEMMs are parallelised
+over the units, as in Georganas et al., "Anatomy of High-Performance Deep
+Learning Convolutions on SIMD Architectures" (arXiv:1808.05567).  Any team
+size gives the same bits.
 """
 
 from __future__ import annotations
@@ -378,7 +379,7 @@ def _conv_stride1_blocked(
         _apply_activation_inplace(part, activation, negative_slope)
         _land_block(part, dst[i], start, stop, wp)
 
-    compute_team().run(unit, n * blocks, c_out * k_len * kh * width)
+    compute_team().run(unit, n * blocks, c_out * k_len * kh * width, len(members))
 
 
 def _conv_strided_banded(
@@ -438,7 +439,7 @@ def _conv_strided_banded(
         _apply_activation_inplace(part, activation, negative_slope)
         dst[i, :, r0:r1] = part[:, :valid].reshape(c_out, r1 - r0, w_out)
 
-    compute_team().run(unit, n * bands, c_out * k_len * width)
+    compute_team().run(unit, n * bands, c_out * k_len * width, len(members))
 
 
 def conv_bn_act(
@@ -783,7 +784,7 @@ def conv_transpose_bn_act(
         _apply_activation_inplace(region, activation, negative_slope)
         interior[i, c0:c1] = region
 
-    compute_team().run(unit, n * groups, c_in * group * taps * h * w)
+    compute_team().run(unit, n * groups, c_in * group * taps * h * w, len(gemm_slices))
     return out
 
 

@@ -106,8 +106,8 @@ class ExecutionConfig:
     #: over ``REPRO_BACKEND`` lives (see the module docstring).
     backend: str | None = None
     #: Thread budget (``REPRO_BLAS_THREADS``, then 1 per worker when pooled,
-    #: the usable core count when serial and compiled, else 0 = leave the
-    #: BLAS library alone).
+    #: the usable core count up to 2 when serial and compiled, else 0 =
+    #: leave the BLAS library alone).
     blas_threads: int | None = None
     #: Persistent shared-memory ring (``REPRO_STREAMING``, then on).
     streaming: bool | None = None

@@ -79,6 +79,7 @@ with both knobs above and stays bit-identical across worker shardings.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import time
 import warnings
@@ -87,7 +88,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..layout.tiling import TileSpec, extract_tiles, stitch_cores, tile_grid
-from ..nn.backends import set_blas_threads, set_compute_threads
+from ..nn.backends import compute_threads, set_blas_threads
 from .cache import (
     IncrementalState,
     MaskResultCache,
@@ -227,15 +228,18 @@ class InferencePipeline:
         engines.
     blas_threads:
         Thread budget, applied inside each pool worker, or in-process when
-        serial.  A compiled engine runs its fused conv kernels on a compute
-        team of this many threads with BLAS capped at one
-        (:func:`repro.nn.backends.set_compute_threads`); any other engine
-        takes it as a BLAS thread cap
+        serial.  A serial compiled engine runs the fused conv kernels of
+        each call on a compute team of this many threads with BLAS capped
+        at one for that call only
+        (:func:`repro.nn.backends.compute_threads`); pool workers of a
+        compiled engine size their own team once.  Any other engine takes
+        it as a BLAS thread cap
         (:func:`repro.nn.backends.set_blas_threads`).  ``None`` defers to
         ``REPRO_BLAS_THREADS``, then 1 per worker when pooled, the usable
-        core count when serial and compiled, and 0 (a team of one, the BLAS
-        library left alone) otherwise, so ``workers x threads`` never
-        oversubscribes by default.
+        core count up to :data:`repro.nn.backends.DEFAULT_TEAM_LIMIT` when
+        serial and compiled, and 0 (a team of one, the BLAS library left
+        alone) otherwise, so ``workers x threads`` never oversubscribes by
+        default.
     """
 
     #: Legacy per-knob keyword arguments accepted (and deprecated) by
@@ -309,16 +313,13 @@ class InferencePipeline:
         self.streaming = (
             self.executor.streaming if isinstance(self.executor, WorkerPoolExecutor) else False
         )
-        # Serial pipelines apply the thread budget in-process (pool workers
-        # get it through the pool initializer; the parent's is left alone).
-        # A compiled one sizes the compute team its fused kernels run on
-        # (and caps BLAS at one thread); any other uses it as a plain BLAS
-        # cap, where the default 0 leaves the library alone.
-        if self.num_workers <= 1:
-            if self.compiled:
-                set_compute_threads(resolved.blas_threads)
-            elif resolved.blas_threads:
-                set_blas_threads(resolved.blas_threads)
+        # Pool workers get the thread budget through the pool initializer
+        # (the parent's is left alone).  A serial compiled pipeline sizes
+        # its compute team per call (_threads); any other serial one uses
+        # the budget as a plain BLAS cap, where the default 0 leaves the
+        # library alone.
+        if self.num_workers <= 1 and not self.compiled and resolved.blas_threads:
+            set_blas_threads(resolved.blas_threads)
         #: Compute lane dtype of the executor (None for simulator engines).
         self.dtype = getattr(self.executor, "dtype", None)
         # Fold the compute identity (engine + lane dtype) into every
@@ -408,14 +409,15 @@ class InferencePipeline:
         robustness = self._robustness_snapshot()
         start = time.perf_counter()
         stitched = plan.mode == "stitched"
-        if self.result_cache is None:
-            outputs = (
-                self._run_stitched(batch4, plan.batch_size, stats)
-                if stitched
-                else self._run_native(batch4, plan.batch_size, stats)
-            )
-        else:
-            outputs = self._run_cached(batch4, plan.batch_size, stats, stitched)
+        with self._threads():
+            if self.result_cache is None:
+                outputs = (
+                    self._run_stitched(batch4, plan.batch_size, stats)
+                    if stitched
+                    else self._run_native(batch4, plan.batch_size, stats)
+                )
+            else:
+                outputs = self._run_cached(batch4, plan.batch_size, stats, stitched)
         stats.seconds = time.perf_counter() - start
         self._record_robustness(stats, robustness)
         return PipelineResult(outputs=outputs, stats=stats)
@@ -471,7 +473,8 @@ class InferencePipeline:
             raise ValueError("gp_features expects a single 2-D mask image")
         self._require_stitchable()
         self._validate_tiled_size(mask.shape)
-        return self._gp_features_one(mask, batch_size or self.batch_size, PipelineStats())
+        with self._threads():
+            return self._gp_features_one(mask, batch_size or self.batch_size, PipelineStats())
 
     # ------------------------------------------------------------------ #
     # Incremental (patched) re-simulation plan
@@ -574,21 +577,22 @@ class InferencePipeline:
         start = time.perf_counter()
         counters = state.counters
         dirty = state.dirty_windows(mask, candidates)
-        if state.cached_map is not None and not dirty:
-            counters.clean_calls += 1
-            counters.tiles_skipped += state.n_tiles
-        elif state.cached_map is None or state.prefer_native(len(dirty)):
-            self._refresh_full(mask, state, stats)
-            counters.full_refreshes += 1
-            state.record(mask)
-        else:
-            self._patch_windows(mask, state, dirty, stats)
-            counters.patched_calls += 1
-            counters.tiles_simulated += len(dirty)
-            counters.tiles_skipped += state.n_tiles - len(dirty)
-            stats.dirty_tiles = len(dirty)
-            state.record(mask, dirty)
-        output = self._finalize_patched(mask, state, stats)
+        with self._threads():
+            if state.cached_map is not None and not dirty:
+                counters.clean_calls += 1
+                counters.tiles_skipped += state.n_tiles
+            elif state.cached_map is None or state.prefer_native(len(dirty)):
+                self._refresh_full(mask, state, stats)
+                counters.full_refreshes += 1
+                state.record(mask)
+            else:
+                self._patch_windows(mask, state, dirty, stats)
+                counters.patched_calls += 1
+                counters.tiles_simulated += len(dirty)
+                counters.tiles_skipped += state.n_tiles - len(dirty)
+                stats.dirty_tiles = len(dirty)
+                state.record(mask, dirty)
+            output = self._finalize_patched(mask, state, stats)
         stats.seconds = time.perf_counter() - start
         self._record_robustness(stats, robustness)
         state.last_stats = stats
@@ -642,6 +646,14 @@ class InferencePipeline:
     # ------------------------------------------------------------------ #
     # Planning helpers
     # ------------------------------------------------------------------ #
+    def _threads(self):
+        """The thread scope of one call: a serial compiled pipeline runs on a
+        compute team of its ``blas_threads`` with BLAS capped at one, both
+        restored on exit; every other pipeline runs as the process is."""
+        if self.compiled and self.num_workers <= 1:
+            return compute_threads(self.config.blas_threads)
+        return contextlib.nullcontext()
+
     def _robustness_snapshot(self):
         """Cumulative supervision counters before a run (pooled executors only)."""
         counters = getattr(self.executor, "robustness", None)

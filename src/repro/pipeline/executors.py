@@ -70,9 +70,9 @@ class ModelExecutor(Executor):
 
     A compiled executor's fused convs split every forward into work units
     fixed by the geometry and run them on the process's compute team
-    (:func:`repro.nn.backends.compute_team`), which a serial pipeline sizes
-    from its ``blas_threads`` budget and a pool worker at one thread; any
-    team size gives the same bits.
+    (:func:`repro.nn.backends.compute_team`), a team of one unless sized: a
+    serial pipeline sizes it from its ``blas_threads`` budget for each call,
+    a pool worker once for its life; any team size gives the same bits.
     """
 
     #: Target activation bytes per micro-batch (measured sweet spot: 2 tiles

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 
 from repro.core import create_model
-from repro.nn.backends import compute_team, set_compute_threads
+from repro.nn import backends
 
 #: Tiny-but-representative configuration for every model in
 #: ``repro.core.registry`` — small enough that a full forward runs in
@@ -46,11 +48,11 @@ def tiny_model_factory():
 
 @pytest.fixture
 def compute_threads():
-    """``size(n)`` re-sizes this process's compute team for one test; the
-    team the session ran on before is restored afterwards."""
-    previous = compute_team().size
-    yield set_compute_threads
-    set_compute_threads(previous)
+    """``size(n)`` runs the rest of one test on a compute team of ``n``
+    threads with BLAS capped at one; the team size and BLAS thread counts
+    the session had are restored afterwards."""
+    with contextlib.ExitStack() as scopes:
+        yield lambda n: scopes.enter_context(backends.compute_threads(n))
 
 
 @pytest.fixture

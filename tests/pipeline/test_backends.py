@@ -33,13 +33,17 @@ from repro.nn import compile_model
 from repro.nn.backends import (
     BACKEND_ENV,
     BLAS_THREADS_ENV,
+    DEFAULT_TEAM_LIMIT,
     ComputeTeam,
     compute_team,
+    compute_threads,
     get_blas_threads,
     resolve_backend,
     resolve_blas_threads,
+    set_blas_threads,
     usable_cores,
 )
+from repro.nn import backends
 from repro.pipeline import (
     ConfigError,
     ExecutionConfig,
@@ -413,7 +417,7 @@ def test_compute_team_runs_every_unit_once_and_propagates_errors(compute_threads
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        team.run(lambda index, member: seen.append((index, member)), 5000, team.MIN_UNIT_MACS)
+        team.run(lambda index, member: seen.append((index, member)), 5000, team.MIN_UNIT_MACS, 3)
     finally:
         sys.setswitchinterval(interval)
     assert sorted(index for index, _ in seen) == list(range(5000))
@@ -425,9 +429,9 @@ def test_compute_team_runs_every_unit_once_and_propagates_errors(compute_threads
 
     for _ in range(2):  # a failed call leaves no stale error behind
         with pytest.raises(KeyError, match="unit 7"):
-            team.run(failing, 20, team.MIN_UNIT_MACS)
+            team.run(failing, 20, team.MIN_UNIT_MACS, 3)
     seen.clear()
-    team.run(lambda index, member: seen.append(index), 5, team.MIN_UNIT_MACS)
+    team.run(lambda index, member: seen.append(index), 5, team.MIN_UNIT_MACS, 3)
     assert sorted(seen) == list(range(5))
 
 
@@ -435,8 +439,10 @@ def test_compute_team_keeps_small_units_on_the_caller(compute_threads):
     compute_threads(2)
     team = compute_team()
     members = set()
-    team.run(lambda index, member: members.add(member), 64, team.MIN_UNIT_MACS - 1)
+    team.run(lambda index, member: members.add(member), 64, team.MIN_UNIT_MACS - 1, 2)
     assert members == {0}
+    team.run(lambda index, member: members.add(member), 64, team.MIN_UNIT_MACS, 1)
+    assert members == {0}  # one scratch slice: one member, whatever the team size
 
 
 def test_pooled_pipeline_after_serial_team_does_not_hang(model, compute_threads, monkeypatch):
@@ -463,25 +469,86 @@ def test_pooled_pipeline_after_serial_team_does_not_hang(model, compute_threads,
     np.testing.assert_array_equal(got, expected)
 
 
-def test_second_serial_compiled_pipeline_gets_the_full_budget(model, compute_threads, monkeypatch):
+def _record_threads(pipeline) -> list[tuple[int, int | None]]:
+    """Wrap the pipeline's executor hooks to record, inside every call, the
+    compute team size and the BLAS thread count they run with."""
+    seen = []
+    for method in ("run_batch", "run_gp", "run_reconstruction"):
+        original = getattr(pipeline.executor, method)
+
+        def hook(*args, original=original, **kwargs):
+            seen.append((compute_team().size, get_blas_threads()))
+            return original(*args, **kwargs)
+
+        setattr(pipeline.executor, method, hook)
+    return seen
+
+
+@pytest.fixture
+def threaded_blas():
+    """BLAS at two threads for one test (the library's own count on a
+    one-core runner may already be 1, which would hide a leaked cap)."""
+    before = get_blas_threads()
+    if before is None:
+        pytest.skip("no OpenBLAS thread control in this process")
+    set_blas_threads(2)
+    yield get_blas_threads()
+    set_blas_threads(before)
+
+
+def test_second_serial_compiled_pipeline_gets_the_full_budget(model, monkeypatch, threaded_blas):
     """The budget is resolved from the usable cores, never read back from the
-    BLAS library, which reads 1 once the first team capped it."""
+    BLAS library, which reads 1 while a team has it capped."""
     monkeypatch.delenv(BLAS_THREADS_ENV, raising=False)
-    compute_threads(1)
+    monkeypatch.setattr(backends, "usable_cores", lambda: 2)
     config = ExecutionConfig(compile=True, backend="float64")
-    first = InferencePipeline(model, config)
-    first.predict(_random_masks(1, 32))
-    second = InferencePipeline(model, config)
-    assert second.config.blas_threads == usable_cores()
-    assert compute_team().size == usable_cores()
+    masks = _random_masks(1, 32)
+    for _ in range(2):
+        pipeline = InferencePipeline(model, config)
+        assert pipeline.config.blas_threads == 2
+        seen = _record_threads(pipeline)
+        pipeline.predict(masks)
+        assert seen and set(seen) == {(2, 1)}
+
+
+def test_compiled_team_and_blas_cap_end_with_the_call(model, monkeypatch, threaded_blas):
+    """The cap is confined to the serial compiled pipeline that asked for a
+    team: an unfused pipeline called afterwards in the same process runs
+    with the BLAS thread count the process had, on a team of one."""
+    monkeypatch.delenv(BLAS_THREADS_ENV, raising=False)
+    masks = _random_masks(2, 32)
+    compiled = InferencePipeline(model, ExecutionConfig(compile=True, blas_threads=2))
+    seen = _record_threads(compiled)
+    compiled.predict(masks)
+    assert seen and set(seen) == {(2, 1)}
+    assert (compute_team().size, get_blas_threads()) == (1, threaded_blas)
+    unfused = InferencePipeline(model, ExecutionConfig())
+    seen = _record_threads(unfused)
+    unfused.predict(masks)
+    assert seen and set(seen) == {(1, threaded_blas)}
+
+
+def test_compute_threads_scope_restores_on_error(threaded_blas):
+    with pytest.raises(KeyError):
+        with compute_threads(3) as team:
+            assert (team.size, get_blas_threads()) == (3, 1)
+            with compute_threads(0):  # nested: team of one, BLAS left as it is
+                assert (team.size, get_blas_threads()) == (1, 1)
+            raise KeyError("inside the scope")
+    assert (compute_team().size, get_blas_threads()) == (1, threaded_blas)
 
 
 def test_serial_pipeline_thread_budget_defaults(model, monkeypatch):
     monkeypatch.delenv(BLAS_THREADS_ENV, raising=False)
-    assert ExecutionConfig(compile=True).resolve().blas_threads == usable_cores()
+    default = min(usable_cores(), DEFAULT_TEAM_LIMIT)
+    assert ExecutionConfig(compile=True).resolve().blas_threads == default
     assert ExecutionConfig().resolve().blas_threads == 0
     assert ExecutionConfig(compile=True, num_workers=2).resolve().blas_threads == 1
-    assert resolve_blas_threads(None, num_workers=0, compiled=True) == usable_cores()
+    assert resolve_blas_threads(None, num_workers=0, compiled=True) == default
+    # Bigger hosts get the measured team size by default, more only on request.
+    monkeypatch.setattr(backends, "usable_cores", lambda: 64)
+    assert ExecutionConfig(compile=True).resolve().blas_threads == DEFAULT_TEAM_LIMIT
+    assert ExecutionConfig(compile=True, blas_threads=8).resolve().blas_threads == 8
     monkeypatch.setenv(BLAS_THREADS_ENV, "1")
     assert ExecutionConfig(compile=True).resolve().blas_threads == 1
 
@@ -510,31 +577,13 @@ def test_pool_workers_run_one_blas_thread(monkeypatch):
 
 
 def test_uncapped_pool_workers_keep_library_default(monkeypatch):
-    """``blas_threads=0`` leaves the workers' libraries at their default.
-    Runs in a fresh interpreter: forked workers inherit their parent's BLAS
-    state, and a compute team in this session has already capped the
-    library once for the whole process."""
+    """``blas_threads=0`` leaves the workers' libraries at their default."""
     monkeypatch.delenv(BLAS_THREADS_ENV, raising=False)
-    report = json.loads(_run_python(
+    default = _run_python(
         """
-        import json
-        import numpy as np
+        import repro.pipeline
         from repro.nn.backends import get_blas_threads
-        from repro.pipeline import Executor, WorkerPoolExecutor
-
-        class Probe(Executor):
-            name = "blas-thread-probe"
-
-            def run_batch(self, batch):
-                return np.full(batch.shape, float(get_blas_threads() or 0))
-
-        default = get_blas_threads()
-        with WorkerPoolExecutor(Probe(), num_workers=2, blas_threads=0) as pool:
-            out = pool.run_batch(np.zeros((5, 1, 2, 2)))
-            degraded = pool.robustness.degraded_runs
-        workers = sorted(set(out[1:].ravel().tolist()))  # row 0 is the in-process probe
-        print(json.dumps({"default": default, "workers": workers, "degraded": degraded}))
+        print(get_blas_threads())
         """
-    ))
-    assert report["degraded"] == 0  # every chunk ran in a worker
-    assert report["workers"] == [float(report["default"])]
+    )
+    assert _worker_blas_threads(blas_threads=0) == {float(default)}
