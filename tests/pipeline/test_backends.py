@@ -23,6 +23,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -536,6 +537,34 @@ def test_compute_threads_scope_restores_on_error(threaded_blas):
                 assert (team.size, get_blas_threads()) == (1, 1)
             raise KeyError("inside the scope")
     assert (compute_team().size, get_blas_threads()) == (1, threaded_blas)
+
+
+def test_overlapping_compute_thread_scopes_restore_once(threaded_blas):
+    """Pipelines called from several threads overlap their scopes: every
+    scope runs capped, and only the last one to leave restores the process.
+    More threads than a small runner has cores, and a shortened switch
+    interval, so the entries and exits interleave often."""
+    capped = []
+
+    def caller():
+        for _ in range(50):
+            with compute_threads(2):
+                capped.append(get_blas_threads() == 1)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(capped) == 200 and all(capped)
+    team = compute_team()
+    assert (team.size, team.scopes, get_blas_threads()) == (1, 0, threaded_blas)
 
 
 def test_serial_pipeline_thread_budget_defaults(model, monkeypatch):
