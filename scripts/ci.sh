@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI entry point: the tier-1 suite, an explicit pass over the fusion
 # equivalence suites (every registry model, fused vs unfused, <= 1e-12, on a
-# compute team of every core and again on a team of one), an explicit pass over the streaming + parallel worker-pool suites (persistent
+# the default compute team of up to two cores and again on a team of one),
+# an explicit pass over the streaming + parallel worker-pool suites (persistent
 # shm ring, per-call transport, intra-mask sharding — all bit-identical to
 # serial), the supervision chaos gate (deterministic fault injection: crash
 # detection, chunk retry, worker respawn, graceful degradation), short
@@ -84,8 +85,8 @@ python -m pytest -x -q -p no:cacheprovider \
     -W "error::repro.nn.fusion.FusionFallbackWarning" -W "error::DeprecationWarning" \
     tests/nn/test_fusion.py tests/pipeline/test_compiled_pipeline.py "$@"
 
-# The leg above runs the fused kernels on a compute team of every usable
-# core (the serial compiled default); this one re-runs the same suites on a
+# The leg above runs the fused kernels on the serial compiled default team
+# (the usable cores, at most two); this one re-runs the same suites on a
 # team of one, the units inline on the calling thread, so both team sizes
 # are held to the same pins on a multi-core runner.
 echo "== fusion equivalence suite on a compute team of one (REPRO_BLAS_THREADS=1) =="
