@@ -21,11 +21,6 @@ Guards the three headlines of the pipeline perf work:
   fused-aware micro-batch budget (PR 4), compiled batched execution must be
   at least as fast per tile as compiled ``batch_size=1`` (the bs>=2
   regression PR 3 documented).
-* **Streaming shm ring** (PR 4): on a repeated-call workload (a stream of
-  small pipeline calls, the shape of OPC iteration loops and full-chip tile
-  streams) the persistent shared-memory ring must beat the per-call segment
-  transport by >= 1.2x masks/sec at the acceptance worker count (asserted
-  when the host has >= 4 physical cores), while staying bit-identical.
 * **Fused transposed-conv chains** (PR 5): with the decoder half of the
   graph compiled too (``conv_transpose_bn_act``: DOINN's ``dconvN -> vggN``
   stages, the UNet up path), compiled DOINN *and* compiled UNet must each
@@ -39,12 +34,11 @@ Guards the three headlines of the pipeline perf work:
   per-lane rows land in the sweep table either way.
 * **Supervised dispatch** (PR 7): the pooled rows run the supervised pool
   (liveness monitoring, per-chunk deadlines, retry/respawn bookkeeping in
-  :mod:`repro.pipeline.supervision`); after the repeated-call streaming
-  workload every robustness counter must be zero (no retries, no respawns,
-  no degradation on a healthy pool).
+  :mod:`repro.pipeline.supervision`) over the shared-memory ring; after
+  each pooled sweep every robustness counter must be zero (no retries, no
+  respawns, no degradation on a healthy pool).
 
-The full engine x batch-size x worker-count sweep — including a ``Shm``
-column naming the transport of each pooled row — is written to
+The full engine x batch-size x worker-count sweep is written to
 ``artifacts/results/pipeline_throughput.txt`` via the shared report hook.
 Run with ``--num-workers N`` (or ``REPRO_NUM_WORKERS``) to add a custom
 worker count to the sweep, and ``--compile`` (or ``REPRO_COMPILE``) to run
@@ -55,7 +49,6 @@ from __future__ import annotations
 
 import os
 import time
-import warnings
 
 import numpy as np
 
@@ -87,12 +80,6 @@ _BACKEND_LANES = {"float64": 0.0, "float32": 2e-5}
 #: measured win on a dedicated core is well above 1x, but a shared 1-core
 #: host only supports asserting not-slower).
 _FLOAT32_NOISE_TOLERANCE = 1.05
-_STREAMING_SPEEDUP_TARGET = 1.2
-#: Calls per timed round of the streaming comparison.  The streaming win is
-#: per *call* (segment creation, mmap and page warming skipped), so the
-#: workload is a stream of small calls — masks-per-call sized to one tile
-#: per worker — rather than one big batch.
-_STREAMING_REPEAT_CALLS = 8
 
 
 def _physical_cores() -> int:
@@ -137,8 +124,7 @@ def _interleaved_best(runs: dict, rounds: int = 5) -> dict:
     return {key: max(value, 1e-9) for key, value in best.items()}
 
 
-def test_pipeline_throughput(benchmark, harness, execution_config):
-    num_workers = execution_config.num_workers
+def test_pipeline_throughput(benchmark, harness, execution_config, num_workers):
     compile_inference = execution_config.compile
     profile = harness.profile
     size = profile.low_res_size
@@ -175,18 +161,7 @@ def test_pipeline_throughput(benchmark, harness, execution_config):
     serial.predict(masks)        # warm-up (weights, FFT plans, window views)
     fused_serial.predict(masks)  # warm-up (BN folds, pad-once buffer cache)
 
-    # Config-vs-kwarg parity (the satellite pinning the refactor): routing
-    # the same knobs through ExecutionConfig must leave the measured outputs
-    # bit-identical to the deprecated per-knob keyword path.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        kwarg_serial = harness.model_pipeline(model, num_workers=0)
-    kwarg_outputs = kwarg_serial.predict(masks, batch_size=profile.batch_size)
-
     reference_outputs = serial.predict(masks, batch_size=profile.batch_size)
-    assert np.array_equal(kwarg_outputs, reference_outputs), (
-        "ExecutionConfig-routed pipeline diverged from the legacy kwarg path"
-    )
     fused_outputs = fused_serial.predict(masks, batch_size=profile.batch_size)
     fused_max_err = float(np.abs(fused_outputs - reference_outputs).max())
     assert fused_max_err <= _FUSED_EQUIVALENCE_ATOL, (
@@ -215,14 +190,11 @@ def test_pipeline_throughput(benchmark, harness, execution_config):
     for workers in worker_counts:
         if workers == 0:
             continue
-        # streaming=True is pinned explicitly (not left to REPRO_STREAMING)
-        # so the sweep rows labeled "ring" below really ran the ring.
         pipeline = (
             (fused_serial if compile_inference else serial)
             if workers <= 1
             else harness.model_pipeline(
-                model,
-                config=execution_config.merged(num_workers=workers, streaming=True),
+                model, config=execution_config.merged(num_workers=workers)
             )
         )
         if workers > 1:
@@ -241,6 +213,16 @@ def test_pipeline_throughput(benchmark, harness, execution_config):
         for bs, seconds in timings.items():
             per_tile[(pool_engine, workers, bs)] = seconds / len(masks)
         if pipeline is not serial and pipeline is not fused_serial:
+            # A healthy supervised pool must report a clean ledger:
+            # monitoring is observability, not behaviour — any nonzero
+            # counter here means supervision interfered.
+            counters = pipeline.executor.robustness
+            assert (
+                counters.chunks_retried,
+                counters.workers_respawned,
+                counters.degraded_runs,
+                counters.fault_events,
+            ) == (0, 0, 0, 0), f"happy-path run dirtied the robustness ledger: {counters}"
             pipeline.close()
 
     # ------------------------------------------------------------------ #
@@ -299,73 +281,14 @@ def test_pipeline_throughput(benchmark, harness, execution_config):
     # repro: ok(DTYPE001, backend lane name used as a dict key, not a dtype narrowing)
     float32_speedup = backend_per_tile["float64"] / backend_per_tile["float32"]
 
-    # ------------------------------------------------------------------ #
-    # Streaming shm ring vs per-call segments on a repeated-call workload
-    # ------------------------------------------------------------------ #
-    # OPC iteration loops and full-chip tile streams issue many consecutive
-    # small pipeline calls; the ring's win is per call (no shm_open/mmap/page
-    # warming after the first), so the comparison streams
-    # _STREAMING_REPEAT_CALLS calls of one-tile-per-worker batches.
-    stream_workers = num_workers if num_workers and num_workers > 1 else (
-        _PARALLEL_SPEEDUP_CORES if _physical_cores() >= _PARALLEL_SPEEDUP_CORES else 2
-    )
-    stream_masks = masks[:stream_workers]
-    stream_expected = pool_expected[: stream_masks.shape[0]]
-    # Both transports are pinned explicitly so a fleet-wide REPRO_STREAMING
-    # override cannot turn the A/B comparison into ring-vs-ring (or fail it).
-    ring_pipe = harness.model_pipeline(
-        model, config=execution_config.merged(num_workers=stream_workers, streaming=True)
-    )
-    percall_pipe = harness.model_pipeline(
-        model, config=execution_config.merged(num_workers=stream_workers, streaming=False)
-    )
-    assert ring_pipe.streaming and not percall_pipe.streaming
-    for pipe, transport in ((ring_pipe, "ring"), (percall_pipe, "per-call")):
-        outputs = pipe.predict(stream_masks, batch_size=stream_masks.shape[0])
-        assert np.array_equal(outputs, stream_expected), (
-            f"streaming-comparison outputs ({transport}, workers={stream_workers}) "
-            "must be bit-identical to the serial run of the same engine"
-        )
-    stream_times = _interleaved_best(
-        {
-            "ring": lambda: [
-                ring_pipe.predict(stream_masks, batch_size=stream_masks.shape[0])
-                for _ in range(_STREAMING_REPEAT_CALLS)
-            ],
-            "per-call": lambda: [
-                percall_pipe.predict(stream_masks, batch_size=stream_masks.shape[0])
-                for _ in range(_STREAMING_REPEAT_CALLS)
-            ],
-        },
-        rounds=3,
-    )
-    # The ring pipeline dispatches through the supervised pool (PR 7).  A
-    # healthy pool must report a clean ledger: monitoring is observability,
-    # not behaviour — any nonzero counter here means supervision interfered.
-    happy_counters = ring_pipe.executor.robustness
-    assert (
-        happy_counters.chunks_retried,
-        happy_counters.workers_respawned,
-        happy_counters.degraded_runs,
-        happy_counters.fault_events,
-    ) == (0, 0, 0, 0), f"happy-path run dirtied the robustness ledger: {happy_counters}"
-    ring_pipe.close()
-    percall_pipe.close()
-    stream_tiles = _STREAMING_REPEAT_CALLS * stream_masks.shape[0]
-    stream_per_tile = {key: seconds / stream_tiles for key, seconds in stream_times.items()}
-    streaming_speedup = stream_per_tile["per-call"] / stream_per_tile["ring"]
-
     def _engine_label(engine: str) -> str:
         return "DOINN pipeline [compiled]" if engine == "fused" else "DOINN pipeline"
 
-    # Pooled sweep rows run the default transport (the persistent ring);
-    # serial rows have no shm transport at all.
     rows = [
         [
             _engine_label(engine),
             str(bs),
             str(workers),
-            "ring" if workers else "-",
             f"{per_tile[(engine, workers, bs)] * 1e3:.2f}",
             f"{1.0 / per_tile[(engine, workers, bs)]:.1f}",
         ]
@@ -377,7 +300,6 @@ def test_pipeline_throughput(benchmark, harness, execution_config):
                 "UNet pipeline [compiled]" if engine == "fused" else "UNet pipeline",
                 "1",
                 "0",
-                "-",
                 f"{unet_per_tile[engine] * 1e3:.2f}",
                 f"{1.0 / unet_per_tile[engine]:.1f}",
             ]
@@ -388,30 +310,17 @@ def test_pipeline_throughput(benchmark, harness, execution_config):
                 f"DOINN pipeline [compiled, {lane}]",
                 str(profile.batch_size),
                 "0",
-                "-",
                 f"{backend_per_tile[lane] * 1e3:.2f}",
                 f"{1.0 / backend_per_tile[lane]:.1f}",
-            ]
-        )
-    stream_label = f"{_engine_label(pool_engine)} (x{_STREAMING_REPEAT_CALLS}-call stream)"
-    for transport in ("per-call", "ring"):
-        rows.append(
-            [
-                stream_label,
-                str(stream_masks.shape[0]),
-                str(stream_workers),
-                transport,
-                f"{stream_per_tile[transport] * 1e3:.2f}",
-                f"{1.0 / stream_per_tile[transport]:.1f}",
             ]
         )
 
     fused_speedup = per_tile[("plain", 0, 1)] / per_tile[("fused", 0, 1)]
     table = format_table(
-        ["Engine", "Batch size", "Workers", "Shm", "ms / tile", "masks / s"],
+        ["Engine", "Batch size", "Workers", "ms / tile", "masks / s"],
         [
-            ["Hopkins per-kernel loop (seed)", "1", "0", "-", f"{loop_per_mask * 1e3:.2f}", "-"],
-            ["Hopkins batched FFT", str(len(masks)), "0", "-", f"{batched_per_mask * 1e3:.2f}",
+            ["Hopkins per-kernel loop (seed)", "1", "0", f"{loop_per_mask * 1e3:.2f}", "-"],
+            ["Hopkins batched FFT", str(len(masks)), "0", f"{batched_per_mask * 1e3:.2f}",
              f"{aerial_speedup:.2f}x vs seed"],
             *rows,
         ],
@@ -433,8 +342,6 @@ def test_pipeline_throughput(benchmark, harness, execution_config):
             for lane in _BACKEND_LANES
         )
         + f"; float32 vs float64: {float32_speedup:.2f}x\n"
-        f"streaming ring vs per-call shm ({stream_workers} workers, "
-        f"x{_STREAMING_REPEAT_CALLS}-call stream): {streaming_speedup:.2f}x masks/sec; "
         "supervised-dispatch robustness counters all zero"
     )
     record_report("Pipeline throughput", table + "\n" + summary)
@@ -487,15 +394,6 @@ def test_pipeline_throughput(benchmark, harness, execution_config):
         f"compiled batched (bs={profile.batch_size}) execution regressed vs compiled "
         f"bs=1: {fused_batched * 1e3:.2f} ms/tile vs {fused_single * 1e3:.2f} ms/tile"
     )
-
-    # Streaming acceptance: where there are cores for the pool to win on,
-    # the persistent ring must beat per-call segments by >= 1.2x masks/sec
-    # on the repeated-call stream (smaller hosts still record the numbers).
-    if _physical_cores() >= _PARALLEL_SPEEDUP_CORES:
-        assert streaming_speedup >= _STREAMING_SPEEDUP_TARGET, (
-            f"streaming ring must give >= {_STREAMING_SPEEDUP_TARGET}x masks/sec over "
-            f"per-call shm on a repeated-call workload, got {streaming_speedup:.2f}x"
-        )
 
     # Worker-pool scaling holds where there are cores to scale onto; on
     # smaller hosts the sweep is still recorded (sharding overhead on one

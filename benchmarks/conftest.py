@@ -12,7 +12,7 @@ import pytest
 
 from repro import knobs
 from repro.experiments import Harness, artifacts_dir, get_profile
-from repro.pipeline import ExecutionConfig, resolve_num_workers
+from repro.pipeline import ExecutionConfig
 
 REPORTS: list[tuple[str, str]] = []
 
@@ -48,13 +48,14 @@ def execution_config(request) -> ExecutionConfig:
     fixture instead of threading separate per-knob fixtures around.  Only
     the CLI-backed knobs are set; everything else stays ``None`` so each
     consumer's own defaults (harness profile batch size, ``REPRO_*``
-    registry, then the built-in defaults) still apply.
+    registry, then the built-in defaults) still apply; ``--num-workers``
+    goes in as given and ``REPRO_NUM_WORKERS`` fills it at resolution.
     """
     compile_flag = request.config.getoption("--compile")
     if compile_flag is None:
         compile_flag = bool(knobs.read_flag("REPRO_COMPILE"))
     return ExecutionConfig(
-        num_workers=resolve_num_workers(request.config.getoption("--num-workers")),
+        num_workers=request.config.getoption("--num-workers"),
         compile=bool(compile_flag),
     )
 
@@ -62,7 +63,7 @@ def execution_config(request) -> ExecutionConfig:
 @pytest.fixture(scope="session")
 def num_workers(execution_config) -> int:
     """Resolved worker count for the benchmark run (0 = serial)."""
-    return execution_config.num_workers
+    return execution_config.resolve().num_workers
 
 
 @pytest.fixture(scope="session")

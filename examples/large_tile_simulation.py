@@ -8,16 +8,16 @@ Table 4 row "DOINN") and with the half-overlapping large-tile scheme
 tile forwards across the whole large-tile set, and stitches the cores back.
 
 Run with:  python examples/large_tile_simulation.py [--num-workers N] [--compile]
-           [--per-call-shm] [--no-shard-tiles] [--worker-timeout S]
-           [--worker-retries N] [--no-degrade]
+           [--no-shard-tiles] [--worker-timeout S] [--worker-retries N]
+           [--no-degrade]
 
 ``--num-workers`` shards the pipeline's tile batches across a worker pool
 (see :mod:`repro.pipeline.parallel`); predictions are bit-identical to the
 serial path, so the tables below do not change — only the wall time does.
 A pooled run streams through a persistent shared-memory ring and shards the
-tiles of each large mask across all workers by default; ``--per-call-shm``
-restores the PR 2 per-call segment transport and ``--no-shard-tiles`` the
-batch-size-chunked GP loop (both for A/B timing — outputs are identical).
+tiles of each large mask across all workers by default; ``--no-shard-tiles``
+restores the batch-size-chunked GP loop (for A/B timing — outputs are
+identical).
 ``--compile`` runs the trained model as a fused inference graph
 (:mod:`repro.nn.fusion`: conv->BN->LeakyReLU folded into single passes with a
 pad-once buffer cache) — numerically equivalent within 1e-12, and typically
@@ -54,11 +54,6 @@ def main() -> None:
         "--compile",
         action="store_true",
         help="compile the model into a fused inference graph (conv+BN+act fusion)",
-    )
-    parser.add_argument(
-        "--per-call-shm",
-        action="store_true",
-        help="disable the persistent shared-memory ring (per-call segments, PR 2 transport)",
     )
     parser.add_argument(
         "--no-shard-tiles",
@@ -113,7 +108,6 @@ def main() -> None:
         optical_diameter_pixels=simulator.optical_diameter_pixels,
         num_workers=args.num_workers,
         compile=args.compile,
-        streaming=False if args.per_call_shm else None,
         shard_tiles=False if args.no_shard_tiles else None,
         retry=retry,
     )
@@ -122,8 +116,7 @@ def main() -> None:
         executor = getattr(pipeline.executor, "inner", pipeline.executor)
         print(f"Compiled inference: {pipeline.name} ({executor.model.num_fused_ops} fused ops)")
     if pipeline.num_workers > 1:
-        transport = "persistent shm ring" if pipeline.streaming else "per-call shm segments"
-        print(f"Worker pool: {pipeline.num_workers} workers, {transport}")
+        print(f"Worker pool: {pipeline.num_workers} workers, persistent shm ring")
     naive = pipeline.predict_naive(large.masks)
     result = pipeline.run(large.masks, stitch=True)
     pipeline.close()

@@ -1,14 +1,17 @@
 #!/usr/bin/env bash
 # CI entry point: the tier-1 suite, an explicit pass over the fusion
-# equivalence suites (every registry model, fused vs unfused, <= 1e-12, on a
+# equivalence suites (every registry model, fused vs unfused, <= 1e-12, on
 # the default compute team of up to two cores and again on a team of one),
 # an explicit pass over the streaming + parallel worker-pool suites (persistent
-# shm ring, per-call transport, intra-mask sharding — all bit-identical to
-# serial), the supervision chaos gate (deterministic fault injection: crash
-# detection, chunk retry, worker respawn, graceful degradation), short
-# serial and pooled runs of the repo benchmark (serial within 1e-12 of the
-# unfused pipeline, pooled bit-identical to serial), and
-# /dev/shm leak checks after the chaos gate and at the end.
+# shm ring, intra-mask sharding — all bit-identical to serial), the
+# supervision chaos gate (deterministic fault injection: crash detection,
+# chunk retry, worker respawn, graceful degradation), short serial and
+# pooled runs of the repo benchmark (serial within 1e-12 of the unfused
+# pipeline, pooled bit-identical to serial), and /dev/shm leak checks after
+# the chaos gate and at the end.
+# Every pytest leg runs under -W error::DeprecationWarning: the tree has no
+# deprecated path left, so any DeprecationWarning (ours or a dependency's
+# on a code path we call) fails the build.
 # Runs with -p no:cacheprovider so repeated CI invocations on read-only or
 # shared checkouts never write .pytest_cache state.
 #
@@ -58,7 +61,7 @@ python -m repro.analysis src benchmarks examples scripts
 # except the fusion, streaming/parallel, incremental/caching and supervision
 # files first, then each suite as its own visibly-labelled gate.
 echo "== tier-1 tests =="
-python -m pytest -x -q -p no:cacheprovider tests \
+python -m pytest -x -q -p no:cacheprovider -W "error::DeprecationWarning" tests \
     --ignore=tests/nn/test_fusion.py --ignore=tests/pipeline/test_compiled_pipeline.py \
     --ignore=tests/pipeline/test_parallel.py --ignore=tests/pipeline/test_streaming.py \
     --ignore=tests/pipeline/test_cache.py --ignore=tests/opc/test_incremental.py \
@@ -67,10 +70,9 @@ python -m pytest -x -q -p no:cacheprovider tests \
 
 # The execution-config contract (docs/architecture.md): one resolved
 # ExecutionConfig document with explicit > REPRO_* > default precedence and
-# per-field provenance, JSON-round-tripping ExecutionPlans that match the
-# executed stats, deprecation warnings on every legacy kwarg shim, and the
-# config route bit-identical to the kwarg route across the zoo.
-echo "== execution-config suite (config == kwargs, plans == stats, shims warn) =="
+# per-field provenance, and JSON-round-tripping ExecutionPlans that match
+# the executed stats.
+echo "== execution-config suite (one resolution pass, plans == stats) =="
 python -m pytest -x -q -p no:cacheprovider \
     -W "error::DeprecationWarning" \
     tests/pipeline/test_config.py "$@"
@@ -100,9 +102,7 @@ REPRO_BLAS_THREADS=1 python -m pytest -x -q -p no:cacheprovider \
 # re-run with REPRO_BACKEND=float32 — proving the env knob engages end to
 # end while compile_model and every explicitly pinned comparison stay
 # deterministic.  Both legs keep the fallback warning escalated (no lane
-# may reintroduce a silent unfused fallback), and like the fusion leg they
-# escalate DeprecationWarning, so none of these suites falls back onto the
-# deprecated InferencePipeline keyword shims.
+# may reintroduce a silent unfused fallback).
 echo "== compute-backend matrix: per-lane pipeline suite (float64 env) =="
 python -m pytest -x -q -p no:cacheprovider \
     -W "error::repro.nn.fusion.FusionFallbackWarning" -W "error::DeprecationWarning" \
@@ -114,14 +114,10 @@ REPRO_BACKEND=float32 python -m pytest -x -q -p no:cacheprovider \
     tests/nn/test_fusion.py tests/pipeline/test_compiled_pipeline.py \
     tests/pipeline/test_backends.py "$@"
 
-# Like the fusion and backend legs, this one escalates DeprecationWarning so
-# the pool suites stay off the deprecated InferencePipeline keyword shims.
 echo "== streaming + parallel worker-pool suites (pooled == serial, bit for bit) =="
 python -m pytest -x -q -p no:cacheprovider -W "error::DeprecationWarning" \
     tests/pipeline/test_parallel.py tests/pipeline/test_streaming.py "$@"
 
-# Like the legs above, this one escalates DeprecationWarning so the cache and
-# incremental-OPC suites stay off the deprecated InferencePipeline shims.
 echo "== incremental OPC + result-cache suites (patched == full re-simulation, bit for bit) =="
 python -m pytest -x -q -p no:cacheprovider -W "error::DeprecationWarning" \
     tests/pipeline/test_cache.py tests/opc/test_incremental.py "$@"
@@ -130,7 +126,7 @@ python -m pytest -x -q -p no:cacheprovider -W "error::DeprecationWarning" \
 # REPRO_FAULT_PLAN injection); its own /dev/shm check right after proves the
 # supervision + registry teardown survives every fault mode without leaking.
 echo "== supervision chaos gate (fault injection: heal bit-identically or fail structured) =="
-python -m pytest -x -q -p no:cacheprovider \
+python -m pytest -x -q -p no:cacheprovider -W "error::DeprecationWarning" \
     tests/pipeline/test_supervision.py "$@"
 check_shm_clean "after chaos gate"
 

@@ -15,10 +15,11 @@ echo "== repro.analysis lint =="
 python -m repro.analysis src benchmarks examples scripts
 
 echo "== tier-1 tests =="
-python -m pytest -x -q tests "$@"
+python -m pytest -x -q -W "error::DeprecationWarning" tests "$@"
 
-echo "== streaming + parallel worker-pool tests =="
-python -m pytest -x -q tests/pipeline/test_parallel.py tests/pipeline/test_streaming.py "$@"
+echo "== streaming + parallel worker-pool tests (shm ring, pooled == serial) =="
+python -m pytest -x -q -W "error::DeprecationWarning" \
+    tests/pipeline/test_parallel.py tests/pipeline/test_streaming.py "$@"
 
 echo "== pipeline throughput bench (quick profile) =="
 python -m pytest -x -q benchmarks/bench_pipeline_throughput.py "$@"

@@ -166,12 +166,11 @@ class ConfigSurfaceRule(Rule):
     title = "execution knobs stay inside ExecutionConfig on public surfaces"
     description = (
         "The knob sprawl this repo unwound: every execution knob (workers, "
-        "streaming, backends, caching, supervision, ...) reaches the public "
+        "backends, caching, supervision, ...) reaches the public "
         "pipeline/harness/driver surfaces as one ExecutionConfig document, "
         "not as yet another keyword re-declared per signature.  A new knob "
         "parameter on these surfaces forks defaults and precedence again; "
-        "add a field to ExecutionConfig instead (deliberate legacy shims "
-        "carry a pragma)."
+        "add a field to ExecutionConfig instead."
     )
 
     #: Parameter names that are execution knobs — declaring any of these on
@@ -179,7 +178,7 @@ class ConfigSurfaceRule(Rule):
     #: (``tile_size`` / ``batch_size`` / ``optical_diameter_pixels`` stay
     #: legal: they double as per-call geometry arguments.)
     KNOB_PARAMS = frozenset({
-        "num_workers", "chunk_size", "streaming", "shard_tiles",
+        "num_workers", "chunk_size", "shard_tiles",
         "result_cache", "retry", "backend", "blas_threads", "compile",
         "incremental",
     })
@@ -187,8 +186,8 @@ class ConfigSurfaceRule(Rule):
     #: factories, the experiment drivers and the throughput measurement
     #: API — plus everything under benchmarks/ and examples/, which model
     #: how downstream callers hold the API.  The mechanism layers
-    #: (parallel.py, streaming.py, backends.py, supervision.py, config.py
-    #: itself) keep their per-knob signatures: they implement one knob each.
+    #: (parallel.py, backends.py, supervision.py, config.py itself) keep
+    #: their per-knob signatures: they implement one knob each.
     TARGET_FILES = (
         "repro/pipeline/engine.py",
         "repro/experiments/harness.py",
@@ -227,9 +226,7 @@ class ConfigSurfaceRule(Rule):
                     self.id, node,
                     f"public signature `{name}` re-declares execution "
                     f"knob(s) {', '.join(bad)}; accept "
-                    "`config=ExecutionConfig(...)` instead (a deliberate "
-                    "legacy shim needs a `repro: ok(CONFIG001, reason)` "
-                    "pragma)",
+                    "`config=ExecutionConfig(...)` instead",
                 )
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..pipeline import InferencePipeline
+from ..pipeline import ExecutionConfig, InferencePipeline
 from .doinn import DOINN
 
 __all__ = ["LargeTileSimulator"]
@@ -46,9 +46,11 @@ class LargeTileSimulator:
         self.optical_diameter_pixels = optical_diameter_pixels
         self.pipeline = InferencePipeline(
             model,
-            tile_size=train_tile_size,
-            batch_size=batch_size,
-            optical_diameter_pixels=optical_diameter_pixels,
+            ExecutionConfig(
+                tile_size=train_tile_size,
+                batch_size=batch_size,
+                optical_diameter_pixels=optical_diameter_pixels,
+            ),
         )
 
     # ------------------------------------------------------------------ #

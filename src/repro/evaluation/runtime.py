@@ -16,7 +16,6 @@ magnitude" headline scales in practice.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,23 +126,9 @@ def measure_pipeline_throughput(
     )
 
 
-def _measurement_config(
-    config: ExecutionConfig | None, batch_size: int, legacy: dict, caller: str
-) -> ExecutionConfig:
-    """One-shot pipeline config for a throughput measurement.
-
-    ``legacy`` is the deprecated per-knob kwarg bundle — any use warns, and
-    names outside :class:`ExecutionConfig`'s fields raise.
-    """
-    if legacy:
-        warnings.warn(
-            f"{caller}({', '.join(sorted(legacy))}=...) keyword knobs are "
-            "deprecated; pass config=ExecutionConfig(...) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    base = config if config is not None else ExecutionConfig()
-    return base.merged(batch_size=batch_size, **legacy)
+def _measurement_config(config: ExecutionConfig | None, batch_size: int) -> ExecutionConfig:
+    """One-shot pipeline config for a throughput measurement."""
+    return (config if config is not None else ExecutionConfig()).merged(batch_size=batch_size)
 
 
 def measure_model_throughput(
@@ -155,20 +140,18 @@ def measure_model_throughput(
     warmup: int = 1,
     batch_size: int = 1,
     config: ExecutionConfig | None = None,
-    **legacy,
 ) -> ThroughputResult:
     """Measure inference throughput of a learned model on one mask tile.
 
     ``batch_size`` controls how many tiles are executed per forward: 1 is the
     seed per-tile configuration; larger values report batched throughput
     (Figure 6's deployment scenario).  Every other execution knob — workers,
-    streaming, supervision, compilation, backend lane, BLAS threads — arrives
-    as one :class:`~repro.pipeline.ExecutionConfig` (``config=``), which is
-    how Figure 6 rows are measured per backend; the old per-knob keywords
-    still work through ``**legacy`` but are deprecated.  All of it is ignored
-    when an already-built pipeline is passed.  A repeated-measurement loop is
-    exactly the workload the streaming ring accelerates: every ``run_once``
-    after the first reuses the mapped segments.
+    supervision, compilation, backend lane, BLAS threads — arrives as one
+    :class:`~repro.pipeline.ExecutionConfig` (``config=``), which is how
+    Figure 6 rows are measured per backend.  All of it is ignored when an
+    already-built pipeline is passed.  A repeated-measurement loop is
+    exactly the workload the pool's shared-memory ring is built for: every
+    ``run_once`` after the first reuses the mapped segments.
     """
     if isinstance(model, InferencePipeline):
         return measure_pipeline_throughput(
@@ -183,7 +166,7 @@ def measure_model_throughput(
     # The pipeline is built for this measurement only: release its worker
     # pool and ring segments on the way out instead of stranding them until
     # interpreter exit.
-    cfg = _measurement_config(config, batch_size, legacy, "measure_model_throughput")
+    cfg = _measurement_config(config, batch_size)
     with InferencePipeline(model, config=cfg) as pipeline:
         return measure_pipeline_throughput(
             pipeline,
@@ -204,10 +187,9 @@ def measure_simulator_throughput(
     warmup: int = 1,
     batch_size: int = 1,
     config: ExecutionConfig | None = None,
-    **legacy,
 ) -> ThroughputResult:
     """Measure throughput of the golden lithography simulator on one mask tile."""
-    cfg = _measurement_config(config, batch_size, legacy, "measure_simulator_throughput")
+    cfg = _measurement_config(config, batch_size)
     with InferencePipeline(simulator, config=cfg) as pipeline:
         return measure_pipeline_throughput(
             pipeline,

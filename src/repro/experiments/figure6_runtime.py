@@ -14,7 +14,6 @@ is the deployment scenario the paper's throughput claim describes.
 
 from __future__ import annotations
 
-import warnings
 
 import numpy as np
 
@@ -83,7 +82,6 @@ def run_figure6(
     repeats: int = 3,
     batch_size: int | None = None,
     config: ExecutionConfig | None = None,
-    **legacy,
 ) -> list[dict]:
     """Measure throughput of every engine on one benchmark tile.
 
@@ -92,21 +90,11 @@ def run_figure6(
     reported alongside for continuity with the seed numbers.  ``config``
     carries the execution knobs into every measured pipeline: ``num_workers``
     shards the batched measurement across a worker pool, which is how the
-    "orders of magnitude" headline scales on a multi-core host; ``streaming``
-    selects the persistent shared-memory ring (default) vs the per-call
-    transport for that pool — the repeated measurement loop is exactly the
-    streaming workload the ring accelerates; ``retry`` sets the pool's
-    supervision policy (deadline / retries / degradation).  Per-knob keyword
-    arguments are deprecated.
+    "orders of magnitude" headline scales on a multi-core host (the repeated
+    measurement loop reuses the pool's shared-memory ring); ``retry`` sets
+    the pool's supervision policy (deadline / retries / degradation).
     """
-    if legacy:
-        warnings.warn(
-            f"run_figure6({', '.join(sorted(legacy))}=...) keyword knobs are "
-            "deprecated; pass config=ExecutionConfig(...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    pipeline_config = (config if config is not None else ExecutionConfig()).merged(**legacy)
+    pipeline_config = config if config is not None else ExecutionConfig()
     harness = harness or Harness()
     data = harness.benchmark(benchmark, "L")
     mask = data.test.masks[0, 0]

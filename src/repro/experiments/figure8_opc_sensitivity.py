@@ -16,6 +16,7 @@ from ..layout.generators import generate_metal_layout
 from ..layout.design_rules import rules_for
 from ..metrics.segmentation import mean_iou
 from ..opc.engine import OPCConfig, OPCEngine
+from ..pipeline import ExecutionConfig
 from ..utils.tables import format_table
 from .harness import Harness
 
@@ -47,7 +48,7 @@ def run_figure8(
             # The snapshot sims below re-simulate the exact masks the OPC
             # loop already pushed through this pipeline, so with the result
             # cache on they are all content-hash hits (free).
-            result_cache=True,
+            execution=ExecutionConfig(result_cache=True),
         ),
     )
     opc_run = engine.correct(layout)

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -205,27 +204,11 @@ class Harness:
     # ------------------------------------------------------------------ #
     # Inference pipelines
     # ------------------------------------------------------------------ #
-    def _execution_config(
-        self, config: ExecutionConfig | None, legacy: dict, caller: str, **named
-    ) -> ExecutionConfig:
-        """Merge a ``config=`` document with (deprecated) per-knob kwargs.
-
-        ``named`` holds this method's own first-class parameters (tile size,
-        batch size, ...); ``legacy`` is the ``**kwargs`` catch-all for the
-        old knob union — any name not an :class:`ExecutionConfig` field
-        raises, and any use at all warns ``DeprecationWarning``.  The
-        profile's ``batch_size`` fills the gap when neither source sets one.
-        """
-        if legacy:
-            warnings.warn(
-                f"Harness.{caller}({', '.join(sorted(legacy))}=...) keyword "
-                "knobs are deprecated; pass config=ExecutionConfig(...) instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-        merged = (config if config is not None else ExecutionConfig()).merged(
-            **named, **legacy
-        )
+    def _execution_config(self, config: ExecutionConfig | None, **named) -> ExecutionConfig:
+        """``config`` (or an empty one) with this method's geometry arguments
+        overlaid; the profile's ``batch_size`` fills the gap when neither
+        sets one."""
+        merged = (config if config is not None else ExecutionConfig()).merged(**named)
         if merged.batch_size is None:
             merged = merged.merged(batch_size=self.profile.batch_size)
         return merged
@@ -239,7 +222,6 @@ class Harness:
         batch_size: int | None = None,
         optical_diameter_pixels: int | None = None,
         pixel_size: float | None = None,
-        **legacy,
     ) -> InferencePipeline:
         """Batch-first inference pipeline over a learned model.
 
@@ -250,15 +232,13 @@ class Harness:
         ``pixel_size`` (or ``optical_diameter_pixels`` directly) when the
         pipeline serves anything other than the profile's low-res grid.
 
-        Every other execution knob — workers, streaming, tile sharding,
-        compilation, backend lane, BLAS threads, result cache, supervision —
-        arrives as one :class:`~repro.pipeline.ExecutionConfig` document
-        (``config=``); see ``docs/configuration.md`` for the knob catalogue.
-        The old per-knob keyword arguments still work through ``**legacy``
-        (validated against the config's fields) but are deprecated.
+        Every other execution knob — workers, tile sharding, compilation,
+        backend lane, BLAS threads, result cache, supervision — arrives as
+        one :class:`~repro.pipeline.ExecutionConfig` document (``config=``);
+        see ``docs/configuration.md`` for the knob catalogue.
         """
         cfg = self._execution_config(
-            config, legacy, "model_pipeline",
+            config,
             tile_size=tile_size, batch_size=batch_size,
             optical_diameter_pixels=optical_diameter_pixels,
         )
@@ -278,18 +258,14 @@ class Harness:
         config: ExecutionConfig | None = None,
         *,
         batch_size: int | None = None,
-        **legacy,
     ) -> InferencePipeline:
         """Batched golden-simulator pipeline (cached SOCS transfer functions).
 
         Takes the same :class:`~repro.pipeline.ExecutionConfig` document as
-        :meth:`model_pipeline`, so the full knob set — including
-        ``blas_threads`` and ``shard_tiles``, which the old per-knob
-        signature silently dropped — reaches the simulator pipeline too.
+        :meth:`model_pipeline`, so the full knob set reaches the simulator
+        pipeline too.
         """
-        cfg = self._execution_config(
-            config, legacy, "simulator_pipeline", batch_size=batch_size
-        )
+        cfg = self._execution_config(config, batch_size=batch_size)
         return InferencePipeline(
             self.simulator(pixel_size or self.profile.low_res_pixel), config=cfg
         )

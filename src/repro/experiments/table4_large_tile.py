@@ -13,7 +13,6 @@ inspected.
 
 from __future__ import annotations
 
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -32,30 +31,21 @@ def run_table4(
     benchmark: str = "ispd2019",
     save_figure9: bool = True,
     config: ExecutionConfig | None = None,
-    **legacy,
 ) -> dict:
     """Evaluate naive DOINN vs. the large-tile scheme on scaled-up tiles.
 
     ``config`` carries the execution knobs into the shared pipeline:
     ``num_workers`` shards the tile batches of both rows across a worker
-    pool; ``streaming`` keeps the pool's shared-memory segments alive across
-    the two rows and ``shard_tiles`` (default: on when pooled) lets the
-    "DOINN-LT" row shard the tiles of each large mask across all workers.
+    pool (whose shared-memory ring serves both rows) and ``shard_tiles``
+    (default: on when pooled) lets the "DOINN-LT" row shard the tiles of
+    each large mask across all workers.
     ``result_cache`` memoises per-mask predictions by content hash (useful
     when the same large masks are replayed) and ``retry`` sets the pool's
     supervision policy (chunk deadline / retries / degradation) — long
     large-tile sweeps survive dying workers instead of losing the whole run.
     The predictions are bit-identical to the serial path in every mode.
-    Per-knob keyword arguments are deprecated.
     """
-    if legacy:
-        warnings.warn(
-            f"run_table4({', '.join(sorted(legacy))}=...) keyword knobs are "
-            "deprecated; pass config=ExecutionConfig(...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    pipeline_config = (config if config is not None else ExecutionConfig()).merged(**legacy)
+    pipeline_config = config if config is not None else ExecutionConfig()
     harness = harness or Harness()
     profile = harness.profile
 

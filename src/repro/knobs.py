@@ -23,11 +23,12 @@ What centralizing buys:
 * **typo detection** — reading an unregistered name raises immediately
   instead of silently returning the default forever.
 
-The resolution precedence every knob follows is unchanged (and documented
-in ``docs/configuration.md``): explicit argument > environment variable >
-built-in default.  This module owns only the environment leg; the
-``resolve_*`` functions next to each consumer keep owning precedence and
-defaults, so knob semantics stay where their subsystem is documented.
+The resolution precedence every knob follows is documented in
+``docs/configuration.md``: explicit value > environment variable > built-in
+default.  This module owns only the environment leg.  For the execution
+knobs, :meth:`repro.pipeline.ExecutionConfig.resolve` owns precedence and
+defaults in one pass; the few knobs outside that document (backend lane,
+fault plan, harness profile, artifacts root) resolve next to their consumer.
 """
 
 from __future__ import annotations
@@ -135,12 +136,13 @@ class Knob:
     """One declared runtime knob.
 
     ``kind`` is documentation-facing (what shape of value the knob takes);
-    the consumer's ``resolve_*`` function owns the actual typed read so each
-    knob's semantics (precedence, ``timeout=0`` meaning, choice validation
-    against a live registry) stay with its subsystem.
+    the resolving code (``ExecutionConfig.resolve`` for the execution knobs)
+    owns the actual typed read, so each knob's semantics (precedence,
+    ``timeout=0`` meaning, choice validation against a live registry) stay
+    in one place.
     """
 
-    name: str        # environment variable, e.g. "REPRO_STREAMING"
+    name: str        # environment variable, e.g. "REPRO_DEGRADE"
     kind: str        # "flag" | "int" | "float" | "string" | "path" | "choice" | "flag-or-bytes" | "plan"
     default: str     # human-readable default, rendered into the docs table
     doc: str         # markdown "Meaning" cell for docs/configuration.md
@@ -255,20 +257,6 @@ register_knob(Knob(
     field="num_workers",
 ))
 register_knob(Knob(
-    name="REPRO_STREAMING",
-    kind="flag",
-    default="on",
-    doc=(
-        "Keep the worker pool's shared-memory segments alive across pipeline "
-        "calls in a persistent ring "
-        "([`repro.pipeline.streaming`](../src/repro/pipeline/streaming.py)). "
-        "`0` restores the per-call segment transport (the throughput bench's "
-        "baseline). Bit-identical either way."
-    ),
-    section="execution",
-    field="streaming",
-))
-register_knob(Knob(
     name="REPRO_RESULT_CACHE",
     kind="flag-or-bytes",
     default="off",
@@ -330,10 +318,9 @@ register_knob(Knob(
         "means a team of one and \"do not touch the BLAS library\". The serial "
         "compiled default comes from the process's CPU affinity, never from "
         "the BLAS library, so a second pipeline gets the same budget; it stops "
-        "at 2, the largest team measured, unless set explicitly. Threads "
-        "through `ParallelConfig(blas_threads=...)`, "
-        "`InferencePipeline(blas_threads=...)`, `OPCConfig.blas_threads` and "
-        "the experiment drivers."
+        "at 2, the largest team measured, unless set explicitly. Set it per "
+        "pipeline with `ExecutionConfig(blas_threads=...)`, which the "
+        "harness, the experiment drivers and `OPCConfig.execution` all take."
     ),
     section="backends",
     field="blas_threads",

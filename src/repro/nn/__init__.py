@@ -13,7 +13,6 @@ from .backends import (
     BLAS_THREADS_ENV,
     DEFAULT_BACKEND,
     resolve_backend,
-    resolve_blas_threads,
     set_blas_threads,
 )
 from .fusion import (
@@ -58,7 +57,6 @@ __all__ = [
     "BLAS_THREADS_ENV",
     "DEFAULT_BACKEND",
     "resolve_backend",
-    "resolve_blas_threads",
     "set_blas_threads",
     "CompiledChain",
     "CompiledFourierUnit",

@@ -38,10 +38,12 @@ for more: a serial compiled pipeline runs each call inside
 thread for that call only and restores both on exit, so unfused pipelines,
 simulators and any other code keep the library's own thread count; a pool
 worker of a compiled executor sizes its team once for its whole life
-(:func:`set_compute_threads`).  The thread budget is ``REPRO_BLAS_THREADS``
-/ the ``blas_threads`` knob: explicit > env > default, where the default is
-1 per pooled worker and ``min(usable cores, DEFAULT_TEAM_LIMIT)`` for a
-serial compiled pipeline.  Unfused and simulator pipelines use it as a
+(:func:`set_compute_threads`).  The thread budget is the ``blas_threads``
+field of :class:`repro.pipeline.ExecutionConfig` / ``REPRO_BLAS_THREADS``:
+explicit > env > :func:`default_blas_threads`, where the default is 1 per
+pooled worker and ``min(usable cores, DEFAULT_TEAM_LIMIT)`` for a serial
+compiled pipeline.  It is never read back from the BLAS library: once a
+compute team has capped it, the library reports 1.  Unfused and simulator pipelines use it as a
 plain BLAS cap, and only when it is set.  The cap is applied by a ctypes
 shim (no ``threadpoolctl`` dependency) and reaches *every* OpenBLAS the
 process has mapped: numpy and scipy each bundle their own, and the one
@@ -75,7 +77,6 @@ __all__ = [
     "default_blas_threads",
     "get_blas_threads",
     "resolve_backend",
-    "resolve_blas_threads",
     "set_blas_threads",
     "set_compute_threads",
     "usable_cores",
@@ -264,25 +265,6 @@ def default_blas_threads(num_workers: int = 0, compiled: bool = False) -> int:
     if num_workers > 1:
         return 1
     return min(usable_cores(), DEFAULT_TEAM_LIMIT) if compiled else 0
-
-
-def resolve_blas_threads(
-    blas_threads: int | None = None, num_workers: int = 0, compiled: bool = False
-) -> int:
-    """Resolve the thread budget: explicit > ``REPRO_BLAS_THREADS`` >
-    :func:`default_blas_threads`.
-
-    The budget is never read back from the BLAS library: once a compute
-    team has capped it, the library reports 1.
-    """
-    if blas_threads is not None:
-        if blas_threads < 0:
-            raise ValueError(f"blas_threads must be >= 0, got {blas_threads}")
-        return int(blas_threads)
-    value = knobs.read_int(BLAS_THREADS_ENV, minimum=0)
-    if value is not None:
-        return value
-    return default_blas_threads(num_workers, compiled)
 
 
 # --------------------------------------------------------------------------

@@ -6,7 +6,6 @@ from .engine import (
     OPCConfig,
     OPCEngine,
     OPCResult,
-    resolve_incremental,
     rule_based_retarget,
 )
 from .epe import EPEStatistics, measure_fragment_epe, measure_layout_epe
@@ -26,7 +25,6 @@ __all__ = [
     "OPCConfig",
     "OPCEngine",
     "OPCResult",
-    "resolve_incremental",
     "rule_based_retarget",
     "EPEStatistics",
     "measure_fragment_epe",

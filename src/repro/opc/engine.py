@@ -29,11 +29,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .. import knobs
 from ..layout.geometry import Layout
 from ..layout.rasterize import rasterize
 from ..litho.simulator import LithoSimulator
-from ..pipeline import ExecutionConfig, IncrementalCounters, InferencePipeline, RetryPolicy
+from ..pipeline import ExecutionConfig, IncrementalCounters, InferencePipeline
+from ..pipeline.config import INCREMENTAL_ENV
 from .epe import EPEStatistics, measure_layout_epe
 from .fragments import FragmentedShape, FragmentTileIndex, build_mask, fragment_layout
 from .sraf import insert_srafs, sraf_rects_pixels
@@ -44,27 +44,8 @@ __all__ = [
     "OPCConfig",
     "OPCResult",
     "OPCEngine",
-    "resolve_incremental",
     "rule_based_retarget",
 ]
-
-#: Environment variable consulted when ``OPCConfig.incremental`` is ``None``.
-INCREMENTAL_ENV = "REPRO_INCREMENTAL_OPC"
-
-
-# repro: ok(CONFIG001, retained single-knob resolver with a pinned public contract; ExecutionConfig.resolve() is the config-document route)
-def resolve_incremental(incremental: bool | None = None) -> bool:
-    """Resolve the incremental knob: argument > ``REPRO_INCREMENTAL_OPC`` > on.
-
-    Incremental re-simulation defaults to **on**: the hybrid cost model makes
-    it no slower than the plain loop when every window is dirty, and strictly
-    cheaper once the dirty set shrinks (equivalence pinned by
-    ``tests/opc/test_incremental.py``).
-    """
-    if incremental is not None:
-        return bool(incremental)
-    value = knobs.read_flag(INCREMENTAL_ENV)
-    return True if value is None else value
 
 
 @dataclass(frozen=True)
@@ -80,44 +61,20 @@ class OPCConfig:
     epe_search_range: int = 24        # pixels
     record_history: bool = True
     #: Execution document for the simulation pipeline
-    #: (:class:`repro.pipeline.ExecutionConfig`): workers, streaming, BLAS
-    #: threads, result cache, supervision, incremental re-simulation — one
-    #: config instead of six mirrored fields.  The per-knob fields below are
-    #: a deprecated shim layered on top of it (an explicitly-set per-knob
-    #: field overrides the embedded config); see :meth:`execution_config`.
+    #: (:class:`repro.pipeline.ExecutionConfig`): workers, BLAS threads,
+    #: result cache, supervision.  OPC is the canonical repeated-call
+    #: workload — the iterate-simulate-measure loop calls the simulator once
+    #: per iteration on same-shaped masks, so a pooled run maps its
+    #: shared-memory ring once and reuses it for the whole correction.
     execution: "ExecutionConfig | None" = None
-    num_workers: int | None = None    # worker pool for the simulation pipeline
-    #: BLAS thread cap for the simulation pipeline (see
-    #: :func:`repro.nn.backends.resolve_blas_threads`): ``None`` defers to
-    #: ``REPRO_BLAS_THREADS``, then 1-per-worker when pooled so pool workers
-    #: and BLAS threads don't oversubscribe the cores.
-    blas_threads: int | None = None
-    #: Persistent shared-memory ring for the simulation pipeline.  OPC is the
-    #: canonical streaming workload — the iterate-simulate-measure loop calls
-    #: the simulator once per iteration on same-shaped masks, so the ring's
-    #: segments are mapped once and reused for the whole run.  ``None``
-    #: defers to ``REPRO_STREAMING`` (then on).
-    streaming: bool | None = None
     #: Incremental re-simulation: track dirty tile windows per iteration and
     #: re-simulate only those (:meth:`InferencePipeline.predict_patched`),
     #: with a native whole-mask fallback when the dirty set is large.  The
     #: result matches the plain loop (same ``final_mask``, same
-    #: ``epe_history``).  ``None`` defers to ``REPRO_INCREMENTAL_OPC``
-    #: (then on); ``False`` restores the always-full simulation loop.
+    #: ``epe_history``).  ``None`` defers to ``execution.incremental``, then
+    #: ``REPRO_INCREMENTAL_OPC`` (then on); ``False`` restores the
+    #: always-full simulation loop.
     incremental: bool | None = None
-    #: Content-hash result cache on the simulation pipeline
-    #: (:class:`repro.pipeline.MaskResultCache`): exact mask repeats —
-    #: convergence re-checks, the Figure 8 golden snapshot sims — are free.
-    #: ``True`` enables the default byte budget, an ``int`` sets the budget,
-    #: ``None`` defers to ``REPRO_RESULT_CACHE`` (then off).
-    result_cache: bool | int | None = None
-    #: Supervision policy for the pooled simulation dispatch
-    #: (:class:`repro.pipeline.RetryPolicy`): per-chunk deadline, chunk retry
-    #: budget, and graceful in-process degradation — a long OPC run survives a
-    #: dying worker instead of losing the whole iteration history.  ``None``
-    #: defers to ``REPRO_WORKER_TIMEOUT`` / ``REPRO_WORKER_RETRIES`` /
-    #: ``REPRO_DEGRADE`` (then the policy defaults).
-    retry: "RetryPolicy | None" = None
     #: Freeze a fragment once |EPE| stayed within ``freeze_tolerance`` for
     #: this many consecutive iterations: it stops being measured and never
     #: moves again, shrinking both the EPE walk and the dirty-tile set as the
@@ -132,20 +89,11 @@ class OPCConfig:
     def execution_config(self) -> ExecutionConfig:
         """Execution document for the simulation pipeline.
 
-        Starts from :attr:`execution` (or an empty config) and overlays the
-        legacy per-knob mirror fields — any that were explicitly set win, so
-        old-style ``OPCConfig(num_workers=4)`` call sites keep working while
-        new code sets ``execution=ExecutionConfig(...)`` directly.
+        :attr:`execution` (or an empty config) with :attr:`incremental`
+        overlaid when it is set.
         """
         base = self.execution if self.execution is not None else ExecutionConfig()
-        return base.merged(
-            num_workers=self.num_workers,
-            blas_threads=self.blas_threads,
-            streaming=self.streaming,
-            incremental=self.incremental,
-            result_cache=self.result_cache,
-            retry=self.retry,
-        )
+        return base.merged(incremental=self.incremental)
 
 
 class MaskHistory:

@@ -10,8 +10,8 @@ resolves exactly once (explicit field > ``REPRO_*`` env > default, with
 per-field provenance and structured :class:`ConfigError`\\ s), and
 ``pipeline.plan(masks)`` returns the serializable :class:`ExecutionPlan`
 that ``execute`` carries out — see ``docs/architecture.md`` for the
-config -> plan -> execute flow.  The per-knob keyword arguments still
-accepted by :class:`InferencePipeline` are a deprecated shim.
+config -> plan -> execute flow.  The config is the only route: the
+pipeline takes no per-knob keyword arguments.
 
 Throughput knobs (all fields of :class:`ExecutionConfig`, honoured by every
 driver that builds a pipeline — evaluation, OPC, experiment harnesses,
@@ -25,12 +25,9 @@ benchmarks):
     Worker processes the executor's batches are sharded across
     (:mod:`repro.pipeline.parallel`); 0/1 runs serial in-process.  The
     environment variable parallelizes a whole fleet without touching call
-    sites; an explicit argument always wins.
-``streaming`` / ``REPRO_STREAMING``
-    Keep the worker pool's shared-memory segments alive across pipeline calls
-    in a persistent, generation-tagged ring (:mod:`repro.pipeline.streaming`)
-    instead of re-creating them per call.  Default on; ``streaming=False``
-    (or ``REPRO_STREAMING=0``) restores the per-call transport.
+    sites; an explicit field always wins.  Batches travel to the workers
+    through a persistent, generation-tagged shared-memory ring
+    (:mod:`repro.pipeline.streaming`) reused across pipeline calls.
 ``shard_tiles``
     Let the stitched large-tile plan dispatch the whole GP tile stream as one
     pooled invocation, so the tiles of a *single* large mask shard across all
@@ -87,7 +84,7 @@ from .cache import (
     ownership_slices,
     resolve_cache_budget,
 )
-from .config import ConfigError, ExecutionConfig, ExecutionPlan
+from .config import NUM_WORKERS_ENV, ConfigError, ExecutionConfig, ExecutionPlan
 from .engine import InferencePipeline, PipelineResult, PipelineStats
 from .executors import Executor, ModelExecutor, SimulatorExecutor, as_executor
 from .faults import (
@@ -97,20 +94,8 @@ from .faults import (
     InjectedFault,
     resolve_fault_plan,
 )
-from .parallel import (
-    NUM_WORKERS_ENV,
-    ParallelConfig,
-    WorkerPoolError,
-    WorkerPoolExecutor,
-    resolve_num_workers,
-)
-from .streaming import (
-    SEGMENT_PREFIX,
-    STREAMING_ENV,
-    SegmentRing,
-    live_segment_names,
-    resolve_streaming,
-)
+from .parallel import WorkerPoolError, WorkerPoolExecutor
+from .streaming import SEGMENT_PREFIX, SegmentRing, live_segment_names
 from .supervision import (
     DEGRADE_ENV,
     WORKER_RETRIES_ENV,
@@ -149,15 +134,11 @@ __all__ = [
     "InjectedFault",
     "resolve_fault_plan",
     "NUM_WORKERS_ENV",
-    "ParallelConfig",
     "WorkerPoolError",
     "WorkerPoolExecutor",
-    "resolve_num_workers",
     "SEGMENT_PREFIX",
-    "STREAMING_ENV",
     "SegmentRing",
     "live_segment_names",
-    "resolve_streaming",
     "DEGRADE_ENV",
     "WORKER_RETRIES_ENV",
     "WORKER_TIMEOUT_ENV",

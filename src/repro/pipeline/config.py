@@ -11,9 +11,9 @@ subtly different defaults.  This module is the consolidation:
   :mod:`repro.knobs` > built-in default) exactly once and records where each
   value came from, so :meth:`ExecutionConfig.validate` can raise structured
   :class:`ConfigError`\\ s naming the field *and* the source.  Resolution is
-  idempotent: re-resolving a resolved config is a no-op, and the resolved
-  values survive a second pass through the per-subsystem ``resolve_*``
-  helpers unchanged (the worker pool re-checks its policy at dispatch).
+  idempotent: re-resolving a resolved config is a no-op, and resolving its
+  values again (the worker pool resolves the knobs it is handed) leaves them
+  unchanged.
 * :meth:`ExecutionConfig.to_dict` / :meth:`ExecutionConfig.from_dict` —
   JSON-safe round-trips, the request-admission contract of the future async
   serving front end (config doc in).
@@ -42,8 +42,6 @@ from dataclasses import dataclass, fields, replace
 from .. import knobs
 from ..nn.backends import BACKENDS, BLAS_THREADS_ENV, default_blas_threads
 from .cache import RESULT_CACHE_ENV, resolve_cache_budget
-from .parallel import NUM_WORKERS_ENV, ParallelConfig
-from .streaming import STREAMING_ENV
 from .supervision import (
     DEFAULT_MAX_RETRIES,
     DEGRADE_ENV,
@@ -52,11 +50,21 @@ from .supervision import (
     WORKER_TIMEOUT_ENV,
 )
 
-__all__ = ["ConfigError", "ExecutionConfig", "ExecutionPlan", "INCREMENTAL_ENV"]
+__all__ = [
+    "ConfigError",
+    "ExecutionConfig",
+    "ExecutionPlan",
+    "INCREMENTAL_ENV",
+    "NUM_WORKERS_ENV",
+]
 
-#: Environment leg of ``ExecutionConfig.incremental`` (also consulted by
-#: :func:`repro.opc.engine.resolve_incremental`; declared here as well so the
-#: config module does not import :mod:`repro.opc`, which imports us).
+#: Environment leg of ``ExecutionConfig.num_workers``, so every pipeline
+#: consumer (benchmarks, experiment drivers, examples) can be parallelized
+#: without threading a flag through its call chain.
+NUM_WORKERS_ENV = "REPRO_NUM_WORKERS"
+
+#: Environment leg of ``ExecutionConfig.incremental`` (re-exported by
+#: :mod:`repro.opc`, whose engine is its one consumer).
 INCREMENTAL_ENV = "REPRO_INCREMENTAL_OPC"
 
 
@@ -109,8 +117,6 @@ class ExecutionConfig:
     #: the usable core count up to 2 when serial and compiled, else 0 =
     #: leave the BLAS library alone).
     blas_threads: int | None = None
-    #: Persistent shared-memory ring (``REPRO_STREAMING``, then on).
-    streaming: bool | None = None
     #: Intra-mask tile sharding on the stitched plan.  Tri-state on purpose:
     #: ``None`` survives resolution as "auto — engage exactly when the
     #: executor is pooled", which only the pipeline can decide (the executor
@@ -129,16 +135,14 @@ class ExecutionConfig:
     resolved: bool = False
 
     # ------------------------------------------------------------------ #
-    # Merging (the one ParallelConfig-style override pass)
+    # Merging (the one field-by-field override pass)
     # ------------------------------------------------------------------ #
     def merged(self, other: "ExecutionConfig | None" = None, /, **overrides) -> "ExecutionConfig":
         """A copy where ``other``'s set fields, then ``overrides``, win.
 
-        ``None`` values never override — the same field-by-field precedence
-        the old ``if parallel is not None:`` block in
-        ``InferencePipeline.__init__`` applied by hand, now in one place.
-        Unknown override names raise :class:`ConfigError` (typo detection —
-        a ``**legacy`` shim must not silently drop a knob).
+        ``None`` values never override.  Unknown override names raise
+        :class:`ConfigError` (typo detection: a misspelt knob must not be
+        silently dropped).
         """
         changes: dict = {}
         if other is not None:
@@ -161,27 +165,6 @@ class ExecutionConfig:
             return self
         changes["resolved"] = False
         return replace(self, **changes)
-
-    @classmethod
-    def from_parallel(cls, parallel: ParallelConfig) -> "ExecutionConfig":
-        """Lift a legacy :class:`ParallelConfig` into an execution config."""
-        return cls(
-            num_workers=parallel.num_workers,
-            chunk_size=parallel.chunk_size,
-            streaming=parallel.streaming,
-            retry=parallel.retry,
-            blas_threads=parallel.blas_threads,
-        )
-
-    def parallel(self) -> ParallelConfig:
-        """The worker-pool slice of this config as a :class:`ParallelConfig`."""
-        return ParallelConfig(
-            num_workers=self.num_workers,
-            chunk_size=self.chunk_size,
-            streaming=self.streaming,
-            retry=self.retry,
-            blas_threads=self.blas_threads,
-        )
 
     # ------------------------------------------------------------------ #
     # Resolution: the one explicit > env > default pass
@@ -222,7 +205,6 @@ class ExecutionConfig:
         pick("optical_diameter_pixels", None, None, 16)
         pick("compile", None, None, False)
         pick("num_workers", NUM_WORKERS_ENV, knobs.read_int(NUM_WORKERS_ENV, minimum=0), 0)
-        pick("streaming", STREAMING_ENV, knobs.read_flag(STREAMING_ENV), True)
         pick("incremental", INCREMENTAL_ENV, knobs.read_flag(INCREMENTAL_ENV), True)
         # result_cache resolves to the byte budget (0 = off); the env leg
         # accepts a flag or a byte count, so reuse the cache's own parser.
@@ -253,8 +235,9 @@ class ExecutionConfig:
 
         ``timeout`` keeps an explicit ``0`` as ``0`` (the "deadline off even
         when the environment sets one" sentinel) instead of folding it to
-        ``None`` — the worker pool re-resolves the policy at dispatch, and a
-        ``None`` there would let the env deadline back in.
+        ``None``: the worker pool resolves the policy it is handed again, and
+        a ``None`` there would let the env deadline back in.  The supervisor
+        arms a deadline only for a nonzero timeout.
         """
         base = self.retry if self.retry is not None else RetryPolicy()
         timeout = base.timeout
@@ -341,7 +324,7 @@ class ExecutionConfig:
             fail("result_cache", f"must be a flag or byte budget, got {self.result_cache!r}")
         if self.retry is not None and not isinstance(self.retry, RetryPolicy):
             fail("retry", f"must be a RetryPolicy, got {self.retry!r}")
-        for name in ("compile", "streaming", "shard_tiles", "incremental"):
+        for name in ("compile", "shard_tiles", "incremental"):
             value = getattr(self, name)
             if value is not None and not isinstance(value, bool):
                 fail(name, f"must be a boolean, got {value!r}")
@@ -408,7 +391,6 @@ class ExecutionPlan:
     super_batch: int = 0                 # tiles per GP dispatch (stitched only)
     num_workers: int = 0
     sharded_tiles: bool = False
-    streaming: bool = False
     result_cache: bool = False
     compute_identity: str = ""           # hex cache-identity of the executor
 

@@ -49,26 +49,21 @@ Two independent knobs control throughput:
   sweeps both knobs and writes the measured table to
   ``artifacts/results/pipeline_throughput.txt``.
 
-Two streaming refinements ride on top of the worker pool:
-
-* ``streaming`` — keep the worker pool's shared-memory segments alive across
-  pipeline calls in a persistent, generation-tagged ring
-  (:mod:`repro.pipeline.streaming`; fleet-wide via ``REPRO_STREAMING``).  On
-  repeated-call workloads (OPC iteration loops, full-chip tile streams) this
-  skips the per-call ``shm_open``/``mmap``/copy-warming in the parent and
-  every worker.  Default on; ``streaming=False`` restores the per-call
-  transport.  Bit-identical either way.
-* ``shard_tiles`` — let the stitched §3.2 plan hand the tile stream of a
-  large mask (or mask batch) to the pool in ``num_workers x batch_size``
-  super-batches, so the tiles of a single mask shard across all workers
-  instead of being fed in ``batch_size``-bounded pool calls (one barrier +
-  one segment fill per super-batch rather than per chunk, while the shared
-  segments stay bounded at workers x batch_size tiles however large the
-  layout is).  Each worker's shard is about ``batch_size`` tiles, which
-  one GP forward keeps cache-resident, and the GP path is partition
-  invariant, so the stitched output stays bit-identical to the serial and
-  per-call plans.  Default: on whenever the executor is pooled; a serial
-  pipeline keeps the ``batch_size``-chunked loop.
+Pooled batches travel through a persistent, generation-tagged shared-memory
+ring (:mod:`repro.pipeline.streaming`) that is reused across pipeline calls,
+so repeated-call workloads (OPC iteration loops, full-chip tile streams)
+skip the per-call ``shm_open``/``mmap``/copy-warming in the parent and every
+worker.  On top of it rides ``shard_tiles`` — let the stitched §3.2 plan
+hand the tile stream of a large mask (or mask batch) to the pool in
+``num_workers x batch_size`` super-batches, so the tiles of a single mask
+shard across all workers instead of being fed in ``batch_size``-bounded
+pool calls (one barrier + one segment fill per super-batch rather than per
+chunk, while the shared segments stay bounded at workers x batch_size tiles
+however large the layout is).  Each worker's shard is about ``batch_size``
+tiles, which one GP forward keeps cache-resident, and the GP path is
+partition invariant, so the stitched output stays bit-identical to the
+serial and chunked plans.  Default: on whenever the executor is pooled; a
+serial pipeline keeps the ``batch_size``-chunked loop.
 
 A third, orthogonal knob is ``compile`` — compile a model engine once into a
 fused inference graph (conv->BN->LeakyReLU folded into single passes with a
@@ -82,7 +77,6 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import time
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,7 +91,7 @@ from .cache import (
 )
 from .config import ExecutionConfig, ExecutionPlan
 from .executors import Executor, as_executor
-from .parallel import ParallelConfig, RetryPolicy, WorkerPoolExecutor
+from .parallel import WorkerPoolExecutor
 
 __all__ = ["InferencePipeline", "PipelineResult", "PipelineStats"]
 
@@ -152,146 +146,53 @@ class InferencePipeline:
         :class:`~repro.litho.simulator.LithoSimulator`, or a prebuilt
         :class:`~repro.pipeline.executors.Executor`.
     config:
-        An :class:`~repro.pipeline.config.ExecutionConfig` owning every
-        execution knob below.  This is the supported way to configure a
-        pipeline; the per-knob keyword arguments are a deprecated
-        compatibility shim (they build a config internally and emit a
-        :class:`DeprecationWarning`).  The resolved config — explicit field
-        > ``REPRO_*`` environment knob > default, applied exactly once —
-        is available as ``pipeline.config``.
-    tile_size:
-        Native (training) tile size of the engine.  Masks larger than this
-        trigger the §3.2 large-tile plan when the engine supports it; ``None``
-        disables tiling entirely.
-    batch_size:
-        Default number of tiles / masks per executor invocation.
-    optical_diameter_pixels:
-        Optical ambit used to size the stitching core margin (``d`` in the
-        paper; only the region further than ``d/2`` from a tile edge is
-        trusted).
-    num_workers:
-        Worker processes the executor's batches are sharded across (see
-        :mod:`repro.pipeline.parallel`).  ``None`` defers to the
-        ``REPRO_NUM_WORKERS`` environment variable; values <= 1 run
-        in-process exactly as before.
-    chunk_size:
-        Items per worker-pool chunk; ``None`` splits each batch evenly over
-        the workers.
-    parallel:
-        A prebuilt :class:`~repro.pipeline.parallel.ParallelConfig`; explicit
-        ``num_workers``/``chunk_size``/``streaming`` arguments override its
-        fields.
-    streaming:
-        Keep the worker pool's shared-memory segments alive across pipeline
-        calls in a persistent ring (:mod:`repro.pipeline.streaming`).  ``None``
-        defers to the ``REPRO_STREAMING`` environment variable (then on);
-        ``False`` restores the per-call segment transport.  Irrelevant (and
-        ignored) for serial pipelines.
-    shard_tiles:
-        Let the stitched large-tile plan dispatch the GP tile stream in
-        ``num_workers x batch_size`` super-batches so the tiles of one mask
-        shard across all workers (with shared segments bounded at that size
-        however large the layout is).  ``None`` (default) enables it exactly
-        when the executor is pooled; ``False`` forces the
-        ``batch_size``-chunked GP loop.  Bit-identical either way.
-    compile:
-        Compile a model engine once into a fused inference graph
-        (:func:`repro.nn.compile_model`: conv->BN->activation fusion with a
-        pad-once buffer cache) and run every batch through it.  Numerically
-        equivalent to the unfused path within 1e-12 (pinned by the
-        equivalence suite) and composes with ``num_workers`` sharding.
-    result_cache:
-        Content-hash result cache in front of :meth:`run` / :meth:`predict`
-        (:class:`repro.pipeline.cache.MaskResultCache`): exact input repeats
-        are answered without touching the executor, bit-identical because
-        every executor path is partition invariant.  ``True`` enables the
-        default byte budget, an ``int`` sets the budget in bytes, ``None``
-        defers to the ``REPRO_RESULT_CACHE`` environment variable (then off).
-        Hits/misses are reported in :class:`PipelineStats` and on
-        ``pipeline.result_cache``.
-    retry:
-        Supervision policy for the pooled dispatch
-        (:class:`~repro.pipeline.supervision.RetryPolicy`): per-chunk
-        deadline, retry budget for failed chunks, and graceful in-process
-        degradation when the pool is irrecoverable.  ``None`` defers to the
-        ``REPRO_WORKER_TIMEOUT`` / ``REPRO_WORKER_RETRIES`` / ``REPRO_DEGRADE``
-        environment variables (then the policy defaults: no deadline, 2
-        retries, degradation on).  Retried and degraded chunks are
-        bit-identical by construction; per-run counters land on
-        :class:`PipelineStats`.  Ignored for serial pipelines.
-    backend:
-        Compute lane of the compiled fused graph (:mod:`repro.nn.backends`):
-        ``"float64"`` (default, bit-identical) or ``"float32"`` (calibrated
-        tolerance, ~half the memory traffic).  ``None`` defers to the
-        ``REPRO_BACKEND`` environment variable (then ``float64``); requires
-        ``compile=True`` for non-default lanes and only applies to model
-        engines.
-    blas_threads:
-        Thread budget, applied inside each pool worker, or in-process when
-        serial.  A serial compiled engine runs the fused conv kernels of
-        each call on a compute team of this many threads with BLAS capped
-        at one for that call only
-        (:func:`repro.nn.backends.compute_threads`); pool workers of a
-        compiled engine size their own team once.  Any other engine takes
-        it as a BLAS thread cap
-        (:func:`repro.nn.backends.set_blas_threads`).  ``None`` defers to
-        ``REPRO_BLAS_THREADS``, then 1 per worker when pooled, the usable
-        core count up to :data:`repro.nn.backends.DEFAULT_TEAM_LIMIT` when
-        serial and compiled, and 0 (a team of one, the BLAS library left
-        alone) otherwise, so ``workers x threads`` never oversubscribes by
-        default.
+        The :class:`~repro.pipeline.config.ExecutionConfig` owning every
+        execution knob; the only way to configure a pipeline.  It resolves
+        once (explicit field > ``REPRO_*`` environment knob > default), and
+        the resolved config is available as ``pipeline.config``.  Its fields:
+
+        * ``tile_size`` — native (training) tile size of the engine.  Masks
+          larger than this trigger the §3.2 large-tile plan when the engine
+          supports it; ``None`` disables tiling entirely.
+        * ``batch_size`` — default number of tiles / masks per executor
+          invocation.
+        * ``optical_diameter_pixels`` — optical ambit sizing the stitching
+          core margin (``d`` in the paper; only the region further than
+          ``d/2`` from a tile edge is trusted).
+        * ``num_workers`` / ``chunk_size`` / ``retry`` / ``blas_threads`` —
+          the worker pool (:mod:`repro.pipeline.parallel`): processes the
+          batches shard across (values <= 1 run in-process), items per
+          chunk (``None``: an even split), the supervision policy
+          (:class:`~repro.pipeline.supervision.RetryPolicy`: per-chunk
+          deadline, retry budget, graceful in-process degradation), and the
+          thread budget.  The pipeline builds its pool from exactly these
+          resolved values.  A serial compiled engine runs the fused conv
+          kernels of each call on a compute team of ``blas_threads``
+          threads with BLAS capped at one for that call only
+          (:func:`repro.nn.backends.compute_threads`); pool workers of a
+          compiled engine size their own team once; any other engine takes
+          it as a BLAS thread cap.  The default is 1 per worker when
+          pooled, the usable core count up to
+          :data:`repro.nn.backends.DEFAULT_TEAM_LIMIT` when serial and
+          compiled, and 0 (a team of one, the BLAS library left alone)
+          otherwise, so ``workers x threads`` never oversubscribes.
+        * ``shard_tiles`` — let the stitched plan dispatch the GP tile
+          stream in ``num_workers x batch_size`` super-batches; ``None``
+          enables it exactly when the executor is pooled.  Bit-identical
+          either way.
+        * ``compile`` / ``backend`` — run a model engine as a fused inference
+          graph (:func:`repro.nn.compile_model`, within 1e-12 of the unfused
+          path) on the ``float64`` (bit-identical) or ``float32`` lane;
+          ``backend=None`` defers to ``REPRO_BACKEND`` at the executor.
+        * ``result_cache`` — content-hash result cache in front of
+          :meth:`run` / :meth:`predict`
+          (:class:`repro.pipeline.cache.MaskResultCache`): ``True`` enables
+          the default byte budget, an ``int`` sets it; hits and misses land
+          on :class:`PipelineStats` and ``pipeline.result_cache``.
     """
 
-    #: Legacy per-knob keyword arguments accepted (and deprecated) by
-    #: ``__init__``; each maps 1:1 onto an :class:`ExecutionConfig` field.
-    _LEGACY_KWARGS = (
-        "tile_size", "batch_size", "optical_diameter_pixels", "num_workers",
-        "chunk_size", "compile", "streaming", "shard_tiles", "result_cache",
-        "retry", "backend", "blas_threads",
-    )
-
-    # repro: ok(CONFIG001, deprecated legacy kwarg shim kept for one release; new code passes config=)
-    def __init__(
-        self,
-        engine,
-        config: ExecutionConfig | None = None,
-        *,
-        tile_size: int | None = None,
-        batch_size: int | None = None,
-        optical_diameter_pixels: int | None = None,
-        num_workers: int | None = None,
-        chunk_size: int | None = None,
-        parallel: ParallelConfig | None = None,
-        compile: bool | None = None,
-        streaming: bool | None = None,
-        shard_tiles: bool | None = None,
-        result_cache: bool | int | None = None,
-        retry: RetryPolicy | None = None,
-        backend: str | None = None,
-        blas_threads: int | None = None,
-    ) -> None:
-        given = locals()
-        legacy = {name: given[name] for name in self._LEGACY_KWARGS}
-        used = sorted(name for name, value in legacy.items() if value is not None)
-        if parallel is not None:
-            used.append("parallel")
-        if used:
-            warnings.warn(
-                f"InferencePipeline({', '.join(used)}=...) keyword knobs are "
-                "deprecated; pass config=ExecutionConfig(...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            # Precedence preserved from the old hand-merged block: explicit
-            # kwargs > the prebuilt ParallelConfig's fields; a config= given
-            # alongside kwargs sits between the two.
-            base = (
-                ExecutionConfig.from_parallel(parallel)
-                if parallel is not None
-                else ExecutionConfig()
-            )
-            config = base.merged(config, **legacy)
-        elif config is None:
+    def __init__(self, engine, config: ExecutionConfig | None = None) -> None:
+        if config is None:
             config = ExecutionConfig()
         #: The resolved execution config of this pipeline (one resolution
         #: pass: explicit field > ``REPRO_*`` knob > default).
@@ -307,12 +208,15 @@ class InferencePipeline:
             self.config = resolved = config.merged(compile=True).resolve()
         self.num_workers = resolved.num_workers
         if self.num_workers > 1 and not isinstance(self.executor, WorkerPoolExecutor):
-            self.executor = WorkerPoolExecutor(self.executor, config=resolved.parallel())
+            self.executor = WorkerPoolExecutor(
+                self.executor,
+                num_workers=resolved.num_workers,
+                chunk_size=resolved.chunk_size,
+                retry=resolved.retry,
+                blas_threads=resolved.blas_threads,
+            )
         elif isinstance(self.executor, WorkerPoolExecutor):
             self.num_workers = self.executor.num_workers
-        self.streaming = (
-            self.executor.streaming if isinstance(self.executor, WorkerPoolExecutor) else False
-        )
         # Pool workers get the thread budget through the pool initializer
         # (the parent's is left alone).  A serial compiled pipeline sizes
         # its compute team per call (_threads); any other serial one uses
@@ -719,7 +623,6 @@ class InferencePipeline:
             mask_shape=(h, w),
             batch_size=batch_size,
             num_workers=self.num_workers,
-            streaming=self.streaming,
             result_cache=self.result_cache is not None,
             compute_identity=self._compute_identity.hex(),
         )
@@ -857,7 +760,7 @@ class InferencePipeline:
         Intra-mask sharding needs a worker pool to shard onto; with
         ``shard_tiles=None`` it engages exactly when the executor is pooled,
         and ``shard_tiles=False`` opts back into the ``batch_size``-chunked
-        GP loop (the per-call plan the equivalence tests compare against).
+        GP loop (the plan the equivalence tests compare against).
         """
         if self.shard_tiles is False:
             return False

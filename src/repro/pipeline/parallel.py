@@ -8,22 +8,19 @@ scale past one core:
   memory (:mod:`multiprocessing.shared_memory`); workers map them zero-copy,
   compute their chunk, and write the result directly into a shared output
   buffer.  No mask or prediction array is ever pickled through a pipe.
-* **Persistent streaming ring** (default) — the input/output segments live in
-  a :class:`~repro.pipeline.streaming.SegmentRing` that persists across
+* **Persistent streaming ring** — the input/output segments live in a
+  :class:`~repro.pipeline.streaming.SegmentRing` that persists across
   executor invocations, so consecutive pipeline calls (OPC iteration loops,
   full-chip tile streams) reuse the mapped segments instead of paying a fresh
   ``shm_open`` + ``mmap`` per call.  Slots are generation-tagged: workers
   cache their mapping per slot and remap only when the parent regrew a slot
-  for a larger geometry.  ``streaming=False`` (or ``REPRO_STREAMING=0``)
-  restores the per-call transport, which the throughput bench uses as its
-  baseline.
-* **Guaranteed segment teardown** — every segment (streaming or per-call)
-  is tracked by the :mod:`~repro.pipeline.streaming` registry: per-call
-  segments are released in a ``try``/``finally`` even when a worker raises
-  mid-batch, ring segments are released by :meth:`WorkerPoolExecutor.close`,
-  and whatever is still live at interpreter exit is unlinked by the
-  registry's ``atexit`` hook — ``/dev/shm`` never accumulates stale
-  ``repro`` segments.
+  for a larger geometry.  The ring is the only transport.
+* **Guaranteed segment teardown** — every ring segment is tracked by the
+  :mod:`~repro.pipeline.streaming` registry: it is released by
+  :meth:`WorkerPoolExecutor.close` (also on error: a failed call leaves its
+  slots owned by the ring, never stale), and whatever is still live at
+  interpreter exit is unlinked by the registry's ``atexit`` hook —
+  ``/dev/shm`` never accumulates stale ``repro`` segments.
 * **Chunked work queue** — each executor invocation is split into
   ``chunk_size`` slices (default: an even split over the workers) that the
   pool drains as a queue, so stragglers don't serialize the batch.
@@ -58,12 +55,13 @@ scale past one core:
 
 ``num_workers <= 1`` (and single-item batches) degrade to the wrapped
 executor's in-process path, so a pipeline with the knob left at zero behaves
-exactly as before.  The worker count resolves from, in order: an explicit
-``num_workers`` argument, the ``REPRO_NUM_WORKERS`` environment variable, or
-0 (serial).  The streaming knob resolves the same way from ``streaming`` /
-``REPRO_STREAMING`` / on, and the supervision knobs from ``retry`` /
-``REPRO_WORKER_TIMEOUT`` + ``REPRO_WORKER_RETRIES`` + ``REPRO_DEGRADE`` /
-their defaults (see ``docs/configuration.md`` for the full catalogue).
+exactly as before.  The executor takes its knobs (``num_workers``,
+``chunk_size``, ``retry``, ``blas_threads``) one keyword each and resolves
+them in one :meth:`~repro.pipeline.config.ExecutionConfig.resolve` pass:
+explicit argument > ``REPRO_*`` environment variable > default (see
+``docs/configuration.md`` for the full catalogue).  An
+:class:`~repro.pipeline.InferencePipeline` hands it the values it resolved
+itself, so a pooled pipeline and its pool agree field for field.
 """
 
 from __future__ import annotations
@@ -73,102 +71,29 @@ import multiprocessing as mp
 import sys
 import traceback
 import warnings
-from dataclasses import dataclass
 from multiprocessing import shared_memory
 
 import numpy as np
 
-from .. import knobs
-from ..nn.backends import resolve_blas_threads, set_blas_threads, set_compute_threads
+from ..nn.backends import set_blas_threads, set_compute_threads
+from .config import ExecutionConfig
 from .executors import Executor, as_executor
 from .faults import FaultPlan, resolve_fault_plan
-from .streaming import SegmentRing, create_segment, release_segment, resolve_streaming
+from .streaming import SegmentRing
 from .supervision import (
     PoolDegradedWarning,
     RetryPolicy,
     RobustnessCounters,
     SupervisedPool,
-    resolve_retry_policy,
 )
 
 __all__ = [
-    "NUM_WORKERS_ENV",
-    "ParallelConfig",
     "PoolDegradedWarning",
     "RetryPolicy",
     "RobustnessCounters",
     "WorkerPoolError",
     "WorkerPoolExecutor",
-    "resolve_num_workers",
-    "resolve_retry_policy",
 ]
-
-#: Environment variable consulted when no explicit worker count is given, so
-#: every pipeline consumer (benchmarks, experiment drivers, examples) can be
-#: parallelized without threading a flag through its call chain.
-NUM_WORKERS_ENV = "REPRO_NUM_WORKERS"
-
-
-def resolve_num_workers(num_workers: int | None = None) -> int:
-    """Resolve a worker count: explicit argument > ``REPRO_NUM_WORKERS`` > 0."""
-    if num_workers is None:
-        num_workers = knobs.read_int(NUM_WORKERS_ENV, minimum=0)
-        if num_workers is None:
-            return 0
-    num_workers = int(num_workers)
-    if num_workers < 0:
-        raise ValueError(f"num_workers must be >= 0, got {num_workers}")
-    return num_workers
-
-
-@dataclass(frozen=True)
-class ParallelConfig:
-    """Parallel-execution knobs threaded through every pipeline consumer.
-
-    ``num_workers``: worker processes; ``None`` defers to ``REPRO_NUM_WORKERS``
-    (then 0), and values <= 1 mean serial in-process execution.
-    ``chunk_size``: items per work-queue chunk; ``None`` splits each batch
-    evenly over the workers.
-    ``streaming``: reuse shared-memory segments across pipeline calls via the
-    persistent ring; ``None`` defers to ``REPRO_STREAMING`` (then on), and
-    ``False`` restores the per-call segment transport.
-    ``retry``: supervision knobs (per-chunk deadline, retry budget, graceful
-    degradation) as a :class:`~repro.pipeline.supervision.RetryPolicy`;
-    ``None`` defers to ``REPRO_WORKER_TIMEOUT`` / ``REPRO_WORKER_RETRIES`` /
-    ``REPRO_DEGRADE`` (then the policy defaults).
-    ``blas_threads``: thread budget applied inside each pool worker: the
-    size of the worker's compute team for a compiled executor (BLAS capped
-    at one), a BLAS thread cap otherwise; ``None`` defers to
-    ``REPRO_BLAS_THREADS``, then 1-per-worker when pooled /
-    leave-the-library-alone (0) when serial, so ``workers x threads`` never
-    oversubscribes by default (see :mod:`repro.nn.backends` and
-    ``docs/configuration.md``).
-    """
-
-    num_workers: int | None = None
-    chunk_size: int | None = None
-    streaming: bool | None = None
-    retry: RetryPolicy | None = None
-    blas_threads: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {self.chunk_size}")
-        if self.blas_threads is not None and self.blas_threads < 0:
-            raise ValueError(f"blas_threads must be >= 0, got {self.blas_threads}")
-
-    def resolved_workers(self) -> int:
-        return resolve_num_workers(self.num_workers)
-
-    def resolved_streaming(self) -> bool:
-        return resolve_streaming(self.streaming)
-
-    def resolved_retry(self) -> RetryPolicy:
-        return resolve_retry_policy(self.retry)
-
-    def resolved_blas_threads(self) -> int:
-        return resolve_blas_threads(self.blas_threads, self.resolved_workers())
-
 
 class WorkerPoolError(RuntimeError):
     """Worker chunks failed terminally and degradation was off (or impossible).
@@ -235,13 +160,9 @@ def _init_worker(
         set_blas_threads(blas_threads)
 
 
-def _map_segment(spec, transient: list) -> shared_memory.SharedMemory:
-    """Map one buffer spec; cache persistent slots, track per-call ones."""
-    role, name, generation, _shape, _dtype, persistent = spec
-    if not persistent:
-        shm = shared_memory.SharedMemory(name=name)
-        transient.append(shm)
-        return shm
+def _map_segment(spec) -> shared_memory.SharedMemory:
+    """Map one ring slot, reusing this worker's mapping while it is current."""
+    role, name, generation, _shape, _dtype = spec
     cached = _WORKER_SEGMENTS.get(role)
     if cached is not None:
         if cached[0] == name and cached[1] == generation:
@@ -257,24 +178,13 @@ def _map_segment(spec, transient: list) -> shared_memory.SharedMemory:
 
 def _execute_chunk(task) -> None:
     method, inputs, output, start, stop = task[:5]
-    transient: list = []
-    try:
-        views = []
-        for spec in inputs:
-            shm = _map_segment(spec, transient)
-            views.append(np.ndarray(spec[3], dtype=spec[4], buffer=shm.buf)[start:stop])
-        out_shm = _map_segment(output, transient)
-        out = np.ndarray(output[3], dtype=output[4], buffer=out_shm.buf)
-        out[start:stop] = getattr(_WORKER_EXECUTOR, method)(*views)
-        # Drop the array views before closing: a SharedMemory mapping cannot
-        # close while ndarrays still export its buffer.
-        del views, out
-    finally:
-        for shm in transient:
-            try:
-                shm.close()
-            except BufferError:
-                pass  # failure path: views still alive; freed with the frame
+    views = []
+    for spec in inputs:
+        shm = _map_segment(spec)
+        views.append(np.ndarray(spec[3], dtype=spec[4], buffer=shm.buf)[start:stop])
+    out_shm = _map_segment(output)
+    out = np.ndarray(output[3], dtype=output[4], buffer=out_shm.buf)
+    out[start:stop] = getattr(_WORKER_EXECUTOR, method)(*views)
 
 
 def _run_chunk(task, attempt: int = 0) -> str | None:
@@ -302,8 +212,8 @@ class WorkerPoolExecutor(Executor):
     """Shard any executor's batches across a multiprocessing pool.
 
     The wrapped executor is shipped to each worker once (pool initializer);
-    per-call traffic is pure shared memory — and with the default streaming
-    transport, the shared segments themselves persist across calls.  The
+    per-call traffic is pure shared memory, and the shared segments
+    themselves persist across calls in the ring.  The
     first call for each ``(method, item shape)`` runs one item in-process to
     learn the output spec (and warm the parent's caches); afterwards every
     batch is fully sharded.  All capability flags and the stitching hooks of
@@ -316,31 +226,22 @@ class WorkerPoolExecutor(Executor):
         engine,
         num_workers: int | None = None,
         chunk_size: int | None = None,
-        config: ParallelConfig | None = None,
-        streaming: bool | None = None,
         retry: RetryPolicy | None = None,
         fault_plan: "FaultPlan | str | None" = None,
         blas_threads: int | None = None,
     ) -> None:
-        if config is not None:
-            num_workers = config.num_workers if num_workers is None else num_workers
-            chunk_size = config.chunk_size if chunk_size is None else chunk_size
-            streaming = config.streaming if streaming is None else streaming
-            retry = config.retry if retry is None else retry
-            blas_threads = config.blas_threads if blas_threads is None else blas_threads
-        config = ParallelConfig(
-            num_workers=num_workers, chunk_size=chunk_size, streaming=streaming,
-            retry=retry, blas_threads=blas_threads,
-        )
+        config = ExecutionConfig(
+            num_workers=num_workers, chunk_size=chunk_size, retry=retry,
+            blas_threads=blas_threads,
+        ).resolve()
         inner = as_executor(engine)
         if isinstance(inner, WorkerPoolExecutor):
             raise TypeError("cannot nest WorkerPoolExecutor inside WorkerPoolExecutor")
         self.inner = inner
-        self.num_workers = config.resolved_workers()
+        self.num_workers = config.num_workers
         self.chunk_size = config.chunk_size
-        self.streaming = config.resolved_streaming()
-        self.retry = config.resolved_retry()
-        self.blas_threads = config.resolved_blas_threads()
+        self.retry = config.retry
+        self.blas_threads = config.blas_threads
         self.fault_plan = resolve_fault_plan(fault_plan)
         self.robustness = RobustnessCounters()
         self.name = (
@@ -465,10 +366,7 @@ class WorkerPoolExecutor(Executor):
 
         chunk = self.chunk_size or math.ceil((batch - lead) / self.num_workers)
         bounds = [(s, min(s + chunk, batch)) for s in range(lead, batch, chunk)]
-
-        if self.streaming:
-            return self._run_ring(method, arrays, out_shape, out_dtype, out_nbytes, first, bounds)
-        return self._run_per_call(method, arrays, out_shape, out_dtype, out_nbytes, first, bounds)
+        return self._run_ring(method, arrays, out_shape, out_dtype, out_nbytes, first, bounds)
 
     def _dispatch(
         self, method: str, inputs: list, output: tuple, bounds: list, fallback,
@@ -476,8 +374,7 @@ class WorkerPoolExecutor(Executor):
         """Fan the chunk tasks out under supervision; heal or raise structured.
 
         ``fallback(start, stop)`` recomputes one chunk in-process through the
-        wrapped executor (the transports build it over their live output
-        view), which is what graceful degradation runs when the pool gives a
+        wrapped executor (built over the ring's live output view), which is what graceful degradation runs when the pool gives a
         chunk up.
         """
         call = self._call_index
@@ -526,7 +423,7 @@ class WorkerPoolExecutor(Executor):
         self, method: str, arrays: tuple, out_shape: tuple, out_dtype, out_nbytes: int,
         first: np.ndarray | None, bounds: list,
     ) -> np.ndarray:
-        """Streaming transport: copy into the persistent ring, dispatch, copy out.
+        """Copy into the persistent ring, dispatch, copy out.
 
         Slots survive this call — an error leaves them owned by the ring (torn
         down by ``close()`` or the registry's atexit hook), never stale in
@@ -537,12 +434,12 @@ class WorkerPoolExecutor(Executor):
         for index, a in enumerate(arrays):
             slot = ring.acquire(f"in{index}", a.nbytes)
             np.ndarray(a.shape, dtype=a.dtype, buffer=slot.shm.buf)[:] = a
-            inputs.append((slot.role, slot.shm.name, slot.generation, a.shape, a.dtype.str, True))
+            inputs.append((slot.role, slot.shm.name, slot.generation, a.shape, a.dtype.str))
         out_slot = ring.acquire("out", out_nbytes)
         out_view = np.ndarray(out_shape, dtype=out_dtype, buffer=out_slot.shm.buf)
         if first is not None:
             out_view[:1] = first
-        output = (out_slot.role, out_slot.shm.name, out_slot.generation, out_shape, out_dtype.str, True)
+        output = (out_slot.role, out_slot.shm.name, out_slot.generation, out_shape, out_dtype.str)
         inner_fn = getattr(self.inner, method)
 
         def fallback(start: int, stop: int) -> None:
@@ -555,43 +452,6 @@ class WorkerPoolExecutor(Executor):
             # Release the parent's array view so a later regrow/close can
             # unmap the slot (a mapping cannot close under a live ndarray).
             del out_view
-
-    def _run_per_call(
-        self, method: str, arrays: tuple, out_shape: tuple, out_dtype, out_nbytes: int,
-        first: np.ndarray | None, bounds: list,
-    ) -> np.ndarray:
-        """Per-call transport: fresh segments, released in ``finally`` always.
-
-        Segments additionally sit in the streaming registry between creation
-        and release, so even a parent death mid-call cannot strand them past
-        interpreter exit.
-        """
-        segments = []
-        try:
-            inputs = []
-            for index, a in enumerate(arrays):
-                shm = create_segment(a.nbytes)
-                segments.append(shm)
-                np.ndarray(a.shape, dtype=a.dtype, buffer=shm.buf)[:] = a
-                inputs.append((f"in{index}", shm.name, 0, a.shape, a.dtype.str, False))
-            out_shm = create_segment(out_nbytes)
-            segments.append(out_shm)
-            out_view = np.ndarray(out_shape, dtype=out_dtype, buffer=out_shm.buf)
-            if first is not None:
-                out_view[:1] = first
-            output = ("out", out_shm.name, 0, out_shape, out_dtype.str, False)
-            inner_fn = getattr(self.inner, method)
-
-            def fallback(start: int, stop: int) -> None:
-                out_view[start:stop] = inner_fn(*(a[start:stop] for a in arrays))
-
-            self._dispatch(method, inputs, output, bounds, fallback)
-            result = out_view.copy()
-            del out_view
-            return result
-        finally:
-            for shm in segments:
-                release_segment(shm)
 
     def _ensure_ring(self) -> SegmentRing:
         if self._ring is None:

@@ -1,35 +1,29 @@
-"""Persistent shared-memory segment ring for streaming worker-pool execution.
+"""Persistent shared-memory segment ring, the worker pool's one transport.
 
-PR 2's :class:`~repro.pipeline.parallel.WorkerPoolExecutor` created and
-unlinked fresh POSIX shared-memory segments on every executor invocation.
-That is correct but wasteful for the workloads the paper's full-chip runtime
-claim actually describes: a *stream* of pipeline calls over same-shaped tile
+:class:`~repro.pipeline.parallel.WorkerPoolExecutor` moves every batch
+through POSIX shared memory.  The workloads the paper's full-chip runtime
+claim describes are *streams* of pipeline calls over same-shaped tile
 batches (OPC iteration loops call the simulator dozens of times per mask;
-full-chip runs push thousands of identical tile batches).  Each call paid an
-``shm_open`` + ``mmap`` + page-fault-on-first-touch per buffer, in the parent
-and in every worker.
-
-This module provides the persistent alternative:
+full-chip runs push thousands of identical tile batches), so the segments
+persist across calls instead of paying an ``shm_open`` + ``mmap`` +
+page-fault-on-first-touch per buffer, in the parent and in every worker,
+on each call.
 
 * :func:`create_segment` / :func:`release_segment` — shared-memory segments
   with a recognizable ``repro_<pid>_<token>`` name, tracked in a module-level
   registry whose :mod:`atexit` hook guarantees teardown even when an owner
-  forgets to ``close()``.  Every segment the pipeline ever creates (streaming
-  or per-call) goes through this registry, so a crashed run can never strand
-  segments in ``/dev/shm`` past interpreter exit (the leak PR 2 left open on
-  error paths).
+  forgets to ``close()``.  Every segment the pipeline creates goes through
+  this registry, so a crashed run can never strand segments in ``/dev/shm``
+  past interpreter exit.
 * :class:`SegmentRing` — a set of named buffer slots (``in0``, ``in1``,
   ``out``) that persist across executor invocations.  Each slot carries a
   **generation tag** that increments when the slot is regrown (capacity only
   ever grows), so worker processes can cache their own mapping per slot and
   remap only when the parent actually replaced the segment.  ``close()`` is
   idempotent and releases every slot.
-* :func:`resolve_streaming` — the knob resolution shared by every consumer:
-  explicit argument > ``REPRO_STREAMING`` environment variable > on.
 
-The ring is a pure transport optimization: the bytes written into the slots
-and the chunk partitioning are identical to the per-call path, so streaming
-execution is bit-identical to both the per-call and the serial paths.
+Every chunk reads and writes its own slice of the slots, so pooled execution
+is bit-identical to the serial path.
 """
 
 from __future__ import annotations
@@ -40,42 +34,19 @@ import secrets
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 
-from .. import knobs
-
 __all__ = [
     "SEGMENT_PREFIX",
-    "STREAMING_ENV",
     "RingSlot",
     "SegmentRing",
     "create_segment",
     "live_segment_names",
     "release_segment",
-    "resolve_streaming",
 ]
 
 #: Prefix of every shared-memory segment the pipeline creates.  Keeping it
 #: recognizable lets CI assert that ``/dev/shm`` holds no leftover ``repro``
 #: segments after a test run (scripts/ci.sh).
 SEGMENT_PREFIX = "repro"
-
-#: Environment variable consulted when no explicit ``streaming`` argument is
-#: given, mirroring ``REPRO_NUM_WORKERS`` for the worker count.
-STREAMING_ENV = "REPRO_STREAMING"
-
-
-def resolve_streaming(streaming: bool | None = None) -> bool:
-    """Resolve the streaming knob: explicit argument > ``REPRO_STREAMING`` > on.
-
-    Streaming defaults to **on** — reusing mapped segments is bit-identical to
-    the per-call transport and strictly cheaper on repeated calls; the
-    per-call mode survives as the explicit opt-out (``streaming=False`` /
-    ``REPRO_STREAMING=0``) and as the baseline the throughput bench compares
-    against.
-    """
-    if streaming is not None:
-        return bool(streaming)
-    value = knobs.read_flag(STREAMING_ENV)
-    return True if value is None else value
 
 
 # ---------------------------------------------------------------------- #
@@ -90,7 +61,7 @@ def create_segment(nbytes: int) -> shared_memory.SharedMemory:
 
     The segment is recorded in the live-segment registry immediately, so the
     atexit hook unlinks it even if the caller errors between creation and its
-    own cleanup (the parent-death leak of the per-call transport).
+    own cleanup.
     """
     size = max(int(nbytes), 1)
     while True:

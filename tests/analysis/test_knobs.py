@@ -37,8 +37,8 @@ def test_parse_bool_invalid_strings_raise_naming_the_knob(raw):
     """The pinned invalid-string contract: KnobError (a ValueError) naming
     the knob and the accepted spellings — previously the four duplicated
     parsers disagreed on exactly this case."""
-    with pytest.raises(knobs.KnobError, match=r"REPRO_STREAMING.*boolean flag"):
-        knobs.parse_bool(raw, name="REPRO_STREAMING")
+    with pytest.raises(knobs.KnobError, match=r"REPRO_DEGRADE.*boolean flag"):
+        knobs.parse_bool(raw, name="REPRO_DEGRADE")
     with pytest.raises(ValueError):  # KnobError subclasses ValueError
         knobs.parse_bool(raw)
 
@@ -67,7 +67,7 @@ def test_parse_float_and_minimum():
 # --------------------------------------------------------------------- #
 
 EXPECTED_KNOBS = {
-    "REPRO_NUM_WORKERS", "REPRO_STREAMING", "REPRO_RESULT_CACHE",
+    "REPRO_NUM_WORKERS", "REPRO_RESULT_CACHE",
     "REPRO_INCREMENTAL_OPC", "REPRO_BACKEND", "REPRO_BLAS_THREADS",
     "REPRO_WORKER_TIMEOUT", "REPRO_WORKER_RETRIES", "REPRO_DEGRADE",
     "REPRO_FAULT_PLAN", "REPRO_PROFILE", "REPRO_ARTIFACTS", "REPRO_COMPILE",
@@ -84,7 +84,7 @@ def test_every_knob_is_documented_and_sectioned():
         assert knob.name.startswith("REPRO_")
         assert knob.doc.strip(), knob.name
         assert knob.section in sections, knob.name
-    assert knobs.get_knob("REPRO_STREAMING").section == "execution"
+    assert knobs.get_knob("REPRO_INCREMENTAL_OPC").section == "execution"
 
 
 def test_get_raw_rejects_unregistered_names():
@@ -97,13 +97,13 @@ def test_get_raw_rejects_unregistered_names():
 # --------------------------------------------------------------------- #
 
 def test_read_flag_roundtrip(monkeypatch):
-    monkeypatch.delenv("REPRO_STREAMING", raising=False)
-    assert knobs.read_flag("REPRO_STREAMING") is None
-    monkeypatch.setenv("REPRO_STREAMING", "off")
-    assert knobs.read_flag("REPRO_STREAMING") is False
-    monkeypatch.setenv("REPRO_STREAMING", "maybe")
-    with pytest.raises(knobs.KnobError, match="REPRO_STREAMING"):
-        knobs.read_flag("REPRO_STREAMING")
+    monkeypatch.delenv("REPRO_DEGRADE", raising=False)
+    assert knobs.read_flag("REPRO_DEGRADE") is None
+    monkeypatch.setenv("REPRO_DEGRADE", "off")
+    assert knobs.read_flag("REPRO_DEGRADE") is False
+    monkeypatch.setenv("REPRO_DEGRADE", "maybe")
+    with pytest.raises(knobs.KnobError, match="REPRO_DEGRADE"):
+        knobs.read_flag("REPRO_DEGRADE")
 
 
 def test_read_int_and_float_roundtrip(monkeypatch):

@@ -41,7 +41,7 @@ ENV001_BAD_ATTR = """\
 
 ENV001_BAD_GETENV = """\
     import os
-    value = os.getenv("REPRO_STREAMING", "1")
+    value = os.getenv("REPRO_DEGRADE", "1")
 """
 
 ENV001_BAD_IMPORT = """\
@@ -51,7 +51,7 @@ ENV001_BAD_IMPORT = """\
 
 ENV001_GOOD = """\
     from repro import knobs
-    value = knobs.read_flag("REPRO_STREAMING")
+    value = knobs.read_flag("REPRO_DEGRADE")
 """
 
 
@@ -103,12 +103,12 @@ def test_env002_flags_undocumented_knob(tmp_path):
     # and the table no longer matches its regenerated form.
     lines = [
         line for line in doc.read_text(encoding="utf-8").splitlines()
-        if not line.startswith("| `REPRO_STREAMING`")
+        if not line.startswith("| `REPRO_DEGRADE`")
     ]
     doc.write_text("\n".join(lines), encoding="utf-8")
     result = lint(tmp_path, "x = 1\n")
     messages = [f.message for f in result.findings if f.rule == "ENV002"]
-    assert any("`REPRO_STREAMING`" in m and "no table row" in m for m in messages)
+    assert any("`REPRO_DEGRADE`" in m and "no table row" in m for m in messages)
     assert any("out of date" in m for m in messages)
 
 
@@ -149,7 +149,7 @@ def test_env002_skips_non_repo_checkouts(tmp_path):
 # --------------------------------------------------------------------- #
 
 CONFIG001_BAD_FUNC = """\
-    def build_pipeline(model, num_workers=None, streaming=None):
+    def build_pipeline(model, num_workers=None, retry=None):
         return model
 """
 
@@ -171,8 +171,8 @@ CONFIG001_PRAGMA = """\
 """
 
 CONFIG001_PRIVATE = """\
-    def _thread_knobs(num_workers, streaming):
-        return num_workers, streaming
+    def _thread_knobs(num_workers, retry):
+        return num_workers, retry
 
     def test_sweep(num_workers):
         return num_workers
@@ -187,7 +187,7 @@ CONFIG001_PRIVATE = """\
 def test_config001_flags_knob_params_on_target_surfaces(tmp_path):
     result = lint(tmp_path, CONFIG001_BAD_FUNC, relpath="src/repro/pipeline/engine.py")
     assert rule_ids(result) == ["CONFIG001"]
-    assert "num_workers, streaming" in result.findings[0].message
+    assert "num_workers, retry" in result.findings[0].message
 
 
 def test_config001_flags_init_of_public_classes(tmp_path):

@@ -24,7 +24,6 @@ from repro.opc import (
     build_mask,
     fragment_footprint,
     fragment_layout,
-    resolve_incremental,
 )
 
 
@@ -133,18 +132,6 @@ def test_incremental_env_flag_disables(simulator, monkeypatch):
     monkeypatch.setenv(INCREMENTAL_ENV, "0")
     result = OPCEngine(simulator, OPCConfig(iterations=2)).correct(via_layout(3))
     assert result.counters is None and result.dirty_history == []
-
-
-def test_resolve_incremental_knob(monkeypatch):
-    monkeypatch.delenv(INCREMENTAL_ENV, raising=False)
-    assert resolve_incremental() is True
-    assert resolve_incremental(False) is False
-    monkeypatch.setenv(INCREMENTAL_ENV, "off")
-    assert resolve_incremental() is False
-    assert resolve_incremental(True) is True
-    monkeypatch.setenv(INCREMENTAL_ENV, "sometimes")
-    with pytest.raises(ValueError):
-        resolve_incremental()
 
 
 # --------------------------------------------------------------------- #

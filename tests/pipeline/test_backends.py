@@ -40,7 +40,6 @@ from repro.nn.backends import (
     compute_threads,
     get_blas_threads,
     resolve_backend,
-    resolve_blas_threads,
     set_blas_threads,
     usable_cores,
 )
@@ -51,7 +50,6 @@ from repro.pipeline import (
     Executor,
     InferencePipeline,
     ModelExecutor,
-    ParallelConfig,
     RetryPolicy,
     WorkerPoolExecutor,
     as_executor,
@@ -240,30 +238,8 @@ def test_backend_patched_plan_matches_stitched(model, lane):
 
 
 # --------------------------------------------------------------------- #
-# BLAS thread-cap resolution
+# BLAS thread caps
 # --------------------------------------------------------------------- #
-def test_resolve_blas_threads_precedence(monkeypatch):
-    monkeypatch.delenv(BLAS_THREADS_ENV, raising=False)
-    assert resolve_blas_threads(None, num_workers=0) == 0   # serial: hands off
-    assert resolve_blas_threads(None, num_workers=4) == 1   # pooled: 1/worker
-    assert resolve_blas_threads(2, num_workers=4) == 2      # explicit wins
-    monkeypatch.setenv(BLAS_THREADS_ENV, "3")
-    assert resolve_blas_threads(None, num_workers=4) == 3
-    assert resolve_blas_threads(1, num_workers=4) == 1
-    monkeypatch.setenv(BLAS_THREADS_ENV, "many")
-    with pytest.raises(ValueError, match=BLAS_THREADS_ENV):
-        resolve_blas_threads(None, num_workers=0)
-
-
-def test_parallel_config_carries_blas_threads(monkeypatch):
-    monkeypatch.delenv(BLAS_THREADS_ENV, raising=False)
-    assert ParallelConfig(num_workers=2).resolved_blas_threads() == 1
-    assert ParallelConfig(num_workers=0).resolved_blas_threads() == 0
-    assert ParallelConfig(num_workers=2, blas_threads=2).resolved_blas_threads() == 2
-    with pytest.raises(ValueError, match="blas_threads"):
-        ParallelConfig(blas_threads=-1)
-
-
 def test_pooled_pipeline_caps_worker_blas_threads(model, monkeypatch):
     monkeypatch.delenv(BLAS_THREADS_ENV, raising=False)
     with InferencePipeline(model, ExecutionConfig(num_workers=2, compile=True, backend="float64")) as pooled:
@@ -573,7 +549,6 @@ def test_serial_pipeline_thread_budget_defaults(model, monkeypatch):
     assert ExecutionConfig(compile=True).resolve().blas_threads == default
     assert ExecutionConfig().resolve().blas_threads == 0
     assert ExecutionConfig(compile=True, num_workers=2).resolve().blas_threads == 1
-    assert resolve_blas_threads(None, num_workers=0, compiled=True) == default
     # Bigger hosts get the measured team size by default, more only on request.
     monkeypatch.setattr(backends, "usable_cores", lambda: 64)
     assert ExecutionConfig(compile=True).resolve().blas_threads == DEFAULT_TEAM_LIMIT

@@ -4,8 +4,7 @@ Pins the PR-10 contracts: :class:`ExecutionConfig` is the one knob document
 (explicit > ``REPRO_*`` env > default, resolved exactly once, with per-field
 provenance and structured :class:`ConfigError`\\ s), :class:`ExecutionPlan`
 round-trips through JSON and matches the executed :class:`PipelineStats`,
-and every consumer reaches the pipeline through ``config=`` with the legacy
-keyword shims warning on the way out.
+and every consumer reaches the pipeline through ``config=``.
 """
 
 from __future__ import annotations
@@ -19,21 +18,13 @@ import pytest
 
 from repro import knobs
 from repro.core import DOINN
-from repro.evaluation.runtime import (
-    measure_model_throughput,
-    measure_simulator_throughput,
-)
 from repro.experiments import Harness
-from repro.experiments.figure6_runtime import run_figure6
-from repro.experiments.table4_large_tile import run_table4
-from repro.litho import LithoSimulator
 from repro.opc import OPCConfig
 from repro.pipeline import (
     ConfigError,
     ExecutionConfig,
     ExecutionPlan,
     InferencePipeline,
-    ParallelConfig,
     RetryPolicy,
 )
 from repro.pipeline.supervision import DEFAULT_MAX_RETRIES
@@ -41,7 +32,6 @@ from repro.pipeline.supervision import DEFAULT_MAX_RETRIES
 #: Every environment leg ExecutionConfig.resolve() consults.
 KNOB_ENVS = (
     "REPRO_NUM_WORKERS",
-    "REPRO_STREAMING",
     "REPRO_INCREMENTAL_OPC",
     "REPRO_RESULT_CACHE",
     "REPRO_BLAS_THREADS",
@@ -78,7 +68,6 @@ def test_resolve_defaults():
     assert cfg.optical_diameter_pixels == 16
     assert cfg.num_workers == 0
     assert cfg.compile is False
-    assert cfg.streaming is True
     assert cfg.incremental is True
     assert cfg.blas_threads == 0
     assert cfg.result_cache == 0
@@ -88,7 +77,7 @@ def test_resolve_defaults():
     assert cfg.backend is None
     assert cfg.shard_tiles is None
     assert cfg.chunk_size is None
-    for name in ("batch_size", "num_workers", "streaming", "incremental", "blas_threads"):
+    for name in ("batch_size", "num_workers", "incremental", "blas_threads"):
         assert cfg.source_of(name) == "default"
 
 
@@ -101,10 +90,10 @@ def test_resolve_is_idempotent():
     ("env", "raw", "field", "env_value", "explicit", "explicit_value"),
     [
         ("REPRO_NUM_WORKERS", "3", "num_workers", 3, 1, 1),
-        ("REPRO_STREAMING", "0", "streaming", False, True, True),
         ("REPRO_INCREMENTAL_OPC", "0", "incremental", False, True, True),
         ("REPRO_RESULT_CACHE", "1024", "result_cache", 1024, 2048, 2048),
         ("REPRO_BLAS_THREADS", "5", "blas_threads", 5, 2, 2),
+        ("REPRO_INCREMENTAL_OPC", "off", "incremental", False, True, True),
     ],
 )
 def test_env_vs_explicit_precedence(monkeypatch, env, raw, field, env_value, explicit, explicit_value):
@@ -124,6 +113,7 @@ def test_env_vs_explicit_precedence(monkeypatch, env, raw, field, env_value, exp
         ("REPRO_WORKER_TIMEOUT", "7.5", "timeout", 7.5, RetryPolicy(timeout=3.0), 3.0),
         ("REPRO_WORKER_RETRIES", "5", "max_retries", 5, RetryPolicy(max_retries=1), 1),
         ("REPRO_DEGRADE", "0", "degrade", False, RetryPolicy(degrade=True), True),
+        ("REPRO_WORKER_RETRIES", "5", "max_retries", 5, RetryPolicy(max_retries=0), 0),
     ],
 )
 def test_retry_env_vs_explicit_precedence(monkeypatch, env, raw, attr, env_value, explicit_retry, explicit_value):
@@ -144,29 +134,47 @@ def test_retry_timeout_zero_sentinel_survives_env(monkeypatch):
     assert cfg.source_of("retry.timeout") == "explicit"
 
 
-def test_blas_default_tracks_workers():
+def test_blas_default_tracks_workers(monkeypatch):
     assert ExecutionConfig(num_workers=2).resolve().blas_threads == 1
     assert ExecutionConfig(num_workers=0).resolve().blas_threads == 0
+    # The env leg beats the pooled default; an explicit budget beats both.
+    monkeypatch.setenv("REPRO_BLAS_THREADS", "3")
+    assert ExecutionConfig(num_workers=4).resolve().blas_threads == 3
+    assert ExecutionConfig(num_workers=4, blas_threads=1).resolve().blas_threads == 1
+
+
+@pytest.mark.parametrize(
+    ("env", "raw"),
+    [
+        ("REPRO_NUM_WORKERS", "not-a-number"),
+        ("REPRO_BLAS_THREADS", "many"),
+        ("REPRO_INCREMENTAL_OPC", "sometimes"),
+    ],
+)
+def test_invalid_env_value_raises_naming_the_knob(monkeypatch, env, raw):
+    monkeypatch.setenv(env, raw)
+    with pytest.raises(ValueError, match=env):
+        ExecutionConfig().resolve()
 
 
 def test_sources_empty_before_resolution():
     cfg = ExecutionConfig(num_workers=2)
     assert cfg.sources == {}
     assert cfg.source_of("num_workers") == "explicit"
-    assert cfg.source_of("streaming") == "unset"
+    assert cfg.source_of("chunk_size") == "unset"
     assert set(cfg.resolve().sources) >= {"batch_size", "retry.timeout", "result_cache"}
 
 
 # --------------------------------------------------------------------- #
-# Merging (satellite 2: the one ParallelConfig-style override pass)
+# Merging (the one field-by-field override pass)
 # --------------------------------------------------------------------- #
 def test_merged_other_wins_field_by_field():
-    base = ExecutionConfig(num_workers=1, streaming=True, batch_size=4)
+    base = ExecutionConfig(num_workers=1, compile=True, batch_size=4)
     other = ExecutionConfig(num_workers=2, blas_threads=3)
     merged = base.merged(other)
     assert merged.num_workers == 2          # other's set field wins
     assert merged.blas_threads == 3
-    assert merged.streaming is True         # other's None never overrides
+    assert merged.compile is True           # other's None never overrides
     assert merged.batch_size == 4
 
 
@@ -195,23 +203,6 @@ def test_merged_invalidates_resolution():
     assert resolved.merged(num_workers=2).resolved is False
 
 
-def test_parallel_config_round_trip():
-    policy = RetryPolicy(timeout=1.0, max_retries=3)
-    parallel = ParallelConfig(
-        num_workers=2, chunk_size=3, streaming=False, retry=policy, blas_threads=1
-    )
-    lifted = ExecutionConfig.from_parallel(parallel)
-    assert lifted.num_workers == 2
-    assert lifted.chunk_size == 3
-    assert lifted.streaming is False
-    assert lifted.retry == policy
-    assert lifted.blas_threads == 1
-    back = lifted.parallel()
-    assert (back.num_workers, back.chunk_size, back.streaming, back.retry, back.blas_threads) == (
-        2, 3, False, policy, 1,
-    )
-
-
 # --------------------------------------------------------------------- #
 # Validation: structured errors naming field + source
 # --------------------------------------------------------------------- #
@@ -237,7 +228,7 @@ def test_config_error_is_value_error():
         ("chunk_size", 0),
         ("blas_threads", -1),
         ("backend", "not-a-backend"),
-        ("streaming", 1),
+        ("compile", 1),
         ("shard_tiles", "yes"),
         ("incremental", 0),
         ("result_cache", 1.5),
@@ -265,7 +256,6 @@ def test_config_json_round_trip():
         batch_size=4,
         num_workers=2,
         chunk_size=3,
-        streaming=False,
         shard_tiles=True,
         result_cache=4096,
         retry=RetryPolicy(timeout=1.5, max_retries=1, degrade=False),
@@ -315,7 +305,7 @@ def test_knob_registry_maps_to_config_fields():
             assert knob.field in config_fields, knob.name
         mapped.add(knob.name)
     assert {
-        "REPRO_NUM_WORKERS", "REPRO_STREAMING", "REPRO_RESULT_CACHE",
+        "REPRO_NUM_WORKERS", "REPRO_RESULT_CACHE",
         "REPRO_INCREMENTAL_OPC", "REPRO_BACKEND", "REPRO_BLAS_THREADS",
         "REPRO_WORKER_TIMEOUT", "REPRO_WORKER_RETRIES", "REPRO_DEGRADE",
         "REPRO_COMPILE",
@@ -401,105 +391,13 @@ def test_plan_pooled_sharded(model):
 
 
 # --------------------------------------------------------------------- #
-# Config route == kwarg route, bit for bit (acceptance)
+# config= is the one route into every consumer
 # --------------------------------------------------------------------- #
-def _legacy_pipeline(engine, **kwargs) -> InferencePipeline:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return InferencePipeline(engine, **kwargs)
-
-
-def test_config_route_matches_kwargs_zoo_wide(zoo_model):
-    _, engine = zoo_model
-    masks = np.stack([_mask(32, seed=s) for s in (10, 11, 12)])
-    with _legacy_pipeline(engine, batch_size=2, result_cache=False) as legacy:
-        expected = legacy.predict(masks)
-    with InferencePipeline(
-        engine, config=ExecutionConfig(batch_size=2, result_cache=False)
-    ) as routed:
-        assert np.array_equal(routed.predict(masks), expected)
-
-
-def test_config_route_matches_kwargs_stitched(model):
-    masks = np.stack([_mask(64, seed=s) for s in (13, 14)])
-    kwargs = dict(tile_size=32, batch_size=4, optical_diameter_pixels=16, result_cache=False)
-    with _legacy_pipeline(model, **kwargs) as legacy:
-        expected = legacy.predict(masks)
-    with InferencePipeline(model, config=ExecutionConfig(**kwargs)) as routed:
-        assert np.array_equal(routed.predict(masks), expected)
-
-
-def test_config_route_matches_kwargs_pooled(model):
-    masks = np.stack([_mask(64, seed=s) for s in (15, 16)])
-    kwargs = dict(tile_size=32, batch_size=4, optical_diameter_pixels=16, result_cache=False)
-    with _legacy_pipeline(model, num_workers=2, **kwargs) as legacy:
-        expected = legacy.predict(masks)
-    with InferencePipeline(
-        model, config=ExecutionConfig(num_workers=2, **kwargs)
-    ) as routed:
-        assert np.array_equal(routed.predict(masks), expected)
-
-
-# --------------------------------------------------------------------- #
-# Legacy kwarg shims: every path warns; config= stays silent
-# --------------------------------------------------------------------- #
-LEGACY_KWARGS = {
-    "tile_size": 32,
-    "batch_size": 2,
-    "optical_diameter_pixels": 8,
-    "num_workers": 0,
-    "chunk_size": 1,
-    "compile": False,
-    "streaming": False,
-    "shard_tiles": False,
-    "result_cache": False,
-    "retry": RetryPolicy(),
-    "blas_threads": 0,
-}
-
-
-@pytest.mark.parametrize("name", sorted(LEGACY_KWARGS))
-def test_pipeline_warns_per_legacy_kwarg(model, name):
-    with pytest.warns(DeprecationWarning, match=name):
-        pipeline = InferencePipeline(model, **{name: LEGACY_KWARGS[name]})
-    pipeline.close()
-
-
-def test_pipeline_warns_on_backend_kwarg(model):
-    with pytest.warns(DeprecationWarning, match="backend"):
-        pipeline = InferencePipeline(model, compile=True, backend="float32")
-    pipeline.close()
-
-
-def test_pipeline_warns_on_parallel_kwarg(model):
-    with pytest.warns(DeprecationWarning, match="parallel"):
-        pipeline = InferencePipeline(model, parallel=ParallelConfig(num_workers=0))
-    pipeline.close()
-
-
-def test_pipeline_kwargs_override_config(model):
-    with pytest.warns(DeprecationWarning):
-        pipeline = InferencePipeline(
-            model, config=ExecutionConfig(batch_size=4), batch_size=2
-        )
-    assert pipeline.config.batch_size == 2
-    assert pipeline.config.source_of("batch_size") == "explicit"
-    pipeline.close()
-
-
 def test_config_route_does_not_warn(model):
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
         pipeline = InferencePipeline(model, config=ExecutionConfig(batch_size=2))
         pipeline.close()
-
-
-def test_harness_pipelines_warn_on_legacy_kwargs(model):
-    harness = Harness()
-    with pytest.warns(DeprecationWarning, match="model_pipeline"):
-        harness.model_pipeline(model, num_workers=0).close()
-    with pytest.warns(DeprecationWarning, match="simulator_pipeline"):
-        harness.simulator_pipeline(streaming=False).close()
 
 
 def test_harness_config_route_does_not_warn(model):
@@ -517,45 +415,26 @@ def test_simulator_pipeline_forwards_every_knob():
     """Satellite pin: blas_threads / shard_tiles no longer silently dropped."""
     harness = Harness()
     cfg = ExecutionConfig(
-        num_workers=0, blas_threads=0, shard_tiles=True, streaming=False, result_cache=False
+        num_workers=0, blas_threads=0, shard_tiles=True, result_cache=False
     )
     pipeline = harness.simulator_pipeline(config=cfg)
     try:
         assert pipeline.config.blas_threads == 0
         assert pipeline.config.source_of("blas_threads") == "explicit"
         assert pipeline.config.shard_tiles is True
-        assert pipeline.config.streaming is False
     finally:
         pipeline.close()
 
 
-def test_measurement_helpers_warn_on_legacy_kwargs(model):
-    mask = _mask(32)
-    with pytest.warns(DeprecationWarning, match="measure_model_throughput"):
-        measure_model_throughput(model, mask, 16.0, repeats=1, warmup=0, num_workers=0)
-    simulator = LithoSimulator(pixel_size=16.0, num_kernels=4, kernel_support=15)
-    with pytest.warns(DeprecationWarning, match="measure_simulator_throughput"):
-        measure_simulator_throughput(simulator, mask, repeats=1, warmup=0, streaming=False)
-
-
-@pytest.mark.parametrize("driver", [run_figure6, run_table4])
-def test_experiment_drivers_warn_on_legacy_kwargs(driver):
-    # An unknown knob raises right after the warning, so neither driver gets
-    # far enough to build a harness — this pins the warn-then-merge order.
-    with pytest.warns(DeprecationWarning, match="deprecated"):
-        with pytest.raises(ConfigError):
-            driver(definitely_not_a_knob=1)
-
-
 def test_opc_config_execution_merge():
-    """The deprecated per-knob OPC fields override the embedded config."""
+    """``OPCConfig.incremental`` overrides the embedded config's field."""
     cfg = OPCConfig(
-        num_workers=2,
-        execution=ExecutionConfig(num_workers=4, streaming=False, blas_threads=3),
+        incremental=False,
+        execution=ExecutionConfig(incremental=True, num_workers=4, blas_threads=3),
     )
     merged = cfg.execution_config()
-    assert merged.num_workers == 2       # legacy mirror field wins
-    assert merged.streaming is False     # embedded config fills the rest
+    assert merged.incremental is False   # the OPC field wins
+    assert merged.num_workers == 4       # embedded config fills the rest
     assert merged.blas_threads == 3
-    embedded_only = OPCConfig(execution=ExecutionConfig(num_workers=4))
-    assert embedded_only.execution_config().num_workers == 4
+    embedded_only = OPCConfig(execution=ExecutionConfig(incremental=False))
+    assert embedded_only.execution_config().incremental is False

@@ -25,12 +25,10 @@ from repro.pipeline import (
     ExecutionConfig,
     InferencePipeline,
     ModelExecutor,
-    ParallelConfig,
     RetryPolicy,
     SimulatorExecutor,
     WorkerPoolError,
     WorkerPoolExecutor,
-    resolve_num_workers,
 )
 
 #: Pre-supervision failure semantics: no retries, no degradation — a worker
@@ -136,28 +134,107 @@ def test_single_item_batches_run_in_process(model):
 
 def test_env_override_controls_worker_count(model, monkeypatch):
     monkeypatch.setenv("REPRO_NUM_WORKERS", "3")
-    assert resolve_num_workers() == 3
-    assert resolve_num_workers(2) == 2  # explicit argument wins
-    assert ParallelConfig().resolved_workers() == 3
     pipeline = InferencePipeline(model)
     assert pipeline.num_workers == 3
     assert isinstance(pipeline.executor, WorkerPoolExecutor)
+    assert WorkerPoolExecutor(model).num_workers == 3
+    assert WorkerPoolExecutor(model, num_workers=2).num_workers == 2  # explicit wins
     monkeypatch.setenv("REPRO_NUM_WORKERS", "")
-    assert resolve_num_workers() == 0
+    assert ExecutionConfig().resolve().num_workers == 0  # empty = unset
     monkeypatch.setenv("REPRO_NUM_WORKERS", "not-a-number")
     with pytest.raises(ValueError):
-        resolve_num_workers()
+        WorkerPoolExecutor(model)
 
 
 def test_invalid_parallel_configuration(model):
     with pytest.raises(ValueError):
-        resolve_num_workers(-1)
-    with pytest.raises(ValueError):
-        ParallelConfig(chunk_size=0)
+        WorkerPoolExecutor(model, num_workers=-1)
     with pytest.raises(ValueError):
         WorkerPoolExecutor(model, num_workers=2, chunk_size=0)
     with pytest.raises(TypeError):
         WorkerPoolExecutor(WorkerPoolExecutor(model, num_workers=2), num_workers=2)
+
+
+# --------------------------------------------------------------------- #
+# One resolution pass: the pool runs with the pipeline's resolved knobs
+# --------------------------------------------------------------------- #
+POOL_ENVS = (
+    "REPRO_NUM_WORKERS", "REPRO_BLAS_THREADS", "REPRO_WORKER_TIMEOUT",
+    "REPRO_WORKER_RETRIES", "REPRO_DEGRADE", "REPRO_FAULT_PLAN",
+)
+#: Provenance fields checked per case: worker count, thread budget, and
+#: the deadline and retry budget of the supervision policy.
+SOURCE_FIELDS = ("num_workers", "blas_threads", "retry.timeout", "retry.max_retries")
+
+
+@pytest.mark.parametrize(
+    ("env", "config", "sources"),
+    [
+        (
+            {},
+            ExecutionConfig(num_workers=2),
+            ("explicit", "default", "default", "default"),
+        ),
+        (
+            {},
+            ExecutionConfig(
+                num_workers=3, chunk_size=2, blas_threads=2,
+                retry=RetryPolicy(timeout=5.0, max_retries=1, degrade=False),
+            ),
+            ("explicit",) * 4,
+        ),
+        (
+            {
+                "REPRO_NUM_WORKERS": "2", "REPRO_BLAS_THREADS": "2",
+                "REPRO_WORKER_TIMEOUT": "7.5", "REPRO_WORKER_RETRIES": "4",
+                "REPRO_DEGRADE": "0",
+            },
+            ExecutionConfig(),
+            (
+                "REPRO_NUM_WORKERS", "REPRO_BLAS_THREADS",
+                "REPRO_WORKER_TIMEOUT", "REPRO_WORKER_RETRIES",
+            ),
+        ),
+    ],
+    ids=["default", "explicit", "env"],
+)
+def test_pool_runs_with_the_pipelines_resolved_knobs(model, monkeypatch, env, config, sources):
+    for name in POOL_ENVS:
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    with InferencePipeline(model, config) as pipeline:
+        pool = pipeline.executor
+        resolved = pipeline.config
+        assert isinstance(pool, WorkerPoolExecutor)
+        assert (pool.num_workers, pool.chunk_size, pool.retry, pool.blas_threads) == (
+            resolved.num_workers, resolved.chunk_size, resolved.retry, resolved.blas_threads,
+        )
+        assert tuple(resolved.source_of(name) for name in SOURCE_FIELDS) == sources
+
+
+def test_explicit_zero_timeout_arms_no_deadline_under_env(model, monkeypatch):
+    """``RetryPolicy(timeout=0)`` beats ``REPRO_WORKER_TIMEOUT`` all the way
+    into the pool: a chunk that outlives the env deadline is waited for, not
+    killed.  The control run without the explicit 0 shows the env deadline
+    would have killed and retried it."""
+    for name in POOL_ENVS:
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("REPRO_WORKER_TIMEOUT", "0.2")
+    monkeypatch.setenv("REPRO_FAULT_PLAN", "hang@0:0~1")
+    masks = _random_masks(4, 32)
+    reference = ModelExecutor(model).run_batch(masks[:, None])
+    for retry, retried in ((RetryPolicy(timeout=0), 0), (None, 1)):
+        config = ExecutionConfig(batch_size=4, num_workers=2, retry=retry)
+        with InferencePipeline(model, config) as pipeline:
+            assert pipeline.executor.retry == pipeline.config.retry
+            assert pipeline.executor.retry.timeout == (0 if retry else 0.2)
+            result = pipeline.run(masks)
+        np.testing.assert_array_equal(result.outputs, reference)
+        assert result.stats.fault_events == 1
+        assert (result.stats.chunks_retried, result.stats.workers_respawned) == (
+            retried, retried,
+        )
 
 
 def test_worker_pool_proxies_capabilities(model, simulator):

@@ -18,6 +18,7 @@ from repro.layout.tiling import TileSpec, extract_tiles, stitch_cores
 from repro.litho import LithoSimulator
 from repro.nn import Tensor, no_grad
 from repro.pipeline import (
+    ExecutionConfig,
     InferencePipeline,
     ModelExecutor,
     PipelineResult,
@@ -82,14 +83,18 @@ def test_stitched_matches_seed_bit_for_bit(model):
     """Pipeline output on a 2x tile equals the seed algorithm exactly."""
     mask = _random_mask(64)
     expected = _seed_predict(model, mask, tile=32, od_pixels=8)
-    pipeline = InferencePipeline(model, tile_size=32, batch_size=8, optical_diameter_pixels=8)
+    pipeline = InferencePipeline(
+        model, ExecutionConfig(tile_size=32, batch_size=8, optical_diameter_pixels=8)
+    )
     assert np.array_equal(pipeline.predict(mask, stitch=True), expected)
 
 
 def test_naive_matches_seed_bit_for_bit(model):
     mask = _random_mask(64)
     expected = _seed_predict_naive(model, mask)
-    pipeline = InferencePipeline(model, tile_size=32, batch_size=8, optical_diameter_pixels=8)
+    pipeline = InferencePipeline(
+        model, ExecutionConfig(tile_size=32, batch_size=8, optical_diameter_pixels=8)
+    )
     assert np.array_equal(pipeline.predict_naive(mask), expected)
 
 
@@ -108,7 +113,9 @@ def test_largetile_wrapper_matches_seed_bit_for_bit(model):
 def test_pipeline_restores_train_eval_state(model, training):
     mask = _random_mask(64)
     model.train() if training else model.eval()
-    pipeline = InferencePipeline(model, tile_size=32, batch_size=4, optical_diameter_pixels=8)
+    pipeline = InferencePipeline(
+        model, ExecutionConfig(tile_size=32, batch_size=4, optical_diameter_pixels=8)
+    )
     pipeline.predict(mask, stitch=True)
     pipeline.predict_naive(mask)
     assert all(m.training is training for m in model.modules())
@@ -132,7 +139,7 @@ def test_largetile_wrapper_restores_train_eval_state(model, training):
 def test_native_batching_matches_per_mask(model):
     rng = np.random.default_rng(2)
     masks = (rng.random((5, 1, 32, 32)) > 0.8).astype(float)
-    pipeline = InferencePipeline(model, batch_size=2)
+    pipeline = InferencePipeline(model, ExecutionConfig(batch_size=2))
     batched = pipeline.predict(masks)
     singles = np.stack([pipeline.predict(masks[i, 0]) for i in range(5)])[:, None]
     np.testing.assert_allclose(batched, singles, atol=1e-10)
@@ -141,7 +148,9 @@ def test_native_batching_matches_per_mask(model):
 def test_stitched_batch_matches_per_mask(model):
     rng = np.random.default_rng(4)
     masks = (rng.random((3, 64, 64)) > 0.8).astype(float)
-    pipeline = InferencePipeline(model, tile_size=32, batch_size=8, optical_diameter_pixels=8)
+    pipeline = InferencePipeline(
+        model, ExecutionConfig(tile_size=32, batch_size=8, optical_diameter_pixels=8)
+    )
     batched = pipeline.predict(masks, stitch=True)
     singles = np.stack([pipeline.predict(m, stitch=True) for m in masks])
     np.testing.assert_allclose(batched, singles, atol=1e-10)
@@ -168,7 +177,9 @@ def test_empty_batch_returns_empty_output(model):
 
 def test_run_reports_stats(model):
     masks = np.stack([_random_mask(64, seed=s) for s in range(2)])
-    pipeline = InferencePipeline(model, tile_size=32, batch_size=4, optical_diameter_pixels=8)
+    pipeline = InferencePipeline(
+        model, ExecutionConfig(tile_size=32, batch_size=4, optical_diameter_pixels=8)
+    )
     result = pipeline.run(masks)
     assert isinstance(result, PipelineResult)
     assert result.outputs.shape == (2, 1, 64, 64)
@@ -185,22 +196,24 @@ def test_run_reports_stats(model):
 
 
 def test_planner_auto_stitches_only_oversized(model):
-    pipeline = InferencePipeline(model, tile_size=32, batch_size=4, optical_diameter_pixels=8)
+    pipeline = InferencePipeline(
+        model, ExecutionConfig(tile_size=32, batch_size=4, optical_diameter_pixels=8)
+    )
     assert pipeline.run(_random_mask(32)).stats.mode == "native"
     assert pipeline.run(_random_mask(64)).stats.mode == "stitched"
 
 
 def test_stitched_size_validation(model):
-    pipeline = InferencePipeline(model, tile_size=32, optical_diameter_pixels=8)
+    pipeline = InferencePipeline(model, ExecutionConfig(tile_size=32, optical_diameter_pixels=8))
     with pytest.raises(ValueError):
         pipeline.predict(_random_mask(48), stitch=True)
 
 
 def test_invalid_configuration(model):
     with pytest.raises(ValueError):
-        InferencePipeline(model, batch_size=0)
+        InferencePipeline(model, ExecutionConfig(batch_size=0))
     with pytest.raises(ValueError):
-        InferencePipeline(model, tile_size=30)  # not divisible by pool factor
+        InferencePipeline(model, ExecutionConfig(tile_size=30))  # not divisible by pool factor
 
 
 # --------------------------------------------------------------------- #
@@ -208,7 +221,7 @@ def test_invalid_configuration(model):
 # --------------------------------------------------------------------- #
 def test_simulator_pipeline_matches_direct_simulation(simulator):
     masks = np.stack([_random_mask(32, seed=s) for s in range(3)])
-    pipeline = InferencePipeline(simulator, batch_size=2)
+    pipeline = InferencePipeline(simulator, ExecutionConfig(batch_size=2))
     resist = pipeline.predict(masks)
     expected = np.stack([simulator.resist_image(m) for m in masks])
     np.testing.assert_allclose(resist, expected, atol=1e-10)
@@ -235,6 +248,6 @@ def test_as_executor_adapts_all_engine_kinds(model, simulator):
 
 
 def test_stitching_requires_capable_engine(simulator):
-    pipeline = InferencePipeline(simulator, tile_size=32)
+    pipeline = InferencePipeline(simulator, ExecutionConfig(tile_size=32))
     with pytest.raises(ValueError):
         pipeline.predict(_random_mask(64), stitch=True)

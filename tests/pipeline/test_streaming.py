@@ -2,10 +2,10 @@
 
 Three invariants anchor this file:
 
-* the streaming ring is a pure transport change — outputs across >= 3
-  consecutive pipeline calls are **bit-identical** to the per-call shm path
-  and to serial execution, while the mapped segments are created once and
-  reused (generation-tagged regrowth only when the geometry outgrows a slot);
+* the streaming ring is a pure transport — outputs across >= 3
+  consecutive pipeline calls are **bit-identical** to serial execution,
+  while the mapped segments are created once and reused
+  (generation-tagged regrowth only when the geometry outgrows a slot);
 * segment lifetime is fully owned — ``close()`` is idempotent and releases
   everything, a forced :class:`WorkerPoolError` leaves nothing stale, and a
   process that exits without closing is cleaned by the registry's atexit
@@ -26,17 +26,14 @@ import numpy as np
 import pytest
 
 from repro.pipeline import (
-    STREAMING_ENV,
     ExecutionConfig,
     InferencePipeline,
     ModelExecutor,
-    ParallelConfig,
     RetryPolicy,
     SegmentRing,
     WorkerPoolError,
     WorkerPoolExecutor,
     live_segment_names,
-    resolve_streaming,
 )
 from repro.pipeline.executors import Executor
 from repro.pipeline.streaming import SEGMENT_PREFIX
@@ -66,41 +63,12 @@ def _repro_shm_files() -> list[str]:
 
 
 # --------------------------------------------------------------------- #
-# Knob resolution
-# --------------------------------------------------------------------- #
-def test_streaming_resolution(monkeypatch):
-    monkeypatch.delenv(STREAMING_ENV, raising=False)
-    assert resolve_streaming() is True                  # default: on
-    assert resolve_streaming(False) is False            # explicit argument wins
-    monkeypatch.setenv(STREAMING_ENV, "0")
-    assert resolve_streaming() is False
-    assert resolve_streaming(True) is True
-    monkeypatch.setenv(STREAMING_ENV, "on")
-    assert resolve_streaming() is True
-    assert ParallelConfig(streaming=False).resolved_streaming() is False
-    monkeypatch.setenv(STREAMING_ENV, "sideways")
-    with pytest.raises(ValueError):
-        resolve_streaming()
-
-
-def test_env_override_controls_transport(model, monkeypatch):
-    monkeypatch.setenv(STREAMING_ENV, "0")
-    assert not WorkerPoolExecutor(model, num_workers=2).streaming
-    monkeypatch.setenv(STREAMING_ENV, "1")
-    assert WorkerPoolExecutor(model, num_workers=2).streaming
-    pipeline = InferencePipeline(model, ExecutionConfig(num_workers=2, streaming=False))
-    assert not pipeline.streaming  # explicit argument beats the env var
-    pipeline.close()
-
-
-# --------------------------------------------------------------------- #
 # Ring reuse across consecutive calls
 # --------------------------------------------------------------------- #
 def test_ring_reuses_segments_across_calls(model):
     masks = _random_masks(6, 32)
     reference = ModelExecutor(model).run_batch(masks[:, None])
     with WorkerPoolExecutor(model, num_workers=2) as executor:
-        assert executor.streaming
         outputs = [executor.run_batch(masks[:, None]) for _ in range(3)]
         for out in outputs:
             np.testing.assert_array_equal(out, reference)
@@ -114,24 +82,13 @@ def test_ring_reuses_segments_across_calls(model):
 
 
 def test_streaming_pipeline_bit_identical_across_calls(model):
-    """>= 3 consecutive pipeline calls: ring == per-call == serial, bit for bit."""
+    """>= 3 consecutive pipeline calls: ring == serial, bit for bit."""
     masks = _random_masks(6, 32, seed=23)
     serial = InferencePipeline(model, ExecutionConfig(batch_size=4, num_workers=0))
     reference = serial.predict(masks)
-    per_call_config = ExecutionConfig(batch_size=4, num_workers=2, streaming=False)
-    with InferencePipeline(model, ExecutionConfig(batch_size=4, num_workers=2)) as ring_pipe, \
-         InferencePipeline(model, per_call_config) as per_call:
-        assert ring_pipe.streaming and not per_call.streaming
+    with InferencePipeline(model, ExecutionConfig(batch_size=4, num_workers=2)) as ring_pipe:
         for _ in range(3):
             np.testing.assert_array_equal(ring_pipe.predict(masks), reference)
-            np.testing.assert_array_equal(per_call.predict(masks), reference)
-
-
-def test_per_call_mode_leaves_no_live_segments(model):
-    masks = _random_masks(4, 32)
-    with WorkerPoolExecutor(model, num_workers=2, streaming=False) as executor:
-        executor.run_batch(masks[:, None])
-        assert live_segment_names() == ()  # released inside the call already
 
 
 # --------------------------------------------------------------------- #
@@ -213,7 +170,7 @@ def test_atexit_releases_unclosed_ring_segments(tmp_path):
         model = create_model("doinn", image_size=32, gp_channels=4, lp_base_channels=2)
         executor = WorkerPoolExecutor(model, num_workers=2)
         executor.run_batch(np.zeros((4, 1, 32, 32)))
-        assert executor.streaming and live_segment_names()
+        assert live_segment_names()
         print("LIVE:" + ",".join(live_segment_names()))
         # exit WITHOUT close(): the registry's atexit hook must unlink.
         """
@@ -275,35 +232,25 @@ class _FailsInWorkers(Executor):
         return batch.copy()
 
 
-@pytest.mark.parametrize("streaming", [True, False])
-def test_no_stale_segments_after_worker_error(streaming):
+def test_no_stale_segments_after_worker_error():
     before = _repro_shm_files()
-    with WorkerPoolExecutor(
-        _FailsInWorkers(), num_workers=2, streaming=streaming, retry=STRICT
-    ) as executor:
+    with WorkerPoolExecutor(_FailsInWorkers(), num_workers=2, retry=STRICT) as executor:
         with pytest.raises(WorkerPoolError, match="marker-4242"):
             executor.run_batch(np.zeros((5, 1, 8, 8)))
-        if not streaming:
-            # Per-call transport: the try/finally released everything while
-            # the error was still propagating.
-            assert live_segment_names() == ()
-    # Either way, close() leaves the registry and /dev/shm clean.
+    # close() leaves the registry and /dev/shm clean.
     assert live_segment_names() == ()
     assert _repro_shm_files() == before
 
 
-@pytest.mark.parametrize("streaming", [True, False])
-def test_sigkilled_worker_mid_batch_leaves_shm_clean(model, streaming):
+def test_sigkilled_worker_mid_batch_leaves_shm_clean(model):
     """A worker SIGKILLed mid-batch (deterministic ``kill@0:0`` plan): the
     supervised pool respawns it, the retried chunk reproduces the serial
     output bit for bit, and ``close()`` leaves /dev/shm free of ``repro``
-    segments on both the ring and the per-call transport."""
+    segments."""
     before = _repro_shm_files()
     masks = _random_masks(6, 32, seed=47)
     reference = ModelExecutor(model).run_batch(masks[:, None])
-    with WorkerPoolExecutor(
-        model, num_workers=2, streaming=streaming, fault_plan="kill@0:0"
-    ) as executor:
+    with WorkerPoolExecutor(model, num_workers=2, fault_plan="kill@0:0") as executor:
         out = executor.run_batch(masks[:, None])
         np.testing.assert_array_equal(out, reference)
         assert executor.robustness.workers_respawned >= 1
@@ -312,21 +259,18 @@ def test_sigkilled_worker_mid_batch_leaves_shm_clean(model, streaming):
     assert _repro_shm_files() == before
 
 
-@pytest.mark.parametrize("streaming", [True, False])
-def test_atexit_cleans_shm_after_sigkilled_worker(streaming):
+def test_atexit_cleans_shm_after_sigkilled_worker():
     """Exit without close() *after* a worker was SIGKILLed mid-batch: the
     registry's atexit hook still unlinks everything — a killed worker cannot
     strand its mapped segments (workers never own them)."""
     src = Path(__file__).resolve().parents[2] / "src"
     script = textwrap.dedent(
-        f"""
+        """
         import numpy as np
         from repro.core import create_model
         from repro.pipeline import WorkerPoolExecutor, live_segment_names
         model = create_model("doinn", image_size=32, gp_channels=4, lp_base_channels=2)
-        executor = WorkerPoolExecutor(
-            model, num_workers=2, streaming={streaming}, fault_plan="kill@0:0"
-        )
+        executor = WorkerPoolExecutor(model, num_workers=2, fault_plan="kill@0:0")
         executor.run_batch(np.zeros((6, 1, 32, 32)))
         assert executor.robustness.workers_respawned >= 1
         print("LIVE:" + ",".join(live_segment_names()))
@@ -340,10 +284,7 @@ def test_atexit_cleans_shm_after_sigkilled_worker(streaming):
     assert proc.returncode == 0, proc.stderr
     line = next(l for l in proc.stdout.splitlines() if l.startswith("LIVE:"))
     leaked = [name for name in line[len("LIVE:"):].split(",") if name]
-    if streaming:
-        assert leaked  # the ring really was live when the child exited
-    else:
-        assert not leaked  # per-call transport released inside the call
+    assert leaked  # the ring really was live when the child exited
     present = _repro_shm_files()
     assert not any(name in present for name in leaked)
 

@@ -26,11 +26,11 @@ import pytest
 from repro.pipeline import (
     DEGRADE_ENV,
     FAULT_PLAN_ENV,
+    ExecutionConfig,
     FaultPlan,
     InferencePipeline,
     InjectedFault,
     ModelExecutor,
-    ParallelConfig,
     PoolDegradedWarning,
     RetryPolicy,
     SupervisedPool,
@@ -79,7 +79,6 @@ def test_retry_policy_env_overrides(monkeypatch):
     assert (explicit.timeout, explicit.max_retries, explicit.degrade) == (2.0, 1, True)
     # ... including timeout=0, which explicitly disables the env deadline.
     assert resolve_retry_policy(RetryPolicy(timeout=0)).timeout is None
-    assert ParallelConfig(retry=RetryPolicy(max_retries=0)).resolved_retry().max_retries == 0
 
 
 def test_retry_policy_env_validation(monkeypatch):
@@ -199,8 +198,8 @@ def test_chaos_equivalence_whole_zoo(zoo_model, monkeypatch):
     if executor.supports_stitching:
         masks = _random_masks(2, 64, seed=51)
         kwargs = dict(tile_size=32, batch_size=4, optical_diameter_pixels=8)
-        reference = InferencePipeline(model, **kwargs).run(masks, stitch=True)
-        with InferencePipeline(model, num_workers=2, **kwargs) as pooled:
+        reference = InferencePipeline(model, ExecutionConfig(**kwargs)).run(masks, stitch=True)
+        with InferencePipeline(model, ExecutionConfig(num_workers=2, **kwargs)) as pooled:
             result = pooled.run(masks, stitch=True)
             assert result.stats.sharded_tiles
             np.testing.assert_array_equal(result.outputs, reference.outputs)
@@ -208,8 +207,8 @@ def test_chaos_equivalence_whole_zoo(zoo_model, monkeypatch):
             assert result.stats.fault_events >= 1
     else:
         masks = _random_masks(4, 32, seed=53)
-        reference = InferencePipeline(model, batch_size=2).predict(masks)
-        with InferencePipeline(model, batch_size=2, num_workers=2) as pooled:
+        reference = InferencePipeline(model, ExecutionConfig(batch_size=2)).predict(masks)
+        with InferencePipeline(model, ExecutionConfig(batch_size=2, num_workers=2)) as pooled:
             np.testing.assert_array_equal(pooled.predict(masks), reference)
             assert pooled.executor.robustness.chunks_retried >= 1
 
@@ -218,9 +217,9 @@ def test_chaos_predict_patched_matches_serial(model, monkeypatch):
     """Hard worker crashes under the incremental patched plan still match the
     serial prediction exactly — patched windows are just chunks with slices."""
     kwargs = dict(tile_size=32, batch_size=4, optical_diameter_pixels=8)
-    serial = InferencePipeline(model, **kwargs)
+    serial = InferencePipeline(model, ExecutionConfig(**kwargs))
     monkeypatch.setenv(FAULT_PLAN_ENV, "exit@*:0")
-    with InferencePipeline(model, num_workers=2, **kwargs) as pooled:
+    with InferencePipeline(model, ExecutionConfig(num_workers=2, **kwargs)) as pooled:
         state = pooled.incremental_state((64, 64))
         assert state.mode == "gp"
         mask = _random_masks(1, 64, seed=55)[0]
@@ -316,9 +315,9 @@ def test_irrecoverable_pool_degrades_and_rebuilds(model):
 # --------------------------------------------------------------------- #
 def test_pipeline_stats_report_per_run_deltas(model):
     masks = _random_masks(6, 32, seed=65)
-    reference = InferencePipeline(model, batch_size=6).predict(masks)
+    reference = InferencePipeline(model, ExecutionConfig(batch_size=6)).predict(masks)
     executor = WorkerPoolExecutor(model, num_workers=2, fault_plan="raise@0:0")
-    with InferencePipeline(executor, batch_size=6) as pooled:
+    with InferencePipeline(executor, ExecutionConfig(batch_size=6)) as pooled:
         first = pooled.run(masks)
         np.testing.assert_array_equal(first.outputs[:, 0], reference)
         assert first.stats.chunks_retried == 1
@@ -335,7 +334,7 @@ def test_pipeline_stats_report_per_run_deltas(model):
 
 
 def test_serial_pipeline_stats_counters_stay_zero(model):
-    stats = InferencePipeline(model, batch_size=4).run(_random_masks(4, 32)).stats
+    stats = InferencePipeline(model, ExecutionConfig(batch_size=4)).run(_random_masks(4, 32)).stats
     assert stats.chunks_retried == 0
     assert stats.workers_respawned == 0
     assert stats.degraded_runs == 0
