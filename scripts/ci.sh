@@ -132,11 +132,12 @@ check_shm_clean "after chaos gate"
 
 # Benchmark smokes: short runs of the repo benchmark (BENCHMARK.json).  The
 # serial large_tile run checks the first stitched 256 px mask against the
-# unfused pipeline to 1e-12, which covers the blocked stride-1 conv kernel
-# (one C_in*kw-row pack per block, kh accumulating kernel-row GEMMs), the
-# banded strided and channel-grouped transposed kernels, all on the
-# compute team, on full-mask shapes, and the fused GP op (lift folded into
-# the mode mix) on 8-tile batches.  The pooled run holds sampled outputs
+# unfused pipeline to 1e-12, which covers the one blocked stride-1 conv
+# kernel (one C_in*kw-row pack per block, kh accumulating kernel-row GEMMs)
+# that every fused conv runs through, strided convs as space-to-depth convs
+# and transposed convs as sub-pixel convs, on the compute team, on
+# full-mask shapes, and the fused GP op (lift folded into the mode mix) on
+# 8-tile batches.  The pooled run holds sampled outputs
 # bit-identical to serial while each worker runs a team of one.  Each gate fails
 # unless the run's last (JSON) line reports correct with 0 failed calls.
 bench_smoke() {

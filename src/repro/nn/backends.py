@@ -23,9 +23,9 @@ only engages on the compiled fused path (``compile=True`` pipelines /
 executors); ``compile_model`` itself never consults the environment, so
 the fusion equivalence suites stay deterministic under any env.
 
-Compute team and BLAS threads: the fused conv kernels split their work into
-independent units (output blocks, row bands, channel groups) whose
-boundaries depend only on the geometry, and run those units on this
+Compute team and BLAS threads: the fused conv kernel splits its work into
+independent units (a sample's output blocks) whose boundaries depend only
+on the geometry, and runs those units on this
 process's :class:`ComputeTeam` (single-threaded GEMMs parallelised over
 independent output blocks, as in Georganas et al., "Anatomy of
 High-Performance Deep Learning Convolutions on SIMD Architectures",

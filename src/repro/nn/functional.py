@@ -13,18 +13,21 @@ over the (padded) input — a view, not a materialized ``(N, C*kh*kw, L)``
 patch matrix — and the contraction against the weights runs as one GEMM via
 ``np.tensordot``, whose internal packing of the view is the only copy made.
 The explicit ``im2col``/``col2im`` pair is kept for the adjoint passes and
-for callers that need the patch matrix itself.  The fused eval kernel
-:func:`conv_bn_act` packs stride-1 inputs one cache-resident block of
+for callers that need the patch matrix itself.  The fused eval kernels
+pack a stride-1 conv's input one cache-resident block of
 :data:`CONV_BLOCK` output positions at a time instead, and only ``C_in*kw``
 rows per block: the ``kh`` kernel rows read the same pack one padded row
 apart, as ``kh`` accumulating GEMMs (the partial-im2col form of Anderson
 et al., "Low-memory GEMM-based convolution algorithms for deep neural
 networks", arXiv:1709.03395).
 
-The fused kernels (:func:`conv_bn_act`, :func:`conv_transpose_bn_act`) split
-their work into independent units: stride-1 blocks, strided output-row
-bands and transposed output-channel groups, with bounds set by the
-geometry alone.  They run those units on the process's compute team
+Both fused kernels (:func:`conv_bn_act`, :func:`conv_transpose_bn_act`) run
+that one stride-1 block kernel.  A strided conv is the stride-1 conv of a
+space-to-depth copy of its input, and a transposed conv is one sub-pixel
+stride-1 conv whose output channels are its ``stride**2`` output phases
+(Shi et al., arXiv:1609.05158), each landed straight into its strided
+slice of the output.  The work units are (sample, block) pairs, with bounds
+set by the geometry alone, and they run on the process's compute team
 (:func:`repro.nn.backends.compute_team`); a team of more than one thread
 runs with BLAS capped at one, so single-threaded GEMMs are parallelised
 over the units, as in Georganas et al., "Anatomy of High-Performance Deep
@@ -223,13 +226,13 @@ def _apply_activation_inplace(arr: np.ndarray, activation: str, negative_slope: 
         np.tanh(arr, out=arr)
 
 
-#: Output positions per GEMM of the stride-1 kernel of :func:`conv_bn_act`,
-#: and about the positions of one row band of its strided kernel.  One
-#: block's ``(C_in*kw, CONV_BLOCK + (kh-1)*wp)`` kernel-row pack and its
-#: ``(C_out, CONV_BLOCK)`` result stay cache resident instead of a whole-image
-#: patch matrix streaming through DRAM.  Blocks are the work units the
-#: compute team (:func:`repro.nn.backends.compute_team`) spreads over its
-#: threads; their bounds depend on the geometry alone.
+#: Output positions per GEMM of the block kernel behind :func:`conv_bn_act`
+#: and :func:`conv_transpose_bn_act`.  One block's ``(C_in*kw, CONV_BLOCK +
+#: (kh-1)*wp)`` kernel-row pack and its ``(C_out, CONV_BLOCK)`` result stay
+#: cache resident instead of a whole-image patch matrix streaming through
+#: DRAM.  Blocks are the work units the compute team
+#: (:func:`repro.nn.backends.compute_team`) spreads over its threads; their
+#: bounds depend on the geometry alone.
 CONV_BLOCK = 2048
 
 #: Every block GEMM's column count is a multiple of this.  BLAS rounds a
@@ -245,105 +248,213 @@ def _round_up(value: int, multiple: int) -> int:
 
 
 def _block_width(span: int) -> int:
-    """GEMM width of a stride-1 block: :data:`CONV_BLOCK`, or ``span``
-    rounded up to :data:`CONV_BLOCK_ALIGN` when that is narrower."""
+    """GEMM width of a block: :data:`CONV_BLOCK`, or ``span`` rounded up to
+    :data:`CONV_BLOCK_ALIGN` when that is narrower."""
     return min(CONV_BLOCK, _round_up(span, CONV_BLOCK_ALIGN))
 
 
-def _band_rows(h_out: int, w_out: int) -> int:
-    """Output rows per band of the strided kernel: about :data:`CONV_BLOCK`
-    positions, at least one row."""
-    return max(1, min(h_out, CONV_BLOCK // max(w_out, 1)))
+def _block_scratch_size(input_shape: tuple, weight_shape: tuple, grid: tuple) -> int:
+    """Length of the flat scratch :func:`_conv_stride1_blocked` needs for a
+    stride-1 conv of ``weight_shape`` over ``input_shape`` that computes the
+    ``grid`` of output rows and columns: per team member, one block's
+    ``(C_in*kw, width + (kh-1)*wp)`` kernel-row pack, then its ``(C_out,
+    width)`` result and ``(C_out, width)`` accumulator."""
+    _, c_in, _, wp = input_shape
+    c_out, _, kh, kw = weight_shape
+    width = _block_width((grid[0] - 1) * wp + grid[1])
+    return compute_team().size * (c_in * kw * (width + (kh - 1) * wp) + 2 * c_out * width)
+
+
+def _space_to_depth_shapes(input_shape: tuple, weight_shape: tuple, stride: int) -> tuple:
+    """Input and weight shapes of the stride-1 conv a ``stride`` conv becomes:
+    ``(N, C_in*s*s, ceil(H/s), ceil(W/s))`` and ``(C_out, C_in*s*s,
+    ceil(kh/s), ceil(kw/s))``.  Stride 1 keeps both shapes."""
+    n, c_in, hp, wp = input_shape
+    c_out, _, kh, kw = weight_shape
+    s = stride
+    return (n, c_in * s * s, -(-hp // s), -(-wp // s)), (c_out, c_in * s * s, -(-kh // s), -(-kw // s))
+
+
+def _subpixel_geometry(input_shape: tuple, weight_shape: tuple, stride: int, padding: int) -> tuple:
+    """Padded input shape, weight shape and output grid of the stride-1 conv
+    a transposed conv becomes.
+
+    With ``J = ceil(k/s)`` the input is padded by ``J-1`` before and by
+    ``max(0, Q - H)`` after, ``Q = (H_out-1+p)//s + 1`` being the conv rows
+    the output phases read; the conv has ``s*s*C_out`` output channels and a
+    ``J x J`` kernel.
+    """
+    n, c_in, h, w = input_shape
+    _, c_out, kh, kw = weight_shape
+    s, p = stride, padding
+    jh, jw = -(-kh // s), -(-kw // s)
+    grid = ((h - 1) * s - p + kh - 1) // s + 1, ((w - 1) * s - p + kw - 1) // s + 1
+    padded = (n, c_in, jh - 1 + max(h, grid[0]), jw - 1 + max(w, grid[1]))
+    return padded, (s * s * c_out, c_in, jh, jw), grid
 
 
 def conv_gemm_shape(input_shape: tuple, weight_shape: tuple, stride: int = 1) -> tuple:
-    """Shape of the ``gemm`` scratch :func:`conv_bn_act` needs.
+    """Shape of the flat ``gemm`` scratch :func:`conv_bn_act` needs.
 
-    ``input_shape`` is the padded input's.  The scratch is flat: one
-    equal slice per member of the compute team, each holding one work
-    unit's pack and result.  A stride-1 unit is a block: its ``(C_in*kw,
-    width + (kh-1)*wp)`` kernel-row pack, then its ``(C_out, width)`` result
-    and ``(C_out, width)`` accumulator, where ``width`` is
-    :data:`CONV_BLOCK` or the output span rounded up to
-    :data:`CONV_BLOCK_ALIGN` when that is narrower.  A strided unit is a
-    row band: its ``(C_in*kh*kw, width)`` patch pack and ``(C_out, width)``
-    result, ``width`` being the band's positions rounded up to
-    :data:`CONV_BLOCK_ALIGN`.
+    ``input_shape`` is the padded input's.  A strided conv first holds the
+    space-to-depth copy of its input ``(N, C_in*s*s, ceil(H/s),
+    ceil(W/s))``.  The rest is the block scratch, one equal slice per member
+    of the compute team, each holding one block's kernel-row pack, result and
+    accumulator, at a width of :data:`CONV_BLOCK` or the output span rounded
+    up to :data:`CONV_BLOCK_ALIGN` when that is narrower.
     """
-    _, c_in, hp, wp = input_shape
-    c_out, _, kh, kw = weight_shape
-    if stride == 1:
-        width = _block_width((hp - kh) * wp + wp - kw + 1)
-        per_member = c_in * kw * (width + (kh - 1) * wp) + 2 * c_out * width
-    else:
-        h_out = _conv_output_size(hp, kh, stride, 0)
-        w_out = _conv_output_size(wp, kw, stride, 0)
-        width = _round_up(_band_rows(h_out, w_out) * w_out, CONV_BLOCK_ALIGN)
-        per_member = (c_in * kh * kw + c_out) * width
-    return (compute_team().size * per_member,)
+    x_shape, w_shape = _space_to_depth_shapes(input_shape, weight_shape, stride)
+    grid = tuple((size - k) // stride + 1 for size, k in zip(input_shape[2:], weight_shape[2:]))
+    copy = int(np.prod(x_shape)) if stride > 1 else 0
+    return (copy + _block_scratch_size(x_shape, w_shape, grid),)
 
 
-def _land_block(part: np.ndarray, dst: np.ndarray, start: int, stop: int, wp: int) -> None:
-    """Copy a block result into ``dst`` ``(C_out, H_out, W_out)``, dropping
-    the ``kw - 1`` wrap-around columns of every padded-width row.
+def conv_transpose_gemm_shape(
+    input_shape: tuple, weight_shape: tuple, stride: int = 1, padding: int = 0
+) -> tuple:
+    """Shape of the flat ``gemm`` scratch :func:`conv_transpose_bn_act` needs:
+    the ``J-1``-padded copy of the input when ``J = ceil(k/s) > 1`` (a
+    ``J == 1`` kernel reads the input in place), then the block scratch of
+    :func:`conv_gemm_shape`."""
+    x_shape, w_shape, grid = _subpixel_geometry(input_shape, weight_shape, stride, padding)
+    copy = int(np.prod(x_shape)) if x_shape != tuple(input_shape) else 0
+    return (copy + _block_scratch_size(x_shape, w_shape, grid),)
+
+
+def _kernel_rows(weight: np.ndarray) -> np.ndarray:
+    """``(C_out, C_in, kh, kw)`` -> ``kh`` per-kernel-row ``(C_out, C_in*kw)`` matrices."""
+    c_out, c_in, kh, kw = weight.shape
+    return np.ascontiguousarray(weight.transpose(2, 0, 1, 3)).reshape(kh, c_out, c_in * kw)
+
+
+def _stride_cells(weight: np.ndarray, stride: int) -> np.ndarray:
+    """``weight`` ``(A, B, kh, kw)`` as ``(A, B, J, s, J, s)``: tap ``a*s + r``
+    at ``[..., a, r, ...]``, with ``J = ceil(k/s)`` and zero taps past the
+    kernel."""
+    *_, kh, kw = weight.shape
+    s = stride
+    jh, jw = -(-kh // s), -(-kw // s)
+    if (jh * s, jw * s) != (kh, kw):
+        weight = np.pad(weight, ((0, 0), (0, 0), (0, jh * s - kh), (0, jw * s - kw)))
+    return weight.reshape(*weight.shape[:2], jh, s, jw, s)
+
+
+def _space_to_depth_rows(weight: np.ndarray, stride: int) -> np.ndarray:
+    """Kernel rows of the space-to-depth weight of a ``(C_out, C_in, kh, kw)``
+    conv, ``w2[co, (c, ph, pw), a, b] = w[co, c, a*s+ph, b*s+pw]``: row ``a``
+    is the ``(C_out, (c, ph, pw, b))`` matrix."""
+    cells = _stride_cells(weight, stride)  # [co, c, a, ph, b, pw]
+    return np.ascontiguousarray(cells.transpose(2, 0, 1, 3, 5, 4)).reshape(cells.shape[2], weight.shape[0], -1)
+
+
+def _space_to_depth(x: np.ndarray, stride: int, out: np.ndarray) -> None:
+    """``out[n, (c, ph, pw), i, j] = x[n, c, i*s+ph, j*s+pw]``, zero past ``x``."""
+    n, c = x.shape[:2]
+    s = stride
+    cells = out.reshape(n, c, s, s, *out.shape[2:])
+    for ph in range(s):
+        for pw in range(s):
+            src = x[:, :, ph::s, pw::s]
+            dst = cells[:, :, ph, pw]
+            h, w = src.shape[2:]
+            dst[:, :, :h, :w] = src
+            dst[:, :, h:] = 0.0
+            dst[:, :, :h, w:] = 0.0
+
+
+def _subpixel_rows(weight: np.ndarray, stride: int) -> np.ndarray:
+    """Kernel rows of the sub-pixel form of a ``(C_in, C_out, kh, kw)``
+    transposed conv: output channel ``(rh, rw, co)`` at window offset ``(m,
+    n)`` is tap ``(rh + s*(J-1-m), rw + s*(J-1-n))``, zero past the kernel,
+    and row ``m`` is the ``(s*s*C_out, (ci, n))`` matrix."""
+    cells = _stride_cells(weight, stride)[:, :, ::-1, :, ::-1]  # [ci, co, m, rh, n, rw]
+    jh, jw = cells.shape[2], cells.shape[4]
+    return np.ascontiguousarray(cells.transpose(2, 3, 5, 1, 0, 4)).reshape(jh, -1, weight.shape[0] * jw)
+
+
+def _pad_into(x: np.ndarray, out: np.ndarray, top: int, left: int) -> None:
+    """Copy ``x`` into ``out`` at ``(top, left)`` and zero the rest of ``out``."""
+    h, w = x.shape[2:]
+    out[:, :, :top] = 0.0
+    out[:, :, top + h :] = 0.0
+    out[:, :, top : top + h, :left] = 0.0
+    out[:, :, top : top + h, left + w :] = 0.0
+    out[:, :, top : top + h, left : left + w] = x
+
+
+def _strided(base: np.ndarray, offset: int, shape: tuple, strides: tuple) -> np.ndarray:
+    """A strided view of the contiguous ``base`` from flat element ``offset``
+    on, ``strides`` in elements.  Unlike ``as_strided`` the constructor
+    checks the view's bounds, and it costs a tenth as much per call, which
+    counts at several views per block."""
+    item = base.itemsize
+    return np.ndarray(shape, base.dtype, base, offset * item, tuple(item * step for step in strides))
+
+
+def _land_block(part: np.ndarray, dst: np.ndarray, start: int, stop: int, wp: int, row0: int, col0: int) -> None:
+    """Copy a block result into ``dst`` ``(C, h, w)``.
 
     ``part[:, j]`` is the output at flat padded-width position ``start + j``
-    (row ``p // wp``, column ``p % wp``), for ``start + j < stop``.
+    (row ``p // wp``, column ``p % wp``), for ``start + j < stop``.  Output
+    ``(row, col)`` lands at ``dst[:, row - row0, col - col0]``; the rest is
+    dropped: the ``kw - 1`` wrap-around columns of every row, and the conv
+    row or column a sub-pixel phase does not own.
     """
-    c_out, _, w_out = dst.shape
-    row, col = divmod(start, wp)
-    pos = start
-    if col:
-        # Finish the row the previous block started.
-        end = min(stop, row * wp + w_out)
-        if pos < end:
-            dst[:, row, col : col + end - pos] = part[:, : end - pos]
-        row += 1
-        pos = row * wp
-    full = (stop - pos - w_out) // wp + 1  # rows wholly inside the block
-    if full > 0:
-        item = part.itemsize
-        dst[:, row : row + full] = as_strided(
-            part[:, pos - start :], shape=(c_out, full, w_out), strides=(part.strides[0], wp * item, item)
+    c, h, w = dst.shape
+    # The rows whose [col0, col0 + w) columns lie wholly inside the block.
+    lo = max(row0, -(-(start - col0) // wp))
+    hi = min(row0 + h, (stop - col0 - w) // wp + 1)
+    if lo < hi:
+        dst[:, lo - row0 : hi - row0] = _strided(
+            part, lo * wp + col0 - start, (c, hi - lo, w), (part.shape[1], wp, 1)
         )
-        row += full
-        pos += full * wp
-    if pos < stop:
-        # The next block finishes this row.
-        dst[:, row, : stop - pos] = part[:, pos - start : stop - start]
+    # The rows the block's edges cut, which the neighbouring blocks finish.
+    for row in {start // wp, (stop - 1) // wp}:
+        if row0 <= row < row0 + h and not lo <= row < hi:
+            first = max(start, row * wp + col0)
+            last = min(stop, row * wp + col0 + w)
+            if first < last:
+                col = first - row * wp - col0
+                dst[:, row - row0, col : col + last - first] = part[:, first - start : last - start]
 
 
 def _conv_stride1_blocked(
     x: np.ndarray,
     w_rows: np.ndarray,
     bias_col: np.ndarray | None,
-    dst: np.ndarray,
+    phases: list,
     scratch: np.ndarray,
     activation: str,
     negative_slope: float,
 ) -> None:
-    """Stride-1 conv of the zero-bordered ``x`` into ``dst`` ``(N, C_out, H_out, W_out)``.
+    """Stride-1 conv of the zero-bordered ``x``, landed into ``phases``.
 
     ``w_rows[a]`` is kernel row ``a`` of the weight as a ``(C_out, C_in*kw)``
-    matrix.  Each sample is read flat at padded width: output position
-    ``p = r*wp + c`` sees input ``p + a*wp + b`` for kernel offset
-    ``(a, b)``, so moving down one kernel row is a shift of ``wp`` columns.
-    A block of positions therefore packs only its ``kw`` column shifts, plus
-    a ``(kh-1)*wp`` halo, into one cache-resident ``(C_in*kw, cols +
-    (kh-1)*wp)`` pack, and the ``kh`` kernel rows are ``kh`` GEMMs against
-    views of that pack offset by ``a*wp``: the first lands in the block
-    result, each later one in the accumulator and is added in place.
-    Positions with ``c >= W_out`` wrap into the next row; their results are
-    dropped on landing.  The final block is zero-padded up to
-    :data:`CONV_BLOCK_ALIGN` columns rather than read past the buffer.
-    Every (sample, block) pair is one work unit of the compute team, packed
-    in the running member's slice of ``scratch``.
+    matrix.  ``phases`` is a list of ``(dst, row0, col0)``: the output
+    channels split evenly over them in order, and phase ``dst`` ``(N, C, h,
+    w)`` takes output rows ``row0 .. row0+h-1`` and columns ``col0 ..
+    col0+w-1`` of its channels (see :func:`_land_block`); a plain conv has
+    the one phase ``(out, 0, 0)``.  Each sample is read flat at padded
+    width: output position ``p = r*wp + c`` sees input ``p + a*wp + b`` for
+    kernel offset ``(a, b)``, so moving down one kernel row is a shift of
+    ``wp`` columns.  A block of positions therefore packs only its ``kw``
+    column shifts, plus a ``(kh-1)*wp`` halo, into one cache-resident
+    ``(C_in*kw, cols + (kh-1)*wp)`` pack, and the ``kh`` kernel rows are
+    ``kh`` GEMMs against views of that pack offset by ``a*wp``: the first
+    lands in the block result, each later one in the accumulator and is
+    added in place.  Positions with ``c`` past the phases' columns wrap
+    into the next row; their results are dropped on landing.  The final
+    block is zero-padded up to :data:`CONV_BLOCK_ALIGN` columns rather than
+    read past the buffer.  Every (sample, block) pair is one work unit of
+    the compute team, packed in the running member's slice of ``scratch``.
     """
     n, c_in, hp, wp = x.shape
     kh, c_out, k_len = w_rows.shape
     kw = k_len // c_in
+    group = c_out // len(phases)
     halo = (kh - 1) * wp
-    span = (dst.shape[2] - 1) * wp + dst.shape[3]
+    rows = max(row0 + dst.shape[2] for dst, row0, _ in phases)
+    span = (rows - 1) * wp + max(col0 + dst.shape[3] for dst, _, col0 in phases)
     width = _block_width(span)
     blocks = -(-span // width)
     pack_size = k_len * (width + halo)
@@ -353,20 +464,18 @@ def _conv_stride1_blocked(
         for flat in scratch.reshape(-1, pack_size + 2 * c_out * width)
     ]
     x = np.ascontiguousarray(x)
-    item = x.itemsize
 
     def unit(index: int, member: int) -> None:
         i, block = divmod(index, blocks)
         pack_flat, result_flat, acc_flat = members[member]
-        src = x[i].reshape(c_in, hp * wp)
         start = block * width
         stop = min(start + width, span)
         valid = stop - start
         cols = _round_up(valid, CONV_BLOCK_ALIGN)
         reach = valid + halo
         pack = pack_flat[: k_len * (cols + halo)].reshape(k_len, cols + halo)
-        pack.reshape(c_in, kw, cols + halo)[..., :reach] = as_strided(
-            src[:, start:], shape=(c_in, kw, reach), strides=(src.strides[0], item, item)
+        pack.reshape(c_in, kw, cols + halo)[..., :reach] = _strided(
+            x[i], start, (c_in, kw, reach), (hp * wp, 1, 1)
         )
         if valid < cols:
             pack[:, reach:] = 0.0
@@ -377,69 +486,34 @@ def _conv_stride1_blocked(
         if bias_col is not None:
             part += bias_col
         _apply_activation_inplace(part, activation, negative_slope)
-        _land_block(part, dst[i], start, stop, wp)
+        for p, (dst, row0, col0) in enumerate(phases):
+            _land_block(part[p * group : (p + 1) * group], dst[i], start, stop, wp, row0, col0)
 
     compute_team().run(unit, n * blocks, c_out * k_len * kh * width, len(members))
 
 
-def _conv_strided_banded(
-    x: np.ndarray,
-    w_mat: np.ndarray,
-    bias_col: np.ndarray | None,
-    dst: np.ndarray,
-    scratch: np.ndarray,
-    kernel: tuple,
-    stride: int,
-    activation: str,
-    negative_slope: float,
-) -> None:
-    """Strided conv of the zero-bordered ``x`` into ``dst`` ``(N, C_out, H_out, W_out)``.
+def _fused_output(out, shape: tuple, dtype, output_padding: int, name: str) -> np.ndarray:
+    """The caller's ``out`` buffer, checked, or a fresh one with a zero border."""
+    if out is None:
+        # repro: ok(ALLOC001, API fallback when no out= buffer is passed; FusedChain always passes its cached one)
+        return (np.zeros if output_padding else np.empty)(shape, dtype=dtype)
+    if out.shape != shape or out.dtype != dtype:
+        raise ValueError(
+            f"{name}: out buffer has shape {out.shape} dtype {out.dtype}, expected {shape} dtype {dtype}"
+        )
+    return out
 
-    ``w_mat`` is the ``(C_out, C_in*kh*kw)`` weight matrix.  Every (sample,
-    band of :func:`_band_rows` output rows) pair is one work unit: its
-    patches are packed into a ``(C_in*kh*kw, cols)`` matrix in the running
-    member's slice of ``scratch``, with ``cols`` the band's positions
-    rounded up to :data:`CONV_BLOCK_ALIGN` and the tail zeroed, then one
-    GEMM, bias and activation run on the cache-resident result before it is
-    copied into its rows of ``dst``.
-    """
-    n, c_in = x.shape[:2]
-    kh, kw = kernel
-    c_out, h_out, w_out = dst.shape[1:]
-    k_len = c_in * kh * kw
-    rows = _band_rows(h_out, w_out)
-    bands = -(-h_out // rows)
-    width = _round_up(rows * w_out, CONV_BLOCK_ALIGN)
-    # Each member's (pack, result) slice of the scratch.
-    members = [
-        (flat[: k_len * width], flat[k_len * width :])
-        for flat in scratch.reshape(-1, (k_len + c_out) * width)
-    ]
-    # (N, C_in, H_out, W_out, kh, kw) view of every output position's patch.
-    windows = sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    item = scratch.itemsize
 
-    def unit(index: int, member: int) -> None:
-        i, band = divmod(index, bands)
-        pack_flat, result_flat = members[member]
-        r0 = band * rows
-        r1 = min(r0 + rows, h_out)
-        valid = (r1 - r0) * w_out
-        cols = _round_up(valid, CONV_BLOCK_ALIGN)
-        pack = pack_flat[: k_len * cols].reshape(k_len, cols)
-        as_strided(
-            pack, shape=(c_in, kh, kw, r1 - r0, w_out),
-            strides=(kh * kw * cols * item, kw * cols * item, cols * item, w_out * item, item),
-        )[...] = windows[i, :, r0:r1].transpose(0, 3, 4, 1, 2)
-        if valid < cols:
-            pack[:, valid:] = 0.0
-        part = np.matmul(w_mat, pack, out=result_flat[: c_out * cols].reshape(c_out, cols))
-        if bias_col is not None:
-            part += bias_col
-        _apply_activation_inplace(part, activation, negative_slope)
-        dst[i, :, r0:r1] = part[:, :valid].reshape(c_out, r1 - r0, w_out)
-
-    compute_team().run(unit, n * bands, c_out * k_len * width, len(members))
+def _gemm_scratch(gemm, shape: tuple, dtype, name: str) -> np.ndarray:
+    """The caller's ``gemm`` scratch, checked, or a fresh one."""
+    if gemm is None:
+        # repro: ok(ALLOC001, scratch fallback when the caller passes no buffer; FusedChain passes its cached one)
+        return np.empty(shape, dtype=dtype)
+    if gemm.shape != shape or gemm.dtype != dtype:
+        raise ValueError(
+            f"{name}: gemm buffer has shape {gemm.shape} dtype {gemm.dtype}, expected {shape} dtype {dtype}"
+        )
+    return gemm
 
 
 def conv_bn_act(
@@ -463,18 +537,20 @@ def conv_bn_act(
     cache resident — instead of three separate passes (conv, batch norm,
     activation) over a working set that spills the per-core cache.
 
-    Stride-1 convolutions run cache-blocked, one kernel row at a time:
-    for each block of :data:`CONV_BLOCK` output positions the ``kw`` column
-    shifts of the zero-bordered input, plus a ``(kh-1)``-row halo, are
-    packed once into ``C_in*kw`` rows; ``kh`` GEMMs of the per-kernel-row
-    ``(C_out, C_in*kw)`` weight matrices against that pack, each offset by
-    one padded row, accumulate the block, whose width is a multiple of
-    :data:`CONV_BLOCK_ALIGN`, before it is copied into the output.
-    Strided convolutions run one GEMM per band of output rows of about
-    :data:`CONV_BLOCK` positions, also aligned.  Blocks and bands are the
-    work units of the process's compute team
-    (:func:`repro.nn.backends.compute_team`), so the bits do not depend on
-    the team size.
+    Convolutions run cache-blocked, one kernel row at a time: for each
+    block of :data:`CONV_BLOCK` output positions the ``kw`` column shifts of
+    the zero-bordered input, plus a ``(kh-1)``-row halo, are packed once
+    into ``C_in*kw`` rows; ``kh`` GEMMs of the per-kernel-row ``(C_out,
+    C_in*kw)`` weight matrices against that pack, each offset by one padded
+    row, accumulate the block, whose width is a multiple of
+    :data:`CONV_BLOCK_ALIGN`, before it is copied into the output.  A
+    strided conv runs as the stride-1 conv it equals over a space-to-depth
+    copy of its input: ``(C_in*s*s, ceil(H/s), ceil(W/s))`` channels and a
+    ``ceil(k/s)``-square kernel ``w2[co, (c,ph,pw), a, b] = w[co, c,
+    a*s+ph, b*s+pw]`` (zero past the kernel), of which the first ``H_out x
+    W_out`` outputs are kept.  Blocks are the work units of the process's
+    compute team (:func:`repro.nn.backends.compute_team`), so the bits do
+    not depend on the team size.
 
     Operates on plain ndarrays (no autograd); training forwards keep using
     :func:`conv2d` / :func:`batch_norm2d` unchanged.
@@ -494,11 +570,11 @@ def conv_bn_act(
         2*output_padding)`` buffer whose border is already zero (a fused
         chain's scratch cache); only the interior is written.
     gemm:
-        Optional GEMM scratch (a fused chain's buffer cache) of
+        Optional scratch (a fused chain's buffer cache) of
         :func:`conv_gemm_shape`, fully rewritten every call, no zero-border
-        contract: one slice per team member, each holding one block's
-        kernel-row pack, result and accumulator (stride 1) or one band's
-        patch pack and result (strided).
+        contract: the space-to-depth copy of a strided conv's input, then
+        one slice per team member holding one block's kernel-row pack,
+        result and accumulator.
     """
     _check_fused_activation(activation, negative_slope)
     x = np.asarray(x)
@@ -512,41 +588,22 @@ def conv_bn_act(
     _, _, hp, wp = x.shape
     h_out = _conv_output_size(hp, kh, stride, 0)
     w_out = _conv_output_size(wp, kw, stride, 0)
-    oh, ow = h_out + 2 * output_padding, w_out + 2 * output_padding
     dtype = np.result_type(x, weight)
-    if out is None:
-        # repro: ok(ALLOC001, API fallback when no out= buffer is passed; FusedChain always passes its cached one)
-        alloc = np.zeros if output_padding else np.empty
-        out = alloc((n, c_out, oh, ow), dtype=dtype)
-    elif out.shape != (n, c_out, oh, ow) or out.dtype != dtype:
-        raise ValueError(
-            f"conv_bn_act: out buffer has shape {out.shape} dtype {out.dtype}, "
-            f"expected {(n, c_out, oh, ow)} dtype {dtype}"
-        )
-    bias_col = None if bias is None else np.asarray(bias).reshape(c_out, 1)
+    shape = (n, c_out, h_out + 2 * output_padding, w_out + 2 * output_padding)
+    out = _fused_output(out, shape, dtype, output_padding, "conv_bn_act")
+    gemm = _gemm_scratch(gemm, conv_gemm_shape(x.shape, weight.shape, stride), dtype, "conv_bn_act")
     interior = out[:, :, output_padding : output_padding + h_out, output_padding : output_padding + w_out]
-    gemm_shape = conv_gemm_shape(x.shape, weight.shape, stride)
-    if gemm is None:
-        # repro: ok(ALLOC001, scratch fallback when the caller passes no buffer; FusedChain passes its cached one)
-        gemm = np.empty(gemm_shape, dtype=dtype)
-    elif gemm.shape != gemm_shape or gemm.dtype != dtype:
-        raise ValueError(
-            f"conv_bn_act: gemm buffer has shape {gemm.shape} dtype {gemm.dtype}, "
-            f"expected {gemm_shape} dtype {dtype}"
-        )
-    if stride == 1:
-        # One small copy of the weight into per-kernel-row (C_out, C_in*kw)
-        # matrices; the kernel-row pack is the single copy of the input.
-        w_rows = np.ascontiguousarray(weight.transpose(2, 0, 1, 3)).reshape(kh, c_out, c_in * kw)
-        _conv_stride1_blocked(x, w_rows, bias_col, interior, gemm, activation, negative_slope)
+    if stride > 1:
+        x_shape, _ = _space_to_depth_shapes(x.shape, weight.shape, stride)
+        copy = int(np.prod(x_shape))
+        x2 = gemm[:copy].reshape(x_shape)
+        _space_to_depth(x, stride, x2)
+        x, gemm = x2, gemm[copy:]
+        w_rows = _space_to_depth_rows(weight, stride)
     else:
-        # The (C_out, C_in*kh*kw) weight matrix is a free view of the
-        # PyTorch weight layout; the band's patch pack is the single copy
-        # of the input.
-        _conv_strided_banded(
-            x, weight.reshape(c_out, -1), bias_col, interior, gemm, (kh, kw), stride,
-            activation, negative_slope,
-        )
+        w_rows = _kernel_rows(weight)
+    bias_col = None if bias is None else np.asarray(bias).reshape(c_out, 1)
+    _conv_stride1_blocked(x, w_rows, bias_col, [(interior, 0, 0)], gemm, activation, negative_slope)
     return out
 
 
@@ -597,34 +654,6 @@ def conv_transpose2d(
     return Tensor.from_op(out, parents, backward)
 
 
-def conv_transpose_scratch_shapes(
-    input_shape: tuple, weight_shape: tuple, stride: int = 1, padding: int = 0
-) -> tuple | None:
-    """``(gemm, scatter)`` scratch shapes :func:`conv_transpose_bn_act` needs.
-
-    None on the direct path: non-overlapping, gap-free, crop-free kernels
-    (``stride == kh == kw``, ``padding == 0``: the UNet up path)
-    scatter-assign straight into the output.  Otherwise each work unit is one sample's group
-    of ``g`` output channels, the fewest that cover ``4 * CONV_BLOCK`` input
-    positions: each unit runs ``kh*kw`` scatter-adds over ``g*H*W``
-    elements, and shorter numpy calls spend more on handing the GIL between
-    team members than they gain (DOINN's dconv1 at 32x32 input: 1.6 ms in
-    groups of 8 channels, 2.3 ms in groups of 4, on two threads).  Each
-    member of the compute team gets one unit's slice of both scratches: the
-    flat ``gemm`` scratch holds its ``(g*kh*kw, H*W)`` GEMM result, the
-    ``scatter`` scratch ``(members, g, H_pad, W_pad)`` its uncropped scatter
-    image.
-    """
-    _, _, h, w = input_shape
-    _, c_out, kh, kw = weight_shape
-    if padding == 0 and stride == kh and stride == kw:
-        return None
-    group = min(c_out, -(-4 * CONV_BLOCK // max(h * w, 1)))
-    members = compute_team().size
-    h_pad, w_pad = (h - 1) * stride + kh, (w - 1) * stride + kw
-    return (members * group * kh * kw * h * w,), (members, group, h_pad, w_pad)
-
-
 def conv_transpose_bn_act(
     x: np.ndarray,
     weight: np.ndarray,
@@ -635,7 +664,6 @@ def conv_transpose_bn_act(
     negative_slope: float = 0.01,
     output_padding: int = 0,
     out: np.ndarray | None = None,
-    scatter: np.ndarray | None = None,
     gemm: np.ndarray | None = None,
 ) -> np.ndarray:
     """Fused inference kernel: transposed conv (+ folded BN) (+ activation).
@@ -643,19 +671,20 @@ def conv_transpose_bn_act(
     The transposed-conv mirror of :func:`conv_bn_act`, closing the last
     unfused link of the inference graphs compiled by :mod:`repro.nn.fusion`:
     ``weight`` (``(C_in, C_out, kh, kw)``, PyTorch transposed layout) already
-    carries the folded eval-mode batch-norm affine, and the GEMMs run against
-    the ``(C_in, C_out*kh*kw)`` weight matrix (a free view of the folded
-    weight).  Non-overlapping kernels (e.g. the UNet 2x2/stride-2 up path)
-    run one GEMM per sample and write the kernel tiles into place with one
-    vectorized ``col2im``-style strided assignment.  Overlapping kernels
-    (e.g. DOINN's 4x4/stride-2 ``dconv*``) split each sample into groups of
-    output channels, since the per-offset scatter-add is independent per
-    channel: each group is one work unit of the compute team
-    (:func:`repro.nn.backends.compute_team`), one GEMM against its weight
-    columns followed by the scatter-add into the running member's scatter
-    scratch.  Group bounds depend on the geometry alone, so the bits do not
-    depend on the team size.  Bias and activation are applied in place
-    while the output is cache hot.
+    carries the folded eval-mode batch-norm affine.  It runs as one
+    sub-pixel stride-1 conv through the block kernel of :func:`conv_bn_act`
+    (Shi et al., arXiv:1609.05158): output row ``t`` belongs to phase ``r =
+    (t+p) % s`` and reads conv row ``q = (t+p) // s``, so with ``J =
+    ceil(k/s)`` the ``s*s`` phases are the ``s*s*C_out`` output channels of
+    one ``J x J`` conv of the input padded by ``J-1`` before (and after, as
+    far as the last phase reads), whose window offset ``m`` of phase ``r``
+    uses kernel tap ``r + s*(J-1-m)``, zero past the kernel (which covers
+    the gaps of ``stride > k``).  Each block lands each phase's channels
+    straight into the strided ``out[:, :, t0::s, u0::s]`` view, dropping the
+    conv row or column the phase does not own; no intermediate image is
+    kept.  A ``J == 1`` kernel (the UNet 2x2/stride-2 up path) reads its
+    input in place.  Bias and activation are applied to each block while it
+    is cache hot.
 
     A transposed conv consumes its input unpadded (its ``padding`` *crops*
     the output), so unlike :func:`conv_bn_act` there is no
@@ -677,10 +706,10 @@ def conv_transpose_bn_act(
         Optional preallocated ``(N, C_out, H_out + 2*output_padding, W_out +
         2*output_padding)`` buffer whose border is already zero; only the
         interior is written.
-    scatter, gemm:
-        Optional scratch of :func:`conv_transpose_scratch_shapes` (a fused
-        chain's buffer cache); fully rewritten every unit, so unlike ``out``
-        they have no zero-border contract.  Ignored on the direct path.
+    gemm:
+        Optional scratch of :func:`conv_transpose_gemm_shape` (a fused
+        chain's buffer cache); fully rewritten every call, so unlike ``out``
+        it has no zero-border contract.
     """
     _check_fused_activation(activation, negative_slope)
     x = np.asarray(x)
@@ -689,102 +718,31 @@ def conv_transpose_bn_act(
     c_in_w, c_out, kh, kw = weight.shape
     if c_in != c_in_w:
         raise ValueError(f"conv_transpose_bn_act: input has {c_in} channels, weight expects {c_in_w}")
-    h_out = (h - 1) * stride - 2 * padding + kh
-    w_out = (w - 1) * stride - 2 * padding + kw
-    oh, ow = h_out + 2 * output_padding, w_out + 2 * output_padding
+    s, p = stride, padding
+    h_out = (h - 1) * s - 2 * p + kh
+    w_out = (w - 1) * s - 2 * p + kw
     dtype = np.result_type(x, weight)
-    if out is None:
-        # repro: ok(ALLOC001, API fallback when no out= buffer is passed; FusedChain always passes its cached one)
-        alloc = np.zeros if output_padding else np.empty
-        out = alloc((n, c_out, oh, ow), dtype=dtype)
-    elif out.shape != (n, c_out, oh, ow) or out.dtype != dtype:
-        raise ValueError(
-            f"conv_transpose_bn_act: out buffer has shape {out.shape} dtype {out.dtype}, "
-            f"expected {(n, c_out, oh, ow)} dtype {dtype}"
-        )
+    shape = (n, c_out, h_out + 2 * output_padding, w_out + 2 * output_padding)
+    out = _fused_output(out, shape, dtype, output_padding, "conv_transpose_bn_act")
+    gemm = _gemm_scratch(
+        gemm, conv_transpose_gemm_shape(x.shape, weight.shape, s, p), dtype, "conv_transpose_bn_act"
+    )
     interior = out[:, :, output_padding : output_padding + h_out, output_padding : output_padding + w_out]
-    # The (C_in, C_out*kh*kw) weight matrix is a free view of the folded
-    # weight; BLAS consumes the transpose (and its column groups) without a
-    # copy.  Per-sample GEMMs keep the outputs partition invariant
-    # (bit-identical however a stream is batched or sharded).
-    w_mat = weight.reshape(c_in, c_out * kh * kw)
-    bias_arr = None if bias is None else np.asarray(bias)
-    x_flat = x.reshape(n, c_in, h * w)
-    shapes = conv_transpose_scratch_shapes(x.shape, weight.shape, stride, padding)
-    if shapes is None:
-        for i in range(n):
-            cols = np.matmul(w_mat.T, x_flat[i])                 # (C_out*kh*kw, H*W)
-            # Bias/activation run on the GEMM output while it is cache hot
-            # (every output pixel receives exactly one contribution), then
-            # one strided assignment writes the kernel tiles into place.
-            if bias_arr is not None:
-                per_channel = cols.reshape(c_out, kh * kw * h * w)
-                per_channel += bias_arr[:, None]
-            _apply_activation_inplace(cols, activation, negative_slope)
-            sc, sh, sw = interior.strides[1:]
-            view = as_strided(
-                interior[i],
-                shape=(c_out, h, kh, w, kw),
-                strides=(sc, sh * stride, sh, sw * stride, sw),
-            )
-            view[:] = cols.reshape(c_out, kh, kw, h, w).transpose(0, 3, 1, 4, 2)
-        return out
-    gemm_shape, scatter_shape = shapes
-    if gemm is None:
-        # repro: ok(ALLOC001, scratch fallback when the caller passes no buffer; FusedChain passes its cached one)
-        gemm = np.empty(gemm_shape, dtype=dtype)
-    elif gemm.shape != gemm_shape or gemm.dtype != dtype:
-        raise ValueError(
-            f"conv_transpose_bn_act: gemm buffer has shape {gemm.shape} dtype "
-            f"{gemm.dtype}, expected {gemm_shape} dtype {dtype}"
-        )
-    if scatter is None:
-        # repro: ok(ALLOC001, scratch fallback when the caller passes no buffer; FusedChain passes its cached one)
-        scatter = np.empty(scatter_shape, dtype=dtype)
-    elif scatter.shape != scatter_shape or scatter.dtype != dtype:
-        raise ValueError(
-            f"conv_transpose_bn_act: scatter buffer has shape {scatter.shape} dtype "
-            f"{scatter.dtype}, expected {scatter_shape} dtype {dtype}"
-        )
-    group = scatter_shape[1]
-    groups = -(-c_out // group)
-    taps = kh * kw
-    gemm_slices = gemm.reshape(scatter_shape[0], -1)
-
-    def unit(index: int, member: int) -> None:
-        i, g = divmod(index, groups)
-        c0 = g * group
-        c1 = min(c0 + group, c_out)
-        cols = np.matmul(
-            w_mat[:, c0 * taps : c1 * taps].T,
-            x_flat[i],
-            out=gemm_slices[member, : (c1 - c0) * taps * h * w].reshape((c1 - c0) * taps, h * w),
-        )
-        tiles = cols.reshape(c1 - c0, kh, kw, h, w)
-        image = scatter[member, : c1 - c0]
-        image.fill(0.0)
-        if stride >= kh and stride >= kw:
-            # Disjoint windows: one vectorized strided assignment (gaps left
-            # by stride > k stay zero from the fill).
-            sc, sh, sw = image.strides
-            view = as_strided(
-                image,
-                shape=(c1 - c0, h, kh, w, kw),
-                strides=(sc, sh * stride, sh, sw * stride, sw),
-            )
-            view[:] = tiles.transpose(0, 3, 1, 4, 2)
-        else:
-            for ki in range(kh):
-                i_end = ki + stride * h
-                for kj in range(kw):
-                    image[:, ki:i_end:stride, kj : kj + stride * w : stride] += tiles[:, ki, kj]
-        region = image[:, padding : padding + h_out, padding : padding + w_out] if padding else image
-        if bias_arr is not None:
-            region += bias_arr[c0:c1, None, None]
-        _apply_activation_inplace(region, activation, negative_slope)
-        interior[i, c0:c1] = region
-
-    compute_team().run(unit, n * groups, c_in * group * taps * h * w, len(gemm_slices))
+    x_shape, _, _ = _subpixel_geometry(x.shape, weight.shape, s, p)
+    if x_shape != x.shape:
+        copy = int(np.prod(x_shape))
+        xp = gemm[:copy].reshape(x_shape)
+        _pad_into(x, xp, -(-kh // s) - 1, -(-kw // s) - 1)
+        x, gemm = xp, gemm[copy:]
+    # Phase (rh, rw) owns output rows t0::s and columns u0::s, which read
+    # conv rows and columns from (t0+p)//s and (u0+p)//s on.
+    phases = [
+        (interior[:, :, (rh - p) % s :: s, (rw - p) % s :: s], ((rh - p) % s + p) // s, ((rw - p) % s + p) // s)
+        for rh in range(s)
+        for rw in range(s)
+    ]
+    bias_col = None if bias is None else np.tile(np.asarray(bias), s * s).reshape(-1, 1)
+    _conv_stride1_blocked(x, _subpixel_rows(weight, s), bias_col, phases, gemm, activation, negative_slope)
     return out
 
 

@@ -13,11 +13,11 @@ that chain away:
   the GEMM output tile while it is cache resident
   (:func:`repro.nn.functional.conv_bn_act`).
 * :class:`FusedConvTranspose` — the transposed-conv mirror
-  (:func:`repro.nn.functional.conv_transpose_bn_act`): one GEMM per sample
-  against the precomputed ``(C_in, C_out*kh*kw)`` folded weight matrix plus a
-  vectorized ``col2im`` scatter, so the decoder/upsampling half of a model
-  (DOINN's ``dconv1-3``, the UNet up path) compiles into the same chains as
-  its convolutions.
+  (:func:`repro.nn.functional.conv_transpose_bn_act`): one sub-pixel
+  stride-1 conv through the same block kernel, each of its ``stride**2``
+  output phases landed straight into the output, so the decoder/upsampling
+  half of a model (DOINN's ``dconv1-3``, the UNet up path) compiles into the
+  same chains as its convolutions.
 * :class:`FusedChain` — a straight-line sequence of fused ops sharing a
   **pad-once buffer cache**: each op emits its result directly inside the zero
   border the *next* op's padding needs, so consecutive same-geometry convs in
@@ -39,21 +39,21 @@ that chain away:
 Transposed-conv fusion contract (the ``output_padding`` crop-fold):
 
 A transposed convolution consumes its input **unpadded** — its ``padding``
-hyper-parameter crops the scattered output instead of padding the input — so
+hyper-parameter crops the output instead of padding the input — so
 inside a chain a ``FusedConvTranspose`` declares ``input_pad == 0`` (the
 preceding op emits a borderless buffer) while still *emitting* its cropped
 result inside the zero border the next conv's padding needs
 (``output_padding``).  The crop is folded into that emission: the kernel
-writes ``scattered[:, padding:-padding, padding:-padding]`` straight into the
+lands only the output rows and columns the crop keeps, straight into the
 interior of the next op's pre-zeroed entry buffer, so a ``dconv -> conv``
 link (DOINN's ``dconvN -> vggN`` runs, the UNet bottleneck -> first-up chain)
 costs neither a separate crop copy nor a re-pad — the pad-once /
-``input_is_padded`` handshake extends through the whole decoder.
-Overlapping transposed kernels (stride < k) additionally keep a per-geometry
-scatter scratch in the chain's buffer cache, one channel group's image per
-compute-team member; it is fully rewritten by every work unit, so it
-carries no zero-border contract (and its cache key is namespaced apart
-from the bordered buffers).
+``input_is_padded`` handshake extends through the whole decoder.  The
+sub-pixel conv reads a ``ceil(k/s) - 1``-padded copy of its input, which
+it writes into the chain's ``"gemm"`` scratch next to its block packs (as a
+strided conv writes its space-to-depth copy there); that scratch is fully
+rewritten by every call, so it carries no zero-border contract (and its
+cache key is namespaced apart from the bordered buffers).
 
 The compiled artifact is a **deep copy**: the source model's parameters,
 buffers, train/eval flags and autograd behaviour are untouched (pinned by the
@@ -196,21 +196,17 @@ class FusedConvBNAct:
         w_out = (wp - kw) // self.stride + 1
         return (n, self.out_channels, h_out + 2 * output_padding, w_out + 2 * output_padding)
 
-    def scratch_shape(self, input_shape: tuple):
-        """Per-sample scatter scratch this op needs (convolutions need none)."""
-        return None
-
     def gemm_shape(self, input_shape: tuple):
         """GEMM scratch this op needs from the chain's buffer cache.
 
-        See :func:`repro.nn.functional.conv_gemm_shape`: one work unit's
-        flat scratch per compute-team member (a stride-1 block's kernel-row
-        pack, result and accumulator, or a strided row band's patch pack and
-        result), reused for every unit of every sample.
+        See :func:`repro.nn.functional.conv_gemm_shape`: a strided conv's
+        space-to-depth input copy, then one block's kernel-row pack, result
+        and accumulator per compute-team member, reused for every block of
+        every sample.
         """
         return F.conv_gemm_shape(input_shape, self.weight.shape, self.stride)
 
-    def apply(self, buf, out=None, output_padding: int = 0, scratch=None, gemm=None):
+    def apply(self, buf, out=None, output_padding: int = 0, gemm=None):
         return F.conv_bn_act(
             buf,
             self.weight,
@@ -293,9 +289,10 @@ class FusedConvTranspose:
 
     ``weight`` is the PyTorch transposed layout ``(C_in, C_out, kh, kw)``
     with the batch-norm fold already applied along the output-channel axis;
-    execution is :func:`repro.nn.functional.conv_transpose_bn_act` (one GEMM
-    per sample against the ``(C_in, C_out*kh*kw)`` weight matrix plus a
-    vectorized scatter).  Inside a :class:`FusedChain` it consumes its input
+    execution is :func:`repro.nn.functional.conv_transpose_bn_act` (one
+    sub-pixel stride-1 conv with ``stride**2 * C_out`` output channels,
+    through the block kernel of the convolutions).  Inside a
+    :class:`FusedChain` it consumes its input
     borderless (``input_pad == 0`` — a transposed conv's ``padding`` crops
     the output instead of padding the input) and emits the cropped result
     inside the next op's zero border.
@@ -341,26 +338,12 @@ class FusedConvTranspose:
         w_out = (w - 1) * self.stride - 2 * self.padding + kw
         return (n, self.out_channels, h_out + 2 * output_padding, w_out + 2 * output_padding)
 
-    def _scratch_shapes(self, input_shape: tuple):
-        return F.conv_transpose_scratch_shapes(input_shape, self.weight.shape, self.stride, self.padding)
-
-    def scratch_shape(self, input_shape: tuple):
-        """Per-member scatter images for overlapping/cropped kernels.
-
-        The non-overlapping crop-free fast path (``stride == kh == kw``,
-        ``padding == 0`` — the UNet up path) scatters straight into the
-        output buffer and needs no scratch.
-        """
-        shapes = self._scratch_shapes(input_shape)
-        return None if shapes is None else shapes[1]
-
     def gemm_shape(self, input_shape: tuple):
-        """Per-member GEMM results of the scatter path (see
-        :func:`repro.nn.functional.conv_transpose_scratch_shapes`)."""
-        shapes = self._scratch_shapes(input_shape)
-        return None if shapes is None else shapes[0]
+        """GEMM scratch of the sub-pixel conv (see
+        :func:`repro.nn.functional.conv_transpose_gemm_shape`)."""
+        return F.conv_transpose_gemm_shape(input_shape, self.weight.shape, self.stride, self.padding)
 
-    def apply(self, buf, out=None, output_padding: int = 0, scratch=None, gemm=None):
+    def apply(self, buf, out=None, output_padding: int = 0, gemm=None):
         return F.conv_transpose_bn_act(
             buf,
             self.weight,
@@ -371,7 +354,6 @@ class FusedConvTranspose:
             negative_slope=self.negative_slope,
             output_padding=output_padding,
             out=out,
-            scatter=scratch,
             gemm=gemm,
         )
 
@@ -415,14 +397,16 @@ class FusedChain:
     across calls — their borders are zeroed once at allocation and never
     written again; only the final op allocates a fresh array, which is handed
     to the caller.  Cache keys are namespaced by buffer family (``"in"`` /
-    ``"out"`` / ``"scatter"`` / ``"gemm"``) *and* carry the full shape
+    ``"out"`` / ``"gemm"``) *and* carry the full shape
     including the batch dimension, so one compiled engine serving
     interleaved batch sizes (the ragged final shards of a streamed tile
     sweep) can never hand a buffer of one geometry to a call of another.
-    The ``"gemm"`` and ``"scatter"`` scratch holds one slice per member of
-    the compute team (:func:`repro.nn.backends.compute_team`), and all ops
-    share one ``"gemm"`` buffer sized for the largest of them, since they
-    run one after another.  None of it is pickled.
+    The ``"gemm"`` scratch holds an op's input copy (a strided conv's
+    space-to-depth layout, a transposed conv's padded input) and one block
+    slice per member of the compute team
+    (:func:`repro.nn.backends.compute_team`); all ops share one ``"gemm"``
+    buffer sized for the largest of them, since they run one after another.
+    None of it is pickled.
     """
 
     #: Cached working buffers per chain before the oldest entry is evicted —
@@ -500,18 +484,12 @@ class FusedChain:
     def _output_buffer(self, index: int, shape: tuple, dtype) -> np.ndarray:
         return self._cached_zeros(("out", index, shape, np.dtype(dtype).str), shape, dtype)
 
-    def _scatter_buffer(self, index: int, shape: tuple, dtype) -> np.ndarray:
-        # Scatter scratch is fully rewritten per sample — it shares the cache
-        # for reuse/bounding but has no zero-border contract; its "scatter"
-        # namespace keeps it from ever aliasing a bordered "out" buffer of
-        # the same op index and coincidentally equal shape.
-        return self._cached_zeros(("scatter", index, shape, np.dtype(dtype).str), shape, dtype)
-
     def _gemm_buffer(self, length: int, dtype) -> np.ndarray:
-        # GEMM scratch (conv blocks and bands, transposed-conv group GEMMs)
-        # is fully rewritten by every work unit; like "scatter" it has no
-        # zero-border contract and its own namespace.  The ops run one after
-        # another, so the chain keeps one flat buffer for the largest of them.
+        # GEMM scratch (input copies and block packs) is fully rewritten by
+        # every call; it has no zero-border contract, and its own namespace
+        # keeps it from ever aliasing a bordered buffer of equal shape.  The
+        # ops run one after another, so the chain keeps one flat buffer for
+        # the largest of them.
         return self._cached_zeros(("gemm", (length,), np.dtype(dtype).str), (length,), dtype)
 
     # -- execution ------------------------------------------------------ #
@@ -541,22 +519,14 @@ class FusedChain:
             steps.append((shape, out_pad, dtype, op.gemm_shape(shape)))
             shape = op.output_shape(shape, out_pad)
         lengths: dict = {}
-        for _, _, dtype, gemm_shape in steps:
-            if gemm_shape is not None:
-                lengths[dtype] = max(lengths.get(dtype, 0), gemm_shape[0])
+        for _, _, dtype, (length,) in steps:
+            lengths[dtype] = max(lengths.get(dtype, 0), length)
         gemms = {dtype: self._gemm_buffer(length, dtype) for dtype, length in lengths.items()}
-        for index, (op, (shape, out_pad, dtype, gemm_shape)) in enumerate(zip(ops, steps)):
+        for index, (op, (shape, out_pad, dtype, (length,))) in enumerate(zip(ops, steps)):
             out = None
             if index + 1 < len(ops):
                 out = self._output_buffer(index, op.output_shape(shape, out_pad), dtype)
-            scratch_shape = op.scratch_shape(shape)
-            scratch = (
-                self._scatter_buffer(index, scratch_shape, dtype)
-                if scratch_shape is not None
-                else None
-            )
-            gemm = gemms[dtype][: gemm_shape[0]] if gemm_shape is not None else None
-            buf = op.apply(buf, out=out, output_padding=out_pad, scratch=scratch, gemm=gemm)
+            buf = op.apply(buf, out=out, output_padding=out_pad, gemm=gemms[dtype][:length])
         return buf
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -105,7 +105,6 @@ from .supervision import (
     RetryPolicy,
     RobustnessCounters,
     SupervisedPool,
-    resolve_retry_policy,
 )
 
 __all__ = [
@@ -147,5 +146,4 @@ __all__ = [
     "RetryPolicy",
     "RobustnessCounters",
     "SupervisedPool",
-    "resolve_retry_policy",
 ]

@@ -202,10 +202,21 @@ class InferencePipeline:
             engine, compile=bool(resolved.compile), backend=resolved.backend
         )
         self.compiled = getattr(self.executor, "compiled", False)
+        # What a pre-built engine already fixed wins over the config, so the
+        # config describes the pipeline that runs: a pre-compiled engine is a
+        # compiled pipeline (its thread-budget default depends on it), and a
+        # pre-built pool runs its own workers, chunks, retries and threads.
+        built: dict = {}
         if self.compiled and not resolved.compile:
-            # A pre-compiled engine: resolve the config of the compiled
-            # pipeline this is (its thread-budget default depends on it).
-            self.config = resolved = config.merged(compile=True).resolve()
+            built["compile"] = True
+        if isinstance(self.executor, WorkerPoolExecutor):
+            pool = self.executor
+            built.update(num_workers=pool.num_workers, chunk_size=pool.chunk_size, retry=pool.retry)
+            if pool.num_workers > 1:
+                # A pool of one runs in the caller, on this pipeline's budget.
+                built["blas_threads"] = pool.blas_threads
+        if built:
+            self.config = resolved = config.merged(**built).resolve()
         self.num_workers = resolved.num_workers
         if self.num_workers > 1 and not isinstance(self.executor, WorkerPoolExecutor):
             self.executor = WorkerPoolExecutor(
@@ -215,8 +226,6 @@ class InferencePipeline:
                 retry=resolved.retry,
                 blas_threads=resolved.blas_threads,
             )
-        elif isinstance(self.executor, WorkerPoolExecutor):
-            self.num_workers = self.executor.num_workers
         # Pool workers get the thread budget through the pool initializer
         # (the parent's is left alone).  A serial compiled pipeline sizes
         # its compute team per call (_threads); any other serial one uses

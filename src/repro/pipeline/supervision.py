@@ -31,7 +31,9 @@ long-lived serving process can actually depend on:
 The pool is transport-agnostic: it moves opaque task tuples, and the chunk
 runner / fallback own all shared-memory details.  Retry/deadline knobs come
 from :class:`RetryPolicy` (``REPRO_WORKER_TIMEOUT`` / ``REPRO_WORKER_RETRIES``
-/ ``REPRO_DEGRADE``; see ``docs/configuration.md``).
+/ ``REPRO_DEGRADE``, resolved by
+:meth:`repro.pipeline.config.ExecutionConfig.resolve`; see
+``docs/configuration.md``).
 """
 
 from __future__ import annotations
@@ -40,8 +42,6 @@ import signal
 import time
 from dataclasses import dataclass, field, replace
 from multiprocessing import connection
-
-from .. import knobs
 
 __all__ = [
     "DEGRADE_ENV",
@@ -53,7 +53,6 @@ __all__ = [
     "RetryPolicy",
     "RobustnessCounters",
     "SupervisedPool",
-    "resolve_retry_policy",
 ]
 
 WORKER_TIMEOUT_ENV = "REPRO_WORKER_TIMEOUT"
@@ -67,9 +66,10 @@ DEFAULT_MAX_RETRIES = 2
 class RetryPolicy:
     """Supervision knobs for the pooled dispatch.
 
-    ``None`` fields defer to the environment (then to the defaults) at
-    resolution time — the same explicit-argument > env > default precedence
-    every other pipeline knob uses:
+    ``None`` fields defer to the environment (then to the defaults) when
+    :meth:`repro.pipeline.config.ExecutionConfig.resolve` fills them — the
+    same explicit-argument > env > default precedence every other pipeline
+    knob uses:
 
     * ``timeout`` — per-chunk deadline in seconds before a worker is declared
       hung and killed.  ``None`` defers to ``REPRO_WORKER_TIMEOUT``; the
@@ -101,34 +101,6 @@ class RetryPolicy:
             raise ValueError(f"max_retries must be >= 0 or None, got {self.max_retries}")
         if self.backoff < 0 or self.backoff_cap < 0:
             raise ValueError("backoff and backoff_cap must be >= 0")
-
-    def resolved(self) -> "RetryPolicy":
-        return resolve_retry_policy(self)
-
-
-def resolve_retry_policy(policy: RetryPolicy | None = None) -> RetryPolicy:
-    """Resolve ``None`` fields: explicit value > environment > default."""
-    base = policy if policy is not None else RetryPolicy()
-    timeout = base.timeout
-    if timeout is None:
-        timeout = knobs.read_float(WORKER_TIMEOUT_ENV)
-    if timeout is not None and timeout <= 0:
-        timeout = None  # 0 = deadline explicitly off
-    max_retries = base.max_retries
-    if max_retries is None:
-        max_retries = knobs.read_int(WORKER_RETRIES_ENV, minimum=0)
-    if max_retries is None:
-        max_retries = DEFAULT_MAX_RETRIES
-    degrade = base.degrade if base.degrade is not None else knobs.read_flag(DEGRADE_ENV)
-    if degrade is None:
-        degrade = True
-    return RetryPolicy(
-        timeout=timeout,
-        max_retries=max_retries,
-        degrade=degrade,
-        backoff=base.backoff,
-        backoff_cap=base.backoff_cap,
-    )
 
 
 @dataclass

@@ -14,6 +14,7 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro import nn
 from repro.core import DOINN, DOINNConfig
@@ -246,86 +247,146 @@ def test_conv_bn_act_blocked_ignores_slack_tail_and_stale_scratch(rng):
     assert not border.any()
 
 
-def _band_reference(x, w, b, stride, padding, rows, slope=0.2):
-    """The strided kernel's arithmetic: per sample, one ``w_mat @ patches``
-    GEMM per band of ``rows`` output rows, its columns zero-padded to a
-    multiple of 64, then bias and leaky ReLU on the valid columns."""
+def _aligned_kernel_rows(windows, w2, b, activation, slope):
+    """Stride-1 kernel-row GEMMs over ``windows`` ``(N, C, H, W, J, J)``:
+    for each window row ``a``, the ``(C_out, C*J)`` matrix ``w2[:, :, a, :]``
+    times that row's patch columns, zero-padded to a multiple of 64 columns
+    (the block kernel's GEMMs have no ragged edge), summed over ``a`` in
+    order, then bias and activation."""
+    n, c, h, w, jh, jw = windows.shape
+    c_out = w2.shape[0]
+    width = -(-(h * w) // 64) * 64
+    ref = None
+    for a in range(jh):
+        pack = np.zeros((n, c * jw, width))
+        pack[:, :, : h * w] = windows[:, :, :, :, a, :].transpose(0, 1, 4, 2, 3).reshape(n, c * jw, h * w)
+        term = np.matmul(np.ascontiguousarray(w2[:, :, a, :]).reshape(c_out, c * jw), pack)
+        ref = term if ref is None else ref + term
+    return _bias_act(ref[:, :, : h * w], b, activation, slope).reshape(n, c_out, h, w)
+
+
+# (kind, kernel, input size): a 3x3/stride-2 conv of an odd input, whose
+# zero taps read the space-to-depth copy's tail row and column; DOINN's
+# 4x4/stride-2 conv; the 4x4/stride-2 transposed conv, which reads a padded
+# copy; and the 2x2/stride-2 one, which reads its input in place.
+@pytest.mark.parametrize("kind,k,size", [("strided", 3, 31), ("strided", 4, 30), ("transposed", 4, 15), ("transposed", 2, 15)])
+def test_strided_and_transposed_convs_ignore_stale_gemm_scratch(rng, kind, k, size):
+    """The input copies live in the fully rewritten ``gemm`` scratch: a
+    NaN-filled scratch leaves the result bit-identical, so every zero the
+    copies need (a tail row or column, a padded border) is written, not
+    left over."""
+    x = rng.standard_normal((2, 3, size, size))
+    bias = rng.standard_normal(4)
+    if kind == "strided":
+        weight = rng.standard_normal((4, 3, k, k))
+        shape = F.conv_gemm_shape((2, 3, size + 2, size + 2), weight.shape, 2)
+        run = lambda gemm: F.conv_bn_act(x, weight, bias, stride=2, padding=1, gemm=gemm)
+    else:
+        weight = rng.standard_normal((3, 4, k, k))
+        padding = k // 4
+        shape = F.conv_transpose_gemm_shape(x.shape, weight.shape, 2, padding)
+        run = lambda gemm: F.conv_transpose_bn_act(x, weight, bias, stride=2, padding=padding, gemm=gemm)
+    np.testing.assert_array_equal(run(np.full(shape, np.nan)), run(np.zeros(shape)))
+
+
+def _space_to_depth_reference(x, w, b, stride, padding, slope=0.2):
+    """The strided kernel's arithmetic, built tap by tap: the padded input
+    moved to space-to-depth channels ``(c, ph, pw)``, the weight to ``w2[co,
+    (c, ph, pw), a, b] = w[co, c, a*s+ph, b*s+pw]`` (zero past the kernel),
+    and the ``J x J`` stride-1 conv of the two over the kept outputs."""
+    s = stride
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    n, c_in, hp, wp = xp.shape
     c_out, _, kh, kw = w.shape
-    n = x.shape[0]
-    h_out = (x.shape[2] + 2 * padding - kh) // stride + 1
-    w_out = (x.shape[3] + 2 * padding - kw) // stride + 1
-    cols = F.im2col(x, kh, kw, stride, padding)
-    ref = np.empty((n, c_out, h_out * w_out))
-    for i in range(n):
-        for r0 in range(0, h_out, rows):
-            start, stop = r0 * w_out, min(r0 + rows, h_out) * w_out
-            width = -(-(stop - start) // 64) * 64
-            band = np.zeros((cols.shape[1], width))
-            band[:, : stop - start] = cols[i, :, start:stop]
-            ref[i, :, start:stop] = (w.reshape(c_out, -1) @ band)[:, : stop - start]
-    return _bias_act(ref, b, "leaky_relu", slope).reshape(n, c_out, h_out, w_out)
+    h_out, w_out = (hp - kh) // s + 1, (wp - kw) // s + 1
+    j = -(-kh // s)
+    x2 = np.zeros((n, c_in, s, s, -(-hp // s), -(-wp // s)))
+    w2 = np.zeros((c_out, c_in, s, s, j, j))
+    for ph in range(s):
+        for pw in range(s):
+            phase = xp[:, :, ph::s, pw::s]
+            x2[:, :, ph, pw, : phase.shape[2], : phase.shape[3]] = phase
+            for a in range(j):
+                for bb in range(j):
+                    if a * s + ph < kh and bb * s + pw < kw:
+                        w2[:, :, ph, pw, a, bb] = w[:, :, a * s + ph, bb * s + pw]
+    x2 = x2.reshape(n, c_in * s * s, *x2.shape[4:])
+    windows = sliding_window_view(x2, (j, j), axis=(2, 3))[:, :, :h_out, :w_out]
+    return _aligned_kernel_rows(windows, w2.reshape(c_out, c_in * s * s, j, j), b, "leaky_relu", slope)
 
 
-# (C_in, output size): one band at 8x8, two 32-row bands at 64x64, one
-# ragged band (1369 positions) at 37x37, eight ragged 16-row bands at 125x125.
-@pytest.mark.parametrize("c_in,out_size", [(2, 8), (3, 64), (4, 37), (1, 125)])
-def test_conv_bn_act_strided_bands_match_reference_bitwise(rng, c_in, out_size):
-    """Bit for bit against the in-test band reference, and within 1e-12 of
-    the single whole-image im2col GEMM the kernel ran before row bands."""
-    x = rng.standard_normal((2, c_in, 2 * out_size, 2 * out_size))
-    weight = rng.standard_normal((5, c_in, 4, 4))
+# (kernel, C_in, input size) at stride 2, padding 1: one block at 8x8 out;
+# three blocks (the last ragged) at 64x64; one 1408-wide block at 37x37; eight
+# blocks at 125x125; an odd input whose padded size is no multiple of the
+# stride (a zero tail row and column); and a 3x3 kernel with zero taps.
+@pytest.mark.parametrize("k,c_in,size", [(4, 2, 16), (4, 3, 128), (4, 4, 74), (4, 1, 250), (4, 3, 75), (3, 2, 31)])
+def test_conv_bn_act_space_to_depth_matches_reference_bitwise(rng, k, c_in, size):
+    """Bit for bit against the in-test space-to-depth reference, and within
+    1e-12 of the single whole-image im2col GEMM."""
+    x = rng.standard_normal((2, c_in, size, size))
+    weight = rng.standard_normal((5, c_in, k, k))
     bias = rng.standard_normal(5)
     out = F.conv_bn_act(
         x, weight, bias, stride=2, padding=1, activation="leaky_relu", negative_slope=0.2
     )
-    rows = max(1, min(out_size, F.CONV_BLOCK // out_size))
-    np.testing.assert_array_equal(out, _band_reference(x, weight, bias, 2, 1, rows))
-    whole = np.matmul(weight.reshape(5, -1), F.im2col(x, 4, 4, 2, 1))
+    np.testing.assert_array_equal(out, _space_to_depth_reference(x, weight, bias, 2, 1))
+    whole = np.matmul(weight.reshape(5, -1), F.im2col(x, k, k, 2, 1))
     whole = _bias_act(whole, bias, "leaky_relu", 0.2).reshape(out.shape)
     assert np.max(np.abs(out - whole)) <= 1e-12
 
 
-def _channel_group_reference(x, w, b, stride, padding, group, slope=0.2):
-    """The overlapping transposed kernel's arithmetic: per sample and group
-    of ``group`` output channels, one GEMM against the group's weight
-    columns, then the per-offset scatter-add in ``(ki, kj)`` order, the
-    crop, bias and leaky ReLU."""
+def _subpixel_reference(x, w, b, stride, padding, slope=0.2):
+    """The transposed kernel's arithmetic, built tap by tap: the input padded
+    by ``J-1`` before and as far as the last phase reads after, the ``(rh,
+    rw, co)`` output channel's window offset ``(m, n)`` holding tap ``(rh +
+    s*(J-1-m), rw + s*(J-1-n))`` (zero past the kernel), the stride-1 conv
+    of the two, and output ``(t, u)`` read from phase ``((t+p) % s, (u+p) %
+    s)`` at conv position ``((t+p) // s, (u+p) // s)``."""
+    s, p = stride, padding
     n, c_in, h, wd = x.shape
     _, c_out, kh, kw = w.shape
-    h_pad, w_pad = (h - 1) * stride + kh, (wd - 1) * stride + kw
-    w_mat = w.reshape(c_in, -1)
-    ref = np.empty((n, c_out, h_pad - 2 * padding, w_pad - 2 * padding))
-    for i in range(n):
-        for c0 in range(0, c_out, group):
-            c1 = min(c0 + group, c_out)
-            tiles = (w_mat[:, c0 * kh * kw : c1 * kh * kw].T @ x[i].reshape(c_in, -1)).reshape(
-                c1 - c0, kh, kw, h, wd
-            )
-            image = np.zeros((c1 - c0, h_pad, w_pad))
-            for ki in range(kh):
-                for kj in range(kw):
-                    image[:, ki : ki + stride * h : stride, kj : kj + stride * wd : stride] += tiles[:, ki, kj]
-            region = image[:, padding : h_pad - padding, padding : w_pad - padding] + b[c0:c1, None, None]
-            ref[i, c0:c1] = np.maximum(region, region * slope)
-    return ref
+    h_out, w_out = (h - 1) * s - 2 * p + kh, (wd - 1) * s - 2 * p + kw
+    j = -(-kh // s)
+    rows, cols = (h_out - 1 + p) // s + 1, (w_out - 1 + p) // s + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (j - 1, max(0, rows - h)), (j - 1, max(0, cols - wd))))
+    w2 = np.zeros((s, s, c_out, c_in, j, j))
+    for rh in range(s):
+        for rw in range(s):
+            for m in range(j):
+                for mm in range(j):
+                    a, bb = rh + s * (j - 1 - m), rw + s * (j - 1 - mm)
+                    if a < kh and bb < kw:
+                        w2[rh, rw, :, :, m, mm] = w[:, :, a, bb].T
+    windows = sliding_window_view(xp, (j, j), axis=(2, 3))[:, :, :rows, :cols]
+    conv = _aligned_kernel_rows(windows, w2.reshape(-1, c_in, j, j), np.tile(b, s * s), "leaky_relu", slope)
+    t, u = np.arange(h_out) + p, np.arange(w_out) + p
+    phases = conv.reshape(n, s, s, c_out, rows, cols).transpose(0, 3, 1, 4, 2, 5)
+    return phases[:, :, (t % s)[:, None], (t // s)[:, None], (u % s)[None, :], (u // s)[None, :]]
 
 
-# (C_in, C_out, input size): one group of all 5 channels at 8x8; groups of
-# 2 channels at 64x64 (the last one ragged); one channel per group at 100x100.
-@pytest.mark.parametrize("c_in,c_out,size", [(3, 5, 8), (4, 5, 64), (2, 3, 100)])
-def test_conv_transpose_bn_act_channel_groups_match_reference_bitwise(rng, c_in, c_out, size):
-    """Bit for bit against the in-test channel-group reference, and within
+# (kernel, stride, padding, C_in, C_out, input size): DOINN's 4x4/stride-2
+# dconv at 8x8 (one block), 64x64 (three) and 100x100 (six, the last ragged);
+# the UNet 2x2/stride-2 up path (J == 1, read in place); a gapped stride > k;
+# and a stride-1 transposed conv (one phase, a flipped 3x3 kernel).
+@pytest.mark.parametrize(
+    "k,stride,padding,c_in,c_out,size",
+    [(4, 2, 1, 3, 5, 8), (4, 2, 1, 4, 5, 64), (4, 2, 1, 2, 3, 100), (2, 2, 0, 4, 3, 33), (2, 3, 0, 3, 2, 9),
+     (3, 1, 1, 3, 4, 20)],
+)
+def test_conv_transpose_bn_act_subpixel_matches_reference_bitwise(rng, k, stride, padding, c_in, c_out, size):
+    """Bit for bit against the in-test sub-pixel reference, and within
     1e-12 of the unfused transposed conv."""
     x = rng.standard_normal((2, c_in, size, size))
-    weight = rng.standard_normal((c_in, c_out, 4, 4))
+    weight = rng.standard_normal((c_in, c_out, k, k))
     bias = rng.standard_normal(c_out)
     out = F.conv_transpose_bn_act(
-        x, weight, bias, stride=2, padding=1, activation="leaky_relu", negative_slope=0.2
+        x, weight, bias, stride=stride, padding=padding, activation="leaky_relu", negative_slope=0.2
     )
-    group = min(c_out, -(-4 * F.CONV_BLOCK // (size * size)))
-    np.testing.assert_array_equal(out, _channel_group_reference(x, weight, bias, 2, 1, group))
+    np.testing.assert_array_equal(out, _subpixel_reference(x, weight, bias, stride, padding))
     with no_grad():
-        plain = F.conv_transpose2d(Tensor(x), Tensor(weight), Tensor(bias), stride=2, padding=1).numpy()
+        plain = F.conv_transpose2d(
+            Tensor(x), Tensor(weight), Tensor(bias), stride=stride, padding=padding
+        ).numpy()
     assert np.max(np.abs(out - np.maximum(plain, 0.2 * plain))) <= 1e-12
 
 
@@ -428,8 +489,6 @@ def test_conv_transpose_bn_act_validates_arguments(rng):
         F.conv_transpose_bn_act(x, rng.standard_normal((3, 2, 4, 4)))
     with pytest.raises(ValueError, match="out buffer"):
         F.conv_transpose_bn_act(x, w, stride=2, padding=1, out=np.zeros((1, 3, 4, 4)))
-    with pytest.raises(ValueError, match="scatter buffer"):
-        F.conv_transpose_bn_act(x, w, stride=2, padding=1, scatter=np.zeros((3, 2, 2)))
 
 
 def test_fused_conv_transpose_folds_bn_along_output_axis(rng):
@@ -528,7 +587,7 @@ def test_deconv_vgg_chain_matches_modules(rng, batch):
     with eval_mode(block), no_grad():
         ref = block(deconv(Tensor(x))).numpy()
     np.testing.assert_allclose(chain.run(x), ref, **TOL)
-    # Run twice: the scatter scratch and bordered buffers are reused.
+    # Run twice: the GEMM scratch and bordered buffers are reused.
     np.testing.assert_allclose(chain.run(x), ref, **TOL)
 
 
@@ -584,17 +643,18 @@ def test_fused_chain_alternating_batch_sizes(rng):
 
 
 def test_fused_chain_scratch_keys_are_namespaced(rng):
-    """Bordered output buffers and the (fully-rewritten, borderless) scatter
-    scratch of one op index must live under distinct cache keys."""
+    """Bordered output buffers and the (fully-rewritten, borderless) GEMM
+    scratch must live under distinct cache keys."""
     deconv = nn.ConvTranspose2d(2, 3, 4, stride=2, padding=1, rng=rng)
     conv = Conv2d(3, 1, 3, padding=1, rng=rng)
     chain = build_chain([(deconv, None, None), (conv, None, None)])
     chain.run(rng.standard_normal((1, 2, 8, 8)))
     # No entry pad (a deconv consumes borderless input): the deconv's bordered
-    # output buffer, its scatter image and the stride-1 conv's block scratch,
-    # nothing else — in separate families.
+    # output buffer and the one GEMM scratch both ops share (the deconv's
+    # padded input copy and its blocks, then the conv's blocks), nothing
+    # else — in separate families.
     families = {key[0] for key in chain._scratch}
-    assert families == {"out", "scatter", "gemm"}
+    assert families == {"out", "gemm"}
 
 
 def test_sequential_fusion_merges_conv_runs(rng):

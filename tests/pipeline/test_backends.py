@@ -309,16 +309,18 @@ def test_conv_bn_act_bits_do_not_depend_on_blas_threads():
     between 1 and 2 BLAS threads (BLAS rounds the ragged column edge, and
     splits columns across threads, differently per thread count), breaking
     pooled (1 thread) == serial (default) for such geometries.  The blocked
-    stride-1 kernel keeps every GEMM width a multiple of 64; the shapes
-    cover the refine convs (the ``C_out == 1`` output conv included) and a
-    4x4 kernel, so every one of the ``kh`` accumulating kernel-row GEMMs is
-    held to it, on a team of one that leaves BLAS alone.
+    stride-1 kernel keeps every GEMM width a multiple of 64, and every fused
+    conv runs through it: the shapes cover the refine convs (the ``C_out ==
+    1`` output conv included), a 4x4 kernel, DOINN's 4x4/stride-2 LP convs
+    (space-to-depth) and its 4x4/stride-2 transposed convs and UNet's
+    2x2/stride-2 up-convs (sub-pixel), so every one of the ``kh``
+    accumulating kernel-row GEMMs is held to it, on a team of one that
+    leaves BLAS alone.
 
-    The same geometries, plus DOINN's 4x4/stride-2 down convs and its
-    overlapping transposed convs, must also give the same bits on compute
-    teams of 1, 2 and 3 threads: unit bounds depend on the geometry alone,
-    and only which thread runs a unit depends on the team.  The spreading
-    threshold is zeroed so every multi-unit conv is spread.  Runs in a fresh
+    The same geometries must also give the same bits on compute teams of 1,
+    2 and 3 threads: unit bounds depend on the geometry alone, and only
+    which thread runs a unit depends on the team.  The spreading threshold
+    is zeroed so every multi-unit conv is spread.  Runs in a fresh
     interpreter so this session's BLAS state and team are untouched."""
     report = json.loads(_run_python(
         """
@@ -329,41 +331,42 @@ def test_conv_bn_act_bits_do_not_depend_on_blas_threads():
 
         rng = np.random.default_rng(7)
         capped, mismatches = True, []
-        set_compute_threads(0)  # a team of one that leaves BLAS alone
-        for size in (37, 50, 63, 250):
-            for c_out, c_in, k in ((32, 4, 3), (16, 32, 3), (16, 16, 3), (1, 16, 3), (16, 16, 4)):
-                x = rng.standard_normal((1, c_in, size, size))
-                w = rng.standard_normal((c_out, c_in, k, k))
-                b = rng.standard_normal(c_out)
-                outs = []
-                for threads in (1, 2):
-                    capped &= set_blas_threads(threads)
-                    outs.append(F.conv_bn_act(x, w, b, padding=k // 2, activation="relu"))
-                if not np.array_equal(*outs):
-                    mismatches.append(["blas", size, c_out, c_in, k, float(np.abs(outs[0] - outs[1]).max())])
-
-        ComputeTeam.MIN_UNIT_MACS = 0
         kernels = [
             ("stride1", c_out, c_in, k, lambda x, w, b, k=k: F.conv_bn_act(
                 x, w, b, padding=k // 2, activation="leaky_relu", negative_slope=0.1))
-            for c_out, c_in, k in ((32, 4, 3), (16, 32, 3), (1, 16, 3), (16, 16, 4))
+            for c_out, c_in, k in ((32, 4, 3), (16, 32, 3), (16, 16, 3), (1, 16, 3), (16, 16, 4))
         ] + [
             ("strided", c_out, c_in, 4, lambda x, w, b: F.conv_bn_act(
                 x, w, b, stride=2, padding=1, activation="leaky_relu", negative_slope=0.1,
                 output_padding=1))
             for c_out, c_in in ((4, 1), (16, 8))
         ] + [
-            ("transposed", c_out, c_in, 4, lambda x, w, b: F.conv_transpose_bn_act(
-                x, w, b, stride=2, padding=1, activation="leaky_relu", negative_slope=0.1,
+            ("transposed", c_out, c_in, k, lambda x, w, b, k=k, p=p: F.conv_transpose_bn_act(
+                x, w, b, stride=2, padding=p, activation="leaky_relu", negative_slope=0.1,
                 output_padding=1))
-            for c_out, c_in in ((16, 32), (4, 12))
+            for c_out, c_in, k, p in ((16, 32, 4, 1), (4, 12, 4, 1), (16, 32, 2, 0))
         ]
+
+        def operands(kind, batch, size, c_out, c_in, k):
+            x = rng.standard_normal((batch, c_in, size, size))
+            shape = (c_in, c_out, k, k) if kind == "transposed" else (c_out, c_in, k, k)
+            return x, rng.standard_normal(shape), rng.standard_normal(c_out)
+
+        set_compute_threads(0)  # a team of one that leaves BLAS alone
         for size in (37, 50, 63, 250):
             for kind, c_out, c_in, k, run in kernels:
-                x = rng.standard_normal((2, c_in, size, size))
-                shape = (c_in, c_out, k, k) if kind == "transposed" else (c_out, c_in, k, k)
-                w = rng.standard_normal(shape)
-                b = rng.standard_normal(c_out)
+                x, w, b = operands(kind, 1, size, c_out, c_in, k)
+                outs = []
+                for threads in (1, 2):
+                    capped &= set_blas_threads(threads)
+                    outs.append(run(x, w, b))
+                if not np.array_equal(*outs):
+                    mismatches.append(["blas", kind, size, c_out, c_in, k, float(np.abs(outs[0] - outs[1]).max())])
+
+        ComputeTeam.MIN_UNIT_MACS = 0
+        for size in (37, 50, 63, 250):
+            for kind, c_out, c_in, k, run in kernels:
+                x, w, b = operands(kind, 2, size, c_out, c_in, k)
                 outs = []
                 for team in (1, 2, 3):
                     set_compute_threads(team)

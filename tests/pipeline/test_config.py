@@ -26,6 +26,7 @@ from repro.pipeline import (
     ExecutionPlan,
     InferencePipeline,
     RetryPolicy,
+    WorkerPoolExecutor,
 )
 from repro.pipeline.supervision import DEFAULT_MAX_RETRIES
 
@@ -77,7 +78,10 @@ def test_resolve_defaults():
     assert cfg.backend is None
     assert cfg.shard_tiles is None
     assert cfg.chunk_size is None
-    for name in ("batch_size", "num_workers", "incremental", "blas_threads"):
+    for name in (
+        "batch_size", "num_workers", "incremental", "blas_threads",
+        "retry.timeout", "retry.max_retries", "retry.degrade",
+    ):
         assert cfg.source_of(name) == "default"
 
 
@@ -113,7 +117,10 @@ def test_env_vs_explicit_precedence(monkeypatch, env, raw, field, env_value, exp
         ("REPRO_WORKER_TIMEOUT", "7.5", "timeout", 7.5, RetryPolicy(timeout=3.0), 3.0),
         ("REPRO_WORKER_RETRIES", "5", "max_retries", 5, RetryPolicy(max_retries=1), 1),
         ("REPRO_DEGRADE", "0", "degrade", False, RetryPolicy(degrade=True), True),
+        ("REPRO_DEGRADE", "off", "degrade", False, RetryPolicy(degrade=True), True),
         ("REPRO_WORKER_RETRIES", "5", "max_retries", 5, RetryPolicy(max_retries=0), 0),
+        # An explicit 0 turns the env deadline off, and stays 0.
+        ("REPRO_WORKER_TIMEOUT", "7.5", "timeout", 7.5, RetryPolicy(timeout=0), 0),
     ],
 )
 def test_retry_env_vs_explicit_precedence(monkeypatch, env, raw, attr, env_value, explicit_retry, explicit_value):
@@ -125,6 +132,14 @@ def test_retry_env_vs_explicit_precedence(monkeypatch, env, raw, attr, env_value
     forced = ExecutionConfig(retry=explicit_retry).resolve()
     assert getattr(forced.retry, attr) == explicit_value
     assert forced.source_of(f"retry.{attr}") == "explicit"
+
+
+def test_retry_explicit_policy_beats_every_env_leg(monkeypatch):
+    monkeypatch.setenv("REPRO_WORKER_TIMEOUT", "7.5")
+    monkeypatch.setenv("REPRO_WORKER_RETRIES", "5")
+    monkeypatch.setenv("REPRO_DEGRADE", "off")
+    retry = ExecutionConfig(retry=RetryPolicy(timeout=2.0, max_retries=1, degrade=True)).resolve().retry
+    assert (retry.timeout, retry.max_retries, retry.degrade) == (2.0, 1, True)
 
 
 def test_retry_timeout_zero_sentinel_survives_env(monkeypatch):
@@ -149,6 +164,9 @@ def test_blas_default_tracks_workers(monkeypatch):
         ("REPRO_NUM_WORKERS", "not-a-number"),
         ("REPRO_BLAS_THREADS", "many"),
         ("REPRO_INCREMENTAL_OPC", "sometimes"),
+        ("REPRO_WORKER_TIMEOUT", "soon"),
+        ("REPRO_WORKER_RETRIES", "-2"),
+        ("REPRO_DEGRADE", "sideways"),
     ],
 )
 def test_invalid_env_value_raises_naming_the_knob(monkeypatch, env, raw):
@@ -409,6 +427,25 @@ def test_harness_config_route_does_not_warn(model):
         )
     assert pipeline.config.batch_size == 2
     pipeline.close()
+
+
+def test_prebuilt_pool_settings_land_in_the_config(model):
+    """A pre-built pool runs its own workers, chunks, retries and threads, so
+    the pipeline's config reports those, not a serial default; every other
+    field still comes from the config passed in."""
+    retry = RetryPolicy(timeout=0, max_retries=1, degrade=False)
+    pool = WorkerPoolExecutor(model, num_workers=2, chunk_size=3, retry=retry)
+    pipeline = InferencePipeline(pool, ExecutionConfig(batch_size=4))
+    try:
+        cfg = pipeline.config
+        assert cfg.resolved
+        assert (cfg.num_workers, cfg.chunk_size, cfg.blas_threads) == (2, 3, 1)
+        assert (cfg.retry.timeout, cfg.retry.max_retries, cfg.retry.degrade) == (0, 1, False)
+        assert cfg.blas_threads == pool.blas_threads
+        assert cfg.batch_size == 4
+        assert pipeline.num_workers == pipeline.plan(np.zeros((2, 64, 64))).num_workers == 2
+    finally:
+        pipeline.close()
 
 
 def test_simulator_pipeline_forwards_every_knob():

@@ -12,9 +12,10 @@ Three invariants anchor this file:
   :class:`PoolDegradedWarning` (still bit-identical), or raises a structured
   :class:`WorkerPoolError` carrying every chunk's bounds, attempt counts and
   full failure history when ``degrade=False``;
-* **deterministic bookkeeping** — the ``REPRO_WORKER_*`` / ``REPRO_FAULT_PLAN``
-  knobs resolve with explicit-argument > environment > default precedence,
-  and the robustness counters (retries, respawns, degraded runs, fault
+* **deterministic bookkeeping** — the ``REPRO_FAULT_PLAN`` knob resolves
+  with explicit-argument > environment > default precedence (the
+  ``REPRO_WORKER_*`` knobs resolve through ``ExecutionConfig.resolve()``,
+  pinned in ``test_config.py``), and the robustness counters (retries, respawns, degraded runs, fault
   events) land per-run on :class:`PipelineStats` with exact values.
 """
 
@@ -24,7 +25,6 @@ import numpy as np
 import pytest
 
 from repro.pipeline import (
-    DEGRADE_ENV,
     FAULT_PLAN_ENV,
     ExecutionConfig,
     FaultPlan,
@@ -34,13 +34,10 @@ from repro.pipeline import (
     PoolDegradedWarning,
     RetryPolicy,
     SupervisedPool,
-    WORKER_RETRIES_ENV,
-    WORKER_TIMEOUT_ENV,
     WorkerPoolError,
     WorkerPoolExecutor,
     live_segment_names,
     resolve_fault_plan,
-    resolve_retry_policy,
 )
 
 
@@ -55,46 +52,8 @@ def _random_masks(n: int, size: int, seed: int = 17) -> np.ndarray:
 
 
 # --------------------------------------------------------------------- #
-# Knob resolution: RetryPolicy (explicit > env > default)
+# RetryPolicy field validation
 # --------------------------------------------------------------------- #
-def test_retry_policy_defaults(monkeypatch):
-    for var in (WORKER_TIMEOUT_ENV, WORKER_RETRIES_ENV, DEGRADE_ENV):
-        monkeypatch.delenv(var, raising=False)
-    policy = resolve_retry_policy()
-    assert policy.timeout is None          # no deadline unless asked for
-    assert policy.max_retries == 2
-    assert policy.degrade is True          # a stream survives a dying worker
-
-
-def test_retry_policy_env_overrides(monkeypatch):
-    monkeypatch.setenv(WORKER_TIMEOUT_ENV, "7.5")
-    monkeypatch.setenv(WORKER_RETRIES_ENV, "5")
-    monkeypatch.setenv(DEGRADE_ENV, "off")
-    policy = resolve_retry_policy()
-    assert policy.timeout == 7.5
-    assert policy.max_retries == 5
-    assert policy.degrade is False
-    # Explicit arguments beat the environment ...
-    explicit = resolve_retry_policy(RetryPolicy(timeout=2.0, max_retries=1, degrade=True))
-    assert (explicit.timeout, explicit.max_retries, explicit.degrade) == (2.0, 1, True)
-    # ... including timeout=0, which explicitly disables the env deadline.
-    assert resolve_retry_policy(RetryPolicy(timeout=0)).timeout is None
-
-
-def test_retry_policy_env_validation(monkeypatch):
-    monkeypatch.setenv(WORKER_TIMEOUT_ENV, "soon")
-    with pytest.raises(ValueError):
-        resolve_retry_policy()
-    monkeypatch.delenv(WORKER_TIMEOUT_ENV)
-    monkeypatch.setenv(WORKER_RETRIES_ENV, "-2")
-    with pytest.raises(ValueError):
-        resolve_retry_policy()
-    monkeypatch.delenv(WORKER_RETRIES_ENV)
-    monkeypatch.setenv(DEGRADE_ENV, "sideways")
-    with pytest.raises(ValueError):
-        resolve_retry_policy()
-
-
 def test_retry_policy_field_validation():
     with pytest.raises(ValueError):
         RetryPolicy(timeout=-1.0)
