@@ -315,12 +315,7 @@ def _space_to_depth_reference(x, w, b, stride, padding, slope=0.2):
     return _aligned_kernel_rows(windows, w2.reshape(c_out, c_in * s * s, j, j), b, "leaky_relu", slope)
 
 
-# (kernel, C_in, input size) at stride 2, padding 1: one block at 8x8 out;
-# three blocks (the last ragged) at 64x64; one 1408-wide block at 37x37; eight
-# blocks at 125x125; an odd input whose padded size is no multiple of the
-# stride (a zero tail row and column); and a 3x3 kernel with zero taps.
-@pytest.mark.parametrize("k,c_in,size", [(4, 2, 16), (4, 3, 128), (4, 4, 74), (4, 1, 250), (4, 3, 75), (3, 2, 31)])
-def test_conv_bn_act_space_to_depth_matches_reference_bitwise(rng, k, c_in, size):
+def _assert_space_to_depth_matches(rng, k, c_in, size):
     """Bit for bit against the in-test space-to-depth reference, and within
     1e-12 of the single whole-image im2col GEMM."""
     x = rng.standard_normal((2, c_in, size, size))
@@ -333,6 +328,22 @@ def test_conv_bn_act_space_to_depth_matches_reference_bitwise(rng, k, c_in, size
     whole = np.matmul(weight.reshape(5, -1), F.im2col(x, k, k, 2, 1))
     whole = _bias_act(whole, bias, "leaky_relu", 0.2).reshape(out.shape)
     assert np.max(np.abs(out - whole)) <= 1e-12
+
+
+# (C_in, output size) of DOINN's 4x4/stride-2/padding-1 conv: one block at
+# 8x8; three blocks (the last ragged) at 64x64; one 1408-wide block at 37x37;
+# eight blocks at 125x125.
+@pytest.mark.parametrize("c_in,out_size", [(2, 8), (3, 64), (4, 37), (1, 125)])
+def test_conv_bn_act_strided_bands_match_reference_bitwise(rng, c_in, out_size):
+    _assert_space_to_depth_matches(rng, 4, c_in, 2 * out_size)
+
+
+# (kernel, C_in, input size) at stride 2, padding 1: an odd input whose
+# padded size is no multiple of the stride (a zero tail row and column), and
+# a 3x3 kernel with zero taps.
+@pytest.mark.parametrize("k,c_in,size", [(4, 3, 75), (3, 2, 31)])
+def test_conv_bn_act_space_to_depth_matches_reference_bitwise(rng, k, c_in, size):
+    _assert_space_to_depth_matches(rng, k, c_in, size)
 
 
 def _subpixel_reference(x, w, b, stride, padding, slope=0.2):
@@ -364,16 +375,7 @@ def _subpixel_reference(x, w, b, stride, padding, slope=0.2):
     return phases[:, :, (t % s)[:, None], (t // s)[:, None], (u % s)[None, :], (u // s)[None, :]]
 
 
-# (kernel, stride, padding, C_in, C_out, input size): DOINN's 4x4/stride-2
-# dconv at 8x8 (one block), 64x64 (three) and 100x100 (six, the last ragged);
-# the UNet 2x2/stride-2 up path (J == 1, read in place); a gapped stride > k;
-# and a stride-1 transposed conv (one phase, a flipped 3x3 kernel).
-@pytest.mark.parametrize(
-    "k,stride,padding,c_in,c_out,size",
-    [(4, 2, 1, 3, 5, 8), (4, 2, 1, 4, 5, 64), (4, 2, 1, 2, 3, 100), (2, 2, 0, 4, 3, 33), (2, 3, 0, 3, 2, 9),
-     (3, 1, 1, 3, 4, 20)],
-)
-def test_conv_transpose_bn_act_subpixel_matches_reference_bitwise(rng, k, stride, padding, c_in, c_out, size):
+def _assert_subpixel_matches(rng, k, stride, padding, c_in, c_out, size):
     """Bit for bit against the in-test sub-pixel reference, and within
     1e-12 of the unfused transposed conv."""
     x = rng.standard_normal((2, c_in, size, size))
@@ -388,6 +390,23 @@ def test_conv_transpose_bn_act_subpixel_matches_reference_bitwise(rng, k, stride
             Tensor(x), Tensor(weight), Tensor(bias), stride=stride, padding=padding
         ).numpy()
     assert np.max(np.abs(out - np.maximum(plain, 0.2 * plain))) <= 1e-12
+
+
+# (C_in, C_out, input size) of DOINN's 4x4/stride-2/padding-1 dconv: one
+# block at 8x8, three at 64x64 and six (the last ragged) at 100x100.
+@pytest.mark.parametrize("c_in,c_out,size", [(3, 5, 8), (4, 5, 64), (2, 3, 100)])
+def test_conv_transpose_bn_act_channel_groups_match_reference_bitwise(rng, c_in, c_out, size):
+    _assert_subpixel_matches(rng, 4, 2, 1, c_in, c_out, size)
+
+
+# (kernel, stride, padding, C_in, C_out, input size): the UNet 2x2/stride-2
+# up path (J == 1, read in place); a gapped stride > k; and a stride-1
+# transposed conv (one phase, a flipped 3x3 kernel).
+@pytest.mark.parametrize(
+    "k,stride,padding,c_in,c_out,size", [(2, 2, 0, 4, 3, 33), (2, 3, 0, 3, 2, 9), (3, 1, 1, 3, 4, 20)]
+)
+def test_conv_transpose_bn_act_subpixel_matches_reference_bitwise(rng, k, stride, padding, c_in, c_out, size):
+    _assert_subpixel_matches(rng, k, stride, padding, c_in, c_out, size)
 
 
 def test_float32_lane_blocked_refine_tail_within_calibrated_tolerance(tiny_model_factory, rng):
