@@ -5,10 +5,11 @@
 # an explicit pass over the streaming + parallel worker-pool suites (persistent
 # shm ring, intra-mask sharding — all bit-identical to serial), the
 # supervision chaos gate (deterministic fault injection: crash detection,
-# chunk retry, worker respawn, graceful degradation), short serial and
-# pooled runs of the repo benchmark (serial within 1e-12 of the unfused
-# pipeline, pooled bit-identical to serial), and /dev/shm leak checks after
-# the chaos gate and at the end.
+# chunk retry, worker respawn, graceful degradation), short serial, pooled
+# and OPC runs of the repo benchmark (serial within 1e-12 of the unfused
+# pipeline, pooled bit-identical to serial, incremental OPC bit-identical
+# to always-full), and /dev/shm leak checks after the chaos gate and at the
+# end.
 # Every pytest leg runs under -W error::DeprecationWarning: the tree has no
 # deprecated path left, so any DeprecationWarning (ours or a dependency's
 # on a code path we call) fails the build.
@@ -122,6 +123,13 @@ echo "== incremental OPC + result-cache suites (patched == full re-simulation, b
 python -m pytest -x -q -p no:cacheprovider -W "error::DeprecationWarning" \
     tests/pipeline/test_cache.py tests/opc/test_incremental.py "$@"
 
+# The leg above runs the golden simulator's aerial image on the serial
+# default team (the usable cores, at most two); this one re-runs the same
+# suites on a team of one, so patched == full holds at both team sizes.
+echo "== incremental OPC + result-cache suites on a compute team of one (REPRO_BLAS_THREADS=1) =="
+REPRO_BLAS_THREADS=1 python -m pytest -x -q -p no:cacheprovider -W "error::DeprecationWarning" \
+    tests/pipeline/test_cache.py tests/opc/test_incremental.py "$@"
+
 # The chaos gate kills, crashes and hangs workers on purpose (deterministic
 # REPRO_FAULT_PLAN injection); its own /dev/shm check right after proves the
 # supervision + registry teardown survives every fault mode without leaking.
@@ -138,8 +146,11 @@ check_shm_clean "after chaos gate"
 # and transposed convs as sub-pixel convs, on the compute team, on
 # full-mask shapes, and the fused GP op (lift folded into the mode mix) on
 # 8-tile batches.  The pooled run holds sampled outputs
-# bit-identical to serial while each worker runs a team of one.  Each gate fails
-# unless the run's last (JSON) line reports correct with 0 failed calls.
+# bit-identical to serial while each worker runs a team of one.  The OPC run
+# holds each sampled incremental correction (patched windows and full
+# refreshes, the aerial image on the compute team) bit for bit equal to the
+# always-full correction.  Each gate fails unless the run's last (JSON) line
+# reports correct with 0 failed calls.
 bench_smoke() {
     echo "== benchmark smoke ($1: correct, 0 failed) =="
     bench_json=$(python3 perfbench/run.py --workload "$1" --seed 1 --seconds 5 --trace 0 | tail -n 1)
@@ -152,5 +163,6 @@ sys.exit(0 if result.get("correct") is True and result.get("failed") == 0 else 1
 }
 bench_smoke large_tile
 bench_smoke large_tile_pool
+bench_smoke opc_loop
 
 check_shm_clean "final"

@@ -300,27 +300,28 @@ register_knob(Knob(
     name="REPRO_BLAS_THREADS",
     kind="int",
     default=(
-        "pooled: `1` per worker; serial compiled: the usable core count, at "
-        "most 2; other serial: leave the library alone"
+        "pooled: `1` per worker; serial compiled or simulator: the usable core "
+        "count, at most 2; other serial: leave the library alone"
     ),
     doc=(
-        "Thread budget. A compiled pipeline's fused conv kernels split their "
-        "work into units fixed by the geometry and run them on a per-process "
-        "compute team of this many threads, with every OpenBLAS capped at one "
-        "thread: for each call of a serial pipeline (restored when it "
-        "returns), for the whole life of a pool worker (any team size gives "
-        "the same bits). "
-        "Unfused and simulator pipelines take it as a plain BLAS cap, applied "
+        "Thread budget. A compiled pipeline's fused conv kernels and the "
+        "golden simulator's aerial image split their work into units fixed "
+        "by the geometry and run them on a per-process compute team of this "
+        "many threads, with every OpenBLAS capped at one thread: for each "
+        "call of a serial pipeline (restored when it returns), for the whole "
+        "life of a pool worker (any team size gives the same bits). "
+        "Unfused model pipelines take it as a plain BLAS cap, applied "
         "to every OpenBLAS the process has mapped (numpy's and scipy's bundled "
         "copies alike). Applied in each pool worker at spawn, and in-process "
         "when serial. The pooled default prevents oversubscription: keep "
         "`num_workers x blas_threads <= physical cores` when raising it. `0` "
         "means a team of one and \"do not touch the BLAS library\". The serial "
-        "compiled default comes from the process's CPU affinity, never from "
-        "the BLAS library, so a second pipeline gets the same budget; it stops "
-        "at 2, the largest team measured, unless set explicitly. Set it per "
-        "pipeline with `ExecutionConfig(blas_threads=...)`, which the "
-        "harness, the experiment drivers and `OPCConfig.execution` all take."
+        "compiled and simulator default comes from the process's CPU "
+        "affinity, never from the BLAS library, so a second pipeline gets the "
+        "same budget; it stops at 2, the largest team measured, unless set "
+        "explicitly. Set it per pipeline with `ExecutionConfig(blas_threads=...)`, "
+        "which the harness, the experiment drivers and `OPCConfig.execution` "
+        "all take."
     ),
     section="backends",
     field="blas_threads",

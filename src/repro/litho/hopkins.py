@@ -15,6 +15,14 @@ functions are precomputed once per FFT shape and cached on
 masks (the inference-pipeline hot path) costs ``1 + l`` transforms per mask
 instead of the ``3 * l`` a per-kernel ``fftconvolve`` loop pays.
 
+Each (mask group, kernel chunk) pair of the inverse transforms is one work
+unit of the process's compute team (:func:`repro.nn.backends.compute_team`),
+which a serial simulator pipeline sizes for each call and which is a team
+of one anywhere else.  The chunk sums are added back in a fixed order, so
+the result is bit-identical at every team size.  An
+:class:`AerialWorkspace` holds each member's scratch in one grow-only flat
+buffer per name.
+
 :func:`aerial_image_loop` retains the seed per-kernel ``fftconvolve``
 algorithm; it is the reference the batched path is validated against (within
 1e-8) and the baseline of ``benchmarks/bench_pipeline_throughput.py``.
@@ -22,10 +30,13 @@ algorithm; it is the reference the batched path is validated against (within
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.fft import fft2, ifft2, next_fast_len
 from scipy.signal import fftconvolve
 
+from ..nn.backends import compute_team
 from .kernels import SOCSKernels
 
 __all__ = ["AerialWorkspace", "aerial_image", "aerial_image_loop", "clear_field_intensity"]
@@ -47,11 +58,15 @@ _MASK_CHUNK_BUDGET_BYTES = 1024 * 1024
 class AerialWorkspace:
     """Reusable scratch buffers for the batched aerial-image hot loop.
 
-    The per-chunk complex field product and the squared-magnitude scratch are
-    the two big allocations :func:`aerial_image` repeats on every call; an
-    executor that simulates a stream of same-size batches (the inference
-    pipeline, one per worker process) hands the same workspace to every call
-    so those buffers are allocated exactly once per (shape, dtype).
+    The per-chunk complex field product, the squared-magnitude scratch and
+    the per-chunk sums are the big allocations :func:`aerial_image` repeats
+    on every call; an executor that simulates a stream of batches (the
+    inference pipeline, one per worker process) hands the same workspace to
+    every call.  Each name (and each compute-team member, for the scratch a
+    member owns) keeps one grow-only flat buffer, viewed at each call's
+    shape, so a stream of different shapes (whole layouts, then window
+    batches of any count) holds one buffer per name and member at the
+    largest size seen, never one per shape.
 
     Only scratch that is dead once the call returns lives here — the returned
     intensity is always freshly allocated, so callers can hold results across
@@ -61,23 +76,34 @@ class AerialWorkspace:
     """
 
     def __init__(self) -> None:
-        self._buffers: dict = {}
+        self._flat: dict = {}
 
-    def buffer(self, key: str, shape: tuple, dtype) -> np.ndarray:
-        """An uninitialized reusable buffer for ``key`` at ``shape``/``dtype``."""
+    def buffer(self, key: str, shape: tuple, dtype, member: int = 0) -> np.ndarray:
+        """An uninitialized view of ``key``'s buffer at ``shape``/``dtype``.
+
+        ``member`` selects a compute-team member's own buffer; no two
+        members share one, so units running at once never overlap.
+        """
         shape = tuple(int(s) for s in shape)
-        cache_key = (key, shape, np.dtype(dtype).str)
-        buf = self._buffers.get(cache_key)
-        if buf is None:
-            buf = np.empty(shape, dtype=dtype)
-            self._buffers[cache_key] = buf
-        return buf
+        dtype = np.dtype(dtype)
+        size = math.prod(shape)
+        slot = (key, member, dtype.str)
+        flat = self._flat.get(slot)
+        if flat is None or flat.size < size:
+            flat = np.empty(size, dtype=dtype)
+            self._flat[slot] = flat
+        return flat[:size].reshape(shape)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by every buffer of the workspace."""
+        return sum(flat.nbytes for flat in self._flat.values())
 
     def __getstate__(self) -> dict:
         return {}
 
     def __setstate__(self, state: dict) -> None:
-        self._buffers = {}
+        self._flat = {}
 
 
 def clear_field_intensity(kernels: SOCSKernels) -> float:
@@ -102,9 +128,16 @@ def _aerial_batch(
     weighted kernel transfer functions, so the SOCS sum is a plain
     ``sum_k |field_k|^2``; the crop offset ``(K - 1) // 2`` reproduces
     ``fftconvolve``'s ``mode="same"`` centring exactly, so the result matches
-    the per-kernel loop to floating-point round-off.  With a ``workspace`` the
-    chunked field product and magnitude scratch are written into preallocated
-    buffers instead of being reallocated per chunk and per call.
+    the per-kernel loop to floating-point round-off.
+
+    Masks are processed in groups and kernels in chunks.  Each (group, chunk)
+    pair is one work unit of this process's compute team
+    (:func:`repro.nn.backends.compute_team`): multiply, ``ifft2``, crop,
+    ``|field|^2`` and the sum over the chunk's kernels, in its team member's
+    scratch.  The caller adds the chunk sums into the intensity in (group,
+    chunk) order, so the bits depend neither on which member ran which unit
+    nor on the team size.  Without a ``workspace`` the scratch lives for
+    this call only.
     """
     n, h, w = masks.shape
     support = kernels.support
@@ -115,6 +148,8 @@ def _aerial_batch(
     if weighted.shape[0] == 0:
         return intensity
     mask_hat = fft2(masks, s=fft_shape, axes=(-2, -1))           # (N, Fh, Fw)
+    if workspace is None:
+        workspace = AerialWorkspace()
 
     start = (support - 1) // 2
     rows = slice(start, start + h)
@@ -122,33 +157,45 @@ def _aerial_batch(
 
     # Fixed per-mask kernel chunk (accumulation grouping is batch-invariant);
     # masks are grouped so the live field scratch stays inside the budget.
-    per_field_bytes = fft_shape[0] * fft_shape[1] * 16
+    fft_size = fft_shape[0] * fft_shape[1]
+    per_field_bytes = fft_size * 16
     kernel_chunk = max(1, int(_MASK_CHUNK_BUDGET_BYTES // max(per_field_bytes, 1)))
     mask_group = max(1, int(_CHUNK_BUDGET_BYTES // max(kernel_chunk * per_field_bytes, 1)))
+    chunks = -(-weighted.shape[0] // kernel_chunk)
+    team = compute_team()
+    # Chunks in flight at once, each with its own chunk-sum slot; a group's
+    # chunks run in rounds of this many, so the slots stay one per member.
+    lanes = team.size
     for g0 in range(0, n, mask_group):
-        group = slice(g0, min(g0 + mask_group, n))
-        group_hat = mask_hat[group]
-        for chunk_start in range(0, weighted.shape[0], kernel_chunk):
-            block = weighted[chunk_start : chunk_start + kernel_chunk]
-            if workspace is None:
-                product = group_hat[:, None] * block[None]
-            else:
+        group_hat = mask_hat[g0 : g0 + mask_group]
+        size = group_hat.shape[0]
+        group = intensity[g0 : g0 + size]
+        # A complex multiply (~4 multiply-adds) and a radix-2 inverse FFT
+        # (~2.5 log2 N per point) for each of a unit's fields.
+        macs = int(size * kernel_chunk * fft_size * (4 + 2.5 * math.log2(fft_size)))
+        for c0 in range(0, chunks, lanes):
+            count = min(lanes, chunks - c0)
+            sums = workspace.buffer("sums", (count, size, h, w), np.float64)
+
+            def unit(index: int, member: int) -> None:
+                first = (c0 + index) * kernel_chunk
+                block = weighted[first : first + kernel_chunk]
                 product = workspace.buffer(
-                    "product", (group_hat.shape[0], block.shape[0], *fft_shape), np.complex128
+                    "product", (size, block.shape[0], *fft_shape), np.complex128, member
                 )
                 np.multiply(group_hat[:, None], block[None], out=product)
-            fields = ifft2(product, axes=(-2, -1), overwrite_x=True)[..., rows, cols]
-            # |field|^2 via real^2 + imag^2 (avoids the sqrt inside np.abs).
-            if workspace is None:
-                magnitude = fields.real**2
-                magnitude += fields.imag**2
-            else:
-                magnitude = workspace.buffer("magnitude", fields.shape, np.float64)
-                scratch = workspace.buffer("magnitude2", fields.shape, np.float64)
+                fields = ifft2(product, axes=(-2, -1), overwrite_x=True)[..., rows, cols]
+                # |field|^2 via real^2 + imag^2 (avoids the sqrt inside
+                # np.abs); imag^2 lands in the field's own, dead, imag part.
+                magnitude = workspace.buffer("magnitude", fields.shape, np.float64, member)
                 np.multiply(fields.real, fields.real, out=magnitude)
-                np.multiply(fields.imag, fields.imag, out=scratch)
-                magnitude += scratch
-            intensity[group] += magnitude.sum(axis=1)
+                np.multiply(fields.imag, fields.imag, out=fields.imag)
+                magnitude += fields.imag
+                np.sum(magnitude, axis=1, out=sums[index])
+
+            team.run(unit, count, macs, count)
+            for index in range(count):
+                group += sums[index]
     return intensity
 
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.fft
 
+from ..nn.backends import single_threaded_blas
 from .optics import OpticalSettings, pupil_function, source_points
 
 __all__ = ["SOCSKernels", "compute_tcc_matrix", "generate_kernels"]
@@ -149,6 +150,13 @@ def compute_tcc_matrix(
     return tcc, fx, fy
 
 
+# LAPACK's eigenvectors depend on the BLAS thread count: at 1 and at 2
+# OpenBLAS threads the degenerate pairs of the annular source's TCC come back
+# rotated differently, moving the kernels by up to 0.17, and the synthesis
+# GEMM rounds differently too.  On one thread the kernels are the same
+# wherever they are first generated (inside a pipeline's thread scope, in a
+# pool worker or in plain code).
+@single_threaded_blas()
 def generate_kernels(
     settings: OpticalSettings | None = None,
     num_kernels: int = 12,

@@ -29,26 +29,32 @@ on the geometry, and runs those units on this
 process's :class:`ComputeTeam` (single-threaded GEMMs parallelised over
 independent output blocks, as in Georganas et al., "Anatomy of
 High-Performance Deep Learning Convolutions on SIMD Architectures",
-arXiv:1808.05567).  Which thread runs a unit never changes its bits, so any
+arXiv:1808.05567).  The golden simulator's aerial image
+(:mod:`repro.litho.hopkins`) runs its (mask group, kernel chunk) units on
+the same team.  Which thread runs a unit never changes its bits, so any
 team size gives the same outputs.
 
 The team is a team of one, and BLAS is left alone, unless something asks
-for more: a serial compiled pipeline runs each call inside
+for more: a serial compiled or simulator pipeline runs each call inside
 :func:`compute_threads`, which sizes the team and caps every OpenBLAS at one
-thread for that call only and restores both on exit, so unfused pipelines,
-simulators and any other code keep the library's own thread count; a pool
-worker of a compiled executor sizes its team once for its whole life
-(:func:`set_compute_threads`).  The thread budget is the ``blas_threads``
-field of :class:`repro.pipeline.ExecutionConfig` / ``REPRO_BLAS_THREADS``:
-explicit > env > :func:`default_blas_threads`, where the default is 1 per
-pooled worker and ``min(usable cores, DEFAULT_TEAM_LIMIT)`` for a serial
-compiled pipeline.  It is never read back from the BLAS library: once a
-compute team has capped it, the library reports 1.  Unfused and simulator pipelines use it as a
-plain BLAS cap, and only when it is set.  The cap is applied by a ctypes
-shim (no ``threadpoolctl`` dependency) and reaches *every* OpenBLAS the
-process has mapped: numpy and scipy each bundle their own, and the one
-numpy's GEMMs call is not necessarily the first one listed.  ``0`` means
-"leave the BLAS library alone" (and a team of one).  Knob catalogue:
+thread for that call only and restores both on exit, so unfused pipelines
+and any other code keep the library's own thread count; a pool worker of a
+compiled or simulator executor sizes its team once for its whole life
+(:func:`set_compute_threads`).  :func:`single_threaded_blas` caps BLAS
+without touching the team, for LAPACK results whose bits depend on the
+thread count (SOCS kernel generation).  The thread budget is the
+``blas_threads`` field of :class:`repro.pipeline.ExecutionConfig` /
+``REPRO_BLAS_THREADS``: explicit > env > :func:`default_blas_threads`,
+where the default is 1 per pooled worker and ``min(usable cores,
+DEFAULT_TEAM_LIMIT)`` for a serial compiled or simulator pipeline.  It is
+never read back from the BLAS library: once a compute team has capped it,
+the library reports 1.  Unfused model pipelines use it as a plain BLAS cap,
+and only when it is set.  The cap is applied by a ctypes shim (no
+``threadpoolctl`` dependency) and reaches *every* OpenBLAS the process has
+mapped: numpy and scipy each bundle their own, and the one numpy's GEMMs
+call is not necessarily the first one listed.  The library handles are read
+once per process (and again after a new import), not per scope.  ``0``
+means "leave the BLAS library alone" (and a team of one).  Knob catalogue:
 ``docs/configuration.md``.
 """
 
@@ -58,6 +64,7 @@ import ctypes
 import glob
 import itertools
 import os
+import sys
 import threading
 from contextlib import contextmanager
 
@@ -79,6 +86,7 @@ __all__ = [
     "resolve_backend",
     "set_blas_threads",
     "set_compute_threads",
+    "single_threaded_blas",
     "usable_cores",
 ]
 
@@ -155,26 +163,50 @@ def _openblas_paths() -> list[str]:
     return paths
 
 
-def _blas_libraries() -> list[ctypes.CDLL]:
-    """Handles to every OpenBLAS the process has mapped, read at call time.
+#: ``((pid, loaded module count), libraries, [(setter, getter), ...])`` of
+#: the last read of the mapped OpenBLAS libraries; see :func:`_mapped_blas`.
+_MAPPED: tuple[tuple[int, int], list, list] | None = None
+
+
+def _mapped_blas() -> tuple[list[ctypes.CDLL], list[tuple[object, object]]]:
+    """Every mapped OpenBLAS and its ``(setter, getter)``, either None where
+    the library lacks one.
 
     numpy and scipy each bundle their own OpenBLAS (numpy's is the 64-bit-int
     ``numpy.libs/libscipy_openblas64_*``, the one every numpy GEMM calls), so
-    one process routinely maps two.  Nothing is cached: a library mapped
-    after an earlier call is picked up by the next one.
+    one process routinely maps two.  Reading ``/proc/self/maps`` and
+    resolving the symbols costs about a millisecond, so the result is kept
+    per process and read again only once the process has imported another
+    module, which is how a new library gets mapped (``import scipy.linalg``
+    maps scipy's).
     """
-    libraries = []
-    for path in _openblas_paths():
-        try:
-            libraries.append(ctypes.CDLL(path))
-        except OSError:  # pragma: no cover - unloadable candidate
-            continue
-    return libraries
+    global _MAPPED
+    key = (os.getpid(), len(sys.modules))
+    if _MAPPED is None or _MAPPED[0] != key:
+        libraries = []
+        for path in _openblas_paths():
+            try:
+                libraries.append(ctypes.CDLL(path))
+            except OSError:  # pragma: no cover - unloadable candidate
+                continue
+        functions = []
+        for lib in libraries:
+            put = _find_symbol(lib, _SET_SYMBOLS)
+            if put is not None:
+                put.argtypes = [ctypes.c_int]
+                put.restype = None
+            get = _find_symbol(lib, _GET_SYMBOLS)
+            if get is not None:
+                get.argtypes = []
+                get.restype = ctypes.c_int
+            functions.append((put, get))
+        _MAPPED = (key, libraries, functions)
+    return _MAPPED[1], _MAPPED[2]
 
 
 def _blas_library() -> ctypes.CDLL | None:
     """The first mapped OpenBLAS (kept for host fingerprints), or None."""
-    libraries = _blas_libraries()
+    libraries, _ = _mapped_blas()
     return libraries[0] if libraries else None
 
 
@@ -200,12 +232,10 @@ def set_blas_threads(n: int) -> bool:
     """
     if n < 1:
         raise ValueError(f"BLAS thread count must be >= 1, got {n}")
-    setters = [_find_symbol(lib, _SET_SYMBOLS) for lib in _blas_libraries()]
-    for fn in setters:
-        if fn is not None:
-            fn.argtypes = [ctypes.c_int]
-            fn.restype = None
-            fn(int(n))
+    setters = [put for put, _ in _mapped_blas()[1]]
+    for put in setters:
+        if put is not None:
+            put(int(n))
     return bool(setters) and None not in setters
 
 
@@ -222,19 +252,7 @@ def get_blas_threads() -> int | None:
 def _blas_thread_counts() -> list[tuple[object, int]]:
     """``(setter, thread count)`` of every mapped OpenBLAS that has a getter;
     the setter is None where the library lacks one."""
-    counts = []
-    for lib in _blas_libraries():
-        get = _find_symbol(lib, _GET_SYMBOLS)
-        if get is None:
-            continue
-        get.argtypes = []
-        get.restype = ctypes.c_int
-        put = _find_symbol(lib, _SET_SYMBOLS)
-        if put is not None:
-            put.argtypes = [ctypes.c_int]
-            put.restype = None
-        counts.append((put, int(get())))
-    return counts
+    return [(put, int(get())) for put, get in _mapped_blas()[1] if get is not None]
 
 
 def usable_cores() -> int:
@@ -245,26 +263,28 @@ def usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-#: Largest default team of a serial compiled pipeline.  Two is the size the
-#: benchmark measured (a 2-vCPU host); members hand the GIL over at every
-#: numpy call and each holds its own scratch slice, so neither the speed
-#: nor the memory of bigger teams is known.  An explicit ``blas_threads``
-#: or ``REPRO_BLAS_THREADS`` may ask for more.
+#: Largest default team of a serial pipeline on the team (a compiled model
+#: or the golden simulator).  Two is the size the benchmark measured (a
+#: 2-vCPU host); members hand the GIL over at every numpy call and each
+#: holds its own scratch slice, so neither the speed nor the memory of
+#: bigger teams is known.  An explicit ``blas_threads`` or
+#: ``REPRO_BLAS_THREADS`` may ask for more.
 DEFAULT_TEAM_LIMIT = 2
 
 
-def default_blas_threads(num_workers: int = 0, compiled: bool = False) -> int:
+def default_blas_threads(num_workers: int = 0, team: bool = False) -> int:
     """The thread budget when neither ``blas_threads`` nor the env sets it.
 
     1 under a worker pool (``num_workers > 1``), so ``workers x threads``
     never oversubscribes; :func:`usable_cores` up to
-    :data:`DEFAULT_TEAM_LIMIT` for a serial compiled pipeline, whose fused
-    kernels run on the compute team; 0 (meaning "leave the library alone")
-    for any other serial pipeline.
+    :data:`DEFAULT_TEAM_LIMIT` for a serial pipeline whose engine runs on
+    the compute ``team`` (a compiled model's fused convs, the simulator's
+    aerial image); 0 (meaning "leave the library alone") for any other
+    serial pipeline.
     """
     if num_workers > 1:
         return 1
-    return min(usable_cores(), DEFAULT_TEAM_LIMIT) if compiled else 0
+    return min(usable_cores(), DEFAULT_TEAM_LIMIT) if team else 0
 
 
 # --------------------------------------------------------------------------
@@ -402,8 +422,8 @@ _SCOPE_LOCK = threading.Lock()
 def compute_team() -> ComputeTeam:
     """This process's compute team, created on first use as a team of one.
 
-    Only :func:`compute_threads` (serial compiled pipelines) and
-    :func:`set_compute_threads` (pool workers) make it bigger.
+    Only :func:`compute_threads` (serial compiled and simulator pipelines)
+    and :func:`set_compute_threads` (pool workers) make it bigger.
     """
     global _TEAM
     pid = os.getpid()
@@ -418,8 +438,9 @@ def set_compute_threads(n: int) -> None:
     ``n >= 1`` also caps every OpenBLAS at one thread: the team, not BLAS,
     spreads the work over the cores, and BLAS helper threads left awake
     compete with the team.  ``n == 0`` is a team of one that leaves the BLAS
-    library alone.  Pool workers of a compiled executor call this once from
-    the pool initializer; in-process callers use :func:`compute_threads`.
+    library alone.  Pool workers of a compiled or simulator executor call
+    this once from the pool initializer; in-process callers use
+    :func:`compute_threads`.
     """
     if n < 0:
         raise ValueError(f"compute thread count must be >= 0, got {n}")
@@ -440,30 +461,52 @@ def compute_threads(n: int):
     """
     if n < 0:
         raise ValueError(f"compute thread count must be >= 0, got {n}")
+    with _scope(n, cap=bool(n)) as team:
+        yield team
+
+
+@contextmanager
+def single_threaded_blas():
+    """Run the block with every OpenBLAS at one thread; the team keeps its size.
+
+    For LAPACK results whose bits depend on the BLAS thread count (the
+    eigenvectors of :func:`repro.litho.kernels.generate_kernels`).  It nests
+    inside :func:`compute_threads` like any other scope: the thread counts
+    found by the first open scope come back when the last one closes.
+    """
+    with _scope(None, cap=True):
+        yield
+
+
+@contextmanager
+def _scope(size: int | None, cap: bool):
+    """One open thread scope: resize the team (``None`` keeps its size) and,
+    with ``cap``, hold every OpenBLAS at one thread."""
     team = compute_team()
     with _SCOPE_LOCK:
         if not team.scopes:
             team.saved = (team.size, None)
         team.scopes += 1
-        size, counts = team.saved
-        if n:
+        saved_size, counts = team.saved
+        if cap:
             if counts is None:
                 # One read of the libraries serves the cap and the restore.
                 counts = _blas_thread_counts()
-                team.saved = (size, counts)
+                team.saved = (saved_size, counts)
             for put, _ in counts:
                 if put is not None:
                     put(1)
-        team.resize(n)
+        if size is not None:
+            team.resize(size)
     try:
         yield team
     finally:
         with _SCOPE_LOCK:
             team.scopes -= 1
             if not team.scopes:
-                size, counts = team.saved
+                saved_size, counts = team.saved
                 team.saved = None
-                team.resize(size)
+                team.resize(saved_size)
                 for put, count in counts or ():
                     if put is not None:
                         put(count)

@@ -42,14 +42,15 @@ benchmarks):
     carries the lane dtype, so results from different lanes never mix.
 ``blas_threads`` / ``REPRO_BLAS_THREADS``
     Thread budget composed with the worker pool.  Compiled engines run their
-    fused convs on a compute team of this many threads, with BLAS capped at
-    one (:func:`repro.nn.backends.compute_threads`): per call in a serial
+    fused convs, and the golden simulator its aerial image, on a compute
+    team of this many threads, with BLAS capped at one
+    (:func:`repro.nn.backends.compute_threads`): per call in a serial
     pipeline, restored when the call returns, and for the life of each pool
-    worker.  Other engines take it as a BLAS thread cap.  Pooled pipelines
+    worker.  Unfused models take it as a BLAS thread cap.  Pooled pipelines
     default to 1 per worker so workers times threads never oversubscribes
-    the cores; serial compiled pipelines default to the usable core count
-    up to 2, and other serial pipelines leave the library untouched unless
-    the knob is set.
+    the cores; serial compiled and simulator pipelines default to the
+    usable core count up to 2, and other serial pipelines leave the library
+    untouched unless the knob is set.
 ``result_cache`` / ``REPRO_RESULT_CACHE``
     Bounded content-hash LRU in front of ``run``/``predict``
     (:mod:`repro.pipeline.cache`): exact input repeats are answered without

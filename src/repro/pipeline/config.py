@@ -114,8 +114,8 @@ class ExecutionConfig:
     #: over ``REPRO_BACKEND`` lives (see the module docstring).
     backend: str | None = None
     #: Thread budget (``REPRO_BLAS_THREADS``, then 1 per worker when pooled,
-    #: the usable core count up to 2 when serial and compiled, else 0 =
-    #: leave the BLAS library alone).
+    #: the usable core count up to 2 when serial and compiled or simulating,
+    #: else 0 = leave the BLAS library alone).
     blas_threads: int | None = None
     #: Intra-mask tile sharding on the stitched plan.  Tri-state on purpose:
     #: ``None`` survives resolution as "auto — engage exactly when the
@@ -169,7 +169,7 @@ class ExecutionConfig:
     # ------------------------------------------------------------------ #
     # Resolution: the one explicit > env > default pass
     # ------------------------------------------------------------------ #
-    def resolve(self) -> "ExecutionConfig":
+    def resolve(self, team: bool = False) -> "ExecutionConfig":
         """Apply the environment legs and defaults, exactly once.
 
         Returns a new config with every field concrete (except the
@@ -178,6 +178,9 @@ class ExecutionConfig:
         :attr:`sources` recording per field whether the value was
         ``explicit``, came from its ``REPRO_*`` variable, or is the
         ``default``.  Resolving a resolved config returns it unchanged.
+        ``team`` says the engine runs on the compute team even uncompiled
+        (the golden simulator), which sets the ``blas_threads`` default the
+        way ``compile`` does.
         """
         if self.resolved:
             return self
@@ -220,7 +223,7 @@ class ExecutionConfig:
             "blas_threads",
             BLAS_THREADS_ENV,
             knobs.read_int(BLAS_THREADS_ENV, minimum=0),
-            default_blas_threads(values["num_workers"], values["compile"]),
+            default_blas_threads(values["num_workers"], values["compile"] or team),
         )
         values["retry"] = self._resolve_retry(sources)
         sources["retry"] = "explicit" if self.retry is not None else "default"

@@ -167,15 +167,17 @@ class InferencePipeline:
           deadline, retry budget, graceful in-process degradation), and the
           thread budget.  The pipeline builds its pool from exactly these
           resolved values.  A serial compiled engine runs the fused conv
-          kernels of each call on a compute team of ``blas_threads``
-          threads with BLAS capped at one for that call only
-          (:func:`repro.nn.backends.compute_threads`); pool workers of a
-          compiled engine size their own team once; any other engine takes
+          kernels of each call, and a serial simulator engine the aerial
+          image's (mask group, kernel chunk) units, on a compute team of
+          ``blas_threads`` threads with BLAS capped at one for that call
+          only (:func:`repro.nn.backends.compute_threads`); pool workers of
+          either engine size their own team once; an unfused model takes
           it as a BLAS thread cap.  The default is 1 per worker when
           pooled, the usable core count up to
           :data:`repro.nn.backends.DEFAULT_TEAM_LIMIT` when serial and
-          compiled, and 0 (a team of one, the BLAS library left alone)
-          otherwise, so ``workers x threads`` never oversubscribes.
+          compiled or simulating, and 0 (a team of one, the BLAS library
+          left alone) otherwise, so ``workers x threads`` never
+          oversubscribes.
         * ``shard_tiles`` — let the stitched plan dispatch the GP tile
           stream in ``num_workers x batch_size`` super-batches; ``None``
           enables it exactly when the executor is pooled.  Bit-identical
@@ -202,10 +204,13 @@ class InferencePipeline:
             engine, compile=bool(resolved.compile), backend=resolved.backend
         )
         self.compiled = getattr(self.executor, "compiled", False)
+        #: Whether the engine runs on the compute team (a compiled model or
+        #: the golden simulator): its thread-budget default depends on it.
+        self.on_team = getattr(self.executor, "on_team", False)
         # What a pre-built engine already fixed wins over the config, so the
         # config describes the pipeline that runs: a pre-compiled engine is a
-        # compiled pipeline (its thread-budget default depends on it), and a
-        # pre-built pool runs its own workers, chunks, retries and threads.
+        # compiled pipeline, and a pre-built pool runs its own workers,
+        # chunks, retries and threads.
         built: dict = {}
         if self.compiled and not resolved.compile:
             built["compile"] = True
@@ -215,8 +220,8 @@ class InferencePipeline:
             if pool.num_workers > 1:
                 # A pool of one runs in the caller, on this pipeline's budget.
                 built["blas_threads"] = pool.blas_threads
-        if built:
-            self.config = resolved = config.merged(**built).resolve()
+        if built or self.on_team:
+            self.config = resolved = config.merged(**built).resolve(team=self.on_team)
         self.num_workers = resolved.num_workers
         if self.num_workers > 1 and not isinstance(self.executor, WorkerPoolExecutor):
             self.executor = WorkerPoolExecutor(
@@ -227,11 +232,10 @@ class InferencePipeline:
                 blas_threads=resolved.blas_threads,
             )
         # Pool workers get the thread budget through the pool initializer
-        # (the parent's is left alone).  A serial compiled pipeline sizes
-        # its compute team per call (_threads); any other serial one uses
-        # the budget as a plain BLAS cap, where the default 0 leaves the
-        # library alone.
-        if self.num_workers <= 1 and not self.compiled and resolved.blas_threads:
+        # (the parent's is left alone).  A serial pipeline on the team sizes
+        # the team per call (_threads); any other serial one uses the budget
+        # as a plain BLAS cap, where the default 0 leaves the library alone.
+        if self.num_workers <= 1 and not self.on_team and resolved.blas_threads:
             set_blas_threads(resolved.blas_threads)
         #: Compute lane dtype of the executor (None for simulator engines).
         self.dtype = getattr(self.executor, "dtype", None)
@@ -560,10 +564,12 @@ class InferencePipeline:
     # Planning helpers
     # ------------------------------------------------------------------ #
     def _threads(self):
-        """The thread scope of one call: a serial compiled pipeline runs on a
-        compute team of its ``blas_threads`` with BLAS capped at one, both
-        restored on exit; every other pipeline runs as the process is."""
-        if self.compiled and self.num_workers <= 1:
+        """The thread scope of one call: a serial pipeline whose engine runs
+        on the team (a compiled model's fused convs, the simulator's aerial
+        image) runs on a compute team of its ``blas_threads`` with BLAS
+        capped at one, both restored on exit; every other pipeline runs as
+        the process is."""
+        if self.on_team and self.num_workers <= 1:
             return compute_threads(self.config.blas_threads)
         return contextlib.nullcontext()
 

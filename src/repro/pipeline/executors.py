@@ -17,11 +17,13 @@ executor defines *how* one batch is run.  Two families exist:
 * :class:`SimulatorExecutor` wraps the golden :class:`LithoSimulator`.  It is
   size-agnostic (the Hopkins/SOCS model convolves masks of any size) and
   routes whole batches through the single-FFT aerial-image path, so the SOCS
-  transfer functions are computed once and shared by every mask.  Each
-  executor owns one :class:`~repro.litho.hopkins.AerialWorkspace`, so the FFT
-  scratch buffers of the aerial hot loop are allocated once per executor —
-  and, under :class:`~repro.pipeline.parallel.WorkerPoolExecutor`, once per
-  worker process (the workspace pickles empty).
+  transfer functions are computed once and shared by every mask; the
+  inverse transforms run on the compute team (``on_team``).  Each executor
+  owns one :class:`~repro.litho.hopkins.AerialWorkspace`, so the FFT
+  scratch buffers of the aerial hot loop are allocated once per executor
+  and team member — and, under
+  :class:`~repro.pipeline.parallel.WorkerPoolExecutor`, once per worker
+  process (the workspace pickles empty).
 
 :func:`as_executor` adapts a raw model / simulator / executor uniformly; it is
 what lets ``InferencePipeline(engine)`` accept any of the three.
@@ -47,6 +49,10 @@ class Executor:
     arbitrary_size: bool = False
     #: Whether the large-tile GP-stitching plan of §3.2 applies.
     supports_stitching: bool = False
+    #: Whether the kernels run on the process's compute team
+    #: (:func:`repro.nn.backends.compute_team`), so a serial pipeline sizes
+    #: the team for each call and a pool worker sizes its own once.
+    on_team: bool = False
 
     def run_batch(self, batch: np.ndarray) -> np.ndarray:  # pragma: no cover - interface
         raise NotImplementedError
@@ -123,6 +129,7 @@ class ModelExecutor(Executor):
             self.dtype = default
         self.model = model
         self.compiled = bool(compile)
+        self.on_team = self.compiled
         base = model.source_name if isinstance(model, FusedInferenceGraph) else type(model).__name__
         self.name = f"{base}[compiled]" if self.compiled else base
 
@@ -217,6 +224,8 @@ class SimulatorExecutor(Executor):
     """Executor over the golden Hopkins/SOCS lithography simulator."""
 
     arbitrary_size = True
+    #: The aerial image's (mask group, kernel chunk) units run on the team.
+    on_team = True
 
     def __init__(self, simulator, output: str = "resist") -> None:
         if output not in ("resist", "aerial"):

@@ -152,9 +152,10 @@ def _init_worker(
     # Runtime ctypes calls, not an env var: under the fork start method the
     # BLAS library is already initialized when the worker starts, so
     # OPENBLAS_NUM_THREADS would be read too late to retune it.  A compiled
-    # executor's fused kernels run on this worker's own compute team (a
-    # forked child never reuses its parent's, see compute_team).
-    if getattr(executor, "compiled", False):
+    # executor's fused kernels and a simulator's aerial image run on this
+    # worker's own compute team (a forked child never reuses its parent's,
+    # see compute_team).
+    if getattr(executor, "on_team", False):
         set_compute_threads(blas_threads)
     elif blas_threads:
         set_blas_threads(blas_threads)
@@ -269,6 +270,11 @@ class WorkerPoolExecutor(Executor):
     def compiled(self) -> bool:
         """Whether the wrapped executor runs a compiled fused graph."""
         return getattr(self.inner, "compiled", False)
+
+    @property
+    def on_team(self) -> bool:
+        """Whether the wrapped executor's kernels run on the compute team."""
+        return getattr(self.inner, "on_team", False)
 
     @property
     def dtype(self):

@@ -5,19 +5,25 @@ per SOCS kernel with a single padded mask FFT multiplied against cached
 kernel transfer functions.  These tests pin the contract of that refactor:
 numerical equivalence with :func:`repro.litho.aerial_image_loop` within 1e-8,
 batch/single consistency, and the caching behaviour of
-:class:`repro.litho.SOCSKernels`.
+:class:`repro.litho.SOCSKernels`.  The (mask group, kernel chunk) units run
+on the process's compute team; the team pins below hold every team size to
+the bits of one fixed-order loop, in a workspace whose bytes stay bounded.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.fft import fft2, ifft2, next_fast_len
 
 from repro.litho import (
+    AerialWorkspace,
     LithoSimulator,
     aerial_image,
     aerial_image_loop,
+    hopkins,
 )
+from repro.nn.backends import ComputeTeam, compute_threads
 
 
 @pytest.fixture(scope="module")
@@ -101,3 +107,94 @@ def test_simulator_aerial_accepts_batches(simulator):
     aerial = simulator.aerial(masks)
     assert aerial.shape == masks.shape
     np.testing.assert_allclose(aerial[1], simulator.aerial(masks[1]), atol=1e-12)
+
+
+# --------------------------------------------------------------------- #
+# Compute-team units: bits independent of the team size
+# --------------------------------------------------------------------- #
+def _chunking(masks: np.ndarray, kernels) -> tuple[tuple[int, int], int, int]:
+    """``(fft_shape, kernel_chunk, mask_group)`` from the module's budgets."""
+    n, h, w = masks.shape
+    fft_shape = (next_fast_len(h + kernels.support - 1), next_fast_len(w + kernels.support - 1))
+    per_field_bytes = fft_shape[0] * fft_shape[1] * 16
+    kernel_chunk = max(1, hopkins._MASK_CHUNK_BUDGET_BYTES // per_field_bytes)
+    mask_group = max(1, hopkins._CHUNK_BUDGET_BYTES // (kernel_chunk * per_field_bytes))
+    return fft_shape, kernel_chunk, mask_group
+
+
+def _fixed_order_aerial(masks: np.ndarray, kernels) -> np.ndarray:
+    """The unnormalized aerial image as one loop over (mask group, kernel
+    chunk) in order: the order the team's chunk sums are added back in."""
+    n, h, w = masks.shape
+    fft_shape, kernel_chunk, mask_group = _chunking(masks, kernels)
+    weighted = kernels.weighted_transfer_functions(fft_shape)
+    start = (kernels.support - 1) // 2
+    crop = (..., slice(start, start + h), slice(start, start + w))
+    mask_hat = fft2(masks, s=fft_shape, axes=(-2, -1))
+    intensity = np.zeros((n, h, w))
+    for g0 in range(0, n, mask_group):
+        group_hat = mask_hat[g0 : g0 + mask_group]
+        for c0 in range(0, weighted.shape[0], kernel_chunk):
+            fields = ifft2(group_hat[:, None] * weighted[None, c0 : c0 + kernel_chunk],
+                           axes=(-2, -1))[crop]
+            intensity[g0 : g0 + mask_group] += (fields.real**2 + fields.imag**2).sum(axis=1)
+    return intensity
+
+
+@pytest.fixture
+def spread_units(monkeypatch):
+    """Spread every unit over the team, however small these test shapes are."""
+    monkeypatch.setattr(ComputeTeam, "MIN_UNIT_MACS", 0)
+
+
+TEAM_CASES = {
+    # One full mask: one group, one kernel per chunk.
+    "full_mask": (1, 128),
+    # Nine full masks: several mask groups.
+    "mask_groups": (9, 128),
+    # A batch of windows: several kernels per chunk, two groups.
+    "windows": (7, 48),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TEAM_CASES))
+def test_aerial_bits_do_not_depend_on_team_size(simulator, spread_units, case):
+    n, size = TEAM_CASES[case]
+    masks = _random_masks(n, size, seed=11)
+    kernels = simulator.kernels
+    _, kernel_chunk, mask_group = _chunking(masks, kernels)
+    assert kernels.count > kernel_chunk  # several chunks
+    if case != "full_mask":
+        assert n > mask_group  # several groups
+    if case == "windows":
+        assert kernel_chunk > 1
+    expected = _fixed_order_aerial(masks, kernels)
+    for threads in (1, 2, 3):
+        with compute_threads(threads):
+            with_workspace = hopkins._aerial_batch(masks, kernels, AerialWorkspace())
+            without = hopkins._aerial_batch(masks, kernels)
+        np.testing.assert_array_equal(with_workspace, expected, err_msg=f"team of {threads}")
+        np.testing.assert_array_equal(without, expected, err_msg=f"team of {threads}")
+    single = aerial_image(masks[0], kernels, normalize=False)
+    np.testing.assert_array_equal(single, expected[0])
+
+
+def test_workspace_stays_bounded_across_shapes(simulator, spread_units):
+    """A full mask, then window batches of every count from 1 to 11, on a
+    team of two: the workspace keeps one flat buffer per name (and team
+    member) at the largest size seen, not one per shape.  Per member the
+    field product is at most the chunk budget and the magnitude half of
+    that; the chunk sums are one group's magnitude per member.  Buffers kept
+    per shape and member held 19.4 MB for this stream, over the bound."""
+    kernels = simulator.kernels
+    threads = 2
+    bound = 2 * threads * hopkins._CHUNK_BUDGET_BYTES
+    workspace = AerialWorkspace()
+    stream = [_random_masks(1, 128, seed=5)] + [
+        _random_masks(count, 48, seed=count) for count in range(1, 12)
+    ]
+    with compute_threads(threads):
+        for masks in stream:
+            got = hopkins._aerial_batch(masks, kernels, workspace)
+            np.testing.assert_array_equal(got, _fixed_order_aerial(masks, kernels))
+            assert workspace.nbytes <= bound, (masks.shape, workspace.nbytes)

@@ -594,3 +594,114 @@ def test_uncapped_pool_workers_keep_library_default(monkeypatch):
         """
     )
     assert _worker_blas_threads(blas_threads=0) == {float(default)}
+
+
+# --------------------------------------------------------------------- #
+# The golden simulator on the compute team
+# --------------------------------------------------------------------- #
+def test_compute_thread_scopes_reuse_the_blas_handles(monkeypatch, threaded_blas):
+    """Reading the mapped libraries costs about a millisecond, and an OPC
+    correction opens a scope per iteration: after the first scope in a
+    process, scopes no longer read them.  A newly imported module (the way
+    another OpenBLAS gets mapped) makes the next scope read them once."""
+    reads = []
+    paths = backends._openblas_paths
+    monkeypatch.setattr(backends, "_openblas_paths", lambda: reads.append(1) or paths())
+    with compute_threads(2):
+        pass
+    reads.clear()
+    for _ in range(3):
+        with compute_threads(2):
+            assert get_blas_threads() == 1
+    assert reads == []
+    monkeypatch.setitem(sys.modules, "repro_test_newly_imported", sys.modules[__name__])
+    for _ in range(3):
+        with compute_threads(2):
+            pass
+    assert reads == [1]
+    assert get_blas_threads() == threaded_blas
+
+
+def test_kernels_do_not_depend_on_blas_threads(threaded_blas):
+    """Regression pin: ``eigh`` of the TCC returned other eigenvectors at 1
+    and at 2 OpenBLAS threads (a degenerate pair split differently, kernels
+    up to 0.17 apart), and the synthesis GEMM rounded differently; kernel
+    generation now runs on one BLAS thread, inside a team scope or not, and
+    gives the thread counts back."""
+    from repro.litho import generate_kernels
+
+    generated = []
+    for threads in (1, 2):
+        set_blas_threads(threads)
+        generated.append(generate_kernels(num_kernels=10, kernel_support=31))
+        assert get_blas_threads() == threads
+    with compute_threads(2):
+        generated.append(generate_kernels(num_kernels=10, kernel_support=31))
+        assert get_blas_threads() == 1
+    for kernels in generated[1:]:
+        np.testing.assert_array_equal(kernels.kernels, generated[0].kernels)
+        np.testing.assert_array_equal(kernels.eigenvalues, generated[0].eigenvalues)
+
+
+def test_simulator_pipelines_match_at_any_thread_budget(monkeypatch, threaded_blas):
+    """A simulator whose kernels were generated in plain code at two BLAS
+    threads, under the default pipeline, against fresh simulators whose
+    kernels are generated inside ``blas_threads=1`` and ``blas_threads=0``
+    calls: the same aerial bits (they were 1.55e-5 apart)."""
+    monkeypatch.delenv(BLAS_THREADS_ENV, raising=False)
+    masks = _random_masks(2, 48, seed=5)
+    simulator = LithoSimulator(pixel_size=16.0, num_kernels=10, kernel_support=31)
+    simulator.kernels
+    expected = InferencePipeline(as_executor(simulator, output="aerial")).predict(masks)
+    for threads in (1, 0):
+        fresh = as_executor(
+            LithoSimulator(pixel_size=16.0, num_kernels=10, kernel_support=31), output="aerial"
+        )
+        got = InferencePipeline(fresh, ExecutionConfig(blas_threads=threads)).predict(masks)
+        np.testing.assert_array_equal(got, expected, err_msg=f"blas_threads={threads}")
+
+
+def test_serial_simulator_pipeline_runs_on_the_team(monkeypatch, threaded_blas):
+    """A serial simulator pipeline sizes the team like a serial compiled one:
+    the default budget (source ``default``), every call on that team with
+    BLAS at one thread, both given back when the call returns."""
+    monkeypatch.delenv(BLAS_THREADS_ENV, raising=False)
+    monkeypatch.setattr(backends, "usable_cores", lambda: 2)
+    assert ExecutionConfig().resolve(team=True).blas_threads == 2
+    assert ExecutionConfig(num_workers=2).resolve(team=True).blas_threads == 1
+    simulator = LithoSimulator(pixel_size=16.0, num_kernels=6, kernel_support=31)
+    pipeline = InferencePipeline(simulator)
+    assert pipeline.on_team
+    assert pipeline.config.blas_threads == 2
+    assert pipeline.config.source_of("blas_threads") == "default"
+    seen = []
+    original = pipeline.executor.run_batch
+
+    def run_batch(batch):
+        seen.append((compute_team().size, get_blas_threads()))
+        return original(batch)
+
+    pipeline.executor.run_batch = run_batch
+    pipeline.predict(_random_masks(2, 32))
+    assert seen and set(seen) == {(2, 1)}
+    assert (compute_team().size, get_blas_threads()) == (1, threaded_blas)
+
+
+class _TeamProbe(Executor):
+    """An engine on the compute team; fills each output with the team size
+    and BLAS thread count of the process running it."""
+
+    name = "team-probe"
+    on_team = True
+
+    def run_batch(self, batch: np.ndarray) -> np.ndarray:
+        return np.full(batch.shape, 10.0 * compute_team().size + float(get_blas_threads() or 0))
+
+
+def test_pool_workers_of_a_team_engine_run_a_team_of_one(monkeypatch):
+    monkeypatch.delenv(BLAS_THREADS_ENV, raising=False)
+    with WorkerPoolExecutor(_TeamProbe(), num_workers=2) as pool:
+        assert pool.on_team
+        out = pool.run_batch(np.zeros((5, 1, 2, 2)))
+        assert pool.robustness.degraded_runs == 0
+    assert set(out[1:].ravel().tolist()) == {11.0}  # team of one, one BLAS thread
