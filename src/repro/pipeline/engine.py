@@ -220,8 +220,7 @@ class InferencePipeline:
             if pool.num_workers > 1:
                 # A pool of one runs in the caller, on this pipeline's budget.
                 built["blas_threads"] = pool.blas_threads
-        if built or self.on_team:
-            self.config = resolved = config.merged(**built).resolve(team=self.on_team)
+        self.config = resolved = config.merged(**built).resolve(team=self.on_team)
         self.num_workers = resolved.num_workers
         if self.num_workers > 1 and not isinstance(self.executor, WorkerPoolExecutor):
             self.executor = WorkerPoolExecutor(
