@@ -13,6 +13,7 @@ from .fragments import (
     EdgeFragment,
     FragmentedShape,
     FragmentTileIndex,
+    MaskPainter,
     build_mask,
     fragment_footprint,
     fragment_layout,
@@ -32,6 +33,7 @@ __all__ = [
     "EdgeFragment",
     "FragmentedShape",
     "FragmentTileIndex",
+    "MaskPainter",
     "build_mask",
     "fragment_footprint",
     "fragment_layout",

@@ -12,15 +12,20 @@ and, by the finite optical influence radius, most of the aerial image — is
 unchanged between iterations.  With ``incremental`` enabled (the default) the
 loop runs through :meth:`repro.pipeline.InferencePipeline.predict_patched`:
 a static fragment->tile index (:class:`~repro.opc.fragments.FragmentTileIndex`)
-narrows the windows a move step can have touched, per-window content hashes
-confirm the actually-dirty ones, and only those are re-simulated — their
-ownership regions spliced into a cached full-image aerial.  A hybrid cost
-model falls back to one native whole-mask refresh when the dirty set is large
-(early iterations), so the incremental loop never loses materially to the
-plain one; the savings grow as fragments converge — especially with
-``freeze_after``, which is what actually collapses the dirty set (a converged
-fragment otherwise keeps jittering across the pixel-rounding boundary and
-keeps its windows dirty forever).
+narrows the windows a move step can have touched, a pixel comparison with the
+last simulated mask confirms the actually-dirty ones, and only those are
+re-simulated — their ownership regions spliced into a cached full-image
+aerial.  A hybrid cost model falls back to one native whole-mask refresh when
+the dirty set is large (early iterations), so the incremental loop never
+loses materially to the plain one; the savings grow as fragments converge —
+especially with ``freeze_after``, which is what actually collapses the dirty
+set (a converged fragment otherwise keeps jittering across the
+pixel-rounding boundary and keeps its windows dirty forever).
+
+The mask itself is painted incrementally in both loops
+(:class:`~repro.opc.fragments.MaskPainter`): each iteration repaints only the
+fragments the previous move step moved, bit-identical to painting the whole
+layout with :func:`~repro.opc.fragments.build_mask`.
 """
 
 from __future__ import annotations
@@ -35,7 +40,13 @@ from ..litho.simulator import LithoSimulator
 from ..pipeline import ExecutionConfig, IncrementalCounters, InferencePipeline
 from ..pipeline.config import INCREMENTAL_ENV
 from .epe import EPEStatistics, measure_layout_epe
-from .fragments import FragmentedShape, FragmentTileIndex, build_mask, fragment_layout
+from .fragments import (
+    FragmentedShape,
+    FragmentTileIndex,
+    MaskPainter,
+    build_mask,
+    fragment_layout,
+)
 from .sraf import insert_srafs, sraf_rects_pixels
 
 __all__ = [
@@ -254,9 +265,11 @@ class OPCEngine:
             target=target,
             counters=state.counters if state is not None else None,
         )
+        painter = MaskPainter(shapes, image_size, sraf_boxes)
         candidates = None
+        moved: list[tuple[int, int]] = []
         for _ in range(config.iterations):
-            mask = build_mask(shapes, image_size, extra_rects=sraf_boxes)
+            mask = build_mask(shapes, image_size, sraf_boxes, painter=painter, moved=moved)
             if state is not None:
                 spent = state.counters.tile_equivalents(state.n_tiles)
                 resist = self.pipeline.predict_patched(mask, state, candidates=candidates)
@@ -275,7 +288,7 @@ class OPCEngine:
             candidates = index.tiles_for(moved) if index is not None else None
 
         # Build the mask with the final fragment positions (post last update).
-        result.final_mask = build_mask(shapes, image_size, extra_rects=sraf_boxes)
+        result.final_mask = build_mask(shapes, image_size, sraf_boxes, painter=painter, moved=moved)
         if config.record_history:
             result.mask_history.append(result.final_mask)
         return result
@@ -290,10 +303,11 @@ class OPCEngine:
         scan order :func:`~repro.opc.epe.measure_layout_epe` produced them —
         one EPE walk per iteration serves both the statistics and the move
         step.  Returns the ``(shape, fragment)`` ids whose *rounded* offset
-        changed (the only moves that can repaint mask pixels), which feed the
-        fragment->tile index for dirty-window candidates.  With
-        ``freeze_after`` set, fragments whose |EPE| held within tolerance for
-        that many consecutive iterations are frozen here.
+        changed (the only moves that can repaint mask pixels): the mask
+        painter repaints them and the fragment->tile index turns them into
+        dirty-window candidates.  With ``freeze_after`` set, fragments whose
+        |EPE| held within tolerance for that many consecutive iterations are
+        frozen here.
         """
         config = self.config
         values = iter(stats.values.tolist())

@@ -10,6 +10,7 @@ training data (MOSAIC, Calibre).
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +24,7 @@ __all__ = [
     "FragmentTileIndex",
     "fragment_layout",
     "fragment_footprint",
+    "MaskPainter",
     "build_mask",
 ]
 
@@ -137,8 +139,9 @@ class FragmentTileIndex:
     OPC move step, the union over the *moved* fragments is a sound candidate
     set for the dirty windows: a pixel outside every moved fragment's
     footprint is painted identically by :func:`build_mask`, so windows
-    outside the union cannot have changed.  The engine still content-hashes
-    the candidates, so an over-approximation costs hashing, never correctness.
+    outside the union cannot have changed.  The engine still compares the
+    candidates' pixels with the last simulated mask, so an over-approximation
+    costs a comparison, never correctness.
     """
 
     def __init__(
@@ -148,76 +151,161 @@ class FragmentTileIndex:
         image_size: int,
         max_offset: float,
     ) -> None:
-        self._tiles: dict[tuple[int, int], tuple[int, ...]] = {}
-        for si, shape in enumerate(shapes):
-            for fi, fragment in enumerate(shape.fragments):
-                row0, col0, row1, col1 = fragment_footprint(fragment, max_offset)
-                row0, col0 = max(row0, 0), max(col0, 0)
-                row1, col1 = min(row1, image_size), min(col1, image_size)
-                self._tiles[(si, fi)] = tuple(
-                    ti
-                    for ti, s in enumerate(specs)
-                    if row0 < s.y0 + s.size and row1 > s.y0 and col0 < s.x0 + s.size and col1 > s.x0
-                )
+        keys = [(si, fi) for si, shape in enumerate(shapes) for fi in range(len(shape.fragments))]
+        self._rows = {key: row for row, key in enumerate(keys)}
+        footprints = np.array(
+            [fragment_footprint(f, max_offset) for shape in shapes for f in shape.fragments],
+            dtype=np.int64,
+        ).reshape(-1, 4)
+        row0, col0 = np.maximum(footprints[:, :2], 0).T[:, :, None]
+        row1, col1 = np.minimum(footprints[:, 2:], image_size).T[:, :, None]
+        y0 = np.array([s.y0 for s in specs], dtype=np.int64)
+        x0 = np.array([s.x0 for s in specs], dtype=np.int64)
+        size = np.array([s.size for s in specs], dtype=np.int64)
+        #: ``[fragment, window]``: the fragment's clipped footprint meets the window.
+        self._overlap = (row0 < y0 + size) & (row1 > y0) & (col0 < x0 + size) & (col1 > x0)
 
     def tiles_for(self, moved: list[tuple[int, int]]) -> list[int]:
         """Sorted union of candidate tile indices for the moved fragments."""
-        out: set[int] = set()
+        rows = [self._rows[key] for key in moved if key in self._rows]
+        return np.flatnonzero(self._overlap[rows].any(axis=0)).tolist()
+
+
+def _box(box: tuple[int, int, int, int], image_size: int) -> tuple[slice, slice]:
+    """Pixel slices of a ``(row0, col0, row1, col1)`` box clipped to the image."""
+    row0, col0, row1, col1 = box
+    return slice(max(row0, 0), min(row1, image_size)), slice(max(col0, 0), min(col1, image_size))
+
+
+def _strip(
+    shape: FragmentedShape, fragment: EdgeFragment, image_size: int
+) -> tuple[bool, tuple[slice, slice]] | None:
+    """``(grow, pixel slices)`` of the strip a fragment's rounded offset paints.
+
+    ``None`` when it paints nothing (zero offset, or a span outside the
+    image).  A positive offset grows the shape outward from the drawn edge,
+    a negative one trims it inward.
+    """
+    offset = int(round(fragment.offset))
+    lo, hi = fragment.span
+    lo, hi = max(lo, 0), min(hi, image_size)
+    if offset == 0 or hi <= lo:
+        return None
+    grow = offset > 0
+    magnitude = abs(offset)
+    row0, col0, row1, col1 = shape.rect_pixels
+    if fragment.side == LEFT:
+        a, b = (col0 - magnitude, col0) if grow else (col0, col0 + magnitude)
+    elif fragment.side == RIGHT:
+        a, b = (col1, col1 + magnitude) if grow else (col1 - magnitude, col1)
+    elif fragment.side == BOTTOM:
+        a, b = (row0 - magnitude, row0) if grow else (row0, row0 + magnitude)
+    else:
+        a, b = (row1, row1 + magnitude) if grow else (row1 - magnitude, row1)
+    across = slice(max(a, 0), min(b, image_size))
+    if fragment.side in (LEFT, RIGHT):
+        return grow, (slice(lo, hi), across)
+    return grow, (across, slice(lo, hi))
+
+
+class MaskPainter:
+    """Incremental :func:`build_mask` for one OPC correction.
+
+    Holds the drawn rectangles and the ``extra_rects`` (SRAF) boxes as
+    bitmaps, an ``int16`` count of the grow and of the trim strips covering
+    each pixel, and the strip each fragment last painted.  :meth:`repaint`
+    subtracts a moved fragment's old strip and adds its new one, so a move
+    step costs what the moved fragments paint, not the layout.  Because each
+    :func:`build_mask` pass paints a single value (grows 1, then trims 0,
+    then extra rects 1), the mask is ``((drawn | grow > 0) & (trim == 0)) |
+    extra`` — the same pixels, bit for bit.
+    """
+
+    def __init__(
+        self,
+        shapes: list[FragmentedShape],
+        image_size: int,
+        extra_rects: list[tuple[int, int, int, int]] | None = None,
+    ) -> None:
+        self.shapes = shapes
+        self.image_size = image_size
+        self._drawn = np.zeros((image_size, image_size), dtype=bool)
+        for shape in shapes:
+            self._drawn[_box(shape.rect_pixels, image_size)] = True
+        self._extra = np.zeros((image_size, image_size), dtype=bool)
+        for box in extra_rects or ():
+            self._extra[_box(box, image_size)] = True
+        self._grow = np.zeros((image_size, image_size), dtype=np.int16)
+        self._trim = np.zeros((image_size, image_size), dtype=np.int16)
+        self._strips: dict[tuple[int, int], tuple[np.ndarray, tuple[slice, slice]]] = {}
+        self.repaint(
+            (si, fi) for si, shape in enumerate(shapes) for fi in range(len(shape.fragments))
+        )
+
+    def repaint(self, moved: Iterable[tuple[int, int]]) -> None:
+        """Repaint the ``(shape, fragment)`` ids whose rounded offset changed."""
         for key in moved:
-            out.update(self._tiles.get(key, ()))
-        return sorted(out)
+            old = self._strips.pop(key, None)
+            if old is not None:
+                counts, region = old
+                counts[region] -= 1
+            shape = self.shapes[key[0]]
+            strip = _strip(shape, shape.fragments[key[1]], self.image_size)
+            if strip is not None:
+                grow, region = strip
+                counts = self._grow if grow else self._trim
+                counts[region] += 1
+                self._strips[key] = (counts, region)
+
+    def mask(self) -> np.ndarray:
+        """The current mask image (a fresh ``float64`` array)."""
+        painted = self._grow > 0
+        painted |= self._drawn
+        painted &= self._trim == 0
+        painted |= self._extra
+        return painted.astype(np.float64)
 
 
 def build_mask(
     shapes: list[FragmentedShape],
     image_size: int,
     extra_rects: list[tuple[int, int, int, int]] | None = None,
+    *,
+    painter: MaskPainter | None = None,
+    moved: Iterable[tuple[int, int]] = (),
 ) -> np.ndarray:
     """Rasterize fragmented shapes (with their current offsets) into a mask image.
 
     The drawn rectangle is filled first; each fragment then grows (positive
-    offset) or trims (negative offset) a strip along its edge span.
-    ``extra_rects`` (row0, col0, row1, col1) are painted afterwards — used for
-    SRAF bars, which are not OPC-corrected.
+    offset) or trims (negative offset) a strip along its edge span — all
+    grows first, then all trims.  ``extra_rects`` (row0, col0, row1, col1)
+    are painted afterwards — used for SRAF bars, which are not OPC-corrected.
+
+    With ``painter`` (a :class:`MaskPainter` built from these shapes, image
+    size and extra rects), only the ``moved`` fragments are repainted and the
+    mask comes from the painter: the same pixels at a cost proportional to
+    the moved fragments.
     """
+    if painter is not None:
+        if painter.shapes is not shapes or painter.image_size != image_size:
+            raise ValueError("build_mask: the painter was built for other shapes or image size")
+        painter.repaint(moved)
+        return painter.mask()
     mask = np.zeros((image_size, image_size), dtype=np.float64)
     for shape in shapes:
-        row0, col0, row1, col1 = shape.rect_pixels
-        mask[max(row0, 0) : min(row1, image_size), max(col0, 0) : min(col1, image_size)] = 1.0
-
-    # Apply fragment growth, then trims (trims win where they overlap growth of
-    # the same shape, matching how OPC biases are resolved on manufacturing grids).
+        mask[_box(shape.rect_pixels, image_size)] = 1.0
+    strips = [
+        strip
+        for shape in shapes
+        for fragment in shape.fragments
+        if (strip := _strip(shape, fragment, image_size)) is not None
+    ]
+    # Trims win where they overlap growth, matching how OPC biases are
+    # resolved on manufacturing grids.
     for grow in (True, False):
-        for shape in shapes:
-            row0, col0, row1, col1 = shape.rect_pixels
-            for fragment in shape.fragments:
-                offset = int(round(fragment.offset))
-                if offset == 0 or (offset > 0) != grow:
-                    continue
-                lo, hi = fragment.span
-                lo, hi = max(lo, 0), min(hi, image_size)
-                if hi <= lo:
-                    continue
-                value = 1.0 if grow else 0.0
-                magnitude = abs(offset)
-                if fragment.side == LEFT:
-                    a = col0 - magnitude if grow else col0
-                    b = col0 if grow else col0 + magnitude
-                    mask[lo:hi, max(a, 0) : min(b, image_size)] = value
-                elif fragment.side == RIGHT:
-                    a = col1 if grow else col1 - magnitude
-                    b = col1 + magnitude if grow else col1
-                    mask[lo:hi, max(a, 0) : min(b, image_size)] = value
-                elif fragment.side == BOTTOM:
-                    a = row0 - magnitude if grow else row0
-                    b = row0 if grow else row0 + magnitude
-                    mask[max(a, 0) : min(b, image_size), lo:hi] = value
-                elif fragment.side == TOP:
-                    a = row1 if grow else row1 - magnitude
-                    b = row1 + magnitude if grow else row1
-                    mask[max(a, 0) : min(b, image_size), lo:hi] = value
-
-    if extra_rects:
-        for row0, col0, row1, col1 in extra_rects:
-            mask[max(row0, 0) : min(row1, image_size), max(col0, 0) : min(col1, image_size)] = 1.0
+        for strip_grows, region in strips:
+            if strip_grows == grow:
+                mask[region] = 1.0 if grow else 0.0
+    for box in extra_rects or ():
+        mask[_box(box, image_size)] = 1.0
     return mask

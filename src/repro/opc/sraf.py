@@ -29,12 +29,13 @@ def insert_srafs(
     A bar is placed parallel to each edge of each shape at ``sraf_distance``
     from the edge, provided the bar does not come closer than
     ``min_clearance`` to any other shape and stays inside the layout bounds.
+    Candidates are considered in shape order; an earlier accepted bar blocks
+    later ones within ``min_clearance`` of it.
     """
-    srafs: list[Rect] = []
+    candidates: list[Rect] = []
     for rect in layout.shapes:
         length_x = rect.width - 2.0 * sraf_length_margin
         length_y = rect.height - 2.0 * sraf_length_margin
-        candidates = []
         if length_x > sraf_width:
             x0 = rect.x0 + sraf_length_margin
             x1 = rect.x1 - sraf_length_margin
@@ -45,17 +46,40 @@ def insert_srafs(
             y1 = rect.y1 - sraf_length_margin
             candidates.append(Rect(rect.x0 - sraf_distance - sraf_width, y0, rect.x0 - sraf_distance, y1))
             candidates.append(Rect(rect.x1 + sraf_distance, y0, rect.x1 + sraf_distance + sraf_width, y1))
+    if not candidates:
+        return []
 
-        for candidate in candidates:
-            if not layout.bounds.contains_rect(candidate):
-                continue
-            grown = candidate.expanded(min_clearance)
-            if any(grown.intersects(other) for other in layout.shapes):
-                continue
-            if any(grown.intersects(existing) for existing in srafs):
-                continue
-            srafs.append(candidate)
+    boxes = np.array([(c.x0, c.y0, c.x1, c.y1) for c in candidates])
+    shapes = np.array([(r.x0, r.y0, r.x1, r.y1) for r in layout.shapes]).reshape(-1, 4)
+    bounds = layout.bounds
+    grown = boxes + np.array([-min_clearance, -min_clearance, min_clearance, min_clearance])
+    eligible = (
+        (bounds.x0 <= boxes[:, 0])
+        & (bounds.y0 <= boxes[:, 1])
+        & (boxes[:, 2] <= bounds.x1)
+        & (boxes[:, 3] <= bounds.y1)
+        & ~_intersects(grown, shapes).any(axis=1)
+    )
+    # blocks[i, j]: candidate i's clearance box meets candidate j's bar.
+    blocks = _intersects(grown, boxes)
+    srafs: list[Rect] = []
+    accepted: list[int] = []
+    for i in np.flatnonzero(eligible).tolist():
+        if not blocks[i, accepted].any():
+            accepted.append(i)
+            srafs.append(candidates[i])
     return srafs
+
+
+def _intersects(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``[i, j]``: box ``a[i]`` meets box ``b[j]`` (``Rect.intersects``, boxes as x0, y0, x1, y1)."""
+    a, b = a[:, None, :], b[None, :, :]
+    return ~(
+        (a[..., 2] <= b[..., 0])
+        | (b[..., 2] <= a[..., 0])
+        | (a[..., 3] <= b[..., 1])
+        | (b[..., 3] <= a[..., 1])
+    )
 
 
 def sraf_rects_pixels(srafs: list[Rect], pixel_size: float) -> list[tuple[int, int, int, int]]:

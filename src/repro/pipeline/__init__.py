@@ -69,9 +69,10 @@ to the serial path (pinned by ``tests/pipeline/``).  The full environment
 catalogue (defaults, precedence) lives in ``docs/configuration.md``.
 
 On top of these, ``incremental_state`` / ``predict_patched`` expose the
-incremental re-simulation plan: per-tile content hashes find the windows a
-mask edit touched and only those are re-simulated, their ownership regions
-spliced into a cached full-image map (:mod:`repro.pipeline.cache`).
+incremental re-simulation plan: comparing each window with the last simulated
+mask finds the windows a mask edit touched and only those are re-simulated,
+their ownership regions spliced into a cached full-image map
+(:mod:`repro.pipeline.cache`).
 """
 
 from .cache import (

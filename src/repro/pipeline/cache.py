@@ -1,4 +1,4 @@
-"""Content-hash caches for exact-repeat reuse and incremental re-simulation.
+"""Caches for exact-repeat reuse and incremental re-simulation.
 
 Two caching layers make OPC iteration cost proportional to the *perturbed*
 area instead of the mask area:
@@ -17,11 +17,12 @@ area instead of the mask area:
 * :class:`IncrementalState` — the dirty-tile ledger of the patched
   re-simulation plan (:meth:`~repro.pipeline.InferencePipeline.predict_patched`).
   The mask is viewed through the half-overlapping :class:`~repro.layout.tiling.TileSpec`
-  grid of paper §3.2; per-tile content hashes identify which tile windows
-  changed since the previous call, only those windows are re-simulated, and
-  their *ownership regions* (the disjoint partition of the image induced by
-  the scan-order core stitch of :func:`~repro.layout.tiling.stitch_cores`)
-  are written back into a cached full-image map.
+  grid of paper §3.2; comparing each candidate window's pixels with a copy
+  of the last simulated mask identifies which tile windows changed since the
+  previous call, only those windows are re-simulated, and their *ownership
+  regions* (the disjoint partition of the image induced by the scan-order
+  core stitch of :func:`~repro.layout.tiling.stitch_cores`) are written back
+  into a cached full-image map.
 
 Exactness of the patched plan
 -----------------------------
@@ -269,7 +270,9 @@ class IncrementalState:
     threaded through successive :meth:`~repro.pipeline.InferencePipeline.predict_patched`
     calls.  ``mode`` is ``"aerial"`` (simulator engines: the cached map is the
     full-image aerial intensity) or ``"gp"`` (stitchable models: the cached
-    map is the stitched pooled global-perception features).
+    map is the stitched pooled global-perception features).  ``last_mask``
+    is a copy of the last simulated mask; dirty windows are found by exact
+    comparison of their pixels with it.
     """
 
     mode: str
@@ -279,11 +282,10 @@ class IncrementalState:
     margin: int                           # core margin at the cached-map resolution
     pool: int = 1                         # map resolution divisor (1 for aerial)
     support: int = 1                      # kernel support (aerial cost model)
-    hashes: list[bytes] | None = None
+    last_mask: np.ndarray | None = field(default=None, repr=False)
     cached_map: np.ndarray | None = None
     counters: IncrementalCounters = field(default_factory=IncrementalCounters)
     last_stats: object | None = None      # PipelineStats of the latest patched call
-    _pending: dict[int, bytes] = field(default_factory=dict, repr=False)
 
     @property
     def n_tiles(self) -> int:
@@ -300,30 +302,29 @@ class IncrementalState:
         h, w = self.shape
         return ownership_slices(self.pooled_specs(), (h // self.pool, w // self.pool), self.margin)
 
-    def window_hashes(self, mask: np.ndarray, indices: list[int]) -> list[bytes]:
-        """Content hashes of the given tile windows of ``mask``."""
-        t = self.tile_size
-        return [
-            hash_array(mask[s.y0 : s.y0 + t, s.x0 : s.x0 + t])
-            for s in (self.specs[i] for i in indices)
-        ]
+    def window(self, index: int) -> tuple[slice, slice]:
+        """Pixel slices of tile window ``index`` in the full mask."""
+        spec, t = self.specs[index], self.tile_size
+        return slice(spec.y0, spec.y0 + t), slice(spec.x0, spec.x0 + t)
 
     def dirty_windows(self, mask: np.ndarray, candidates: list[int] | None) -> list[int]:
         """Tile indices whose window content changed since the last call.
 
         ``candidates`` (from the fragment->tile index) bounds the windows that
-        need re-hashing; windows outside it are trusted to be unchanged.
-        ``None`` checks every window; with no recorded hashes yet, every
-        window is dirty.  The fresh hashes are kept for :meth:`record`, so
-        each window is hashed at most once per call.
+        need comparing; windows outside it are trusted to be unchanged.
+        ``None`` checks every window; with no recorded mask yet, every window
+        is dirty.
         """
-        self._pending = {}
-        if self.hashes is None:
+        last = self.last_mask
+        if last is None:
             return list(range(self.n_tiles))
-        indices = sorted(set(candidates)) if candidates is not None else list(range(self.n_tiles))
-        fresh = self.window_hashes(mask, indices)
-        self._pending = dict(zip(indices, fresh))
-        return [i for i, digest in zip(indices, fresh) if digest != self.hashes[i]]
+        indices = sorted(set(candidates)) if candidates is not None else range(self.n_tiles)
+        dirty = []
+        for i in indices:
+            window = self.window(i)
+            if not np.array_equal(mask[window], last[window]):
+                dirty.append(i)
+        return dirty
 
     def prefer_native(self, dirty_count: int) -> bool:
         """Hybrid cost model: is a native whole-image refresh cheaper?
@@ -339,18 +340,18 @@ class IncrementalState:
         window = _fft_cost(self.tile_size, self.support)
         return dirty_count * window >= native
 
-    def record(self, mask: np.ndarray, dirty: list[int] | None = None) -> None:
-        """Update the per-tile hash ledger after simulating ``mask``.
+    def record(self, mask: np.ndarray, dirty: list[int]) -> None:
+        """Remember the pixels of the windows simulated for ``mask``.
 
-        Reuses the hashes :meth:`dirty_windows` already computed this call
-        (``_pending``); windows that were never candidates kept their content,
-        so their stored hashes are still valid.  Only the very first call —
-        no ledger yet — hashes every window.
+        The very first call copies the whole mask; later calls copy only the
+        ``dirty`` windows' pixels.  With sound candidates every changed pixel
+        lies in a dirty window, so ``last_mask`` equals ``mask`` afterwards;
+        otherwise a trusted window keeps its old pixels except where it
+        overlaps a dirty one.
         """
-        if self.hashes is None:
-            self.hashes = self.window_hashes(mask, list(range(self.n_tiles)))
-        else:
-            updates = self._pending if dirty is None else {i: self._pending[i] for i in dirty}
-            for i, digest in updates.items():
-                self.hashes[i] = digest
-        self._pending = {}
+        if self.last_mask is None:
+            self.last_mask = np.array(mask, dtype=np.float64, copy=True)
+            return
+        for i in dirty:
+            window = self.window(i)
+            self.last_mask[window] = mask[window]

@@ -465,13 +465,13 @@ class InferencePipeline:
     ) -> np.ndarray:
         """Prediction of one 2-D mask, re-simulating only its dirty windows.
 
-        ``state`` (from :meth:`incremental_state`) carries the per-window
-        content hashes and the cached full-image map of the previous call.
-        Windows whose content is unchanged are skipped; dirty windows run
-        through the same ``num_workers x batch_size`` super-batch path as the
-        stitched plan and their ownership regions are written back into the
-        cached map.  ``candidates`` optionally bounds which windows need
-        re-hashing (e.g. from the OPC fragment->tile index); windows outside
+        ``state`` (from :meth:`incremental_state`) carries a copy of the
+        previously simulated mask and the cached full-image map of the
+        previous call.  Windows whose pixels are unchanged are skipped; dirty
+        windows run through the same ``num_workers x batch_size`` super-batch
+        path as the stitched plan and their ownership regions are written
+        back into the cached map.  ``candidates`` optionally bounds which windows need
+        comparing (e.g. from the OPC fragment->tile index); windows outside
         it are *trusted* to be unchanged.  A hybrid cost model falls back to
         one native whole-image refresh whenever patching would be slower
         (first call, or a dirty set past the FFT-cost breakeven), so the
@@ -500,7 +500,7 @@ class InferencePipeline:
             elif state.cached_map is None or state.prefer_native(len(dirty)):
                 self._refresh_full(mask, state, stats)
                 counters.full_refreshes += 1
-                state.record(mask)
+                state.record(mask, dirty)
             else:
                 self._patch_windows(mask, state, dirty, stats)
                 counters.patched_calls += 1
@@ -535,10 +535,7 @@ class InferencePipeline:
         self, mask: np.ndarray, state: IncrementalState, dirty: list[int], stats: PipelineStats
     ) -> None:
         """Re-simulate the dirty windows and splice their ownership regions."""
-        t = state.tile_size
-        windows = np.stack(
-            [mask[s.y0 : s.y0 + t, s.x0 : s.x0 + t] for s in (state.specs[i] for i in dirty)]
-        )
+        windows = np.stack([mask[state.window(i)] for i in dirty])
         method = "run_aerial" if state.mode == "aerial" else "run_gp"
         outputs = self._run_gp_batches(windows, self.batch_size, stats, method=method)
         ownership = state.ownership()

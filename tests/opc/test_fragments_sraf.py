@@ -5,8 +5,21 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.layout import Layout, Rect
-from repro.opc import build_mask, fragment_layout, insert_srafs, sraf_rects_pixels
+from repro.layout import (
+    ICCAD2013_RULES,
+    ISPD2019_RULES,
+    Layout,
+    Rect,
+    generate_metal_layout,
+    generate_via_layout,
+)
+from repro.opc import (
+    MaskPainter,
+    build_mask,
+    fragment_layout,
+    insert_srafs,
+    sraf_rects_pixels,
+)
 from repro.opc.fragments import _fragment_spans
 
 
@@ -90,6 +103,73 @@ def test_build_mask_adds_extra_rects():
     assert mask[:4, :4].sum() == 16
 
 
+def crowded_layout():
+    """Shapes a few pixels apart (grows and trims overlap across shapes) and
+    shapes on the image border (strips clipped at the edge), 8 nm pixels."""
+    layout = Layout(bounds=Rect(0, 0, 512, 512))
+    for rect in (
+        Rect(0, 40, 96, 120),       # left border
+        Rect(120, 40, 200, 300),    # 3 px from the first
+        Rect(216, 64, 400, 120),    # 2 px from the second
+        Rect(216, 136, 296, 280),
+        Rect(440, 0, 512, 96),      # bottom-right corner
+        Rect(300, 440, 512, 512),   # top-right corner
+        Rect(40, 400, 104, 512),    # top border
+    ):
+        layout.add(rect)
+    return layout
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_mask_painter_matches_build_mask_over_random_moves(seed):
+    rng = np.random.default_rng(seed)
+    shapes = fragment_layout(crowded_layout(), pixel_size=8.0, max_fragment_length=8)
+    image_size = 64
+    # SRAF-like boxes, some over shapes, one past the border.
+    extra = [(30, 2, 33, 20), (0, 26, 12, 28), (50, 60, 70, 62)]
+    painter = MaskPainter(shapes, image_size, extra)
+    keys = [(si, fi) for si, shape in enumerate(shapes) for fi in range(len(shape.fragments))]
+    assert np.array_equal(
+        build_mask(shapes, image_size, extra, painter=painter), build_mask(shapes, image_size, extra)
+    )
+    for step in range(40):
+        picks = rng.choice(len(keys), size=int(rng.integers(1, 12)), replace=False)
+        moved = []
+        for k in picks.tolist():
+            si, fi = keys[k]
+            fragment = shapes[si].fragments[fi]
+            before = int(round(fragment.offset))
+            # Every fifth step sends the picked fragments back to zero.
+            fragment.offset = 0.0 if step % 5 == 4 else float(rng.uniform(-12.0, 12.0))
+            if int(round(fragment.offset)) != before:
+                moved.append(keys[k])
+        painted = build_mask(shapes, image_size, extra, painter=painter, moved=moved)
+        assert np.array_equal(painted, build_mask(shapes, image_size, extra))
+        assert painted.dtype == np.float64
+    for shape in shapes:
+        for fragment in shape.fragments:
+            fragment.offset = 0.0
+    painted = build_mask(shapes, image_size, extra, painter=painter, moved=keys)
+    assert np.array_equal(painted, build_mask(shapes, image_size, extra))
+
+
+def test_mask_painter_returns_fresh_arrays():
+    shapes = fragment_layout(simple_layout(), pixel_size=8.0)
+    painter = MaskPainter(shapes, 64)
+    first = build_mask(shapes, 64, painter=painter)
+    first[:] = 0.0
+    assert np.array_equal(build_mask(shapes, 64, painter=painter), build_mask(shapes, 64))
+
+
+def test_build_mask_rejects_a_painter_of_other_shapes():
+    shapes = fragment_layout(simple_layout(), pixel_size=8.0)
+    painter = MaskPainter(shapes, 64)
+    with pytest.raises(ValueError):
+        build_mask(fragment_layout(simple_layout(), pixel_size=8.0), 64, painter=painter)
+    with pytest.raises(ValueError):
+        build_mask(shapes, 32, painter=painter)
+
+
 def test_outward_normals_point_away_from_interior():
     shapes = fragment_layout(simple_layout(), pixel_size=4.0)
     row0, col0, row1, col1 = shapes[0].rect_pixels
@@ -143,3 +223,52 @@ def test_sraf_rects_pixels_rounding():
     # Degenerate-thin SRAFs still occupy at least one pixel row/column.
     thin = sraf_rects_pixels([Rect(10, 10, 12, 50)], pixel_size=8.0)
     assert thin[0][3] - thin[0][1] >= 1
+
+
+def pairwise_srafs(layout, sraf_width=24.0, sraf_distance=90.0, sraf_length_margin=10.0, min_clearance=40.0):
+    """Reference: the candidate-by-candidate ``Rect.intersects`` scan."""
+    srafs = []
+    for rect in layout.shapes:
+        length_x = rect.width - 2.0 * sraf_length_margin
+        length_y = rect.height - 2.0 * sraf_length_margin
+        candidates = []
+        if length_x > sraf_width:
+            x0 = rect.x0 + sraf_length_margin
+            x1 = rect.x1 - sraf_length_margin
+            candidates.append(Rect(x0, rect.y0 - sraf_distance - sraf_width, x1, rect.y0 - sraf_distance))
+            candidates.append(Rect(x0, rect.y1 + sraf_distance, x1, rect.y1 + sraf_distance + sraf_width))
+        if length_y > sraf_width:
+            y0 = rect.y0 + sraf_length_margin
+            y1 = rect.y1 - sraf_length_margin
+            candidates.append(Rect(rect.x0 - sraf_distance - sraf_width, y0, rect.x0 - sraf_distance, y1))
+            candidates.append(Rect(rect.x1 + sraf_distance, y0, rect.x1 + sraf_distance + sraf_width, y1))
+        for candidate in candidates:
+            if not layout.bounds.contains_rect(candidate):
+                continue
+            grown = candidate.expanded(min_clearance)
+            if any(grown.intersects(other) for other in layout.shapes):
+                continue
+            if any(grown.intersects(existing) for existing in srafs):
+                continue
+            srafs.append(candidate)
+    return srafs
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize(
+    "params",
+    [{}, {"min_clearance": 10.0}, {"sraf_distance": 40.0, "min_clearance": 5.0, "sraf_width": 16.0}],
+)
+def test_insert_srafs_matches_pairwise_scan(seed, params):
+    rng = np.random.default_rng(seed)
+    layouts = [
+        generate_via_layout(ISPD2019_RULES, rng, tile_size=2048.0, density_scale=1.5),
+        generate_metal_layout(ICCAD2013_RULES, rng, tile_size=1024.0),
+        crowded_layout(),
+    ]
+    for layout in layouts:
+        assert insert_srafs(layout, **params) == pairwise_srafs(layout, **params)
+
+
+def test_insert_srafs_of_an_empty_layout():
+    assert insert_srafs(Layout(bounds=Rect(0, 0, 512, 512))) == []

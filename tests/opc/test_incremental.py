@@ -181,6 +181,57 @@ def test_tile_index_candidates_cover_changed_pixels():
     assert np.all(covered[diff])
 
 
+def footprint_scan(shapes, specs, image_size, max_offset):
+    """Reference: every fragment's clipped footprint against every window."""
+    tiles = {}
+    for si, shape in enumerate(shapes):
+        for fi, fragment in enumerate(shape.fragments):
+            row0, col0, row1, col1 = fragment_footprint(fragment, max_offset)
+            row0, col0 = max(row0, 0), max(col0, 0)
+            row1, col1 = min(row1, image_size), min(col1, image_size)
+            tiles[(si, fi)] = tuple(
+                ti
+                for ti, s in enumerate(specs)
+                if row0 < s.y0 + s.size and row1 > s.y0 and col0 < s.x0 + s.size and col1 > s.x0
+            )
+    return tiles
+
+
+def aligned_layout(size_nm: float = 1024.0) -> Layout:
+    """Rects on a 32 px grid (fragment spans end exactly on window edges) and
+    one shifted a pixel off it (spans end one pixel past a window edge)."""
+    layout = Layout(bounds=Rect(0, 0, size_nm, size_nm))
+    for x0, y0, x1, y1 in (
+        (256, 256, 768, 512),
+        (0, 768, 256, 1024),
+        (768, 0, 1024, 256),
+        (264, 264, 776, 776),
+    ):
+        layout.add(Rect(x0, y0, x1, y1))
+    return layout
+
+
+@pytest.mark.parametrize(
+    "seed,size_nm,tile", [(3, 1024.0, 64), (8, 2048.0, 64), (5, 1024.0, 32), (None, 1024.0, 64)]
+)
+def test_tile_index_matches_footprint_scan(seed, size_nm, tile):
+    layout = aligned_layout(size_nm) if seed is None else via_layout(seed, size_nm)
+    shapes = fragment_layout(layout, pixel_size=8.0)
+    image_size = int(size_nm / 8.0)
+    specs = tile_grid((image_size, image_size), tile)
+    index = FragmentTileIndex(shapes, specs, image_size, max_offset=12.0)
+    reference = footprint_scan(shapes, specs, image_size, 12.0)
+    for key, tiles in reference.items():
+        assert tuple(index.tiles_for([key])) == tiles
+    keys = list(reference)
+    rng = np.random.default_rng(seed)
+    for _ in range(5):
+        picks = rng.choice(len(keys), size=min(7, len(keys)), replace=False)
+        moved = [keys[k] for k in picks.tolist()]
+        union = sorted({ti for key in moved for ti in reference[key]})
+        assert index.tiles_for(moved) == union
+
+
 def test_tile_index_empty_move_set():
     layout = via_layout(3)
     shapes = fragment_layout(layout, pixel_size=8.0)

@@ -265,10 +265,9 @@ def test_patched_simulator_trusts_candidate_windows(simulator):
     mask = mask.copy()
     mask[8:12, 8:12] = 1.0 - mask[8:12, 8:12]
     dirty = state.dirty_windows(mask, None)
-    state._pending = {}
     out = pipeline.predict_patched(mask, state, candidates=dirty)
     assert np.array_equal(out, pipeline.predict(mask))
-    # Only the candidate windows were re-hashed and re-simulated.
+    # Only the candidate windows were compared and re-simulated.
     assert state.last_stats.dirty_tiles == len(dirty)
 
 
@@ -285,6 +284,45 @@ def test_patched_simulator_single_window_fallback(simulator):
     out = pipeline.predict_patched(mask, state)
     assert np.array_equal(out, pipeline.predict(mask))
     assert state.counters.full_refreshes == 2
+
+
+def test_dirty_windows_trust_windows_outside_the_candidates(simulator):
+    pipeline = InferencePipeline(simulator, ExecutionConfig(batch_size=4))
+    state = pipeline.incremental_state((128, 128))
+    mask = _random_mask(128)
+    before = pipeline.predict_patched(mask, state)
+    # The state keeps its own copy: editing the caller's array is a change.
+    # Each edit lies in one window only (first and last of the 3 x 3 grid).
+    mask[8:12, 8:12] = 1.0 - mask[8:12, 8:12]
+    mask[100:104, 100:104] = 1.0 - mask[100:104, 100:104]
+    touched = [0, state.n_tiles - 1]
+    assert state.dirty_windows(mask, None) == touched
+    others = [i for i in range(state.n_tiles) if i not in touched]
+    assert state.dirty_windows(mask, others) == []
+    assert state.dirty_windows(mask, touched[:1] + others) == touched[:1]
+
+    # A call whose candidates miss the edit trusts the old pixels: a clean call.
+    assert np.array_equal(pipeline.predict_patched(mask, state, candidates=others), before)
+    assert state.counters.clean_calls == 1
+    # Patching one window records only that window's pixels.
+    pipeline.predict_patched(mask, state, candidates=touched[:1])
+    assert state.last_stats.dirty_tiles == 1
+    assert state.dirty_windows(mask, None) == touched[1:]
+    out = pipeline.predict_patched(mask, state)
+    assert np.array_equal(out, pipeline.predict(mask))
+    assert state.dirty_windows(mask, None) == []
+
+
+def test_dirty_windows_single_window(simulator):
+    pipeline = InferencePipeline(simulator, ExecutionConfig(batch_size=4))
+    state = pipeline.incremental_state((96, 96))
+    mask = _random_mask(96)
+    assert state.dirty_windows(mask, None) == [0]
+    pipeline.predict_patched(mask, state)
+    assert state.dirty_windows(mask.copy(), None) == []
+    mask[40, 40] = 1.0 - mask[40, 40]
+    assert state.dirty_windows(mask, None) == [0]
+    assert state.dirty_windows(mask, []) == []
 
 
 def test_patched_rejects_wrong_shape(simulator):
@@ -322,6 +360,28 @@ def test_patched_gp_matches_stitched_bit_for_bit(tiny_model_factory):
         mask = mask.copy()
         mask[2 * step, 3 * step] = 1.0 - mask[2 * step, 3 * step]
     assert state.counters.patched_calls >= 1
+
+
+def test_patched_gp_dirty_windows_are_the_windows_of_the_edit(tiny_model_factory):
+    model = tiny_model_factory("doinn")
+    pipeline = InferencePipeline(
+        model, ExecutionConfig(tile_size=32, batch_size=8, optical_diameter_pixels=8)
+    )
+    state = pipeline.incremental_state((64, 64))
+    mask = _random_mask(64)
+    pipeline.predict_patched(mask, state)
+    for row, col in ((3, 5), (20, 40), (60, 60)):
+        mask = mask.copy()
+        mask[row, col] = 1.0 - mask[row, col]
+        windows = [
+            i
+            for i, s in enumerate(state.specs)
+            if s.y0 <= row < s.y0 + s.size and s.x0 <= col < s.x0 + s.size
+        ]
+        assert state.dirty_windows(mask, None) == windows
+        out = pipeline.predict_patched(mask, state)
+        assert state.last_stats.dirty_tiles == len(windows)
+        assert np.array_equal(out, pipeline.predict(mask, stitch=True))
 
 
 def test_patched_unsupported_engine_raises(tiny_model_factory):
