@@ -167,16 +167,19 @@ bench_smoke large_tile_pool
 bench_smoke opc_loop
 
 # The traced run wraps each layer's entry points by name
-# (perfbench/tracing.py); a renamed or removed entry point fails it with a
-# KeyError.  It must also be correct with 0 failed calls and have timed the
-# per-iteration mask building (opc.build_mask.ms > 0).
+# (perfbench/tracing.py); a renamed or removed entry point fails it at
+# install (AttributeError or KeyError).  It must also be correct with 0
+# failed calls and have timed the per-iteration mask building
+# (opc.build_mask.ms > 0).
 echo "== traced benchmark smoke (opc_loop --trace 1: correct, 0 failed, opc.build_mask timed) =="
-traced_json=$(python3 perfbench/run.py --workload opc_loop --seed 1 --seconds 3 --trace 1 | tail -n 1)
+traced_json=$(python3 perfbench/run.py --workload opc_loop --seed 1 --seconds 3 --trace 1 \
+    | tail -n 1)
 python3 -c '
 import json, sys
 result = json.loads(sys.argv[1])
 build_mask_ms = result.get("metrics", {}).get("opc.build_mask.ms", {}).get("value", 0.0)
-print("correct:", result.get("correct"), "failed:", result.get("failed"), "opc.build_mask.ms:", build_mask_ms)
+print("correct:", result.get("correct"), "failed:", result.get("failed"))
+print("opc.build_mask.ms:", build_mask_ms)
 ok = result.get("correct") is True and result.get("failed") == 0 and build_mask_ms > 0.0
 sys.exit(0 if ok else 1)
 ' "${traced_json}" || { echo "traced opc_loop benchmark smoke failed" >&2; exit 1; }

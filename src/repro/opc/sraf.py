@@ -72,7 +72,10 @@ def insert_srafs(
 
 
 def _intersects(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``[i, j]``: box ``a[i]`` meets box ``b[j]`` (``Rect.intersects``, boxes as x0, y0, x1, y1)."""
+    """``[i, j]``: box ``a[i]`` meets box ``b[j]``, as ``Rect.intersects``.
+
+    Boxes are rows of ``(x0, y0, x1, y1)``.
+    """
     a, b = a[:, None, :], b[None, :, :]
     return ~(
         (a[..., 2] <= b[..., 0])

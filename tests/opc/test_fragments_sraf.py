@@ -129,9 +129,8 @@ def test_mask_painter_matches_build_mask_over_random_moves(seed):
     extra = [(30, 2, 33, 20), (0, 26, 12, 28), (50, 60, 70, 62)]
     painter = MaskPainter(shapes, image_size, extra)
     keys = [(si, fi) for si, shape in enumerate(shapes) for fi in range(len(shape.fragments))]
-    assert np.array_equal(
-        build_mask(shapes, image_size, extra, painter=painter), build_mask(shapes, image_size, extra)
-    )
+    painted = build_mask(shapes, image_size, extra, painter=painter)
+    assert np.array_equal(painted, build_mask(shapes, image_size, extra))
     for step in range(40):
         picks = rng.choice(len(keys), size=int(rng.integers(1, 12)), replace=False)
         moved = []
@@ -225,7 +224,9 @@ def test_sraf_rects_pixels_rounding():
     assert thin[0][3] - thin[0][1] >= 1
 
 
-def pairwise_srafs(layout, sraf_width=24.0, sraf_distance=90.0, sraf_length_margin=10.0, min_clearance=40.0):
+def pairwise_srafs(
+    layout, sraf_width=24.0, sraf_distance=90.0, sraf_length_margin=10.0, min_clearance=40.0
+):
     """Reference: the candidate-by-candidate ``Rect.intersects`` scan."""
     srafs = []
     for rect in layout.shapes:
@@ -257,7 +258,11 @@ def pairwise_srafs(layout, sraf_width=24.0, sraf_distance=90.0, sraf_length_marg
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize(
     "params",
-    [{}, {"min_clearance": 10.0}, {"sraf_distance": 40.0, "min_clearance": 5.0, "sraf_width": 16.0}],
+    [
+        {},
+        {"min_clearance": 10.0},
+        {"sraf_distance": 40.0, "min_clearance": 5.0, "sraf_width": 16.0},
+    ],
 )
 def test_insert_srafs_matches_pairwise_scan(seed, params):
     rng = np.random.default_rng(seed)
