@@ -8,16 +8,13 @@ Table 4 row "DOINN") and with the half-overlapping large-tile scheme
 tile forwards across the whole large-tile set, and stitches the cores back.
 
 Run with:  python examples/large_tile_simulation.py [--num-workers N] [--compile]
-           [--no-shard-tiles] [--worker-timeout S] [--worker-retries N]
-           [--no-degrade]
+           [--worker-timeout S] [--worker-retries N] [--no-degrade]
 
 ``--num-workers`` shards the pipeline's tile batches across a worker pool
 (see :mod:`repro.pipeline.parallel`); predictions are bit-identical to the
 serial path, so the tables below do not change — only the wall time does.
 A pooled run streams through a persistent shared-memory ring and shards the
-tiles of each large mask across all workers by default; ``--no-shard-tiles``
-restores the batch-size-chunked GP loop (for A/B timing — outputs are
-identical).
+tiles of each large mask across all workers.
 ``--compile`` runs the trained model as a fused inference graph
 (:mod:`repro.nn.fusion`: conv->BN->LeakyReLU folded into single passes with a
 pad-once buffer cache) — numerically equivalent within 1e-12, and typically
@@ -54,11 +51,6 @@ def main() -> None:
         "--compile",
         action="store_true",
         help="compile the model into a fused inference graph (conv+BN+act fusion)",
-    )
-    parser.add_argument(
-        "--no-shard-tiles",
-        action="store_true",
-        help="disable intra-mask tile sharding on the stitched plan",
     )
     parser.add_argument(
         "--worker-timeout",
@@ -108,7 +100,6 @@ def main() -> None:
         optical_diameter_pixels=simulator.optical_diameter_pixels,
         num_workers=args.num_workers,
         compile=args.compile,
-        shard_tiles=False if args.no_shard_tiles else None,
         retry=retry,
     )
     pipeline = InferencePipeline(model, config=execution)

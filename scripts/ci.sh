@@ -11,6 +11,8 @@
 # to always-full), a traced OPC run of the benchmark (its per-layer wrappers
 # still find every entry point they time), and /dev/shm leak checks after
 # the chaos gate and at the end.
+# Benchmark modules are collected and examples imported right after the
+# static-analysis gate, so a deleted public name they use fails the build.
 # Every pytest leg runs under -W error::DeprecationWarning: the tree has no
 # deprecated path left, so any DeprecationWarning (ours or a dependency's
 # on a code path we call) fails the build.
@@ -58,6 +60,24 @@ check_shm_clean() {
 # time is spent.
 echo "== repro.analysis static-analysis gate (zero findings, zero baseline) =="
 python -m repro.analysis src benchmarks examples scripts
+
+# Import smoke: no test leg imports benchmarks/ or examples/, so a public
+# name they use could be deleted without any other leg noticing.
+# Collecting the benchmark modules imports them (and their conftest)
+# without running a benchmark; each example is imported without running
+# its main().
+echo "== import smoke (benchmarks collect, examples import) =="
+python -m pytest --collect-only -q -p no:cacheprovider -W "error::DeprecationWarning" \
+    benchmarks/bench_*.py
+python -W "error::DeprecationWarning" - <<'PY'
+import importlib.util
+import pathlib
+
+for path in sorted(pathlib.Path("examples").glob("*.py")):
+    spec = importlib.util.spec_from_file_location(f"example_{path.stem}", path)
+    spec.loader.exec_module(importlib.util.module_from_spec(spec))
+    print(f"imported {path}")
+PY
 
 # The stages partition the tier-1 suite (no test runs twice): everything
 # except the fusion, streaming/parallel, incremental/caching and supervision

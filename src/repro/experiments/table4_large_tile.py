@@ -36,9 +36,8 @@ def run_table4(
 
     ``config`` carries the execution knobs into the shared pipeline:
     ``num_workers`` shards the tile batches of both rows across a worker
-    pool (whose shared-memory ring serves both rows) and ``shard_tiles``
-    (default: on when pooled) lets the "DOINN-LT" row shard the tiles of
-    each large mask across all workers.
+    pool (whose shared-memory ring serves both rows), and the "DOINN-LT"
+    row shards the tiles of each large mask across all workers.
     ``result_cache`` memoises per-mask predictions by content hash (useful
     when the same large masks are replayed) and ``retry`` sets the pool's
     supervision policy (chunk deadline / retries / degradation) — long

@@ -270,18 +270,6 @@ register_knob(Knob(
     field="result_cache",
 ))
 register_knob(Knob(
-    name="REPRO_INCREMENTAL_OPC",
-    kind="flag",
-    default="on",
-    doc=(
-        "Incremental OPC re-simulation: dirty-tile tracking and cached aerial "
-        "patching in [`repro.opc.engine`](../src/repro/opc/engine.py). `0` "
-        "restores the full re-simulation loop."
-    ),
-    section="execution",
-    field="incremental",
-))
-register_knob(Knob(
     name="REPRO_BACKEND",
     kind="choice",
     default="`float64`",

@@ -1,7 +1,6 @@
 """Edge-based OPC engine, SRAF insertion and EPE metrics."""
 
 from .engine import (
-    INCREMENTAL_ENV,
     MaskHistory,
     OPCConfig,
     OPCEngine,
@@ -21,7 +20,6 @@ from .fragments import (
 from .sraf import insert_srafs, sraf_rects_pixels
 
 __all__ = [
-    "INCREMENTAL_ENV",
     "MaskHistory",
     "OPCConfig",
     "OPCEngine",

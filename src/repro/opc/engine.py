@@ -38,7 +38,6 @@ from ..layout.geometry import Layout
 from ..layout.rasterize import rasterize
 from ..litho.simulator import LithoSimulator
 from ..pipeline import ExecutionConfig, IncrementalCounters, InferencePipeline
-from ..pipeline.config import INCREMENTAL_ENV
 from .epe import EPEStatistics, measure_layout_epe
 from .fragments import (
     FragmentedShape,
@@ -50,7 +49,6 @@ from .fragments import (
 from .sraf import insert_srafs, sraf_rects_pixels
 
 __all__ = [
-    "INCREMENTAL_ENV",
     "MaskHistory",
     "OPCConfig",
     "OPCResult",
@@ -82,10 +80,8 @@ class OPCConfig:
     #: re-simulate only those (:meth:`InferencePipeline.predict_patched`),
     #: with a native whole-mask fallback when the dirty set is large.  The
     #: result matches the plain loop (same ``final_mask``, same
-    #: ``epe_history``).  ``None`` defers to ``execution.incremental``, then
-    #: ``REPRO_INCREMENTAL_OPC`` (then on); ``False`` restores the
-    #: always-full simulation loop.
-    incremental: bool | None = None
+    #: ``epe_history``).  ``False`` restores the always-full simulation loop.
+    incremental: bool = True
     #: Freeze a fragment once |EPE| stayed within ``freeze_tolerance`` for
     #: this many consecutive iterations: it stops being measured and never
     #: moves again, shrinking both the EPE walk and the dirty-tile set as the
@@ -96,15 +92,6 @@ class OPCConfig:
     #: |EPE| tolerance (in pixels) a fragment must hold to count as stable
     #: for ``freeze_after``.
     freeze_tolerance: float = 1.0
-
-    def execution_config(self) -> ExecutionConfig:
-        """Execution document for the simulation pipeline.
-
-        :attr:`execution` (or an empty config) with :attr:`incremental`
-        overlaid when it is set.
-        """
-        base = self.execution if self.execution is not None else ExecutionConfig()
-        return base.merged(incremental=self.incremental)
 
 
 class MaskHistory:
@@ -222,7 +209,7 @@ class OPCEngine:
     def __init__(self, simulator: LithoSimulator, config: OPCConfig | None = None) -> None:
         self.simulator = simulator
         self.config = config or OPCConfig()
-        self.pipeline = InferencePipeline(simulator, config=self.config.execution_config())
+        self.pipeline = InferencePipeline(simulator, config=self.config.execution)
 
     def close(self) -> None:
         """Release the simulation pipeline's worker pool (no-op when serial)."""
@@ -255,7 +242,7 @@ class OPCEngine:
 
         state = None
         index = None
-        if self.pipeline.config.incremental:
+        if config.incremental:
             state = self.pipeline.incremental_state((image_size, image_size))
             if state.n_tiles > 1:
                 index = FragmentTileIndex(shapes, state.specs, image_size, config.max_offset)

@@ -27,11 +27,10 @@ benchmarks):
     environment variable parallelizes a whole fleet without touching call
     sites; an explicit field always wins.  Batches travel to the workers
     through a persistent, generation-tagged shared-memory ring
-    (:mod:`repro.pipeline.streaming`) reused across pipeline calls.
-``shard_tiles``
-    Let the stitched large-tile plan dispatch the whole GP tile stream as one
-    pooled invocation, so the tiles of a *single* large mask shard across all
-    workers.  Default: on whenever the pipeline is pooled.
+    (:mod:`repro.pipeline.streaming`) reused across pipeline calls.  A
+    pooled stitched large-tile plan hands the pool ``num_workers x
+    batch_size`` GP tiles per call, so the tiles of a *single* large mask
+    shard across all workers.
 ``compile``
     Run a model engine as a fused inference graph (:mod:`repro.nn.fusion`).
 ``backend`` / ``REPRO_BACKEND``

@@ -24,7 +24,8 @@ subtly different defaults.  This module is the consolidation:
   execution (``show``-style state out; the unit the async scheduler will
   coalesce).
 
-One deliberate exception: ``backend`` stays un-resolved (``None`` means
+Two fields pass through unresolved: ``tile_size`` (``None`` disables
+tiling; there is no env leg for geometry) and ``backend`` (``None`` means
 "defer").  The compiled-graph lane precedence (a pre-converted graph's lane
 wins over the environment; uncompiled pipelines ignore the env lane but
 reject explicit non-default ones) lives at the executor boundary in
@@ -37,7 +38,7 @@ graph's lane.  ``compile`` likewise has no environment leg here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 from .. import knobs
 from ..nn.backends import BACKENDS, BLAS_THREADS_ENV, default_blas_threads
@@ -54,7 +55,6 @@ __all__ = [
     "ConfigError",
     "ExecutionConfig",
     "ExecutionPlan",
-    "INCREMENTAL_ENV",
     "NUM_WORKERS_ENV",
 ]
 
@@ -62,10 +62,6 @@ __all__ = [
 #: consumer (benchmarks, experiment drivers, examples) can be parallelized
 #: without threading a flag through its call chain.
 NUM_WORKERS_ENV = "REPRO_NUM_WORKERS"
-
-#: Environment leg of ``ExecutionConfig.incremental`` (re-exported by
-#: :mod:`repro.opc`, whose engine is its one consumer).
-INCREMENTAL_ENV = "REPRO_INCREMENTAL_OPC"
 
 
 class ConfigError(ValueError):
@@ -104,8 +100,6 @@ class ExecutionConfig:
     optical_diameter_pixels: int | None = None
     #: Worker processes (``REPRO_NUM_WORKERS``, then 0 = serial).
     num_workers: int | None = None
-    #: Items per worker-pool chunk; ``None`` = even split over the workers.
-    chunk_size: int | None = None
     #: Compile model engines into fused inference graphs (default off; no env
     #: leg — ``REPRO_COMPILE`` is applied by the benchmark conftest).
     compile: bool | None = None
@@ -117,11 +111,6 @@ class ExecutionConfig:
     #: the usable core count up to 2 when serial and compiled or simulating,
     #: else 0 = leave the BLAS library alone).
     blas_threads: int | None = None
-    #: Intra-mask tile sharding on the stitched plan.  Tri-state on purpose:
-    #: ``None`` survives resolution as "auto — engage exactly when the
-    #: executor is pooled", which only the pipeline can decide (the executor
-    #: may arrive pre-pooled).
-    shard_tiles: bool | None = None
     #: Content-hash result cache: ``True``/``False``, byte budget, or
     #: ``None`` -> ``REPRO_RESULT_CACHE`` (then off).  Resolves to the byte
     #: budget (0 = disabled).
@@ -129,8 +118,6 @@ class ExecutionConfig:
     #: Worker-pool supervision policy; ``None`` fields inside it defer to
     #: ``REPRO_WORKER_TIMEOUT`` / ``REPRO_WORKER_RETRIES`` / ``REPRO_DEGRADE``.
     retry: RetryPolicy | None = None
-    #: Incremental OPC re-simulation (``REPRO_INCREMENTAL_OPC``, then on).
-    incremental: bool | None = None
     #: Whether :meth:`resolve` has run on this instance.
     resolved: bool = False
 
@@ -173,11 +160,10 @@ class ExecutionConfig:
         """Apply the environment legs and defaults, exactly once.
 
         Returns a new config with every field concrete (except the
-        deliberate pass-throughs: ``backend``, ``shard_tiles``,
-        ``chunk_size``, ``tile_size`` — see the field docs) and with
-        :attr:`sources` recording per field whether the value was
-        ``explicit``, came from its ``REPRO_*`` variable, or is the
-        ``default``.  Resolving a resolved config returns it unchanged.
+        deliberate pass-throughs ``backend`` and ``tile_size`` — see the
+        field docs) and with :attr:`sources` recording per field whether
+        the value was ``explicit``, came from its ``REPRO_*`` variable, or
+        is the ``default``.  Resolving a resolved config returns it unchanged.
         ``team`` says the engine runs on the compute team even uncompiled
         (the golden simulator), which sets the ``blas_threads`` default the
         way ``compile`` does.
@@ -202,13 +188,10 @@ class ExecutionConfig:
 
         passthrough("tile_size")
         passthrough("backend")
-        passthrough("shard_tiles")
-        passthrough("chunk_size")
         pick("batch_size", None, None, 8)
         pick("optical_diameter_pixels", None, None, 16)
         pick("compile", None, None, False)
         pick("num_workers", NUM_WORKERS_ENV, knobs.read_int(NUM_WORKERS_ENV, minimum=0), 0)
-        pick("incremental", INCREMENTAL_ENV, knobs.read_flag(INCREMENTAL_ENV), True)
         # result_cache resolves to the byte budget (0 = off); the env leg
         # accepts a flag or a byte count, so reuse the cache's own parser.
         if self.result_cache is not None:
@@ -267,13 +250,7 @@ class ExecutionConfig:
             sources["retry.degrade"] = DEGRADE_ENV if degrade is not None else "default"
             if degrade is None:
                 degrade = True
-        return RetryPolicy(
-            timeout=timeout,
-            max_retries=max_retries,
-            degrade=degrade,
-            backoff=base.backoff,
-            backoff_cap=base.backoff_cap,
-        )
+        return RetryPolicy(timeout=timeout, max_retries=max_retries, degrade=degrade)
 
     @property
     def sources(self) -> dict[str, str]:
@@ -313,7 +290,6 @@ class ExecutionConfig:
         check_min("batch_size", 1)
         check_min("optical_diameter_pixels", 1)
         check_min("num_workers", 0)
-        check_min("chunk_size", 1)
         check_min("blas_threads", 0)
         if self.backend is not None and (
             not isinstance(self.backend, str) or self.backend not in BACKENDS
@@ -327,10 +303,8 @@ class ExecutionConfig:
             fail("result_cache", f"must be a flag or byte budget, got {self.result_cache!r}")
         if self.retry is not None and not isinstance(self.retry, RetryPolicy):
             fail("retry", f"must be a RetryPolicy, got {self.retry!r}")
-        for name in ("compile", "shard_tiles", "incremental"):
-            value = getattr(self, name)
-            if value is not None and not isinstance(value, bool):
-                fail(name, f"must be a boolean, got {value!r}")
+        if self.compile is not None and not isinstance(self.compile, bool):
+            fail("compile", f"must be a boolean, got {self.compile!r}")
         return self
 
     # ------------------------------------------------------------------ #
@@ -342,13 +316,7 @@ class ExecutionConfig:
         for spec in fields(self):
             value = getattr(self, spec.name)
             if spec.name == "retry" and value is not None:
-                value = {
-                    "timeout": value.timeout,
-                    "max_retries": value.max_retries,
-                    "degrade": value.degrade,
-                    "backoff": value.backoff,
-                    "backoff_cap": value.backoff_cap,
-                }
+                value = asdict(value)
             payload[spec.name] = value
         return payload
 
@@ -365,8 +333,25 @@ class ExecutionConfig:
         data = dict(payload)
         retry = data.get("retry")
         if isinstance(retry, dict):
-            data["retry"] = RetryPolicy(**retry)
+            data["retry"] = _retry_from_dict(retry)
         return cls(**data)
+
+
+def _retry_from_dict(payload: dict) -> RetryPolicy:
+    """The ``retry`` entry of a config document; bad keys or values raise
+    :class:`ConfigError` with ``field="retry"``."""
+    valid = {spec.name for spec in fields(RetryPolicy)}
+    unknown = sorted(set(payload) - valid)
+    if unknown:
+        raise ConfigError(
+            f"unknown retry key(s) {', '.join(unknown)}; "
+            f"valid keys: {', '.join(sorted(valid))}",
+            field="retry",
+        )
+    try:
+        return RetryPolicy(**payload)
+    except ValueError as exc:
+        raise ConfigError(f"retry {exc}", field="retry") from exc
 
 
 @dataclass(frozen=True)

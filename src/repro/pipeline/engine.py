@@ -53,17 +53,16 @@ Pooled batches travel through a persistent, generation-tagged shared-memory
 ring (:mod:`repro.pipeline.streaming`) that is reused across pipeline calls,
 so repeated-call workloads (OPC iteration loops, full-chip tile streams)
 skip the per-call ``shm_open``/``mmap``/copy-warming in the parent and every
-worker.  On top of it rides ``shard_tiles`` — let the stitched §3.2 plan
-hand the tile stream of a large mask (or mask batch) to the pool in
+worker.  The stitched §3.2 plan hands the GP tile stream of a large mask
+(or mask batch) to the executor in ``batch_size`` tiles per worker: a
+serial pipeline runs ``batch_size`` tiles per call, and a pool takes
 ``num_workers x batch_size`` super-batches, so the tiles of a single mask
-shard across all workers instead of being fed in ``batch_size``-bounded
-pool calls (one barrier + one segment fill per super-batch rather than per
-chunk, while the shared segments stay bounded at workers x batch_size tiles
+shard across all workers (one barrier + one segment fill per super-batch,
+while the shared segments stay bounded at workers x batch_size tiles
 however large the layout is).  Each worker's shard is about ``batch_size``
 tiles, which one GP forward keeps cache-resident, and the GP path is
-partition invariant, so the stitched output stays bit-identical to the
-serial and chunked plans.  Default: on whenever the executor is pooled; a
-serial pipeline keeps the ``batch_size``-chunked loop.
+partition invariant, so the stitched output is bit-identical however the
+stream is cut.
 
 A third, orthogonal knob is ``compile`` — compile a model engine once into a
 fused inference graph (conv->BN->LeakyReLU folded into single passes with a
@@ -105,7 +104,7 @@ class PipelineStats:
     num_masks: int = 0
     num_tiles: int = 0            # GP tiles executed (stitched mode only)
     num_batches: int = 0          # executor invocations
-    sharded_tiles: bool = False   # GP tile stream dispatched as one pooled call
+    sharded_tiles: bool = False   # GP tile stream sharded over a pool of > 1 workers
     seconds: float = 0.0
     cache_hits: int = 0           # masks answered from the result cache
     cache_misses: int = 0         # masks that had to be computed (cache enabled)
@@ -159,10 +158,10 @@ class InferencePipeline:
         * ``optical_diameter_pixels`` — optical ambit sizing the stitching
           core margin (``d`` in the paper; only the region further than
           ``d/2`` from a tile edge is trusted).
-        * ``num_workers`` / ``chunk_size`` / ``retry`` / ``blas_threads`` —
+        * ``num_workers`` / ``retry`` / ``blas_threads`` —
           the worker pool (:mod:`repro.pipeline.parallel`): processes the
-          batches shard across (values <= 1 run in-process), items per
-          chunk (``None``: an even split), the supervision policy
+          batches shard across (values <= 1 run in-process; each batch is
+          split evenly over them), the supervision policy
           (:class:`~repro.pipeline.supervision.RetryPolicy`: per-chunk
           deadline, retry budget, graceful in-process degradation), and the
           thread budget.  The pipeline builds its pool from exactly these
@@ -178,10 +177,6 @@ class InferencePipeline:
           compiled or simulating, and 0 (a team of one, the BLAS library
           left alone) otherwise, so ``workers x threads`` never
           oversubscribes.
-        * ``shard_tiles`` — let the stitched plan dispatch the GP tile
-          stream in ``num_workers x batch_size`` super-batches; ``None``
-          enables it exactly when the executor is pooled.  Bit-identical
-          either way.
         * ``compile`` / ``backend`` — run a model engine as a fused inference
           graph (:func:`repro.nn.compile_model`, within 1e-12 of the unfused
           path) on the ``float64`` (bit-identical) or ``float32`` lane;
@@ -210,13 +205,13 @@ class InferencePipeline:
         # What a pre-built engine already fixed wins over the config, so the
         # config describes the pipeline that runs: a pre-compiled engine is a
         # compiled pipeline, and a pre-built pool runs its own workers,
-        # chunks, retries and threads.
+        # retries and threads.
         built: dict = {}
         if self.compiled and not resolved.compile:
             built["compile"] = True
         if isinstance(self.executor, WorkerPoolExecutor):
             pool = self.executor
-            built.update(num_workers=pool.num_workers, chunk_size=pool.chunk_size, retry=pool.retry)
+            built.update(num_workers=pool.num_workers, retry=pool.retry)
             if pool.num_workers > 1:
                 # A pool of one runs in the caller, on this pipeline's budget.
                 built["blas_threads"] = pool.blas_threads
@@ -226,7 +221,6 @@ class InferencePipeline:
             self.executor = WorkerPoolExecutor(
                 self.executor,
                 num_workers=resolved.num_workers,
-                chunk_size=resolved.chunk_size,
                 retry=resolved.retry,
                 blas_threads=resolved.blas_threads,
             )
@@ -248,7 +242,6 @@ class InferencePipeline:
         self._compute_identity = hashlib.blake2b(
             identity.encode(), digest_size=8
         ).digest()
-        self.shard_tiles = resolved.shard_tiles
         self.tile_size = resolved.tile_size
         self.batch_size = resolved.batch_size
         self.optical_diameter_pixels = resolved.optical_diameter_pixels
@@ -298,7 +291,7 @@ class InferencePipeline:
         ``execute(plan(masks), masks)``.
         """
         batch4, _ = self._normalize(masks)
-        return self._build_plan(batch4, batch_size or self.batch_size, stitch)
+        return self._build_plan(batch4, self._batch_size(batch_size), stitch)
 
     def execute(self, plan: ExecutionPlan, masks: np.ndarray) -> PipelineResult:
         """Carry out a previously built plan over ``masks``.
@@ -319,6 +312,7 @@ class InferencePipeline:
                 f"plan covers {plan.num_masks} mask(s) of shape {plan.mask_shape}, "
                 f"got {n} of shape {batch4.shape[-2:]}"
             )
+        batch_size = self._batch_size(plan.batch_size)
         stats = PipelineStats(engine=self.name, mode=plan.mode, num_masks=n)
         if n == 0:
             return PipelineResult(outputs=batch4.copy(), stats=stats)
@@ -328,12 +322,12 @@ class InferencePipeline:
         with self._threads():
             if self.result_cache is None:
                 outputs = (
-                    self._run_stitched(batch4, plan.batch_size, stats)
+                    self._run_stitched(batch4, batch_size, stats)
                     if stitched
-                    else self._run_native(batch4, plan.batch_size, stats)
+                    else self._run_native(batch4, batch_size, stats)
                 )
             else:
-                outputs = self._run_cached(batch4, plan.batch_size, stats, stitched)
+                outputs = self._run_cached(batch4, batch_size, stats, stitched)
         stats.seconds = time.perf_counter() - start
         self._record_robustness(stats, robustness)
         return PipelineResult(outputs=outputs, stats=stats)
@@ -359,7 +353,7 @@ class InferencePipeline:
                 outputs=batch4.copy(),
                 stats=PipelineStats(engine=self.name, num_masks=0),
             )
-        execution_plan = self._build_plan(batch4, batch_size or self.batch_size, stitch)
+        execution_plan = self._build_plan(batch4, self._batch_size(batch_size), stitch)
         return self.execute(execution_plan, batch4)
 
     def predict(
@@ -387,10 +381,11 @@ class InferencePipeline:
         mask = np.asarray(mask, dtype=np.float64)
         if mask.ndim != 2:
             raise ValueError("gp_features expects a single 2-D mask image")
+        batch_size = self._batch_size(batch_size)
         self._require_stitchable()
         self._validate_tiled_size(mask.shape)
         with self._threads():
-            return self._gp_features_one(mask, batch_size or self.batch_size, PipelineStats())
+            return self._gp_features_one(mask, batch_size, PipelineStats())
 
     # ------------------------------------------------------------------ #
     # Incremental (patched) re-simulation plan
@@ -468,9 +463,9 @@ class InferencePipeline:
         ``state`` (from :meth:`incremental_state`) carries a copy of the
         previously simulated mask and the cached full-image map of the
         previous call.  Windows whose pixels are unchanged are skipped; dirty
-        windows run through the same ``num_workers x batch_size`` super-batch
-        path as the stitched plan and their ownership regions are written
-        back into the cached map.  ``candidates`` optionally bounds which windows need
+        windows run through the same ``batch_size`` tiles-per-worker loop as
+        the stitched plan and their ownership regions are written back into
+        the cached map.  ``candidates`` optionally bounds which windows need
         comparing (e.g. from the OPC fragment->tile index); windows outside
         it are *trusted* to be unchanged.  A hybrid cost model falls back to
         one native whole-image refresh whenever patching would be slower
@@ -569,6 +564,14 @@ class InferencePipeline:
             return compute_threads(self.config.blas_threads)
         return contextlib.nullcontext()
 
+    def _batch_size(self, batch_size: int | None) -> int:
+        """A call's batch size: the pipeline's own when ``None``."""
+        if batch_size is None:
+            return self.batch_size
+        if batch_size < 1:
+            raise ValueError("batch_size must be at least 1")
+        return batch_size
+
     def _robustness_snapshot(self):
         """Cumulative supervision counters before a run (pooled executors only)."""
         counters = getattr(self.executor, "robustness", None)
@@ -624,8 +627,6 @@ class InferencePipeline:
         :class:`PipelineStats` match the plan field for field (when the
         result cache is off — cache hits remove batches at execution time).
         """
-        if batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
         n = batch4.shape[0]
         h, w = batch4.shape[-2:]
         common = dict(
@@ -648,10 +649,7 @@ class InferencePipeline:
         specs = tile_grid((h, w), self.tile_size)
         tiles_per_mask = len(specs)
         total_tiles = n * tiles_per_mask
-        sharded = self._shards_tile_stream()
-        super_batch = (
-            batch_size * max(1, self.executor.num_workers) if sharded else batch_size
-        )
+        super_batch = batch_size * max(1, self.num_workers)
         gp_batches = -(-total_tiles // super_batch)
         reconstruction_batches = -(-n // batch_size)
         return ExecutionPlan(
@@ -662,7 +660,7 @@ class InferencePipeline:
             num_tiles=total_tiles,
             num_batches=gp_batches + reconstruction_batches,
             super_batch=super_batch,
-            sharded_tiles=sharded,
+            sharded_tiles=self.num_workers > 1,
             **common,
         )
 
@@ -765,18 +763,6 @@ class InferencePipeline:
             stats.num_batches += 1
         return np.concatenate(outputs, axis=0)
 
-    def _shards_tile_stream(self) -> bool:
-        """Whether the stitched plan dispatches one pooled GP invocation.
-
-        Intra-mask sharding needs a worker pool to shard onto; with
-        ``shard_tiles=None`` it engages exactly when the executor is pooled,
-        and ``shard_tiles=False`` opts back into the ``batch_size``-chunked
-        GP loop (the plan the equivalence tests compare against).
-        """
-        if self.shard_tiles is False:
-            return False
-        return isinstance(self.executor, WorkerPoolExecutor) and self.executor.num_workers > 1
-
     def _run_gp_batches(
         self, tiles: np.ndarray, batch_size: int, stats: PipelineStats, method: str = "run_gp"
     ) -> np.ndarray:
@@ -784,35 +770,23 @@ class InferencePipeline:
 
         ``method`` selects the executor hook: ``run_gp`` (stitched GP plan)
         or ``run_aerial`` (incremental window patching) — both take
-        ``(B, 1, t, t)`` and are partition invariant, so the super-batch
-        sharding below applies unchanged.
+        ``(B, 1, t, t)`` and are partition invariant, so any cut of the
+        stream gives the same bits.
         """
         run = getattr(self.executor, method)
-        if self._shards_tile_stream():
-            # Pooled invocations of num_workers * batch_size tiles: every
-            # tile of every mask — including the tiles of a *single* large
-            # mask — shards across the workers, with one barrier and one
-            # segment fill per ~batch_size tiles *per worker* instead of per
-            # batch_size tiles total.  The super-batch bound keeps the shared
-            # segments (and the persistent ring's grow-only capacity) at
-            # workers x batch_size tiles however large the layout stream is,
-            # and each worker runs its ~batch_size-tile shard in one call.
-            # The GP path is partition invariant, so the result is
-            # bit-identical to the chunked and serial plans.
-            stats.sharded_tiles = True
-            stream = batch_size * max(1, self.executor.num_workers)
-            gp_outputs = []
-            for start in range(0, tiles.shape[0], stream):
-                gp_outputs.append(run(tiles[start : start + stream][:, None]))
-                stats.num_batches += 1
-            stats.num_tiles += tiles.shape[0]
-            return gp_outputs[0] if len(gp_outputs) == 1 else np.concatenate(gp_outputs, axis=0)
+        # batch_size tiles per worker per call: a pool shards every tile of
+        # every mask — the tiles of a *single* large mask too — with one
+        # barrier and one segment fill per super-batch, and the bound keeps
+        # the shared segments (and the ring's grow-only capacity) at
+        # workers x batch_size tiles however large the layout stream is.
+        stats.sharded_tiles = self.num_workers > 1
+        stream = batch_size * max(1, self.num_workers)
         gp_outputs = []
-        for start in range(0, tiles.shape[0], batch_size):
-            gp_outputs.append(run(tiles[start : start + batch_size][:, None]))
+        for start in range(0, tiles.shape[0], stream):
+            gp_outputs.append(run(tiles[start : start + stream][:, None]))
             stats.num_batches += 1
         stats.num_tiles += tiles.shape[0]
-        return np.concatenate(gp_outputs, axis=0)            # (n, C, tile/p, tile/p)
+        return gp_outputs[0] if len(gp_outputs) == 1 else np.concatenate(gp_outputs, axis=0)
 
     def _stitch(self, gp_tiles: np.ndarray, specs, shape: tuple[int, int]) -> np.ndarray:
         """Stitch one mask's pooled GP tile cores back to full size.

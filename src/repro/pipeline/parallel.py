@@ -21,9 +21,9 @@ scale past one core:
   slots owned by the ring, never stale), and whatever is still live at
   interpreter exit is unlinked by the registry's ``atexit`` hook —
   ``/dev/shm`` never accumulates stale ``repro`` segments.
-* **Chunked work queue** — each executor invocation is split into
-  ``chunk_size`` slices (default: an even split over the workers) that the
-  pool drains as a queue, so stragglers don't serialize the batch.
+* **Even split** — each executor invocation is split into chunks of
+  ``ceil(batch / num_workers)`` items, at most one per worker; the chunk is
+  the unit of dispatch, retry and degradation.
 * **Ordered reassembly** — every chunk writes its half-open ``[start, stop)``
   slice of the shared output, so results come back in input order by
   construction, bit-identical to the serial path.
@@ -56,7 +56,7 @@ scale past one core:
 ``num_workers <= 1`` (and single-item batches) degrade to the wrapped
 executor's in-process path, so a pipeline with the knob left at zero behaves
 exactly as before.  The executor takes its knobs (``num_workers``,
-``chunk_size``, ``retry``, ``blas_threads``) one keyword each and resolves
+``retry``, ``blas_threads``) one keyword each and resolves
 them in one :meth:`~repro.pipeline.config.ExecutionConfig.resolve` pass:
 explicit argument > ``REPRO_*`` environment variable > default (see
 ``docs/configuration.md`` for the full catalogue).  An
@@ -226,21 +226,18 @@ class WorkerPoolExecutor(Executor):
         self,
         engine,
         num_workers: int | None = None,
-        chunk_size: int | None = None,
         retry: RetryPolicy | None = None,
         fault_plan: "FaultPlan | str | None" = None,
         blas_threads: int | None = None,
     ) -> None:
         config = ExecutionConfig(
-            num_workers=num_workers, chunk_size=chunk_size, retry=retry,
-            blas_threads=blas_threads,
+            num_workers=num_workers, retry=retry, blas_threads=blas_threads,
         ).resolve()
         inner = as_executor(engine)
         if isinstance(inner, WorkerPoolExecutor):
             raise TypeError("cannot nest WorkerPoolExecutor inside WorkerPoolExecutor")
         self.inner = inner
         self.num_workers = config.num_workers
-        self.chunk_size = config.chunk_size
         self.retry = config.retry
         self.blas_threads = config.blas_threads
         self.fault_plan = resolve_fault_plan(fault_plan)
@@ -370,7 +367,7 @@ class WorkerPoolExecutor(Executor):
         out_shape = (batch, *item_shape)
         out_nbytes = int(np.prod(out_shape, dtype=np.int64)) * out_dtype.itemsize
 
-        chunk = self.chunk_size or math.ceil((batch - lead) / self.num_workers)
+        chunk = math.ceil((batch - lead) / self.num_workers)
         bounds = [(s, min(s + chunk, batch)) for s in range(lead, batch, chunk)]
         return self._run_ring(method, arrays, out_shape, out_dtype, out_nbytes, first, bounds)
 

@@ -61,6 +61,12 @@ DEGRADE_ENV = "REPRO_DEGRADE"
 
 DEFAULT_MAX_RETRIES = 2
 
+#: Exponential retry delay: ``min(RETRY_BACKOFF * 2**(attempt-1),
+#: RETRY_BACKOFF_CAP)`` seconds, applied as an eligibility time so a healthy
+#: pool keeps working while a chunk waits.
+RETRY_BACKOFF = 0.05
+RETRY_BACKOFF_CAP = 0.5
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -83,24 +89,20 @@ class RetryPolicy:
       defers to ``REPRO_DEGRADE`` (default on: a long-lived stream should
       survive a dying worker; deterministic *code* bugs re-raise from the
       in-process fallback anyway, undecorated).
-    * ``backoff`` / ``backoff_cap`` — exponential retry delay
-      ``min(backoff * 2**(attempt-1), backoff_cap)`` seconds, applied as an
-      eligibility time so a healthy pool keeps working while a chunk waits.
+
+    Retries wait :data:`RETRY_BACKOFF` seconds, doubling up to
+    :data:`RETRY_BACKOFF_CAP`.
     """
 
     timeout: float | None = None
     max_retries: int | None = None
     degrade: bool | None = None
-    backoff: float = 0.05
-    backoff_cap: float = 0.5
 
     def __post_init__(self) -> None:
         if self.timeout is not None and self.timeout < 0:
             raise ValueError(f"timeout must be >= 0 or None, got {self.timeout}")
         if self.max_retries is not None and self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0 or None, got {self.max_retries}")
-        if self.backoff < 0 or self.backoff_cap < 0:
-            raise ValueError("backoff and backoff_cap must be >= 0")
 
 
 @dataclass
@@ -345,8 +347,7 @@ class SupervisedPool:
             history[task_id].append((kind, detail))
             attempts = report.attempts[task_id]
             if attempts < max_attempts and not self.broken:
-                delay = min(policy.backoff * (2 ** max(attempts - 1, 0)),
-                            policy.backoff_cap)
+                delay = min(RETRY_BACKOFF * (2 ** max(attempts - 1, 0)), RETRY_BACKOFF_CAP)
                 pending.append((task_id, time.monotonic() + delay))
                 return
             failure = ChunkFailure(chunk=task_id, attempts=attempts, kind=kind,

@@ -68,7 +68,7 @@ def test_parse_float_and_minimum():
 
 EXPECTED_KNOBS = {
     "REPRO_NUM_WORKERS", "REPRO_RESULT_CACHE",
-    "REPRO_INCREMENTAL_OPC", "REPRO_BACKEND", "REPRO_BLAS_THREADS",
+    "REPRO_BACKEND", "REPRO_BLAS_THREADS",
     "REPRO_WORKER_TIMEOUT", "REPRO_WORKER_RETRIES", "REPRO_DEGRADE",
     "REPRO_FAULT_PLAN", "REPRO_PROFILE", "REPRO_ARTIFACTS", "REPRO_COMPILE",
 }
@@ -84,7 +84,7 @@ def test_every_knob_is_documented_and_sectioned():
         assert knob.name.startswith("REPRO_")
         assert knob.doc.strip(), knob.name
         assert knob.section in sections, knob.name
-    assert knobs.get_knob("REPRO_INCREMENTAL_OPC").section == "execution"
+    assert knobs.get_knob("REPRO_NUM_WORKERS").section == "execution"
 
 
 def test_get_raw_rejects_unregistered_names():

@@ -18,7 +18,6 @@ from repro.layout.tiling import tile_grid
 from repro.litho import LithoSimulator
 from repro.opc import (
     FragmentTileIndex,
-    INCREMENTAL_ENV,
     OPCConfig,
     OPCEngine,
     build_mask,
@@ -126,12 +125,6 @@ def test_freezing_collapses_the_dirty_set(simulator):
     head = sum(result.dirty_history[: iterations // 2])
     tail = sum(result.dirty_history[iterations // 2 :])
     assert tail < head
-
-
-def test_incremental_env_flag_disables(simulator, monkeypatch):
-    monkeypatch.setenv(INCREMENTAL_ENV, "0")
-    result = OPCEngine(simulator, OPCConfig(iterations=2)).correct(via_layout(3))
-    assert result.counters is None and result.dirty_history == []
 
 
 # --------------------------------------------------------------------- #

@@ -136,9 +136,9 @@ def test_pipeline_compile_rejects_simulator_engines():
 # --------------------------------------------------------------------- #
 def test_compiled_executor_alternating_batch_sizes(zoo_model):
     """One compiled engine serving interleaved batch sizes (streaming +
-    shard_tiles produces ragged final shards) must match the unfused executor
-    on every call — a shape-key collision in the fused chains' buffer cache
-    would poison whichever geometry ran second."""
+    intra-mask tile sharding produces ragged final shards) must match the
+    unfused executor on every call — a shape-key collision in the fused
+    chains' buffer cache would poison whichever geometry ran second."""
     name, model = zoo_model
     masks = _random_masks(5, 32, seed=23)[:, None]
     plain = ModelExecutor(model)

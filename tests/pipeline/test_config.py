@@ -19,7 +19,8 @@ import pytest
 from repro import knobs
 from repro.core import DOINN
 from repro.experiments import Harness
-from repro.opc import OPCConfig
+from repro.litho import LithoSimulator
+from repro.opc import OPCConfig, OPCEngine
 from repro.pipeline import (
     ConfigError,
     ExecutionConfig,
@@ -33,7 +34,6 @@ from repro.pipeline.supervision import DEFAULT_MAX_RETRIES
 #: Every environment leg ExecutionConfig.resolve() consults.
 KNOB_ENVS = (
     "REPRO_NUM_WORKERS",
-    "REPRO_INCREMENTAL_OPC",
     "REPRO_RESULT_CACHE",
     "REPRO_BLAS_THREADS",
     "REPRO_WORKER_TIMEOUT",
@@ -69,17 +69,14 @@ def test_resolve_defaults():
     assert cfg.optical_diameter_pixels == 16
     assert cfg.num_workers == 0
     assert cfg.compile is False
-    assert cfg.incremental is True
     assert cfg.blas_threads == 0
     assert cfg.result_cache == 0
     assert cfg.retry == RetryPolicy(timeout=None, max_retries=DEFAULT_MAX_RETRIES, degrade=True)
     # Deliberate pass-throughs stay None.
     assert cfg.tile_size is None
     assert cfg.backend is None
-    assert cfg.shard_tiles is None
-    assert cfg.chunk_size is None
     for name in (
-        "batch_size", "num_workers", "incremental", "blas_threads",
+        "batch_size", "num_workers", "blas_threads",
         "retry.timeout", "retry.max_retries", "retry.degrade",
     ):
         assert cfg.source_of(name) == "default"
@@ -94,10 +91,8 @@ def test_resolve_is_idempotent():
     ("env", "raw", "field", "env_value", "explicit", "explicit_value"),
     [
         ("REPRO_NUM_WORKERS", "3", "num_workers", 3, 1, 1),
-        ("REPRO_INCREMENTAL_OPC", "0", "incremental", False, True, True),
         ("REPRO_RESULT_CACHE", "1024", "result_cache", 1024, 2048, 2048),
         ("REPRO_BLAS_THREADS", "5", "blas_threads", 5, 2, 2),
-        ("REPRO_INCREMENTAL_OPC", "off", "incremental", False, True, True),
     ],
 )
 def test_env_vs_explicit_precedence(monkeypatch, env, raw, field, env_value, explicit, explicit_value):
@@ -163,7 +158,6 @@ def test_blas_default_tracks_workers(monkeypatch):
     [
         ("REPRO_NUM_WORKERS", "not-a-number"),
         ("REPRO_BLAS_THREADS", "many"),
-        ("REPRO_INCREMENTAL_OPC", "sometimes"),
         ("REPRO_WORKER_TIMEOUT", "soon"),
         ("REPRO_WORKER_RETRIES", "-2"),
         ("REPRO_DEGRADE", "sideways"),
@@ -179,7 +173,7 @@ def test_sources_empty_before_resolution():
     cfg = ExecutionConfig(num_workers=2)
     assert cfg.sources == {}
     assert cfg.source_of("num_workers") == "explicit"
-    assert cfg.source_of("chunk_size") == "unset"
+    assert cfg.source_of("tile_size") == "unset"
     assert set(cfg.resolve().sources) >= {"batch_size", "retry.timeout", "result_cache"}
 
 
@@ -243,12 +237,12 @@ def test_config_error_is_value_error():
     [
         ("batch_size", True),           # bools are not sizes
         ("tile_size", 0),
-        ("chunk_size", 0),
+        ("optical_diameter_pixels", 0),
+        ("num_workers", -1),
         ("blas_threads", -1),
+        ("blas_threads", 1.5),
         ("backend", "not-a-backend"),
         ("compile", 1),
-        ("shard_tiles", "yes"),
-        ("incremental", 0),
         ("result_cache", 1.5),
         ("retry", object()),
         ("backend", ["float64"]),       # a JSON list is not a lane name
@@ -273,13 +267,10 @@ def test_config_json_round_trip():
         tile_size=32,
         batch_size=4,
         num_workers=2,
-        chunk_size=3,
-        shard_tiles=True,
         result_cache=4096,
         retry=RetryPolicy(timeout=1.5, max_retries=1, degrade=False),
         backend="float32",
         blas_threads=1,
-        incremental=False,
     )
     assert ExecutionConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
@@ -295,6 +286,34 @@ def test_to_dict_serializes_backend_name():
     cfg = ExecutionConfig(backend="float32")
     assert cfg.to_dict()["backend"] == "float32"
     assert ExecutionConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+
+@pytest.mark.parametrize(
+    ("retry", "named"),
+    [
+        ({"bogus": 1}, "bogus"),
+        ({"timeout": -1}, "timeout"),
+        # A document saved before the retry delay became a constant.
+        ({"timeout": None, "max_retries": 2, "degrade": True, "backoff": 0.05,
+          "backoff_cap": 0.5}, "backoff"),
+    ],
+    ids=["unknown-key", "bad-value", "saved-backoff"],
+)
+def test_from_dict_bad_retry_raises_config_error(retry, named):
+    with pytest.raises(ConfigError, match=named) as excinfo:
+        ExecutionConfig.from_dict({"num_workers": 2, "retry": retry})
+    assert excinfo.value.field == "retry"
+
+
+def test_config_field_sets_are_pinned():
+    """The execution knobs, exactly: adding one means editing this test."""
+    assert [spec.name for spec in fields(ExecutionConfig)] == [
+        "tile_size", "batch_size", "optical_diameter_pixels", "num_workers",
+        "compile", "backend", "blas_threads", "result_cache", "retry", "resolved",
+    ]
+    assert [spec.name for spec in fields(RetryPolicy)] == [
+        "timeout", "max_retries", "degrade",
+    ]
 
 
 def test_from_dict_unknown_key_raises():
@@ -324,7 +343,7 @@ def test_knob_registry_maps_to_config_fields():
         mapped.add(knob.name)
     assert {
         "REPRO_NUM_WORKERS", "REPRO_RESULT_CACHE",
-        "REPRO_INCREMENTAL_OPC", "REPRO_BACKEND", "REPRO_BLAS_THREADS",
+        "REPRO_BACKEND", "REPRO_BLAS_THREADS",
         "REPRO_WORKER_TIMEOUT", "REPRO_WORKER_RETRIES", "REPRO_DEGRADE",
         "REPRO_COMPILE",
     } <= mapped
@@ -430,16 +449,16 @@ def test_harness_config_route_does_not_warn(model):
 
 
 def test_prebuilt_pool_settings_land_in_the_config(model):
-    """A pre-built pool runs its own workers, chunks, retries and threads, so
+    """A pre-built pool runs its own workers, retries and threads, so
     the pipeline's config reports those, not a serial default; every other
     field still comes from the config passed in."""
     retry = RetryPolicy(timeout=0, max_retries=1, degrade=False)
-    pool = WorkerPoolExecutor(model, num_workers=2, chunk_size=3, retry=retry)
+    pool = WorkerPoolExecutor(model, num_workers=2, retry=retry)
     pipeline = InferencePipeline(pool, ExecutionConfig(batch_size=4))
     try:
         cfg = pipeline.config
         assert cfg.resolved
-        assert (cfg.num_workers, cfg.chunk_size, cfg.blas_threads) == (2, 3, 1)
+        assert (cfg.num_workers, cfg.blas_threads) == (2, 1)
         assert (cfg.retry.timeout, cfg.retry.max_retries, cfg.retry.degrade) == (0, 1, False)
         assert cfg.blas_threads == pool.blas_threads
         assert cfg.batch_size == 4
@@ -449,29 +468,25 @@ def test_prebuilt_pool_settings_land_in_the_config(model):
 
 
 def test_simulator_pipeline_forwards_every_knob():
-    """Satellite pin: blas_threads / shard_tiles no longer silently dropped."""
+    """The harness forwards the whole config: blas_threads is not dropped."""
     harness = Harness()
-    cfg = ExecutionConfig(
-        num_workers=0, blas_threads=0, shard_tiles=True, result_cache=False
-    )
+    cfg = ExecutionConfig(num_workers=0, blas_threads=0, result_cache=False)
     pipeline = harness.simulator_pipeline(config=cfg)
     try:
         assert pipeline.config.blas_threads == 0
         assert pipeline.config.source_of("blas_threads") == "explicit"
-        assert pipeline.config.shard_tiles is True
     finally:
         pipeline.close()
 
 
 def test_opc_config_execution_merge():
-    """``OPCConfig.incremental`` overrides the embedded config's field."""
+    """The OPC engine's pipeline runs the embedded execution document;
+    incremental re-simulation is an OPC setting, on by default."""
+    simulator = LithoSimulator(pixel_size=8.0, num_kernels=4, kernel_support=15)
     cfg = OPCConfig(
         incremental=False,
-        execution=ExecutionConfig(incremental=True, num_workers=4, blas_threads=3),
+        execution=ExecutionConfig(num_workers=0, blas_threads=3, batch_size=2),
     )
-    merged = cfg.execution_config()
-    assert merged.incremental is False   # the OPC field wins
-    assert merged.num_workers == 4       # embedded config fills the rest
-    assert merged.blas_threads == 3
-    embedded_only = OPCConfig(execution=ExecutionConfig(incremental=False))
-    assert embedded_only.execution_config().incremental is False
+    with OPCEngine(simulator, cfg) as engine:
+        assert (engine.pipeline.config.blas_threads, engine.pipeline.config.batch_size) == (3, 2)
+    assert OPCConfig().incremental is True

@@ -149,8 +149,6 @@ def test_env_override_controls_worker_count(model, monkeypatch):
 def test_invalid_parallel_configuration(model):
     with pytest.raises(ValueError):
         WorkerPoolExecutor(model, num_workers=-1)
-    with pytest.raises(ValueError):
-        WorkerPoolExecutor(model, num_workers=2, chunk_size=0)
     with pytest.raises(TypeError):
         WorkerPoolExecutor(WorkerPoolExecutor(model, num_workers=2), num_workers=2)
 
@@ -178,7 +176,7 @@ SOURCE_FIELDS = ("num_workers", "blas_threads", "retry.timeout", "retry.max_retr
         (
             {},
             ExecutionConfig(
-                num_workers=3, chunk_size=2, blas_threads=2,
+                num_workers=3, blas_threads=2,
                 retry=RetryPolicy(timeout=5.0, max_retries=1, degrade=False),
             ),
             ("explicit",) * 4,
@@ -207,8 +205,8 @@ def test_pool_runs_with_the_pipelines_resolved_knobs(model, monkeypatch, env, co
         pool = pipeline.executor
         resolved = pipeline.config
         assert isinstance(pool, WorkerPoolExecutor)
-        assert (pool.num_workers, pool.chunk_size, pool.retry, pool.blas_threads) == (
-            resolved.num_workers, resolved.chunk_size, resolved.retry, resolved.blas_threads,
+        assert (pool.num_workers, pool.retry, pool.blas_threads) == (
+            resolved.num_workers, resolved.retry, resolved.blas_threads,
         )
         assert tuple(resolved.source_of(name) for name in SOURCE_FIELDS) == sources
 

@@ -10,6 +10,8 @@ run statistics, and the train/eval-state restoration satellite.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -214,6 +216,25 @@ def test_invalid_configuration(model):
         InferencePipeline(model, ExecutionConfig(batch_size=0))
     with pytest.raises(ValueError):
         InferencePipeline(model, ExecutionConfig(tile_size=30))  # not divisible by pool factor
+
+
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_per_call_batch_size_below_one_raises(model, batch_size):
+    """A per-call batch size below 1 is rejected, not replaced by the
+    pipeline's own (0) or passed on to numpy (-1)."""
+    pipeline = InferencePipeline(
+        model, ExecutionConfig(tile_size=32, batch_size=4, optical_diameter_pixels=8)
+    )
+    mask = _random_mask(64)
+    with pytest.raises(ValueError, match="batch_size must be at least 1"):
+        pipeline.run(mask, batch_size=batch_size)
+    with pytest.raises(ValueError, match="batch_size must be at least 1"):
+        pipeline.gp_features(mask, batch_size=batch_size)
+    # A plan read back from a document is checked the same way.
+    plan = replace(pipeline.plan(mask), batch_size=batch_size)
+    with pytest.raises(ValueError, match="batch_size must be at least 1"):
+        pipeline.execute(plan, mask)
+    assert pipeline.run(mask, batch_size=None).stats.num_batches > 0
 
 
 # --------------------------------------------------------------------- #

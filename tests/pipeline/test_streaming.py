@@ -323,20 +323,6 @@ def test_intra_mask_sharding_single_large_mask_bit_identical(model):
         np.testing.assert_array_equal(result.outputs, reference.outputs)
 
 
-def test_shard_tiles_opt_out_matches_chunked_plan(model):
-    masks = _random_masks(2, 64, seed=33)
-    kwargs = dict(tile_size=32, batch_size=4, optical_diameter_pixels=8)
-    reference = InferencePipeline(model, ExecutionConfig(**kwargs)).predict(masks, stitch=True)
-    chunked_config = ExecutionConfig(num_workers=2, shard_tiles=False, **kwargs)
-    with InferencePipeline(model, chunked_config) as chunked:
-        result = chunked.run(masks, stitch=True)
-        assert not result.stats.sharded_tiles
-        np.testing.assert_array_equal(result.outputs[:, 0], reference)
-    # Serial pipelines never shard, even with the knob forced on.
-    forced = InferencePipeline(model, ExecutionConfig(shard_tiles=True, **kwargs))
-    assert not forced.run(masks, stitch=True).stats.sharded_tiles
-
-
 def test_gp_features_shard_across_pool(model):
     mask = _random_masks(1, 64, seed=35)[0]
     kwargs = dict(tile_size=32, batch_size=4, optical_diameter_pixels=8)

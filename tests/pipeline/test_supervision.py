@@ -60,8 +60,6 @@ def test_retry_policy_field_validation():
     with pytest.raises(ValueError):
         RetryPolicy(max_retries=-1)
     with pytest.raises(ValueError):
-        RetryPolicy(backoff=-0.1)
-    with pytest.raises(ValueError):
         SupervisedPool(0, lambda task, attempt: None)
 
 
