@@ -84,15 +84,8 @@ def test_incremental_opc_resimulation(benchmark):
 
 def test_figure8_opc_sensitivity(benchmark, harness):
     result = run_figure8(harness)
-    cache_line = (
-        f"\nresult cache: {result['cache_hits']} hits / "
-        f"{result['cache_misses']} misses; "
-        f"dirty tile-equivalents per iteration: {result['dirty_history']}"
-    )
-    record_report("Figure 8 OPC sensitivity", format_figure8(result) + cache_line)
-    # Every golden snapshot re-simulation hits the mask-hash result cache
-    # (the OPC loop already simulated those exact masks).
-    assert result["cache_hits"] >= len(result["iterations"])
+    dirty_line = f"\ndirty tile-equivalents per iteration: {result['dirty_history']}"
+    record_report("Figure 8 OPC sensitivity", format_figure8(result) + dirty_line)
 
     assert len(result["iterations"]) == harness.profile.opc_iterations
     # Both models improve as the mask approaches the trained (OPC'ed)

@@ -80,7 +80,7 @@ for path in sorted(pathlib.Path("examples").glob("*.py")):
 PY
 
 # The stages partition the tier-1 suite (no test runs twice): everything
-# except the fusion, streaming/parallel, incremental/caching and supervision
+# except the fusion, streaming/parallel, incremental OPC and supervision
 # files first, then each suite as its own visibly-labelled gate.
 echo "== tier-1 tests =="
 python -m pytest -x -q -p no:cacheprovider -W "error::DeprecationWarning" tests \
@@ -140,14 +140,14 @@ echo "== streaming + parallel worker-pool suites (pooled == serial, bit for bit)
 python -m pytest -x -q -p no:cacheprovider -W "error::DeprecationWarning" \
     tests/pipeline/test_parallel.py tests/pipeline/test_streaming.py "$@"
 
-echo "== incremental OPC + result-cache suites (patched == full re-simulation, bit for bit) =="
+echo "== incremental OPC suites (patched == full re-simulation, bit for bit) =="
 python -m pytest -x -q -p no:cacheprovider -W "error::DeprecationWarning" \
     tests/pipeline/test_cache.py tests/opc/test_incremental.py "$@"
 
 # The leg above runs the golden simulator's aerial image on the serial
 # default team (the usable cores, at most two); this one re-runs the same
 # suites on a team of one, so patched == full holds at both team sizes.
-echo "== incremental OPC + result-cache suites on a compute team of one (REPRO_BLAS_THREADS=1) =="
+echo "== incremental OPC suites on a compute team of one (REPRO_BLAS_THREADS=1) =="
 REPRO_BLAS_THREADS=1 python -m pytest -x -q -p no:cacheprovider -W "error::DeprecationWarning" \
     tests/pipeline/test_cache.py tests/opc/test_incremental.py "$@"
 

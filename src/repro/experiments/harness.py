@@ -233,7 +233,7 @@ class Harness:
         pipeline serves anything other than the profile's low-res grid.
 
         Every other execution knob — workers, tile sharding, compilation,
-        backend lane, BLAS threads, result cache, supervision — arrives as
+        backend lane, BLAS threads, supervision — arrives as
         one :class:`~repro.pipeline.ExecutionConfig` document (``config=``);
         see ``docs/configuration.md`` for the knob catalogue.
         """

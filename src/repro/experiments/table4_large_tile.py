@@ -37,11 +37,10 @@ def run_table4(
     ``config`` carries the execution knobs into the shared pipeline:
     ``num_workers`` shards the tile batches of both rows across a worker
     pool (whose shared-memory ring serves both rows), and the "DOINN-LT"
-    row shards the tiles of each large mask across all workers.
-    ``result_cache`` memoises per-mask predictions by content hash (useful
-    when the same large masks are replayed) and ``retry`` sets the pool's
-    supervision policy (chunk deadline / retries / degradation) — long
-    large-tile sweeps survive dying workers instead of losing the whole run.
+    row shards the tiles of each large mask across all workers.  ``retry``
+    sets the pool's supervision policy (chunk deadline / retries /
+    degradation) — long large-tile sweeps survive dying workers instead of
+    losing the whole run.
     The predictions are bit-identical to the serial path in every mode.
     """
     pipeline_config = config if config is not None else ExecutionConfig()

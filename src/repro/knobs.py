@@ -1,7 +1,6 @@
 """Central registry of every ``REPRO_*`` runtime knob.
 
-Eight PRs of engine work accreted a dozen environment-variable knobs, each
-read at its own call site with its own hand-rolled truthy parser.  This
+Every environment-variable knob of the engine is read here.  This
 module is the single choke point the ENV001 lint rule enforces: **no other
 module under ``src/`` (or ``benchmarks/``, ``examples/``, ``scripts/``) may
 touch ``os.environ``** — every env read routes through :func:`get_raw` /
@@ -11,11 +10,9 @@ its parser kind, display default and documentation string.
 What centralizing buys:
 
 * **one parser per type** — :func:`parse_bool` / :func:`parse_int` /
-  :func:`parse_float` replace the four independently re-implemented truthy
-  parsers that used to live in ``pipeline/streaming.py``,
-  ``pipeline/cache.py``, ``opc/engine.py`` and ``pipeline/supervision.py``,
-  with one pinned behavior for invalid strings (a :class:`KnobError`, which
-  is a ``ValueError``, naming the knob and the offending value);
+  :func:`parse_float`, with one pinned behavior for invalid strings (a
+  :class:`KnobError`, which is a ``ValueError``, naming the knob and the
+  offending value);
 * **a machine-readable catalogue** — the knob tables in
   ``docs/configuration.md`` are *generated* from this registry
   (``scripts/gen_config_docs.py``) and the ENV002 lint rule fails CI when
@@ -143,7 +140,7 @@ class Knob:
     """
 
     name: str        # environment variable, e.g. "REPRO_DEGRADE"
-    kind: str        # "flag" | "int" | "float" | "string" | "path" | "choice" | "flag-or-bytes" | "plan"
+    kind: str        # "flag" | "int" | "float" | "string" | "path" | "choice" | "plan"
     default: str     # human-readable default, rendered into the docs table
     doc: str         # markdown "Meaning" cell for docs/configuration.md
     section: str     # docs section key (see SECTIONS)
@@ -255,19 +252,6 @@ register_knob(Knob(
     ),
     section="execution",
     field="num_workers",
-))
-register_knob(Knob(
-    name="REPRO_RESULT_CACHE",
-    kind="flag-or-bytes",
-    default="off",
-    doc=(
-        "Content-hash result cache in front of `InferencePipeline.run`/`predict` "
-        "([`repro.pipeline.cache`](../src/repro/pipeline/cache.py)). A boolean "
-        "flag enables the default 256 MiB byte budget; an integer sets the "
-        "budget in bytes."
-    ),
-    section="execution",
-    field="result_cache",
 ))
 register_knob(Knob(
     name="REPRO_BACKEND",

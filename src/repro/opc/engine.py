@@ -71,10 +71,10 @@ class OPCConfig:
     record_history: bool = True
     #: Execution document for the simulation pipeline
     #: (:class:`repro.pipeline.ExecutionConfig`): workers, BLAS threads,
-    #: result cache, supervision.  OPC is the canonical repeated-call
-    #: workload — the iterate-simulate-measure loop calls the simulator once
-    #: per iteration on same-shaped masks, so a pooled run maps its
-    #: shared-memory ring once and reuses it for the whole correction.
+    #: supervision.  OPC is the canonical repeated-call workload — the
+    #: iterate-simulate-measure loop calls the simulator once per iteration
+    #: on same-shaped masks, so a pooled run maps its shared-memory ring
+    #: once and reuses it for the whole correction.
     execution: "ExecutionConfig | None" = None
     #: Incremental re-simulation: track dirty tile windows per iteration and
     #: re-simulate only those (:meth:`InferencePipeline.predict_patched`),

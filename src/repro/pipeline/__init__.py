@@ -37,8 +37,7 @@ benchmarks):
     Compute lane of the compiled fused graph (:mod:`repro.nn.backends`):
     ``float64`` (default, bit-identical to the uncompiled path), ``float32``
     (folded weights narrowed at compile time; calibrated-tolerance
-    equivalence).  Only engages on compiled model engines; the cache key
-    carries the lane dtype, so results from different lanes never mix.
+    equivalence).  Only engages on compiled model engines.
 ``blas_threads`` / ``REPRO_BLAS_THREADS``
     Thread budget composed with the worker pool.  Compiled engines run their
     fused convs, and the golden simulator its aerial image, on a compute
@@ -50,10 +49,6 @@ benchmarks):
     the cores; serial compiled and simulator pipelines default to the
     usable core count up to 2, and other serial pipelines leave the library
     untouched unless the knob is set.
-``result_cache`` / ``REPRO_RESULT_CACHE``
-    Bounded content-hash LRU in front of ``run``/``predict``
-    (:mod:`repro.pipeline.cache`): exact input repeats are answered without
-    touching the executor.  Default off.
 ``retry`` / ``REPRO_WORKER_TIMEOUT`` + ``REPRO_WORKER_RETRIES`` + ``REPRO_DEGRADE``
     Supervision policy for the pooled dispatch
     (:mod:`repro.pipeline.supervision`): per-chunk deadline, retry budget for
@@ -68,22 +63,17 @@ to the serial path (pinned by ``tests/pipeline/``).  The full environment
 catalogue (defaults, precedence) lives in ``docs/configuration.md``.
 
 On top of these, ``incremental_state`` / ``predict_patched`` expose the
-incremental re-simulation plan: comparing each window with the last simulated
-mask finds the windows a mask edit touched and only those are re-simulated,
-their ownership regions spliced into a cached full-image map
-(:mod:`repro.pipeline.cache`).
+OPC loop's incremental re-simulation plan over the golden simulator:
+comparing each window with the last simulated mask finds the windows a mask
+edit touched and only those are re-simulated, their ownership regions
+spliced into a cached full-image aerial map (:mod:`repro.pipeline.cache`).
 """
 
 from .cache import (
-    DEFAULT_CACHE_BUDGET_BYTES,
-    RESULT_CACHE_ENV,
     IncrementalCounters,
     IncrementalState,
-    MaskResultCache,
     choose_patch_tile,
-    hash_array,
     ownership_slices,
-    resolve_cache_budget,
 )
 from .config import NUM_WORKERS_ENV, ConfigError, ExecutionConfig, ExecutionPlan
 from .engine import InferencePipeline, PipelineResult, PipelineStats
@@ -115,15 +105,10 @@ __all__ = [
     "InferencePipeline",
     "PipelineResult",
     "PipelineStats",
-    "DEFAULT_CACHE_BUDGET_BYTES",
-    "RESULT_CACHE_ENV",
     "IncrementalCounters",
     "IncrementalState",
-    "MaskResultCache",
     "choose_patch_tile",
-    "hash_array",
     "ownership_slices",
-    "resolve_cache_budget",
     "Executor",
     "ModelExecutor",
     "SimulatorExecutor",

@@ -1,28 +1,18 @@
-"""Caches for exact-repeat reuse and incremental re-simulation.
+"""The incremental re-simulation state of the OPC loop.
 
-Two caching layers make OPC iteration cost proportional to the *perturbed*
-area instead of the mask area:
-
-* :class:`MaskResultCache` — a bounded (byte-budget) LRU in front of
-  :meth:`repro.pipeline.InferencePipeline.run`, keyed by the content hash of
-  each input mask *plus the pipeline's compute identity* (engine name and
-  compute-lane dtype — see :mod:`repro.nn.backends`), so a
-  cache shared between, say, a ``float32``-lane pipeline and a ``float64``
-  one can never serve an entry produced under a different numeric contract.
-  Exact repeats — dataset rebuilds, convergence re-checks, the final
-  ``build_mask`` after an OPC loop, the Figure 8 golden snapshot sims — are
-  answered from the cache without touching the executor.  Off by default;
-  enable per pipeline (``result_cache=True`` / a byte budget) or fleet-wide
-  with ``REPRO_RESULT_CACHE``.
-* :class:`IncrementalState` — the dirty-tile ledger of the patched
-  re-simulation plan (:meth:`~repro.pipeline.InferencePipeline.predict_patched`).
-  The mask is viewed through the half-overlapping :class:`~repro.layout.tiling.TileSpec`
-  grid of paper §3.2; comparing each candidate window's pixels with a copy
-  of the last simulated mask identifies which tile windows changed since the
-  previous call, only those windows are re-simulated, and their *ownership
-  regions* (the disjoint partition of the image induced by the scan-order
-  core stitch of :func:`~repro.layout.tiling.stitch_cores`) are written back
-  into a cached full-image map.
+The OPC loop simulates the same mask once per iteration, each time with a
+few fragments moved.  :class:`IncrementalState` makes that cost
+proportional to the *perturbed* area instead of the mask area: it is the
+dirty-tile ledger of the patched re-simulation plan
+(:meth:`~repro.pipeline.InferencePipeline.predict_patched`) over the golden
+simulator's aerial image.  The mask is viewed through the half-overlapping
+:class:`~repro.layout.tiling.TileSpec` grid of paper §3.2; comparing each
+candidate window's pixels with a copy of the last simulated mask identifies
+which tile windows changed since the previous call, only those windows are
+re-simulated, and their *ownership regions* (the disjoint partition of the
+image induced by the scan-order core stitch of
+:func:`~repro.layout.tiling.stitch_cores`) are written back into a cached
+full-image aerial map.
 
 Exactness of the patched plan
 -----------------------------
@@ -39,12 +29,6 @@ comparison is pointwise, so patched resist images match whole-mask
 re-simulation (pinned by the equivalence suites in
 ``tests/pipeline/test_cache.py`` / ``tests/opc/test_incremental.py``).
 
-For model engines the patched plan re-runs global perception on the dirty
-tile windows only and splices their pooled cores into a cached stitched GP
-map — the same tiles, margin and ownership the stitched plan would use — then
-runs the translation-invariant reconstruction on the full mask, so the result
-is bit-identical to ``predict(stitch=True)`` by construction.
-
 Hybrid cost model
 -----------------
 Windowed FFTs are smaller but there are many of them: re-simulating all nine
@@ -56,124 +40,18 @@ call), so the incremental plan is never materially slower than the plain one.
 
 from __future__ import annotations
 
-import hashlib
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .. import knobs
 from ..layout.tiling import TileSpec
 
 __all__ = [
-    "RESULT_CACHE_ENV",
-    "DEFAULT_CACHE_BUDGET_BYTES",
-    "MaskResultCache",
     "IncrementalCounters",
     "IncrementalState",
     "choose_patch_tile",
-    "hash_array",
     "ownership_slices",
-    "resolve_cache_budget",
 ]
-
-#: Environment variable consulted when no explicit ``result_cache`` argument
-#: is given: off / on / an integer byte budget.
-RESULT_CACHE_ENV = "REPRO_RESULT_CACHE"
-
-#: Byte budget used when the cache is enabled without an explicit size.
-DEFAULT_CACHE_BUDGET_BYTES = 256 * 1024 * 1024
-
-def resolve_cache_budget(result_cache: bool | int | None = None) -> int:
-    """Resolve the result-cache knob to a byte budget (0 = disabled).
-
-    Explicit argument > ``REPRO_RESULT_CACHE`` > off.  ``True`` (or a truthy
-    flag value in the environment) selects :data:`DEFAULT_CACHE_BUDGET_BYTES`;
-    an integer is taken as the budget in bytes.
-    """
-    if result_cache is not None:
-        if result_cache is True:
-            return DEFAULT_CACHE_BUDGET_BYTES
-        if result_cache is False:
-            return 0
-        budget = int(result_cache)
-        return max(budget, 0)
-    raw = knobs.get_raw(RESULT_CACHE_ENV) or ""
-    try:
-        flag = knobs.parse_bool(raw, name=RESULT_CACHE_ENV)
-    except knobs.KnobError:
-        try:
-            return max(int(raw.strip()), 0)
-        except ValueError:
-            raise knobs.KnobError(
-                f"{RESULT_CACHE_ENV}={raw.strip().lower()!r} is not a boolean flag or byte budget"
-            ) from None
-    if flag is None or flag is False:
-        return 0
-    return DEFAULT_CACHE_BUDGET_BYTES
-
-
-def hash_array(array: np.ndarray) -> bytes:
-    """Content hash of an array (shape + dtype + bytes, C-order)."""
-    array = np.ascontiguousarray(array)
-    digest = hashlib.blake2b(digest_size=16)
-    digest.update(repr((array.shape, array.dtype.str)).encode())
-    digest.update(array)
-    return digest.digest()
-
-
-class MaskResultCache:
-    """Bounded content-hash -> prediction LRU with a byte-size budget.
-
-    Values are stored (and returned) as copies, so cached results can never
-    alias arrays the caller mutates.  Inserting a value larger than the whole
-    budget is a silent no-op rather than an eviction storm.
-    """
-
-    def __init__(self, budget_bytes: int = DEFAULT_CACHE_BUDGET_BYTES) -> None:
-        if budget_bytes <= 0:
-            raise ValueError("MaskResultCache needs a positive byte budget")
-        self.budget_bytes = int(budget_bytes)
-        self.hits = 0
-        self.misses = 0
-        self._entries: OrderedDict[bytes, np.ndarray] = OrderedDict()
-        self._nbytes = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes currently held by cached values."""
-        return self._nbytes
-
-    def get(self, key: bytes) -> np.ndarray | None:
-        """Look a key up (counting hit/miss) and refresh its LRU position."""
-        value = self._entries.get(key)
-        if value is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        self._entries.move_to_end(key)
-        return value.copy()
-
-    def put(self, key: bytes, value: np.ndarray) -> None:
-        """Insert a value, evicting least-recently-used entries over budget."""
-        nbytes = value.nbytes
-        if nbytes > self.budget_bytes:
-            return
-        old = self._entries.pop(key, None)
-        if old is not None:
-            self._nbytes -= old.nbytes
-        self._entries[key] = value.copy()
-        self._nbytes += nbytes
-        while self._nbytes > self.budget_bytes and len(self._entries) > 1:
-            _, evicted = self._entries.popitem(last=False)
-            self._nbytes -= evicted.nbytes
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self._nbytes = 0
 
 
 @dataclass
@@ -264,24 +142,20 @@ def _fft_cost(size: int, support: int) -> float:
 
 @dataclass
 class IncrementalState:
-    """Dirty-tile ledger + cached full-image map for patched re-simulation.
+    """Dirty-tile ledger + cached full-image aerial map for patched re-simulation.
 
     Built by :meth:`repro.pipeline.InferencePipeline.incremental_state` and
     threaded through successive :meth:`~repro.pipeline.InferencePipeline.predict_patched`
-    calls.  ``mode`` is ``"aerial"`` (simulator engines: the cached map is the
-    full-image aerial intensity) or ``"gp"`` (stitchable models: the cached
-    map is the stitched pooled global-perception features).  ``last_mask``
-    is a copy of the last simulated mask; dirty windows are found by exact
-    comparison of their pixels with it.
+    calls.  ``cached_map`` is the full-image aerial intensity of the last
+    call; ``last_mask`` is a copy of the last simulated mask, and dirty
+    windows are found by exact comparison of their pixels with it.
     """
 
-    mode: str
     shape: tuple[int, int]
     tile_size: int
     specs: list[TileSpec]
-    margin: int                           # core margin at the cached-map resolution
-    pool: int = 1                         # map resolution divisor (1 for aerial)
-    support: int = 1                      # kernel support (aerial cost model)
+    margin: int                           # core margin of every window
+    support: int = 1                      # kernel support (cost model)
     last_mask: np.ndarray | None = field(default=None, repr=False)
     cached_map: np.ndarray | None = None
     counters: IncrementalCounters = field(default_factory=IncrementalCounters)
@@ -291,16 +165,8 @@ class IncrementalState:
     def n_tiles(self) -> int:
         return len(self.specs)
 
-    def pooled_specs(self) -> list[TileSpec]:
-        pool = self.pool
-        return [
-            TileSpec(row=s.row, col=s.col, y0=s.y0 // pool, x0=s.x0 // pool, size=s.size // pool)
-            for s in self.specs
-        ]
-
     def ownership(self) -> list[tuple[tuple[slice, slice], tuple[slice, slice]]]:
-        h, w = self.shape
-        return ownership_slices(self.pooled_specs(), (h // self.pool, w // self.pool), self.margin)
+        return ownership_slices(self.specs, self.shape, self.margin)
 
     def window(self, index: int) -> tuple[slice, slice]:
         """Pixel slices of tile window ``index`` in the full mask."""
@@ -329,12 +195,10 @@ class IncrementalState:
     def prefer_native(self, dirty_count: int) -> bool:
         """Hybrid cost model: is a native whole-image refresh cheaper?
 
-        Only meaningful for ``"aerial"`` mode, where the native path is one
-        big zero-padded FFT and the patched path is ``dirty_count`` small
-        ones.  The GP patched plan has no native equivalent of the stitched
-        result, so it always patches.
+        The native path is one big zero-padded FFT and the patched path is
+        ``dirty_count`` small ones.
         """
-        if self.mode != "aerial" or self.n_tiles == 1:
+        if self.n_tiles == 1:
             return dirty_count >= self.n_tiles
         native = _fft_cost(max(self.shape), self.support)
         window = _fft_cost(self.tile_size, self.support)

@@ -1,6 +1,6 @@
 """One resolved :class:`ExecutionConfig` for every pipeline consumer.
 
-Eight PRs of engine growth (workers, streaming, fusion, backends, caching,
+Eight PRs of engine growth (workers, streaming, fusion, backends,
 supervision, incremental OPC) each threaded a new keyword through the same
 ~8 signatures, and every consumer re-declared an overlapping subset with
 subtly different defaults.  This module is the consolidation:
@@ -19,7 +19,7 @@ subtly different defaults.  This module is the consolidation:
   serving front end (config doc in).
 * :class:`ExecutionPlan` — the serializable output of
   :meth:`repro.pipeline.InferencePipeline.plan`: mode, tile grid,
-  super-batch shape, pooled-vs-serial, cache identity — everything
+  super-batch shape, pooled-vs-serial — everything
   ``PipelineStats`` used to reconstruct after the fact, known *before*
   execution (``show``-style state out; the unit the async scheduler will
   coalesce).
@@ -38,11 +38,10 @@ graph's lane.  ``compile`` likewise has no environment leg here:
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 from .. import knobs
 from ..nn.backends import BACKENDS, BLAS_THREADS_ENV, default_blas_threads
-from .cache import RESULT_CACHE_ENV, resolve_cache_budget
 from .supervision import (
     DEFAULT_MAX_RETRIES,
     DEGRADE_ENV,
@@ -111,10 +110,6 @@ class ExecutionConfig:
     #: the usable core count up to 2 when serial and compiled or simulating,
     #: else 0 = leave the BLAS library alone).
     blas_threads: int | None = None
-    #: Content-hash result cache: ``True``/``False``, byte budget, or
-    #: ``None`` -> ``REPRO_RESULT_CACHE`` (then off).  Resolves to the byte
-    #: budget (0 = disabled).
-    result_cache: bool | int | None = None
     #: Worker-pool supervision policy; ``None`` fields inside it defer to
     #: ``REPRO_WORKER_TIMEOUT`` / ``REPRO_WORKER_RETRIES`` / ``REPRO_DEGRADE``.
     retry: RetryPolicy | None = None
@@ -192,16 +187,6 @@ class ExecutionConfig:
         pick("optical_diameter_pixels", None, None, 16)
         pick("compile", None, None, False)
         pick("num_workers", NUM_WORKERS_ENV, knobs.read_int(NUM_WORKERS_ENV, minimum=0), 0)
-        # result_cache resolves to the byte budget (0 = off); the env leg
-        # accepts a flag or a byte count, so reuse the cache's own parser.
-        if self.result_cache is not None:
-            values["result_cache"] = resolve_cache_budget(self.result_cache)
-            sources["result_cache"] = "explicit"
-        else:
-            values["result_cache"] = resolve_cache_budget(None)
-            sources["result_cache"] = (
-                RESULT_CACHE_ENV if knobs.read_string(RESULT_CACHE_ENV) else "default"
-            )
         pick(
             "blas_threads",
             BLAS_THREADS_ENV,
@@ -299,8 +284,6 @@ class ExecutionConfig:
                 f"{self.backend!r} is not a compute backend; "
                 f"valid backends: {', '.join(sorted(BACKENDS))}",
             )
-        if self.result_cache is not None and not isinstance(self.result_cache, (bool, int)):
-            fail("result_cache", f"must be a flag or byte budget, got {self.result_cache!r}")
         if self.retry is not None and not isinstance(self.retry, RetryPolicy):
             fail("retry", f"must be a RetryPolicy, got {self.retry!r}")
         if self.compile is not None and not isinstance(self.compile, bool):
@@ -362,8 +345,7 @@ class ExecutionPlan:
     anything runs; :meth:`~repro.pipeline.InferencePipeline.execute` carries
     it out, and the executed :class:`~repro.pipeline.PipelineStats` mirror
     its ``mode`` / ``num_tiles`` / ``num_batches`` / ``sharded_tiles``
-    (exactly, when the result cache is off — hits remove batches).  This is
-    the unit the async serving scheduler will coalesce across requests.
+    exactly.
     """
 
     engine: str
@@ -379,8 +361,6 @@ class ExecutionPlan:
     super_batch: int = 0                 # tiles per GP dispatch (stitched only)
     num_workers: int = 0
     sharded_tiles: bool = False
-    result_cache: bool = False
-    compute_identity: str = ""           # hex cache-identity of the executor
 
     def to_dict(self) -> dict:
         payload = {spec.name: getattr(self, spec.name) for spec in fields(self)}
@@ -390,6 +370,8 @@ class ExecutionPlan:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExecutionPlan":
+        """Rebuild a plan from :meth:`to_dict` output (unknown or missing
+        keys raise :class:`ConfigError`)."""
         valid = {spec.name for spec in fields(cls)}
         unknown = sorted(set(payload) - valid)
         if unknown:
@@ -397,7 +379,17 @@ class ExecutionPlan:
                 f"unknown execution plan key(s) {', '.join(unknown)}",
                 field=unknown[0],
             )
+        missing = [
+            spec.name
+            for spec in fields(cls)
+            if spec.default is MISSING and spec.name not in payload
+        ]
+        if missing:
+            raise ConfigError(
+                f"execution plan document lacks required key(s) {', '.join(missing)}",
+                field=missing[0],
+            )
         data = dict(payload)
-        data["mask_shape"] = tuple(data.get("mask_shape", ()))
+        data["mask_shape"] = tuple(data["mask_shape"])
         data["tile_grid"] = tuple(data.get("tile_grid", (0, 0)))
         return cls(**data)

@@ -33,9 +33,7 @@ Two independent knobs control throughput:
   patches through a zero-copy sliding-window view with one cache-resident
   GEMM per sample, and :class:`~repro.pipeline.executors.ModelExecutor`
   splits large batches into cache-sized micro-batches internally, so bigger
-  batches only help (seed: 35.5 ms/tile at bs=4 vs 21.9 at bs=1 on 64x64
-  DOINN tiles; after the rewrite ~15.1 ms/tile at bs=1 and ~13.8-14.0 at
-  bs>=2 on one core).  Larger batches amortize per-call planning overhead
+  batches only help.  Larger batches amortize per-call planning overhead
   and feed the worker pool bigger shards; past the micro-batch size there
   is no cache penalty for going big.
 * ``num_workers`` — processes the executor's batches are sharded across (see
@@ -74,7 +72,6 @@ with both knobs above and stays bit-identical across worker shardings.
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import time
 from dataclasses import dataclass, field
 
@@ -82,12 +79,7 @@ import numpy as np
 
 from ..layout.tiling import TileSpec, extract_tiles, stitch_cores, tile_grid
 from ..nn.backends import compute_threads, set_blas_threads
-from .cache import (
-    IncrementalState,
-    MaskResultCache,
-    choose_patch_tile,
-    hash_array,
-)
+from .cache import IncrementalState, choose_patch_tile
 from .config import ExecutionConfig, ExecutionPlan
 from .executors import Executor, as_executor
 from .parallel import WorkerPoolExecutor
@@ -106,8 +98,6 @@ class PipelineStats:
     num_batches: int = 0          # executor invocations
     sharded_tiles: bool = False   # GP tile stream sharded over a pool of > 1 workers
     seconds: float = 0.0
-    cache_hits: int = 0           # masks answered from the result cache
-    cache_misses: int = 0         # masks that had to be computed (cache enabled)
     dirty_tiles: int = 0          # tile windows re-simulated (patched mode only)
     chunks_retried: int = 0       # pooled chunks that needed another attempt
     workers_respawned: int = 0    # dead worker processes replaced mid-run
@@ -181,11 +171,6 @@ class InferencePipeline:
           graph (:func:`repro.nn.compile_model`, within 1e-12 of the unfused
           path) on the ``float64`` (bit-identical) or ``float32`` lane;
           ``backend=None`` defers to ``REPRO_BACKEND`` at the executor.
-        * ``result_cache`` — content-hash result cache in front of
-          :meth:`run` / :meth:`predict`
-          (:class:`repro.pipeline.cache.MaskResultCache`): ``True`` enables
-          the default byte budget, an ``int`` sets it; hits and misses land
-          on :class:`PipelineStats` and ``pipeline.result_cache``.
     """
 
     def __init__(self, engine, config: ExecutionConfig | None = None) -> None:
@@ -232,23 +217,9 @@ class InferencePipeline:
             set_blas_threads(resolved.blas_threads)
         #: Compute lane dtype of the executor (None for simulator engines).
         self.dtype = getattr(self.executor, "dtype", None)
-        # Fold the compute identity (engine + lane dtype) into every
-        # result-cache key: two pipelines sharing a cache across precisions
-        # must never serve each other's entries.  Keyed off the *inner*
-        # executor so pooled and serial runs of the same engine still share
-        # (they are bit-identical by construction).
-        inner = self.executor.inner if isinstance(self.executor, WorkerPoolExecutor) else self.executor
-        identity = f"{inner.name}|{getattr(inner, 'dtype', np.dtype(np.float64)).str}"
-        self._compute_identity = hashlib.blake2b(
-            identity.encode(), digest_size=8
-        ).digest()
         self.tile_size = resolved.tile_size
         self.batch_size = resolved.batch_size
         self.optical_diameter_pixels = resolved.optical_diameter_pixels
-        # resolved.result_cache is already the byte budget (0 = disabled).
-        self.result_cache: MaskResultCache | None = (
-            MaskResultCache(resolved.result_cache) if resolved.result_cache else None
-        )
         if self.tile_size is not None and self.executor.supports_stitching:
             pool = self.executor.pool_factor
             if self.tile_size % pool:
@@ -284,10 +255,10 @@ class InferencePipeline:
         """The :class:`~repro.pipeline.config.ExecutionPlan` for ``masks``.
 
         Everything :meth:`run` is about to do, known up front: native vs
-        stitched mode, the tile grid and super-batch shape, pooled-vs-serial
-        dispatch, and the compute identity the result cache keys on.  The
-        plan is serializable (``to_dict``/``from_dict`` round-trip through
-        JSON) and :meth:`execute` carries it out — ``run()`` is exactly
+        stitched mode, the tile grid and super-batch shape, and
+        pooled-vs-serial dispatch.  The plan is serializable
+        (``to_dict``/``from_dict`` round-trip through JSON) and
+        :meth:`execute` carries it out — ``run()`` is exactly
         ``execute(plan(masks), masks)``.
         """
         batch4, _ = self._normalize(masks)
@@ -298,8 +269,7 @@ class InferencePipeline:
 
         The masks must match the plan's ``num_masks`` / ``mask_shape`` and
         the plan must have been built for this engine; anything else raises
-        :class:`ValueError` (a plan is not transferable across pipelines
-        with different compute identities).
+        :class:`ValueError` (a plan is not transferable across engines).
         """
         batch4, _ = self._normalize(masks)
         n = batch4.shape[0]
@@ -318,16 +288,12 @@ class InferencePipeline:
             return PipelineResult(outputs=batch4.copy(), stats=stats)
         robustness = self._robustness_snapshot()
         start = time.perf_counter()
-        stitched = plan.mode == "stitched"
         with self._threads():
-            if self.result_cache is None:
-                outputs = (
-                    self._run_stitched(batch4, batch_size, stats)
-                    if stitched
-                    else self._run_native(batch4, batch_size, stats)
-                )
-            else:
-                outputs = self._run_cached(batch4, batch_size, stats, stitched)
+            outputs = (
+                self._run_stitched(batch4, batch_size, stats)
+                if plan.mode == "stitched"
+                else self._run_native(batch4, batch_size, stats)
+            )
         stats.seconds = time.perf_counter() - start
         self._record_robustness(stats, robustness)
         return PipelineResult(outputs=outputs, stats=stats)
@@ -395,61 +361,40 @@ class InferencePipeline:
     ) -> IncrementalState:
         """Build the dirty-tile state for :meth:`predict_patched` over ``shape``.
 
-        Simulator engines patch at the *aerial* level: the mask is viewed
-        through a half-overlapping window grid sized so each window's core
-        margin (``tile_size // 4``) covers the optical influence radius —
-        windowed re-simulation of dirty windows is then exact (see
+        Only the golden simulator patches: the mask is viewed through a
+        half-overlapping window grid sized so each window's core margin
+        (``tile_size // 4``) covers the optical influence radius, so windowed
+        re-simulation of dirty windows is exact (see
         :mod:`repro.pipeline.cache`).  ``tile_size=None`` picks the smallest
         valid window automatically (the whole image when none divides it).
-
-        Stitchable models patch at the *GP-feature* level with the pipeline's
-        own ``tile_size`` and stitching margin, bit-identical to
-        ``predict(stitch=True)``.  Engines with neither capability raise
-        :class:`ValueError`.
+        The mask must be square; other shapes and engines without an
+        optical influence radius raise :class:`ValueError`.
         """
+        if not hasattr(self.executor, "influence_radius"):
+            raise ValueError(
+                f"engine {self.name} has no optical influence radius; "
+                "incremental re-simulation applies to the golden simulator only"
+            )
         h, w = int(shape[0]), int(shape[1])
-        if hasattr(self.executor, "influence_radius"):
-            radius = max(int(self.executor.influence_radius), 1)
-            if tile_size is None:
-                tile_size = choose_patch_tile(h, radius) if h == w else max(h, w)
-            specs = tile_grid((h, w), tile_size)
-            if len(specs) > 1 and tile_size // 4 < radius:
-                raise ValueError(
-                    f"patch window {tile_size} too small for influence radius "
-                    f"{radius}; need tile_size >= {4 * radius}"
-                )
-            return IncrementalState(
-                mode="aerial",
-                shape=(h, w),
-                tile_size=tile_size,
-                specs=specs,
-                margin=tile_size // 4,
-                pool=1,
-                support=2 * radius + 1,
+        if h != w:
+            raise ValueError(
+                f"incremental re-simulation needs a square mask, got shape {(h, w)}"
             )
-        if self.executor.supports_stitching and self.tile_size is not None:
-            tile_size = tile_size or self.tile_size
-            self._validate_tiled_size((h, w))
-            pool = self.executor.pool_factor
-            margin = max(1, int(np.ceil(self.optical_diameter_pixels / (2 * pool))))
-            specs = tile_grid((h, w), tile_size)
-            if len(specs) > 1 and margin > (tile_size // pool) // 4:
-                raise ValueError(
-                    f"stitching margin {margin} exceeds the pooled core budget "
-                    f"{(tile_size // pool) // 4}; patched GP ownership would "
-                    "not match the scan-order stitch"
-                )
-            return IncrementalState(
-                mode="gp",
-                shape=(h, w),
-                tile_size=tile_size,
-                specs=specs,
-                margin=margin,
-                pool=pool,
+        radius = max(int(self.executor.influence_radius), 1)
+        if tile_size is None:
+            tile_size = choose_patch_tile(h, radius)
+        specs = tile_grid((h, w), tile_size)
+        if len(specs) > 1 and tile_size // 4 < radius:
+            raise ValueError(
+                f"patch window {tile_size} too small for influence radius "
+                f"{radius}; need tile_size >= {4 * radius}"
             )
-        raise ValueError(
-            f"engine {self.name} supports neither aerial patching nor GP core "
-            "stitching; incremental re-simulation does not apply"
+        return IncrementalState(
+            shape=(h, w),
+            tile_size=tile_size,
+            specs=specs,
+            margin=tile_size // 4,
+            support=2 * radius + 1,
         )
 
     def predict_patched(
@@ -465,17 +410,16 @@ class InferencePipeline:
         previous call.  Windows whose pixels are unchanged are skipped; dirty
         windows run through the same ``batch_size`` tiles-per-worker loop as
         the stitched plan and their ownership regions are written back into
-        the cached map.  ``candidates`` optionally bounds which windows need
+        the cached aerial map.  ``candidates`` optionally bounds which windows need
         comparing (e.g. from the OPC fragment->tile index); windows outside
         it are *trusted* to be unchanged.  A hybrid cost model falls back to
         one native whole-image refresh whenever patching would be slower
         (first call, or a dirty set past the FFT-cost breakeven), so the
         patched plan never loses materially to :meth:`predict`.
 
-        Results match the non-incremental path: bit-identical by construction
-        for GP-mode models and for clean/full-refresh calls, and exact up to
-        FFT summation order (equal resist images in every pinned equivalence
-        run) for patched aerial windows.
+        Results match :meth:`predict`: bit-identical for clean and
+        full-refresh calls, and exact up to FFT summation order (equal resist
+        images in every pinned equivalence run) for patched windows.
         """
         mask = np.asarray(mask, dtype=np.float64)
         if mask.ndim != 2 or mask.shape != state.shape:
@@ -503,53 +447,27 @@ class InferencePipeline:
                 counters.tiles_skipped += state.n_tiles - len(dirty)
                 stats.dirty_tiles = len(dirty)
                 state.record(mask, dirty)
-            output = self._finalize_patched(mask, state, stats)
+            output = self.executor.finalize_patched(state.cached_map)
         stats.seconds = time.perf_counter() - start
         self._record_robustness(stats, robustness)
         state.last_stats = stats
-        if self.result_cache is not None:
-            self.result_cache.put(
-                self._cache_key(mask, stitched=state.mode == "gp"), output[None]
-            )
         return output
 
     def _refresh_full(self, mask: np.ndarray, state: IncrementalState, stats: PipelineStats) -> None:
-        """Rebuild the cached map from the whole mask (native / full stitch)."""
-        if state.mode == "aerial":
-            state.cached_map = self.executor.run_aerial(mask[None, None])[0, 0]
-            stats.num_batches += 1
-            return
-        tiles, _ = extract_tiles(mask, state.tile_size)
-        gp_tiles = self._run_gp_batches(tiles, self.batch_size, stats)
-        h, w = state.shape
-        state.cached_map = stitch_cores(
-            gp_tiles, state.pooled_specs(), (h // state.pool, w // state.pool), state.margin
-        )
+        """Rebuild the cached aerial map from the whole mask."""
+        state.cached_map = self.executor.run_aerial(mask[None, None])[0, 0]
+        stats.num_batches += 1
 
     def _patch_windows(
         self, mask: np.ndarray, state: IncrementalState, dirty: list[int], stats: PipelineStats
     ) -> None:
         """Re-simulate the dirty windows and splice their ownership regions."""
         windows = np.stack([mask[state.window(i)] for i in dirty])
-        method = "run_aerial" if state.mode == "aerial" else "run_gp"
-        outputs = self._run_gp_batches(windows, self.batch_size, stats, method=method)
+        outputs = self._run_gp_batches(windows, self.batch_size, stats, method="run_aerial")
         ownership = state.ownership()
         for k, i in enumerate(dirty):
             local, target = ownership[i]
-            if state.mode == "aerial":
-                state.cached_map[target] = outputs[k][0][local]
-            else:
-                state.cached_map[(slice(None), *target)] = outputs[k][(slice(None), *local)]
-
-    def _finalize_patched(
-        self, mask: np.ndarray, state: IncrementalState, stats: PipelineStats
-    ) -> np.ndarray:
-        """Turn the cached map into the engine's output for this mask."""
-        if state.mode == "aerial":
-            return self.executor.finalize_patched(state.cached_map)
-        output = self.executor.run_reconstruction(state.cached_map[None], mask[None, None])
-        stats.num_batches += 1
-        return output[0, 0]
+            state.cached_map[target] = outputs[k][0][local]
 
     # ------------------------------------------------------------------ #
     # Planning helpers
@@ -624,8 +542,7 @@ class InferencePipeline:
 
         The batch math mirrors :meth:`_run_native` / :meth:`_run_stitched` /
         :meth:`_run_gp_batches` exactly, so an executed run's
-        :class:`PipelineStats` match the plan field for field (when the
-        result cache is off — cache hits remove batches at execution time).
+        :class:`PipelineStats` match the plan field for field.
         """
         n = batch4.shape[0]
         h, w = batch4.shape[-2:]
@@ -635,8 +552,6 @@ class InferencePipeline:
             mask_shape=(h, w),
             batch_size=batch_size,
             num_workers=self.num_workers,
-            result_cache=self.result_cache is not None,
-            compute_identity=self._compute_identity.hex(),
         )
         stitched = n > 0 and self._plan_stitched(batch4, stitch)
         if not stitched:
@@ -681,45 +596,6 @@ class InferencePipeline:
     # ------------------------------------------------------------------ #
     # Execution plans
     # ------------------------------------------------------------------ #
-    def _cache_key(self, mask2d: np.ndarray, stitched: bool) -> bytes:
-        """Cache key of one mask: content hash + execution plan + compute identity.
-
-        The compute-identity suffix (engine name, lane dtype) keeps caches
-        shared across pipelines honest: a float32-lane run can never hit a
-        float64 entry (and vice versa), and two different engines never
-        alias.
-        """
-        return hash_array(mask2d) + (b"s" if stitched else b"n") + self._compute_identity
-
-    def _run_cached(
-        self, batch4: np.ndarray, batch_size: int, stats: PipelineStats, stitched: bool
-    ) -> np.ndarray:
-        """Serve exact repeats from the result cache; compute only the misses.
-
-        The miss subset runs as one smaller batch — bit-identical to running
-        the full batch because every executor path is partition invariant
-        (the same invariance the worker pool's sharding relies on, pinned by
-        the parallel equivalence suites).
-        """
-        cache = self.result_cache
-        keys = [self._cache_key(batch4[i, 0], stitched) for i in range(batch4.shape[0])]
-        found = [cache.get(key) for key in keys]
-        miss = [i for i, value in enumerate(found) if value is None]
-        stats.cache_hits = batch4.shape[0] - len(miss)
-        stats.cache_misses = len(miss)
-        if not miss:
-            return np.stack(found)
-        sub = np.ascontiguousarray(batch4[miss])
-        sub_out = (
-            self._run_stitched(sub, batch_size, stats)
-            if stitched
-            else self._run_native(sub, batch_size, stats)
-        )
-        for j, i in enumerate(miss):
-            cache.put(keys[i], sub_out[j])
-            found[i] = sub_out[j]
-        return np.stack(found)
-
     def _run_native(self, batch4: np.ndarray, batch_size: int, stats: PipelineStats) -> np.ndarray:
         outputs = []
         for start in range(0, batch4.shape[0], batch_size):

@@ -67,7 +67,7 @@ def test_parse_float_and_minimum():
 # --------------------------------------------------------------------- #
 
 EXPECTED_KNOBS = {
-    "REPRO_NUM_WORKERS", "REPRO_RESULT_CACHE",
+    "REPRO_NUM_WORKERS",
     "REPRO_BACKEND", "REPRO_BLAS_THREADS",
     "REPRO_WORKER_TIMEOUT", "REPRO_WORKER_RETRIES", "REPRO_DEGRADE",
     "REPRO_FAULT_PLAN", "REPRO_PROFILE", "REPRO_ARTIFACTS", "REPRO_COMPILE",

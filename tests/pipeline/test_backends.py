@@ -216,28 +216,6 @@ def test_backend_sharded_stitched_matches_serial(model, lane):
 
 
 # --------------------------------------------------------------------- #
-# Incremental (patched) plan per lane
-# --------------------------------------------------------------------- #
-@pytest.mark.parametrize("lane", LANES)
-def test_backend_patched_plan_matches_stitched(model, lane):
-    pipeline = InferencePipeline(
-        model, ExecutionConfig(
-            tile_size=32, batch_size=8, optical_diameter_pixels=8, compile=True, backend=lane,
-        ),
-    )
-    state = pipeline.incremental_state((64, 64))
-    assert state.mode == "gp"
-    mask = _random_masks(1, 64)[0]
-    for step in range(3):
-        patched = pipeline.predict_patched(mask, state)
-        stitched = pipeline.predict(mask, stitch=True)
-        np.testing.assert_array_equal(patched, stitched, err_msg=f"{lane}/{step}")
-        mask = mask.copy()
-        mask[2 * step, 3 * step] = 1.0 - mask[2 * step, 3 * step]
-    assert state.counters.patched_calls >= 1
-
-
-# --------------------------------------------------------------------- #
 # BLAS thread caps
 # --------------------------------------------------------------------- #
 def test_pooled_pipeline_caps_worker_blas_threads(model, monkeypatch):

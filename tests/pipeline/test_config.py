@@ -34,7 +34,6 @@ from repro.pipeline.supervision import DEFAULT_MAX_RETRIES
 #: Every environment leg ExecutionConfig.resolve() consults.
 KNOB_ENVS = (
     "REPRO_NUM_WORKERS",
-    "REPRO_RESULT_CACHE",
     "REPRO_BLAS_THREADS",
     "REPRO_WORKER_TIMEOUT",
     "REPRO_WORKER_RETRIES",
@@ -70,7 +69,6 @@ def test_resolve_defaults():
     assert cfg.num_workers == 0
     assert cfg.compile is False
     assert cfg.blas_threads == 0
-    assert cfg.result_cache == 0
     assert cfg.retry == RetryPolicy(timeout=None, max_retries=DEFAULT_MAX_RETRIES, degrade=True)
     # Deliberate pass-throughs stay None.
     assert cfg.tile_size is None
@@ -91,7 +89,6 @@ def test_resolve_is_idempotent():
     ("env", "raw", "field", "env_value", "explicit", "explicit_value"),
     [
         ("REPRO_NUM_WORKERS", "3", "num_workers", 3, 1, 1),
-        ("REPRO_RESULT_CACHE", "1024", "result_cache", 1024, 2048, 2048),
         ("REPRO_BLAS_THREADS", "5", "blas_threads", 5, 2, 2),
     ],
 )
@@ -174,7 +171,7 @@ def test_sources_empty_before_resolution():
     assert cfg.sources == {}
     assert cfg.source_of("num_workers") == "explicit"
     assert cfg.source_of("tile_size") == "unset"
-    assert set(cfg.resolve().sources) >= {"batch_size", "retry.timeout", "result_cache"}
+    assert set(cfg.resolve().sources) >= {"batch_size", "retry.timeout", "blas_threads"}
 
 
 # --------------------------------------------------------------------- #
@@ -243,7 +240,7 @@ def test_config_error_is_value_error():
         ("blas_threads", 1.5),
         ("backend", "not-a-backend"),
         ("compile", 1),
-        ("result_cache", 1.5),
+        ("tile_size", 2.5),
         ("retry", object()),
         ("backend", ["float64"]),       # a JSON list is not a lane name
     ],
@@ -267,7 +264,6 @@ def test_config_json_round_trip():
         tile_size=32,
         batch_size=4,
         num_workers=2,
-        result_cache=4096,
         retry=RetryPolicy(timeout=1.5, max_retries=1, degrade=False),
         backend="float32",
         blas_threads=1,
@@ -309,7 +305,7 @@ def test_config_field_sets_are_pinned():
     """The execution knobs, exactly: adding one means editing this test."""
     assert [spec.name for spec in fields(ExecutionConfig)] == [
         "tile_size", "batch_size", "optical_diameter_pixels", "num_workers",
-        "compile", "backend", "blas_threads", "result_cache", "retry", "resolved",
+        "compile", "backend", "blas_threads", "retry", "resolved",
     ]
     assert [spec.name for spec in fields(RetryPolicy)] == [
         "timeout", "max_retries", "degrade",
@@ -328,6 +324,20 @@ def test_plan_from_dict_unknown_key_raises():
     assert excinfo.value.field == "modes"
 
 
+@pytest.mark.parametrize(
+    ("payload", "missing"),
+    [
+        ({}, "engine, mode, num_masks, mask_shape, batch_size"),
+        ({"engine": "x"}, "mode, num_masks, mask_shape, batch_size"),
+    ],
+    ids=["empty", "engine-only"],
+)
+def test_plan_from_dict_missing_key_raises(payload, missing):
+    with pytest.raises(ConfigError, match=f"required key\\(s\\) {missing}$") as excinfo:
+        ExecutionPlan.from_dict(payload)
+    assert excinfo.value.field == missing.split(",")[0]
+
+
 def test_knob_registry_maps_to_config_fields():
     """Every execution knob in the registry names a real config field."""
     config_fields = {spec.name for spec in fields(ExecutionConfig)}
@@ -342,7 +352,7 @@ def test_knob_registry_maps_to_config_fields():
             assert knob.field in config_fields, knob.name
         mapped.add(knob.name)
     assert {
-        "REPRO_NUM_WORKERS", "REPRO_RESULT_CACHE",
+        "REPRO_NUM_WORKERS",
         "REPRO_BACKEND", "REPRO_BLAS_THREADS",
         "REPRO_WORKER_TIMEOUT", "REPRO_WORKER_RETRIES", "REPRO_DEGRADE",
         "REPRO_COMPILE",
@@ -352,9 +362,7 @@ def test_knob_registry_maps_to_config_fields():
 # --------------------------------------------------------------------- #
 # Plans: serializable, executable, and honest about what ran
 # --------------------------------------------------------------------- #
-STITCHED = ExecutionConfig(
-    tile_size=32, batch_size=4, optical_diameter_pixels=16, result_cache=False
-)
+STITCHED = ExecutionConfig(tile_size=32, batch_size=4, optical_diameter_pixels=16)
 
 
 def test_plan_stitched_geometry(model):
@@ -369,7 +377,6 @@ def test_plan_stitched_geometry(model):
     assert plan.tiles_per_mask == rows * cols
     assert plan.num_tiles == plan.num_masks * plan.tiles_per_mask
     assert plan.sharded_tiles is False
-    assert plan.compute_identity
 
 
 def test_plan_json_round_trip(model):
@@ -470,7 +477,7 @@ def test_prebuilt_pool_settings_land_in_the_config(model):
 def test_simulator_pipeline_forwards_every_knob():
     """The harness forwards the whole config: blas_threads is not dropped."""
     harness = Harness()
-    cfg = ExecutionConfig(num_workers=0, blas_threads=0, result_cache=False)
+    cfg = ExecutionConfig(num_workers=0, blas_threads=0)
     pipeline = harness.simulator_pipeline(config=cfg)
     try:
         assert pipeline.config.blas_threads == 0

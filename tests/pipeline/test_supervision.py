@@ -24,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.litho import LithoSimulator
 from repro.pipeline import (
     FAULT_PLAN_ENV,
     ExecutionConfig,
@@ -170,25 +171,31 @@ def test_chaos_equivalence_whole_zoo(zoo_model, monkeypatch):
             assert pooled.executor.robustness.chunks_retried >= 1
 
 
-def test_chaos_predict_patched_matches_serial(model, monkeypatch):
+def test_chaos_predict_patched_matches_serial(monkeypatch):
     """Hard worker crashes under the incremental patched plan still match the
     serial prediction exactly — patched windows are just chunks with slices."""
-    kwargs = dict(tile_size=32, batch_size=4, optical_diameter_pixels=8)
-    serial = InferencePipeline(model, ExecutionConfig(**kwargs))
+    simulator = LithoSimulator(pixel_size=16.0, num_kernels=10, kernel_support=31)
+    serial = InferencePipeline(simulator, ExecutionConfig(batch_size=4))
     monkeypatch.setenv(FAULT_PLAN_ENV, "exit@*:0")
-    with InferencePipeline(model, ExecutionConfig(num_workers=2, **kwargs)) as pooled:
-        state = pooled.incremental_state((64, 64))
-        assert state.mode == "gp"
-        mask = _random_masks(1, 64, seed=55)[0]
-        # First call: full refresh — the whole GP tile stream goes through
-        # the pool, and the fault plan kills a worker per dispatch.
+    with InferencePipeline(simulator, ExecutionConfig(batch_size=4, num_workers=2)) as pooled:
+        state = pooled.incremental_state((128, 128))
+        assert state.n_tiles == 9  # 3 x 3 grid of 64 px windows at stride 32
+        mask = _random_masks(1, 128, seed=55)[0]
+        # First call: a full refresh is one mask, so it runs in the parent.
         out = pooled.predict_patched(mask, state)
-        assert np.array_equal(out, serial.predict(mask, stitch=True))
+        assert np.array_equal(out, serial.predict(mask))
+        # Each edit straddles two windows: enough to shard the patched
+        # windows over the pool, below the native-refresh break-even.
+        for rows, cols in ((slice(40, 44), slice(8, 12)),
+                           (slice(8, 12), slice(40, 44)),
+                           (slice(100, 104), slice(40, 44))):
+            mask = mask.copy()
+            mask[rows, cols] = 1.0 - mask[rows, cols]
+            assert len(state.dirty_windows(mask, None)) == 2
+            out = pooled.predict_patched(mask, state)
+            assert np.array_equal(out, serial.predict(mask))
+        assert state.counters.patched_calls == 3
         assert pooled.executor.robustness.workers_respawned >= 1
-        mask = mask.copy()
-        mask[8, 8] = 1.0 - mask[8, 8]
-        out = pooled.predict_patched(mask, state)
-        assert np.array_equal(out, serial.predict(mask, stitch=True))
     assert live_segment_names() == ()
 
 
