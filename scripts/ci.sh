@@ -88,7 +88,8 @@ python -m pytest -x -q -p no:cacheprovider -W "error::DeprecationWarning" tests 
     --ignore=tests/pipeline/test_parallel.py --ignore=tests/pipeline/test_streaming.py \
     --ignore=tests/pipeline/test_cache.py --ignore=tests/opc/test_incremental.py \
     --ignore=tests/pipeline/test_supervision.py --ignore=tests/pipeline/test_backends.py \
-    --ignore=tests/pipeline/test_config.py "$@"
+    --ignore=tests/pipeline/test_config.py --ignore=tests/litho/test_hopkins_batch.py \
+    "$@"
 
 # The execution-config contract (docs/architecture.md): one resolved
 # ExecutionConfig document with explicit > REPRO_* > default precedence and
@@ -140,16 +141,21 @@ echo "== streaming + parallel worker-pool suites (pooled == serial, bit for bit)
 python -m pytest -x -q -p no:cacheprovider -W "error::DeprecationWarning" \
     tests/pipeline/test_parallel.py tests/pipeline/test_streaming.py "$@"
 
-echo "== incremental OPC suites (patched == full re-simulation, bit for bit) =="
+# With them, the batched aerial-image suite: the packed SOCS planes against
+# the per-kernel loop (1e-8, defocus 0 and defocused) and the team-size bit
+# pins of the packed fixed-order loop.
+echo "== incremental OPC + aerial-image suites (patched == full re-simulation, bit for bit) =="
 python -m pytest -x -q -p no:cacheprovider -W "error::DeprecationWarning" \
-    tests/pipeline/test_cache.py tests/opc/test_incremental.py "$@"
+    tests/pipeline/test_cache.py tests/opc/test_incremental.py \
+    tests/litho/test_hopkins_batch.py "$@"
 
 # The leg above runs the golden simulator's aerial image on the serial
 # default team (the usable cores, at most two); this one re-runs the same
 # suites on a team of one, so patched == full holds at both team sizes.
-echo "== incremental OPC suites on a compute team of one (REPRO_BLAS_THREADS=1) =="
+echo "== incremental OPC + aerial-image suites on a compute team of one (REPRO_BLAS_THREADS=1) =="
 REPRO_BLAS_THREADS=1 python -m pytest -x -q -p no:cacheprovider -W "error::DeprecationWarning" \
-    tests/pipeline/test_cache.py tests/opc/test_incremental.py "$@"
+    tests/pipeline/test_cache.py tests/opc/test_incremental.py \
+    tests/litho/test_hopkins_batch.py "$@"
 
 # The chaos gate kills, crashes and hangs workers on purpose (deterministic
 # REPRO_FAULT_PLAN injection); its own /dev/shm check right after proves the
@@ -169,9 +175,9 @@ check_shm_clean "after chaos gate"
 # 8-tile batches.  The pooled run holds sampled outputs
 # bit-identical to serial while each worker runs a team of one.  The OPC run
 # holds each sampled incremental correction (patched windows and full
-# refreshes, the aerial image on the compute team) bit for bit equal to the
-# always-full correction.  Each gate fails unless the run's last (JSON) line
-# reports correct with 0 failed calls.
+# refreshes, the aerial image's packed SOCS planes on the compute team) bit
+# for bit equal to the always-full correction.  Each gate fails unless the
+# run's last (JSON) line reports correct with 0 failed calls.
 bench_smoke() {
     echo "== benchmark smoke ($1: correct, 0 failed) =="
     bench_json=$(python3 perfbench/run.py --workload "$1" --seed 1 --seconds 5 --trace 0 | tail -n 1)

@@ -11,11 +11,16 @@ space" optimization the paper describes — and the implementation is
 stack of masks ``(N, H, W)``, computes **one** zero-padded FFT per mask and
 reuses it across every SOCS kernel.  The kernels' frequency-domain transfer
 functions are precomputed once per FFT shape and cached on
-:class:`~repro.litho.kernels.SOCSKernels`, so simulating a stream of same-size
-masks (the inference-pipeline hot path) costs ``1 + l`` transforms per mask
-instead of the ``3 * l`` a per-kernel ``fftconvolve`` loop pays.
+:class:`~repro.litho.kernels.SOCSKernels`, packed two real kernels per complex
+plane: for a real mask one inverse transform yields both kernels' fields as
+its real and imaginary parts.  Simulating a stream of same-size masks (the
+inference-pipeline hot path) thus costs ``1 + ceil(l'/2)`` transforms per mask
+at defocus 0 (``l'`` kernels with a positive eigenvalue; a defocused pupil
+makes the kernels complex and gives ``l'`` planes) instead of the ``3 * l`` a
+per-kernel ``fftconvolve`` loop pays.  Masks must be real; :func:`aerial_image`
+casts them to float64.
 
-Each (mask group, kernel chunk) pair of the inverse transforms is one work
+Each (mask group, plane chunk) pair of the inverse transforms is one work
 unit of the process's compute team (:func:`repro.nn.backends.compute_team`),
 which a serial simulator pipeline sizes for each call and which is a team
 of one anywhere else.  The chunk sums are added back in a fixed order, so
@@ -125,15 +130,16 @@ def _aerial_batch(
     """Unnormalized aerial intensity of a mask batch ``(N, H, W)``.
 
     One padded FFT per mask, multiplied against the cached ``sqrt(alpha_k)``-
-    weighted kernel transfer functions, so the SOCS sum is a plain
-    ``sum_k |field_k|^2``; the crop offset ``(K - 1) // 2`` reproduces
-    ``fftconvolve``'s ``mode="same"`` centring exactly, so the result matches
-    the per-kernel loop to floating-point round-off.
+    weighted kernel transfer functions, packed two real kernels per plane,
+    so the SOCS sum is a plain ``sum_j |field_j|^2`` over the planes; the
+    crop offset ``(K - 1) // 2`` reproduces ``fftconvolve``'s
+    ``mode="same"`` centring exactly, so the result matches the per-kernel
+    loop to floating-point round-off.
 
-    Masks are processed in groups and kernels in chunks.  Each (group, chunk)
+    Masks are processed in groups and planes in chunks.  Each (group, chunk)
     pair is one work unit of this process's compute team
     (:func:`repro.nn.backends.compute_team`): multiply, ``ifft2``, crop,
-    ``|field|^2`` and the sum over the chunk's kernels, in its team member's
+    ``|field|^2`` and the sum over the chunk's planes, in its team member's
     scratch.  The caller adds the chunk sums into the intensity in (group,
     chunk) order, so the bits depend neither on which member ran which unit
     nor on the team size.  Without a ``workspace`` the scratch lives for
@@ -142,7 +148,7 @@ def _aerial_batch(
     n, h, w = masks.shape
     support = kernels.support
     fft_shape = (next_fast_len(h + support - 1), next_fast_len(w + support - 1))
-    weighted = kernels.weighted_transfer_functions(fft_shape)    # (l+, Fh, Fw)
+    weighted = kernels.weighted_transfer_functions(fft_shape)    # (planes, Fh, Fw)
 
     intensity = np.zeros((n, h, w), dtype=np.float64)
     if weighted.shape[0] == 0:

@@ -23,6 +23,10 @@ from .optics import OpticalSettings, pupil_function, source_points
 
 __all__ = ["SOCSKernels", "compute_tcc_matrix", "generate_kernels"]
 
+# A dropped imaginary remainder moves the normalised intensity by less than
+# this, i.e. by less than one rounding of a value near 1.
+_EPS = float(np.finfo(np.float64).eps)
+
 
 @dataclass(frozen=True)
 class SOCSKernels:
@@ -42,8 +46,9 @@ class SOCSKernels:
 
     The stack also memoizes derived quantities that are expensive to rebuild on
     every simulation call: the frequency-domain *transfer functions* of the
-    kernels at a given padded FFT shape (used by the batched aerial-image path
-    in :mod:`repro.litho.hopkins`) and the clear-field intensity used for dose
+    kernels, packed two real kernels per complex plane, at a given padded FFT
+    shape (used by the batched aerial-image path in
+    :mod:`repro.litho.hopkins`) and the clear-field intensity used for dose
     normalization.  The cache is keyed by FFT shape, so simulating many masks
     of the same size — the common case in the inference pipeline — pays the
     kernel FFTs exactly once.
@@ -76,25 +81,50 @@ class SOCSKernels:
 
     # -- memoized derived quantities ----------------------------------- #
     def weighted_transfer_functions(self, fft_shape: tuple[int, int]) -> np.ndarray:
-        """Frequency-domain kernels ``fft2(h_k)`` zero-padded to ``fft_shape``
-        and pre-scaled by ``sqrt(alpha_k)``.
+        """Packed frequency-domain kernels, zero-padded to ``fft_shape``.
 
         These are the SOCS transfer functions reused across every mask in a
         batch by :func:`repro.litho.hopkins.aerial_image`: the mask is FFT'd
         once and multiplied against this stack instead of running one
-        ``fftconvolve`` per kernel.  With the eigenvalue folded into the
-        transfer function the SOCS sum reduces to a plain
-        ``sum_k |field_k|^2`` — the aerial-image hot loop skips the
-        per-kernel eigenvalue weighting entirely.  Kernels with non-positive
-        eigenvalues contribute nothing and are dropped here, so the returned
-        stack may be shorter than :attr:`count`.
+        ``fftconvolve`` per kernel.
+
+        Each kernel with a positive eigenvalue is rotated by the phase of its
+        largest tap, ``h_k = e^(i phi_k) (a_k + i b_k)``, which leaves
+        ``|h_k (x) M|^2 = (a_k (x) M)^2 + (b_k (x) M)^2`` for a real mask
+        ``M``.  ``sqrt(alpha_k) a_k`` is always a real kernel;
+        ``sqrt(alpha_k) b_k`` is one too unless its worst-case share of the
+        normalised intensity over masks in [0, 1],
+        ``(sqrt(alpha_k) ||b_k||_1)^2 / clear_field``, is below float64 eps.
+        At defocus 0 the kernels are real up to that phase and every ``b_k``
+        is dropped; a defocused pupil keeps them.  The real kernels ``r`` are
+        paired in order into planes ``fft2(r_2j + i r_2j+1)`` (an odd count
+        leaves the last plane with one kernel alone).  Both convolutions of a
+        pair with a real mask are real, so one inverse transform of a plane's
+        product yields them as the real and imaginary parts of one field, and
+        the SOCS sum is a plain ``sum_j |field_j|^2`` over ``ceil(l'/2)``
+        planes at defocus 0 (``l'`` kernels with a positive eigenvalue), with
+        the eigenvalues already folded in.  Masks must therefore be real;
+        :func:`~repro.litho.hopkins.aerial_image` casts them to float64.
         """
         key = ("wtf", int(fft_shape[0]), int(fft_shape[1]))
         if key not in self._cache:
-            active = np.flatnonzero(self.eigenvalues > 0.0)
-            weighted = scipy.fft.fft2(self.kernels[active], s=tuple(fft_shape), axes=(-2, -1))
-            weighted *= np.sqrt(self.eigenvalues[active])[:, None, None]
-            self._cache[key] = weighted
+            clear_field = self.clear_field_intensity()
+            reals = []
+            for alpha, kernel in zip(self.eigenvalues, self.kernels):
+                if alpha <= 0.0:
+                    continue
+                peak = kernel.flat[np.argmax(np.abs(kernel))]
+                kernel = kernel * (np.conj(peak) / np.abs(peak))
+                weight = np.sqrt(alpha)
+                reals.append(weight * kernel.real)
+                remainder = weight * kernel.imag
+                if np.abs(remainder).sum() ** 2 >= _EPS * clear_field:
+                    reals.append(remainder)
+            packed = np.zeros((-(-len(reals) // 2), self.support, self.support), np.complex128)
+            if reals:
+                packed.real[:] = reals[0::2]
+                packed.imag[: len(reals) // 2] = reals[1::2]
+            self._cache[key] = scipy.fft.fft2(packed, s=tuple(fft_shape), axes=(-2, -1))
         return self._cache[key]
 
     def clear_field_intensity(self) -> float:

@@ -305,7 +305,11 @@ class ExecutionConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExecutionConfig":
-        """Rebuild a config from :meth:`to_dict` output (unknown keys raise)."""
+        """Rebuild a config from :meth:`to_dict` output (unknown keys raise).
+
+        A document cannot vouch for itself: a ``"resolved": true`` one is
+        resolved (and so validated) again, every set field ``explicit``.
+        """
         valid = {spec.name for spec in fields(cls)}
         unknown = sorted(set(payload) - valid)
         if unknown:
@@ -314,10 +318,12 @@ class ExecutionConfig:
                 field=unknown[0],
             )
         data = dict(payload)
+        resolved = data.pop("resolved", False)
         retry = data.get("retry")
         if isinstance(retry, dict):
             data["retry"] = _retry_from_dict(retry)
-        return cls(**data)
+        config = cls(**data)
+        return config.resolve() if resolved else config
 
 
 def _retry_from_dict(payload: dict) -> RetryPolicy:

@@ -2,12 +2,14 @@
 
 The batch-first :func:`repro.litho.aerial_image` replaces one ``fftconvolve``
 per SOCS kernel with a single padded mask FFT multiplied against cached
-kernel transfer functions.  These tests pin the contract of that refactor:
-numerical equivalence with :func:`repro.litho.aerial_image_loop` within 1e-8,
-batch/single consistency, and the caching behaviour of
-:class:`repro.litho.SOCSKernels`.  The (mask group, kernel chunk) units run
-on the process's compute team; the team pins below hold every team size to
-the bits of one fixed-order loop, in a workspace whose bytes stay bounded.
+kernel transfer functions, packed two real kernels per complex plane.  These
+tests pin the contract of that refactor: numerical equivalence with
+:func:`repro.litho.aerial_image_loop` within 1e-8 at defocus 0 and on the
+complex kernels of a defocused pupil, batch/single consistency, the packing
+rule and the caching behaviour of :class:`repro.litho.SOCSKernels`.  The
+(mask group, plane chunk) units run on the process's compute team; the team
+pins below hold every team size to the bits of one fixed-order loop over the
+packed planes, in a workspace whose bytes stay bounded.
 """
 
 from __future__ import annotations
@@ -78,6 +80,30 @@ def test_non_square_masks(simulator):
     np.testing.assert_allclose(out, reference, atol=1e-8)
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_defocused_batched_matches_loop(simulator, spread_units, threads):
+    """Defocus makes the kernels complex: their imaginary remainders become
+    real kernels of their own, and the batch still matches the loop."""
+    defocused = simulator.with_defocus(120.0).kernels
+    mask = _random_masks(1, 64, seed=2)[0]
+    masks = _random_masks(4, 40, seed=3)
+    reference = np.stack([aerial_image_loop(m, defocused) for m in masks])
+    with compute_threads(threads):
+        single = aerial_image(mask, defocused)
+        batch = aerial_image(masks, defocused)
+    np.testing.assert_allclose(single, aerial_image_loop(mask, defocused), atol=1e-8)
+    np.testing.assert_allclose(batch, reference, atol=1e-8)
+
+
+def test_odd_kernel_count_matches_loop():
+    """Nine real kernels: the last plane holds one kernel alone."""
+    kernels = LithoSimulator(pixel_size=16.0, num_kernels=9).kernels
+    assert kernels.weighted_transfer_functions((80, 80)).shape[0] == 5
+    masks = _random_masks(3, 48, seed=4)
+    reference = np.stack([aerial_image_loop(m, kernels) for m in masks])
+    np.testing.assert_allclose(aerial_image(masks, kernels), reference, atol=1e-8)
+
+
 def test_loop_rejects_batches(simulator):
     with pytest.raises(ValueError):
         aerial_image_loop(np.zeros((2, 16, 16)), simulator.kernels)
@@ -86,13 +112,26 @@ def test_loop_rejects_batches(simulator):
 # --------------------------------------------------------------------- #
 # SOCSKernels caching
 # --------------------------------------------------------------------- #
+def _active(kernels) -> int:
+    return int(np.count_nonzero(kernels.eigenvalues > 0.0))
+
+
 def test_weighted_transfer_functions_cached_per_shape(simulator):
     kernels = simulator.kernels
     weighted = kernels.weighted_transfer_functions((80, 80))
-    active = int(np.count_nonzero(kernels.eigenvalues > 0.0))
-    assert weighted.shape == (active, 80, 80)
+    assert weighted.shape == (-(-_active(kernels) // 2), 80, 80)
     assert kernels.weighted_transfer_functions((80, 80)) is weighted
     assert kernels.weighted_transfer_functions((96, 96)) is not weighted
+
+
+def test_packing_keeps_imaginary_parts_only_when_defocused(simulator):
+    """At defocus 0 every kernel is real up to one phase: ``ceil(l'/2)``
+    planes.  A defocused pupil keeps each kernel's imaginary remainder as a
+    second real kernel: ``l'`` planes."""
+    kernels = simulator.kernels
+    defocused = simulator.with_defocus(120.0).kernels
+    assert kernels.weighted_transfer_functions((80, 80)).shape[0] == -(-_active(kernels) // 2)
+    assert defocused.weighted_transfer_functions((80, 80)).shape[0] == _active(defocused)
 
 
 def test_clear_field_intensity_memoized(simulator):
@@ -122,12 +161,28 @@ def _chunking(masks: np.ndarray, kernels) -> tuple[tuple[int, int], int, int]:
     return fft_shape, kernel_chunk, mask_group
 
 
+def _packed_planes(kernels, fft_shape: tuple[int, int]) -> np.ndarray:
+    """The defocus-0 packed stack built by hand: each kernel rotated by the
+    phase of its largest tap, its real part weighted by ``sqrt(alpha)``,
+    consecutive real kernels paired as ``r_2j + i r_2j+1``."""
+    reals = []
+    for alpha, kernel in zip(kernels.eigenvalues, kernels.kernels):
+        if alpha > 0.0:
+            peak = kernel.flat[np.argmax(np.abs(kernel))]
+            reals.append(np.sqrt(alpha) * (kernel * (np.conj(peak) / np.abs(peak))).real)
+    planes = np.zeros((-(-len(reals) // 2), *reals[0].shape), dtype=complex)
+    planes.real[:] = reals[0::2]
+    planes.imag[: len(reals) // 2] = reals[1::2]
+    return fft2(planes, s=fft_shape, axes=(-2, -1))
+
+
 def _fixed_order_aerial(masks: np.ndarray, kernels) -> np.ndarray:
-    """The unnormalized aerial image as one loop over (mask group, kernel
-    chunk) in order: the order the team's chunk sums are added back in."""
+    """The unnormalized aerial image as one loop over (mask group, plane
+    chunk) of the packed planes in order: the order the team's chunk sums
+    are added back in."""
     n, h, w = masks.shape
     fft_shape, kernel_chunk, mask_group = _chunking(masks, kernels)
-    weighted = kernels.weighted_transfer_functions(fft_shape)
+    weighted = _packed_planes(kernels, fft_shape)
     start = (kernels.support - 1) // 2
     crop = (..., slice(start, start + h), slice(start, start + w))
     mask_hat = fft2(masks, s=fft_shape, axes=(-2, -1))
@@ -148,12 +203,12 @@ def spread_units(monkeypatch):
 
 
 TEAM_CASES = {
-    # One full mask: one group, one kernel per chunk.
+    # One full mask: one group, two planes per chunk.
     "full_mask": (1, 128),
     # Nine full masks: several mask groups.
     "mask_groups": (9, 128),
-    # A batch of windows: several kernels per chunk, two groups.
-    "windows": (7, 48),
+    # A batch of windows: four planes per chunk, two chunks, two groups.
+    "windows": (7, 80),
 }
 
 
@@ -163,7 +218,7 @@ def test_aerial_bits_do_not_depend_on_team_size(simulator, spread_units, case):
     masks = _random_masks(n, size, seed=11)
     kernels = simulator.kernels
     _, kernel_chunk, mask_group = _chunking(masks, kernels)
-    assert kernels.count > kernel_chunk  # several chunks
+    assert -(-_active(kernels) // 2) > kernel_chunk  # several chunks
     if case != "full_mask":
         assert n > mask_group  # several groups
     if case == "windows":
@@ -185,7 +240,8 @@ def test_workspace_stays_bounded_across_shapes(simulator, spread_units):
     member) at the largest size seen, not one per shape.  Per member the
     field product is at most the chunk budget and the magnitude half of
     that; the chunk sums are one group's magnitude per member.  Buffers kept
-    per shape and member held 19.4 MB for this stream, over the bound."""
+    per shape and member held 19.4 MB for this stream (with one plane per
+    kernel), over the bound."""
     kernels = simulator.kernels
     threads = 2
     bound = 2 * threads * hopkins._CHUNK_BUDGET_BYTES

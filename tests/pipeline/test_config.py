@@ -278,6 +278,19 @@ def test_resolved_config_json_round_trip():
     assert restored.resolved
 
 
+def test_resolved_document_is_resolved_again():
+    """A ``"resolved": true`` document is validated like any other; its
+    values come back with provenance (``explicit``), not empty sources."""
+    with pytest.raises(ConfigError, match="batch_size") as excinfo:
+        ExecutionConfig.from_dict({"num_workers": -5, "batch_size": 0, "resolved": True})
+    assert excinfo.value.field == "batch_size"
+    with pytest.raises(ConfigError, match="num_workers"):
+        ExecutionConfig.from_dict({"num_workers": -5, "resolved": True})
+    restored = ExecutionConfig.from_dict(ExecutionConfig(num_workers=2).resolve().to_dict())
+    assert restored.source_of("num_workers") == "explicit"
+    assert restored.sources["batch_size"] == "explicit"
+
+
 def test_to_dict_serializes_backend_name():
     cfg = ExecutionConfig(backend="float32")
     assert cfg.to_dict()["backend"] == "float32"
