@@ -16,12 +16,12 @@ from conftest import record_report
 
 
 def test_incremental_opc_resimulation(benchmark):
-    """Incremental OPC (dirty-tile patching) vs full re-simulation.
+    """Incremental OPC (field-delta patching) vs full re-simulation.
 
-    Large-tile via layout (2048 nm at 8 nm -> 256 px, 49 tile windows).  The
-    incremental run must be bit-identical to the full run while simulating
-    materially fewer tile-equivalents than ``iterations x n_tiles``, and
-    faster wall-clock.
+    Large-tile via layout (2048 nm at 8 nm -> 256 px, 256 blocks of 16 px).
+    The incremental run must be bit-identical to the full run while patching
+    materially fewer block-equivalents than ``iterations x n_tiles`` (a full
+    refresh counts every block), and faster wall-clock.
     """
     iterations = 24
     simulator = LithoSimulator(pixel_size=8.0, num_kernels=10, kernel_support=31)
@@ -54,7 +54,7 @@ def test_incremental_opc_resimulation(benchmark):
         for a, b in zip(inc.epe_history, full.epe_history)
     )
 
-    # Materially fewer tile simulations than iterations x n_tiles.
+    # Materially fewer block patches than iterations x n_tiles.
     n_tiles = inc.dirty_history[0]  # first iteration is a full refresh
     assert n_tiles > 1
     spent = inc.counters.tile_equivalents(n_tiles)
@@ -65,11 +65,11 @@ def test_incremental_opc_resimulation(benchmark):
     report = "\n".join(
         [
             "Incremental OPC re-simulation (via layout, 2048 nm / 8 nm, "
-            f"{n_tiles} tiles, {iterations} iterations, freeze_after=2)",
+            f"{n_tiles} blocks, {iterations} iterations, freeze_after=2)",
             f"  full re-simulation : {full_seconds * 1e3:8.1f} ms",
             f"  incremental        : {inc_seconds * 1e3:8.1f} ms "
             f"({full_seconds / inc_seconds:.2f}x speedup)",
-            f"  tile-equivalents   : {spent} vs {iterations * n_tiles} "
+            f"  block-equivalents  : {spent} vs {iterations * n_tiles} "
             "(iterations x n_tiles)",
             f"  dirty trajectory   : {inc.dirty_history}",
             f"  frozen fragments   : {inc.epe_history[-1].frozen_fragments}",
@@ -84,7 +84,7 @@ def test_incremental_opc_resimulation(benchmark):
 
 def test_figure8_opc_sensitivity(benchmark, harness):
     result = run_figure8(harness)
-    dirty_line = f"\ndirty tile-equivalents per iteration: {result['dirty_history']}"
+    dirty_line = f"\ndirty block-equivalents per iteration: {result['dirty_history']}"
     record_report("Figure 8 OPC sensitivity", format_figure8(result) + dirty_line)
 
     assert len(result["iterations"]) == harness.profile.opc_iterations

@@ -143,15 +143,19 @@ python -m pytest -x -q -p no:cacheprovider -W "error::DeprecationWarning" \
 
 # With them, the batched aerial-image suite: the packed SOCS planes against
 # the per-kernel loop (1e-8, defocus 0 and defocused) and the team-size bit
-# pins of the packed fixed-order loop.
-echo "== incremental OPC + aerial-image suites (patched == full re-simulation, bit for bit) =="
+# pins of the packed fixed-order loop.  The incremental suites hold
+# field-delta patches within 1e-12 of whole-mask simulation over successive
+# edits (equal resist) and the incremental OPC loop bit for bit equal to the
+# always-full one.
+echo "== incremental OPC + aerial-image suites (field-delta patches == full re-simulation) =="
 python -m pytest -x -q -p no:cacheprovider -W "error::DeprecationWarning" \
     tests/pipeline/test_cache.py tests/opc/test_incremental.py \
     tests/litho/test_hopkins_batch.py "$@"
 
 # The leg above runs the golden simulator's aerial image on the serial
 # default team (the usable cores, at most two); this one re-runs the same
-# suites on a team of one, so patched == full holds at both team sizes.
+# suites on a team of one, so field-delta patches == full re-simulation
+# holds at both team sizes.
 echo "== incremental OPC + aerial-image suites on a compute team of one (REPRO_BLAS_THREADS=1) =="
 REPRO_BLAS_THREADS=1 python -m pytest -x -q -p no:cacheprovider -W "error::DeprecationWarning" \
     tests/pipeline/test_cache.py tests/opc/test_incremental.py \
@@ -174,7 +178,7 @@ check_shm_clean "after chaos gate"
 # full-mask shapes, and the fused GP op (lift folded into the mode mix) on
 # 8-tile batches.  The pooled run holds sampled outputs
 # bit-identical to serial while each worker runs a team of one.  The OPC run
-# holds each sampled incremental correction (patched windows and full
+# holds each sampled incremental correction (field-delta patches and full
 # refreshes, the aerial image's packed SOCS planes on the compute team) bit
 # for bit equal to the always-full correction.  Each gate fails unless the
 # run's last (JSON) line reports correct with 0 failed calls.

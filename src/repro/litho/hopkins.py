@@ -28,6 +28,13 @@ the result is bit-identical at every team size.  An
 :class:`AerialWorkspace` holds each member's scratch in one grow-only flat
 buffer per name.
 
+Each field plane is linear in the mask.  ``aerial_image(fields=...)`` also
+hands back the cropped planes, and :func:`add_field_deltas` adds the planes
+of a sparse mask edit into them, so a cache of the planes follows a stream
+of small edits at the cost of the edited blocks
+(:mod:`repro.pipeline.cache`); :func:`aerial_from_fields` turns planes back
+into intensity.
+
 :func:`aerial_image_loop` retains the seed per-kernel ``fftconvolve``
 algorithm; it is the reference the batched path is validated against (within
 1e-8) and the baseline of ``benchmarks/bench_pipeline_throughput.py``.
@@ -44,7 +51,14 @@ from scipy.signal import fftconvolve
 from ..nn.backends import compute_team
 from .kernels import SOCSKernels
 
-__all__ = ["AerialWorkspace", "aerial_image", "aerial_image_loop", "clear_field_intensity"]
+__all__ = [
+    "AerialWorkspace",
+    "add_field_deltas",
+    "aerial_from_fields",
+    "aerial_image",
+    "aerial_image_loop",
+    "clear_field_intensity",
+]
 
 # Upper bound (bytes) on the complex field scratch array of one chunk.
 # Small enough to stay cache-resident (a 128 MB scratch measured ~2x slower on
@@ -125,7 +139,10 @@ def clear_field_intensity(kernels: SOCSKernels) -> float:
 
 
 def _aerial_batch(
-    masks: np.ndarray, kernels: SOCSKernels, workspace: AerialWorkspace | None = None
+    masks: np.ndarray,
+    kernels: SOCSKernels,
+    workspace: AerialWorkspace | None = None,
+    fields: np.ndarray | None = None,
 ) -> np.ndarray:
     """Unnormalized aerial intensity of a mask batch ``(N, H, W)``.
 
@@ -143,7 +160,9 @@ def _aerial_batch(
     scratch.  The caller adds the chunk sums into the intensity in (group,
     chunk) order, so the bits depend neither on which member ran which unit
     nor on the team size.  Without a ``workspace`` the scratch lives for
-    this call only.
+    this call only.  A ``fields`` buffer ``(N, planes, >= H, >= W)`` receives
+    each unit's cropped field planes at ``[..., :H, :W]`` before they are
+    squared; the intensity bits do not depend on it.
     """
     n, h, w = masks.shape
     support = kernels.support
@@ -190,13 +209,15 @@ def _aerial_batch(
                     "product", (size, block.shape[0], *fft_shape), np.complex128, member
                 )
                 np.multiply(group_hat[:, None], block[None], out=product)
-                fields = ifft2(product, axes=(-2, -1), overwrite_x=True)[..., rows, cols]
+                planes = ifft2(product, axes=(-2, -1), overwrite_x=True)[..., rows, cols]
+                if fields is not None:
+                    fields[g0 : g0 + size, first : first + block.shape[0], :h, :w] = planes
                 # |field|^2 via real^2 + imag^2 (avoids the sqrt inside
                 # np.abs); imag^2 lands in the field's own, dead, imag part.
-                magnitude = workspace.buffer("magnitude", fields.shape, np.float64, member)
-                np.multiply(fields.real, fields.real, out=magnitude)
-                np.multiply(fields.imag, fields.imag, out=fields.imag)
-                magnitude += fields.imag
+                magnitude = workspace.buffer("magnitude", planes.shape, np.float64, member)
+                np.multiply(planes.real, planes.real, out=magnitude)
+                np.multiply(planes.imag, planes.imag, out=planes.imag)
+                magnitude += planes.imag
                 np.sum(magnitude, axis=1, out=sums[index])
 
             team.run(unit, count, macs, count)
@@ -211,6 +232,7 @@ def aerial_image(
     normalize: bool = True,
     dose: float = 1.0,
     workspace: AerialWorkspace | None = None,
+    fields: np.ndarray | None = None,
 ) -> np.ndarray:
     """Compute the aerial image of one mask or a batch of masks.
 
@@ -230,6 +252,10 @@ def aerial_image(
     workspace:
         Optional :class:`AerialWorkspace` whose scratch buffers are reused
         across calls (one per long-lived executor / worker process).
+    fields:
+        Optional complex buffer ``(planes, >= H, >= W)`` per mask (with a
+        leading ``N`` for a batch) that receives the mask's weighted SOCS
+        field planes at ``[..., :H, :W]``, for :func:`add_field_deltas`.
 
     Returns
     -------
@@ -244,11 +270,78 @@ def aerial_image(
     else:
         raise ValueError(f"mask must be 2-D or a 3-D batch, got shape {mask.shape}")
 
-    intensity = _aerial_batch(batch, kernels, workspace)
+    if fields is not None and mask.ndim == 2:
+        fields = fields[None]
+    intensity = _aerial_batch(batch, kernels, workspace, fields)
     if normalize:
         intensity = intensity / clear_field_intensity(kernels)
     intensity *= dose
     return intensity[0] if mask.ndim == 2 else intensity
+
+
+def add_field_deltas(
+    fields: np.ndarray,
+    deltas: np.ndarray,
+    origins: np.ndarray,
+    kernels: SOCSKernels,
+    workspace: AerialWorkspace | None = None,
+) -> None:
+    """Add the field planes of a sparse mask edit into cached field planes.
+
+    ``fields`` ``(planes, H', W')`` holds the planes
+    :func:`aerial_image` wrote for a mask, image pixel ``(y, x)`` at
+    ``[:, y, x]``.  ``deltas`` ``(n, b, b)`` are real mask differences whose
+    top-left pixels sit at ``origins`` ``(n, 2)``.  Every plane is linear in
+    the mask, so each delta's planes are its full linear convolution with the
+    packed kernels, ``(b + s - 1)^2`` pixels that land ``r = (s - 1) // 2``
+    up and left of its origin (clipped to the buffer).  The deltas run
+    through one batched ``fft2`` at ``next_fast_len(b + s - 1)`` and, in
+    chunks that fit the workspace's ``"product"`` buffer, a multiply and an
+    ``ifft2``; the results are added in the order given, on the calling
+    thread, so the bits do not depend on the compute team.
+    """
+    n, b = deltas.shape[0], deltas.shape[-1]
+    support = kernels.support
+    radius = (support - 1) // 2
+    span = b + support - 1
+    fft_shape = (next_fast_len(span), next_fast_len(span))
+    weighted = kernels.weighted_transfer_functions(fft_shape)    # (planes, F, F)
+    planes = weighted.shape[0]
+    if n == 0 or planes == 0:
+        return
+    if workspace is None:
+        workspace = AerialWorkspace()
+    delta_hat = fft2(deltas, s=fft_shape, axes=(-2, -1))          # (n, F, F)
+    height, width = fields.shape[-2:]
+    per_delta = planes * fft_shape[0] * fft_shape[1] * 16
+    chunk = max(1, _MASK_CHUNK_BUDGET_BYTES // per_delta)
+    for c0 in range(0, n, chunk):
+        hats = delta_hat[c0 : c0 + chunk]
+        product = workspace.buffer(
+            "product", (hats.shape[0], planes, *fft_shape), np.complex128
+        )
+        np.multiply(hats[:, None], weighted[None], out=product)
+        stamps = ifft2(product, axes=(-2, -1), overwrite_x=True)
+        for stamp, (y, x) in zip(stamps, origins[c0 : c0 + chunk].tolist()):
+            y0, x0 = y - radius, x - radius
+            top, left = max(0, -y0), max(0, -x0)
+            y1, x1 = min(height, y0 + span), min(width, x0 + span)
+            fields[:, y0 + top : y1, x0 + left : x1] += stamp[:, top : y1 - y0, left : x1 - x0]
+
+
+def aerial_from_fields(fields: np.ndarray, kernels: SOCSKernels, dose: float = 1.0) -> np.ndarray:
+    """Normalized aerial intensity ``sum_j |P_j|^2`` of field planes
+    ``(..., planes, H, W)``.
+
+    The planes are those :func:`aerial_image` writes (``sqrt(alpha)`` already
+    folded in), so this is its normalized intensity at ``dose``, up to the
+    order of the plane sum.
+    """
+    magnitude = fields.real * fields.real
+    magnitude += fields.imag * fields.imag
+    intensity = magnitude.sum(axis=-3) / clear_field_intensity(kernels)
+    intensity *= dose
+    return intensity
 
 
 def aerial_image_loop(

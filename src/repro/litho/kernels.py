@@ -108,6 +108,15 @@ class SOCSKernels:
         """
         key = ("wtf", int(fft_shape[0]), int(fft_shape[1]))
         if key not in self._cache:
+            self._cache[key] = scipy.fft.fft2(
+                self.packed_kernels(), s=tuple(fft_shape), axes=(-2, -1)
+            )
+        return self._cache[key]
+
+    def packed_kernels(self) -> np.ndarray:
+        """The spatial planes ``r_2j + i r_2j+1`` of
+        :meth:`weighted_transfer_functions`, ``(planes, K, K)`` (memoized)."""
+        if "packed" not in self._cache:
             clear_field = self.clear_field_intensity()
             reals = []
             for alpha, kernel in zip(self.eigenvalues, self.kernels):
@@ -124,8 +133,8 @@ class SOCSKernels:
             if reals:
                 packed.real[:] = reals[0::2]
                 packed.imag[: len(reals) // 2] = reals[1::2]
-            self._cache[key] = scipy.fft.fft2(packed, s=tuple(fft_shape), axes=(-2, -1))
-        return self._cache[key]
+            self._cache["packed"] = packed
+        return self._cache["packed"]
 
     def clear_field_intensity(self) -> float:
         """Aerial intensity of a fully transparent mask (memoized).

@@ -104,17 +104,23 @@ class LithoSimulator:
         """Shortcut returning only the resist image (training label)."""
         return self.simulate(mask).resist
 
-    def aerial(self, mask: np.ndarray, workspace=None) -> np.ndarray:
+    def aerial(self, mask: np.ndarray, workspace=None, fields=None) -> np.ndarray:
         """Normalized aerial image of one mask ``(H, W)`` or a batch ``(N, H, W)``.
 
         Batches run in one FFT pass per mask against the cached SOCS transfer
         functions (the inference-pipeline hot path; see
         :mod:`repro.litho.hopkins`).  Long-lived callers can pass an
         :class:`~repro.litho.hopkins.AerialWorkspace` to reuse the FFT scratch
-        buffers across calls.
+        buffers across calls, and a ``fields`` buffer to receive the SOCS
+        field planes (:func:`~repro.litho.hopkins.aerial_image`).
         """
         return aerial_image(
-            mask, self.kernels, normalize=True, dose=self.dose, workspace=workspace
+            mask,
+            self.kernels,
+            normalize=True,
+            dose=self.dose,
+            workspace=workspace,
+            fields=fields,
         )
 
     def with_dose(self, dose: float) -> "LithoSimulator":

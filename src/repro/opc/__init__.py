@@ -11,10 +11,8 @@ from .epe import EPEStatistics, measure_fragment_epe, measure_layout_epe
 from .fragments import (
     EdgeFragment,
     FragmentedShape,
-    FragmentTileIndex,
     MaskPainter,
     build_mask,
-    fragment_footprint,
     fragment_layout,
 )
 from .sraf import insert_srafs, sraf_rects_pixels
@@ -30,10 +28,8 @@ __all__ = [
     "measure_layout_epe",
     "EdgeFragment",
     "FragmentedShape",
-    "FragmentTileIndex",
     "MaskPainter",
     "build_mask",
-    "fragment_footprint",
     "fragment_layout",
     "insert_srafs",
     "sraf_rects_pixels",

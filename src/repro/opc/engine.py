@@ -7,20 +7,19 @@ placement error at every fragment and move each fragment against its error.
 
 Incremental re-simulation
 -------------------------
-Each move step perturbs a handful of fragment offsets, so most of the mask —
-and, by the finite optical influence radius, most of the aerial image — is
-unchanged between iterations.  With ``incremental`` enabled (the default) the
-loop runs through :meth:`repro.pipeline.InferencePipeline.predict_patched`:
-a static fragment->tile index (:class:`~repro.opc.fragments.FragmentTileIndex`)
-narrows the windows a move step can have touched, a pixel comparison with the
-last simulated mask confirms the actually-dirty ones, and only those are
-re-simulated — their ownership regions spliced into a cached full-image
-aerial.  A hybrid cost model falls back to one native whole-mask refresh when
-the dirty set is large (early iterations), so the incremental loop never
-loses materially to the plain one; the savings grow as fragments converge —
-especially with ``freeze_after``, which is what actually collapses the dirty
-set (a converged fragment otherwise keeps jittering across the
-pixel-rounding boundary and keeps its windows dirty forever).
+Each move step perturbs a handful of fragment offsets, so most of the mask
+is unchanged between iterations.  With ``incremental`` enabled (the default)
+the loop runs through :meth:`repro.pipeline.InferencePipeline.predict_patched`,
+which caches the golden simulator's SOCS field planes.  Each plane is linear
+in the mask, so an iteration convolves only the 16 px blocks whose pixels
+changed and adds those field deltas to the cached planes, recomputing the
+intensity within the optical influence radius of them.  A block-cost rule
+runs one whole-mask refresh instead when the dirty blocks would cost more
+(the first iteration and the early, busy ones), so the incremental loop
+never loses materially to the plain one; the savings grow as fragments
+converge, especially with ``freeze_after``, which is what actually collapses
+the dirty set (a converged fragment otherwise keeps jittering across the
+pixel-rounding boundary and keeps its blocks dirty forever).
 
 The mask itself is painted incrementally in both loops
 (:class:`~repro.opc.fragments.MaskPainter`): each iteration repaints only the
@@ -39,13 +38,7 @@ from ..layout.rasterize import rasterize
 from ..litho.simulator import LithoSimulator
 from ..pipeline import ExecutionConfig, IncrementalCounters, InferencePipeline
 from .epe import EPEStatistics, measure_layout_epe
-from .fragments import (
-    FragmentedShape,
-    FragmentTileIndex,
-    MaskPainter,
-    build_mask,
-    fragment_layout,
-)
+from .fragments import FragmentedShape, MaskPainter, build_mask, fragment_layout
 from .sraf import insert_srafs, sraf_rects_pixels
 
 __all__ = [
@@ -76,15 +69,16 @@ class OPCConfig:
     #: on same-shaped masks, so a pooled run maps its shared-memory ring
     #: once and reuses it for the whole correction.
     execution: "ExecutionConfig | None" = None
-    #: Incremental re-simulation: track dirty tile windows per iteration and
-    #: re-simulate only those (:meth:`InferencePipeline.predict_patched`),
-    #: with a native whole-mask fallback when the dirty set is large.  The
-    #: result matches the plain loop (same ``final_mask``, same
-    #: ``epe_history``).  ``False`` restores the always-full simulation loop.
+    #: Incremental re-simulation: patch the cached SOCS field planes with
+    #: the field deltas of the blocks each iteration changed
+    #: (:meth:`InferencePipeline.predict_patched`), with a whole-mask
+    #: refresh when the dirty blocks would cost more.  The result matches
+    #: the plain loop (same ``final_mask``, same ``epe_history``).  ``False``
+    #: restores the always-full simulation loop.
     incremental: bool = True
     #: Freeze a fragment once |EPE| stayed within ``freeze_tolerance`` for
     #: this many consecutive iterations: it stops being measured and never
-    #: moves again, shrinking both the EPE walk and the dirty-tile set as the
+    #: moves again, shrinking both the EPE walk and the dirty-block set as the
     #: mask converges.  Default ``None`` (off) — freezing changes the
     #: correction dynamics slightly, so the Figure 8 numbers are produced
     #: with the unfrozen loop.
@@ -164,8 +158,9 @@ class OPCResult:
     epe_history: list[EPEStatistics] = field(default_factory=list)
     #: Work ledger of the incremental plan (``None`` when it was disabled).
     counters: IncrementalCounters | None = None
-    #: Tile-simulation equivalents spent per iteration (full refresh counts
-    #: as ``n_tiles``); empty when the incremental plan was disabled.
+    #: Block patches spent per iteration (a full refresh counts as the
+    #: state's ``n_tiles`` blocks); empty when the incremental plan was
+    #: disabled.
     dirty_history: list[int] = field(default_factory=list)
 
     @property
@@ -201,8 +196,8 @@ class OPCEngine:
     other inference consumer uses (the batched single-FFT aerial path with
     cached SOCS transfer functions lives in :mod:`repro.litho.hopkins` and is
     shared by all callers).  With ``config.incremental`` (default on) the loop
-    uses the pipeline's patched plan: only the tile windows a move step
-    actually changed are re-simulated (see the module docstring), with
+    uses the pipeline's patched plan: only the blocks a move step actually
+    changed are convolved, as field deltas (see the module docstring), with
     counters surfaced on :class:`OPCResult`.
     """
 
@@ -241,11 +236,8 @@ class OPCEngine:
         )
 
         state = None
-        index = None
         if config.incremental:
             state = self.pipeline.incremental_state((image_size, image_size))
-            if state.n_tiles > 1:
-                index = FragmentTileIndex(shapes, state.specs, image_size, config.max_offset)
 
         result = OPCResult(
             final_mask=target.copy(),
@@ -253,13 +245,12 @@ class OPCEngine:
             counters=state.counters if state is not None else None,
         )
         painter = MaskPainter(shapes, image_size, sraf_boxes)
-        candidates = None
         moved: list[tuple[int, int]] = []
         for _ in range(config.iterations):
             mask = build_mask(shapes, image_size, sraf_boxes, painter=painter, moved=moved)
             if state is not None:
                 spent = state.counters.tile_equivalents(state.n_tiles)
-                resist = self.pipeline.predict_patched(mask, state, candidates=candidates)
+                resist = self.pipeline.predict_patched(mask, state)
                 result.dirty_history.append(
                     state.counters.tile_equivalents(state.n_tiles) - spent
                 )
@@ -272,7 +263,6 @@ class OPCEngine:
                 result.mask_history.append(mask)
             result.epe_history.append(stats)
             moved = self._apply_moves(shapes, stats)
-            candidates = index.tiles_for(moved) if index is not None else None
 
         # Build the mask with the final fragment positions (post last update).
         result.final_mask = build_mask(shapes, image_size, sraf_boxes, painter=painter, moved=moved)
@@ -290,9 +280,8 @@ class OPCEngine:
         scan order :func:`~repro.opc.epe.measure_layout_epe` produced them —
         one EPE walk per iteration serves both the statistics and the move
         step.  Returns the ``(shape, fragment)`` ids whose *rounded* offset
-        changed (the only moves that can repaint mask pixels): the mask
-        painter repaints them and the fragment->tile index turns them into
-        dirty-window candidates.  With ``freeze_after`` set, fragments whose
+        changed (the only moves that can repaint mask pixels), which the
+        mask painter repaints.  With ``freeze_after`` set, fragments whose
         |EPE| held within tolerance for that many consecutive iterations are
         frozen here.
         """

@@ -16,14 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..layout.geometry import Layout, Rect
-from ..layout.tiling import TileSpec
 
 __all__ = [
     "EdgeFragment",
     "FragmentedShape",
-    "FragmentTileIndex",
     "fragment_layout",
-    "fragment_footprint",
     "MaskPainter",
     "build_mask",
 ]
@@ -110,65 +107,6 @@ def fragment_layout(
             fragments.append(EdgeFragment(TOP, span, row1 - 1))
         shapes.append(FragmentedShape((row0, col0, row1, col1), fragments))
     return shapes
-
-
-def fragment_footprint(
-    fragment: EdgeFragment, max_offset: float
-) -> tuple[int, int, int, int]:
-    """Conservative pixel bound of everything a fragment can ever paint.
-
-    Returns ``(row0, col0, row1, col1)`` (exclusive ends, unclipped): the
-    fragment's span along its edge crossed with ``position +- reach`` across
-    it, where ``reach`` covers the largest grow/trim strip any legal offset
-    (``|offset| <= max_offset``) can produce in :func:`build_mask`.  Static
-    per fragment — offsets move the painted strip only *within* this bound,
-    which is what makes the fragment->tile index buildable once per OPC run.
-    """
-    reach = int(np.ceil(max_offset)) + 1
-    lo, hi = fragment.span
-    if fragment.side in (LEFT, RIGHT):
-        return (lo, fragment.position - reach, hi, fragment.position + reach + 1)
-    return (fragment.position - reach, lo, fragment.position + reach + 1, hi)
-
-
-class FragmentTileIndex:
-    """Static fragment -> tile-window index for dirty-tile candidates.
-
-    Maps every ``(shape_index, fragment_index)`` to the tile windows of the
-    half-overlapping grid its :func:`fragment_footprint` intersects.  After an
-    OPC move step, the union over the *moved* fragments is a sound candidate
-    set for the dirty windows: a pixel outside every moved fragment's
-    footprint is painted identically by :func:`build_mask`, so windows
-    outside the union cannot have changed.  The engine still compares the
-    candidates' pixels with the last simulated mask, so an over-approximation
-    costs a comparison, never correctness.
-    """
-
-    def __init__(
-        self,
-        shapes: list[FragmentedShape],
-        specs: list[TileSpec],
-        image_size: int,
-        max_offset: float,
-    ) -> None:
-        keys = [(si, fi) for si, shape in enumerate(shapes) for fi in range(len(shape.fragments))]
-        self._rows = {key: row for row, key in enumerate(keys)}
-        footprints = np.array(
-            [fragment_footprint(f, max_offset) for shape in shapes for f in shape.fragments],
-            dtype=np.int64,
-        ).reshape(-1, 4)
-        row0, col0 = np.maximum(footprints[:, :2], 0).T[:, :, None]
-        row1, col1 = np.minimum(footprints[:, 2:], image_size).T[:, :, None]
-        y0 = np.array([s.y0 for s in specs], dtype=np.int64)
-        x0 = np.array([s.x0 for s in specs], dtype=np.int64)
-        size = np.array([s.size for s in specs], dtype=np.int64)
-        #: ``[fragment, window]``: the fragment's clipped footprint meets the window.
-        self._overlap = (row0 < y0 + size) & (row1 > y0) & (col0 < x0 + size) & (col1 > x0)
-
-    def tiles_for(self, moved: list[tuple[int, int]]) -> list[int]:
-        """Sorted union of candidate tile indices for the moved fragments."""
-        rows = [self._rows[key] for key in moved if key in self._rows]
-        return np.flatnonzero(self._overlap[rows].any(axis=0)).tolist()
 
 
 def _box(box: tuple[int, int, int, int], image_size: int) -> tuple[slice, slice]:

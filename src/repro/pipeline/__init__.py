@@ -63,18 +63,16 @@ to the serial path (pinned by ``tests/pipeline/``).  The full environment
 catalogue (defaults, precedence) lives in ``docs/configuration.md``.
 
 On top of these, ``incremental_state`` / ``predict_patched`` expose the
-OPC loop's incremental re-simulation plan over the golden simulator:
-comparing each window with the last simulated mask finds the windows a mask
-edit touched and only those are re-simulated, their ownership regions
-spliced into a cached full-image aerial map (:mod:`repro.pipeline.cache`).
+OPC loop's incremental re-simulation plan over the golden simulator.  The
+state caches the SOCS field planes and aerial image of the last simulated
+mask.  Each plane is linear in the mask, so a call convolves only the
+16 px blocks a mask edit changed and adds those field deltas to the cached
+planes, recomputing the intensity where they reach; a large edit refreshes
+the cache with one whole-mask simulation instead (:mod:`repro.pipeline.cache`).
+The plan runs in the calling process, pooled or not.
 """
 
-from .cache import (
-    IncrementalCounters,
-    IncrementalState,
-    choose_patch_tile,
-    ownership_slices,
-)
+from .cache import IncrementalCounters, IncrementalState
 from .config import NUM_WORKERS_ENV, ConfigError, ExecutionConfig, ExecutionPlan
 from .engine import InferencePipeline, PipelineResult, PipelineStats
 from .executors import Executor, ModelExecutor, SimulatorExecutor, as_executor
@@ -107,8 +105,6 @@ __all__ = [
     "PipelineStats",
     "IncrementalCounters",
     "IncrementalState",
-    "choose_patch_tile",
-    "ownership_slices",
     "Executor",
     "ModelExecutor",
     "SimulatorExecutor",

@@ -1,221 +1,190 @@
 """The incremental re-simulation state of the OPC loop.
 
 The OPC loop simulates the same mask once per iteration, each time with a
-few fragments moved.  :class:`IncrementalState` makes that cost
-proportional to the *perturbed* area instead of the mask area: it is the
-dirty-tile ledger of the patched re-simulation plan
-(:meth:`~repro.pipeline.InferencePipeline.predict_patched`) over the golden
-simulator's aerial image.  The mask is viewed through the half-overlapping
-:class:`~repro.layout.tiling.TileSpec` grid of paper §3.2; comparing each
-candidate window's pixels with a copy of the last simulated mask identifies
-which tile windows changed since the previous call, only those windows are
-re-simulated, and their *ownership regions* (the disjoint partition of the
-image induced by the scan-order core stitch of
-:func:`~repro.layout.tiling.stitch_cores`) are written back into a cached
-full-image aerial map.
+few fragments moved.  :class:`IncrementalState` makes such a call cost what
+the edit touches instead of the mask area: it caches the golden simulator's
+SOCS field planes and aerial image of the last simulated mask, and
+:meth:`~repro.pipeline.InferencePipeline.predict_patched` turns the next
+mask's difference into field deltas.
 
-Exactness of the patched plan
------------------------------
-The golden simulator's aerial image is a linear convolution with kernels of
-finite support ``s`` (:mod:`repro.litho.hopkins` zero-pads every FFT to
-``next_fast_len(n + s - 1)``), so an output pixel depends only on mask pixels
-within the influence radius ``r = (s - 1) // 2``.  A tile window of size ``T``
-therefore reproduces the whole-mask aerial exactly on its core region more
-than ``r`` pixels from any interior window edge.  With the core margin fixed
-at ``T // 4`` (the largest value for which the half-overlapping grid's cores
-partition the image) and ``T >= 4r``, patching the dirty windows' ownership
-regions is *exact* up to floating-point summation order; the resist threshold
-comparison is pointwise, so patched resist images match whole-mask
-re-simulation (pinned by the equivalence suites in
-``tests/pipeline/test_cache.py`` / ``tests/opc/test_incremental.py``).
+Linearity
+---------
+The aerial image is ``I = sum_j |P_j|^2`` over the packed field planes
+``P_j = h_j (x) M`` of :mod:`repro.litho.hopkins`, and each plane is linear
+in the mask: ``P_j(M + dM) = P_j(M) + h_j (x) dM``.  The state views the
+mask on a fixed grid of :data:`BLOCK` px blocks.  A call takes
+``dM = mask - last_mask`` on the blocks it changed, convolves every dirty
+block's delta with the kernels in one batched FFT of
+``next_fast_len(BLOCK + s - 1)`` px (48 for support 31) and adds the
+``(BLOCK + s - 1)^2`` result into the cached planes ``r = (s - 1) // 2`` px
+up and left of the block, in fixed block order
+(:func:`~repro.litho.hopkins.add_field_deltas`).  A real mask gives a real
+``dM``, so the packed ``r_2j + i r_2j+1`` planes and the defocused ones stay
+valid.  Only blocks within ``r`` of a dirty block see a changed field, and
+only they recompute ``sum_j |P_j|^2 * dose / clear_field``.
 
-Hybrid cost model
------------------
-Windowed FFTs are smaller but there are many of them: re-simulating all nine
-windows of a 128 px mask costs ~3x one whole-mask FFT.  ``IncrementalState``
-therefore carries per-call cost estimates and the pipeline falls back to one
-native whole-image refresh whenever the dirty set is large (or on the first
-call), so the incremental plan is never materially slower than the plain one.
+The patched aerial equals whole-mask simulation up to floating-point
+round-off (the delta FFTs sum in another order); it stays within 1e-12 of
+clear field over successive edits (``tests/pipeline/test_cache.py``).  The
+resist threshold is pointwise, so the OPC loop matches the always-full loop
+bit for bit (``tests/opc/test_incremental.py``).  Full-refresh and clean
+calls return :meth:`~repro.pipeline.InferencePipeline.predict`'s bits.
+
+Block-cost rule
+---------------
+A dirty block costs a forward and an inverse FFT of its planes at the block
+size, the stamp additions and the intensity of its neighbours; a full
+refresh costs them once at the whole-mask size.  :meth:`prefer_refresh`
+estimates both as ``n^2 log2 n`` per FFT side ``n`` and weighs a block by
+the measured :data:`BLOCK_COST`, so the first call and heavy edits run as
+one full refresh (:meth:`~repro.pipeline.executors.SimulatorExecutor.run_aerial`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.fft import next_fast_len
 
-from ..layout.tiling import TileSpec
+__all__ = ["BLOCK", "BLOCK_COST", "IncrementalCounters", "IncrementalState"]
 
-__all__ = [
-    "IncrementalCounters",
-    "IncrementalState",
-    "choose_patch_tile",
-    "ownership_slices",
-]
+#: Side of the mask blocks the dirty set is tracked on (pixels).
+BLOCK = 16
+#: Time of patching one dirty block over its FFT-cost estimate, in units of
+#: a full refresh's time over its own.  Measured in ``opc_loop``
+#: corrections (256 px, 10 kernels, support 31, compute team of two on a
+#: 2-vCPU host): a full refresh took ~14 ms and a patch ~0.35 ms per dirty
+#: block, a break-even of ~40 blocks where the bare FFT costs put it at 53.
+BLOCK_COST = 1.3
 
 
 @dataclass
 class IncrementalCounters:
     """Work ledger of an incremental re-simulation session."""
 
-    full_refreshes: int = 0       # native whole-image simulations (incl. first call)
-    patched_calls: int = 0        # calls served by dirty-window patching
-    clean_calls: int = 0          # calls where no tile changed (develop-only)
-    tiles_simulated: int = 0      # tile windows actually re-simulated
-    tiles_skipped: int = 0        # tile windows skipped as clean on patched calls
+    full_refreshes: int = 0       # whole-mask simulations (incl. first call)
+    patched_calls: int = 0        # calls served by field-delta patches
+    clean_calls: int = 0          # calls where no block changed (develop-only)
+    tiles_simulated: int = 0      # dirty blocks patched
+    tiles_skipped: int = 0        # clean blocks of patched and clean calls
 
     def tile_equivalents(self, n_tiles: int) -> int:
-        """Total work in units of tile simulations (full refresh = ``n_tiles``)."""
+        """Total work in units of block patches (full refresh = ``n_tiles``)."""
         return self.tiles_simulated + self.full_refreshes * n_tiles
 
 
-def choose_patch_tile(image_size: int, influence_radius: int) -> int:
-    """Smallest patch window ``T`` with exactly-partitioning cores.
-
-    A window's core margin is ``T // 4`` (the largest margin for which the
-    half-overlapping grid's cores tile the image under the scan-order
-    semantics of :func:`~repro.layout.tiling.stitch_cores`); exact windowed
-    convolution needs that margin to cover the optical influence radius, so
-    ``T >= 4 * influence_radius``.  ``T`` must also divide the image size and
-    be even (half-overlap stride).  When no proper divisor qualifies, the
-    whole image is one window — the patched plan then degenerates to
-    skip-if-unchanged, which is still exact.
-    """
-    for size in range(max(4 * influence_radius, 2), image_size):
-        if size % 2 == 0 and image_size % size == 0:
-            return size
-    return image_size
-
-
-def ownership_slices(
-    specs: list[TileSpec], shape: tuple[int, int], margin: int
-) -> list[tuple[tuple[slice, slice], tuple[slice, slice]]]:
-    """Disjoint per-tile ownership regions equal to the scan-order core stitch.
-
-    Returns ``(tile_local, output)`` slice pairs such that writing
-    ``output[out] = tile[local]`` for *any subset* of tiles yields exactly the
-    pixels :func:`~repro.layout.tiling.stitch_cores` would assign to those
-    tiles.  ``stitch_cores`` writes cores in scan order (later tiles win), and
-    its core boundaries are separable per axis, so ownership along each axis
-    is: the first tile owns from the image border, every tile owns up to
-    ``stride + margin`` into itself (where the next tile's core takes over),
-    and the last tile owns to the opposite border.  This partition matches the
-    scan-order overwrite exactly iff ``margin <= size // 4``, which the
-    callers guarantee (:func:`choose_patch_tile`).
-    """
-    h, w = shape
-    if not specs:
-        return []
-    size = specs[0].size
-    if margin > size // 4 and len(specs) > 1:
-        raise ValueError(
-            f"ownership regions need margin <= tile_size // 4 "
-            f"(got margin {margin} for tile size {size})"
-        )
-    n_rows = max(s.row for s in specs) + 1
-    n_cols = max(s.col for s in specs) + 1
-    stride = size // 2
-
-    def axis_own(index: int, count: int) -> tuple[int, int]:
-        lo = 0 if index == 0 else margin
-        hi = size if index == count - 1 else stride + margin
-        return lo, hi
-
-    out: list[tuple[tuple[slice, slice], tuple[slice, slice]]] = []
-    for spec in specs:
-        y_lo, y_hi = axis_own(spec.row, n_rows)
-        x_lo, x_hi = axis_own(spec.col, n_cols)
-        local = (slice(y_lo, y_hi), slice(x_lo, x_hi))
-        output = (
-            slice(spec.y0 + y_lo, spec.y0 + y_hi),
-            slice(spec.x0 + x_lo, spec.x0 + x_hi),
-        )
-        out.append((local, output))
-    return out
-
-
-def _fft_cost(size: int, support: int) -> float:
-    """Relative cost of one zero-padded 2-D FFT convolution at this size."""
-    n = size + support - 1
-    return float(n * n) * max(np.log2(n), 1.0)
+def _fft_cost(size: int) -> float:
+    """Relative cost of one 2-D FFT of side ``size``."""
+    return float(size * size) * max(math.log2(size), 1.0)
 
 
 @dataclass
 class IncrementalState:
-    """Dirty-tile ledger + cached full-image aerial map for patched re-simulation.
+    """Cached field planes and aerial image for field-delta patching.
 
     Built by :meth:`repro.pipeline.InferencePipeline.incremental_state` and
-    threaded through successive :meth:`~repro.pipeline.InferencePipeline.predict_patched`
-    calls.  ``cached_map`` is the full-image aerial intensity of the last
-    call; ``last_mask`` is a copy of the last simulated mask, and dirty
-    windows are found by exact comparison of their pixels with it.
+    threaded through successive
+    :meth:`~repro.pipeline.InferencePipeline.predict_patched` calls.
+    ``fields`` (``planes`` x the block-padded mask) and ``aerial`` hold the
+    planes and aerial intensity of ``last_mask``, a copy of the last
+    simulated mask; ``engine`` is the simulator that filled them, and no
+    other may patch them.  :meth:`refresh` and :meth:`patch` update all
+    three through the simulator executor's hooks; the block layout is known
+    to this class alone.
     """
 
     shape: tuple[int, int]
-    tile_size: int
-    specs: list[TileSpec]
-    margin: int                           # core margin of every window
-    support: int = 1                      # kernel support (cost model)
+    radius: int                           # optical influence radius (pixels)
+    planes: int                           # packed SOCS field planes
+    engine: object | None = None          # simulator of the cached planes
     last_mask: np.ndarray | None = field(default=None, repr=False)
-    cached_map: np.ndarray | None = None
+    fields: np.ndarray | None = field(default=None, repr=False)
+    aerial: np.ndarray | None = field(default=None, repr=False)
     counters: IncrementalCounters = field(default_factory=IncrementalCounters)
     last_stats: object | None = None      # PipelineStats of the latest patched call
 
     @property
+    def grid(self) -> tuple[int, int]:
+        """Block rows and columns; edge blocks may overhang the mask."""
+        return -(-self.shape[0] // BLOCK), -(-self.shape[1] // BLOCK)
+
+    @property
     def n_tiles(self) -> int:
-        return len(self.specs)
+        """Blocks in the grid: what a full refresh counts in the ledger."""
+        rows, cols = self.grid
+        return rows * cols
 
-    def ownership(self) -> list[tuple[tuple[slice, slice], tuple[slice, slice]]]:
-        return ownership_slices(self.specs, self.shape, self.margin)
+    @property
+    def cached_map(self) -> np.ndarray | None:
+        """The cached aerial image of ``last_mask`` (``None`` before a refresh)."""
+        if self.aerial is None:
+            return None
+        return self.aerial[: self.shape[0], : self.shape[1]]
 
-    def window(self, index: int) -> tuple[slice, slice]:
-        """Pixel slices of tile window ``index`` in the full mask."""
-        spec, t = self.specs[index], self.tile_size
-        return slice(spec.y0, spec.y0 + t), slice(spec.x0, spec.x0 + t)
-
-    def dirty_windows(self, mask: np.ndarray, candidates: list[int] | None) -> list[int]:
-        """Tile indices whose window content changed since the last call.
-
-        ``candidates`` (from the fragment->tile index) bounds the windows that
-        need comparing; windows outside it are trusted to be unchanged.
-        ``None`` checks every window; with no recorded mask yet, every window
-        is dirty.
-        """
-        last = self.last_mask
-        if last is None:
-            return list(range(self.n_tiles))
-        indices = sorted(set(candidates)) if candidates is not None else range(self.n_tiles)
-        dirty = []
-        for i in indices:
-            window = self.window(i)
-            if not np.array_equal(mask[window], last[window]):
-                dirty.append(i)
-        return dirty
-
-    def prefer_native(self, dirty_count: int) -> bool:
-        """Hybrid cost model: is a native whole-image refresh cheaper?
-
-        The native path is one big zero-padded FFT and the patched path is
-        ``dirty_count`` small ones.
-        """
-        if self.n_tiles == 1:
-            return dirty_count >= self.n_tiles
-        native = _fft_cost(max(self.shape), self.support)
-        window = _fft_cost(self.tile_size, self.support)
-        return dirty_count * window >= native
-
-    def record(self, mask: np.ndarray, dirty: list[int]) -> None:
-        """Remember the pixels of the windows simulated for ``mask``.
-
-        The very first call copies the whole mask; later calls copy only the
-        ``dirty`` windows' pixels.  With sound candidates every changed pixel
-        lies in a dirty window, so ``last_mask`` equals ``mask`` afterwards;
-        otherwise a trusted window keeps its old pixels except where it
-        overlaps a dirty one.
-        """
+    def dirty_blocks(self, mask: np.ndarray) -> np.ndarray:
+        """Row-major indices of the blocks whose pixels differ from ``last_mask``."""
         if self.last_mask is None:
-            self.last_mask = np.array(mask, dtype=np.float64, copy=True)
-            return
-        for i in dirty:
-            window = self.window(i)
-            self.last_mask[window] = mask[window]
+            return np.arange(self.n_tiles)
+        starts = [np.arange(0, n, BLOCK) for n in self.shape]
+        changed = mask != self.last_mask
+        changed = np.logical_or.reduceat(changed, starts[0], axis=0)
+        changed = np.logical_or.reduceat(changed, starts[1], axis=1)
+        return np.flatnonzero(changed)
+
+    def prefer_refresh(self, dirty_count: int) -> bool:
+        """Block-cost rule: is one full refresh cheaper than ``dirty_count`` patches?"""
+        span = BLOCK + 2 * self.radius
+        full = _fft_cost(next_fast_len(max(self.shape) + 2 * self.radius))
+        return dirty_count * BLOCK_COST * _fft_cost(next_fast_len(span)) >= full
+
+    def refresh(self, engine, mask: np.ndarray) -> None:
+        """Rebuild the planes and aerial image from the whole mask with
+        ``engine.run_aerial``, allocating the block-padded buffers first."""
+        h, w = self.shape
+        if self.aerial is None:
+            rows, cols = self.grid
+            padded = (rows * BLOCK, cols * BLOCK)
+            self.fields = np.zeros((self.planes, *padded), dtype=np.complex128)
+            self.aerial = np.zeros(padded, dtype=np.float64)
+            self.last_mask = np.zeros((h, w), dtype=np.float64)
+        self.aerial[:h, :w] = engine.run_aerial(mask[None, None], fields=self.fields[None])[0, 0]
+        self.engine = engine.simulator
+        self.last_mask[...] = mask
+
+    def patch(self, engine, mask: np.ndarray, dirty: np.ndarray) -> None:
+        """Add the ``dirty`` blocks' field deltas with ``engine.patch_fields``,
+        then recompute the intensity of every block they reach."""
+        engine.patch_fields(self.fields, *self._deltas(mask, dirty))
+        rows, cols = self._reach(dirty)
+        reached = self._blocks(self.fields)[:, rows, :, cols, :]
+        self._blocks(self.aerial)[rows, :, cols, :] = engine.aerial_of_fields(reached)
+        self.last_mask[...] = mask
+
+    def _deltas(self, mask: np.ndarray, dirty: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``mask - last_mask`` on the ``dirty`` blocks, ``(n, BLOCK, BLOCK)``
+        zero-padded past the mask edge, and the blocks' ``(y, x)`` origins."""
+        cols = self.grid[1]
+        origins = np.stack([dirty // cols, dirty % cols], axis=1) * BLOCK
+        deltas = np.zeros((dirty.size, BLOCK, BLOCK))
+        for delta, (y, x) in zip(deltas, origins.tolist()):
+            window = np.s_[y : y + BLOCK, x : x + BLOCK]
+            block = mask[window]
+            np.subtract(block, self.last_mask[window], out=delta[: block.shape[0], : block.shape[1]])
+        return deltas, origins
+
+    def _reach(self, dirty: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Block rows and columns within ``radius`` pixels of a dirty block."""
+        rows, cols = self.grid
+        halo = -(-self.radius // BLOCK)
+        marked = np.zeros((rows + 2 * halo, cols + 2 * halo), dtype=bool)
+        marked[halo : halo + rows, halo : halo + cols].flat[dirty] = True
+        window = 2 * halo + 1
+        return np.nonzero(sliding_window_view(marked, (window, window)).any(axis=(2, 3)))
+
+    def _blocks(self, array: np.ndarray) -> np.ndarray:
+        """``(..., rows, BLOCK, cols, BLOCK)`` view of a block-padded array."""
+        rows, cols = self.grid
+        return array.reshape(*array.shape[:-2], rows, BLOCK, cols, BLOCK)

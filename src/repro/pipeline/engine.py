@@ -79,7 +79,7 @@ import numpy as np
 
 from ..layout.tiling import TileSpec, extract_tiles, stitch_cores, tile_grid
 from ..nn.backends import compute_threads, set_blas_threads
-from .cache import IncrementalState, choose_patch_tile
+from .cache import IncrementalState
 from .config import ExecutionConfig, ExecutionPlan
 from .executors import Executor, as_executor
 from .parallel import WorkerPoolExecutor
@@ -98,7 +98,7 @@ class PipelineStats:
     num_batches: int = 0          # executor invocations
     sharded_tiles: bool = False   # GP tile stream sharded over a pool of > 1 workers
     seconds: float = 0.0
-    dirty_tiles: int = 0          # tile windows re-simulated (patched mode only)
+    dirty_tiles: int = 0          # dirty blocks patched (patched mode only)
     chunks_retried: int = 0       # pooled chunks that needed another attempt
     workers_respawned: int = 0    # dead worker processes replaced mid-run
     degraded_runs: int = 0        # pooled dispatches degraded to in-process
@@ -356,70 +356,41 @@ class InferencePipeline:
     # ------------------------------------------------------------------ #
     # Incremental (patched) re-simulation plan
     # ------------------------------------------------------------------ #
-    def incremental_state(
-        self, shape: tuple[int, int], tile_size: int | None = None
-    ) -> IncrementalState:
-        """Build the dirty-tile state for :meth:`predict_patched` over ``shape``.
+    def incremental_state(self, shape: tuple[int, int]) -> IncrementalState:
+        """Build the field-delta state for :meth:`predict_patched` over ``shape``.
 
-        Only the golden simulator patches: the mask is viewed through a
-        half-overlapping window grid sized so each window's core margin
-        (``tile_size // 4``) covers the optical influence radius, so windowed
-        re-simulation of dirty windows is exact (see
-        :mod:`repro.pipeline.cache`).  ``tile_size=None`` picks the smallest
-        valid window automatically (the whole image when none divides it).
-        The mask must be square; other shapes and engines without an
-        optical influence radius raise :class:`ValueError`.
+        Only the golden simulator patches: each of its SOCS field planes is
+        linear in the mask, so a mask edit changes the cached planes by the
+        planes of the edit (see :mod:`repro.pipeline.cache`).  The mask must
+        be square; other shapes and engines without field planes raise
+        :class:`ValueError`.
         """
-        if not hasattr(self.executor, "influence_radius"):
-            raise ValueError(
-                f"engine {self.name} has no optical influence radius; "
-                "incremental re-simulation applies to the golden simulator only"
-            )
+        engine = self._patch_engine()
         h, w = int(shape[0]), int(shape[1])
         if h != w:
             raise ValueError(
                 f"incremental re-simulation needs a square mask, got shape {(h, w)}"
             )
-        radius = max(int(self.executor.influence_radius), 1)
-        if tile_size is None:
-            tile_size = choose_patch_tile(h, radius)
-        specs = tile_grid((h, w), tile_size)
-        if len(specs) > 1 and tile_size // 4 < radius:
-            raise ValueError(
-                f"patch window {tile_size} too small for influence radius "
-                f"{radius}; need tile_size >= {4 * radius}"
-            )
         return IncrementalState(
-            shape=(h, w),
-            tile_size=tile_size,
-            specs=specs,
-            margin=tile_size // 4,
-            support=2 * radius + 1,
+            shape=(h, w), radius=engine.influence_radius, planes=engine.field_planes
         )
 
-    def predict_patched(
-        self,
-        mask: np.ndarray,
-        state: IncrementalState,
-        candidates: list[int] | None = None,
-    ) -> np.ndarray:
-        """Prediction of one 2-D mask, re-simulating only its dirty windows.
+    def predict_patched(self, mask: np.ndarray, state: IncrementalState) -> np.ndarray:
+        """Prediction of one 2-D mask, patching the cached fields with its edit.
 
         ``state`` (from :meth:`incremental_state`) carries a copy of the
-        previously simulated mask and the cached full-image map of the
-        previous call.  Windows whose pixels are unchanged are skipped; dirty
-        windows run through the same ``batch_size`` tiles-per-worker loop as
-        the stitched plan and their ownership regions are written back into
-        the cached aerial map.  ``candidates`` optionally bounds which windows need
-        comparing (e.g. from the OPC fragment->tile index); windows outside
-        it are *trusted* to be unchanged.  A hybrid cost model falls back to
-        one native whole-image refresh whenever patching would be slower
-        (first call, or a dirty set past the FFT-cost breakeven), so the
-        patched plan never loses materially to :meth:`predict`.
+        previously simulated mask and its cached SOCS field planes and aerial
+        image.  The blocks whose pixels changed add their field deltas to
+        the planes, and the intensity is recomputed where those reach
+        (:mod:`repro.pipeline.cache`).  The first call, and any call whose
+        dirty blocks would cost more than a whole-mask simulation by the
+        block-cost rule, refresh the cache in full instead.  Everything runs
+        in this process: a pooled pipeline's workers take no part.
 
-        Results match :meth:`predict`: bit-identical for clean and
-        full-refresh calls, and exact up to FFT summation order (equal resist
-        images in every pinned equivalence run) for patched windows.
+        Full-refresh and clean calls return :meth:`predict`'s bits; patched
+        calls match it up to floating-point round-off (equal resist images
+        in every pinned equivalence run).  A state filled by another
+        simulator raises :class:`ValueError` rather than mix two aerials.
         """
         mask = np.asarray(mask, dtype=np.float64)
         if mask.ndim != 2 or mask.shape != state.shape:
@@ -427,47 +398,51 @@ class InferencePipeline:
                 f"predict_patched expects one 2-D mask of shape {state.shape}, "
                 f"got {mask.shape}"
             )
+        engine = self._patch_engine()
+        if state.engine is not None and state.engine is not engine.simulator:
+            raise ValueError(
+                "state holds the fields of another simulator; build one per "
+                "pipeline with incremental_state"
+            )
         stats = PipelineStats(engine=self.name, mode="patched", num_masks=1)
-        robustness = self._robustness_snapshot()
         start = time.perf_counter()
         counters = state.counters
-        dirty = state.dirty_windows(mask, candidates)
         with self._threads():
-            if state.cached_map is not None and not dirty:
-                counters.clean_calls += 1
-                counters.tiles_skipped += state.n_tiles
-            elif state.cached_map is None or state.prefer_native(len(dirty)):
-                self._refresh_full(mask, state, stats)
-                counters.full_refreshes += 1
-                state.record(mask, dirty)
-            else:
-                self._patch_windows(mask, state, dirty, stats)
-                counters.patched_calls += 1
-                counters.tiles_simulated += len(dirty)
-                counters.tiles_skipped += state.n_tiles - len(dirty)
-                stats.dirty_tiles = len(dirty)
-                state.record(mask, dirty)
-            output = self.executor.finalize_patched(state.cached_map)
+            dirty = state.dirty_blocks(mask)
+            try:
+                if state.aerial is None or state.prefer_refresh(dirty.size):
+                    state.refresh(engine, mask)
+                    counters.full_refreshes += 1
+                    stats.num_batches = 1
+                elif dirty.size:
+                    state.patch(engine, mask, dirty)
+                    counters.patched_calls += 1
+                    counters.tiles_simulated += dirty.size
+                    counters.tiles_skipped += state.n_tiles - dirty.size
+                    stats.dirty_tiles = int(dirty.size)
+                    stats.num_batches = 1
+                else:
+                    counters.clean_calls += 1
+                    counters.tiles_skipped += state.n_tiles
+            except BaseException:
+                state.aerial = None   # the caches may be half updated: refresh next time
+                raise
+            output = engine.finalize_patched(state.cached_map)
         stats.seconds = time.perf_counter() - start
-        self._record_robustness(stats, robustness)
         state.last_stats = stats
         return output
 
-    def _refresh_full(self, mask: np.ndarray, state: IncrementalState, stats: PipelineStats) -> None:
-        """Rebuild the cached aerial map from the whole mask."""
-        state.cached_map = self.executor.run_aerial(mask[None, None])[0, 0]
-        stats.num_batches += 1
-
-    def _patch_windows(
-        self, mask: np.ndarray, state: IncrementalState, dirty: list[int], stats: PipelineStats
-    ) -> None:
-        """Re-simulate the dirty windows and splice their ownership regions."""
-        windows = np.stack([mask[state.window(i)] for i in dirty])
-        outputs = self._run_gp_batches(windows, self.batch_size, stats, method="run_aerial")
-        ownership = state.ownership()
-        for k, i in enumerate(dirty):
-            local, target = ownership[i]
-            state.cached_map[target] = outputs[k][0][local]
+    def _patch_engine(self):
+        """The in-process simulator executor of the patched plan."""
+        engine = self.executor
+        if isinstance(engine, WorkerPoolExecutor):
+            engine = engine.inner
+        if not hasattr(engine, "patch_fields"):
+            raise ValueError(
+                f"engine {self.name} has no SOCS field planes; "
+                "incremental re-simulation applies to the golden simulator only"
+            )
+        return engine
 
     # ------------------------------------------------------------------ #
     # Planning helpers
@@ -640,16 +615,13 @@ class InferencePipeline:
         return np.concatenate(outputs, axis=0)
 
     def _run_gp_batches(
-        self, tiles: np.ndarray, batch_size: int, stats: PipelineStats, method: str = "run_gp"
+        self, tiles: np.ndarray, batch_size: int, stats: PipelineStats
     ) -> np.ndarray:
-        """Per-tile forwards over a tile stream ``(n, t, t)``.
+        """GP forwards over a tile stream ``(n, t, t)``.
 
-        ``method`` selects the executor hook: ``run_gp`` (stitched GP plan)
-        or ``run_aerial`` (incremental window patching) — both take
-        ``(B, 1, t, t)`` and are partition invariant, so any cut of the
-        stream gives the same bits.
+        ``run_gp`` takes ``(B, 1, t, t)`` and is partition invariant, so any
+        cut of the stream gives the same bits.
         """
-        run = getattr(self.executor, method)
         # batch_size tiles per worker per call: a pool shards every tile of
         # every mask — the tiles of a *single* large mask too — with one
         # barrier and one segment fill per super-batch, and the bound keeps
@@ -659,7 +631,7 @@ class InferencePipeline:
         stream = batch_size * max(1, self.num_workers)
         gp_outputs = []
         for start in range(0, tiles.shape[0], stream):
-            gp_outputs.append(run(tiles[start : start + stream][:, None]))
+            gp_outputs.append(self.executor.run_gp(tiles[start : start + stream][:, None]))
             stats.num_batches += 1
         stats.num_tiles += tiles.shape[0]
         return gp_outputs[0] if len(gp_outputs) == 1 else np.concatenate(gp_outputs, axis=0)

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..litho.hopkins import AerialWorkspace
+from ..litho.hopkins import AerialWorkspace, add_field_deltas, aerial_from_fields
 from ..nn import FusedInferenceGraph, Module, Tensor, compile_model, eval_mode, no_grad
 from ..nn.backends import BACKENDS, DEFAULT_BACKEND, resolve_backend
 
@@ -249,19 +249,32 @@ class SimulatorExecutor(Executor):
         The Hopkins aerial is a linear convolution with kernels of finite
         support ``s`` (zero-padded FFTs, :mod:`repro.litho.hopkins`), so an
         output pixel depends only on mask pixels within ``(s - 1) // 2``.
-        This bounds the core margin the patched plan needs for exact windowed
-        re-simulation.
         """
         return (self.simulator.kernels.support - 1) // 2
 
-    def run_aerial(self, tiles: np.ndarray) -> np.ndarray:
-        """Aerial intensity of a tile-window batch ``(B, 1, t, t)``.
+    @property
+    def field_planes(self) -> int:
+        """Number of packed SOCS field planes of one mask."""
+        return self.simulator.kernels.packed_kernels().shape[0]
+
+    def run_aerial(self, tiles: np.ndarray, fields: np.ndarray | None = None) -> np.ndarray:
+        """Aerial intensity of a mask batch ``(B, 1, H, W)``.
 
         Same batched single-FFT path as :meth:`run_batch`, without the resist
-        threshold — the patched plan splices these window aerials into a
-        cached full-image aerial and develops once at the end.
+        threshold; ``fields`` ``(B, planes, >= H, >= W)`` receives the field
+        planes.  The patched plan refreshes its cache with it and develops
+        once at the end (:meth:`finalize_patched`).
         """
-        return self.simulator.aerial(tiles[:, 0], workspace=self.workspace)[:, None]
+        aerial = self.simulator.aerial(tiles[:, 0], workspace=self.workspace, fields=fields)
+        return aerial[:, None]
+
+    def patch_fields(self, fields: np.ndarray, deltas: np.ndarray, origins: np.ndarray) -> None:
+        """Add the field planes of mask deltas into ``fields`` (in place)."""
+        add_field_deltas(fields, deltas, origins, self.simulator.kernels, self.workspace)
+
+    def aerial_of_fields(self, fields: np.ndarray) -> np.ndarray:
+        """Aerial intensity of field planes ``(..., planes, h, w)``."""
+        return aerial_from_fields(fields, self.simulator.kernels, dose=self.simulator.dose)
 
     def finalize_patched(self, aerial: np.ndarray) -> np.ndarray:
         """Turn the cached full-image aerial into this executor's output."""

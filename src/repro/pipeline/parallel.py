@@ -288,25 +288,6 @@ class WorkerPoolExecutor(Executor):
     def run_reconstruction(self, gp: np.ndarray, masks: np.ndarray) -> np.ndarray:
         return self._run("run_reconstruction", (gp, masks))
 
-    def run_aerial(self, tiles: np.ndarray) -> np.ndarray:
-        """Sharded window aerials for the incremental patched plan.
-
-        Only defined when the wrapped executor has the simulator patch hooks;
-        raising :class:`AttributeError` otherwise keeps ``hasattr`` probing on
-        the pooled executor faithful to the inner one.
-        """
-        if not hasattr(self.inner, "run_aerial"):
-            raise AttributeError(f"{self.inner.name} has no run_aerial hook")
-        return self._run("run_aerial", (tiles,))
-
-    @property
-    def influence_radius(self) -> int:
-        return self.inner.influence_radius
-
-    def finalize_patched(self, array: np.ndarray) -> np.ndarray:
-        """Finalize the cached map in-process (pointwise; not worth sharding)."""
-        return self.inner.finalize_patched(array)
-
     # -- lifecycle ------------------------------------------------------ #
     def close(self) -> None:
         """Shut the pool down and release the streaming ring (idempotent).

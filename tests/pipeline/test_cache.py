@@ -1,9 +1,10 @@
 """Tests for the incremental (patched) re-simulation plan.
 
-``predict_patched`` re-simulates only the dirty tile windows of the golden
-simulator's aerial image and splices their ownership regions into the cached
-full-image map; the result must reproduce the plain ``predict`` output
-exactly, serial and pooled.
+``predict_patched`` adds the SOCS field deltas of the 16 px blocks a mask
+edit changed into the cached field planes and recomputes the intensity
+where they reach; the result must reproduce the plain ``predict`` output
+(bit for bit on full refreshes and clean calls, within 1e-12 of clear field
+on patched calls, equal resist), serial and pooled.
 """
 
 from __future__ import annotations
@@ -11,14 +12,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.layout.tiling import stitch_cores, tile_grid
 from repro.litho import LithoSimulator
 from repro.pipeline import (
     ExecutionConfig,
+    IncrementalState,
     InferencePipeline,
     PipelineStats,
-    choose_patch_tile,
-    ownership_slices,
+    SimulatorExecutor,
 )
 
 
@@ -33,134 +33,186 @@ def _random_mask(size: int, seed: int = 11) -> np.ndarray:
 
 
 # --------------------------------------------------------------------- #
-# Ownership regions == scan-order core stitch
-# --------------------------------------------------------------------- #
-@pytest.mark.parametrize("size, tile, margin", [(64, 32, 8), (96, 32, 4), (64, 64, 8)])
-def test_ownership_slices_match_stitch_cores(size, tile, margin):
-    rng = np.random.default_rng(7)
-    specs = tile_grid((size, size), tile)
-    tiles = rng.random((len(specs), tile, tile))
-    expected = stitch_cores(tiles, specs, (size, size), margin)
-    patched = np.zeros((size, size))
-    for (local, target), window in zip(ownership_slices(specs, (size, size), margin), tiles):
-        patched[target] = window[local]
-    assert np.array_equal(patched, expected)
-
-
-def test_ownership_slices_reject_oversized_margin():
-    specs = tile_grid((64, 64), 32)
-    with pytest.raises(ValueError):
-        ownership_slices(specs, (64, 64), margin=9)  # 9 > 32 // 4
-
-
-def test_choose_patch_tile():
-    assert choose_patch_tile(128, 15) == 64    # smallest even divisor >= 4r
-    assert choose_patch_tile(256, 15) == 64
-    assert choose_patch_tile(128, 40) == 128   # no divisor fits: whole image
-    assert choose_patch_tile(96, 15) == 96     # divisors top out at 48 < 60
-
-
-# --------------------------------------------------------------------- #
 # Patched aerial re-simulation (golden simulator)
 # --------------------------------------------------------------------- #
 def test_patched_simulator_matches_predict_over_perturbations(simulator):
     pipeline = InferencePipeline(simulator, ExecutionConfig(batch_size=4))
     state = pipeline.incremental_state((128, 128))
-    assert state.tile_size == 64 and state.n_tiles == 9
+    assert state.n_tiles == 64  # 8 x 8 blocks of 16 px
 
     mask = _random_mask(128)
-    # First call: no ledger yet -> one native full refresh.
+    # First call: nothing cached yet -> one full refresh.
     out = pipeline.predict_patched(mask, state)
     assert np.array_equal(out, pipeline.predict(mask))
     assert state.counters.full_refreshes == 1
 
-    # Local perturbation inside one window's core -> a patched call.
+    # Local perturbation inside one block -> a patched call.
     mask = mask.copy()
     mask[8:12, 8:12] = 1.0 - mask[8:12, 8:12]
     out = pipeline.predict_patched(mask, state)
     assert np.array_equal(out, pipeline.predict(mask))
     assert state.counters.patched_calls == 1
-    assert 0 < state.last_stats.dirty_tiles < state.n_tiles
+    assert state.last_stats.dirty_tiles == 1
 
-    # Exact repeat -> clean call, no tile re-simulated.
+    # Exact repeat -> clean call, no block patched.
     out = pipeline.predict_patched(mask.copy(), state)
     assert np.array_equal(out, pipeline.predict(mask))
     assert state.counters.clean_calls == 1
 
-    # Heavy perturbation -> the hybrid cost model prefers a native refresh.
+    # Heavy perturbation -> the block-cost rule prefers a full refresh.
     mask = _random_mask(128, seed=99)
     out = pipeline.predict_patched(mask, state)
     assert np.array_equal(out, pipeline.predict(mask))
     assert state.counters.full_refreshes == 2
 
 
-def test_patched_simulator_trusts_candidate_windows(simulator):
-    pipeline = InferencePipeline(simulator, ExecutionConfig(batch_size=4))
-    state = pipeline.incremental_state((128, 128))
-    mask = _random_mask(128)
-    pipeline.predict_patched(mask, state)
-
-    mask = mask.copy()
-    mask[8:12, 8:12] = 1.0 - mask[8:12, 8:12]
-    dirty = state.dirty_windows(mask, None)
-    out = pipeline.predict_patched(mask, state, candidates=dirty)
-    assert np.array_equal(out, pipeline.predict(mask))
-    # Only the candidate windows were compared and re-simulated.
-    assert state.last_stats.dirty_tiles == len(dirty)
-
-
 def test_patched_simulator_single_window_fallback(simulator):
-    """Images no window divides degenerate to skip-if-unchanged, still exact."""
+    """A mask of one block: every edit refreshes, repeats are clean, exact."""
     pipeline = InferencePipeline(simulator, ExecutionConfig(batch_size=4))
-    state = pipeline.incremental_state((96, 96))
+    state = pipeline.incremental_state((16, 16))
     assert state.n_tiles == 1
-    mask = _random_mask(96)
+    mask = _random_mask(16)
     assert np.array_equal(pipeline.predict_patched(mask, state), pipeline.predict(mask))
     pipeline.predict_patched(mask.copy(), state)
     assert state.counters.clean_calls == 1
-    mask[40:44, 40:44] = 1.0
+    mask[4:8, 4:8] = 1.0
     out = pipeline.predict_patched(mask, state)
     assert np.array_equal(out, pipeline.predict(mask))
     assert state.counters.full_refreshes == 2
 
 
-def test_dirty_windows_trust_windows_outside_the_candidates(simulator):
+def test_dirty_blocks_follow_the_last_simulated_mask(simulator):
+    pipeline = InferencePipeline(simulator, ExecutionConfig(batch_size=4))
+    state = pipeline.incremental_state((100, 100))
+    assert state.grid == (7, 7)  # the last row and column overhang the mask
+    mask = _random_mask(100)
+    assert state.dirty_blocks(mask).tolist() == list(range(49))
+    pipeline.predict_patched(mask, state)
+    # The state keeps its own copy: editing the caller's array is a change.
+    assert state.dirty_blocks(mask).size == 0
+    mask[15, 16] = 1.0 - mask[15, 16]      # block (0, 1)
+    mask[99, 99] = 1.0 - mask[99, 99]      # block (6, 6), a partial one
+    assert state.dirty_blocks(mask).tolist() == [1, 48]
+    pipeline.predict_patched(mask, state)
+    assert state.last_stats.dirty_tiles == 2
+    assert state.dirty_blocks(mask).size == 0
+
+
+def test_block_cost_rule():
+    state = IncrementalState(shape=(256, 256), radius=15, planes=5)
+    assert not state.prefer_refresh(1)
+    assert state.prefer_refresh(state.n_tiles)
+    # The rule is a monotone threshold on the dirty count.
+    flips = [n for n in range(1, state.n_tiles + 1) if state.prefer_refresh(n)]
+    assert flips == list(range(flips[0], state.n_tiles + 1))
+    # A smaller mask's whole-mask FFT is cheaper: it refreshes sooner.
+    small = IncrementalState(shape=(128, 128), radius=15, planes=5)
+    assert small.prefer_refresh(flips[0] - 1)
+
+
+def _edits(size: int, steps: int, seed: int):
+    """Sparse edits: one 3 x 3 flip per step, every third at the far corner."""
+    rng = np.random.default_rng(seed)
+    for step in range(steps):
+        if step % 3 == 2:
+            y = x = size - 3
+        else:
+            y, x = (int(v) for v in rng.integers(0, size - 3, 2))
+        yield slice(y, y + 3), slice(x, x + 3)
+
+
+def _patch_sequence(simulator, size: int, steps: int = 12, blas_threads: int | None = None):
+    """Aerial and resist outputs of ``steps`` successive patched edits."""
+    config = ExecutionConfig(batch_size=4, blas_threads=blas_threads)
+    aerial = InferencePipeline(SimulatorExecutor(simulator, output="aerial"), config)
+    resist = InferencePipeline(SimulatorExecutor(simulator, output="resist"), config)
+    states = aerial.incremental_state((size, size)), resist.incremental_state((size, size))
+    mask = _random_mask(size, seed=size)
+    outputs = [(aerial.predict_patched(mask, states[0]), resist.predict_patched(mask, states[1]))]
+    masks = [mask]
+    for rows, cols in _edits(size, steps, seed=size + 1):
+        mask = mask.copy()
+        mask[rows, cols] = 1.0 - mask[rows, cols]
+        masks.append(mask)
+        outputs.append(
+            (aerial.predict_patched(mask, states[0]), resist.predict_patched(mask, states[1]))
+        )
+    return aerial, resist, states, masks, outputs
+
+
+@pytest.mark.parametrize(
+    "variant, size",
+    [("defocus 0", 128), ("defocus 120", 128), ("dose 1.1", 128), ("9 kernels", 128),
+     ("defocus 0", 100)],
+)
+def test_field_deltas_stay_exact_over_successive_edits(simulator, variant, size):
+    """Each patched aerial stays within 1e-12 of clear field of predict, with
+    equal resist, over a dozen successive edits: the packed planes (defocus
+    0, odd plane count with 9 kernels), the defocused complex planes, a dose
+    and partial edge blocks (100 px)."""
+    engine = {
+        "defocus 0": simulator,
+        "defocus 120": simulator.with_defocus(120.0),
+        "dose 1.1": simulator.with_dose(1.1),
+        "9 kernels": LithoSimulator(pixel_size=16.0, num_kernels=9, kernel_support=31),
+    }[variant]
+    aerial, resist, states, masks, outputs = _patch_sequence(engine, size)
+    assert states[0].counters.full_refreshes == 1
+    assert states[0].counters.patched_calls == len(masks) - 1
+    if variant == "9 kernels":
+        assert states[0].planes == 5   # four packed pairs and one kernel alone
+    for mask, (patched_aerial, patched_resist) in zip(masks, outputs):
+        np.testing.assert_allclose(patched_aerial, aerial.predict(mask), rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(patched_resist, resist.predict(mask))
+
+
+def test_field_deltas_bit_identical_across_compute_teams(simulator):
+    """The deltas add in fixed block order on the calling thread and the full
+    refresh is team-invariant, so teams of 1, 2 and 3 give the same bits."""
+    runs = [_patch_sequence(simulator, 128, steps=6, blas_threads=t)[4] for t in (1, 2, 3)]
+    for other in runs[1:]:
+        for (a0, r0), (a1, r1) in zip(runs[0], other):
+            np.testing.assert_array_equal(a0, a1)
+            np.testing.assert_array_equal(r0, r1)
+
+
+def test_failed_patch_refreshes_on_the_next_call(simulator, monkeypatch):
+    """A call that fails halfway leaves no half-patched planes behind."""
     pipeline = InferencePipeline(simulator, ExecutionConfig(batch_size=4))
     state = pipeline.incremental_state((128, 128))
     mask = _random_mask(128)
-    before = pipeline.predict_patched(mask, state)
-    # The state keeps its own copy: editing the caller's array is a change.
-    # Each edit lies in one window only (first and last of the 3 x 3 grid).
-    mask[8:12, 8:12] = 1.0 - mask[8:12, 8:12]
-    mask[100:104, 100:104] = 1.0 - mask[100:104, 100:104]
-    touched = [0, state.n_tiles - 1]
-    assert state.dirty_windows(mask, None) == touched
-    others = [i for i in range(state.n_tiles) if i not in touched]
-    assert state.dirty_windows(mask, others) == []
-    assert state.dirty_windows(mask, touched[:1] + others) == touched[:1]
-
-    # A call whose candidates miss the edit trusts the old pixels: a clean call.
-    assert np.array_equal(pipeline.predict_patched(mask, state, candidates=others), before)
-    assert state.counters.clean_calls == 1
-    # Patching one window records only that window's pixels.
-    pipeline.predict_patched(mask, state, candidates=touched[:1])
-    assert state.last_stats.dirty_tiles == 1
-    assert state.dirty_windows(mask, None) == touched[1:]
-    out = pipeline.predict_patched(mask, state)
-    assert np.array_equal(out, pipeline.predict(mask))
-    assert state.dirty_windows(mask, None) == []
-
-
-def test_dirty_windows_single_window(simulator):
-    pipeline = InferencePipeline(simulator, ExecutionConfig(batch_size=4))
-    state = pipeline.incremental_state((96, 96))
-    mask = _random_mask(96)
-    assert state.dirty_windows(mask, None) == [0]
     pipeline.predict_patched(mask, state)
-    assert state.dirty_windows(mask.copy(), None) == []
-    mask[40, 40] = 1.0 - mask[40, 40]
-    assert state.dirty_windows(mask, None) == [0]
-    assert state.dirty_windows(mask, []) == []
+    mask = mask.copy()
+    mask[8:12, 8:12] = 1.0 - mask[8:12, 8:12]
+
+    def half_patch(fields, deltas, origins):
+        fields[:, :16, :16] += 1.0
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(pipeline.executor, "patch_fields", half_patch)
+    with pytest.raises(KeyboardInterrupt):
+        pipeline.predict_patched(mask, state)
+    monkeypatch.undo()
+    assert np.array_equal(pipeline.predict_patched(mask, state), pipeline.predict(mask))
+    assert state.counters.full_refreshes == 2
+
+
+def test_state_filled_by_another_simulator_raises(simulator):
+    """Cached fields belong to the simulator that filled them: another dose
+    (or defocus) patching them would mix two aerials."""
+    first = InferencePipeline(SimulatorExecutor(simulator, output="aerial"))
+    other = InferencePipeline(SimulatorExecutor(simulator.with_dose(1.3), output="aerial"))
+    state = first.incremental_state((128, 128))
+    mask = _random_mask(128)
+    first.predict_patched(mask, state)
+    mask = mask.copy()
+    mask[8:12, 8:12] = 1.0 - mask[8:12, 8:12]
+    with pytest.raises(ValueError, match="another simulator"):
+        other.predict_patched(mask, state)
+    # The state is untouched and still serves its own pipeline.
+    np.testing.assert_allclose(first.predict_patched(mask, state), first.predict(mask), atol=1e-12)
+    fresh = other.incremental_state((128, 128))
+    np.testing.assert_array_equal(other.predict_patched(mask, fresh), other.predict(mask))
 
 
 def test_patched_rejects_wrong_shape(simulator):
@@ -191,7 +243,7 @@ def test_patched_unsupported_engine_raises(tiny_model_factory):
 
 
 # --------------------------------------------------------------------- #
-# Worker pool: patched plan through the num_workers x batch_size path
+# Worker pool: the patched plan runs in the parent
 # --------------------------------------------------------------------- #
 def test_patched_simulator_pooled_matches_serial(simulator):
     serial = InferencePipeline(simulator, ExecutionConfig(batch_size=4))

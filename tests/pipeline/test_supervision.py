@@ -5,8 +5,8 @@ Three invariants anchor this file:
 * **chaos equivalence** — under every deterministic fault mode (remote
   exception, hard ``os._exit``, SIGKILL, hang-past-deadline) the supervised
   pool heals itself and the outputs stay **bit-identical** to serial
-  execution, zoo-wide, on the native, stitched/sharded and incremental
-  (``predict_patched``) plans;
+  execution, zoo-wide, on the native and stitched/sharded plans, and the
+  incremental plan (``predict_patched``) never dispatches to the pool;
 * **graceful degradation** — a fault plan that outlasts the retry budget
   completes the run through the in-process fallback with a
   :class:`PoolDegradedWarning` (still bit-identical), or raises a structured
@@ -172,30 +172,33 @@ def test_chaos_equivalence_whole_zoo(zoo_model, monkeypatch):
 
 
 def test_chaos_predict_patched_matches_serial(monkeypatch):
-    """Hard worker crashes under the incremental patched plan still match the
-    serial prediction exactly — patched windows are just chunks with slices."""
+    """The patched plan runs in the parent: under a fault plan that kills
+    every worker a chunk reaches, pooled ``predict_patched`` still equals
+    serial ``predict``, with no chunk dispatched."""
     simulator = LithoSimulator(pixel_size=16.0, num_kernels=10, kernel_support=31)
     serial = InferencePipeline(simulator, ExecutionConfig(batch_size=4))
     monkeypatch.setenv(FAULT_PLAN_ENV, "exit@*:0")
     with InferencePipeline(simulator, ExecutionConfig(batch_size=4, num_workers=2)) as pooled:
         state = pooled.incremental_state((128, 128))
-        assert state.n_tiles == 9  # 3 x 3 grid of 64 px windows at stride 32
+        assert state.n_tiles == 64  # 8 x 8 blocks of 16 px
         mask = _random_masks(1, 128, seed=55)[0]
-        # First call: a full refresh is one mask, so it runs in the parent.
+        # First call: a full refresh.
         out = pooled.predict_patched(mask, state)
         assert np.array_equal(out, serial.predict(mask))
-        # Each edit straddles two windows: enough to shard the patched
-        # windows over the pool, below the native-refresh break-even.
-        for rows, cols in ((slice(40, 44), slice(8, 12)),
-                           (slice(8, 12), slice(40, 44)),
-                           (slice(100, 104), slice(40, 44))):
+        # Each edit straddles two blocks: a field-delta patch.
+        for rows, cols in ((slice(14, 18), slice(8, 12)),
+                           (slice(8, 12), slice(46, 50)),
+                           (slice(100, 104), slice(30, 34))):
             mask = mask.copy()
             mask[rows, cols] = 1.0 - mask[rows, cols]
-            assert len(state.dirty_windows(mask, None)) == 2
+            assert state.dirty_blocks(mask).size == 2
             out = pooled.predict_patched(mask, state)
             assert np.array_equal(out, serial.predict(mask))
         assert state.counters.patched_calls == 3
-        assert pooled.executor.robustness.workers_respawned >= 1
+        robustness = pooled.executor.robustness
+        assert robustness.workers_respawned == 0
+        assert robustness.chunks_retried == 0
+        assert robustness.fault_events == 0
     assert live_segment_names() == ()
 
 
