@@ -7,10 +7,9 @@ from .engine import (
     OPCResult,
     rule_based_retarget,
 )
-from .epe import EPEStatistics, measure_fragment_epe, measure_layout_epe
+from .epe import EPEStatistics, measure_layout_epe
 from .fragments import (
-    EdgeFragment,
-    FragmentedShape,
+    Fragments,
     MaskPainter,
     build_mask,
     fragment_layout,
@@ -24,10 +23,8 @@ __all__ = [
     "OPCResult",
     "rule_based_retarget",
     "EPEStatistics",
-    "measure_fragment_epe",
     "measure_layout_epe",
-    "EdgeFragment",
-    "FragmentedShape",
+    "Fragments",
     "MaskPainter",
     "build_mask",
     "fragment_layout",

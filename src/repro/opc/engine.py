@@ -38,7 +38,7 @@ from ..layout.rasterize import rasterize
 from ..litho.simulator import LithoSimulator
 from ..pipeline import ExecutionConfig, IncrementalCounters, InferencePipeline
 from .epe import EPEStatistics, measure_layout_epe
-from .fragments import FragmentedShape, MaskPainter, build_mask, fragment_layout
+from .fragments import Fragments, MaskPainter, build_mask, fragment_layout
 from .sraf import insert_srafs, sraf_rects_pixels
 
 __all__ = [
@@ -230,7 +230,7 @@ class OPCEngine:
         image_size = int(round(layout.bounds.width / pixel_size))
         target = rasterize(layout, pixel_size=pixel_size, image_size=image_size)
 
-        shapes = fragment_layout(layout, pixel_size, config.max_fragment_length)
+        fragments = fragment_layout(layout, pixel_size, config.max_fragment_length)
         sraf_boxes = (
             sraf_rects_pixels(insert_srafs(layout), pixel_size) if config.use_srafs else []
         )
@@ -244,10 +244,10 @@ class OPCEngine:
             target=target,
             counters=state.counters if state is not None else None,
         )
-        painter = MaskPainter(shapes, image_size, sraf_boxes)
-        moved: list[tuple[int, int]] = []
+        painter = MaskPainter(fragments, image_size, sraf_boxes)
+        moved = np.empty(0, dtype=np.intp)
         for _ in range(config.iterations):
-            mask = build_mask(shapes, image_size, sraf_boxes, painter=painter, moved=moved)
+            mask = build_mask(fragments, image_size, sraf_boxes, painter=painter, moved=moved)
             if state is not None:
                 spent = state.counters.tile_equivalents(state.n_tiles)
                 resist = self.pipeline.predict_patched(mask, state)
@@ -257,69 +257,59 @@ class OPCEngine:
             else:
                 resist = self.pipeline.predict(mask)
             stats = measure_layout_epe(
-                resist, shapes, pixel_size, config.epe_search_range, skip_frozen=True
+                resist, fragments, pixel_size, config.epe_search_range, skip_frozen=True
             )
             if config.record_history:
                 result.mask_history.append(mask)
             result.epe_history.append(stats)
-            moved = self._apply_moves(shapes, stats)
+            moved = self._apply_moves(fragments, stats)
 
         # Build the mask with the final fragment positions (post last update).
-        result.final_mask = build_mask(shapes, image_size, sraf_boxes, painter=painter, moved=moved)
+        result.final_mask = build_mask(
+            fragments, image_size, sraf_boxes, painter=painter, moved=moved
+        )
         if config.record_history:
             result.mask_history.append(result.final_mask)
         return result
 
     # ------------------------------------------------------------------ #
-    def _apply_moves(
-        self, shapes: list[FragmentedShape], stats: EPEStatistics
-    ) -> list[tuple[int, int]]:
+    def _apply_moves(self, fragments: Fragments, stats: EPEStatistics) -> np.ndarray:
         """Move every active fragment against its measured EPE.
 
-        Consumes ``stats.values`` in the same deterministic (shape, fragment)
-        scan order :func:`~repro.opc.epe.measure_layout_epe` produced them —
-        one EPE walk per iteration serves both the statistics and the move
-        step.  Returns the ``(shape, fragment)`` ids whose *rounded* offset
-        changed (the only moves that can repaint mask pixels), which the
-        mask painter repaints.  With ``freeze_after`` set, fragments whose
-        |EPE| held within tolerance for that many consecutive iterations are
-        frozen here.
+        ``stats.values[k]`` is the EPE of the ``k``-th unfrozen fragment id in
+        ascending order, which is how :func:`~repro.opc.epe.measure_layout_epe`
+        lays them out with ``skip_frozen=True`` — one EPE walk per iteration
+        serves both the statistics and the move step.  Returns the ids whose
+        *rounded* offset changed (the only moves that can repaint mask
+        pixels), which the mask painter repaints.  With ``freeze_after`` set,
+        fragments whose |EPE| held within tolerance for that many consecutive
+        iterations are frozen here, before they move.
         """
         config = self.config
-        values = iter(stats.values.tolist())
-        moved: list[tuple[int, int]] = []
-        for si, shape in enumerate(shapes):
-            for fi, fragment in enumerate(shape.fragments):
-                if fragment.frozen:
-                    continue
-                epe = next(values)
-                if config.freeze_after is not None:
-                    if abs(epe) <= config.freeze_tolerance:
-                        fragment.stable_iters += 1
-                        if fragment.stable_iters >= config.freeze_after:
-                            fragment.frozen = True
-                            continue
-                    else:
-                        fragment.stable_iters = 0
-                if epe <= -config.epe_search_range:
-                    # The feature did not print at all at this control point.
-                    # Grow gently instead of jumping by the (saturated) error,
-                    # which would overshoot and oscillate with a binary resist.
-                    step = 1.0
-                else:
-                    # min(max(x, lo), hi) is np.clip's own formula, so NaN and
-                    # -0.0 come out the same, at a tenth of the cost of a
-                    # numpy call on a Python float.
-                    step = float(min(max(-config.gain * epe, -config.max_step), config.max_step))
-                # Damp oscillation: if the correction reversed direction since
-                # the previous iteration, take only half a step.
-                if step * fragment.last_step < 0.0:
-                    step *= 0.5
-                fragment.last_step = step
-                previous_pixels = int(round(fragment.offset))
-                fragment.offset = float(
-                    min(max(fragment.offset + step, -config.max_offset), config.max_offset)
-                )
-                if int(round(fragment.offset)) != previous_pixels:
-                    moved.append((si, fi))
-        return moved
+        ids = np.flatnonzero(~fragments.frozen)
+        epe = stats.values
+        if config.freeze_after is not None:
+            stable = np.abs(epe) <= config.freeze_tolerance
+            fragments.stable_iters[ids] = np.where(stable, fragments.stable_iters[ids] + 1, 0)
+            freeze = stable & (fragments.stable_iters[ids] >= config.freeze_after)
+            fragments.frozen[ids[freeze]] = True
+            ids, epe = ids[~freeze], epe[~freeze]
+        # min(max(x, lo), hi) is np.clip's own formula.  Where the feature did
+        # not print at all at the control point, grow gently instead of
+        # jumping by the (saturated) error, which would overshoot and
+        # oscillate with a binary resist.
+        step = np.where(
+            epe <= -config.epe_search_range,
+            1.0,
+            np.minimum(np.maximum(-config.gain * epe, -config.max_step), config.max_step),
+        )
+        # Damp oscillation: if the correction reversed direction since the
+        # previous iteration, take only half a step.
+        step = np.where(step * fragments.last_step[ids] < 0.0, step * 0.5, step)
+        fragments.last_step[ids] = step
+        previous = np.rint(fragments.offset[ids])
+        offset = np.minimum(
+            np.maximum(fragments.offset[ids] + step, -config.max_offset), config.max_offset
+        )
+        fragments.offset[ids] = offset
+        return ids[np.rint(offset) != previous]

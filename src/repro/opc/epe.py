@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fragments import EdgeFragment, FragmentedShape
+from .fragments import OUTWARD_NORMAL, Fragments
 
-__all__ = ["EPEStatistics", "measure_fragment_epe", "measure_layout_epe"]
+__all__ = ["EPEStatistics", "measure_layout_epe"]
 
 
 @dataclass(frozen=True)
@@ -47,74 +47,63 @@ class EPEStatistics:
         return int(np.sum(np.abs(self.values) * self.pixel_size > tolerance_nm))
 
 
-def measure_fragment_epe(
-    resist: np.ndarray,
-    fragment: EdgeFragment,
-    shape_interior: tuple[int, int],
-    search_range: int = 24,
-) -> float:
-    """Measure the EPE of one fragment against a resist image (in pixels).
-
-    The measurement walks from a point just inside the shape outward along the
-    fragment normal and records where the resist value drops from printed to
-    unprinted.  ``shape_interior`` is a (row, col) point inside the shape used
-    to anchor the walk when the control point itself did not print.
-    """
-    h, w = resist.shape
-    row, col = fragment.control_point
-    drow, dcol = fragment.outward_normal
-
-    def printed(r: int, c: int) -> bool:
-        if 0 <= r < h and 0 <= c < w:
-            return resist[r, c] >= 0.5
-        return False
-
-    if printed(row, col):
-        # Contour lies at or outside the target edge: walk outward.
-        distance = 0
-        r, c = row, col
-        while distance < search_range and printed(r + drow, c + dcol):
-            r, c = r + drow, c + dcol
-            distance += 1
-        return float(distance)
-    # Contour lies inside the target (or the feature vanished): walk inward.
-    distance = 0
-    r, c = row, col
-    while distance < search_range and not printed(r, c):
-        r, c = r - drow, c - dcol
-        distance += 1
-        if (r, c) == shape_interior:
-            break
-    return float(-distance)
-
-
 def measure_layout_epe(
     resist: np.ndarray,
-    shapes: list[FragmentedShape],
+    fragments: Fragments,
     pixel_size: float,
     search_range: int = 24,
     skip_frozen: bool = False,
 ) -> EPEStatistics:
-    """Measure EPE at every fragment control point of every shape.
+    """Measure EPE at the control point of every fragment (in pixels).
+
+    Each fragment's walk reads the resist along its edge normal through its
+    control point, ``search_range`` pixels out and in, as one ray per
+    fragment; pixels outside the image count as unprinted, the rest as
+    printed where the resist is ``>= 0.5``.
+
+    * Control point printed: the contour lies at or outside the target
+      edge.  The EPE is the number of consecutive printed pixels outward of
+      the control point, at most ``search_range``.
+    * Control point not printed: the contour lies inside the target (or the
+      feature vanished).  The EPE is minus the number of inward steps to the
+      first printed pixel, at most ``search_range``.  The walk also stops
+      where it steps onto the shape's centre pixel ``((row0 + row1) // 2,
+      (col0 + col1) // 2)``, which only happens when the centre lies on the
+      ray: fragments whose midpoint misses the centre's row or column walk on
+      to the first printed pixel or to ``search_range``.
 
     With ``skip_frozen=True``, fragments the OPC engine froze as converged
-    are not walked (their count is reported in ``frozen_fragments`` instead)
-    — this is what shrinks the measurement loop as OPC converges.  ``values``
-    keeps the deterministic (shape, fragment) scan order over the active
-    fragments, which the engine's move step relies on.
+    are not walked (their count is reported in ``frozen_fragments``
+    instead) — this is what shrinks the measurement as OPC converges.
+    ``values`` holds the active fragments in ascending id order, which the
+    engine's move step relies on.
     """
-    values = []
-    frozen = 0
-    for shape in shapes:
-        row0, col0, row1, col1 = shape.rect_pixels
-        interior = ((row0 + row1) // 2, (col0 + col1) // 2)
-        for fragment in shape.fragments:
-            if skip_frozen and fragment.frozen:
-                frozen += 1
-                continue
-            values.append(measure_fragment_epe(resist, fragment, interior, search_range))
+    ids = np.flatnonzero(~fragments.frozen) if skip_frozen else np.arange(len(fragments))
+    rows, cols = fragments.control_points(ids)
+    drow, dcol = OUTWARD_NORMAL[fragments.side[ids]].T
+    steps = np.arange(-search_range, search_range + 1)
+    ray_rows = rows[:, None] + drow[:, None] * steps
+    ray_cols = cols[:, None] + dcol[:, None] * steps
+    h, w = resist.shape
+    inside = (ray_rows >= 0) & (ray_rows < h) & (ray_cols >= 0) & (ray_cols < w)
+    printed = inside & (resist[np.clip(ray_rows, 0, h - 1), np.clip(ray_cols, 0, w - 1)] >= 0.5)
+
+    n = len(ids)
+    outward = printed[:, search_range + 1 :]
+    # First unprinted pixel outward (a sentinel past the range caps it).
+    out = np.argmin(np.concatenate([outward, np.zeros((n, 1), bool)], axis=1), axis=1)
+    inward = printed[:, :search_range][:, ::-1]
+    # Steps to the first printed pixel inward (past the range when none is).
+    into = np.argmax(np.concatenate([inward, np.ones((n, 1), bool)], axis=1), axis=1) + 1
+    rect = fragments.rects[fragments.shape[ids]]
+    centre_row = (rect[:, 0] + rect[:, 2]) // 2
+    centre_col = (rect[:, 1] + rect[:, 3]) // 2
+    to_centre = (rows - centre_row) * drow + (cols - centre_col) * dcol
+    on_ray = np.where(drow == 0, rows == centre_row, cols == centre_col) & (to_centre >= 1)
+    into = np.minimum(np.minimum(into, search_range), np.where(on_ray, to_centre, search_range))
+    values = np.where(printed[:, search_range], out, -into).astype(np.float64)
     return EPEStatistics(
-        values=np.asarray(values, dtype=np.float64),
+        values=values,
         pixel_size=pixel_size,
-        frozen_fragments=frozen,
+        frozen_fragments=len(fragments) - len(ids),
     )

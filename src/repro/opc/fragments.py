@@ -6,74 +6,110 @@ from the shape).  The OPC engine measures the edge placement error at each
 fragment's control point and moves the fragment to compensate — the classical
 edge-based OPC formulation used by the flows that produced the paper's
 training data (MOSAIC, Calibre).
+
+The fragment table
+------------------
+:func:`fragment_layout` returns one :class:`Fragments` table per layout: a
+structure of arrays indexed by fragment id.  ``rects`` is the ``(S, 4)``
+int array of the rectangles' pixel boxes ``(row0, col0, row1, col1)``
+(exclusive ends; rectangles that round to zero pixels are left out).  The
+per-fragment arrays are
+
+* ``shape`` — the row of ``rects`` the fragment belongs to;
+* ``side`` — :data:`LEFT`, :data:`RIGHT`, :data:`BOTTOM` or :data:`TOP`
+  (0-3), which also indexes :data:`OUTWARD_NORMAL`;
+* ``lo``, ``hi`` — the ``[lo, hi)`` pixel span along the edge;
+* ``position`` — the fixed pixel coordinate of the drawn edge (``col0``,
+  ``col1 - 1``, ``row0`` or ``row1 - 1``);
+* ``offset`` — the current OPC correction in pixels (positive = outward);
+* ``last_step`` — the previous move, for the half-step damping;
+* ``stable_iters`` — consecutive iterations with |EPE| inside the freeze
+  tolerance (``OPCConfig.freeze_after``);
+* ``frozen`` — converged: skipped by the EPE measurement, never moved again.
+
+Ids run in scan order: rectangles in layout order, and within a rectangle
+the left/right pair of each row span, then the bottom/top pair of each
+column span.  Every consumer (the EPE walk, the move step, the mask
+painter) reads and writes fragments by these ids.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
+import numpy.typing as npt
 
-from ..layout.geometry import Layout, Rect
+from ..layout.geometry import Layout
 
-__all__ = [
-    "EdgeFragment",
-    "FragmentedShape",
-    "fragment_layout",
-    "MaskPainter",
-    "build_mask",
-]
+__all__ = ["Fragments", "fragment_layout", "MaskPainter", "build_mask"]
 
 # Edge identifiers: which side of the rectangle the fragment belongs to.
-LEFT, RIGHT, BOTTOM, TOP = "left", "right", "bottom", "top"
+LEFT, RIGHT, BOTTOM, TOP = 0, 1, 2, 3
+#: ``(drow, dcol)`` unit step pointing out of the shape, per side.
+OUTWARD_NORMAL = np.array([(0, -1), (0, 1), (-1, 0), (1, 0)], dtype=np.int64)
+# Column of ``rects`` holding each side's drawn edge (col0, col1, row0, row1).
+_EDGE_COLUMN = np.array([1, 3, 0, 2])
 
 
-@dataclass
-class EdgeFragment:
-    """A movable fragment of one rectangle edge (pixel coordinates).
+@dataclass(eq=False)
+class Fragments:
+    """The movable edge fragments of a layout, one array entry per fragment id.
 
-    ``span`` is the (start, end) pixel range along the edge direction;
-    ``position`` is the fixed pixel coordinate of the drawn edge;
-    ``offset`` is the current OPC correction in pixels (positive = outward).
+    See the module docstring for the fields and the id order.
     """
 
-    side: str
-    span: tuple[int, int]
-    position: int
-    offset: float = 0.0
-    last_step: float = 0.0
-    #: Converged-and-frozen flag (``OPCConfig.freeze_after``): a frozen
-    #: fragment is skipped by EPE measurement and never moves again.
-    frozen: bool = False
-    #: Consecutive iterations with |EPE| inside the freeze tolerance.
-    stable_iters: int = 0
+    rects: np.ndarray
+    shape: np.ndarray
+    side: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    position: np.ndarray
+    offset: np.ndarray = field(init=False)
+    last_step: np.ndarray = field(init=False)
+    stable_iters: np.ndarray = field(init=False)
+    frozen: np.ndarray = field(init=False)
 
-    @property
-    def control_point(self) -> tuple[int, int]:
-        """(row, col) of the control point at the fragment midpoint on the drawn edge."""
-        mid = (self.span[0] + self.span[1]) // 2
-        if self.side in (LEFT, RIGHT):
-            return (mid, self.position)
-        return (self.position, mid)
+    def __post_init__(self) -> None:
+        n = len(self.side)
+        self.offset = np.zeros(n)
+        self.last_step = np.zeros(n)
+        self.stable_iters = np.zeros(n, dtype=np.int64)
+        self.frozen = np.zeros(n, dtype=bool)
 
-    @property
-    def outward_normal(self) -> tuple[int, int]:
-        """(drow, dcol) unit step pointing out of the shape."""
-        return {
-            LEFT: (0, -1),
-            RIGHT: (0, 1),
-            BOTTOM: (-1, 0),
-            TOP: (1, 0),
-        }[self.side]
+    def __len__(self) -> int:
+        return len(self.side)
 
+    def control_points(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, cols) of the fragments' control points: span midpoints on the drawn edge."""
+        mid = (self.lo[ids] + self.hi[ids]) // 2
+        position = self.position[ids]
+        vertical = self.side[ids] <= RIGHT
+        return np.where(vertical, mid, position), np.where(vertical, position, mid)
 
-@dataclass
-class FragmentedShape:
-    """A target rectangle together with its movable edge fragments."""
+    def strips(
+        self, ids: np.ndarray, image_size: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(ids, grow, boxes)`` of the strips the fragments' rounded offsets paint.
 
-    rect_pixels: tuple[int, int, int, int]   # (row0, col0, row1, col1), exclusive end
-    fragments: list[EdgeFragment] = field(default_factory=list)
+        A positive offset grows the shape outward from the drawn edge, a
+        negative one trims it inward.  ``boxes`` are ``(row0, col0, row1,
+        col1)`` pixel bounds clipped to the image.  Fragments that paint
+        nothing (zero offset, or a span outside the image) are left out.
+        """
+        offset = np.rint(self.offset[ids]).astype(np.int64)
+        side = self.side[ids]
+        edge = self.rects[self.shape[ids], _EDGE_COLUMN[side]]
+        # The normal's sum is the side's outward sign along its axis.
+        far = edge + OUTWARD_NORMAL[side].sum(axis=1) * offset
+        a = np.maximum(np.minimum(edge, far), 0)
+        b = np.minimum(np.maximum(edge, far), image_size)
+        lo = np.maximum(self.lo[ids], 0)
+        hi = np.minimum(self.hi[ids], image_size)
+        vertical = (side <= RIGHT)[:, None]
+        boxes = np.where(vertical, np.stack([lo, a, hi, b], 1), np.stack([a, lo, b, hi], 1))
+        paints = (offset != 0) & (hi > lo)
+        return ids[paints], offset[paints] > 0, boxes[paints]
 
 
 def _fragment_spans(start: int, end: int, max_length: int) -> list[tuple[int, int]]:
@@ -88,9 +124,10 @@ def _fragment_spans(start: int, end: int, max_length: int) -> list[tuple[int, in
 
 def fragment_layout(
     layout: Layout, pixel_size: float, max_fragment_length: int = 32
-) -> list[FragmentedShape]:
+) -> Fragments:
     """Fragment every rectangle of a layout into movable edges (pixel space)."""
-    shapes: list[FragmentedShape] = []
+    rects: list[tuple[int, int, int, int]] = []
+    rows: list[tuple[int, int, int, int, int]] = []   # (shape, side, lo, hi, position)
     for rect in layout.shapes:
         col0 = int(round(rect.x0 / pixel_size))
         col1 = int(round(rect.x1 / pixel_size))
@@ -98,52 +135,24 @@ def fragment_layout(
         row1 = int(round(rect.y1 / pixel_size))
         if col1 <= col0 or row1 <= row0:
             continue
-        fragments: list[EdgeFragment] = []
-        for span in _fragment_spans(row0, row1, max_fragment_length):
-            fragments.append(EdgeFragment(LEFT, span, col0))
-            fragments.append(EdgeFragment(RIGHT, span, col1 - 1))
-        for span in _fragment_spans(col0, col1, max_fragment_length):
-            fragments.append(EdgeFragment(BOTTOM, span, row0))
-            fragments.append(EdgeFragment(TOP, span, row1 - 1))
-        shapes.append(FragmentedShape((row0, col0, row1, col1), fragments))
-    return shapes
+        s = len(rects)
+        rects.append((row0, col0, row1, col1))
+        for lo, hi in _fragment_spans(row0, row1, max_fragment_length):
+            rows += [(s, LEFT, lo, hi, col0), (s, RIGHT, lo, hi, col1 - 1)]
+        for lo, hi in _fragment_spans(col0, col1, max_fragment_length):
+            rows += [(s, BOTTOM, lo, hi, row0), (s, TOP, lo, hi, row1 - 1)]
+    columns = np.array(rows, dtype=np.int64).reshape(-1, 5).T.copy()
+    return Fragments(np.array(rects, dtype=np.int64).reshape(-1, 4), *columns)
 
 
-def _box(box: tuple[int, int, int, int], image_size: int) -> tuple[slice, slice]:
-    """Pixel slices of a ``(row0, col0, row1, col1)`` box clipped to the image."""
-    row0, col0, row1, col1 = box
-    return slice(max(row0, 0), min(row1, image_size)), slice(max(col0, 0), min(col1, image_size))
-
-
-def _strip(
-    shape: FragmentedShape, fragment: EdgeFragment, image_size: int
-) -> tuple[bool, tuple[slice, slice]] | None:
-    """``(grow, pixel slices)`` of the strip a fragment's rounded offset paints.
-
-    ``None`` when it paints nothing (zero offset, or a span outside the
-    image).  A positive offset grows the shape outward from the drawn edge,
-    a negative one trims it inward.
-    """
-    offset = int(round(fragment.offset))
-    lo, hi = fragment.span
-    lo, hi = max(lo, 0), min(hi, image_size)
-    if offset == 0 or hi <= lo:
-        return None
-    grow = offset > 0
-    magnitude = abs(offset)
-    row0, col0, row1, col1 = shape.rect_pixels
-    if fragment.side == LEFT:
-        a, b = (col0 - magnitude, col0) if grow else (col0, col0 + magnitude)
-    elif fragment.side == RIGHT:
-        a, b = (col1, col1 + magnitude) if grow else (col1 - magnitude, col1)
-    elif fragment.side == BOTTOM:
-        a, b = (row0 - magnitude, row0) if grow else (row0, row0 + magnitude)
-    else:
-        a, b = (row1, row1 + magnitude) if grow else (row1 - magnitude, row1)
-    across = slice(max(a, 0), min(b, image_size))
-    if fragment.side in (LEFT, RIGHT):
-        return grow, (slice(lo, hi), across)
-    return grow, (across, slice(lo, hi))
+def _fill(image: np.ndarray, boxes, value) -> None:
+    """Paint ``(row0, col0, row1, col1)`` boxes, clipped to the image, with ``value``."""
+    boxes = np.asarray(boxes, dtype=np.int64).reshape(-1, 4)
+    clipped = np.concatenate(
+        [np.maximum(boxes[:, :2], 0), np.minimum(boxes[:, 2:], image.shape[0])], axis=1
+    )
+    for row0, col0, row1, col1 in clipped.tolist():
+        image[row0:row1, col0:col1] = value
 
 
 class MaskPainter:
@@ -152,48 +161,45 @@ class MaskPainter:
     Holds the drawn rectangles and the ``extra_rects`` (SRAF) boxes as
     bitmaps, an ``int16`` count of the grow and of the trim strips covering
     each pixel, and the strip each fragment last painted.  :meth:`repaint`
-    subtracts a moved fragment's old strip and adds its new one, so a move
-    step costs what the moved fragments paint, not the layout.  Because each
-    :func:`build_mask` pass paints a single value (grows 1, then trims 0,
-    then extra rects 1), the mask is ``((drawn | grow > 0) & (trim == 0)) |
-    extra`` — the same pixels, bit for bit.
+    subtracts the moved fragments' old strips and adds their new ones, so a
+    move step costs what the moved fragments paint, not the layout.  Because
+    each :func:`build_mask` pass paints a single value (grows 1, then trims
+    0, then extra rects 1), the mask is ``((drawn | grow > 0) & (trim == 0))
+    | extra`` — the same pixels, bit for bit.
     """
 
     def __init__(
         self,
-        shapes: list[FragmentedShape],
+        fragments: Fragments,
         image_size: int,
         extra_rects: list[tuple[int, int, int, int]] | None = None,
     ) -> None:
-        self.shapes = shapes
+        self.fragments = fragments
         self.image_size = image_size
         self._drawn = np.zeros((image_size, image_size), dtype=bool)
-        for shape in shapes:
-            self._drawn[_box(shape.rect_pixels, image_size)] = True
+        _fill(self._drawn, fragments.rects, True)
         self._extra = np.zeros((image_size, image_size), dtype=bool)
-        for box in extra_rects or ():
-            self._extra[_box(box, image_size)] = True
+        _fill(self._extra, extra_rects or [], True)
         self._grow = np.zeros((image_size, image_size), dtype=np.int16)
         self._trim = np.zeros((image_size, image_size), dtype=np.int16)
-        self._strips: dict[tuple[int, int], tuple[np.ndarray, tuple[slice, slice]]] = {}
-        self.repaint(
-            (si, fi) for si, shape in enumerate(shapes) for fi in range(len(shape.fragments))
-        )
+        # Each fragment's painted strip (an empty box when it paints nothing).
+        self._grows = np.zeros(len(fragments), dtype=bool)
+        self._boxes = np.zeros((len(fragments), 4), dtype=np.int64)
+        self.repaint(np.arange(len(fragments)))
 
-    def repaint(self, moved: Iterable[tuple[int, int]]) -> None:
-        """Repaint the ``(shape, fragment)`` ids whose rounded offset changed."""
-        for key in moved:
-            old = self._strips.pop(key, None)
-            if old is not None:
-                counts, region = old
-                counts[region] -= 1
-            shape = self.shapes[key[0]]
-            strip = _strip(shape, shape.fragments[key[1]], self.image_size)
-            if strip is not None:
-                grow, region = strip
-                counts = self._grow if grow else self._trim
-                counts[region] += 1
-                self._strips[key] = (counts, region)
+    def _add(self, grows: np.ndarray, boxes: np.ndarray, delta: int) -> None:
+        for grow, (row0, col0, row1, col1) in zip(grows.tolist(), boxes.tolist()):
+            counts = self._grow if grow else self._trim
+            counts[row0:row1, col0:col1] += delta
+
+    def repaint(self, moved: npt.ArrayLike) -> None:
+        """Repaint the fragment ids whose rounded offset changed."""
+        moved = np.unique(np.asarray(moved, dtype=np.intp))
+        self._add(self._grows[moved], self._boxes[moved], -1)
+        ids, grows, boxes = self.fragments.strips(moved, self.image_size)
+        self._boxes[moved] = 0
+        self._grows[ids], self._boxes[ids] = grows, boxes
+        self._add(grows, boxes, 1)
 
     def mask(self) -> np.ndarray:
         """The current mask image (a fresh ``float64`` array)."""
@@ -205,45 +211,37 @@ class MaskPainter:
 
 
 def build_mask(
-    shapes: list[FragmentedShape],
+    fragments: Fragments,
     image_size: int,
     extra_rects: list[tuple[int, int, int, int]] | None = None,
     *,
     painter: MaskPainter | None = None,
-    moved: Iterable[tuple[int, int]] = (),
+    moved: npt.ArrayLike = (),
 ) -> np.ndarray:
-    """Rasterize fragmented shapes (with their current offsets) into a mask image.
+    """Rasterize the fragmented shapes (with their current offsets) into a mask image.
 
-    The drawn rectangle is filled first; each fragment then grows (positive
-    offset) or trims (negative offset) a strip along its edge span — all
-    grows first, then all trims.  ``extra_rects`` (row0, col0, row1, col1)
-    are painted afterwards — used for SRAF bars, which are not OPC-corrected.
+    The drawn rectangles are filled first; each fragment then grows
+    (positive offset) or trims (negative offset) a strip along its edge span
+    — all grows first, then all trims.  ``extra_rects`` (row0, col0, row1,
+    col1) are painted afterwards — used for SRAF bars, which are not
+    OPC-corrected.
 
-    With ``painter`` (a :class:`MaskPainter` built from these shapes, image
-    size and extra rects), only the ``moved`` fragments are repainted and the
-    mask comes from the painter: the same pixels at a cost proportional to
-    the moved fragments.
+    With ``painter`` (a :class:`MaskPainter` built from this table, image
+    size and extra rects), only the ``moved`` fragment ids are repainted and
+    the mask comes from the painter: the same pixels at a cost proportional
+    to the moved fragments.
     """
     if painter is not None:
-        if painter.shapes is not shapes or painter.image_size != image_size:
-            raise ValueError("build_mask: the painter was built for other shapes or image size")
+        if painter.fragments is not fragments or painter.image_size != image_size:
+            raise ValueError("build_mask: the painter was built for other fragments or image size")
         painter.repaint(moved)
         return painter.mask()
     mask = np.zeros((image_size, image_size), dtype=np.float64)
-    for shape in shapes:
-        mask[_box(shape.rect_pixels, image_size)] = 1.0
-    strips = [
-        strip
-        for shape in shapes
-        for fragment in shape.fragments
-        if (strip := _strip(shape, fragment, image_size)) is not None
-    ]
+    _fill(mask, fragments.rects, 1.0)
+    _, grows, boxes = fragments.strips(np.arange(len(fragments)), image_size)
     # Trims win where they overlap growth, matching how OPC biases are
     # resolved on manufacturing grids.
-    for grow in (True, False):
-        for strip_grows, region in strips:
-            if strip_grows == grow:
-                mask[region] = 1.0 if grow else 0.0
-    for box in extra_rects or ():
-        mask[_box(box, image_size)] = 1.0
+    _fill(mask, boxes[grows], 1.0)
+    _fill(mask, boxes[~grows], 0.0)
+    _fill(mask, extra_rects or [], 1.0)
     return mask

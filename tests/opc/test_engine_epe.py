@@ -13,7 +13,6 @@ from repro.opc import (
     OPCConfig,
     OPCEngine,
     fragment_layout,
-    measure_fragment_epe,
     measure_layout_epe,
     rule_based_retarget,
 )
@@ -36,9 +35,9 @@ def single_via_layout(size=1024.0, via=56.0):
 # --------------------------------------------------------------------- #
 def test_epe_zero_when_contour_matches_target():
     layout = single_via_layout(via=160.0)
-    shapes = fragment_layout(layout, pixel_size=8.0)
+    fragments = fragment_layout(layout, pixel_size=8.0)
     resist = rasterize(layout, pixel_size=8.0, image_size=128)
-    stats = measure_layout_epe(resist, shapes, pixel_size=8.0)
+    stats = measure_layout_epe(resist, fragments, pixel_size=8.0)
     np.testing.assert_allclose(stats.values, np.zeros_like(stats.values))
     assert stats.mean_abs_nm == 0.0
     assert stats.violations(1.0) == 0
@@ -46,28 +45,28 @@ def test_epe_zero_when_contour_matches_target():
 
 def test_epe_positive_when_printed_larger():
     layout = single_via_layout(via=160.0)
-    shapes = fragment_layout(layout, pixel_size=8.0)
+    fragments = fragment_layout(layout, pixel_size=8.0)
     bigger = single_via_layout(via=160.0 + 32.0)  # 2 pixels larger per side
     resist = rasterize(bigger, pixel_size=8.0, image_size=128)
-    stats = measure_layout_epe(resist, shapes, pixel_size=8.0)
+    stats = measure_layout_epe(resist, fragments, pixel_size=8.0)
     assert np.all(stats.values > 0)
     assert stats.mean_abs_nm == pytest.approx(16.0, abs=8.0)
 
 
 def test_epe_negative_when_printed_smaller():
     layout = single_via_layout(via=160.0)
-    shapes = fragment_layout(layout, pixel_size=8.0)
+    fragments = fragment_layout(layout, pixel_size=8.0)
     smaller = single_via_layout(via=160.0 - 32.0)
     resist = rasterize(smaller, pixel_size=8.0, image_size=128)
-    stats = measure_layout_epe(resist, shapes, pixel_size=8.0)
+    stats = measure_layout_epe(resist, fragments, pixel_size=8.0)
     assert np.all(stats.values < 0)
 
 
 def test_epe_negative_when_feature_missing():
     layout = single_via_layout(via=160.0)
-    shapes = fragment_layout(layout, pixel_size=8.0)
+    fragments = fragment_layout(layout, pixel_size=8.0)
     resist = np.zeros((128, 128))
-    stats = measure_layout_epe(resist, shapes, pixel_size=8.0)
+    stats = measure_layout_epe(resist, fragments, pixel_size=8.0)
     assert np.all(stats.values < 0)
 
 

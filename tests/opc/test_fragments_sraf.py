@@ -20,7 +20,7 @@ from repro.opc import (
     insert_srafs,
     sraf_rects_pixels,
 )
-from repro.opc.fragments import _fragment_spans
+from repro.opc.fragments import BOTTOM, LEFT, OUTWARD_NORMAL, RIGHT, TOP, _fragment_spans
 
 
 def simple_layout(size=512.0):
@@ -43,28 +43,29 @@ def test_fragment_spans_empty_for_degenerate_range():
 
 
 def test_fragment_layout_produces_four_sides():
-    shapes = fragment_layout(simple_layout(), pixel_size=4.0, max_fragment_length=100)
-    assert len(shapes) == 2
-    sides = {f.side for f in shapes[0].fragments}
-    assert sides == {"left", "right", "top", "bottom"}
+    fragments = fragment_layout(simple_layout(), pixel_size=4.0, max_fragment_length=100)
+    assert len(fragments.rects) == 2
+    sides = set(fragments.side[fragments.shape == 0].tolist())
+    assert sides == {LEFT, RIGHT, TOP, BOTTOM}
 
 
 def test_long_edges_get_multiple_fragments():
-    shapes = fragment_layout(simple_layout(), pixel_size=4.0, max_fragment_length=20)
-    tall_shape = shapes[1]  # 64 x 320 nm wire -> 80 pixels tall
-    left_fragments = [f for f in tall_shape.fragments if f.side == "left"]
-    assert len(left_fragments) == 4
+    fragments = fragment_layout(simple_layout(), pixel_size=4.0, max_fragment_length=20)
+    # Shape 1 is the 64 x 320 nm wire -> 80 pixels tall.
+    left_fragments = (fragments.shape == 1) & (fragments.side == LEFT)
+    assert left_fragments.sum() == 4
 
 
 def test_control_points_lie_on_drawn_edges():
-    shapes = fragment_layout(simple_layout(), pixel_size=4.0)
-    row0, col0, row1, col1 = shapes[0].rect_pixels
-    for fragment in shapes[0].fragments:
-        r, c = fragment.control_point
-        assert row0 <= r <= row1 - 1 or fragment.side in ("left", "right")
-        if fragment.side == "left":
+    fragments = fragment_layout(simple_layout(), pixel_size=4.0)
+    row0, col0, row1, col1 = fragments.rects[0]
+    ids = np.flatnonzero(fragments.shape == 0)
+    rows, cols = fragments.control_points(ids)
+    for side, r, c in zip(fragments.side[ids], rows, cols):
+        assert row0 <= r <= row1 - 1 or side in (LEFT, RIGHT)
+        if side == LEFT:
             assert c == col0
-        if fragment.side == "right":
+        if side == RIGHT:
             assert c == col1 - 1
 
 
@@ -72,34 +73,32 @@ def test_build_mask_zero_offsets_matches_rasterization():
     from repro.layout import rasterize
 
     layout = simple_layout()
-    shapes = fragment_layout(layout, pixel_size=4.0)
-    mask = build_mask(shapes, image_size=128)
+    fragments = fragment_layout(layout, pixel_size=4.0)
+    mask = build_mask(fragments, image_size=128)
     np.testing.assert_allclose(mask, rasterize(layout, pixel_size=4.0, image_size=128))
 
 
 def test_build_mask_positive_offset_grows_shape():
     layout = simple_layout()
-    shapes = fragment_layout(layout, pixel_size=4.0)
-    base = build_mask(shapes, 128).sum()
-    for fragment in shapes[0].fragments:
-        fragment.offset = 2.0
-    grown = build_mask(shapes, 128).sum()
+    fragments = fragment_layout(layout, pixel_size=4.0)
+    base = build_mask(fragments, 128).sum()
+    fragments.offset[fragments.shape == 0] = 2.0
+    grown = build_mask(fragments, 128).sum()
     assert grown > base
 
 
 def test_build_mask_negative_offset_shrinks_shape():
     layout = simple_layout()
-    shapes = fragment_layout(layout, pixel_size=4.0)
-    base = build_mask(shapes, 128).sum()
-    for fragment in shapes[0].fragments:
-        fragment.offset = -2.0
-    shrunk = build_mask(shapes, 128).sum()
+    fragments = fragment_layout(layout, pixel_size=4.0)
+    base = build_mask(fragments, 128).sum()
+    fragments.offset[fragments.shape == 0] = -2.0
+    shrunk = build_mask(fragments, 128).sum()
     assert shrunk < base
 
 
 def test_build_mask_adds_extra_rects():
-    shapes = fragment_layout(simple_layout(), pixel_size=4.0)
-    mask = build_mask(shapes, 128, extra_rects=[(0, 0, 4, 4)])
+    fragments = fragment_layout(simple_layout(), pixel_size=4.0)
+    mask = build_mask(fragments, 128, extra_rects=[(0, 0, 4, 4)])
     assert mask[:4, :4].sum() == 16
 
 
@@ -123,59 +122,56 @@ def crowded_layout():
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_mask_painter_matches_build_mask_over_random_moves(seed):
     rng = np.random.default_rng(seed)
-    shapes = fragment_layout(crowded_layout(), pixel_size=8.0, max_fragment_length=8)
+    fragments = fragment_layout(crowded_layout(), pixel_size=8.0, max_fragment_length=8)
     image_size = 64
     # SRAF-like boxes, some over shapes, one past the border.
     extra = [(30, 2, 33, 20), (0, 26, 12, 28), (50, 60, 70, 62)]
-    painter = MaskPainter(shapes, image_size, extra)
-    keys = [(si, fi) for si, shape in enumerate(shapes) for fi in range(len(shape.fragments))]
-    painted = build_mask(shapes, image_size, extra, painter=painter)
-    assert np.array_equal(painted, build_mask(shapes, image_size, extra))
+    painter = MaskPainter(fragments, image_size, extra)
+    ids = np.arange(len(fragments))
+    painted = build_mask(fragments, image_size, extra, painter=painter)
+    assert np.array_equal(painted, build_mask(fragments, image_size, extra))
     for step in range(40):
-        picks = rng.choice(len(keys), size=int(rng.integers(1, 12)), replace=False)
+        picks = rng.choice(len(ids), size=int(rng.integers(1, 12)), replace=False)
         moved = []
         for k in picks.tolist():
-            si, fi = keys[k]
-            fragment = shapes[si].fragments[fi]
-            before = int(round(fragment.offset))
+            before = int(round(fragments.offset[k]))
             # Every fifth step sends the picked fragments back to zero.
-            fragment.offset = 0.0 if step % 5 == 4 else float(rng.uniform(-12.0, 12.0))
-            if int(round(fragment.offset)) != before:
-                moved.append(keys[k])
-        painted = build_mask(shapes, image_size, extra, painter=painter, moved=moved)
-        assert np.array_equal(painted, build_mask(shapes, image_size, extra))
+            fragments.offset[k] = 0.0 if step % 5 == 4 else float(rng.uniform(-12.0, 12.0))
+            if int(round(fragments.offset[k])) != before:
+                moved.append(k)
+        painted = build_mask(fragments, image_size, extra, painter=painter, moved=moved)
+        assert np.array_equal(painted, build_mask(fragments, image_size, extra))
         assert painted.dtype == np.float64
-    for shape in shapes:
-        for fragment in shape.fragments:
-            fragment.offset = 0.0
-    painted = build_mask(shapes, image_size, extra, painter=painter, moved=keys)
-    assert np.array_equal(painted, build_mask(shapes, image_size, extra))
+    fragments.offset[:] = 0.0
+    painted = build_mask(fragments, image_size, extra, painter=painter, moved=ids)
+    assert np.array_equal(painted, build_mask(fragments, image_size, extra))
 
 
 def test_mask_painter_returns_fresh_arrays():
-    shapes = fragment_layout(simple_layout(), pixel_size=8.0)
-    painter = MaskPainter(shapes, 64)
-    first = build_mask(shapes, 64, painter=painter)
+    fragments = fragment_layout(simple_layout(), pixel_size=8.0)
+    painter = MaskPainter(fragments, 64)
+    first = build_mask(fragments, 64, painter=painter)
     first[:] = 0.0
-    assert np.array_equal(build_mask(shapes, 64, painter=painter), build_mask(shapes, 64))
+    assert np.array_equal(build_mask(fragments, 64, painter=painter), build_mask(fragments, 64))
 
 
 def test_build_mask_rejects_a_painter_of_other_shapes():
-    shapes = fragment_layout(simple_layout(), pixel_size=8.0)
-    painter = MaskPainter(shapes, 64)
+    fragments = fragment_layout(simple_layout(), pixel_size=8.0)
+    painter = MaskPainter(fragments, 64)
     with pytest.raises(ValueError):
         build_mask(fragment_layout(simple_layout(), pixel_size=8.0), 64, painter=painter)
     with pytest.raises(ValueError):
-        build_mask(shapes, 32, painter=painter)
+        build_mask(fragments, 32, painter=painter)
 
 
 def test_outward_normals_point_away_from_interior():
-    shapes = fragment_layout(simple_layout(), pixel_size=4.0)
-    row0, col0, row1, col1 = shapes[0].rect_pixels
+    fragments = fragment_layout(simple_layout(), pixel_size=4.0)
+    row0, col0, row1, col1 = fragments.rects[0]
     centre = ((row0 + row1) / 2, (col0 + col1) / 2)
-    for fragment in shapes[0].fragments:
-        r, c = fragment.control_point
-        dr, dc = fragment.outward_normal
+    ids = np.flatnonzero(fragments.shape == 0)
+    rows, cols = fragments.control_points(ids)
+    for side, r, c in zip(fragments.side[ids], rows, cols):
+        dr, dc = OUTWARD_NORMAL[side]
         # Moving along the normal must increase the distance from the centre.
         before = (r - centre[0]) ** 2 + (c - centre[1]) ** 2
         after = (r + dr - centre[0]) ** 2 + (c + dc - centre[1]) ** 2
