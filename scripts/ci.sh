@@ -203,20 +203,23 @@ bench_smoke opc_loop
 # measurement (opc.build_mask.ms > 0, opc.measure_epe.ms > 0): the tracer
 # wraps the module-level names in repro.opc.engine, so both only read > 0
 # while OPCEngine.correct still calls build_mask and measure_layout_epe
-# through them.
-echo "== traced benchmark smoke (opc_loop --trace 1: correct, 0 failed, mask building and EPE timed) =="
+# through them.  It must also have timed the patched plan and its
+# whole-mask refreshes (cache.patch.self_ms > 0, litho.run_aerial.ms > 0):
+# both only read > 0 while predict_patched refreshes through
+# SimulatorExecutor.run_aerial.
+echo "== traced benchmark smoke (opc_loop --trace 1: correct, 0 failed, mask building, EPE, patch and aerial timed) =="
 traced_json=$(python3 perfbench/run.py --workload opc_loop --seed 1 --seconds 3 --trace 1 \
     | tail -n 1)
 python3 -c '
 import json, sys
 result = json.loads(sys.argv[1])
 metrics = result.get("metrics", {})
-build_mask_ms = metrics.get("opc.build_mask.ms", {}).get("value", 0.0)
-measure_epe_ms = metrics.get("opc.measure_epe.ms", {}).get("value", 0.0)
+timed = ("opc.build_mask.ms", "opc.measure_epe.ms", "litho.run_aerial.ms", "cache.patch.self_ms")
+values = {name: metrics.get(name, {}).get("value", 0.0) for name in timed}
 print("correct:", result.get("correct"), "failed:", result.get("failed"))
-print("opc.build_mask.ms:", build_mask_ms, "opc.measure_epe.ms:", measure_epe_ms)
+print(" ".join(f"{name}: {value}" for name, value in values.items()))
 ok = result.get("correct") is True and result.get("failed") == 0
-ok = ok and build_mask_ms > 0.0 and measure_epe_ms > 0.0
+ok = ok and all(value > 0.0 for value in values.values())
 sys.exit(0 if ok else 1)
 ' "${traced_json}" || { echo "traced opc_loop benchmark smoke failed" >&2; exit 1; }
 

@@ -28,12 +28,14 @@ the result is bit-identical at every team size.  An
 :class:`AerialWorkspace` holds each member's scratch in one grow-only flat
 buffer per name.
 
-Each field plane is linear in the mask.  ``aerial_image(fields=...)`` also
-hands back the cropped planes, and :func:`add_field_deltas` adds the planes
-of a sparse mask edit into them, so a cache of the planes follows a stream
-of small edits at the cost of the edited blocks
-(:mod:`repro.pipeline.cache`); :func:`aerial_from_fields` turns planes back
-into intensity.
+Each field plane is linear in the mask.  ``aerial_image(fields=...)`` runs
+the inverse transforms in the caller's buffer, so it holds the planes at
+*FFT layout* (:func:`padded_fft_shape`, image pixel ``(y, x)`` at
+``[..., y + r, x + r]`` with ``r = (s - 1) // 2``) without a copy, and
+:func:`add_field_deltas` adds the planes of a sparse mask edit into them,
+so a cache of the planes follows a stream of small edits at the cost of
+the edited blocks (:mod:`repro.pipeline.cache`); :func:`aerial_from_fields`
+turns planes back into intensity.
 
 :func:`aerial_image_loop` retains the seed per-kernel ``fftconvolve``
 algorithm; it is the reference the batched path is validated against (within
@@ -58,6 +60,7 @@ __all__ = [
     "aerial_image",
     "aerial_image_loop",
     "clear_field_intensity",
+    "padded_fft_shape",
 ]
 
 # Upper bound (bytes) on the complex field scratch array of one chunk.
@@ -138,6 +141,12 @@ def clear_field_intensity(kernels: SOCSKernels) -> float:
     return intensity
 
 
+def padded_fft_shape(shape: tuple[int, int], support: int) -> tuple[int, int]:
+    """The zero-padded FFT shape of an ``(H, W)`` mask's aerial image:
+    fast sizes of its linear convolution with ``support``-wide kernels."""
+    return next_fast_len(shape[0] + support - 1), next_fast_len(shape[1] + support - 1)
+
+
 def _aerial_batch(
     masks: np.ndarray,
     kernels: SOCSKernels,
@@ -160,13 +169,15 @@ def _aerial_batch(
     scratch.  The caller adds the chunk sums into the intensity in (group,
     chunk) order, so the bits depend neither on which member ran which unit
     nor on the team size.  Without a ``workspace`` the scratch lives for
-    this call only.  A ``fields`` buffer ``(N, planes, >= H, >= W)`` receives
-    each unit's cropped field planes at ``[..., :H, :W]`` before they are
-    squared; the intensity bits do not depend on it.
+    this call only.  With a ``fields`` buffer ``(N, planes, >= Fh, >= Fw)``
+    each unit multiplies and inverse-transforms in ``[..., :Fh, :Fw]`` of
+    it instead of its scratch, leaving the planes there at FFT layout
+    (pixel ``(y, x)`` at ``[..., y + r, x + r]``) and squaring the crop
+    without overwriting it; the intensity bits do not depend on it.
     """
     n, h, w = masks.shape
     support = kernels.support
-    fft_shape = (next_fast_len(h + support - 1), next_fast_len(w + support - 1))
+    fft_shape = padded_fft_shape((h, w), support)
     weighted = kernels.weighted_transfer_functions(fft_shape)    # (planes, Fh, Fw)
 
     intensity = np.zeros((n, h, w), dtype=np.float64)
@@ -205,19 +216,27 @@ def _aerial_batch(
             def unit(index: int, member: int) -> None:
                 first = (c0 + index) * kernel_chunk
                 block = weighted[first : first + kernel_chunk]
-                product = workspace.buffer(
-                    "product", (size, block.shape[0], *fft_shape), np.complex128, member
-                )
+                if fields is None:
+                    product = workspace.buffer(
+                        "product", (size, block.shape[0], *fft_shape), np.complex128, member
+                    )
+                else:
+                    product = fields[g0 : g0 + size, first : first + block.shape[0]]
+                    product = product[..., : fft_shape[0], : fft_shape[1]]
                 np.multiply(group_hat[:, None], block[None], out=product)
+                # A complex input with overwrite_x is transformed in place.
                 planes = ifft2(product, axes=(-2, -1), overwrite_x=True)[..., rows, cols]
-                if fields is not None:
-                    fields[g0 : g0 + size, first : first + block.shape[0], :h, :w] = planes
                 # |field|^2 via real^2 + imag^2 (avoids the sqrt inside
-                # np.abs); imag^2 lands in the field's own, dead, imag part.
+                # np.abs); imag^2 lands in the field's own, dead, imag part,
+                # or in scratch when the planes are kept.
                 magnitude = workspace.buffer("magnitude", planes.shape, np.float64, member)
                 np.multiply(planes.real, planes.real, out=magnitude)
-                np.multiply(planes.imag, planes.imag, out=planes.imag)
-                magnitude += planes.imag
+                if fields is None:
+                    square = planes.imag
+                else:
+                    square = workspace.buffer("square", planes.shape, np.float64, member)
+                np.multiply(planes.imag, planes.imag, out=square)
+                magnitude += square
                 np.sum(magnitude, axis=1, out=sums[index])
 
             team.run(unit, count, macs, count)
@@ -253,9 +272,13 @@ def aerial_image(
         Optional :class:`AerialWorkspace` whose scratch buffers are reused
         across calls (one per long-lived executor / worker process).
     fields:
-        Optional complex buffer ``(planes, >= H, >= W)`` per mask (with a
-        leading ``N`` for a batch) that receives the mask's weighted SOCS
-        field planes at ``[..., :H, :W]``, for :func:`add_field_deltas`.
+        Optional complex buffer ``(planes, >= Fh, >= Fw)`` per mask (with a
+        leading ``N`` for a batch), ``(Fh, Fw)`` the
+        :func:`padded_fft_shape`.  The inverse transforms run in its
+        ``[..., :Fh, :Fw]``, which is left holding the mask's weighted SOCS
+        field planes at FFT layout, pixel ``(y, x)`` at
+        ``[..., y + r, x + r]`` with ``r = (kernels.support - 1) // 2``, for
+        :func:`add_field_deltas`.
 
     Returns
     -------
@@ -288,22 +311,22 @@ def add_field_deltas(
 ) -> None:
     """Add the field planes of a sparse mask edit into cached field planes.
 
-    ``fields`` ``(planes, H', W')`` holds the planes
-    :func:`aerial_image` wrote for a mask, image pixel ``(y, x)`` at
-    ``[:, y, x]``.  ``deltas`` ``(n, b, b)`` are real mask differences whose
-    top-left pixels sit at ``origins`` ``(n, 2)``.  Every plane is linear in
-    the mask, so each delta's planes are its full linear convolution with the
-    packed kernels, ``(b + s - 1)^2`` pixels that land ``r = (s - 1) // 2``
-    up and left of its origin (clipped to the buffer).  The deltas run
-    through one batched ``fft2`` at ``next_fast_len(b + s - 1)`` and, in
-    chunks that fit the workspace's ``"product"`` buffer, a multiply and an
-    ``ifft2``; the results are added in the order given, on the calling
-    thread, so the bits do not depend on the compute team.
+    ``fields`` ``(planes, H', W')`` holds the planes :func:`aerial_image`
+    wrote for a mask at FFT layout, image pixel ``(y, x)`` at
+    ``[:, y + r, x + r]`` with ``r = (s - 1) // 2``.  ``deltas`` ``(n, b, b)``
+    are real mask differences whose top-left pixels sit at image ``origins``
+    ``(n, 2)``.  Every plane is linear in the mask, so each delta's planes
+    are its full linear convolution with the packed kernels,
+    ``(b + s - 1)^2`` pixels that start ``r`` up and left of its origin:
+    at ``[:, y, x]`` of the buffer for origin ``(y, x)``, clipped at the
+    buffer's far edges.  The deltas run through one batched ``fft2`` at
+    ``next_fast_len(b + s - 1)`` and, in chunks that fit the workspace's
+    ``"product"`` buffer, a multiply and an ``ifft2``; the results are added
+    in the order given, on the calling thread, so the bits do not depend on
+    the compute team.
     """
     n, b = deltas.shape[0], deltas.shape[-1]
-    support = kernels.support
-    radius = (support - 1) // 2
-    span = b + support - 1
+    span = b + kernels.support - 1
     fft_shape = (next_fast_len(span), next_fast_len(span))
     weighted = kernels.weighted_transfer_functions(fft_shape)    # (planes, F, F)
     planes = weighted.shape[0]
@@ -323,10 +346,8 @@ def add_field_deltas(
         np.multiply(hats[:, None], weighted[None], out=product)
         stamps = ifft2(product, axes=(-2, -1), overwrite_x=True)
         for stamp, (y, x) in zip(stamps, origins[c0 : c0 + chunk].tolist()):
-            y0, x0 = y - radius, x - radius
-            top, left = max(0, -y0), max(0, -x0)
-            y1, x1 = min(height, y0 + span), min(width, x0 + span)
-            fields[:, y0 + top : y1, x0 + left : x1] += stamp[:, top : y1 - y0, left : x1 - x0]
+            y1, x1 = min(height, y + span), min(width, x + span)
+            fields[:, y:y1, x:x1] += stamp[:, : y1 - y, : x1 - x]
 
 
 def aerial_from_fields(fields: np.ndarray, kernels: SOCSKernels, dose: float = 1.0) -> np.ndarray:

@@ -105,13 +105,20 @@ class MaskHistory:
         for mask in masks or []:
             self.append(mask)
 
-    def append(self, mask: np.ndarray) -> None:
+    def append(self, mask: np.ndarray, bits: np.ndarray | None = None) -> None:
+        """Store a snapshot of ``mask``.
+
+        ``bits`` is the boolean image of a mask known to be binary (a
+        :class:`~repro.opc.fragments.MaskPainter`'s :attr:`bits`): it is
+        packed as given, skipping the whole-image binary check.
+        """
         mask = np.asarray(mask)
-        bits = mask != 0
-        if np.array_equal(bits.astype(mask.dtype), mask):
-            self._entries.append(("packed", np.packbits(bits, axis=None), mask.shape, mask.dtype))
-        else:
-            self._entries.append(("raw", mask.copy()))
+        if bits is None:
+            bits = mask != 0
+            if not np.array_equal(bits.astype(mask.dtype), mask):
+                self._entries.append(("raw", mask.copy()))
+                return
+        self._entries.append(("packed", np.packbits(bits, axis=None), mask.shape, mask.dtype))
 
     def _unpack(self, entry: tuple) -> np.ndarray:
         if entry[0] == "raw":
@@ -260,7 +267,7 @@ class OPCEngine:
                 resist, fragments, pixel_size, config.epe_search_range, skip_frozen=True
             )
             if config.record_history:
-                result.mask_history.append(mask)
+                result.mask_history.append(mask, bits=painter.bits)
             result.epe_history.append(stats)
             moved = self._apply_moves(fragments, stats)
 
@@ -269,7 +276,7 @@ class OPCEngine:
             fragments, image_size, sraf_boxes, painter=painter, moved=moved
         )
         if config.record_history:
-            result.mask_history.append(result.final_mask)
+            result.mask_history.append(result.final_mask, bits=painter.bits)
         return result
 
     # ------------------------------------------------------------------ #

@@ -30,7 +30,9 @@ per-fragment arrays are
 Ids run in scan order: rectangles in layout order, and within a rectangle
 the left/right pair of each row span, then the bottom/top pair of each
 column span.  Every consumer (the EPE walk, the move step, the mask
-painter) reads and writes fragments by these ids.
+painter) reads and writes fragments by these ids.  The table is built with
+array arithmetic from the ``(S, 4)`` box array, with no loop over
+rectangles.
 """
 
 from __future__ import annotations
@@ -112,37 +114,67 @@ class Fragments:
         return ids[paints], offset[paints] > 0, boxes[paints]
 
 
-def _fragment_spans(start: int, end: int, max_length: int) -> list[tuple[int, int]]:
-    """Split ``[start, end)`` into spans no longer than ``max_length``."""
-    length = end - start
-    if length <= 0:
-        return []
-    n = max(1, int(np.ceil(length / max_length)))
-    edges = np.linspace(start, end, n + 1).astype(int)
-    return [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if b > a]
+def _fragment_spans(
+    starts: np.ndarray, ends: np.ndarray, max_length: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split each ``[starts[e], ends[e])`` into spans no longer than ``max_length``.
+
+    Returns ``(edge, lo, hi)``: the spans in edge order, each tagged with
+    the index ``e`` of its range.  An edge of length ``n`` gets
+    ``max(1, ceil(n / max_length))`` spans cut at the truncated points of
+    ``np.linspace(start, end, count + 1)`` (the same float arithmetic,
+    array-wide); empty spans and empty ranges give none.
+    """
+    lengths = ends - starts
+    counts = np.where(lengths > 0, np.maximum(1, np.ceil(lengths / max_length)), 0)
+    counts = counts.astype(np.int64)
+    step = lengths / np.maximum(counts, 1)
+    edge = np.repeat(np.arange(len(starts)), counts)
+    k = np.arange(edge.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    start, step, count = starts[edge], step[edge], counts[edge]
+    # linspace: k * step + start, with the last point set to the end itself.
+    lo = (k * step + start).astype(np.int64)
+    hi = np.where(k + 1 == count, ends[edge], ((k + 1) * step + start).astype(np.int64))
+    keep = hi > lo
+    return edge[keep], lo[keep], hi[keep]
 
 
 def fragment_layout(
     layout: Layout, pixel_size: float, max_fragment_length: int = 32
 ) -> Fragments:
     """Fragment every rectangle of a layout into movable edges (pixel space)."""
-    rects: list[tuple[int, int, int, int]] = []
-    rows: list[tuple[int, int, int, int, int]] = []   # (shape, side, lo, hi, position)
-    for rect in layout.shapes:
-        col0 = int(round(rect.x0 / pixel_size))
-        col1 = int(round(rect.x1 / pixel_size))
-        row0 = int(round(rect.y0 / pixel_size))
-        row1 = int(round(rect.y1 / pixel_size))
-        if col1 <= col0 or row1 <= row0:
-            continue
-        s = len(rects)
-        rects.append((row0, col0, row1, col1))
-        for lo, hi in _fragment_spans(row0, row1, max_fragment_length):
-            rows += [(s, LEFT, lo, hi, col0), (s, RIGHT, lo, hi, col1 - 1)]
-        for lo, hi in _fragment_spans(col0, col1, max_fragment_length):
-            rows += [(s, BOTTOM, lo, hi, row0), (s, TOP, lo, hi, row1 - 1)]
-    columns = np.array(rows, dtype=np.int64).reshape(-1, 5).T.copy()
-    return Fragments(np.array(rects, dtype=np.int64).reshape(-1, 4), *columns)
+    corners = np.array(
+        [(rect.y0, rect.x0, rect.y1, rect.x1) for rect in layout.shapes], dtype=np.float64
+    ).reshape(-1, 4)
+    rects = np.rint(corners / pixel_size).astype(np.int64)
+    rects = rects[(rects[:, 2] > rects[:, 0]) & (rects[:, 3] > rects[:, 1])]
+    # Each rectangle's row range (its left/right pairs), then its column
+    # range (its bottom/top pairs): edge ``e`` is axis ``e % 2`` of shape ``e // 2``.
+    edge, lo, hi = _fragment_spans(
+        rects[:, :2].reshape(-1), rects[:, 2:].reshape(-1), max_fragment_length
+    )
+    shape = np.repeat(edge // 2, 2)
+    side = 2 * np.repeat(edge % 2, 2) + np.tile([LEFT, RIGHT], edge.size)
+    # The drawn edge: col0, col1 - 1, row0 or row1 - 1.
+    position = rects[shape, _EDGE_COLUMN[side]] - side % 2
+    return Fragments(rects, shape, side, np.repeat(lo, 2), np.repeat(hi, 2), position)
+
+
+def _box_pixels(boxes: np.ndarray, width: int, offset: npt.ArrayLike = 0) -> np.ndarray:
+    """Flat indices ``row * width + col`` of the pixels of ``(row0, col0,
+    row1, col1)`` boxes, box after box, each shifted by its ``offset``.
+
+    Boxes must lie inside the image; empty ones give no pixels.
+    """
+    boxes = np.asarray(boxes, dtype=np.int64).reshape(-1, 4)
+    heights = np.maximum(boxes[:, 2] - boxes[:, 0], 0)
+    widths = np.maximum(boxes[:, 3] - boxes[:, 1], 0)
+    areas = heights * widths
+    origins = boxes[:, 0] * width + boxes[:, 1] + offset
+    box = np.repeat(np.arange(len(boxes)), areas)
+    k = np.arange(box.size) - np.repeat(np.cumsum(areas) - areas, areas)
+    across = widths[box]
+    return origins[box] + k // across * width + k % across
 
 
 def _fill(image: np.ndarray, boxes, value) -> None:
@@ -151,8 +183,7 @@ def _fill(image: np.ndarray, boxes, value) -> None:
     clipped = np.concatenate(
         [np.maximum(boxes[:, :2], 0), np.minimum(boxes[:, 2:], image.shape[0])], axis=1
     )
-    for row0, col0, row1, col1 in clipped.tolist():
-        image[row0:row1, col0:col1] = value
+    image.reshape(-1)[_box_pixels(clipped, image.shape[1])] = value
 
 
 class MaskPainter:
@@ -160,12 +191,15 @@ class MaskPainter:
 
     Holds the drawn rectangles and the ``extra_rects`` (SRAF) boxes as
     bitmaps, an ``int16`` count of the grow and of the trim strips covering
-    each pixel, and the strip each fragment last painted.  :meth:`repaint`
-    subtracts the moved fragments' old strips and adds their new ones, so a
-    move step costs what the moved fragments paint, not the layout.  Because
-    each :func:`build_mask` pass paints a single value (grows 1, then trims
-    0, then extra rects 1), the mask is ``((drawn | grow > 0) & (trim == 0))
-    | extra`` — the same pixels, bit for bit.
+    each pixel (one ``(2, N, N)`` array, grows first), and the strip each
+    fragment last painted.  :meth:`repaint` subtracts the moved fragments'
+    old strips and adds their new ones, each set in one scatter over the
+    strips' flat pixel indices, so a move step costs what the moved
+    fragments paint, not the layout.  Because each :func:`build_mask` pass
+    paints a single value (grows 1, then trims 0, then extra rects 1), the
+    mask is ``((drawn | grow > 0) & (trim == 0)) | extra`` — the same
+    pixels, bit for bit.  :attr:`bits` is the boolean image of the latest
+    :meth:`mask`, which is binary by construction.
     """
 
     def __init__(
@@ -180,17 +214,19 @@ class MaskPainter:
         _fill(self._drawn, fragments.rects, True)
         self._extra = np.zeros((image_size, image_size), dtype=bool)
         _fill(self._extra, extra_rects or [], True)
-        self._grow = np.zeros((image_size, image_size), dtype=np.int16)
-        self._trim = np.zeros((image_size, image_size), dtype=np.int16)
+        self._counts = np.zeros((2, image_size, image_size), dtype=np.int16)
+        self.bits: np.ndarray | None = None
         # Each fragment's painted strip (an empty box when it paints nothing).
         self._grows = np.zeros(len(fragments), dtype=bool)
         self._boxes = np.zeros((len(fragments), 4), dtype=np.int64)
         self.repaint(np.arange(len(fragments)))
 
     def _add(self, grows: np.ndarray, boxes: np.ndarray, delta: int) -> None:
-        for grow, (row0, col0, row1, col1) in zip(grows.tolist(), boxes.tolist()):
-            counts = self._grow if grow else self._trim
-            counts[row0:row1, col0:col1] += delta
+        # Trim strips count in the second plane of the (2, N, N) counts.
+        plane = np.where(grows, 0, self.image_size * self.image_size)
+        pixels = _box_pixels(boxes, self.image_size, plane)
+        # An int16 scalar keeps np.add.at on its fast path.
+        np.add.at(self._counts.reshape(-1), pixels, np.int16(delta))
 
     def repaint(self, moved: npt.ArrayLike) -> None:
         """Repaint the fragment ids whose rounded offset changed."""
@@ -203,10 +239,12 @@ class MaskPainter:
 
     def mask(self) -> np.ndarray:
         """The current mask image (a fresh ``float64`` array)."""
-        painted = self._grow > 0
+        grow, trim = self._counts
+        painted = grow > 0
         painted |= self._drawn
-        painted &= self._trim == 0
+        painted &= trim == 0
         painted |= self._extra
+        self.bits = painted
         return painted.astype(np.float64)
 
 

@@ -32,43 +32,45 @@ def insert_srafs(
     Candidates are considered in shape order; an earlier accepted bar blocks
     later ones within ``min_clearance`` of it.
     """
-    candidates: list[Rect] = []
-    for rect in layout.shapes:
-        length_x = rect.width - 2.0 * sraf_length_margin
-        length_y = rect.height - 2.0 * sraf_length_margin
-        if length_x > sraf_width:
-            x0 = rect.x0 + sraf_length_margin
-            x1 = rect.x1 - sraf_length_margin
-            candidates.append(Rect(x0, rect.y0 - sraf_distance - sraf_width, x1, rect.y0 - sraf_distance))
-            candidates.append(Rect(x0, rect.y1 + sraf_distance, x1, rect.y1 + sraf_distance + sraf_width))
-        if length_y > sraf_width:
-            y0 = rect.y0 + sraf_length_margin
-            y1 = rect.y1 - sraf_length_margin
-            candidates.append(Rect(rect.x0 - sraf_distance - sraf_width, y0, rect.x0 - sraf_distance, y1))
-            candidates.append(Rect(rect.x1 + sraf_distance, y0, rect.x1 + sraf_distance + sraf_width, y1))
-    if not candidates:
-        return []
-
-    boxes = np.array([(c.x0, c.y0, c.x1, c.y1) for c in candidates])
-    shapes = np.array([(r.x0, r.y0, r.x1, r.y1) for r in layout.shapes]).reshape(-1, 4)
+    shapes = np.array(
+        [(r.x0, r.y0, r.x1, r.y1) for r in layout.shapes], dtype=np.float64
+    ).reshape(-1, 4)
+    x0, y0, x1, y1 = shapes.T
+    margin, distance, width = sraf_length_margin, sraf_distance, sraf_width
+    # Per shape, the bars below, above, left and right of it: (S, 4, 4).
+    bars = np.stack(
+        [
+            np.stack([x0 + margin, y0 - distance - width, x1 - margin, y0 - distance], 1),
+            np.stack([x0 + margin, y1 + distance, x1 - margin, y1 + distance + width], 1),
+            np.stack([x0 - distance - width, y0 + margin, x0 - distance, y1 - margin], 1),
+            np.stack([x1 + distance, y0 + margin, x1 + distance + width, y1 - margin], 1),
+        ],
+        axis=1,
+    )
+    long_x = (x1 - x0) - 2.0 * margin > width
+    long_y = (y1 - y0) - 2.0 * margin > width
+    # Shape order, and below, above, left, right within a shape.
+    boxes = bars[np.stack([long_x, long_x, long_y, long_y], 1)]
     bounds = layout.bounds
     grown = boxes + np.array([-min_clearance, -min_clearance, min_clearance, min_clearance])
-    eligible = (
+    eligible = np.flatnonzero(
         (bounds.x0 <= boxes[:, 0])
         & (bounds.y0 <= boxes[:, 1])
         & (boxes[:, 2] <= bounds.x1)
         & (boxes[:, 3] <= bounds.y1)
         & ~_intersects(grown, shapes).any(axis=1)
     )
-    # blocks[i, j]: candidate i's clearance box meets candidate j's bar.
+    boxes, grown = boxes[eligible], grown[eligible]
+    # blocks[i, j]: candidate i's clearance box meets candidate j's bar, so
+    # accepting j rejects every later i of its column.
     blocks = _intersects(grown, boxes)
-    srafs: list[Rect] = []
-    accepted: list[int] = []
-    for i in np.flatnonzero(eligible).tolist():
-        if not blocks[i, accepted].any():
+    free = np.ones(len(boxes), dtype=bool)
+    accepted = []
+    for i in range(len(boxes)):
+        if free[i]:
             accepted.append(i)
-            srafs.append(candidates[i])
-    return srafs
+            free &= ~blocks[:, i]
+    return [Rect(*bar) for bar in boxes[accepted].tolist()]
 
 
 def _intersects(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -86,12 +88,9 @@ def _intersects(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def sraf_rects_pixels(srafs: list[Rect], pixel_size: float) -> list[tuple[int, int, int, int]]:
-    """Convert SRAF rectangles to integer pixel boxes (row0, col0, row1, col1)."""
-    boxes = []
-    for rect in srafs:
-        col0 = int(round(rect.x0 / pixel_size))
-        col1 = max(col0 + 1, int(round(rect.x1 / pixel_size)))
-        row0 = int(round(rect.y0 / pixel_size))
-        row1 = max(row0 + 1, int(round(rect.y1 / pixel_size)))
-        boxes.append((row0, col0, row1, col1))
-    return boxes
+    """Convert SRAF rectangles to integer pixel boxes (row0, col0, row1, col1),
+    at least one pixel on each side."""
+    corners = np.array([(r.y0, r.x0, r.y1, r.x1) for r in srafs], dtype=np.float64)
+    boxes = np.rint(corners.reshape(-1, 4) / pixel_size).astype(np.int64)
+    boxes[:, 2:] = np.maximum(boxes[:, 2:], boxes[:, :2] + 1)
+    return [tuple(box) for box in boxes.tolist()]

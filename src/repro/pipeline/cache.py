@@ -11,17 +11,21 @@ Linearity
 ---------
 The aerial image is ``I = sum_j |P_j|^2`` over the packed field planes
 ``P_j = h_j (x) M`` of :mod:`repro.litho.hopkins`, and each plane is linear
-in the mask: ``P_j(M + dM) = P_j(M) + h_j (x) dM``.  The state views the
-mask on a fixed grid of :data:`BLOCK` px blocks.  A call takes
-``dM = mask - last_mask`` on the blocks it changed, convolves every dirty
-block's delta with the kernels in one batched FFT of
-``next_fast_len(BLOCK + s - 1)`` px (48 for support 31) and adds the
-``(BLOCK + s - 1)^2`` result into the cached planes ``r = (s - 1) // 2`` px
+in the mask: ``P_j(M + dM) = P_j(M) + h_j (x) dM``.  The cached planes are
+the whole-mask simulation's own inverse-FFT output, kept at its FFT layout
+(image pixel ``(y, x)`` at ``[:, y + r, x + r]``, ``r = (s - 1) // 2``), so
+a refresh copies no plane.  The state views the mask on a fixed grid of
+:data:`BLOCK` px blocks, and the planes' block grid is a view of that
+buffer at offset ``r``.  A call takes ``dM = mask - last_mask`` on the
+blocks it changed, convolves every dirty block's delta with the kernels in
+one batched FFT of ``next_fast_len(BLOCK + s - 1)`` px (48 for support 31)
+and adds the ``(BLOCK + s - 1)^2`` result into the cached planes ``r`` px
 up and left of the block, in fixed block order
 (:func:`~repro.litho.hopkins.add_field_deltas`).  A real mask gives a real
 ``dM``, so the packed ``r_2j + i r_2j+1`` planes and the defocused ones stay
 valid.  Only blocks within ``r`` of a dirty block see a changed field, and
-only they recompute ``sum_j |P_j|^2 * dose / clear_field``.
+only they recompute ``sum_j |P_j|^2 * dose / clear_field``.  Masks need
+not be square.
 
 The patched aerial equals whole-mask simulation up to floating-point
 round-off (the delta FFTs sum in another order); it stays within 1e-12 of
@@ -88,12 +92,13 @@ class IncrementalState:
     Built by :meth:`repro.pipeline.InferencePipeline.incremental_state` and
     threaded through successive
     :meth:`~repro.pipeline.InferencePipeline.predict_patched` calls.
-    ``fields`` (``planes`` x the block-padded mask) and ``aerial`` hold the
-    planes and aerial intensity of ``last_mask``, a copy of the last
-    simulated mask; ``engine`` is the simulator that filled them, and no
-    other may patch them.  :meth:`refresh` and :meth:`patch` update all
-    three through the simulator executor's hooks; the block layout is known
-    to this class alone.
+    ``fields`` holds the planes of ``last_mask``, a copy of the last
+    simulated mask, at the simulator's FFT layout (pixel ``(y, x)`` at
+    ``[:, y + radius, x + radius]``; the refresh's inverse FFTs run in it),
+    and ``aerial`` (the block-padded mask) its aerial intensity; ``engine``
+    is the simulator that filled them, and no other may patch them.
+    :meth:`refresh` and :meth:`patch` update all three through the simulator
+    executor's hooks; the block layout is known to this class alone.
     """
 
     shape: tuple[int, int]
@@ -142,13 +147,18 @@ class IncrementalState:
 
     def refresh(self, engine, mask: np.ndarray) -> None:
         """Rebuild the planes and aerial image from the whole mask with
-        ``engine.run_aerial``, allocating the block-padded buffers first."""
+        ``engine.run_aerial``, allocating the buffers first: the planes at
+        ``engine.fft_shape``, grown where the block grid at offset
+        ``radius`` would overhang it (kernels narrower than 31 px)."""
         h, w = self.shape
         if self.aerial is None:
             rows, cols = self.grid
-            padded = (rows * BLOCK, cols * BLOCK)
-            self.fields = np.zeros((self.planes, *padded), dtype=np.complex128)
-            self.aerial = np.zeros(padded, dtype=np.float64)
+            fft_h, fft_w = engine.fft_shape(self.shape)
+            reach = self.radius + rows * BLOCK, self.radius + cols * BLOCK
+            self.fields = np.zeros(
+                (self.planes, max(fft_h, reach[0]), max(fft_w, reach[1])), dtype=np.complex128
+            )
+            self.aerial = np.zeros((rows * BLOCK, cols * BLOCK), dtype=np.float64)
             self.last_mask = np.zeros((h, w), dtype=np.float64)
         self.aerial[:h, :w] = engine.run_aerial(mask[None, None], fields=self.fields[None])[0, 0]
         self.engine = engine.simulator
@@ -159,7 +169,8 @@ class IncrementalState:
         then recompute the intensity of every block they reach."""
         engine.patch_fields(self.fields, *self._deltas(mask, dirty))
         rows, cols = self._reach(dirty)
-        reached = self._blocks(self.fields)[:, rows, :, cols, :]
+        grid = self.fields[:, self.radius :, self.radius :]
+        reached = self._blocks(grid)[:, rows, :, cols, :]
         self._blocks(self.aerial)[rows, :, cols, :] = engine.aerial_of_fields(reached)
         self.last_mask[...] = mask
 
@@ -185,6 +196,8 @@ class IncrementalState:
         return np.nonzero(sliding_window_view(marked, (window, window)).any(axis=(2, 3)))
 
     def _blocks(self, array: np.ndarray) -> np.ndarray:
-        """``(..., rows, BLOCK, cols, BLOCK)`` view of a block-padded array."""
+        """``(..., rows, BLOCK, cols, BLOCK)`` view of the block grid at the
+        top-left of ``array``."""
         rows, cols = self.grid
-        return array.reshape(*array.shape[:-2], rows, BLOCK, cols, BLOCK)
+        grid = array[..., : rows * BLOCK, : cols * BLOCK]
+        return grid.reshape(*array.shape[:-2], rows, BLOCK, cols, BLOCK)

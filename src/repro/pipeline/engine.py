@@ -361,16 +361,11 @@ class InferencePipeline:
 
         Only the golden simulator patches: each of its SOCS field planes is
         linear in the mask, so a mask edit changes the cached planes by the
-        planes of the edit (see :mod:`repro.pipeline.cache`).  The mask must
-        be square; other shapes and engines without field planes raise
-        :class:`ValueError`.
+        planes of the edit (see :mod:`repro.pipeline.cache`).  Engines
+        without field planes raise :class:`ValueError`.
         """
         engine = self._patch_engine()
         h, w = int(shape[0]), int(shape[1])
-        if h != w:
-            raise ValueError(
-                f"incremental re-simulation needs a square mask, got shape {(h, w)}"
-            )
         return IncrementalState(
             shape=(h, w), radius=engine.influence_radius, planes=engine.field_planes
         )

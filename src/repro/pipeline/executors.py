@@ -33,7 +33,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..litho.hopkins import AerialWorkspace, add_field_deltas, aerial_from_fields
+from ..litho.hopkins import (
+    AerialWorkspace,
+    add_field_deltas,
+    aerial_from_fields,
+    padded_fft_shape,
+)
 from ..nn import FusedInferenceGraph, Module, Tensor, compile_model, eval_mode, no_grad
 from ..nn.backends import BACKENDS, DEFAULT_BACKEND, resolve_backend
 
@@ -257,12 +262,18 @@ class SimulatorExecutor(Executor):
         """Number of packed SOCS field planes of one mask."""
         return self.simulator.kernels.packed_kernels().shape[0]
 
+    def fft_shape(self, shape: tuple[int, int]) -> tuple[int, int]:
+        """The FFT layout of an ``(H, W)`` mask's field planes
+        (:func:`~repro.litho.hopkins.padded_fft_shape`)."""
+        return padded_fft_shape(shape, self.simulator.kernels.support)
+
     def run_aerial(self, tiles: np.ndarray, fields: np.ndarray | None = None) -> np.ndarray:
         """Aerial intensity of a mask batch ``(B, 1, H, W)``.
 
         Same batched single-FFT path as :meth:`run_batch`, without the resist
-        threshold; ``fields`` ``(B, planes, >= H, >= W)`` receives the field
-        planes.  The patched plan refreshes its cache with it and develops
+        threshold; the inverse FFTs run in ``fields`` ``(B, planes, >= Fh,
+        >= Fw)`` (:meth:`fft_shape`), which keeps the field planes at FFT
+        layout.  The patched plan refreshes its cache with it and develops
         once at the end (:meth:`finalize_patched`).
         """
         aerial = self.simulator.aerial(tiles[:, 0], workspace=self.workspace, fields=fields)

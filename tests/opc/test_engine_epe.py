@@ -225,6 +225,21 @@ def test_mask_history_keeps_non_binary_masks_raw(rng):
     np.testing.assert_array_equal(history[0], graded)
 
 
+def test_mask_history_stores_graded_masks_raw_and_painter_bits_packed(rng):
+    """A graded float mask is stored as it is (no bits given, the binary
+    check fails); a painter mask with its boolean image is packed as given."""
+    graded = np.linspace(0.0, 1.0, 256).reshape(16, 16)
+    binary = (rng.random((16, 16)) > 0.5).astype(np.float64)
+    history = MaskHistory()
+    history.append(graded)
+    assert history.nbytes == graded.nbytes
+    history.append(binary, bits=binary != 0)
+    assert history.nbytes == graded.nbytes + 16 * 16 // 8
+    graded[:] = 0.0   # the stored snapshot is a copy
+    assert history[0].tobytes() == np.linspace(0.0, 1.0, 256).reshape(16, 16).tobytes()
+    assert history[1].dtype == np.float64 and history[1].tobytes() == binary.tobytes()
+
+
 def test_opc_offsets_respect_bounds(simulator):
     layout = single_via_layout()
     config = OPCConfig(iterations=12, max_offset=5.0)

@@ -24,7 +24,7 @@ from repro.opc import (
     fragment_layout,
     measure_layout_epe,
 )
-from repro.opc.fragments import LEFT, RIGHT
+from repro.opc.fragments import BOTTOM, LEFT, RIGHT, TOP
 
 NORMALS = {0: (0, -1), 1: (0, 1), 2: (-1, 0), 3: (1, 0)}
 
@@ -319,6 +319,118 @@ def test_strips_match_per_fragment_ladder(seed, image_size):
         sub_kept, _, sub_boxes = fragments.strips(subset, image_size)
         assert sub_kept.tolist() == [i for i in subset.tolist() if expected[i] is not None]
         assert np.array_equal(sub_boxes, boxes[np.searchsorted(kept, sub_kept)])
+
+
+# --------------------------------------------------------------------- #
+# Array-built table and one-scatter painter against their old loops
+# --------------------------------------------------------------------- #
+def reference_spans(start, end, max_length):
+    """The ``np.linspace`` split of one edge range into spans."""
+    length = end - start
+    if length <= 0:
+        return []
+    n = max(1, int(np.ceil(length / max_length)))
+    edges = np.linspace(start, end, n + 1).astype(int)
+    return [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if b > a]
+
+
+def reference_fragment_layout(layout, pixel_size, max_length):
+    """``(rects, rows)``: the per-rectangle loop, one ``(shape, side, lo, hi,
+    position)`` row per fragment id; zero-pixel rectangles are skipped."""
+    rects, rows = [], []
+    for rect in layout.shapes:
+        col0, col1 = int(round(rect.x0 / pixel_size)), int(round(rect.x1 / pixel_size))
+        row0, row1 = int(round(rect.y0 / pixel_size)), int(round(rect.y1 / pixel_size))
+        if col1 <= col0 or row1 <= row0:
+            continue
+        s = len(rects)
+        rects.append((row0, col0, row1, col1))
+        for lo, hi in reference_spans(row0, row1, max_length):
+            rows += [(s, LEFT, lo, hi, col0), (s, RIGHT, lo, hi, col1 - 1)]
+        for lo, hi in reference_spans(col0, col1, max_length):
+            rows += [(s, BOTTOM, lo, hi, row0), (s, TOP, lo, hi, row1 - 1)]
+    return np.array(rects, dtype=np.int64).reshape(-1, 4), np.array(rows, dtype=np.int64).reshape(-1, 5)
+
+
+def rough_layout(rng, size_nm=512.0, count=24):
+    """Off-grid rectangles (some round to zero pixels, some sit on a half
+    pixel, a few hang past the origin) of every length up to 40 px."""
+    layout = Layout(bounds=Rect(0, 0, size_nm, size_nm))
+    for k in range(count):
+        x, y = (float(v) for v in rng.uniform(-20.0, size_nm - 40.0, size=2))
+        w, h = (float(v) for v in rng.uniform(0.5, 320.0, size=2))
+        if k % 5 == 0:
+            w = float(rng.uniform(0.5, 3.9))          # rounds to zero pixels
+        if k % 7 == 0:
+            x, w = 8.0 * int(x // 8) + 4.0, 8.0 * int(w // 8 + 1) + 8.0   # half pixels
+        layout.add(Rect(x, y, x + w, y + h))
+    return layout
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_fragment_layout_matches_per_rectangle_loop(seed):
+    rng = np.random.default_rng(seed)
+    layout = rough_layout(rng)
+    skipped = lengths = 0
+    for pixel_size in (8.0, 5.0):
+        for max_length in (1, 3, 7, 32, 1000):
+            fragments = fragment_layout(layout, pixel_size, max_length)
+            rects, rows = reference_fragment_layout(layout, pixel_size, max_length)
+            assert fragments.rects.dtype == np.int64
+            assert fragments.rects.tobytes() == rects.tobytes()
+            columns = (fragments.shape, fragments.side, fragments.lo, fragments.hi, fragments.position)
+            for column, expected in zip(columns, rows.T):
+                assert column.dtype == np.int64
+                assert column.tobytes() == expected.tobytes()
+            skipped += len(layout.shapes) - len(rects)
+            edges = np.concatenate([rects[:, 2] - rects[:, 0], rects[:, 3] - rects[:, 1]])
+            lengths += int(np.sum(edges % max_length != 0))
+    assert skipped > 0 and lengths > 0
+
+
+class LoopPainter(MaskPainter):
+    """The painter with its old strip loop: one slice update per strip."""
+
+    def _add(self, grows, boxes, delta):
+        for grow, (row0, col0, row1, col1) in zip(grows.tolist(), boxes.tolist()):
+            self._counts[0 if grow else 1, row0:row1, col0:col1] += delta
+
+
+@pytest.mark.parametrize("image_size", [64, 56])
+@pytest.mark.parametrize("seed", range(4))
+def test_mask_painter_matches_per_strip_loop(seed, image_size):
+    """Equal int16 grow and trim counts and equal masks after every repaint,
+    over strips clipped at the image border (a 56 px image also cuts the
+    64 px layout's spans) and grow and trim strips that overlap."""
+    rng = np.random.default_rng(seed)
+    layout = random_layout(rng, count=12)
+    for rect in random_layout(rng, count=4).shapes:
+        layout.add(rect)
+    fragments = fragment_layout(layout, 8.0, int(rng.integers(3, 12)))
+    extra = [(30, 2, 33, 20), (50, 60, 70, 62)]
+    painter, reference = MaskPainter(fragments, image_size, extra), LoopPainter(fragments, image_size, extra)
+    clipped = overlaps = stacked = 0
+    for step in range(30):
+        previous = np.rint(fragments.offset)
+        picks = rng.random(len(fragments)) < 0.4
+        fragments.offset[picks] = rng.uniform(-12.0, 12.0, size=int(picks.sum()))
+        if step % 6 == 5:
+            fragments.offset[picks] = 0.0
+        moved = np.flatnonzero(np.rint(fragments.offset) != previous)
+        mask = build_mask(fragments, image_size, extra, painter=painter, moved=moved)
+        expected = build_mask(fragments, image_size, extra, painter=reference, moved=moved)
+        assert painter._counts.tobytes() == reference._counts.tobytes()
+        assert mask.tobytes() == expected.tobytes()
+        assert np.array_equal(painter.bits, mask != 0) and painter.bits.dtype == bool
+        grow, trim = painter._counts
+        overlaps += int(np.sum((grow > 0) & (trim > 0)))
+        stacked += int(np.sum(grow > 1) + np.sum(trim > 1))
+        ids, _, boxes = fragments.strips(np.arange(len(fragments)), image_size)
+        area = np.prod(np.maximum(boxes[:, 2:] - boxes[:, :2], 0), axis=1)
+        unclipped = np.abs(np.rint(fragments.offset[ids])) * (fragments.hi[ids] - fragments.lo[ids])
+        clipped += int(np.sum((area > 0) & (area < unclipped)))
+    assert clipped > 0 and overlaps > 0 and stacked > 0
+    assert np.array_equal(mask, build_mask(fragments, image_size, extra))
 
 
 # --------------------------------------------------------------------- #

@@ -31,15 +31,20 @@ def simple_layout(size=512.0):
 
 
 def test_fragment_spans_cover_range_without_overlap():
-    spans = _fragment_spans(0, 100, 32)
-    assert spans[0][0] == 0 and spans[-1][1] == 100
-    for (a0, a1), (b0, b1) in zip(spans, spans[1:]):
-        assert a1 == b0
-    assert all(b - a <= 34 for a, b in spans)
+    ranges = [(0, 100), (7, 40)]
+    edge, lo, hi = _fragment_spans(np.array([0, 7]), np.array([100, 40]), 32)
+    assert edge.tolist() == sorted(edge.tolist())
+    for e, (start, end) in enumerate(ranges):
+        spans = list(zip(lo[edge == e].tolist(), hi[edge == e].tolist()))
+        assert spans[0][0] == start and spans[-1][1] == end
+        for (a0, a1), (b0, b1) in zip(spans, spans[1:]):
+            assert a1 == b0
+        assert all(b - a <= 34 for a, b in spans)
 
 
 def test_fragment_spans_empty_for_degenerate_range():
-    assert _fragment_spans(5, 5, 32) == []
+    edge, lo, hi = _fragment_spans(np.array([5, 0]), np.array([5, 3]), 32)
+    assert (edge.tolist(), lo.tolist(), hi.tolist()) == ([1], [0], [3])
 
 
 def test_fragment_layout_produces_four_sides():

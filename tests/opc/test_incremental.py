@@ -10,6 +10,8 @@ SRAF settings and fragment freezing.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,27 @@ def test_incremental_single_tile_image(simulator):
         else:
             full = result
     assert_runs_equal(inc, full)
+
+
+def test_opc_loop_correction_is_pinned(simulator):
+    """One correction of the benchmark's ``opc_loop`` shape (a 2048 nm via
+    layout at 8 nm, 256 px; 10 kernels; 24 iterations, ``freeze_after=2``)
+    reads the digest the per-strip painter, the per-rectangle fragment
+    loop and the cropped-plane copy gave: final mask, mask history, EPE
+    values, frozen counts and ``dirty_history``."""
+    layout = via_layout(seed=2048, size_nm=2048.0)
+    result = OPCEngine(simulator, OPCConfig(iterations=24, freeze_after=2)).correct(layout)
+    digest = hashlib.sha256(result.final_mask.tobytes())
+    for mask in result.mask_history:
+        digest.update(mask.tobytes())
+    for stats in result.epe_history:
+        digest.update(stats.values.tobytes())
+    frozen = [stats.frozen_fragments for stats in result.epe_history]
+    digest.update(np.array(frozen, dtype=np.int64).tobytes())
+    digest.update(np.array(result.dirty_history, dtype=np.int64).tobytes())
+    assert result.final_mask.shape == (256, 256) and len(result.mask_history) == 25
+    assert result.dirty_history[:7] == [256] * 6 + [23] and result.dirty_history[-1] == 0
+    assert digest.hexdigest() == "7dda0ad18c2221337c85ee0bcea60fa2452b9c9f35b13f2109529734752823ab"
 
 
 # --------------------------------------------------------------------- #

@@ -143,20 +143,25 @@ def _patch_sequence(simulator, size: int, steps: int = 12, blas_threads: int | N
 @pytest.mark.parametrize(
     "variant, size",
     [("defocus 0", 128), ("defocus 120", 128), ("dose 1.1", 128), ("9 kernels", 128),
-     ("defocus 0", 100)],
+     ("defocus 0", 100), ("support 9", 100)],
 )
 def test_field_deltas_stay_exact_over_successive_edits(simulator, variant, size):
     """Each patched aerial stays within 1e-12 of clear field of predict, with
     equal resist, over a dozen successive edits: the packed planes (defocus
-    0, odd plane count with 9 kernels), the defocused complex planes, a dose
-    and partial edge blocks (100 px)."""
+    0, odd plane count with 9 kernels), the defocused complex planes, a dose,
+    partial edge blocks (100 px) and 9 px kernels, whose block grid overhangs
+    the FFT layout."""
     engine = {
         "defocus 0": simulator,
         "defocus 120": simulator.with_defocus(120.0),
         "dose 1.1": simulator.with_dose(1.1),
         "9 kernels": LithoSimulator(pixel_size=16.0, num_kernels=9, kernel_support=31),
+        "support 9": LithoSimulator(pixel_size=16.0, num_kernels=10, kernel_support=9),
     }[variant]
     aerial, resist, states, masks, outputs = _patch_sequence(engine, size)
+    fft_shape = aerial.executor.fft_shape((size, size))
+    overhangs = states[0].fields.shape[1:] != fft_shape
+    assert overhangs == (variant == "support 9")
     assert states[0].counters.full_refreshes == 1
     assert states[0].counters.patched_calls == len(masks) - 1
     if variant == "9 kernels":
@@ -222,11 +227,31 @@ def test_patched_rejects_wrong_shape(simulator):
         pipeline.predict_patched(_random_mask(64), state)
 
 
-def test_incremental_state_rejects_non_square_masks(simulator):
-    pipeline = InferencePipeline(simulator, ExecutionConfig(batch_size=4))
-    for shape in ((128, 64), (64, 128)):
-        with pytest.raises(ValueError, match="needs a square mask"):
-            pipeline.incremental_state(shape)
+@pytest.mark.parametrize("shape", [(96, 64), (64, 96)], ids=["96x64", "64x96"])
+def test_non_square_masks_patch_within_round_off(simulator, shape):
+    """Blocks need no square mask: over a dozen edits (some at the far
+    corner) a 96 x 64 mask's patched aerial stays within 1e-12 of clear
+    field of predict, and its resist equals predict's."""
+    config = ExecutionConfig(batch_size=4)
+    aerial = InferencePipeline(SimulatorExecutor(simulator, output="aerial"), config)
+    resist = InferencePipeline(SimulatorExecutor(simulator, output="resist"), config)
+    states = aerial.incremental_state(shape), resist.incremental_state(shape)
+    assert states[0].grid == (shape[0] // 16, shape[1] // 16)
+    rng = np.random.default_rng(5)
+    mask = (rng.random(shape) > 0.8).astype(float)
+    for step in range(12):
+        if step:
+            y, x = (int(rng.integers(0, n - 3)) for n in shape)
+            if step % 3 == 2:
+                y, x = shape[0] - 3, shape[1] - 3
+            mask = mask.copy()
+            mask[y : y + 3, x : x + 3] = 1.0 - mask[y : y + 3, x : x + 3]
+        np.testing.assert_allclose(
+            aerial.predict_patched(mask, states[0]), aerial.predict(mask), rtol=0, atol=1e-12
+        )
+        np.testing.assert_array_equal(resist.predict_patched(mask, states[1]), resist.predict(mask))
+    assert states[0].counters.full_refreshes == 1
+    assert states[0].counters.patched_calls == 11
 
 
 def test_patched_unsupported_engine_raises(tiny_model_factory):
