@@ -95,7 +95,9 @@ def test_figure8_opc_sensitivity(benchmark, harness):
         early = float(np.mean(result[series][:quarter]))
         late = float(np.mean(result[series][-quarter:]))
         assert late >= early - 0.05
-    # DOINN keeps its advantage over the CNN-only baseline on average.
+    # DOINN stays within 0.10 mean mIOU of the CNN-only baseline (the paper
+    # has it ahead; the checked-in quick-profile run reads DOINN 0.821 against
+    # UNet 0.891).
     assert result["doinn_mean"] >= result["unet_mean"] - 0.10
 
     # Timed kernel: one DOINN prediction on an intermediate OPC snapshot.

@@ -89,7 +89,7 @@ python -m pytest -x -q -p no:cacheprovider -W "error::DeprecationWarning" tests 
     --ignore=tests/pipeline/test_cache.py --ignore=tests/opc/test_incremental.py \
     --ignore=tests/pipeline/test_supervision.py --ignore=tests/pipeline/test_backends.py \
     --ignore=tests/pipeline/test_config.py --ignore=tests/litho/test_hopkins_batch.py \
-    "$@"
+    --ignore=tests/opc/test_fragment_table.py "$@"
 
 # The execution-config contract (docs/architecture.md): one resolved
 # ExecutionConfig document with explicit > REPRO_* > default precedence and
@@ -146,11 +146,12 @@ python -m pytest -x -q -p no:cacheprovider -W "error::DeprecationWarning" \
 # pins of the packed fixed-order loop.  The incremental suites hold
 # field-delta patches within 1e-12 of whole-mask simulation over successive
 # edits (equal resist) and the incremental OPC loop bit for bit equal to the
-# always-full one.
+# always-full one; the fragment-table suite holds the OPC digests and the
+# degenerate-layout loop pins.
 echo "== incremental OPC + aerial-image suites (field-delta patches == full re-simulation) =="
 python -m pytest -x -q -p no:cacheprovider -W "error::DeprecationWarning" \
     tests/pipeline/test_cache.py tests/opc/test_incremental.py \
-    tests/litho/test_hopkins_batch.py "$@"
+    tests/opc/test_fragment_table.py tests/litho/test_hopkins_batch.py "$@"
 
 # The leg above runs the golden simulator's aerial image on the serial
 # default team (the usable cores, at most two); this one re-runs the same
@@ -159,7 +160,7 @@ python -m pytest -x -q -p no:cacheprovider -W "error::DeprecationWarning" \
 echo "== incremental OPC + aerial-image suites on a compute team of one (REPRO_BLAS_THREADS=1) =="
 REPRO_BLAS_THREADS=1 python -m pytest -x -q -p no:cacheprovider -W "error::DeprecationWarning" \
     tests/pipeline/test_cache.py tests/opc/test_incremental.py \
-    tests/litho/test_hopkins_batch.py "$@"
+    tests/opc/test_fragment_table.py tests/litho/test_hopkins_batch.py "$@"
 
 # The chaos gate kills, crashes and hangs workers on purpose (deterministic
 # REPRO_FAULT_PLAN injection); its own /dev/shm check right after proves the

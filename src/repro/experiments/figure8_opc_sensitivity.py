@@ -3,9 +3,13 @@
 A metal-layer layout is pushed through the OPC engine for 24 iterations; the
 mask snapshot of every iteration is simulated with the golden engine and
 predicted with the trained DOINN and UNet.  The per-iteration mIOU series
-reproduces Figure 8: both models are weak on the earliest (pre-OPC) masks,
-which are far from the training distribution, and DOINN stays ahead of the
-CNN-only baseline as the mask converges.
+is Figure 8's.  The paper has DOINN ahead of the CNN-only baseline as the
+mask converges.  The checked-in run
+(``artifacts/results/figure_8_opc_sensitivity.txt``, ``quick`` profile,
+models trained on 40 tiles for 8 epochs) does not reproduce that: UNet
+scores above DOINN at every one of the 24 iterations, mean mIOU 0.891 against
+0.821, and neither series rises as the mask converges.  The ordering flips
+with the training budget, so it is recorded here, not claimed.
 """
 
 from __future__ import annotations

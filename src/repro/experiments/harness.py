@@ -28,7 +28,6 @@ import numpy as np
 from .. import knobs
 from ..core.registry import create_model
 from ..data.benchmarks import BenchmarkConfig, BenchmarkData, build_benchmark
-from ..litho.resist import ConstantThresholdResist
 from ..litho.simulator import LithoSimulator
 from ..nn.serialization import load_state, save_state
 from ..pipeline import ExecutionConfig, InferencePipeline
@@ -185,21 +184,6 @@ class Harness:
                 pixel_size=pixel_size, num_kernels=10, kernel_support=31
             )
         return self._simulators[pixel_size]
-
-    def rigorous_simulator(self, pixel_size: float | None = None) -> LithoSimulator:
-        """A high-rigor configuration standing in for the commercial engine.
-
-        Rigorous sign-off simulation retains far more SOCS kernels and a larger
-        kernel ambit than the fast configuration used to label training tiles;
-        this is the "Ref" engine of the Figure 6 runtime comparison.
-        """
-        pixel = pixel_size or self.profile.low_res_pixel
-        return LithoSimulator(
-            pixel_size=pixel,
-            num_kernels=64,
-            kernel_support=81,
-            resist=ConstantThresholdResist(),
-        )
 
     # ------------------------------------------------------------------ #
     # Inference pipelines

@@ -227,17 +227,26 @@ def _aerial_batch(
                 # A complex input with overwrite_x is transformed in place.
                 planes = ifft2(product, axes=(-2, -1), overwrite_x=True)[..., rows, cols]
                 # |field|^2 via real^2 + imag^2 (avoids the sqrt inside
-                # np.abs); imag^2 lands in the field's own, dead, imag part,
-                # or in scratch when the planes are kept.
-                magnitude = workspace.buffer("magnitude", planes.shape, np.float64, member)
-                np.multiply(planes.real, planes.real, out=magnitude)
-                if fields is None:
-                    square = planes.imag
-                else:
-                    square = workspace.buffer("square", planes.shape, np.float64, member)
-                np.multiply(planes.imag, planes.imag, out=square)
-                magnitude += square
-                np.sum(magnitude, axis=1, out=sums[index])
+                # np.abs), the first plane's straight into the chunk sum and
+                # each further one added to it in plane order: the bits of a
+                # sum over the plane axis, which numpy adds in sequence.
+                # imag^2 lands in the field's own, dead, imag part, or in
+                # scratch when the planes are kept.
+                total = sums[index]
+                for k in range(planes.shape[1]):
+                    plane = planes[:, k]
+                    magnitude = total
+                    if k:
+                        magnitude = workspace.buffer("magnitude", total.shape, np.float64, member)
+                    np.multiply(plane.real, plane.real, out=magnitude)
+                    if fields is None:
+                        square = plane.imag
+                    else:
+                        square = workspace.buffer("square", total.shape, np.float64, member)
+                    np.multiply(plane.imag, plane.imag, out=square)
+                    magnitude += square
+                    if k:
+                        total += magnitude
 
             team.run(unit, count, macs, count)
             for index in range(count):

@@ -118,7 +118,3 @@ class StepLR:
         self.epoch += 1
         decays = self.epoch // self.step_size
         self.optimizer.lr = self.base_lr * (self.gamma ** decays)
-
-    @property
-    def current_lr(self) -> float:
-        return self.optimizer.lr

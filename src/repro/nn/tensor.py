@@ -121,11 +121,6 @@ class Tensor:
     def ones(shape: Sequence[int], requires_grad: bool = False) -> "Tensor":
         return Tensor(np.ones(shape), requires_grad=requires_grad)
 
-    @staticmethod
-    def randn(*shape: int, requires_grad: bool = False, rng: np.random.Generator | None = None) -> "Tensor":
-        rng = rng or np.random.default_rng()
-        return Tensor(rng.standard_normal(shape), requires_grad=requires_grad)
-
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
@@ -151,9 +146,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
 
     def copy(self) -> "Tensor":
         return Tensor(self.data.copy(), requires_grad=False)

@@ -21,10 +21,22 @@ converge, especially with ``freeze_after``, which is what actually collapses
 the dirty set (a converged fragment otherwise keeps jittering across the
 pixel-rounding boundary and keeps its blocks dirty forever).
 
+The incremental loop also skips what an unchanged mask cannot change.  When
+the previous move step repainted nothing, the mask and its resist are the
+last ones: the iteration calls neither the painter nor the pipeline and
+records a clean call (:meth:`~repro.pipeline.IncrementalState.record_clean`,
+a 0 in ``dirty_history``).  Once every fragment is frozen there is nothing
+left to measure or move either, and the iteration appends the statistics of
+an EPE walk over no fragment.  The result, counters included, is what the
+loop produced when it ran those iterations in full.
+
 The mask itself is painted incrementally in both loops
 (:class:`~repro.opc.fragments.MaskPainter`): each iteration repaints only the
 fragments the previous move step moved, bit-identical to painting the whole
-layout with :func:`~repro.opc.fragments.build_mask`.
+layout with :func:`~repro.opc.fragments.build_mask`.  The incremental loop
+hands the pixels of the repainted strips to
+:meth:`~repro.pipeline.InferencePipeline.predict_patched`, which looks for
+the changed blocks among them instead of comparing the whole mask.
 """
 
 from __future__ import annotations
@@ -253,23 +265,34 @@ class OPCEngine:
         )
         painter = MaskPainter(fragments, image_size, sraf_boxes)
         moved = np.empty(0, dtype=np.intp)
+        resist = None
+        # What the EPE walk returns once every fragment is frozen.
+        idle = EPEStatistics(np.empty(0), pixel_size, len(fragments))
         for _ in range(config.iterations):
-            mask = build_mask(fragments, image_size, sraf_boxes, painter=painter, moved=moved)
-            if state is not None:
+            if state is None:
+                mask = build_mask(fragments, image_size, sraf_boxes, painter=painter, moved=moved)
+                resist = self.pipeline.predict(mask)
+            elif resist is not None and moved.size == 0:
+                # Nothing moved, so the mask and its resist are the last ones.
+                state.record_clean()
+                result.dirty_history.append(0)
+            else:
+                mask = build_mask(fragments, image_size, sraf_boxes, painter=painter, moved=moved)
                 spent = state.counters.tile_equivalents(state.n_tiles)
-                resist = self.pipeline.predict_patched(mask, state)
+                resist = self.pipeline.predict_patched(mask, state, painter.touched)
                 result.dirty_history.append(
                     state.counters.tile_equivalents(state.n_tiles) - spent
                 )
+            if state is not None and fragments.frozen.all():
+                stats = idle   # nothing is left to measure or move
             else:
-                resist = self.pipeline.predict(mask)
-            stats = measure_layout_epe(
-                resist, fragments, pixel_size, config.epe_search_range, skip_frozen=True
-            )
+                stats = measure_layout_epe(
+                    resist, fragments, pixel_size, config.epe_search_range, skip_frozen=True
+                )
+                moved = self._apply_moves(fragments, stats)
             if config.record_history:
                 result.mask_history.append(mask, bits=painter.bits)
             result.epe_history.append(stats)
-            moved = self._apply_moves(fragments, stats)
 
         # Build the mask with the final fragment positions (post last update).
         result.final_mask = build_mask(

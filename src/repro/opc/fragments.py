@@ -199,7 +199,10 @@ class MaskPainter:
     paints a single value (grows 1, then trims 0, then extra rects 1), the
     mask is ``((drawn | grow > 0) & (trim == 0)) | extra`` — the same
     pixels, bit for bit.  :attr:`bits` is the boolean image of the latest
-    :meth:`mask`, which is binary by construction.
+    :meth:`mask`, which is binary by construction.  :attr:`touched` holds
+    the flat pixels (``row * image_size + col``) of the old and the new
+    strips of the latest :meth:`repaint`: the only pixels where the mask
+    can have changed since the one before it.
     """
 
     def __init__(
@@ -216,26 +219,30 @@ class MaskPainter:
         _fill(self._extra, extra_rects or [], True)
         self._counts = np.zeros((2, image_size, image_size), dtype=np.int16)
         self.bits: np.ndarray | None = None
+        self.touched = np.empty(0, dtype=np.int64)
         # Each fragment's painted strip (an empty box when it paints nothing).
         self._grows = np.zeros(len(fragments), dtype=bool)
         self._boxes = np.zeros((len(fragments), 4), dtype=np.int64)
         self.repaint(np.arange(len(fragments)))
 
-    def _add(self, grows: np.ndarray, boxes: np.ndarray, delta: int) -> None:
+    def _add(self, grows: np.ndarray, boxes: np.ndarray, delta: int) -> np.ndarray:
+        """Add ``delta`` to the grow or trim count under each strip; returns
+        the strips' flat mask pixels."""
+        size = self.image_size * self.image_size
         # Trim strips count in the second plane of the (2, N, N) counts.
-        plane = np.where(grows, 0, self.image_size * self.image_size)
-        pixels = _box_pixels(boxes, self.image_size, plane)
+        pixels = _box_pixels(boxes, self.image_size, np.where(grows, 0, size))
         # An int16 scalar keeps np.add.at on its fast path.
         np.add.at(self._counts.reshape(-1), pixels, np.int16(delta))
+        return pixels % size
 
     def repaint(self, moved: npt.ArrayLike) -> None:
         """Repaint the fragment ids whose rounded offset changed."""
         moved = np.unique(np.asarray(moved, dtype=np.intp))
-        self._add(self._grows[moved], self._boxes[moved], -1)
+        old = self._add(self._grows[moved], self._boxes[moved], -1)
         ids, grows, boxes = self.fragments.strips(moved, self.image_size)
         self._boxes[moved] = 0
         self._grows[ids], self._boxes[ids] = grows, boxes
-        self._add(grows, boxes, 1)
+        self.touched = np.concatenate([old, self._add(grows, boxes, 1)])
 
     def mask(self) -> np.ndarray:
         """The current mask image (a fresh ``float64`` array)."""

@@ -27,6 +27,17 @@ valid.  Only blocks within ``r`` of a dirty block see a changed field, and
 only they recompute ``sum_j |P_j|^2 * dose / clear_field``.  Masks need
 not be square.
 
+Dirty blocks
+------------
+:meth:`IncrementalState.dirty_blocks` compares the mask with ``last_mask``.
+A caller that knows where its edit can be, as the OPC loop's mask painter
+knows the strips it repainted, passes those flat pixel indices as
+candidates, and only they are compared; a repaint can restore the old
+pixels, so a candidate is dirty only if its pixel really changed.  Without
+candidates the whole mask is compared.  A call whose mask has not changed
+is a clean call (:meth:`IncrementalState.record_clean`): the OPC loop
+records it without calling the pipeline at all.
+
 The patched aerial equals whole-mask simulation up to floating-point
 round-off (the delta FFTs sum in another order); it stays within 1e-12 of
 clear field over successive edits (``tests/pipeline/test_cache.py``).  The
@@ -58,10 +69,13 @@ __all__ = ["BLOCK", "BLOCK_COST", "IncrementalCounters", "IncrementalState"]
 #: Side of the mask blocks the dirty set is tracked on (pixels).
 BLOCK = 16
 #: Time of patching one dirty block over its FFT-cost estimate, in units of
-#: a full refresh's time over its own.  Measured in ``opc_loop``
+#: a full refresh's time over its own.  It puts the break-even at ~40
+#: blocks where the bare FFT costs put it at 53.  Timed over 16 ``opc_loop``
 #: corrections (256 px, 10 kernels, support 31, compute team of two on a
-#: 2-vCPU host): a full refresh took ~14 ms and a patch ~0.35 ms per dirty
-#: block, a break-even of ~40 blocks where the bare FFT costs put it at 53.
+#: 2-vCPU host): a full refresh took ~8 ms and a patch ~0.27 ms per dirty
+#: block, a break-even of ~30.  Only 7 of 102 patches fell between 30 and 40
+#: dirty blocks, each ~1 ms slower than a refresh, which is too little to
+#: show in a correction, so the constant is left where it was.
 BLOCK_COST = 1.3
 
 
@@ -129,15 +143,34 @@ class IncrementalState:
             return None
         return self.aerial[: self.shape[0], : self.shape[1]]
 
-    def dirty_blocks(self, mask: np.ndarray) -> np.ndarray:
-        """Row-major indices of the blocks whose pixels differ from ``last_mask``."""
+    def dirty_blocks(self, mask: np.ndarray, candidates: np.ndarray | None = None) -> np.ndarray:
+        """Row-major indices of the blocks whose pixels differ from ``last_mask``.
+
+        ``candidates`` are flat pixel indices (``row * width + col``) that
+        cover every pixel where ``mask`` may differ from ``last_mask``, such
+        as the strips a :class:`~repro.opc.fragments.MaskPainter` repainted
+        since the last call.  Only those pixels are compared, since a repaint
+        can restore the old pixels; without them the whole mask is.
+        """
         if self.last_mask is None:
             return np.arange(self.n_tiles)
+        if candidates is not None:
+            differ = mask.reshape(-1)[candidates] != self.last_mask.reshape(-1)[candidates]
+            rows, cols = np.divmod(candidates[differ], self.shape[1])
+            blocks = np.zeros(self.n_tiles, dtype=bool)
+            blocks[rows // BLOCK * self.grid[1] + cols // BLOCK] = True
+            return np.flatnonzero(blocks)
         starts = [np.arange(0, n, BLOCK) for n in self.shape]
         changed = mask != self.last_mask
         changed = np.logical_or.reduceat(changed, starts[0], axis=0)
         changed = np.logical_or.reduceat(changed, starts[1], axis=1)
         return np.flatnonzero(changed)
+
+    def record_clean(self) -> None:
+        """Count a call whose mask equals ``last_mask``: nothing is simulated
+        and every block is skipped."""
+        self.counters.clean_calls += 1
+        self.counters.tiles_skipped += self.n_tiles
 
     def prefer_refresh(self, dirty_count: int) -> bool:
         """Block-cost rule: is one full refresh cheaper than ``dirty_count`` patches?"""

@@ -370,7 +370,9 @@ class InferencePipeline:
             shape=(h, w), radius=engine.influence_radius, planes=engine.field_planes
         )
 
-    def predict_patched(self, mask: np.ndarray, state: IncrementalState) -> np.ndarray:
+    def predict_patched(
+        self, mask: np.ndarray, state: IncrementalState, candidates: np.ndarray | None = None
+    ) -> np.ndarray:
         """Prediction of one 2-D mask, patching the cached fields with its edit.
 
         ``state`` (from :meth:`incremental_state`) carries a copy of the
@@ -381,6 +383,12 @@ class InferencePipeline:
         dirty blocks would cost more than a whole-mask simulation by the
         block-cost rule, refresh the cache in full instead.  Everything runs
         in this process: a pooled pipeline's workers take no part.
+
+        ``candidates`` (flat pixel indices) may name the only pixels where
+        ``mask`` can differ from the previous call's, as the OPC loop's mask
+        painter does; the dirty blocks are then found among them
+        (:meth:`IncrementalState.dirty_blocks`) instead of over the whole
+        mask.
 
         Full-refresh and clean calls return :meth:`predict`'s bits; patched
         calls match it up to floating-point round-off (equal resist images
@@ -403,7 +411,7 @@ class InferencePipeline:
         start = time.perf_counter()
         counters = state.counters
         with self._threads():
-            dirty = state.dirty_blocks(mask)
+            dirty = state.dirty_blocks(mask, candidates)
             try:
                 if state.aerial is None or state.prefer_refresh(dirty.size):
                     state.refresh(engine, mask)
@@ -417,8 +425,7 @@ class InferencePipeline:
                     stats.dirty_tiles = int(dirty.size)
                     stats.num_batches = 1
                 else:
-                    counters.clean_calls += 1
-                    counters.tiles_skipped += state.n_tiles
+                    state.record_clean()
             except BaseException:
                 state.aerial = None   # the caches may be half updated: refresh next time
                 raise

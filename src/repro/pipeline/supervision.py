@@ -278,9 +278,6 @@ class SupervisedPool:
         while len(self._workers) < self._processes:
             self._workers.append(self._spawn())
 
-    def num_alive(self) -> int:
-        return sum(1 for worker in self._workers if worker.process.is_alive())
-
     def close(self) -> None:
         """Shut the pool down; safe to call twice and at interpreter exit.
 

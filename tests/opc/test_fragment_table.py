@@ -389,11 +389,16 @@ def test_fragment_layout_matches_per_rectangle_loop(seed):
 
 
 class LoopPainter(MaskPainter):
-    """The painter with its old strip loop: one slice update per strip."""
+    """The painter with its old strip loop: one slice update per strip,
+    returning the strips' flat pixels strip by strip."""
 
     def _add(self, grows, boxes, delta):
+        pixels = [np.empty(0, dtype=np.int64)]
         for grow, (row0, col0, row1, col1) in zip(grows.tolist(), boxes.tolist()):
             self._counts[0 if grow else 1, row0:row1, col0:col1] += delta
+            rows, cols = np.arange(row0, row1), np.arange(col0, col1)
+            pixels.append((rows[:, None] * self.image_size + cols).reshape(-1))
+        return np.concatenate(pixels)
 
 
 @pytest.mark.parametrize("image_size", [64, 56])
@@ -420,6 +425,7 @@ def test_mask_painter_matches_per_strip_loop(seed, image_size):
         mask = build_mask(fragments, image_size, extra, painter=painter, moved=moved)
         expected = build_mask(fragments, image_size, extra, painter=reference, moved=moved)
         assert painter._counts.tobytes() == reference._counts.tobytes()
+        assert painter.touched.tobytes() == reference.touched.tobytes()
         assert mask.tobytes() == expected.tobytes()
         assert np.array_equal(painter.bits, mask != 0) and painter.bits.dtype == bool
         grow, trim = painter._counts

@@ -11,6 +11,7 @@ SRAF settings and fragment freezing.
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ import pytest
 from repro.layout import ISPD2019_RULES, Layout, generate_via_layout
 from repro.litho import LithoSimulator
 from repro.opc import OPCConfig, OPCEngine
+from repro.pipeline import IncrementalCounters
 
 
 @pytest.fixture(scope="module")
@@ -92,7 +94,8 @@ def test_opc_loop_correction_is_pinned(simulator):
     layout at 8 nm, 256 px; 10 kernels; 24 iterations, ``freeze_after=2``)
     reads the digest the per-strip painter, the per-rectangle fragment
     loop and the cropped-plane copy gave: final mask, mask history, EPE
-    values, frozen counts and ``dirty_history``."""
+    values, frozen counts and ``dirty_history``, and the work ledger of the
+    incremental plan, clean calls included."""
     layout = via_layout(seed=2048, size_nm=2048.0)
     result = OPCEngine(simulator, OPCConfig(iterations=24, freeze_after=2)).correct(layout)
     digest = hashlib.sha256(result.final_mask.tobytes())
@@ -106,6 +109,47 @@ def test_opc_loop_correction_is_pinned(simulator):
     assert result.final_mask.shape == (256, 256) and len(result.mask_history) == 25
     assert result.dirty_history[:7] == [256] * 6 + [23] and result.dirty_history[-1] == 0
     assert digest.hexdigest() == "7dda0ad18c2221337c85ee0bcea60fa2452b9c9f35b13f2109529734752823ab"
+    assert result.counters == IncrementalCounters(
+        full_refreshes=6, patched_calls=5, clean_calls=13, tiles_simulated=58, tiles_skipped=4550
+    )
+
+
+def test_loop_simulates_only_the_iterations_whose_mask_changed(simulator, monkeypatch):
+    """With ``freeze_after`` the incremental loop calls ``predict_patched``
+    once per iteration whose mask differs from the previous one (and for the
+    first), records the others as clean calls, and still returns the
+    always-full loop's result field for field."""
+    config = OPCConfig(iterations=16, freeze_after=2)
+    engine = OPCEngine(simulator, config)
+    calls = []
+    patched = engine.pipeline.predict_patched
+
+    def spy(mask, state, candidates=None):
+        calls.append(mask.copy())
+        return patched(mask, state, candidates)
+
+    monkeypatch.setattr(engine.pipeline, "predict_patched", spy)
+    layout = via_layout(3)
+    result = engine.correct(layout)
+    full = OPCEngine(simulator, replace(config, incremental=False)).correct(layout)
+
+    masks = list(result.mask_history)[: config.iterations]
+    changed = [0] + [
+        i for i in range(1, len(masks)) if not np.array_equal(masks[i], masks[i - 1])
+    ]
+    assert len(calls) == len(changed) < config.iterations
+    assert all(np.array_equal(calls[k], masks[i]) for k, i in enumerate(changed))
+    counters = result.counters
+    assert counters.full_refreshes + counters.patched_calls == len(calls)
+    assert counters.clean_calls == config.iterations - len(calls)
+    assert [result.dirty_history[i] > 0 for i in range(config.iterations)] == [
+        i in changed for i in range(config.iterations)
+    ]
+    # The last iterations ran with every fragment frozen.
+    assert result.epe_history[-1].frozen_fragments == len(result.epe_history[0].values)
+    assert_runs_equal(result, full)
+    for mine, theirs in zip(result.epe_history, full.epe_history):
+        assert mine.values.dtype == theirs.values.dtype and mine.pixel_size == theirs.pixel_size
 
 
 # --------------------------------------------------------------------- #

@@ -11,8 +11,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.layout import Layout, Rect
 from repro.litho import LithoSimulator
+from repro.opc.fragments import MaskPainter, _fill, build_mask, fragment_layout
 from repro.pipeline import (
     ExecutionConfig,
     IncrementalState,
@@ -108,6 +112,69 @@ def test_block_cost_rule():
     # A smaller mask's whole-mask FFT is cheaper: it refreshes sooner.
     small = IncrementalState(shape=(128, 128), radius=15, planes=5)
     assert small.prefer_refresh(flips[0] - 1)
+
+
+def _painter_steps(rng, fragments):
+    """Offsets of a random move sequence: new offsets on a random subset,
+    grow/trim sign flips, repaints of unmoved fragments (the old pixels come
+    back) and returns to the offsets of two steps before."""
+    offsets = [fragments.offset.copy()]
+    for step in range(16):
+        kind = step % 4
+        picks = rng.random(len(fragments)) < 0.3
+        offset = offsets[-1].copy()
+        if kind == 0:
+            offset[picks] = rng.uniform(-6.0, 6.0, size=int(picks.sum()))
+        elif kind == 1:
+            offset[picks] = -offset[picks]
+        elif kind == 3 and len(offsets) > 2:
+            offset = offsets[-3].copy()
+        fragments.offset[:] = offset
+        moved = np.flatnonzero(np.rint(offset) != np.rint(offsets[-1]))
+        if kind == 2:
+            moved = np.flatnonzero(picks)
+        offsets.append(offset)
+        yield kind, moved
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_painter_candidates_find_every_dirty_block(seed):
+    """The pixels a ``MaskPainter`` repainted, handed to ``dirty_blocks``,
+    give the blocks of the whole-mask compare at every step of a random
+    move sequence, on a grid whose last blocks overhang the mask and with
+    SRAF bars laid over the fragments' strips."""
+    rng = np.random.default_rng(seed)
+    size = 72
+    layout = Layout(bounds=Rect(0, 0, 8.0 * size, 8.0 * size))
+    for _ in range(6):
+        w, h = (int(v) for v in rng.integers(2, 20, size=2))
+        x, y = (int(v) for v in rng.integers(0, size - 2, size=2))
+        layout.add(Rect(8.0 * x, 8.0 * y, 8.0 * min(x + w, size), 8.0 * min(y + h, size)))
+    fragments = fragment_layout(layout, 8.0, int(rng.integers(3, 12)))
+    # SRAF bars across the edges of the drawn rectangles.
+    srafs = [(r0 - 3, c0 + 1, r0 + 2, c1 - 1) for r0, c0, r1, c1 in fragments.rects.tolist()]
+    srafs = [tuple(int(np.clip(v, 0, size)) for v in box) for box in srafs]
+    painter = MaskPainter(fragments, size, srafs)
+    state = IncrementalState(shape=(size, size), radius=15, planes=5)
+    assert state.grid == (5, 5)
+    mask = painter.mask()
+    state.last_mask = mask.copy()
+    under_sraf = np.zeros(size * size, dtype=bool)
+    _fill(under_sraf.reshape(size, size), srafs, True)
+    flips = covered = 0
+    for kind, moved in _painter_steps(rng, fragments):
+        mask = build_mask(fragments, size, srafs, painter=painter, moved=moved)
+        dirty = state.dirty_blocks(mask, painter.touched)
+        assert dirty.tolist() == state.dirty_blocks(mask).tolist()
+        assert np.isin(np.flatnonzero(mask != state.last_mask), painter.touched).all()
+        if kind == 1:
+            flips += int(np.count_nonzero(np.rint(fragments.offset[moved])))
+        if kind == 2:
+            assert dirty.size == 0   # a repaint in place restores every pixel
+        covered += int(under_sraf[painter.touched].sum())
+        state.last_mask = mask.copy()
+    assert flips > 0 and covered > 0
 
 
 def _edits(size: int, steps: int, seed: int):
