@@ -60,18 +60,6 @@ def execution_config(request) -> ExecutionConfig:
     )
 
 
-@pytest.fixture(scope="session")
-def num_workers(execution_config) -> int:
-    """Resolved worker count for the benchmark run (0 = serial)."""
-    return execution_config.resolve().num_workers
-
-
-@pytest.fixture(scope="session")
-def compile_inference(execution_config) -> bool:
-    """Whether model pipelines in this run should use compiled fused graphs."""
-    return execution_config.compile
-
-
 def record_report(title: str, text: str) -> None:
     """Register a formatted table for the terminal summary and write it to disk."""
     REPORTS.append((title, text))

@@ -236,24 +236,6 @@ class Harness:
             )
         return InferencePipeline(model, config=cfg)
 
-    def simulator_pipeline(
-        self,
-        pixel_size: float | None = None,
-        config: ExecutionConfig | None = None,
-        *,
-        batch_size: int | None = None,
-    ) -> InferencePipeline:
-        """Batched golden-simulator pipeline (cached SOCS transfer functions).
-
-        Takes the same :class:`~repro.pipeline.ExecutionConfig` document as
-        :meth:`model_pipeline`, so the full knob set reaches the simulator
-        pipeline too.
-        """
-        cfg = self._execution_config(config, batch_size=batch_size)
-        return InferencePipeline(
-            self.simulator(pixel_size or self.profile.low_res_pixel), config=cfg
-        )
-
     # ------------------------------------------------------------------ #
     # Datasets
     # ------------------------------------------------------------------ #

@@ -51,7 +51,6 @@ __all__ = [
     "read_int",
     "read_string",
     "register_knob",
-    "render_section_tables",
     "sync_markdown",
 ]
 
@@ -409,11 +408,6 @@ def markdown_table(section: str) -> str:
 
 def _marker(section: str, which: str) -> str:
     return f"<!-- knob-table:{section}:{which} -->"
-
-
-def render_section_tables() -> dict[str, str]:
-    """``section key -> generated table`` for every documented section."""
-    return {key: markdown_table(key) for key, _ in SECTIONS}
 
 
 def sync_markdown(text: str) -> tuple[str, list[str]]:

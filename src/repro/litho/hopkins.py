@@ -39,7 +39,7 @@ turns planes back into intensity.
 
 :func:`aerial_image_loop` retains the seed per-kernel ``fftconvolve``
 algorithm; it is the reference the batched path is validated against (within
-1e-8) and the baseline of ``benchmarks/bench_pipeline_throughput.py``.
+1e-8), in the tests and in ``benchmarks/bench_pipeline_throughput.py``.
 """
 
 from __future__ import annotations

@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..layout.geometry import Layout
-from ..layout.rasterize import rasterize
 from .hopkins import aerial_image
 from .kernels import SOCSKernels, generate_kernels
 from .optics import OpticalSettings
@@ -94,11 +92,6 @@ class LithoSimulator:
             resist=resist,
             pixel_size=self.pixel_size,
         )
-
-    def simulate_layout(self, layout: Layout) -> SimulationResult:
-        """Rasterize a layout at this simulator's pixel size and simulate it."""
-        mask = rasterize(layout, pixel_size=self.pixel_size)
-        return self.simulate(mask)
 
     def resist_image(self, mask: np.ndarray) -> np.ndarray:
         """Shortcut returning only the resist image (training label)."""

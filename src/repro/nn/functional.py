@@ -7,19 +7,14 @@ and register analytic backward passes with the autograd graph defined in
 
 Convolutions reduce to dense matrix multiplications, which is the fastest
 strategy available with a pure NumPy backend for the small kernel sizes
-(3x3 / 4x4) used by DOINN, UNet and DAMO-DLS.  The hot path is zero-copy:
-patches are expressed as a :func:`numpy.lib.stride_tricks.sliding_window_view`
-over the (padded) input — a view, not a materialized ``(N, C*kh*kw, L)``
-patch matrix — and the contraction against the weights runs as one GEMM via
-``np.tensordot``, whose internal packing of the view is the only copy made.
-The explicit ``im2col``/``col2im`` pair is kept for the adjoint passes and
-for callers that need the patch matrix itself.  The fused eval kernels
-pack a stride-1 conv's input one cache-resident block of
-:data:`CONV_BLOCK` output positions at a time instead, and only ``C_in*kw``
-rows per block: the ``kh`` kernel rows read the same pack one padded row
-apart, as ``kh`` accumulating GEMMs (the partial-im2col form of Anderson
-et al., "Low-memory GEMM-based convolution algorithms for deep neural
-networks", arXiv:1709.03395).
+(3x3 / 4x4) used by DOINN, UNet and DAMO-DLS.  One conv algorithm serves
+training, the unfused eval forward and compiled inference: a stride-1
+conv's input is packed one cache-resident block of :data:`CONV_BLOCK`
+output positions at a time, and only ``C_in*kw`` rows per block: the ``kh``
+kernel rows read the same pack one padded row apart, as ``kh`` accumulating
+GEMMs (the partial-im2col form of Anderson et al., "Low-memory GEMM-based
+convolution algorithms for deep neural networks", arXiv:1709.03395).  No
+whole-image patch matrix is ever built.
 
 Both fused kernels (:func:`conv_bn_act`, :func:`conv_transpose_bn_act`) run
 that one stride-1 block kernel.  A strided conv is the stride-1 conv of a
@@ -33,12 +28,20 @@ runs with BLAS capped at one, so single-threaded GEMMs are parallelised
 over the units, as in Georganas et al., "Anatomy of High-Performance Deep
 Learning Convolutions on SIMD Architectures" (arXiv:1808.05567).  Any team
 size gives the same bits.
+
+The autograd :func:`conv2d` and :func:`conv_transpose2d` run every pass
+on those kernels, as Georganas et al. treat a direct conv's forward,
+backward-data and weight-update passes as one blocking problem: each
+forward is its fused kernel with the identity activation, the input
+gradient of a conv is a transposed conv of the output gradient and vice
+versa, and the weight gradient (:func:`_conv_weight_grad`) reads the
+forward's kernel-row packs block by block, through the same space-to-depth
+identity for a strided conv.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .backends import compute_team
 from .tensor import Tensor
@@ -59,93 +62,8 @@ __all__ = [
 ]
 
 
-# ---------------------------------------------------------------------- #
-# im2col / col2im
-# ---------------------------------------------------------------------- #
 def _conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return (size + 2 * padding - kernel) // stride + 1
-
-
-
-
-def _window_view(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
-    """Zero-copy sliding-window view ``(N, C, H_out, W_out, kh, kw)`` of ``x``.
-
-    For ``stride == 1`` this is a pure view of the (padded) input; larger
-    strides slice the view, which stays copy-free.  Every conv forward/adjoint
-    consumes this view directly, so no ``(N, C*kh*kw, L)`` patch matrix is ever
-    materialized on the hot path.
-    """
-    if padding > 0:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    windows = sliding_window_view(x, (kh, kw), axis=(2, 3))
-    if stride > 1:
-        windows = windows[:, :, ::stride, ::stride]
-    return windows
-
-
-def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
-    """Rearrange image patches into columns.
-
-    Built on the sliding-window view: the single copy happens in the final
-    ``reshape`` (the transposed view is not contiguous); the seed slice-loop
-    implementation is pinned against this one in ``tests/pipeline``.
-
-    Parameters
-    ----------
-    x:
-        Array of shape ``(N, C, H, W)``.
-
-    Returns
-    -------
-    Array of shape ``(N, C * kh * kw, H_out * W_out)``.
-    """
-    windows = _window_view(x, kh, kw, stride, padding)
-    n, c, h_out, w_out = windows.shape[:4]
-    return windows.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, h_out * w_out)
-
-
-def col2im(
-    cols: np.ndarray,
-    image_shape: tuple[int, int, int, int],
-    kh: int,
-    kw: int,
-    stride: int,
-    padding: int,
-) -> np.ndarray:
-    """Adjoint of :func:`im2col` (scatter-add patches back into an image).
-
-    When ``stride >= kh`` and ``stride >= kw`` the patch windows are disjoint,
-    so the scatter-add degenerates to a single vectorized assignment over the
-    whole kernel window (a strided 6-D view of the output with no aliasing).
-    Overlapping windows keep the per-offset loop: each of the ``kh * kw``
-    iterations is a fully vectorized strided add, and overlapping destinations
-    cannot be written through one view without undefined aliasing.
-    """
-    n, c, h, w = image_shape
-    h_pad, w_pad = h + 2 * padding, w + 2 * padding
-    h_out = _conv_output_size(h, kh, stride, padding)
-    w_out = _conv_output_size(w, kw, stride, padding)
-    cols = cols.reshape(n, c, kh, kw, h_out, w_out)
-    # repro: ok(ALLOC001, col2im is the autograd/training adjoint, not the fused eval hot path)
-    image = np.zeros((n, c, h_pad, w_pad), dtype=cols.dtype)
-    if stride >= kh and stride >= kw:
-        sn, sc, sh, sw = image.strides
-        scatter = as_strided(
-            image,
-            shape=(n, c, h_out, kh, w_out, kw),
-            strides=(sn, sc, sh * stride, sh, sw * stride, sw),
-        )
-        scatter[:] = cols.transpose(0, 1, 4, 2, 5, 3)
-    else:
-        for i in range(kh):
-            i_end = i + stride * h_out
-            for j in range(kw):
-                j_end = j + stride * w_out
-                image[:, :, i:i_end:stride, j:j_end:stride] += cols[:, :, i, j, :, :]
-    if padding > 0:
-        return image[:, :, padding:-padding, padding:-padding]
-    return image
 
 
 # ---------------------------------------------------------------------- #
@@ -160,45 +78,97 @@ def conv2d(
 ) -> Tensor:
     """2-D convolution (cross-correlation, PyTorch convention).
 
-    ``weight`` has shape ``(C_out, C_in, kh, kw)``.
+    ``weight`` has shape ``(C_out, C_in, kh, kw)``.  Every pass runs the
+    block kernel of :func:`conv_bn_act`: the forward is that kernel with the
+    identity activation, ``grad_x`` is the transposed conv of ``grad``
+    (:func:`conv_transpose_bn_act`) and ``grad_w`` is
+    :func:`_conv_weight_grad` over the same kernel-row packs.
     """
-    n, c_in, h, w = x.shape
-    c_out, c_in_w, kh, kw = weight.shape
+    _, c_in, h, w = x.shape
+    _, c_in_w, kh, kw = weight.shape
     if c_in != c_in_w:
         raise ValueError(f"conv2d: input has {c_in} channels, weight expects {c_in_w}")
-    windows = _window_view(x.data, kh, kw, stride, padding)  # view: (N, C_in, HO, WO, kh, kw)
-    h_out, w_out = windows.shape[2], windows.shape[3]
-    # One GEMM per sample; tensordot's internal packing of the view is the
-    # only copy, vs. materializing the full patch matrix with im2col.  The
-    # per-sample loop is deliberate, not a fallback: each pack stays
-    # cache-resident (a whole-batch pack made bs=4 ~35% slower per sample
-    # than bs=1 on the DOINN 32-channel 64x64 tiles), and each sample's GEMM
-    # shape is independent of the batch partitioning, so outputs are
-    # bit-identical however a stream is batched or sharded across workers
-    # (BLAS picks different, differently-rounding kernels per matrix shape).
-    # repro: ok(ALLOC001, unfused autograd conv2d; the fused eval path owns the cached buffers)
-    out = np.empty((n, c_out, h_out, w_out), dtype=np.result_type(windows, weight.data))
-    for i in range(n):
-        part = np.tensordot(windows[i], weight.data, axes=([0, 3, 4], [1, 2, 3]))
-        out[i] = part.transpose(2, 0, 1)                     # (C_out, HO, WO)
-    if bias is not None:
-        out += bias.data.reshape(1, c_out, 1, 1)
+    p = padding
+    xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p))) if p else x.data
+    out = conv_bn_act(
+        xp, weight.data, None if bias is None else bias.data, stride, p, input_is_padded=True
+    )
 
     parents = [x, weight] + ([bias] if bias is not None else [])
 
     def backward(grad: np.ndarray) -> None:
         if weight.requires_grad:
-            grad_w = np.tensordot(grad, windows, axes=([0, 2, 3], [0, 2, 3]))
-            weight.accumulate_grad(grad_w)
+            weight.accumulate_grad(_conv_weight_grad(xp, grad, kh, kw, stride))
         if bias is not None and bias.requires_grad:
             bias.accumulate_grad(grad.sum(axis=(0, 2, 3)))
         if x.requires_grad:
-            w_mat = weight.data.reshape(c_out, -1)           # (C_out, C_in*kh*kw)
-            grad_mat = grad.reshape(n, c_out, -1)            # (N, C_out, L)
-            grad_cols = np.matmul(w_mat.T, grad_mat)         # (N, C_in*kh*kw, L)
-            x.accumulate_grad(col2im(grad_cols, x.shape, kh, kw, stride, padding))
+            if (h + 2 * p - kh) % stride or (w + 2 * p - kw) % stride:
+                # The conv never read the trailing rows or columns of the
+                # padded input, so the symmetric crop of ``padding`` would
+                # drop real gradient: crop the padding-0 transposed conv by
+                # hand and zero what the conv never read.
+                full = conv_transpose_bn_act(grad, weight.data, None, stride, 0)[:, :, p : p + h, p : p + w]
+                rows, cols = full.shape[2:]
+                x.accumulate_grad(np.pad(full, ((0, 0), (0, 0), (0, h - rows), (0, w - cols))))
+            else:
+                x.accumulate_grad(conv_transpose_bn_act(grad, weight.data, None, stride, p))
 
     return Tensor.from_op(out, parents, backward)
+
+
+def _weight_grad_rows(x: np.ndarray, grad: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """Kernel rows ``(kh, C_g, C_x*kw)`` of the weight gradient of a stride-1
+    conv of the zero-bordered ``x`` ``(N, C_x, hp, wp)`` whose output
+    gradient is ``grad`` ``(N, C_g, h_out, w_out)``.
+
+    ``grad`` is laid out flat at padded width ``wp`` with its wrap-around
+    columns zero, so output position ``r*wp + c`` meets input ``r*wp + c +
+    a*wp + b`` as in :func:`_conv_stride1_blocked`, and each block of
+    :data:`CONV_BLOCK` positions packs the same ``(C_x*kw, cols +
+    (kh-1)*wp)`` kernel-row pack: row ``a`` of the gradient gains
+    ``grad_block @ pack[:, a*wp : a*wp + cols].T``.  Samples and blocks are
+    added in a fixed order on the calling thread.
+    """
+    n, c_x, hp, wp = x.shape
+    _, c_g, h_out, w_out = grad.shape
+    halo = (kh - 1) * wp
+    span = (h_out - 1) * wp + w_out
+    flat = np.pad(grad, ((0, 0), (0, 0), (0, 0), (0, wp - w_out))).reshape(n, c_g, h_out * wp)
+    x = np.ascontiguousarray(x)
+    # repro: ok(ALLOC001, the weight gradient's accumulator is training-only, not the fused eval hot path)
+    rows = np.zeros((kh, c_g, c_x * kw), dtype=np.result_type(x, grad))
+    for i in range(n):
+        for start in range(0, span, CONV_BLOCK):
+            cols = min(CONV_BLOCK, span - start)
+            pack = _strided(x[i], start, (c_x, kw, cols + halo), (hp * wp, 1, 1)).reshape(c_x * kw, -1)
+            block = flat[i, :, start : start + cols]
+            for a in range(kh):
+                rows[a] += block @ pack[:, a * wp : a * wp + cols].T
+    return rows
+
+
+def _conv_weight_grad(x: np.ndarray, grad: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
+    """Weight gradient ``(C_g, C_x, kh, kw)`` of a ``stride`` conv of the
+    zero-bordered ``x`` whose output gradient is ``grad``: ``dW[o, i, a, b]
+    = sum grad[o, r, c] * x[i, r*s + a, c*s + b]``.
+
+    A strided conv is the stride-1 conv of the space-to-depth copy of its
+    input with a ``ceil(k/s)`` kernel (see :func:`conv_bn_act`), whose
+    gradient maps back through the adjoint of :func:`_space_to_depth_rows`,
+    dropping the taps past ``k``.
+    """
+    s = stride
+    c_x = x.shape[1]
+    if s > 1:
+        shape, _ = _space_to_depth_shapes(x.shape, (1, c_x, kh, kw), s)
+        # repro: ok(ALLOC001, the space-to-depth copy of a training weight gradient, not the fused eval hot path)
+        x2 = np.empty(shape, dtype=x.dtype)
+        _space_to_depth(x, s, x2)
+        x = x2
+    jh, jw = -(-kh // s), -(-kw // s)
+    rows = _weight_grad_rows(x, grad, jh, jw)  # [a, o, (i, ph, pw, b)]
+    cells = rows.reshape(jh, grad.shape[1], c_x, s, s, jw).transpose(1, 2, 0, 3, 5, 4)
+    return cells.reshape(grad.shape[1], c_x, jh * s, jw * s)[:, :, :kh, :kw]
 
 
 #: Activation kinds understood by :func:`conv_bn_act` /
@@ -552,8 +522,8 @@ def conv_bn_act(
     compute team (:func:`repro.nn.backends.compute_team`), so the bits do
     not depend on the team size.
 
-    Operates on plain ndarrays (no autograd); training forwards keep using
-    :func:`conv2d` / :func:`batch_norm2d` unchanged.
+    Operates on plain ndarrays (no autograd); the autograd :func:`conv2d`
+    runs its forward and :func:`conv_transpose2d` its input gradient on it.
 
     Parameters
     ----------
@@ -617,37 +587,29 @@ def conv_transpose2d(
     """2-D transposed convolution (PyTorch convention).
 
     ``weight`` has shape ``(C_in, C_out, kh, kw)`` and the output spatial size
-    is ``(H - 1) * stride - 2 * padding + k``.
+    is ``(H - 1) * stride - 2 * padding + k``.  The forward is
+    :func:`conv_transpose_bn_act`, ``grad_x`` the conv of ``grad``
+    (:func:`conv_bn_act`) and ``grad_w`` the conv weight gradient of
+    ``(pad(grad), x)`` (:func:`_conv_weight_grad`), so every pass runs the
+    block kernel.
     """
-    n, c_in, h, w = x.shape
-    c_in_w, c_out, kh, kw = weight.shape
+    c_in = x.shape[1]
+    c_in_w, _, kh, kw = weight.shape
     if c_in != c_in_w:
         raise ValueError(f"conv_transpose2d: input has {c_in} channels, weight expects {c_in_w}")
-    h_out = (h - 1) * stride - 2 * padding + kh
-    w_out = (w - 1) * stride - 2 * padding + kw
-
-    # Inference hot path: every step below is either a free view (the weight
-    # matrix and flattened-input reshapes, and col2im's crop) or an
-    # unavoidable buffer (the GEMM result and the scatter image) — the only
-    # per-call allocation beyond those was the bias add, which built a whole
-    # fresh output array (`out = out + bias...`); it now adds in place.
-    w_mat = weight.data.reshape(c_in, -1)                    # (C_in, C_out*kh*kw)
-    x_mat = x.data.reshape(n, c_in, h * w)                   # (N, C_in, H*W)
-    cols = np.matmul(w_mat.T, x_mat)                         # (N, C_out*kh*kw, H*W)
-    out = col2im(cols, (n, c_out, h_out, w_out), kh, kw, stride, padding)
-    if bias is not None:
-        out += bias.data.reshape(1, c_out, 1, 1)
+    out = conv_transpose_bn_act(x.data, weight.data, None if bias is None else bias.data, stride, padding)
 
     parents = [x, weight] + ([bias] if bias is not None else [])
 
     def backward(grad: np.ndarray) -> None:
-        grad_cols = im2col(grad, kh, kw, stride, padding)    # (N, C_out*kh*kw, H*W)
+        p = padding
+        grad_p = np.pad(grad, ((0, 0), (0, 0), (p, p), (p, p))) if p else grad
         if x.requires_grad:
-            grad_x = np.matmul(w_mat, grad_cols)             # (N, C_in, H*W)
-            x.accumulate_grad(grad_x.reshape(x.shape))
+            # The (C_in, C_out, kh, kw) weight is a conv weight from C_out
+            # to C_in channels.
+            x.accumulate_grad(conv_bn_act(grad_p, weight.data, None, stride, p, input_is_padded=True))
         if weight.requires_grad:
-            grad_w = np.tensordot(x_mat, grad_cols, axes=([0, 2], [0, 2]))
-            weight.accumulate_grad(grad_w.reshape(weight.shape))
+            weight.accumulate_grad(_conv_weight_grad(grad_p, x.data, kh, kw, stride))
         if bias is not None and bias.requires_grad:
             bias.accumulate_grad(grad.sum(axis=(0, 2, 3)))
 
@@ -693,8 +655,9 @@ def conv_transpose_bn_act(
     conv's padding needs, so a ``dconv -> conv`` chain never materializes the
     uncropped image followed by a separate pad copy.
 
-    Operates on plain ndarrays (no autograd); training forwards keep using
-    :func:`conv_transpose2d` unchanged.
+    Operates on plain ndarrays (no autograd); the autograd
+    :func:`conv_transpose2d` runs its forward and :func:`conv2d` its input
+    gradient on it.
 
     Parameters
     ----------

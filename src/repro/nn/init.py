@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["kaiming_uniform", "xavier_uniform", "spectral_scale", "default_rng"]
+__all__ = ["kaiming_uniform", "spectral_scale", "default_rng"]
 
 _DEFAULT_SEED = 0
 
@@ -17,12 +17,6 @@ def default_rng(seed: int | None = None) -> np.random.Generator:
 def kaiming_uniform(shape: tuple[int, ...], fan_in: int, rng: np.random.Generator) -> np.ndarray:
     """He/Kaiming uniform initialization (suitable for ReLU-family activations)."""
     bound = np.sqrt(6.0 / max(fan_in, 1))
-    return rng.uniform(-bound, bound, size=shape)
-
-
-def xavier_uniform(shape: tuple[int, ...], fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarray:
-    """Glorot/Xavier uniform initialization."""
-    bound = np.sqrt(6.0 / max(fan_in + fan_out, 1))
     return rng.uniform(-bound, bound, size=shape)
 
 

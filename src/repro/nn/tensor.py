@@ -460,26 +460,6 @@ class Tensor:
 
         return Tensor.from_op(out_data, (self,), backward)
 
-    def pad2d(self, pad: int | tuple[int, int, int, int]) -> "Tensor":
-        """Zero-pad the last two (spatial) dimensions.
-
-        ``pad`` is either a single int applied to all four sides or a tuple
-        ``(top, bottom, left, right)``.
-        """
-        if isinstance(pad, int):
-            top = bottom = left = right = pad
-        else:
-            top, bottom, left, right = pad
-        pad_width = [(0, 0)] * (self.data.ndim - 2) + [(top, bottom), (left, right)]
-        out_data = np.pad(self.data, pad_width)
-        h, w = self.data.shape[-2], self.data.shape[-1]
-
-        def backward(grad: np.ndarray) -> None:
-            sl = [slice(None)] * (self.data.ndim - 2) + [slice(top, top + h), slice(left, left + w)]
-            self.accumulate_grad(np.asarray(grad)[tuple(sl)])
-
-        return Tensor.from_op(out_data, (self,), backward)
-
     @staticmethod
     def cat(tensors: Iterable["Tensor"], axis: int = 0) -> "Tensor":
         tensors = list(tensors)

@@ -29,9 +29,10 @@ Choosing batch size and workers
 -------------------------------
 Two independent knobs control throughput:
 
-* ``batch_size`` — tiles per executor invocation.  The conv hot path packs
-  patches through a zero-copy sliding-window view with one cache-resident
-  GEMM per sample, and :class:`~repro.pipeline.executors.ModelExecutor`
+* ``batch_size`` — tiles per executor invocation.  The convs run per sample
+  in cache-resident blocks of output positions
+  (:func:`repro.nn.functional.conv_bn_act`), and
+  :class:`~repro.pipeline.executors.ModelExecutor`
   splits large batches into cache-sized micro-batches internally, so bigger
   batches only help.  Larger batches amortize per-call planning overhead
   and feed the worker pool bigger shards; past the micro-batch size there
@@ -40,12 +41,11 @@ Two independent knobs control throughput:
   :mod:`repro.pipeline.parallel`; also settable fleet-wide via the
   ``REPRO_NUM_WORKERS`` environment variable).  Parallel output is
   bit-identical to serial.  Scaling follows the physical cores: on a
-  multi-core host expect near-linear gains up to the core count (the
-  acceptance bench requires >= 1.8x with 4 workers on >= 4 cores), while on
-  a single-core host the sharding overhead makes workers a small net loss —
-  leave the knob at 0 there.  ``benchmarks/bench_pipeline_throughput.py``
-  sweeps both knobs and writes the measured table to
-  ``artifacts/results/pipeline_throughput.txt``.
+  multi-core host expect gains up to the core count, while on a single-core
+  host the sharding overhead makes workers a small net loss — leave the
+  knob at 0 there.  The repo benchmark (``BENCHMARK.json``,
+  ``perfbench/run.py``) times the serial and the pooled large-tile
+  workloads.
 
 Pooled batches travel through a persistent, generation-tagged shared-memory
 ring (:mod:`repro.pipeline.streaming`) that is reused across pipeline calls,

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.layout import ISPD2019_RULES, Layout, Rect, generate_via_layout
 from repro.litho import (
     ConstantThresholdResist,
     LithoSimulator,
@@ -108,16 +107,6 @@ def test_resist_validation():
         ConstantThresholdResist(threshold=0.0)
     with pytest.raises(ValueError):
         SigmoidResist(steepness=-1.0)
-
-
-def test_simulate_layout_end_to_end(rng):
-    simulator = LithoSimulator(pixel_size=16.0, num_kernels=8, kernel_support=25)
-    layout = generate_via_layout(ISPD2019_RULES, rng, tile_size=1024.0, density_scale=2.0)
-    result = simulator.simulate_layout(layout)
-    assert result.mask.shape == (64, 64)
-    assert result.aerial.shape == (64, 64)
-    assert result.resist.shape == (64, 64)
-    assert result.printed_area >= 0.0
 
 
 def test_simulation_result_printed_area_units(simulator):

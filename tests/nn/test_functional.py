@@ -67,6 +67,18 @@ def test_conv2d_gradients_strided(rng):
     _check_grad(lambda xt, wt: (F.conv2d(xt, wt, stride=2, padding=1) ** 2).sum(), [x, w])
 
 
+# (size, kernel, stride, padding) with (size + 2p - k) % s != 0: the conv
+# never reads the trailing rows and columns of the padded input, so a
+# grad_x that crops the transposed conv symmetrically by p drops real
+# gradient there.
+@pytest.mark.parametrize("size,k,stride,padding", [(7, 4, 2, 1), (17, 5, 3, 2), (8, 3, 2, 0)])
+def test_conv2d_gradients_strided_odd_sizes(rng, size, k, stride, padding):
+    assert (size + 2 * padding - k) % stride
+    x = rng.standard_normal((1, 2, size, size))
+    w = rng.standard_normal((2, 2, k, k))
+    _check_grad(lambda xt, wt: (F.conv2d(xt, wt, stride=stride, padding=padding) ** 2).sum(), [x, w])
+
+
 def test_conv2d_channel_mismatch_raises(rng):
     x = Tensor(rng.standard_normal((1, 3, 4, 4)))
     w = Tensor(rng.standard_normal((2, 4, 3, 3)))

@@ -39,6 +39,7 @@ from repro.nn import (
 )
 from repro.nn import functional as F
 from repro.nn.fusion import FusedConvBNAct, FusedConvTranspose, build_chain
+from tests.nn import conv_reference
 
 TOL = dict(rtol=1e-12, atol=1e-12)
 
@@ -156,7 +157,7 @@ def _bias_act(ref, b, activation, slope):
 def _im2col_reference(x, w, b, padding, activation, slope=0.2):
     """One whole-image ``w_mat @ im2col`` GEMM per sample, bias, activation."""
     c_out, _, kh, kw = w.shape
-    cols = F.im2col(x, kh, kw, 1, padding)
+    cols = conv_reference.im2col(x, kh, kw, 1, padding)
     h_out = x.shape[2] + 2 * padding - kh + 1
     w_out = x.shape[3] + 2 * padding - kw + 1
     ref = _bias_act(np.matmul(w.reshape(c_out, -1), cols), b, activation, slope)
@@ -169,7 +170,7 @@ def _kernel_row_reference(x, w, b, padding, activation, slope=0.2):
     row's im2col rows, summed over ``a`` in order, then bias, activation."""
     c_out, c_in, kh, kw = w.shape
     n = x.shape[0]
-    cols = F.im2col(x, kh, kw, 1, padding).reshape(n, c_in, kh, kw, -1)
+    cols = conv_reference.im2col(x, kh, kw, 1, padding).reshape(n, c_in, kh, kw, -1)
     ref = None
     for a in range(kh):
         w_row = np.ascontiguousarray(w[:, :, a, :]).reshape(c_out, c_in * kw)
@@ -325,7 +326,7 @@ def _assert_space_to_depth_matches(rng, k, c_in, size):
         x, weight, bias, stride=2, padding=1, activation="leaky_relu", negative_slope=0.2
     )
     np.testing.assert_array_equal(out, _space_to_depth_reference(x, weight, bias, 2, 1))
-    whole = np.matmul(weight.reshape(5, -1), F.im2col(x, k, k, 2, 1))
+    whole = np.matmul(weight.reshape(5, -1), conv_reference.im2col(x, k, k, 2, 1))
     whole = _bias_act(whole, bias, "leaky_relu", 0.2).reshape(out.shape)
     assert np.max(np.abs(out - whole)) <= 1e-12
 
@@ -377,7 +378,7 @@ def _subpixel_reference(x, w, b, stride, padding, slope=0.2):
 
 def _assert_subpixel_matches(rng, k, stride, padding, c_in, c_out, size):
     """Bit for bit against the in-test sub-pixel reference, and within
-    1e-12 of the unfused transposed conv."""
+    1e-12 of the reference ``col2im`` transposed conv."""
     x = rng.standard_normal((2, c_in, size, size))
     weight = rng.standard_normal((c_in, c_out, k, k))
     bias = rng.standard_normal(c_out)
@@ -386,7 +387,7 @@ def _assert_subpixel_matches(rng, k, stride, padding, c_in, c_out, size):
     )
     np.testing.assert_array_equal(out, _subpixel_reference(x, weight, bias, stride, padding))
     with no_grad():
-        plain = F.conv_transpose2d(
+        plain = conv_reference.conv_transpose2d(
             Tensor(x), Tensor(weight), Tensor(bias), stride=stride, padding=padding
         ).numpy()
     assert np.max(np.abs(out - np.maximum(plain, 0.2 * plain))) <= 1e-12

@@ -141,13 +141,6 @@ def test_getitem_gradient():
     np.testing.assert_allclose(t.grad, expected)
 
 
-def test_pad2d_gradient(rng):
-    data = rng.standard_normal((1, 1, 3, 3))
-    t = Tensor(data.copy(), requires_grad=True)
-    t.pad2d(2).sum().backward()
-    np.testing.assert_allclose(t.grad, np.ones((1, 1, 3, 3)))
-
-
 def test_cat_gradient(rng):
     a = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
     b = Tensor(rng.standard_normal((2, 5)), requires_grad=True)

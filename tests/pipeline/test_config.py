@@ -487,18 +487,6 @@ def test_prebuilt_pool_settings_land_in_the_config(model):
         pipeline.close()
 
 
-def test_simulator_pipeline_forwards_every_knob():
-    """The harness forwards the whole config: blas_threads is not dropped."""
-    harness = Harness()
-    cfg = ExecutionConfig(num_workers=0, blas_threads=0)
-    pipeline = harness.simulator_pipeline(config=cfg)
-    try:
-        assert pipeline.config.blas_threads == 0
-        assert pipeline.config.source_of("blas_threads") == "explicit"
-    finally:
-        pipeline.close()
-
-
 def test_opc_config_execution_merge():
     """The OPC engine's pipeline runs the embedded execution document;
     incremental re-simulation is an OPC setting, on by default."""

@@ -6,9 +6,12 @@ Two invariants anchor this file:
   transport change — outputs are **bit-identical** to the serial path for
   learned models and the golden simulator, on both the native and the
   stitched large-tile plans;
-* the rewritten ``im2col``/``col2im``/``conv2d`` hot path is pinned against
-  the seed slice-loop implementations — same values, same autograd
-  gradients — across strides, paddings and kernel sizes.
+* the autograd ``conv2d`` (every pass on the kernel-row block kernel) is
+  pinned against the seed slice-loop im2col algebra — same values, same
+  autograd gradients within 1e-12 — and the window-view ``im2col`` /
+  ``col2im`` of the in-test reference passes (``tests/nn/conv_reference.py``)
+  bit for bit against the seed slice loops, across strides, paddings and
+  kernel sizes.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from repro.pipeline import (
 #: default is covered by tests/pipeline/test_supervision.py.
 STRICT = RetryPolicy(max_retries=0, degrade=False)
 from repro.pipeline.executors import Executor
+from tests.nn.conv_reference import col2im, im2col
 
 
 @pytest.fixture(scope="module")
@@ -355,7 +359,7 @@ def test_pool_recovers_after_worker_failure(model):
 
 
 # --------------------------------------------------------------------- #
-# Seed pins for the rewritten im2col / col2im hot path
+# Seed pins for the reference im2col / col2im and the autograd conv
 # --------------------------------------------------------------------- #
 def _seed_im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
     """The pre-rewrite slice-loop im2col, verbatim."""
@@ -409,7 +413,7 @@ def test_im2col_matches_seed_bit_for_bit(kh, kw, stride, padding):
     rng = np.random.default_rng(5)
     x = rng.standard_normal((2, 3, 12, 12))
     assert np.array_equal(
-        F.im2col(x, kh, kw, stride, padding), _seed_im2col(x, kh, kw, stride, padding)
+        im2col(x, kh, kw, stride, padding), _seed_im2col(x, kh, kw, stride, padding)
     )
 
 
@@ -419,19 +423,19 @@ def test_col2im_matches_seed_bit_for_bit(kh, kw, stride, padding):
     shape = (2, 3, 12, 12)
     cols = rng.standard_normal(_seed_im2col(np.zeros(shape), kh, kw, stride, padding).shape)
     assert np.array_equal(
-        F.col2im(cols, shape, kh, kw, stride, padding),
+        col2im(cols, shape, kh, kw, stride, padding),
         _seed_col2im(cols, shape, kh, kw, stride, padding),
     )
 
 
 @pytest.mark.parametrize("kh,kw,stride,padding", _CONV_CONFIGS)
 def test_col2im_is_adjoint_of_im2col(kh, kw, stride, padding):
-    """<im2col(x), c> == <x, col2im(c)> — the autograd contract."""
+    """<im2col(x), c> == <x, col2im(c)> — the reference passes' autograd contract."""
     rng = np.random.default_rng(7)
     x = rng.standard_normal((1, 2, 10, 10))
-    cols = rng.standard_normal(F.im2col(x, kh, kw, stride, padding).shape)
-    lhs = float((F.im2col(x, kh, kw, stride, padding) * cols).sum())
-    rhs = float((x * F.col2im(cols, x.shape, kh, kw, stride, padding)).sum())
+    cols = rng.standard_normal(im2col(x, kh, kw, stride, padding).shape)
+    lhs = float((im2col(x, kh, kw, stride, padding) * cols).sum())
+    rhs = float((x * col2im(cols, x.shape, kh, kw, stride, padding)).sum())
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 

@@ -7,7 +7,9 @@ import pytest
 
 from repro.core import DOINN, DOINNConfig
 from repro.data import MaskResistDataset
+from repro.nn import functional as F
 from repro.training import Trainer, TrainingConfig, TrainingHistory
+from tests.nn import conv_reference
 
 
 def toy_dataset(n=8, size=32):
@@ -95,6 +97,33 @@ def test_all_losses_trainable(loss_name):
     trainer = Trainer(tiny_model(), config)
     history = trainer.fit(data)
     assert np.isfinite(history.final_loss)
+
+
+@pytest.mark.parametrize("name", ["doinn", "unet", "damo-dls"])
+def test_train_step_matches_reference_conv_passes(name, tiny_model_factory, monkeypatch):
+    """One train step with the block-kernel convs against the same step with
+    the window-view ``tensordot``/``col2im`` reference passes: the same loss,
+    and every parameter gradient within 1e-12 of the model's largest
+    |gradient|.  The bound is model-wide, not per parameter: a conv bias that
+    feeds a train-mode batch norm has an analytic gradient of zero, and both
+    passes read round-off there."""
+    rng = np.random.default_rng(3)
+    masks = (rng.random((4, 1, 32, 32)) > 0.5).astype(float)
+    resists = (rng.random((4, 1, 32, 32)) > 0.5).astype(float)
+    losses, grads = {}, {}
+    for tag in ("block", "reference"):
+        if tag == "reference":
+            monkeypatch.setattr(F, "conv2d", conv_reference.conv2d)
+            monkeypatch.setattr(F, "conv_transpose2d", conv_reference.conv_transpose2d)
+        model = tiny_model_factory(name)
+        model.train()
+        losses[tag] = Trainer(model, TrainingConfig()).train_step(masks, resists)
+        grads[tag] = {p_name: p.grad for p_name, p in model.named_parameters()}
+    assert losses["block"] == pytest.approx(losses["reference"], rel=1e-12)
+    scale = max(np.abs(grad).max() for grad in grads["reference"].values())
+    assert scale > 0.0
+    for p_name, grad in grads["reference"].items():
+        assert np.abs(grads["block"][p_name] - grad).max() <= 1e-12 * scale, p_name
 
 
 def test_history_helpers():
